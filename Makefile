@@ -13,13 +13,14 @@
 #   make bench-obs    telemetry-overhead benchmarks (off vs on) -> bench/obs.txt
 #   make bench-smoke  every benchmark once, small cases only (CI)
 #   make smoke-telemetry run the observability example end to end
-#   make check        build + vet + test + fuzz regression + telemetry smoke (CI gate)
+#   make smoke-secagg run the secure-aggregation walkthrough end to end
+#   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg check
 
 build:
 	$(GO) build ./...
@@ -38,10 +39,8 @@ test:
 fuzz-check:
 	$(GO) test -run 'Fuzz' ./internal/wire ./internal/fl ./internal/journal ./internal/obs ./internal/secagg
 
-# The legacy full-pairwise masked rounds (mask expansion is
-# O(cohort² · model)) exceed go test's default 10m timeout.
 bench:
-	$(GO) test -run xxx -bench . -benchtime=1x -benchmem -timeout 60m .
+	$(GO) test -run xxx -bench . -benchtime=1x -benchmem .
 
 # Fixed-iteration fleet benchmark sweep (clients × codec), captured as a
 # comparable artefact. Not part of `check`: it takes minutes. Written to
@@ -58,18 +57,22 @@ bench-fleet:
 smoke-telemetry:
 	$(GO) run ./examples/telemetry
 
-check: build vet test fuzz-check smoke-telemetry
+# The secure-aggregation walkthrough as a smoke test: masked rounds on
+# the default mask degree — full cohort, straggler dropout within the
+# default tolerance, enclave-protected tensors — each of which must land
+# bit-identically on its plaintext twin or the run exits non-zero.
+smoke-secagg:
+	$(GO) run ./examples/secagg
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
-# the default) vs legacy full-pairwise vs enclave aggregation at
-# 64/256/1024 clients. Three iterations per cell: single-shot fleet
-# rounds swing ±20% on a busy host, which is noise the masked/plain
-# ratio cannot absorb. The legacy complete graph is O(cohort² · model)
-# in mask expansion — that baseline keeps the raised timeout (its
-# 1024-client cell is skipped in-run; EXPERIMENTS.md records it).
+# the default) vs enclave aggregation at 64/256/1024 clients. Three
+# iterations per cell: single-shot fleet rounds swing ±20% on a busy
+# host, which is noise the masked/plain ratio cannot absorb.
 bench-secagg:
 	@mkdir -p bench
-	$(GO) test -run xxx -bench 'BenchmarkSecAggRound' -benchtime=3x -benchmem -timeout 60m . > bench/secagg.txt; \
+	$(GO) test -run xxx -bench 'BenchmarkSecAggRound' -benchtime=3x -benchmem . > bench/secagg.txt; \
 	status=$$?; cat bench/secagg.txt; exit $$status
 
 # Hierarchical fan-in benchmark: flat server vs sharded root over

@@ -427,13 +427,9 @@ func BenchmarkHierRound(b *testing.B) {
 // fleet scale: one full FL cycle per mode over the LeNet-5 model.
 // "plain" is the PR 2 baseline (plaintext FedAvg); "masked" adds
 // fixed-point masked aggregation over the k-regular graph (auto
-// degree ⌈log₂ n⌉ rounded to even, floored at 6: 8 B/element level transfer, k AES-CTR mask
-// expansions per client plus one Shamir-shared self mask); "masked-full"
-// is the legacy complete pairwise graph — the O(cohort²·model)
-// keystream wall the k-regular graph exists to kill — kept at 64/256
-// clients as the comparison baseline (its 1024-client cell takes ~5
-// minutes alone; EXPERIMENTS.md records the reference number); and
-// "enclave" additionally routes one protected tensor through the
+// degree ⌈log₂ n⌉ rounded to even, floored at 6: 8 B/element level
+// transfer, k AES-CTR mask expansions per client plus one
+// Shamir-shared self mask); and "enclave" additionally routes one protected tensor through the
 // simulated aggregation enclave's sealed path. MB/s counts logical
 // model-down + update-up traffic on the same axis as BenchmarkFleetRound.
 // EXPERIMENTS.md records a reference run.
@@ -441,22 +437,17 @@ func BenchmarkSecAggRound(b *testing.B) {
 	type mode struct {
 		name    string
 		secagg  bool
-		degree  int
 		protect []int
 	}
 	modes := []mode{
 		{name: "plain"},
-		{name: "masked", secagg: true, degree: gradsec.AutoMaskDegree},
-		{name: "masked-full", secagg: true},
-		{name: "enclave", secagg: true, degree: gradsec.AutoMaskDegree, protect: []int{0}},
+		{name: "masked", secagg: true},
+		{name: "enclave", secagg: true, protect: []int{0}},
 	}
 	for _, clients := range []int{64, 256, 1024} {
 		for _, m := range modes {
 			if testing.Short() && clients > 64 {
 				continue // CI bench smoke: the 1024-client masked rounds alone take minutes
-			}
-			if m.name == "masked-full" && clients > 256 {
-				continue // quadratic baseline: the 1024-client cell is the recorded ~317 s reference
 			}
 			b.Run(fmt.Sprintf("clients=%d/mode=%s", clients, m.name), func(b *testing.B) {
 				model := gradsec.NewLeNet5(rand.New(rand.NewSource(7)), gradsec.ActReLU)
@@ -471,13 +462,12 @@ func BenchmarkSecAggRound(b *testing.B) {
 					state := gradsec.NewLeNet5(rand.New(rand.NewSource(7)), gradsec.ActReLU).StateDict()
 					b.StartTimer()
 					res, err := gradsec.RunFleet(gradsec.FleetScenario{
-						Clients:    clients,
-						Rounds:     1,
-						SecAgg:     m.secagg,
-						MaskDegree: m.degree,
-						Protect:    m.protect,
-						Seed:       int64(i + 1),
-						Model:      state,
+						Clients: clients,
+						Rounds:  1,
+						SecAgg:  m.secagg,
+						Protect: m.protect,
+						Seed:    int64(i + 1),
+						Model:   state,
 					})
 					if err != nil {
 						b.Fatal(err)

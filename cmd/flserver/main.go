@@ -57,9 +57,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "cohort sampling seed")
 	codecName := flag.String("codec", "f64", "tensor wire codec offered to clients: f64, f32, or q8")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-operation transport deadline: handshake reads and model-distribution writes (0 = none)")
-	secAgg := flag.Bool("secagg", false, "secure aggregation: clients send pairwise-masked updates; protected layers aggregate inside a simulated server enclave")
+	secAgg := flag.Bool("secagg", false, "secure aggregation: clients send double-masked updates over a k-regular mask graph (see -mask-degree); protected layers aggregate inside a simulated server enclave")
 	secAggScale := flag.Int("secagg-scale", secagg.DefaultScaleBits, "fixed-point fractional bits for masked updates")
-	maskDegree := flag.Int("mask-degree", 0, "secagg mask-graph degree: 0 = full pairwise masking, -1 = automatic k-regular degree (log2 cohort, floored at 6), k>0 = mask against k graph neighbours with a Shamir-shared self mask")
+	maskDegree := flag.Int("mask-degree", 0, "secagg mask-graph degree k: each client masks against k graph neighbours plus a Shamir-shared self mask, and a round survives any (k-1)/2 dropouts; 0 = size k from each round's cohort (log2 cohort, at least 6, i.e. 2 dropouts), k>0 = pin it; negative is an error")
 	quarantineRounds := flag.Int("quarantine-rounds", 0, "probation window for failed clients in rounds (0 = permanent exclusion)")
 	minRelease := flag.Int("min-release", 0, "secure-aggregation release floor: rounds folding fewer updates never publish their aggregate (0 = no floor)")
 	adaptiveCodec := flag.Float64("adaptive-codec", 0, "adaptive codec downgrade: open the session at f64 and switch capable clients to q8 once the round update norm falls below this threshold (0 = off; flat mode only)")
@@ -81,6 +81,11 @@ func main() {
 	spansPath := flag.String("spans", "", "export round spans as JSONL to this file (empty = off)")
 	clientTelemetry := flag.Bool("client-telemetry", false, "fold device-side gradsec_client_* metrics riding plaintext GradUps into the server registry (needs -admin)")
 	flag.Parse()
+	if *maskDegree < 0 {
+		fmt.Fprintf(os.Stderr, "flserver: -mask-degree %d: must be 0 (automatic) or a positive graph degree\n", *maskDegree)
+		flag.Usage()
+		os.Exit(2)
+	}
 	adminSec := obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
 
 	codec, err := wire.ParseCodec(*codecName)
@@ -176,12 +181,8 @@ func main() {
 	defer l.Close()
 	mode := "plaintext aggregation"
 	if *secAgg {
-		switch {
-		case *maskDegree == 0:
-			mode = "secure aggregation (full pairwise masking"
-		case *maskDegree < 0:
-			mode = "secure aggregation (k-regular masking, auto degree"
-		default:
+		mode = "secure aggregation (k-regular masking, auto degree"
+		if *maskDegree > 0 {
 			mode = fmt.Sprintf("secure aggregation (k-regular masking, degree %d", *maskDegree)
 		}
 		if enclave != nil {

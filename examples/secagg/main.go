@@ -1,6 +1,7 @@
 // Command secagg walks through server-side secure aggregation: the
-// same fleet scenario is run under plaintext FedAvg and under pairwise
-// masking (plus an aggregation enclave for the protected tensors), and
+// same fleet scenario is run under plaintext FedAvg and under k-regular
+// double masking (plus an aggregation enclave for the protected
+// tensors), and
 // the walkthrough verifies what the paper's threat model demands —
 // the aggregates are bit-identical, while the masked path never shows
 // the server an individual client's update.
@@ -34,17 +35,21 @@ func main() {
 	masked := run(withSecAgg(base))
 	fmt.Printf("   plaintext final norm-ish probe: %+.6f\n", plain.Final[0].Data[0])
 	fmt.Printf("   masked    final norm-ish probe: %+.6f\n", masked.Final[0].Data[0])
-	fmt.Printf("   bit-identical models: %v\n", identical(plain, masked))
+	report("bit-identical models", plain, masked)
 	fmt.Println()
 
-	// Part 2: straggler dropout — survivors reveal round seeds, the
-	// server subtracts exactly the unpaired masks.
+	// Part 2: straggler dropout — the stragglers' neighbours reveal
+	// their round seeds with them, everyone else's self masks come off
+	// through Shamir shares, and the server subtracts exactly those.
+	// With no degree configured a 20-client cohort gets k = 6, which
+	// survives any ⌊(k−1)/2⌋ = 2 dropouts per round; fleets expecting
+	// more churn pin a larger FleetScenario.MaskDegree.
 	fmt.Println("-- Part 2: straggler dropout + mask reconciliation")
 	drop := gradsec.FleetScenario{
 		Clients:           20,
 		Rounds:            3,
 		Deadline:          2 * time.Second,
-		StragglerFraction: 0.25,
+		StragglerFraction: 0.1,
 		Seed:              7,
 	}
 	plainDrop := run(drop)
@@ -53,7 +58,7 @@ func main() {
 		fmt.Printf("   round %d: responded %2d, dropped %d, masks reconciled %d, |update| %.4f\n",
 			st.Round, st.Responded, st.Dropped, st.Reconciled, st.UpdateNorm)
 	}
-	fmt.Printf("   bit-identical to plaintext dropout run: %v\n", identical(plainDrop, maskedDrop))
+	report("bit-identical to plaintext dropout run", plainDrop, maskedDrop)
 	fmt.Println()
 
 	// Part 3: protected tensors — sealed updates fold inside the
@@ -69,7 +74,7 @@ func main() {
 	plainProt := run(prot)
 	maskedProt := run(withSecAgg(prot))
 	fmt.Printf("   enclave world switches (SMCs): %d\n", maskedProt.EnclaveSMCs)
-	fmt.Printf("   bit-identical to plaintext TEE run: %v\n", identical(plainProt, maskedProt))
+	report("bit-identical to plaintext TEE run", plainProt, maskedProt)
 	fmt.Println()
 
 	fmt.Println("In the masked runs the server only ever folded uniformly random")
@@ -88,6 +93,17 @@ func run(sc gradsec.FleetScenario) *gradsec.FleetResult {
 		log.Fatal(err)
 	}
 	return res
+}
+
+// report prints whether the two runs landed on bit-identical models
+// and fails the walkthrough (it doubles as make check's smoke-secagg)
+// when they did not.
+func report(claim string, a, b *gradsec.FleetResult) {
+	ok := identical(a, b)
+	fmt.Printf("   %s: %v\n", claim, ok)
+	if !ok {
+		log.Fatalf("secagg walkthrough: %q does not hold", claim)
+	}
 }
 
 func identical(a, b *gradsec.FleetResult) bool {

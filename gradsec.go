@@ -61,12 +61,14 @@
 //
 // Secure aggregation (FleetScenario.SecAgg, flserver -secagg) extends
 // the paper's threat model to a compromised aggregator: clients send
-// pairwise-masked fixed-point updates whose masks cancel over the
-// cohort, dropped stragglers are reconciled from survivor-revealed
-// round seeds, and protected tensors fold inside a simulated server
-// enclave (internal/secagg) — the server never materialises an
-// individual client's gradients, yet the aggregate is bit-identical
-// to plaintext FedAvg for the simulator's dyadic updates.
+// double-masked fixed-point updates — pairwise masks along a k-regular
+// graph (FleetScenario.MaskDegree; 0 sizes it from the cohort) that
+// cancel over the cohort, plus a Shamir-shared self mask — dropped
+// stragglers are reconciled from survivor-revealed round seeds, up to
+// ⌊(k−1)/2⌋ of them per round, and protected tensors fold inside a
+// simulated server enclave (internal/secagg) — the server never
+// materialises an individual client's gradients, yet the aggregate is
+// bit-identical to plaintext FedAvg for the simulator's dyadic updates.
 //
 // Fleet scale comes from the hierarchical aggregation tier
 // (internal/hier, FleetScenario.Shards): the fleet is partitioned
@@ -112,7 +114,6 @@ import (
 	"github.com/gradsec/gradsec/internal/flsim"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/obs"
-	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
@@ -171,15 +172,6 @@ type (
 	// Tensor is a dense float64 tensor — model parameters and updates.
 	Tensor = tensor.Tensor
 )
-
-// AutoMaskDegree, as a FleetScenario.MaskDegree (or fl.ServerConfig
-// MaskDegree, flserver -mask-degree) value, selects the automatic
-// k-regular mask-graph degree ⌈log₂ cohort⌉ (even-rounded, floored at
-// 6) per round: each
-// client masks against only k graph neighbours instead of the whole
-// cohort, with a Shamir-shared self mask covering the dropout window.
-// 0 keeps the full pairwise graph (the pre-k-regular wire behaviour).
-const AutoMaskDegree = secagg.AutoDegree
 
 // Re-exported observability types: the fleet telemetry registry and
 // its admin HTTP surface (FleetScenario.Metrics / FleetScenario.Spans

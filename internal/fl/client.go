@@ -94,11 +94,9 @@ type Client struct {
 	// SecAgg records whether the session ran under secure aggregation.
 	SecAgg bool
 
-	// secagg session state.
-	mask   *secagg.ClientSession
-	cohort []secagg.Peer // roster of the round in flight
-	round  int           // round of the roster
-	degree int           // resolved mask-graph degree of the roster (0 = full pairwise)
+	// mask is the secagg session state; it remembers the round in flight
+	// for reconciliation.
+	mask *secagg.ClientSession
 
 	// lastTrainErr remembers a reported training failure: the client
 	// stays in the protocol afterwards (the server decides between
@@ -263,17 +261,10 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 		if len(m.Cohort) == 0 {
 			return fmt.Errorf("fl: secagg round %d arrived without a cohort roster", m.Round)
 		}
-		c.cohort = m.Cohort
-		c.round = m.Round
-		c.degree = m.MaskDegree
 		// The FedAvg weight is applied in the ring before masking; it
-		// must equal the weight the server derives from Examples, so the
-		// clamp is mirrored here.
-		weight := uint64(1)
-		if examples > 0 {
-			weight = min(examples, MaxExampleWeight)
-		}
-		levels, shares, err := c.mask.MaskedUpdate(m.Round, m.Cohort, m.MaskDegree, plainUpd, weight)
+		// must equal the weight the server derives from Examples, hence
+		// the shared updateWeight.
+		levels, shares, err := c.mask.MaskedUpdate(m.Round, m.Cohort, m.MaskDegree, plainUpd, updateWeight(examples))
 		if err != nil {
 			return fmt.Errorf("fl: masking round %d update: %w", m.Round, err)
 		}
@@ -319,33 +310,19 @@ func (c *Client) telemetryDelta() []byte {
 	return c.snap.Delta()
 }
 
-// handleMaskRecon answers the server's reconciliation request. In
-// legacy rounds (degree 0) it reveals this client's round seeds with
-// the dropped cohort members; in k-regular rounds it routes through
-// ClientSession.Reconcile, which enforces the one-role-per-peer
-// invariant (ErrRoleConflict) and unwraps survivor self-seed shares.
+// handleMaskRecon answers the server's reconciliation request through
+// ClientSession.Reconcile, which only answers for the round it last
+// masked, enforces the one-role-per-peer invariant (ErrRoleConflict)
+// and unwraps survivor self-seed shares.
 func (c *Client) handleMaskRecon(m *MaskRecon) error {
 	if c.mask == nil {
 		return fmt.Errorf("fl: mask reconciliation outside a secagg session")
 	}
-	if m.Round != c.round || len(c.cohort) == 0 {
-		return fmt.Errorf("fl: mask reconciliation for round %d, last roster is round %d", m.Round, c.round)
-	}
-	if c.degree > 0 {
-		ans, err := c.mask.Reconcile(m.Round, m.Dropped, m.Survivors)
-		if err != nil {
-			return fmt.Errorf("fl: reconciling masks: %w", err)
-		}
-		if err := c.conn.Send(&MaskShares{Round: m.Round, Shares: ans.Pairs, SeedShares: ans.Seeds}); err != nil {
-			return fmt.Errorf("fl: sending mask shares: %w", err)
-		}
-		return nil
-	}
-	shares, err := c.mask.Shares(m.Round, c.cohort, m.Dropped)
+	ans, err := c.mask.Reconcile(m.Round, m.Dropped, m.Survivors)
 	if err != nil {
-		return fmt.Errorf("fl: deriving mask shares: %w", err)
+		return fmt.Errorf("fl: reconciling masks: %w", err)
 	}
-	if err := c.conn.Send(&MaskShares{Round: m.Round, Shares: shares}); err != nil {
+	if err := c.conn.Send(&MaskShares{Round: m.Round, Shares: ans.Pairs, SeedShares: ans.Seeds}); err != nil {
 		return fmt.Errorf("fl: sending mask shares: %w", err)
 	}
 	return nil

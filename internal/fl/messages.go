@@ -64,13 +64,12 @@ type Challenge struct {
 	// ScaleBits is the fixed-point precision for masked updates
 	// (secagg.DefaultScaleBits when the server leaves it zero).
 	ScaleBits uint8
-	// MaskDegree announces the session's masking topology: 0 is the
-	// legacy full-pairwise mode (also what pre-double-masking peers
-	// assume), secagg.AutoDegree (-1) sizes the k-regular graph per
-	// round from the cohort, and a positive value fixes the degree.
-	// The resolved per-round degree rides ModelDown.MaskDegree.
-	// Trailing field; on the wire 0→0, auto→1, fixed k→k+1, so absent
-	// decodes as legacy.
+	// MaskDegree announces the session's configured mask-graph degree:
+	// 0 (secagg.AutoDegree, also what an absent field decodes to) sizes
+	// the k-regular graph per round from the cohort, a positive value
+	// pins the degree. Hierarchical edges adopt it for their shards;
+	// clients ignore it — the resolved per-round degree rides
+	// ModelDown.MaskDegree. Trailing field, a plain uvarint.
 	MaskDegree int
 	// AggQuote, when non-empty (detected via AggQuote.DeviceID), attests
 	// the server-side aggregation enclave over
@@ -95,33 +94,7 @@ func (m *Challenge) encode(w *wire.Writer) {
 	w.Blob(m.AggQuote.Measurement[:])
 	w.Blob(m.AggQuote.Nonce)
 	w.Blob(m.AggQuote.MAC)
-	w.Uvarint(encodeMaskDegree(m.MaskDegree))
-}
-
-// encodeMaskDegree / decodeMaskDegree map the MaskDegree config onto an
-// unsigned trailing wire field: 0 (legacy full pairwise) → 0, auto (-1)
-// → 1, fixed degree k → k+1. An absent field therefore reads back as
-// legacy, keeping old peers' wire behaviour byte-for-byte.
-func encodeMaskDegree(d int) uint64 {
-	switch {
-	case d < 0:
-		return 1
-	case d == 0:
-		return 0
-	default:
-		return uint64(d) + 1
-	}
-}
-
-func decodeMaskDegree(v uint64) int {
-	switch v {
-	case 0:
-		return 0
-	case 1:
-		return secagg.AutoDegree
-	default:
-		return int(v) - 1
-	}
+	w.Uvarint(uint64(m.MaskDegree))
 }
 
 func (m *Challenge) decode(r *wire.Reader) {
@@ -140,7 +113,7 @@ func (m *Challenge) decode(r *wire.Reader) {
 		m.AggQuote.MAC = r.Blob()
 	}
 	if r.Err() == nil && r.Remaining() > 0 {
-		m.MaskDegree = decodeMaskDegree(r.Uvarint())
+		m.MaskDegree = int(r.Uvarint())
 	}
 }
 
@@ -238,12 +211,13 @@ type ModelDown struct {
 	// correlates all tiers of one round. Trailing field: absent (0) on
 	// pre-telemetry peers.
 	Trace uint64
-	// MaskDegree is the round's resolved mask-graph degree: 0 means full
-	// pairwise masking over the cohort (legacy), k > 0 means the client
+	// MaskDegree is the round's resolved mask-graph degree k: the client
 	// masks only against its neighbours in the deterministic k-regular
 	// graph derived from (Round, Cohort) and double-masks with a
-	// Shamir-shared self seed. Trailing field: absent (0) keeps the
-	// legacy behaviour.
+	// Shamir-shared self seed. It is ≥ 1 for every cohort of two or
+	// more; 0 (also what an absent trailing field decodes to) is valid
+	// only for a one-member cohort, and a client handed it for a larger
+	// one refuses to mask (secagg.ErrMaskDowngrade).
 	MaskDegree int
 }
 

@@ -110,9 +110,13 @@ func (s *Server) newAggregator() UpdateAggregator {
 	}
 }
 
-// validateAggregation enforces the mode exclusions above at session
-// open, where configuration errors can still be reported cleanly.
+// validateAggregation enforces the mode exclusions above, and the
+// secure-aggregation mask-degree range, at session open, where
+// configuration errors can still be reported cleanly.
 func (s *Server) validateAggregation() error {
+	if s.cfg.MaskDegree < 0 {
+		return fmt.Errorf("%w: got %d", ErrBadMaskDegree, s.cfg.MaskDegree)
+	}
 	if s.cfg.Aggregation == AggFedAvg {
 		return nil
 	}

@@ -1,0 +1,339 @@
+package fl
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"time"
+
+	"github.com/gradsec/gradsec/internal/journal"
+	"github.com/gradsec/gradsec/internal/obs"
+	"github.com/gradsec/gradsec/internal/simclock"
+	"github.com/gradsec/gradsec/internal/tensor"
+	"github.com/gradsec/gradsec/internal/wire"
+)
+
+// syncRound is the state one round-synchronous cycle carries between
+// its phases. runRound and runSecAggRound drive it through the same
+// skeleton — openRound, distribute, collect with handleArrival,
+// minClientsGate — and add only their own fold and close.
+type syncRound struct {
+	round   int
+	sampled []*session
+	// pending holds the reached cohort members still owed an answer.
+	pending map[*session]bool
+	stats   RoundStats
+	reasons []string
+	// deadline fires when RoundDeadline expires; nil waits forever.
+	deadline <-chan time.Time
+	timer    *simclock.Timer
+	ptRound  phaseTimer
+	ptSample phaseTimer
+}
+
+// openRound is the prologue of a synchronous round: resolve the trace
+// ID, open the round and sample phases, draw the cohort, arm the
+// deadline and announce the round. The caller defers finish.
+func (s *Server) openRound(round int) (*syncRound, error) {
+	alive := live(s.sessions, round)
+	if len(alive) < s.cfg.MinClients {
+		return nil, fmt.Errorf("%w: %d live clients, need %d", ErrNotEnoughClients, len(alive), s.cfg.MinClients)
+	}
+	// Resolve the round's trace ID before the first span opens: adopted
+	// from upstream (hierarchical edge) or minted deterministically here.
+	s.curTrace = s.roundTrace
+	if s.curTrace == 0 {
+		s.curTrace = obs.RoundTrace(round)
+	}
+	s.ob.setTrace(s.curTrace)
+	rd := &syncRound{round: round}
+	rd.ptRound = s.ob.startPhase("round", round)
+	rd.ptSample = s.ob.startPhase("sample", round)
+	rd.sampled = s.sample(alive)
+	rd.stats = RoundStats{Round: round, Sampled: len(rd.sampled)}
+
+	// Arm the deadline before any model leaves the server so time spent
+	// distributing counts against the round budget.
+	if s.cfg.RoundDeadline > 0 {
+		rd.timer = s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
+		rd.deadline = rd.timer.C
+	}
+	if s.cfg.Hooks.RoundStarted != nil {
+		s.cfg.Hooks.RoundStarted(round, deviceNames(rd.sampled))
+	}
+	return rd, nil
+}
+
+// finish ends the round phase and disarms the deadline.
+func (rd *syncRound) finish() {
+	rd.ptRound.end()
+	if rd.timer != nil {
+		rd.timer.Stop()
+	}
+}
+
+// deviceNames lists the sessions' device names in order.
+func deviceNames(sessions []*session) []string {
+	names := make([]string, len(sessions))
+	for i, sess := range sessions {
+		names[i] = sess.device
+	}
+	return names
+}
+
+// distribute sends the round's model to the cohort in parallel and
+// marks every reached client pending; one that cannot be reached is
+// quarantined. Encode-once broadcast: every client for which sealed
+// reports false receives the identical ModelDown bytes, serialised from
+// down once per negotiated codec instead of once per client. Only the
+// rest need a per-client build from seal — their sealed payload is
+// keyed to their own trusted channel. The sends are not interruptible
+// by the round deadline; on deadline-capable transports (TCP) each
+// write is bounded by cfg.IOTimeout instead.
+func (s *Server) distribute(rd *syncRound, down *ModelDown, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
+	shared := make(map[wire.Codec][]byte)
+	for _, sess := range rd.sampled {
+		if _, ok := shared[sess.codec]; !ok && !sealed(sess) {
+			shared[sess.codec] = EncodeMessageCodec(down, sess.codec)
+		}
+	}
+	rd.ptSample.end()
+
+	ptBroadcast := s.ob.startPhase("broadcast", rd.round)
+	sendErrs := make([]error, len(rd.sampled))
+	var sends sync.WaitGroup
+	for i, sess := range rd.sampled {
+		sends.Add(1)
+		go func(i int, sess *session) {
+			defer sends.Done()
+			if !sealed(sess) {
+				sendErrs[i] = sess.conn.SendFrame(MsgModelDown, shared[sess.codec])
+				return
+			}
+			own, err := seal(sess)
+			if err == nil {
+				err = sess.conn.Send(own)
+			}
+			sendErrs[i] = err
+		}(i, sess)
+	}
+	sends.Wait()
+	ptBroadcast.end()
+
+	rd.pending = make(map[*session]bool, len(rd.sampled))
+	for i, sess := range rd.sampled {
+		if sendErrs[i] != nil {
+			s.quarantineAt(sess, rd.round, false, fmt.Errorf("sending model: %w", sendErrs[i]), &rd.stats, &rd.reasons)
+			continue
+		}
+		rd.pending[sess] = true
+	}
+}
+
+// collect routes arrivals through handleArrival until every pending
+// client has answered or the deadline fires; updates that raced the
+// deadline are drained, then whoever is still pending is dropped for
+// the round.
+func (s *Server) collect(rd *syncRound, update func(*session, Message) bool) {
+	ptCollect := s.ob.startPhase("collect", rd.round)
+loop:
+	for len(rd.pending) > 0 {
+		select {
+		case a := <-s.arrivals:
+			s.handleArrival(rd, a, update)
+		case <-rd.deadline:
+			for {
+				select {
+				case a := <-s.arrivals:
+					s.handleArrival(rd, a, update)
+				default:
+					break loop
+				}
+			}
+		}
+	}
+	ptCollect.end()
+	rd.stats.Dropped = len(rd.pending)
+}
+
+// handleArrival routes one client message during the collect phase.
+// Everything that is not an update is handled here, once for every
+// synchronous round; the round's own update messages go to update,
+// which reports false for a message type it does not take.
+func (s *Server) handleArrival(rd *syncRound, a arrival, update func(*session, Message) bool) {
+	sess := a.sess
+	if sess.quarantined {
+		return // residue from an already-closed connection
+	}
+	if a.err != nil {
+		// A frame that failed to decode is a client protocol fault on a
+		// still-usable connection (probationable); anything else means
+		// the transport is gone (permanent).
+		s.failClient(rd, sess, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err))
+		return
+	}
+	switch m := a.msg.(type) {
+	case *CodecSwitch:
+		// The client's ack of an adaptive downgrade; the receive codec
+		// already flipped in the read loop. Nothing to fold.
+	case *ErrorMsg:
+		s.failClient(rd, sess, true, fmt.Errorf("client error: %s", m.Text))
+	default:
+		if !update(sess, a.msg) {
+			s.failClient(rd, sess, true, fmt.Errorf("unexpected %T mid-round", a.msg))
+		}
+	}
+}
+
+// failClient takes a client out of the round and quarantines it (or
+// puts it on probation, when the failure is probationable).
+func (s *Server) failClient(rd *syncRound, sess *session, probationable bool, reason error) {
+	delete(rd.pending, sess)
+	s.quarantineAt(sess, rd.round, probationable, reason, &rd.stats, &rd.reasons)
+}
+
+// admitUpdate applies the checks every update message passes before it
+// may fold: it must answer this round, from a client still pending.
+// what names the message in the refusal ("update", "masked update").
+func (s *Server) admitUpdate(rd *syncRound, sess *session, msgRound int, what string) bool {
+	if msgRound < rd.round {
+		if msgRound < sess.reconDoneRound {
+			// The target round's masks were already reconciled with this
+			// device counted as dropped: the survivors' revealed seeds
+			// would strip this very update, so accepting — or silently
+			// keeping — it is the unmasking window.
+			s.failClient(rd, sess, true, fmt.Errorf("%w: %s for round %d", ErrLateAfterRecon, what, msgRound))
+			return false
+		}
+		// A straggler's answer to an earlier round: discard, but keep
+		// the client pending — its answer to this round may follow.
+		rd.stats.LateDiscarded++
+		return false
+	}
+	if msgRound > rd.round || !rd.pending[sess] {
+		s.failClient(rd, sess, true, fmt.Errorf("unexpected %s for round %d during round %d", what, msgRound, rd.round))
+		return false
+	}
+	return true
+}
+
+// noteFolded records a folded update: the client has answered, the fold
+// is journaled and announced.
+func (s *Server) noteFolded(rd *syncRound, sess *session) {
+	delete(rd.pending, sess)
+	s.journalAppend(&journal.Record{Type: journal.RecFold, Round: rd.round, Device: sess.device})
+	if s.cfg.Hooks.UpdateFolded != nil {
+		s.cfg.Hooks.UpdateFolded(rd.round, sess.device)
+	}
+}
+
+// minClientsGate fails the round when fewer than MinClients updates
+// folded before the deadline, naming what went wrong with the rest.
+func (s *Server) minClientsGate(rd *syncRound) error {
+	if rd.stats.Responded >= s.cfg.MinClients {
+		return nil
+	}
+	detail := ""
+	if len(rd.reasons) > 0 {
+		detail = " (" + strings.Join(rd.reasons, "; ") + ")"
+	}
+	err := fmt.Errorf("%w: %d of %d sampled clients responded, need %d%s",
+		ErrNotEnoughClients, rd.stats.Responded, rd.stats.Sampled, s.cfg.MinClients, detail)
+	s.closeRound(rd.stats, false, nil)
+	return err
+}
+
+// updateWeight is the FedAvg weight of an update reporting the given
+// local example count: absent (0) means unit weight, and the count is
+// clamped so a hostile or buggy client cannot claim an absurd weight
+// and drown out the rest of the cohort.
+func updateWeight(examples uint64) uint64 {
+	if examples == 0 {
+		return 1
+	}
+	return min(examples, MaxExampleWeight)
+}
+
+// runRound executes one FL cycle: sample a cohort, distribute the model,
+// fold updates as they arrive (streaming FedAvg), and close the round at
+// the deadline with whoever responded. In partial mode the aggregate is
+// returned un-normalised instead of being applied.
+func (s *Server) runRound(round int) (*Partial, error) {
+	rd, err := s.openRound(round)
+	if err != nil {
+		return nil, err
+	}
+	defer rd.finish()
+
+	protected, planBlob := s.cfg.Planner.PlanRound(round)
+	hasProtected := false
+	for _, p := range protected {
+		if p {
+			hasProtected = true
+			break
+		}
+	}
+	// Only clients with a trusted channel AND a non-empty protection plan
+	// take a sealed payload.
+	down := &ModelDown{Round: round, Plain: s.state, Plan: planBlob, Version: uint64(round), Trace: s.curTrace}
+	s.distribute(rd, down,
+		func(sess *session) bool { return hasProtected && sess.channel != nil },
+		func(sess *session) (*ModelDown, error) { return s.buildModelDown(round, sess, protected, planBlob) })
+
+	agg := s.newAggregator()
+	s.collect(rd, func(sess *session, msg Message) bool {
+		m, ok := msg.(*GradUp)
+		if !ok {
+			return false
+		}
+		if !s.admitUpdate(rd, sess, m.Round, "update") {
+			return true
+		}
+		weight := float64(updateWeight(m.Examples))
+		// A purely-plain update that arrived in the lazy q8 form folds
+		// its levels straight into the running sum — no per-client
+		// float64 model is ever materialised. Updates with a sealed half
+		// take the merge path (the sealed tensors are f64 anyway).
+		var err error
+		if m.Q8 != nil && len(m.Sealed) == 0 {
+			err = agg.AccumulateQ8(m.Q8, weight)
+		} else {
+			var update []*tensor.Tensor
+			if update, err = s.mergeUpdate(sess, m); err == nil {
+				err = agg.Add(update, weight)
+			}
+		}
+		if err != nil {
+			s.failClient(rd, sess, true, err)
+			return true
+		}
+		s.mergeClientTelemetry(sess.device, m.Telemetry)
+		s.noteFolded(rd, sess)
+		return true
+	})
+	rd.stats.Responded = agg.Count()
+	rd.stats.WeightTotal = agg.Weight()
+
+	ptClose := s.ob.startPhase("close", round)
+	defer ptClose.end()
+	if err := s.minClientsGate(rd); err != nil {
+		return nil, err
+	}
+	if s.cfg.Partials {
+		// Hierarchical edge: hand the raw weighted sum upstream; the
+		// root normalises once over the whole fleet, so the hierarchy's
+		// arithmetic composes exactly.
+		s.closeRound(rd.stats, true, nil)
+		return &Partial{Round: round, Sum: agg.Sum(), Weight: agg.Weight(), Count: agg.Count(), Stats: rd.stats}, nil
+	}
+	mean, err := agg.Mean()
+	if err != nil {
+		s.closeRound(rd.stats, false, nil)
+		return nil, err
+	}
+	rd.stats.UpdateNorm = UpdateNorm(mean)
+	ApplyUpdate(s.state, mean, 1.0)
+	s.closeRound(rd.stats, true, mean)
+	return nil, nil
+}

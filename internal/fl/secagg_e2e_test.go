@@ -10,6 +10,7 @@ import (
 
 	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/simclock"
+	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
 	"github.com/gradsec/gradsec/internal/wire"
 )
@@ -64,18 +65,39 @@ func TestSecAggSessionMatchesPlaintext(t *testing.T) {
 	}
 }
 
+// fastAndSlow builds the smallest cohort whose mask graph survives one
+// dropout: three on-time trainers (delta 2 each, so their mean is 2)
+// and one gated straggler. Four members form the complete graph, k = 3,
+// which tolerates ⌊(k−1)/2⌋ = 1 dropout at Shamir threshold 2.
+func fastAndSlow(blockRounds ...int) ([]Trainer, *gateTrainer) {
+	slow := newGateTrainer("slow", 4, blockRounds...)
+	return []Trainer{
+		newTestTrainer("fast-0", false, 2),
+		newTestTrainer("fast-1", false, 2),
+		newTestTrainer("fast-2", false, 2),
+		slow,
+	}, slow
+}
+
+// waitFolds waits for n UpdateFolded events.
+func waitFolds(t *testing.T, events <-chan engineEvent, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		waitEvent(t, events, "folded")
+	}
+}
+
 // TestSecAggStragglerReconciliation: a straggler is dropped at the
-// deadline and the survivor reveals the pair's round seed, so the
-// round closes on exactly the survivor's update. When the straggler's
-// stale masked update finally arrives in the next round, the revealed
-// seeds would strip its masks — accepting (or even silently ignoring)
-// it leaves a recoverable plaintext update on the server, so it is
-// refused with ErrLateAfterRecon and the device quarantined.
+// deadline and its surviving neighbours reveal their round seeds with
+// it, so the round closes on exactly the survivors' updates. When the
+// straggler's stale masked update finally arrives in the next round,
+// the revealed seeds would strip its pair masks — accepting (or even
+// silently ignoring) it is the unmasking window, so it is refused with
+// ErrLateAfterRecon and the device quarantined.
 func TestSecAggStragglerReconciliation(t *testing.T) {
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	events := make(chan engineEvent, 64)
-	fast := newTestTrainer("fast", false, 2)
-	slow := newGateTrainer("slow", 4, 0)
+	trainers, slow := fastAndSlow(0)
 	state := newState(0)
 	var mu sync.Mutex
 	var quarantineReason error
@@ -91,12 +113,12 @@ func TestSecAggStragglerReconciliation(t *testing.T) {
 		Rounds: 2, MinClients: 1, RoundDeadline: time.Second, Clock: clk,
 		SecAgg: true, Hooks: hooks,
 	})
-	serverErr, _, clientErrs, wg := startSession(srv, []Trainer{fast, slow})
+	serverErr, _, clientErrs, wg := startSession(srv, trainers)
 
-	waitEvent(t, events, "folded")
+	waitFolds(t, events, 3)
 	clk.Advance(time.Second)
 	closed := waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Dropped != 1 {
+	if closed.stats.Responded != 3 || closed.stats.Dropped != 1 {
 		t.Fatalf("round 0 stats = %+v", closed.stats)
 	}
 	if closed.stats.Reconciled != 1 {
@@ -110,7 +132,7 @@ func TestSecAggStragglerReconciliation(t *testing.T) {
 		t.Fatalf("quarantined %q, want the late straggler", q.device)
 	}
 	closed = waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Quarantined != 1 {
+	if closed.stats.Responded != 3 || closed.stats.Quarantined != 1 {
 		t.Fatalf("round 1 stats = %+v", closed.stats)
 	}
 	if closed.stats.LateDiscarded != 0 || closed.stats.Reconciled != 1 {
@@ -127,12 +149,12 @@ func TestSecAggStragglerReconciliation(t *testing.T) {
 	if !errors.Is(reason, ErrLateAfterRecon) {
 		t.Fatalf("quarantine reason = %v, want ErrLateAfterRecon", reason)
 	}
-	// Only fast's +2 folded each round — the straggler's stale round-0
-	// update was refused, never folded.
+	// Only the fast trainers' +2 folded each round — the straggler's
+	// stale round-0 update was refused, never folded.
 	if got := state[0].Data[0]; got != 4 {
 		t.Fatalf("state = %v, want 4", got)
 	}
-	if clientErrs[1] == nil {
+	if clientErrs[3] == nil {
 		t.Fatal("quarantined straggler must see its session torn down")
 	}
 }
@@ -144,10 +166,9 @@ func TestSecAggStragglerReconciliation(t *testing.T) {
 func TestSecAggLateAfterReconProbation(t *testing.T) {
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	events := make(chan engineEvent, 64)
-	fast := newTestTrainer("fast", false, 2)
 	// Gated on both rounds: round 0 makes it a straggler, round 1 keeps
 	// it silent after probation so the round's accounting stays exact.
-	slow := newGateTrainer("slow", 4, 0, 1)
+	trainers, slow := fastAndSlow(0, 1)
 	state := newState(0)
 	var mu sync.Mutex
 	var probationReason error
@@ -163,12 +184,12 @@ func TestSecAggLateAfterReconProbation(t *testing.T) {
 		Rounds: 2, MinClients: 1, RoundDeadline: time.Second, Clock: clk,
 		SecAgg: true, QuarantineRounds: 2, Hooks: hooks,
 	})
-	serverErr, _, _, wg := startSession(srv, []Trainer{fast, slow})
+	serverErr, _, _, wg := startSession(srv, trainers)
 
-	waitEvent(t, events, "folded")
+	waitFolds(t, events, 3)
 	clk.Advance(time.Second)
 	closed := waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Dropped != 1 || closed.stats.Probation != 0 {
+	if closed.stats.Responded != 3 || closed.stats.Dropped != 1 || closed.stats.Probation != 0 {
 		t.Fatalf("round 0 stats = %+v", closed.stats)
 	}
 
@@ -179,7 +200,7 @@ func TestSecAggLateAfterReconProbation(t *testing.T) {
 		t.Fatalf("probationed %q, want the late straggler", p.device)
 	}
 	closed = waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Probation != 1 || closed.stats.Quarantined != 0 {
+	if closed.stats.Responded != 3 || closed.stats.Probation != 1 || closed.stats.Quarantined != 0 {
 		t.Fatalf("round 1 stats = %+v", closed.stats)
 	}
 	if closed.stats.LateDiscarded != 0 || closed.stats.Reconciled != 1 {
@@ -214,11 +235,10 @@ func TestSecAggLateAfterReconTCP(t *testing.T) {
 
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	events := make(chan engineEvent, 64)
-	fast := newTestTrainer("fast", false, 2)
-	slow := newGateTrainer("slow", 4, 0)
+	trainers, slow := fastAndSlow(0)
 	var wg sync.WaitGroup
-	clientErrs := make([]error, 2)
-	for i, tr := range []Trainer{fast, slow} {
+	clientErrs := make([]error, len(trainers))
+	for i, tr := range trainers {
 		wg.Add(1)
 		go func(i int, tr Trainer) {
 			defer wg.Done()
@@ -231,8 +251,8 @@ func TestSecAggLateAfterReconTCP(t *testing.T) {
 			clientErrs[i] = NewClient(conn, tr).Run()
 		}(i, tr)
 	}
-	conns := make([]Conn, 0, 2)
-	for len(conns) < 2 {
+	conns := make([]Conn, 0, len(trainers))
+	for len(conns) < len(trainers) {
 		c, err := l.Accept()
 		if err != nil {
 			t.Fatal(err)
@@ -261,10 +281,10 @@ func TestSecAggLateAfterReconTCP(t *testing.T) {
 		serverErr <- err
 	}()
 
-	waitEvent(t, events, "folded")
+	waitFolds(t, events, 3)
 	clk.Advance(time.Second)
 	closed := waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Dropped != 1 || closed.stats.Reconciled != 1 {
+	if closed.stats.Responded != 3 || closed.stats.Dropped != 1 || closed.stats.Reconciled != 1 {
 		t.Fatalf("round 0 stats = %+v", closed.stats)
 	}
 
@@ -275,7 +295,7 @@ func TestSecAggLateAfterReconTCP(t *testing.T) {
 		t.Fatalf("quarantined %q, want the late straggler", q.device)
 	}
 	closed = waitEvent(t, events, "closed")
-	if closed.stats.Responded != 1 || closed.stats.Quarantined != 1 ||
+	if closed.stats.Responded != 3 || closed.stats.Quarantined != 1 ||
 		closed.stats.LateDiscarded != 0 || closed.stats.Reconciled != 1 {
 		t.Fatalf("round 1 stats = %+v", closed.stats)
 	}
@@ -756,4 +776,350 @@ func TestSecAggEnclaveRequiresChannel(t *testing.T) {
 	if !strings.Contains(clients[0].RejectedReason, "trusted channel") {
 		t.Fatalf("reason = %q", clients[0].RejectedReason)
 	}
+}
+
+// tapConn records every message crossing the server side of a
+// connection, decoded, so a test can assert on what the engine actually
+// put on (and took off) the wire.
+type tapConn struct {
+	Conn
+	mu       sync.Mutex
+	sent     []Message
+	received []Message
+}
+
+func (c *tapConn) note(dst *[]Message, m Message) {
+	c.mu.Lock()
+	*dst = append(*dst, m)
+	c.mu.Unlock()
+}
+
+func (c *tapConn) Send(m Message) error {
+	c.note(&c.sent, m)
+	return c.Conn.Send(m)
+}
+
+func (c *tapConn) SendFrame(mt MsgType, payload []byte) error {
+	if m, err := DecodeMessage(mt, payload); err == nil {
+		c.note(&c.sent, m)
+	}
+	return c.Conn.SendFrame(mt, payload)
+}
+
+func (c *tapConn) Recv() (Message, error) {
+	m, err := c.Conn.Recv()
+	if err == nil {
+		c.note(&c.received, m)
+	}
+	return m, err
+}
+
+// runTapped runs a full session of the trainers against srv over pipes
+// whose server side is tapped.
+func runTapped(t *testing.T, srv *Server, trainers []*testTrainer) ([]*tapConn, error) {
+	t.Helper()
+	taps := make([]*tapConn, len(trainers))
+	conns := make([]Conn, len(trainers))
+	var wg sync.WaitGroup
+	for i, tr := range trainers {
+		sc, cc := Pipe()
+		taps[i] = &tapConn{Conn: sc}
+		conns[i] = taps[i]
+		wg.Add(1)
+		go func(tr *testTrainer) {
+			defer wg.Done()
+			defer cc.Close()
+			_ = NewClient(cc, tr).Run()
+		}(tr)
+	}
+	_, err := srv.Run(conns)
+	wg.Wait()
+	return taps, err
+}
+
+// TestSecAggDefaultDegreeIsKRegular: a session that enables SecAgg and
+// says nothing else — flserver -secagg — runs k-regular double-masked
+// rounds: the resolved degree on the wire is positive, every upload
+// carries one self-seed share per graph neighbour, and every round
+// reconciles. A negative degree is a configuration error.
+func TestSecAggDefaultDegreeIsKRegular(t *testing.T) {
+	trainers := []*testTrainer{
+		newTestTrainer("pi-0", false, 1),
+		newTestTrainer("pi-1", false, 2),
+		newTestTrainer("pi-2", false, 3),
+	}
+	state := newState(0)
+	taps, err := runTapped(t, NewServer(state, ServerConfig{Rounds: 2, SecAgg: true}), trainers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, tap := range taps {
+		downs, recons := 0, 0
+		for _, m := range tap.sent {
+			switch m := m.(type) {
+			case *ModelDown:
+				downs++
+				if m.MaskDegree != secagg.DegreeFor(3) || m.MaskDegree < 1 {
+					t.Fatalf("client %d round %d: resolved MaskDegree = %d, want DegreeFor(3) = %d", i, m.Round, m.MaskDegree, secagg.DegreeFor(3))
+				}
+			case *MaskRecon:
+				recons++
+			}
+		}
+		if downs != 2 || recons != 2 {
+			t.Fatalf("client %d saw %d models and %d reconciliation requests, want 2 and 2", i, downs, recons)
+		}
+		for _, m := range tap.received {
+			if up, ok := m.(*MaskedUp); ok && len(up.Shares) != 2 {
+				t.Fatalf("client %d round %d uploaded %d self-seed shares, want 2 (complete graph over 3)", i, up.Round, len(up.Shares))
+			}
+		}
+	}
+	if got := state[0].Data[0]; got != 4 {
+		t.Fatalf("state = %v, want 4 (two rounds of mean 2)", got)
+	}
+
+	bad := NewServer(newState(0), ServerConfig{SecAgg: true, MaskDegree: -1})
+	if _, err := bad.Run(nil); !errors.Is(err, ErrBadMaskDegree) {
+		t.Fatalf("negative MaskDegree: err = %v, want ErrBadMaskDegree", err)
+	}
+}
+
+// TestSecAggOneMemberCohort: the one cohort the mask graph has nothing
+// to say about. A single member has no pairs and needs no self mask, so
+// its upload carries no shares, the round has no reconciliation phase,
+// and the levels are the plain quantised update — which is why the
+// release floor, not the masking, is what protects it.
+func TestSecAggOneMemberCohort(t *testing.T) {
+	state := newState(0)
+	taps, err := runTapped(t, NewServer(state, ServerConfig{Rounds: 2, SecAgg: true}),
+		[]*testTrainer{newTestTrainer("solo", false, 2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range taps[0].sent {
+		switch m := m.(type) {
+		case *ModelDown:
+			if m.MaskDegree != 0 || len(m.Cohort) != 1 {
+				t.Fatalf("round %d: MaskDegree %d over %d members, want 0 over 1", m.Round, m.MaskDegree, len(m.Cohort))
+			}
+		case *MaskRecon:
+			t.Fatalf("one-member round %d ran a reconciliation phase", m.Round)
+		}
+	}
+	ups := 0
+	for _, m := range taps[0].received {
+		up, ok := m.(*MaskedUp)
+		if !ok {
+			continue
+		}
+		ups++
+		if len(up.Shares) != 0 {
+			t.Fatalf("round %d upload carries %d self-seed shares", up.Round, len(up.Shares))
+		}
+		want := secagg.Quantise(newState(2)[0], secagg.ScaleFor(secagg.DefaultScaleBits), 1)
+		if up.Levels[0].Levels[0] != want.Levels[0] {
+			t.Fatalf("round %d levels are masked: %d, want the plain quantised %d", up.Round, up.Levels[0].Levels[0], want.Levels[0])
+		}
+	}
+	if ups != 2 {
+		t.Fatalf("saw %d masked uploads, want 2", ups)
+	}
+	if got := state[0].Data[0]; got != 4 {
+		t.Fatalf("state = %v, want 4", got)
+	}
+
+	// MinRelease still applies: with a floor of 2 the lone update is never
+	// published.
+	floored := newState(0)
+	srv := NewServer(floored, ServerConfig{Rounds: 1, SecAgg: true, MinRelease: 2})
+	_, err = runTapped(t, srv, []*testTrainer{newTestTrainer("solo", false, 2)})
+	if !errors.Is(err, secagg.ErrCohortTooSmall) {
+		t.Fatalf("err = %v, want ErrCohortTooSmall", err)
+	}
+	if got := floored[0].Data[0]; got != 0 {
+		t.Fatalf("state = %v: an under-floor aggregate was published", got)
+	}
+}
+
+// TestSecAggClientRefusesMaskDowngrade: a curious server that announces
+// MaskDegree 0 for a multi-member cohort is asking for an update
+// without its self mask, and a follow-up MaskRecon naming cohort
+// members would then collect the pair seeds that strip the rest. The
+// client must refuse at the first step: no MaskedUp, no seed, session
+// over with ErrMaskDowngrade.
+func TestSecAggClientRefusesMaskDowngrade(t *testing.T) {
+	sc, cc := Pipe()
+	client := NewClient(cc, newTestTrainer("victim", false, 2))
+	clientErr := make(chan error, 1)
+	go func() {
+		defer cc.Close()
+		clientErr <- client.Run()
+	}()
+
+	if err := sc.Send(&Challenge{Nonce: make([]byte, 16), SecAgg: true}); err != nil {
+		t.Fatal(err)
+	}
+	msg, err := sc.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	att, ok := msg.(*Attest)
+	if !ok || len(att.MaskPub) == 0 {
+		t.Fatalf("handshake answer = %#v, want an Attest with a mask key", msg)
+	}
+	peer, err := secagg.MaskKeyFromSeed([]byte("peer"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cohort := []secagg.Peer{{Device: "victim", Pub: att.MaskPub}, {Device: "peer", Pub: peer.Public()}}
+	if err := sc.Send(&ModelDown{Round: 0, Plain: newState(1), Cohort: cohort, MaskDegree: 0}); err != nil {
+		t.Fatal(err)
+	}
+	// The client may already have hung up; the request is best effort.
+	_ = sc.Send(&MaskRecon{Round: 0, Dropped: []string{"peer"}})
+
+	for {
+		msg, err := sc.Recv()
+		if err != nil {
+			break // client closed: nothing more can leak
+		}
+		switch msg.(type) {
+		case *MaskedUp, *MaskShares:
+			t.Fatalf("client answered a downgraded round with %T", msg)
+		}
+	}
+	if err := <-clientErr; !errors.Is(err, secagg.ErrMaskDowngrade) {
+		t.Fatalf("client err = %v, want ErrMaskDowngrade", err)
+	}
+	if client.Rounds != 0 {
+		t.Fatalf("client counted %d completed rounds", client.Rounds)
+	}
+}
+
+// TestSecAggFoldedClientLostBeforeReconciliation: a client that uploads
+// and then hangs up while stragglers are still pending is already
+// quarantined when reconciliation starts. That loss is judged exactly
+// like one during the phase: survivable when the client owed no pair
+// seeds (no dropped neighbour) and every owner still reaches its Shamir
+// threshold — the round commits bit-identically to plaintext FedAvg
+// over the folded updates — and fatal, with nothing published, when a
+// dropped neighbour's pair seed died with it.
+func TestSecAggFoldedClientLostBeforeReconciliation(t *testing.T) {
+	const n = 9 // auto degree 6: each member has two non-neighbours
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("dev-%d", i)
+	}
+	straggler := names[n-1]
+	graph, err := secagg.NewGraph(0, names, secagg.DegreeFor(n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	owes := make(map[string]bool)
+	for _, d := range graph.Neighbors(straggler) {
+		owes[d] = true
+	}
+	pick := func(neighbour bool) int {
+		for i, d := range names[:n-1] {
+			if owes[d] == neighbour {
+				return i
+			}
+		}
+		t.Fatalf("no responder with neighbour=%v of %s", neighbour, straggler)
+		return -1
+	}
+	responders := func() []*testTrainer {
+		out := make([]*testTrainer, n-1)
+		for i := range out {
+			out[i] = newTestTrainer(names[i], false, float64(i+1))
+		}
+		return out
+	}
+	plainState := newState(1, 10)
+	if _, err := runSession(t, NewServer(plainState, ServerConfig{Rounds: 1}), responders()); err != nil {
+		t.Fatal(err)
+	}
+
+	sameState := func(a, b []*tensor.Tensor) bool {
+		for i := range a {
+			for j := range a[i].Data {
+				if a[i].Data[j] != b[i].Data[j] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+
+	run := func(t *testing.T, closer int) ([]*tensor.Tensor, RoundStats, error) {
+		clk := simclock.NewVirtual(time.Unix(0, 0))
+		events := make(chan engineEvent, 64)
+		slow := newGateTrainer(straggler, 9, 0)
+		trainers := make([]Trainer, 0, n)
+		for _, tr := range responders() {
+			trainers = append(trainers, tr)
+		}
+		trainers = append(trainers, slow)
+
+		state := newState(1, 10)
+		srv := NewServer(state, ServerConfig{
+			Rounds: 1, MinClients: 1, RoundDeadline: time.Second, Clock: clk,
+			SecAgg: true, Hooks: eventHooks(events),
+		})
+		conns := make([]Conn, n)
+		clientConns := make([]Conn, n)
+		var wg sync.WaitGroup
+		for i, tr := range trainers {
+			conns[i], clientConns[i] = Pipe()
+			wg.Add(1)
+			go func(cc Conn, tr Trainer) {
+				defer wg.Done()
+				defer cc.Close()
+				_ = NewClient(cc, tr).Run()
+			}(clientConns[i], tr)
+		}
+		serverErr := make(chan error, 1)
+		go func() {
+			_, err := srv.Run(conns)
+			serverErr <- err
+		}()
+
+		waitFolds(t, events, n-1)
+		// Hang up after the upload folded, while the straggler keeps the
+		// collect phase open; the deadline fires only once the server has
+		// noticed.
+		clientConns[closer].Close()
+		if q := waitEvent(t, events, "quarantined"); q.device != names[closer] {
+			t.Fatalf("quarantined %q, want %q", q.device, names[closer])
+		}
+		clk.Advance(time.Second)
+		closed := waitEvent(t, events, "closed")
+		runErr := <-serverErr
+		slow.release(0)
+		wg.Wait()
+		return state, closed.stats, runErr
+	}
+
+	t.Run("no dropped neighbour", func(t *testing.T) {
+		got, stats, err := run(t, pick(false))
+		if err != nil {
+			t.Fatalf("survivable loss failed the round: %v", err)
+		}
+		if stats.Responded != n-1 || stats.Dropped != 1 || stats.Quarantined != 1 || stats.Reconciled != 1 {
+			t.Fatalf("stats = %+v", stats)
+		}
+		if !sameState(got, plainState) {
+			t.Fatalf("masked %v / %v != plaintext %v / %v", got[0].Data, got[1].Data, plainState[0].Data, plainState[1].Data)
+		}
+	})
+	t.Run("dropped neighbour", func(t *testing.T) {
+		got, _, err := run(t, pick(true))
+		if !errors.Is(err, ErrSecAggRecon) {
+			t.Fatalf("err = %v, want ErrSecAggRecon", err)
+		}
+		if !sameState(got, newState(1, 10)) {
+			t.Fatalf("state = %v / %v: a round that failed closed published an update", got[0].Data, got[1].Data)
+		}
+	})
 }

@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
-	"github.com/gradsec/gradsec/internal/journal"
-	"github.com/gradsec/gradsec/internal/obs"
 	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
@@ -40,28 +37,19 @@ var (
 	// and the device sanctioned (probation under QuarantineRounds,
 	// permanent quarantine otherwise).
 	ErrLateAfterRecon = errors.New("fl: update arrived after its round's masks were reconciled")
+	// ErrBadMaskDegree is returned by Open for a negative MaskDegree: 0
+	// sizes the mask graph from the cohort and a positive value pins it;
+	// there is no third regime.
+	ErrBadMaskDegree = errors.New("fl: MaskDegree must be 0 (automatic) or a positive graph degree")
 )
-
-// resolveMaskDegree turns the configured MaskDegree into the round's
-// concrete graph degree for a cohort of n: 0 keeps legacy full-pairwise
-// masking, negative (secagg.AutoDegree) sizes the graph from the
-// cohort, positive fixes it.
-func resolveMaskDegree(cfg, n int) int {
-	if cfg < 0 {
-		return secagg.DegreeFor(n)
-	}
-	return cfg
-}
 
 // secAggRoundState bundles one secure-aggregation round's mutable fold
 // state so the arrival handler and the reconciliation phase share one
 // view of it.
 type secAggRoundState struct {
-	degree       int           // resolved mask-graph degree (0 = full pairwise)
-	graph        *secagg.Graph // nil in legacy mode
+	graph        *secagg.Graph
 	msum         *secagg.MaskedSum
 	hasProtected bool
-	pending      map[*session]bool
 	folded       map[*session]bool
 	// wrapped stores each folded client's wrapped self-seed shares,
 	// owner → holder → blob, opaque to the server until reconciliation
@@ -69,49 +57,21 @@ type secAggRoundState struct {
 	wrapped map[string]map[string][]byte
 }
 
-// runSecAggRound executes one secure-aggregation FL cycle. It mirrors
-// runRound's lifecycle — sample, distribute, fold until the deadline —
-// but the server folds pairwise-masked ring levels it cannot read, the
-// sealed half of each update is aggregated inside the enclave, and a
-// round that drops stragglers runs a reconciliation phase where the
-// survivors reveal their round-scoped pair seeds with the dropped
-// clients so the unpaired mask residue can be subtracted. In partial
-// mode the cancelled ring sums are returned instead of being
-// dequantised and applied.
-func (s *Server) runSecAggRound(round int, sessions []*session, arrivals <-chan arrival) (*Partial, error) {
-	alive := live(sessions, round)
-	if len(alive) < s.cfg.MinClients {
-		return nil, fmt.Errorf("%w: %d live clients, need %d", ErrNotEnoughClients, len(alive), s.cfg.MinClients)
+// runSecAggRound executes one secure-aggregation FL cycle on the same
+// round skeleton as runRound — sample, distribute, fold until the
+// deadline — but the server folds double-masked ring levels it cannot
+// read, the sealed half of each update is aggregated inside the
+// enclave, and the round ends with a reconciliation phase: survivors
+// reveal their round-scoped pair seeds with dropped neighbours and
+// their Shamir shares of folded neighbours' self-mask seeds, so both
+// mask layers can be subtracted. In partial mode the cancelled ring
+// sums are returned instead of being dequantised and applied.
+func (s *Server) runSecAggRound(round int) (*Partial, error) {
+	rd, err := s.openRound(round)
+	if err != nil {
+		return nil, err
 	}
-	s.curTrace = s.roundTrace
-	if s.curTrace == 0 {
-		s.curTrace = obs.RoundTrace(round)
-	}
-	s.ob.setTrace(s.curTrace)
-	ptRound := s.ob.startPhase("round", round)
-	defer ptRound.end()
-	ptSample := s.ob.startPhase("sample", round)
-	sampled := s.sample(alive)
-
-	stats := RoundStats{Round: round, Sampled: len(sampled)}
-	var reasons []string
-
-	// Arm the deadline before any model leaves the server, exactly as
-	// in the plaintext round.
-	var deadlineC <-chan time.Time
-	if s.cfg.RoundDeadline > 0 {
-		timer := s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
-		defer timer.Stop()
-		deadlineC = timer.C
-	}
-
-	if s.cfg.Hooks.RoundStarted != nil {
-		names := make([]string, len(sampled))
-		for i, sess := range sampled {
-			names[i] = sess.device
-		}
-		s.cfg.Hooks.RoundStarted(round, names)
-	}
+	defer rd.finish()
 
 	protected, planBlob := s.cfg.Planner.PlanRound(round)
 	var protIdx []int
@@ -124,11 +84,11 @@ func (s *Server) runSecAggRound(round int, sessions []*session, arrivals <-chan 
 	}
 	hasProtected := len(protIdx) > 0
 	if hasProtected && s.cfg.Partials {
-		s.closeRound(stats, false, nil)
+		s.closeRound(rd.stats, false, nil)
 		return nil, ErrPartialProtected
 	}
 	if hasProtected && s.cfg.Enclave == nil {
-		s.closeRound(stats, false, nil)
+		s.closeRound(rd.stats, false, nil)
 		return nil, ErrSecAggNeedsEnclave
 	}
 	if hasProtected {
@@ -137,7 +97,7 @@ func (s *Server) runSecAggRound(round int, sessions []*session, arrivals <-chan 
 			shapes[k] = s.state[id].Shape
 		}
 		if err := s.cfg.Enclave.Begin(round, protIdx, shapes); err != nil {
-			s.closeRound(stats, false, nil)
+			s.closeRound(rd.stats, false, nil)
 			return nil, fmt.Errorf("fl: enclave round begin: %w", err)
 		}
 	}
@@ -149,31 +109,26 @@ func (s *Server) runSecAggRound(round int, sessions []*session, arrivals <-chan 
 	}()
 
 	// The cohort roster travels with every ModelDown so each member can
-	// derive its pairwise masks. It is identical for the whole cohort,
-	// so the no-sealing broadcast stays encode-once per codec.
-	cohort := make([]secagg.Peer, len(sampled))
-	names := make([]string, len(sampled))
-	for i, sess := range sampled {
+	// derive its masks. It is identical for the whole cohort, so the
+	// no-sealing broadcast stays encode-once per codec.
+	names := deviceNames(rd.sampled)
+	cohort := make([]secagg.Peer, len(rd.sampled))
+	for i, sess := range rd.sampled {
 		cohort[i] = secagg.Peer{Device: sess.device, Pub: sess.maskPub}
-		names[i] = sess.device
 	}
-
-	// Resolve the round's masking topology. With a degree the server
-	// derives the same deterministic graph every cohort member derives
-	// from (round, roster) — no extra negotiation on the wire, only the
-	// resolved degree riding ModelDown.
-	degree := resolveMaskDegree(s.cfg.MaskDegree, len(sampled))
-	var graph *secagg.Graph
-	if degree > 0 {
-		var err error
-		if graph, err = secagg.NewGraph(round, names, degree); err != nil {
-			s.closeRound(stats, false, nil)
-			return nil, fmt.Errorf("fl: deriving mask graph: %w", err)
-		}
-		if graph.Degree() == 0 {
-			// A one-member cohort has no pairs and needs no self mask.
-			degree, graph = 0, nil
-		}
+	// The server derives the same deterministic graph every cohort
+	// member derives from (round, roster) — no extra negotiation on the
+	// wire, only the resolved degree riding ModelDown. A one-member
+	// cohort's graph has no edges whatever the degree (auto resolves to
+	// 0): no pairs, no self mask, nothing to reconcile.
+	degree := s.cfg.MaskDegree
+	if degree == secagg.AutoDegree {
+		degree = secagg.DegreeFor(len(names))
+	}
+	graph, err := secagg.NewGraph(round, names, degree)
+	if err != nil {
+		s.closeRound(rd.stats, false, nil)
+		return nil, fmt.Errorf("fl: deriving mask graph: %w", err)
 	}
 
 	// Distribute: without a protection plan every client receives the
@@ -189,90 +144,59 @@ func (s *Server) runSecAggRound(round int, sessions []*session, arrivals <-chan 
 	if hasProtected {
 		sealedBlob = wire.EncodeSealedUpdate(protIdx, protTensors(s.state, protIdx))
 	}
-	shared := make(map[wire.Codec][]byte)
-	if !hasProtected {
-		for _, sess := range sampled {
-			if _, ok := shared[sess.codec]; !ok {
-				down := &ModelDown{Round: round, Plain: plain, Plan: planBlob, Cohort: cohort, Trace: s.curTrace, MaskDegree: degree}
-				shared[sess.codec] = EncodeMessageCodec(down, sess.codec)
-			}
-		}
-	}
-	ptSample.end()
-	ptBroadcast := s.ob.startPhase("broadcast", round)
-	sendErrs := make([]error, len(sampled))
-	var sends sync.WaitGroup
-	for i, sess := range sampled {
-		sends.Add(1)
-		go func(i int, sess *session) {
-			defer sends.Done()
-			if !hasProtected {
-				sendErrs[i] = sess.conn.SendFrame(MsgModelDown, shared[sess.codec])
-				return
-			}
+	down := &ModelDown{Round: round, Plain: plain, Plan: planBlob, Cohort: cohort, Trace: s.curTrace, MaskDegree: degree}
+	s.distribute(rd, down,
+		func(*session) bool { return hasProtected },
+		func(sess *session) (*ModelDown, error) {
 			sealed, err := s.cfg.Enclave.Seal(sess.device, sealedBlob)
-			if err == nil {
-				down := &ModelDown{Round: round, Plain: plain, Sealed: sealed, Plan: planBlob, Cohort: cohort, Trace: s.curTrace, MaskDegree: degree}
-				err = sess.conn.Send(down)
+			if err != nil {
+				return nil, err
 			}
-			sendErrs[i] = err
-		}(i, sess)
-	}
-	sends.Wait()
-	ptBroadcast.end()
-
-	pending := make(map[*session]bool, len(sampled))
-	for i, sess := range sampled {
-		if sendErrs[i] != nil {
-			s.quarantineAt(sess, round, false, fmt.Errorf("sending model: %w", sendErrs[i]), &stats, &reasons)
-			continue
-		}
-		pending[sess] = true
-	}
+			own := *down
+			own.Sealed = sealed
+			return &own, nil
+		})
 
 	msum := secagg.NewMaskedSum(s.state, protectedMap, s.cfg.SecAggScaleBits)
 	s.ob.instrumentMaskedSum(msum)
 	st := &secAggRoundState{
-		degree:       degree,
 		graph:        graph,
 		msum:         msum,
 		hasProtected: hasProtected,
-		pending:      pending,
-		folded:       make(map[*session]bool, len(sampled)),
+		folded:       make(map[*session]bool, len(rd.sampled)),
 		wrapped:      make(map[string]map[string][]byte),
 	}
-	ptCollect := s.ob.startPhase("collect", round)
-collect:
-	for len(pending) > 0 {
-		select {
-		case a := <-arrivals:
-			s.handleSecAggArrival(round, a, st, &stats, &reasons)
-		case <-deadlineC:
-			// Drain updates that raced the deadline, then drop the rest.
-			for {
-				select {
-				case a := <-arrivals:
-					s.handleSecAggArrival(round, a, st, &stats, &reasons)
-				default:
-					break collect
-				}
+	s.collect(rd, func(sess *session, msg Message) bool {
+		switch m := msg.(type) {
+		case *MaskedUp:
+			if !s.admitUpdate(rd, sess, m.Round, "masked update") {
+				return true
+			}
+			// The client applied the same clamped weight in the ring
+			// before masking.
+			if err := s.foldMasked(sess, round, m, updateWeight(m.Examples), st); err != nil {
+				s.failClient(rd, sess, true, err)
+				return true
+			}
+			st.folded[sess] = true
+			s.noteFolded(rd, sess)
+			return true
+		case *GradUp:
+			// A plaintext update has no business in a secure-aggregation
+			// session and is refused like any unexpected message; one for
+			// an already-reconciled round is additionally the unmasking
+			// hazard and carries the typed error.
+			if m.Round < sess.reconDoneRound {
+				s.failClient(rd, sess, true, fmt.Errorf("%w: plaintext update for round %d", ErrLateAfterRecon, m.Round))
+				return true
 			}
 		}
-	}
-	ptCollect.end()
-	folded := st.folded
-	stats.Dropped = len(pending)
-	stats.Responded = msum.Count()
-	stats.WeightTotal = msum.Weight()
+		return false
+	})
+	rd.stats.Responded = msum.Count()
+	rd.stats.WeightTotal = msum.Weight()
 
-	if msum.Count() < s.cfg.MinClients {
-		detail := ""
-		if len(reasons) > 0 {
-			detail = " (" + strings.Join(reasons, "; ") + ")"
-		}
-		err := fmt.Errorf("%w: %d of %d sampled clients responded, need %d%s",
-			ErrNotEnoughClients, msum.Count(), stats.Sampled, s.cfg.MinClients, detail)
-		s.closeRound(stats, false, nil)
+	if err := s.minClientsGate(rd); err != nil {
 		return nil, err
 	}
 	if s.cfg.MinRelease > 0 && msum.Count() < s.cfg.MinRelease {
@@ -280,48 +204,39 @@ collect:
 		// update; the round fails before anything is dequantised. The
 		// enclave enforces the same floor independently at Finish.
 		err := fmt.Errorf("%w: %d of %d required for release", secagg.ErrCohortTooSmall, msum.Count(), s.cfg.MinRelease)
-		s.closeRound(stats, false, nil)
+		s.closeRound(rd.stats, false, nil)
 		return nil, err
 	}
 
-	// Every cohort member that did not fold — straggler, quarantined or
-	// unreachable — left its pairwise masks with the survivors dangling;
-	// reconcile before the sum is readable. In k-regular mode the phase
-	// always runs: every folded update additionally carries a self mask
-	// that only the cohort's Shamir shares can remove.
-	var unfolded []string
-	var unfoldedSess []*session
-	for _, sess := range sampled {
-		if !folded[sess] {
-			unfolded = append(unfolded, sess.device)
-			unfoldedSess = append(unfoldedSess, sess)
+	// Every folded update carries a self mask that only the cohort's
+	// Shamir shares can remove, and every cohort member that did not
+	// fold — straggler, quarantined or unreachable — left its pairwise
+	// masks with the survivors dangling: reconcile before the sum is
+	// readable.
+	if graph.Degree() > 0 {
+		var unfolded []string
+		for _, sess := range rd.sampled {
+			if !st.folded[sess] {
+				unfolded = append(unfolded, sess.device)
+				// From here the survivors reveal seeds for this round with
+				// the unfolded members counted as dropped: any later update
+				// from them for this round is refusable as
+				// unmaskable-by-the-server (ErrLateAfterRecon), never
+				// silently discarded.
+				sess.reconDoneRound = round + 1
+			}
 		}
-	}
-	sort.Strings(unfolded)
-	if graph != nil || len(unfolded) > 0 {
 		ptRecon := s.ob.startPhase("reconcile", round)
-		// From here the survivors reveal seeds for this round with the
-		// unfolded members counted as dropped: any later update from
-		// them for this round is refusable as unmaskable-by-the-server
-		// (ErrLateAfterRecon), never silently discarded.
-		for _, sess := range unfoldedSess {
-			sess.reconDoneRound = round + 1
-		}
-		var err error
-		if graph != nil {
-			err = s.reconcileDouble(round, st, unfolded, arrivals, &stats, &reasons)
-		} else {
-			err = s.reconcileMasks(round, unfolded, folded, msum, arrivals, &stats, &reasons)
-		}
+		err := s.reconcile(rd, st, unfolded)
 		ptRecon.end()
 		if err != nil {
-			s.closeRound(stats, false, nil)
+			s.closeRound(rd.stats, false, nil)
 			return nil, err
 		}
-		// Reconciled counts reconciled dropouts in both modes — a full
-		// k-regular fold reports 0 even though its self masks were
-		// removed, keeping round traces comparable with plaintext runs.
-		stats.Reconciled = len(unfolded)
+		// Reconciled counts reconciled dropouts — a full fold reports 0
+		// even though its self masks were removed, keeping round traces
+		// comparable with plaintext runs.
+		rd.stats.Reconciled = len(unfolded)
 	}
 
 	if s.cfg.Partials {
@@ -329,22 +244,22 @@ collect:
 		// reconciled), so the ring sums are clean partials that compose
 		// additively in ℤ/2⁶⁴ at the root — which dequantises exactly
 		// once over the whole fleet.
-		s.closeRound(stats, true, nil)
+		s.closeRound(rd.stats, true, nil)
 		return &Partial{Round: round, Levels: msum.Levels(), ScaleBits: s.cfg.SecAggScaleBits,
-			Weight: msum.Weight(), Count: msum.Count(), Stats: stats}, nil
+			Weight: msum.Weight(), Count: msum.Count(), Stats: rd.stats}, nil
 	}
 
 	ptClose := s.ob.startPhase("close", round)
 	defer ptClose.end()
 	mean, err := msum.Mean()
 	if err != nil {
-		s.closeRound(stats, false, nil)
+		s.closeRound(rd.stats, false, nil)
 		return nil, err
 	}
 	if hasProtected {
 		encMean, err := s.cfg.Enclave.Finish(round, msum.Count())
 		if err != nil {
-			s.closeRound(stats, false, nil)
+			s.closeRound(rd.stats, false, nil)
 			return nil, fmt.Errorf("fl: enclave round finish: %w", err)
 		}
 		finished = true
@@ -352,9 +267,9 @@ collect:
 			mean[id] = encMean[k]
 		}
 	}
-	stats.UpdateNorm = UpdateNorm(mean)
+	rd.stats.UpdateNorm = UpdateNorm(mean)
 	ApplyUpdate(s.state, mean, 1.0)
-	s.closeRound(stats, true, mean)
+	s.closeRound(rd.stats, true, mean)
 	return nil, nil
 }
 
@@ -365,75 +280,6 @@ func protTensors(state []*tensor.Tensor, idx []int) []*tensor.Tensor {
 		out[k] = state[id]
 	}
 	return out
-}
-
-// handleSecAggArrival routes one client message during the fold phase
-// of a secure-aggregation round.
-func (s *Server) handleSecAggArrival(round int, a arrival, st *secAggRoundState, stats *RoundStats, reasons *[]string) {
-	sess := a.sess
-	if sess.quarantined {
-		return // residue from an already-closed connection
-	}
-	if a.err != nil {
-		delete(st.pending, sess)
-		s.quarantineAt(sess, round, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err), stats, reasons)
-		return
-	}
-	switch m := a.msg.(type) {
-	case *CodecSwitch:
-		// Ack of an adaptive downgrade; the receive codec already
-		// flipped in the read loop.
-		return
-	case *MaskedUp:
-		if m.Round < round {
-			if m.Round < sess.reconDoneRound {
-				// The target round's masks were already reconciled with
-				// this device counted as dropped; the survivors' revealed
-				// seeds would strip this very update.
-				delete(st.pending, sess)
-				s.quarantineAt(sess, round, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round), stats, reasons)
-				return
-			}
-			stats.LateDiscarded++
-			return
-		}
-		if m.Round > round || !st.pending[sess] {
-			delete(st.pending, sess)
-			s.quarantineAt(sess, round, true, fmt.Errorf("unexpected masked update for round %d during round %d", m.Round, round), stats, reasons)
-			return
-		}
-		weight := uint64(1)
-		if m.Examples > 0 {
-			weight = min(m.Examples, MaxExampleWeight)
-		}
-		if err := s.foldMasked(sess, round, m, weight, st); err != nil {
-			delete(st.pending, sess)
-			s.quarantineAt(sess, round, true, err, stats, reasons)
-			return
-		}
-		delete(st.pending, sess)
-		st.folded[sess] = true
-		s.journalAppend(&journal.Record{Type: journal.RecFold, Round: round, Device: sess.device})
-		if s.cfg.Hooks.UpdateFolded != nil {
-			s.cfg.Hooks.UpdateFolded(round, sess.device)
-		}
-	case *GradUp:
-		// A plaintext update has no business in a secure-aggregation
-		// session; one for an already-reconciled round is additionally
-		// the unmasking hazard and carries the typed error.
-		delete(st.pending, sess)
-		if m.Round < sess.reconDoneRound {
-			s.quarantineAt(sess, round, true, fmt.Errorf("%w: plaintext update for round %d", ErrLateAfterRecon, m.Round), stats, reasons)
-			return
-		}
-		s.quarantineAt(sess, round, true, fmt.Errorf("unexpected %T mid-round", a.msg), stats, reasons)
-	case *ErrorMsg:
-		delete(st.pending, sess)
-		s.quarantineAt(sess, round, true, fmt.Errorf("client error: %s", m.Text), stats, reasons)
-	default:
-		delete(st.pending, sess)
-		s.quarantineAt(sess, round, true, fmt.Errorf("unexpected %T mid-round", a.msg), stats, reasons)
-	}
 }
 
 // foldMasked validates and folds one masked update: levels into the
@@ -450,47 +296,32 @@ func (s *Server) foldMasked(sess *session, round int, m *MaskedUp, weight uint64
 		if len(m.Sealed) > 0 {
 			return errors.New("sealed payload in a round without protected tensors")
 		}
-		if err := st.msum.Add(m.Levels, weight); err != nil { // Add validates atomically
+	} else {
+		// The level check must pass before the enclave folds, or the two
+		// accumulators drift apart on a rejected update. Add's own repeat
+		// of the validation cannot fail after this.
+		if err := st.msum.Validate(m.Levels); err != nil {
 			return err
 		}
-		if wrapped != nil {
-			st.wrapped[sess.device] = wrapped
+		if len(m.Sealed) == 0 {
+			return errors.New("masked update missing its sealed protected half")
 		}
-		return nil
+		if err := s.cfg.Enclave.Fold(sess.device, round, m.Sealed, float64(weight)); err != nil {
+			return err
+		}
 	}
-	// The level check must pass before the enclave folds, or the two
-	// accumulators drift apart on a rejected update. Add's own repeat
-	// of the validation cannot fail after this.
-	if err := st.msum.Validate(m.Levels); err != nil {
+	if err := st.msum.Add(m.Levels, weight); err != nil { // Add validates atomically
 		return err
 	}
-	if len(m.Sealed) == 0 {
-		return errors.New("masked update missing its sealed protected half")
-	}
-	if err := s.cfg.Enclave.Fold(sess.device, round, m.Sealed, float64(weight)); err != nil {
-		return err
-	}
-	if err := st.msum.Add(m.Levels, weight); err != nil {
-		return err
-	}
-	if wrapped != nil {
-		st.wrapped[sess.device] = wrapped
-	}
+	st.wrapped[sess.device] = wrapped
 	return nil
 }
 
 // validateShares checks a masked update's wrapped self-seed shares
 // against the round's mask graph before anything is folded: exactly one
 // share per graph neighbour, none elsewhere, every blob the single
-// valid length. Legacy rounds (nil graph) must carry none. Returns the
-// shares keyed by holder.
+// valid length. Returns the shares keyed by holder.
 func validateShares(device string, shares []secagg.WrappedShare, graph *secagg.Graph) (map[string][]byte, error) {
-	if graph == nil {
-		if len(shares) > 0 {
-			return nil, errors.New("self-seed shares in a full-pairwise round")
-		}
-		return nil, nil
-	}
 	neigh := graph.Neighbors(device)
 	if len(shares) != len(neigh) {
 		return nil, fmt.Errorf("masked update carries %d self-seed shares, graph degree is %d", len(shares), len(neigh))
@@ -512,168 +343,48 @@ func validateShares(device string, shares []secagg.WrappedShare, graph *secagg.G
 	return out, nil
 }
 
-// reconcileMasks runs the post-deadline reconciliation phase: every
-// folded survivor is asked for its round seeds with the unfolded cohort
-// members, and each revealed seed's mask expansion is subtracted from
-// the folded sum. The phase is bounded by RoundDeadline (when set); any
-// survivor that cannot answer leaves the sum unreadable, which fails
-// the round.
-func (s *Server) reconcileMasks(round int, unfolded []string, folded map[*session]bool, msum *secagg.MaskedSum, arrivals <-chan arrival, stats *RoundStats, reasons *[]string) error {
-	need := make(map[*session]bool, len(folded))
-	for sess := range folded {
-		if sess.quarantined {
-			return fmt.Errorf("%w: survivor %s lost before revealing shares", ErrSecAggRecon, sess.device)
-		}
-		need[sess] = true
-	}
-	req := &MaskRecon{Round: round, Dropped: unfolded}
-	frames := make(map[wire.Codec][]byte)
-	for sess := range need {
-		payload, ok := frames[sess.codec]
-		if !ok {
-			payload = EncodeMessageCodec(req, sess.codec)
-			frames[sess.codec] = payload
-		}
-		if err := sess.conn.SendFrame(MsgMaskRecon, payload); err != nil {
-			return fmt.Errorf("%w: requesting shares from %s: %v", ErrSecAggRecon, sess.device, err)
-		}
-	}
-
-	var deadlineC <-chan time.Time
-	if s.cfg.RoundDeadline > 0 {
-		timer := s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
-		defer timer.Stop()
-		deadlineC = timer.C
-	}
-	droppedSet := make(map[string]bool, len(unfolded))
-	for _, d := range unfolded {
-		droppedSet[d] = true
-	}
-	for len(need) > 0 {
-		select {
-		case a := <-arrivals:
-			sess := a.sess
-			if sess.quarantined {
-				continue
-			}
-			if a.err != nil {
-				if need[sess] {
-					return fmt.Errorf("%w: survivor %s lost before revealing shares: %v", ErrSecAggRecon, sess.device, a.err)
-				}
-				s.quarantineAt(sess, round, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err), stats, reasons)
-				continue
-			}
-			switch m := a.msg.(type) {
-			case *CodecSwitch:
-				continue // ack of an adaptive downgrade, handled in the read loop
-			case *MaskShares:
-				if m.Round != round || !need[sess] {
-					s.quarantineAt(sess, round, true, fmt.Errorf("unexpected mask shares for round %d", m.Round), stats, reasons)
-					if need[sess] {
-						return fmt.Errorf("%w: survivor %s answered out of protocol", ErrSecAggRecon, sess.device)
-					}
-					continue
-				}
-				if err := applyShares(sess.device, m.Shares, droppedSet, msum); err != nil {
-					s.quarantineAt(sess, round, true, err, stats, reasons)
-					return fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, err)
-				}
-				delete(need, sess)
-			case *MaskedUp:
-				// A dropped straggler racing the reconciliation phase: the
-				// survivors are revealing (or already revealed) their pair
-				// seeds with it for this round, so accepting — or even
-				// silently keeping — its update is the unmasking window.
-				// Refuse it with the typed error; duplicates from folded
-				// members remain plain late discards.
-				if m.Round < sess.reconDoneRound {
-					s.quarantineAt(sess, round, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round), stats, reasons)
-					continue
-				}
-				if m.Round <= round {
-					stats.LateDiscarded++
-					continue
-				}
-				s.quarantineAt(sess, round, true, fmt.Errorf("masked update for future round %d", m.Round), stats, reasons)
-			case *ErrorMsg:
-				wasNeeded := need[sess]
-				delete(need, sess)
-				s.quarantineAt(sess, round, true, fmt.Errorf("client error: %s", m.Text), stats, reasons)
-				if wasNeeded {
-					return fmt.Errorf("%w: survivor %s failed during reconciliation", ErrSecAggRecon, sess.device)
-				}
-			default:
-				wasNeeded := need[sess]
-				delete(need, sess)
-				s.quarantineAt(sess, round, true, fmt.Errorf("unexpected %T during reconciliation", a.msg), stats, reasons)
-				if wasNeeded {
-					return fmt.Errorf("%w: survivor %s answered out of protocol", ErrSecAggRecon, sess.device)
-				}
-			}
-		case <-deadlineC:
-			var missing []string
-			for sess := range need {
-				missing = append(missing, sess.device)
-			}
-			sort.Strings(missing)
-			return fmt.Errorf("%w: timed out waiting for shares from %s", ErrSecAggRecon, strings.Join(missing, ", "))
-		}
-	}
-	return nil
-}
-
-// applyShares validates one survivor's revealed seeds — exactly one per
-// dropped peer — and subtracts the corresponding mask expansions.
-func applyShares(survivor string, shares []secagg.PairShare, droppedSet map[string]bool, msum *secagg.MaskedSum) error {
-	if len(shares) != len(droppedSet) {
-		return fmt.Errorf("revealed %d shares, want %d", len(shares), len(droppedSet))
-	}
-	seen := make(map[string]bool, len(shares))
-	for _, share := range shares {
-		if !droppedSet[share.Device] || seen[share.Device] {
-			return fmt.Errorf("share for unexpected peer %q", share.Device)
-		}
-		seen[share.Device] = true
-	}
-	for _, share := range shares {
-		msum.ApplySeedMask(share.Seed, -secagg.PairSign(survivor, share.Device))
-	}
-	return nil
-}
-
 // reconExpect tracks what one folded survivor was asked for during
-// k-regular reconciliation.
+// reconciliation.
 type reconExpect struct {
 	dropped map[string]bool // dropped neighbours whose pair seeds it must reveal
 	owners  map[string]bool // folded neighbours whose self-seed shares it may reveal
 }
 
-// reconcileDouble runs the k-regular double-masking reconciliation.
-// Per folded survivor the server sends one MaskRecon naming, among the
-// survivor's graph neighbours only, (a) the dropped ones — their
-// dangling pair masks must come off via revealed pair seeds — and (b)
-// the folded ones, each with its wrapped self-seed share — their self
-// masks must come off via Shamir reconstruction. Per peer a neighbour
-// is asked for exactly one of the two (the client enforces the same
-// exclusivity with ErrRoleConflict). The phase tolerates survivors
-// vanishing mid-reconciliation as long as (a) they owed no pair seeds
+// reconcile runs the double-masking reconciliation. Per folded survivor
+// the server sends one MaskRecon naming, among the survivor's graph
+// neighbours only, (a) the dropped ones — their dangling pair masks
+// must come off via revealed pair seeds — and (b) the folded ones, each
+// with its wrapped self-seed share — their self masks must come off via
+// Shamir reconstruction. Per peer a neighbour is asked for exactly one
+// of the two (the client enforces the same exclusivity with
+// ErrRoleConflict). The phase tolerates survivors vanishing — before it
+// starts or in the middle of it — as long as (a) they owed no pair seeds
 // and (b) every folded member still reaches its Shamir threshold;
 // otherwise the round fails with ErrSecAggRecon and nothing is
 // published.
-func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []string, arrivals <-chan arrival, stats *RoundStats, reasons *[]string) error {
-	graph := st.graph
+func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []string) error {
+	round, graph := rd.round, st.graph
 	droppedSet := make(map[string]bool, len(unfolded))
 	for _, d := range unfolded {
 		droppedSet[d] = true
 	}
-
 	need := make(map[*session]*reconExpect, len(st.folded))
-	threshold := graph.Threshold()
-	seedShares := make(map[string][]secagg.Share, len(st.folded))
-	for sess := range st.folded {
-		if sess.quarantined {
-			return fmt.Errorf("%w: survivor %s lost before reconciliation", ErrSecAggRecon, sess.device)
+	// lose sanctions a survivor that can no longer answer (transport
+	// gone, protocol fault) and decides whether the round survives it:
+	// fatal while it still owes pair seeds (they are held by nobody
+	// else), survivable when it only owed self-seed shares (the
+	// threshold check at the end decides).
+	lose := func(sess *session, probationable bool, reason error) error {
+		exp := need[sess]
+		delete(need, sess)
+		s.quarantineAt(sess, round, probationable, reason, &rd.stats, &rd.reasons)
+		if exp != nil && len(exp.dropped) > 0 {
+			return fmt.Errorf("%w: survivor %s lost before revealing pair seeds: %v", ErrSecAggRecon, sess.device, reason)
 		}
+		return nil
+	}
+
+	for sess := range st.folded {
 		exp := &reconExpect{dropped: make(map[string]bool), owners: make(map[string]bool)}
 		req := &MaskRecon{Round: round}
 		for _, p := range graph.Neighbors(sess.device) {
@@ -690,14 +401,21 @@ func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []str
 		if len(req.Dropped) == 0 && len(req.Survivors) == 0 {
 			continue // nothing to ask this survivor
 		}
-		if err := sess.conn.Send(req); err != nil {
-			if len(exp.dropped) > 0 {
-				return fmt.Errorf("%w: requesting shares from %s: %v", ErrSecAggRecon, sess.device, err)
-			}
-			s.quarantineAt(sess, round, false, fmt.Errorf("transport: %w", err), stats, reasons)
-			continue // only owed seed shares; the threshold check decides
-		}
 		need[sess] = exp
+		// A survivor whose connection already failed after its update
+		// folded is lost under the same rule as one that vanishes while
+		// the phase runs.
+		var sendErr error
+		if sess.quarantined {
+			sendErr = errors.New("connection lost after its update folded")
+		} else {
+			sendErr = sess.conn.Send(req)
+		}
+		if sendErr != nil {
+			if err := lose(sess, false, fmt.Errorf("transport: %w", sendErr)); err != nil {
+				return err
+			}
+		}
 	}
 
 	var deadlineC <-chan time.Time
@@ -706,78 +424,58 @@ func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []str
 		defer timer.Stop()
 		deadlineC = timer.C
 	}
-	// lose drops a needed survivor: fatal while it still owes pair
-	// seeds (they are held by nobody else), survivable when it only
-	// owed self-seed shares (threshold check at the end decides).
-	lose := func(sess *session, cause error) error {
-		exp := need[sess]
-		delete(need, sess)
-		if exp != nil && len(exp.dropped) > 0 {
-			return fmt.Errorf("%w: survivor %s lost before revealing pair seeds: %v", ErrSecAggRecon, sess.device, cause)
-		}
-		return nil
-	}
+	seedShares := make(map[string][]secagg.Share, len(st.folded))
+wait:
 	for len(need) > 0 {
 		select {
-		case a := <-arrivals:
+		case a := <-s.arrivals:
 			sess := a.sess
 			if sess.quarantined {
-				continue
+				continue // residue from an already-closed connection
 			}
 			if a.err != nil {
-				err := lose(sess, a.err)
-				s.quarantineAt(sess, round, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err), stats, reasons)
-				if err != nil {
+				if err := lose(sess, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err)); err != nil {
 					return err
 				}
 				continue
 			}
+			var err error
 			switch m := a.msg.(type) {
 			case *CodecSwitch:
-				continue // ack of an adaptive downgrade, handled in the read loop
+				// ack of an adaptive downgrade, handled in the read loop
 			case *MaskShares:
 				exp := need[sess]
 				if m.Round != round || exp == nil {
-					err := lose(sess, errors.New("out-of-protocol shares"))
-					s.quarantineAt(sess, round, true, fmt.Errorf("unexpected mask shares for round %d", m.Round), stats, reasons)
-					if err != nil {
-						return err
-					}
-					continue
-				}
-				if err := s.applyDoubleShares(sess, m, exp, graph, st.msum, seedShares); err != nil {
-					delete(need, sess)
-					s.quarantineAt(sess, round, true, err, stats, reasons)
-					return fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, err)
+					err = lose(sess, true, fmt.Errorf("unexpected mask shares for round %d", m.Round))
+					break
 				}
 				delete(need, sess)
+				if shareErr := applyMaskShares(sess.device, m, exp, graph, st.msum, seedShares); shareErr != nil {
+					s.quarantineAt(sess, round, true, shareErr, &rd.stats, &rd.reasons)
+					err = fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, shareErr)
+				}
 			case *MaskedUp:
-				// A dropped straggler racing the reconciliation: its
-				// neighbours are revealing pair seeds for this round right
-				// now, so its update must be refused with the typed error —
-				// a curious server could unmask it. Folded members' stale
-				// duplicates stay plain late discards.
-				if m.Round < sess.reconDoneRound {
-					s.quarantineAt(sess, round, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round), stats, reasons)
-					continue
+				switch {
+				case m.Round < sess.reconDoneRound:
+					// A dropped straggler racing the reconciliation: its
+					// neighbours are revealing pair seeds for this round
+					// right now, so its update must be refused with the
+					// typed error — a curious server could unmask it.
+					err = lose(sess, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round))
+				case m.Round <= round:
+					// Folded members' stale duplicates stay plain late
+					// discards.
+					rd.stats.LateDiscarded++
+				default:
+					err = lose(sess, true, fmt.Errorf("masked update for future round %d", m.Round))
 				}
-				if m.Round <= round {
-					stats.LateDiscarded++
-					continue
-				}
-				s.quarantineAt(sess, round, true, fmt.Errorf("masked update for future round %d", m.Round), stats, reasons)
 			case *ErrorMsg:
-				err := lose(sess, fmt.Errorf("client error: %s", m.Text))
-				s.quarantineAt(sess, round, true, fmt.Errorf("client error: %s", m.Text), stats, reasons)
-				if err != nil {
-					return err
-				}
+				err = lose(sess, true, fmt.Errorf("client error: %s", m.Text))
 			default:
-				err := lose(sess, fmt.Errorf("unexpected %T", a.msg))
-				s.quarantineAt(sess, round, true, fmt.Errorf("unexpected %T during reconciliation", a.msg), stats, reasons)
-				if err != nil {
-					return err
-				}
+				err = lose(sess, true, fmt.Errorf("unexpected %T during reconciliation", a.msg))
+			}
+			if err != nil {
+				return err
 			}
 		case <-deadlineC:
 			var missing []string
@@ -788,16 +486,13 @@ func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []str
 					mustFail = true
 				}
 			}
-			sort.Strings(missing)
 			if mustFail {
+				sort.Strings(missing)
 				return fmt.Errorf("%w: timed out waiting for shares from %s", ErrSecAggRecon, strings.Join(missing, ", "))
 			}
 			// Every missing answer only carried self-seed shares; fall
 			// through to the threshold check with what arrived.
-			need = nil
-		}
-		if need == nil {
-			break
+			break wait
 		}
 	}
 
@@ -805,6 +500,7 @@ func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []str
 	// self seed from ≥ threshold neighbour shares and subtract its
 	// expansion. Short of threshold the sum stays opaque — fail the
 	// round rather than publish masked data.
+	threshold := graph.Threshold()
 	for sess := range st.folded {
 		owner := sess.device
 		seed, err := secagg.CombineSeed(seedShares[owner], threshold)
@@ -817,14 +513,14 @@ func (s *Server) reconcileDouble(round int, st *secAggRoundState, unfolded []str
 	return nil
 }
 
-// applyDoubleShares validates and applies one survivor's MaskShares
-// answer during k-regular reconciliation: pair seeds exactly covering
+// applyMaskShares validates and applies one survivor's MaskShares
+// answer during reconciliation: pair seeds exactly covering
 // its dropped neighbours are subtracted immediately; self-seed shares —
 // at most one per folded neighbour it was sent an envelope for, with
 // the x-coordinate pinned to the owner's share index for this holder —
 // are banked for reconstruction. A client may return fewer seed shares
 // than envelopes (corrupt blobs are withheld), never more.
-func (s *Server) applyDoubleShares(sess *session, m *MaskShares, exp *reconExpect, graph *secagg.Graph, msum *secagg.MaskedSum, seedShares map[string][]secagg.Share) error {
+func applyMaskShares(holder string, m *MaskShares, exp *reconExpect, graph *secagg.Graph, msum *secagg.MaskedSum, seedShares map[string][]secagg.Share) error {
 	if len(m.Shares) != len(exp.dropped) {
 		return fmt.Errorf("revealed %d pair seeds, want %d", len(m.Shares), len(exp.dropped))
 	}
@@ -845,7 +541,7 @@ func (s *Server) applyDoubleShares(sess *session, m *MaskShares, exp *reconExpec
 		// in the owner's neighbour list, fixed by the graph. A swapped or
 		// invented x would poison the Lagrange interpolation with a valid-
 		// looking share — reject it as a protocol fault instead.
-		if want := graph.ShareIndex(ss.Owner, sess.device); int(ss.X) != want {
+		if want := graph.ShareIndex(ss.Owner, holder); int(ss.X) != want {
 			return fmt.Errorf("self-seed share for %q carries x=%d, holder index is %d", ss.Owner, ss.X, want)
 		}
 		if len(ss.Data) != secagg.SeedShareLen {
@@ -853,7 +549,7 @@ func (s *Server) applyDoubleShares(sess *session, m *MaskShares, exp *reconExpec
 		}
 	}
 	for _, share := range m.Shares {
-		msum.ApplySeedMask(share.Seed, -secagg.PairSign(sess.device, share.Device))
+		msum.ApplySeedMask(share.Seed, -secagg.PairSign(holder, share.Device))
 	}
 	for _, ss := range m.SeedShares {
 		seedShares[ss.Owner] = append(seedShares[ss.Owner], secagg.Share{X: ss.X, Data: ss.Data})

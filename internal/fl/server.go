@@ -7,7 +7,6 @@ import (
 	"math"
 	mrand "math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,25 +70,27 @@ type ServerConfig struct {
 	// pre-codec decoders simply never read).
 	Codec wire.Codec
 
-	// SecAgg enables secure aggregation: clients send pairwise-masked
+	// SecAgg enables secure aggregation: clients send double-masked
 	// fixed-point updates (MaskedUp) the server folds without ever
 	// seeing an individual update, reconciling dropped clients' masks
-	// through revealed round seeds. Sealed protected-layer updates
-	// additionally require Enclave. Example weights still apply
-	// (clients pre-multiply in the ring); sampling, deadlines and
-	// quarantine behave as in plaintext mode.
+	// through revealed round seeds and removing self masks through
+	// Shamir shares. Sealed protected-layer updates additionally require
+	// Enclave. Example weights still apply (clients pre-multiply in the
+	// ring); sampling, deadlines and quarantine behave as in plaintext
+	// mode.
 	SecAgg bool
 	// SecAggScaleBits is the fixed-point precision for masked updates;
 	// 0 selects secagg.DefaultScaleBits.
 	SecAggScaleBits int
-	// MaskDegree selects the masking topology for SecAgg sessions. 0
-	// (the default) keeps the legacy full-pairwise masking — every
-	// cohort member masks against every other, wire behaviour unchanged.
-	// secagg.AutoDegree (-1) derives a k-regular mask graph per round
-	// with k ≈ ⌈log₂ cohort⌉ plus slack, and a positive value fixes the
-	// degree. With a graph, clients double-mask (pairwise + Shamir-shared
-	// self mask), cutting masking cost from O(cohort²) to O(k·cohort)
-	// and closing the late-update unmasking window (see internal/secagg).
+	// MaskDegree is the degree k of the per-round k-regular mask graph
+	// in SecAgg sessions: each client masks against k neighbours and
+	// double-masks with a self seed Shamir-shared among them, so masking
+	// costs O(k·cohort) and a round survives any ⌊(k−1)/2⌋ dropouts. 0
+	// (secagg.AutoDegree, the default) sizes k from each round's cohort
+	// — secagg.DegreeFor: ≈ ⌈log₂ cohort⌉, never below 6, i.e. at least
+	// 2 arbitrary dropouts per round; a positive value pins k
+	// (deployments expecting heavier churn). Either is capped at the
+	// complete graph. Negative values are rejected by Open.
 	MaskDegree int
 	// Enclave, in SecAgg sessions, aggregates sealed protected-layer
 	// updates inside a simulated server enclave: trusted-channel keys
@@ -724,9 +725,9 @@ func (s *Server) StepRound(round int) (*Partial, error) {
 	var p *Partial
 	var err error
 	if s.cfg.SecAgg {
-		p, err = s.runSecAggRound(round, s.sessions, s.arrivals)
+		p, err = s.runSecAggRound(round)
 	} else {
-		p, err = s.runRound(round, s.sessions, s.arrivals)
+		p, err = s.runRound(round)
 	}
 	if round+1 > s.nextRound {
 		s.nextRound = round + 1
@@ -1139,16 +1140,12 @@ func (s *Server) sample(live []*session) []*session {
 	return out
 }
 
-// quarantine excludes a failed client. Stragglers are *not*
+// quarantineAt excludes a failed client. Stragglers are *not*
 // quarantined — only training, protocol, and transport failures. With
-// QuarantineRounds configured, non-transport failures put the client on
-// probation (connection kept, re-eligible after the configured number
-// of rounds); transport failures — the connection is gone — and the
-// QuarantineRounds=0 default are permanent.
-func (s *Server) quarantine(sess *session, reason error, stats *RoundStats, reasons *[]string) {
-	s.quarantineAt(sess, 0, false, reason, stats, reasons)
-}
-
+// QuarantineRounds configured, probationable (non-transport) failures
+// put the client on probation (connection kept, re-eligible after the
+// configured number of rounds); transport failures — the connection is
+// gone — and the QuarantineRounds=0 default are permanent.
 func (s *Server) quarantineAt(sess *session, round int, probationable bool, reason error, stats *RoundStats, reasons *[]string) {
 	if sess.quarantined {
 		return
@@ -1187,163 +1184,6 @@ func (s *Server) noteHistory(device string) *deviceHistory {
 		s.history[device] = h
 	}
 	return h
-}
-
-// runRound executes one FL cycle: sample a cohort, distribute the model,
-// fold updates as they arrive (streaming FedAvg), and close the round at
-// the deadline with whoever responded. In partial mode the aggregate is
-// returned un-normalised instead of being applied.
-func (s *Server) runRound(round int, sessions []*session, arrivals <-chan arrival) (*Partial, error) {
-	alive := live(sessions, round)
-	if len(alive) < s.cfg.MinClients {
-		return nil, fmt.Errorf("%w: %d live clients, need %d", ErrNotEnoughClients, len(alive), s.cfg.MinClients)
-	}
-	// Resolve the round's trace ID before the first span opens: adopted
-	// from upstream (hierarchical edge) or minted deterministically here.
-	s.curTrace = s.roundTrace
-	if s.curTrace == 0 {
-		s.curTrace = obs.RoundTrace(round)
-	}
-	s.ob.setTrace(s.curTrace)
-	ptRound := s.ob.startPhase("round", round)
-	ptSample := s.ob.startPhase("sample", round)
-	sampled := s.sample(alive)
-
-	stats := RoundStats{Round: round, Sampled: len(sampled)}
-	var reasons []string
-
-	// Arm the deadline before any model leaves the server so time spent
-	// distributing counts against the round budget. The sends themselves
-	// are not interruptible by this timer; on deadline-capable
-	// transports (TCP) each write is bounded by cfg.IOTimeout instead.
-	var deadlineC <-chan time.Time
-	if s.cfg.RoundDeadline > 0 {
-		timer := s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
-		defer timer.Stop()
-		deadlineC = timer.C
-	}
-
-	if s.cfg.Hooks.RoundStarted != nil {
-		names := make([]string, len(sampled))
-		for i, sess := range sampled {
-			names[i] = sess.device
-		}
-		s.cfg.Hooks.RoundStarted(round, names)
-	}
-
-	protected, planBlob := s.cfg.Planner.PlanRound(round)
-	hasProtected := false
-	for _, p := range protected {
-		if p {
-			hasProtected = true
-			break
-		}
-	}
-
-	// Encode-once broadcast: every cohort member that receives no sealed
-	// payload gets the identical ModelDown bytes, serialised once per
-	// negotiated codec instead of once per client. Only clients with a
-	// trusted channel AND a non-empty protection plan need a per-client
-	// build (their sealed blob is keyed to their channel).
-	needsSealing := func(sess *session) bool { return hasProtected && sess.channel != nil }
-	shared := make(map[wire.Codec][]byte)
-	for _, sess := range sampled {
-		if needsSealing(sess) {
-			continue
-		}
-		if _, ok := shared[sess.codec]; !ok {
-			down := &ModelDown{Round: round, Plain: s.state, Plan: planBlob, Version: uint64(round), Trace: s.curTrace}
-			shared[sess.codec] = EncodeMessageCodec(down, sess.codec)
-		}
-	}
-
-	ptSample.end()
-
-	// Distribute the model to the cohort in parallel: shared frames for
-	// the broadcast group, per-client sealing for the rest.
-	ptBroadcast := s.ob.startPhase("broadcast", round)
-	sendErrs := make([]error, len(sampled))
-	var sends sync.WaitGroup
-	for i, sess := range sampled {
-		sends.Add(1)
-		go func(i int, sess *session) {
-			defer sends.Done()
-			if !needsSealing(sess) {
-				sendErrs[i] = sess.conn.SendFrame(MsgModelDown, shared[sess.codec])
-				return
-			}
-			down, err := s.buildModelDown(round, sess, protected, planBlob)
-			if err == nil {
-				err = sess.conn.Send(down)
-			}
-			sendErrs[i] = err
-		}(i, sess)
-	}
-	sends.Wait()
-	ptBroadcast.end()
-
-	pending := make(map[*session]bool, len(sampled))
-	for i, sess := range sampled {
-		if sendErrs[i] != nil {
-			s.quarantine(sess, fmt.Errorf("sending model: %w", sendErrs[i]), &stats, &reasons)
-			continue
-		}
-		pending[sess] = true
-	}
-
-	agg := s.newAggregator()
-	ptCollect := s.ob.startPhase("collect", round)
-collect:
-	for len(pending) > 0 {
-		select {
-		case a := <-arrivals:
-			s.handleArrival(round, a, pending, agg, &stats, &reasons)
-		case <-deadlineC:
-			// Drain updates that raced the deadline, then drop the rest.
-			for {
-				select {
-				case a := <-arrivals:
-					s.handleArrival(round, a, pending, agg, &stats, &reasons)
-				default:
-					break collect
-				}
-			}
-		}
-	}
-	ptCollect.end()
-	stats.Dropped = len(pending)
-	stats.Responded = agg.Count()
-	stats.WeightTotal = agg.Weight()
-
-	ptClose := s.ob.startPhase("close", round)
-	defer ptRound.end()
-	defer ptClose.end()
-	if agg.Count() < s.cfg.MinClients {
-		detail := ""
-		if len(reasons) > 0 {
-			detail = " (" + strings.Join(reasons, "; ") + ")"
-		}
-		err := fmt.Errorf("%w: %d of %d sampled clients responded, need %d%s",
-			ErrNotEnoughClients, agg.Count(), stats.Sampled, s.cfg.MinClients, detail)
-		s.closeRound(stats, false, nil)
-		return nil, err
-	}
-	if s.cfg.Partials {
-		// Hierarchical edge: hand the raw weighted sum upstream; the
-		// root normalises once over the whole fleet, so the hierarchy's
-		// arithmetic composes exactly.
-		s.closeRound(stats, true, nil)
-		return &Partial{Round: round, Sum: agg.Sum(), Weight: agg.Weight(), Count: agg.Count(), Stats: stats}, nil
-	}
-	mean, err := agg.Mean()
-	if err != nil {
-		s.closeRound(stats, false, nil)
-		return nil, err
-	}
-	stats.UpdateNorm = UpdateNorm(mean)
-	ApplyUpdate(s.state, mean, 1.0)
-	s.closeRound(stats, true, mean)
-	return nil, nil
 }
 
 // closeRound commits a round: the journal close record (carrying the
@@ -1411,87 +1251,6 @@ func fromJournalStats(st journal.Stats) RoundStats {
 		WeightTotal:   st.WeightTotal,
 		UpdateNorm:    st.UpdateNorm,
 		Shards:        st.Shards,
-	}
-}
-
-// handleArrival routes one client message during a round: fold a valid
-// update, discard stale ones, quarantine on failure.
-func (s *Server) handleArrival(round int, a arrival, pending map[*session]bool, agg UpdateAggregator, stats *RoundStats, reasons *[]string) {
-	sess := a.sess
-	if sess.quarantined {
-		return // residue from an already-closed connection
-	}
-	if a.err != nil {
-		delete(pending, sess)
-		// A frame that failed to decode is a client protocol fault on a
-		// still-usable connection (probationable); anything else means
-		// the transport is gone (permanent).
-		s.quarantineAt(sess, round, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err), stats, reasons)
-		return
-	}
-	switch m := a.msg.(type) {
-	case *CodecSwitch:
-		// The client's ack of an adaptive downgrade; the receive codec
-		// already flipped in the read loop. Nothing to fold.
-		return
-	case *GradUp:
-		if m.Round < round {
-			if m.Round < sess.reconDoneRound {
-				// The target round's masks were already reconciled with
-				// this device counted as dropped: accepting anything it
-				// trained for that round is the unmasking window.
-				delete(pending, sess)
-				s.quarantineAt(sess, round, true, fmt.Errorf("%w: update for round %d", ErrLateAfterRecon, m.Round), stats, reasons)
-				return
-			}
-			// A straggler's answer to an earlier round: discard, but keep
-			// the client pending — its answer to this round may follow.
-			stats.LateDiscarded++
-			return
-		}
-		if m.Round > round || !pending[sess] {
-			delete(pending, sess)
-			s.quarantineAt(sess, round, true, fmt.Errorf("unexpected update for round %d during round %d", m.Round, round), stats, reasons)
-			return
-		}
-		// Weighted FedAvg: a client reporting its local example count is
-		// weighted by it; absent (0) means unit weight. The count is
-		// clamped so a hostile or buggy client cannot claim an absurd
-		// weight and drown out the rest of the cohort.
-		weight := 1.0
-		if m.Examples > 0 {
-			weight = float64(min(m.Examples, MaxExampleWeight))
-		}
-		// A purely-plain update that arrived in the lazy q8 form folds
-		// its levels straight into the running sum — no per-client
-		// float64 model is ever materialised. Updates with a sealed half
-		// take the merge path (the sealed tensors are f64 anyway).
-		var err error
-		if m.Q8 != nil && len(m.Sealed) == 0 {
-			err = agg.AccumulateQ8(m.Q8, weight)
-		} else {
-			var update []*tensor.Tensor
-			if update, err = s.mergeUpdate(sess, m); err == nil {
-				err = agg.Add(update, weight)
-			}
-		}
-		if err != nil {
-			delete(pending, sess)
-			s.quarantineAt(sess, round, true, err, stats, reasons)
-			return
-		}
-		delete(pending, sess)
-		s.mergeClientTelemetry(sess.device, m.Telemetry)
-		s.journalAppend(&journal.Record{Type: journal.RecFold, Round: round, Device: sess.device})
-		if s.cfg.Hooks.UpdateFolded != nil {
-			s.cfg.Hooks.UpdateFolded(round, sess.device)
-		}
-	case *ErrorMsg:
-		delete(pending, sess)
-		s.quarantineAt(sess, round, true, fmt.Errorf("client error: %s", m.Text), stats, reasons)
-	default:
-		delete(pending, sess)
-		s.quarantineAt(sess, round, true, fmt.Errorf("unexpected %T mid-round", a.msg), stats, reasons)
 	}
 }
 

@@ -105,12 +105,13 @@ type Scenario struct {
 	// updates are dyadic, so the masked aggregate is bit-identical to
 	// the plaintext aggregate of the same scenario.
 	SecAgg bool
-	// MaskDegree selects the SecAgg masking topology, forwarded to
-	// fl.ServerConfig.MaskDegree: 0 = legacy full pairwise,
-	// secagg.AutoDegree = per-round k-regular graph with double
-	// masking, >0 = fixed graph degree. Masks (and the k-regular self
-	// masks) cancel exactly in the ring, so every mode reproduces the
-	// plaintext aggregate bit for bit.
+	// MaskDegree is the SecAgg mask-graph degree, forwarded to
+	// fl.ServerConfig.MaskDegree: 0 (secagg.AutoDegree) sizes the
+	// per-round k-regular graph from the cohort, >0 pins the degree,
+	// negative is rejected. Pair and self masks cancel exactly in the
+	// ring, so either reproduces the plaintext aggregate bit for bit —
+	// as long as each round's stragglers stay within the graph's
+	// dropout tolerance ⌊(k−1)/2⌋.
 	MaskDegree int
 	// Protect lists flat tensor indices shielded every round: they
 	// travel sealed through each client's trusted channel. Under SecAgg
@@ -309,6 +310,9 @@ func (sc *Scenario) Validate() error {
 	if sc.StragglerFraction > 0 && sc.Deadline <= 0 {
 		return errors.New("flsim: StragglerFraction needs a Deadline")
 	}
+	if sc.MaskDegree < 0 {
+		return fmt.Errorf("flsim: MaskDegree %d is negative (0 sizes the mask graph from the cohort)", sc.MaskDegree)
+	}
 	if sc.Seed == 0 {
 		sc.Seed = 1
 	}
@@ -464,9 +468,6 @@ type simClient struct {
 
 	channel *tz.Channel           // trusted I/O path, when the device has a TEE
 	mask    *secagg.ClientSession // masking state in secagg sessions
-	cohort  []secagg.Peer         // roster of the round in flight
-	round   int
-	degree  int // resolved mask-graph degree of the roster (0 = full pairwise)
 }
 
 // run speaks the client side of the FL protocol: attest, then answer
@@ -538,24 +539,14 @@ func (c *simClient) run() {
 				return
 			}
 		case *fl.MaskRecon:
-			if c.mask == nil || m.Round != c.round {
+			if c.mask == nil {
 				return
 			}
-			if c.degree > 0 {
-				ans, err := c.mask.Reconcile(m.Round, m.Dropped, m.Survivors)
-				if err != nil {
-					return
-				}
-				if err := c.conn.Send(&fl.MaskShares{Round: m.Round, Shares: ans.Pairs, SeedShares: ans.Seeds}); err != nil {
-					return
-				}
-				continue
-			}
-			shares, err := c.mask.Shares(m.Round, c.cohort, m.Dropped)
+			ans, err := c.mask.Reconcile(m.Round, m.Dropped, m.Survivors)
 			if err != nil {
 				return
 			}
-			if err := c.conn.Send(&fl.MaskShares{Round: m.Round, Shares: shares}); err != nil {
+			if err := c.conn.Send(&fl.MaskShares{Round: m.Round, Shares: ans.Pairs, SeedShares: ans.Seeds}); err != nil {
 				return
 			}
 		default:
@@ -620,9 +611,6 @@ func (c *simClient) answerRound(m *fl.ModelDown) error {
 	if c.mask == nil {
 		return c.conn.Send(&fl.GradUp{Round: m.Round, Plain: plainUpd, Sealed: sealedUpd, Examples: examples, Version: m.Version})
 	}
-	c.cohort = m.Cohort
-	c.round = m.Round
-	c.degree = m.MaskDegree
 	weight := uint64(1)
 	if examples > 0 {
 		weight = min(examples, fl.MaxExampleWeight)

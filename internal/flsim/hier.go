@@ -62,41 +62,86 @@ func overrideShardProfiles(sc *Scenario, profiles []Profile) {
 	}
 }
 
-// hierWait advances the shared virtual clock once every answering
-// sampled client across all shards has folded (or been quarantined)
-// and at least one sampled straggler is blocking a shard deadline —
-// the multi-shard generalisation of the flat harness's wait
-// accounting. Hooks fire from every edge's round goroutine, so the
-// state is mutex-guarded; a shard that starts its round after an
-// advance simply triggers the next one when its own answering cohort
-// drains, which fires its (later-armed) deadline timer.
+// hierWait advances the shared virtual clock once every shard with a
+// round in flight is blocked on its deadline — all its answering
+// sampled clients have folded (or been quarantined) and only stragglers
+// remain — the multi-shard generalisation of the flat harness's wait
+// accounting. A shard that is still folding, or has moved on to mask
+// reconciliation, holds the clock: reconciliation arms its own deadline
+// timer on the same clock, and an advance meant for another shard's
+// stragglers would expire it before the survivors could answer. The
+// same goes for a shard the root has addressed but that has not
+// announced its round yet: its deadline timer is armed before its
+// RoundStarted hook fires, so the clock also waits until every
+// addressed shard has checked in. Hooks fire from the root's and every
+// edge's round goroutine, so the state is mutex-guarded.
 type hierWait struct {
-	mu          sync.Mutex
-	clk         *simclock.Virtual
-	deadline    time.Duration
-	outstanding int
-	stragglers  int
+	mu       sync.Mutex
+	clk      *simclock.Virtual
+	deadline time.Duration
+	shards   []shardWait
+	// addressed is the number of shards the root sent the fleet round
+	// to; started counts those that have announced it.
+	addressed, started int
+}
+
+// shardWait is one shard's round in flight, from RoundStarted to
+// RoundClosed.
+type shardWait struct {
+	open        bool
+	outstanding int // sampled clients that will answer and have not yet
+	stragglers  int // sampled clients that never answer; 0 once their deadline fired
 }
 
 func (w *hierWait) maybeAdvance() {
-	if w.outstanding == 0 && w.stragglers > 0 {
-		w.stragglers = 0
-		w.clk.Advance(w.deadline)
+	if w.started < w.addressed {
+		return
 	}
+	blocked := false
+	for i := range w.shards {
+		sh := &w.shards[i]
+		if !sh.open {
+			continue
+		}
+		if sh.outstanding > 0 || sh.stragglers == 0 {
+			return // still folding, or reconciling
+		}
+		blocked = true
+	}
+	if !blocked {
+		return
+	}
+	for i := range w.shards {
+		w.shards[i].stragglers = 0
+	}
+	w.clk.Advance(w.deadline)
 }
 
-func (w *hierWait) roundStarted(stragglers, answering int) {
+func (w *hierWait) fleetRoundStarted(addressed int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.outstanding += answering
-	w.stragglers += stragglers
+	w.addressed, w.started = addressed, 0
+}
+
+func (w *hierWait) roundStarted(shard, stragglers, answering int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.shards[shard] = shardWait{open: true, outstanding: answering, stragglers: stragglers}
+	w.started++
 	w.maybeAdvance()
 }
 
-func (w *hierWait) drained() {
+func (w *hierWait) drained(shard int) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.outstanding--
+	w.shards[shard].outstanding--
+	w.maybeAdvance()
+}
+
+func (w *hierWait) roundClosed(shard int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.shards[shard].open = false
 	w.maybeAdvance()
 }
 
@@ -123,35 +168,34 @@ func runHier(sc Scenario, profiles []Profile) (*Result, error) {
 		shapes[i] = t.Shape
 	}
 
-	wait := &hierWait{clk: clk, deadline: sc.Deadline}
+	wait := &hierWait{clk: clk, deadline: sc.Deadline, shards: make([]shardWait, sc.Shards)}
 	byDevice := make(map[string]*simClient, sc.Clients)
 	var mu sync.Mutex
 	var quarantined []string
-	hooks := fl.Hooks{
-		RoundStarted: func(round int, sampled []string) {
-			stragglers, answering := 0, 0
-			for _, d := range sampled {
-				if byDevice[d].profile.Straggler {
-					stragglers++
-				} else {
-					answering++
+	shardHooks := func(shard int) fl.Hooks {
+		sanctioned := func(device string, _ error) {
+			mu.Lock()
+			quarantined = append(quarantined, device)
+			mu.Unlock()
+			wait.drained(shard)
+		}
+		return fl.Hooks{
+			RoundStarted: func(round int, sampled []string) {
+				stragglers, answering := 0, 0
+				for _, d := range sampled {
+					if byDevice[d].profile.Straggler {
+						stragglers++
+					} else {
+						answering++
+					}
 				}
-			}
-			wait.roundStarted(stragglers, answering)
-		},
-		UpdateFolded: func(int, string) { wait.drained() },
-		ClientQuarantined: func(device string, _ error) {
-			mu.Lock()
-			quarantined = append(quarantined, device)
-			mu.Unlock()
-			wait.drained()
-		},
-		ClientProbationed: func(device string, _ error) {
-			mu.Lock()
-			quarantined = append(quarantined, device)
-			mu.Unlock()
-			wait.drained()
-		},
+				wait.roundStarted(shard, stragglers, answering)
+			},
+			UpdateFolded:      func(int, string) { wait.drained(shard) },
+			ClientQuarantined: sanctioned,
+			ClientProbationed: sanctioned,
+			RoundClosed:       func(fl.RoundStats) { wait.roundClosed(shard) },
+		}
 	}
 
 	edges := make([]*hier.Edge, sc.Shards)
@@ -196,7 +240,7 @@ func runHier(sc Scenario, profiles []Profile) (*Result, error) {
 			QuarantineRounds: sc.QuarantineRounds,
 			Planner:          planner,
 			Clock:            clk,
-			Hooks:            hooks,
+			Hooks:            shardHooks(s),
 		}
 		if sc.FleetTelemetry {
 			// A private per-shard registry: its deltas ride each PartialUp
@@ -223,13 +267,17 @@ func runHier(sc Scenario, profiles []Profile) (*Result, error) {
 	}
 
 	root := hier.NewRoot(sc.Model, hier.RootConfig{
-		Rounds:    sc.Rounds,
-		MinShards: sc.MinShards,
-		SecAgg:    sc.SecAgg,
-		Codec:     sc.Codec,
-		Clock:     clk,
-		Metrics:   sc.Metrics,
-		Spans:     obs.NewTraceSink(sc.Spans, clk),
+		Rounds:     sc.Rounds,
+		MinShards:  sc.MinShards,
+		SecAgg:     sc.SecAgg,
+		MaskDegree: sc.MaskDegree,
+		Codec:      sc.Codec,
+		Clock:      clk,
+		Metrics:    sc.Metrics,
+		Spans:      obs.NewTraceSink(sc.Spans, clk),
+		Hooks: hier.Hooks{RoundStarted: func(_ int, shards []string) {
+			wait.fleetRoundStarted(len(shards))
+		}},
 	})
 	_, runErr := root.Run(edgeConns)
 	fleet.Wait()

@@ -72,13 +72,15 @@ func TestSecAggMatchesPlaintextFullCohort(t *testing.T) {
 // TestSecAggStragglerDropoutReconciled: stragglers are dropped at the
 // deadline every round; mask reconciliation recovers exactly the
 // plaintext aggregate over the survivors, deterministically across
-// runs — the documented reproducible dropout trace.
+// runs — the documented reproducible dropout trace. The degree is left
+// at its default (auto: k = 6 for 20 clients), so the 2 stragglers sit
+// exactly on the dropout bound ⌊(k−1)/2⌋ an unconfigured session gets.
 func TestSecAggStragglerDropoutReconciled(t *testing.T) {
 	base := Scenario{
 		Clients:           20,
 		Rounds:            4,
 		Deadline:          time.Second,
-		StragglerFraction: 0.25,
+		StragglerFraction: 0.1,
 		Seed:              7,
 	}
 	plainSc := base
@@ -94,11 +96,11 @@ func TestSecAggStragglerDropoutReconciled(t *testing.T) {
 	}
 	assertSameFinal(t, "straggler dropout", plain, masked)
 	for r, st := range masked.Trace {
-		if st.Sampled != 20 || st.Responded != 15 || st.Dropped != 5 {
+		if st.Sampled != 20 || st.Responded != 18 || st.Dropped != 2 {
 			t.Fatalf("round %d stats = %+v", r, st)
 		}
-		if st.Reconciled != 5 {
-			t.Fatalf("round %d reconciled %d masks, want 5 (one per dropped client)", r, st.Reconciled)
+		if st.Reconciled != 2 {
+			t.Fatalf("round %d reconciled %d masks, want 2 (one per dropped client)", r, st.Reconciled)
 		}
 		if plain.Trace[r].UpdateNorm != st.UpdateNorm {
 			t.Fatalf("round %d aggregate norm diverged: plain %v, masked %v",
@@ -135,7 +137,7 @@ func TestSecAggKRegularMatchesPlaintextFullCohort(t *testing.T) {
 	}
 	maskedSc := base
 	maskedSc.SecAgg = true
-	maskedSc.MaskDegree = secagg.AutoDegree // ⌈log₂ 24⌉+slack = 10 of 23 possible edges
+	maskedSc.MaskDegree = secagg.AutoDegree // DegreeFor(24) = 6 of 23 possible edges
 	masked, err := Run(maskedSc)
 	if err != nil {
 		t.Fatal(err)
@@ -248,13 +250,14 @@ func TestSecAggEnclaveProtectedTensors(t *testing.T) {
 
 // TestSecAggStragglersWithEnclave: dropout reconciliation and enclave
 // aggregation compose — the enclave folds exactly the survivors and the
-// masked plain half reconciles to match the plaintext baseline.
+// masked plain half reconciles to match the plaintext baseline. Two
+// stragglers of 16 stay within the auto degree's (k = 6) dropout bound.
 func TestSecAggStragglersWithEnclave(t *testing.T) {
 	base := Scenario{
-		Clients:           12,
+		Clients:           16,
 		Rounds:            3,
 		Deadline:          time.Second,
-		StragglerFraction: 0.25,
+		StragglerFraction: 0.125,
 		Protect:           []int{1},
 		RequireTEE:        true,
 		Seed:              5,
@@ -272,7 +275,7 @@ func TestSecAggStragglersWithEnclave(t *testing.T) {
 	}
 	assertSameFinal(t, "straggler enclave", plain, masked)
 	for r, st := range masked.Trace {
-		if st.Dropped != 3 || st.Reconciled != 3 {
+		if st.Dropped != 2 || st.Reconciled != 2 {
 			t.Fatalf("round %d stats = %+v", r, st)
 		}
 	}
@@ -344,5 +347,8 @@ func TestSecAggScenarioValidation(t *testing.T) {
 	}
 	if _, err := Run(Scenario{Clients: 4, Protect: []int{0}, NoTEEFraction: 0.5}); err == nil {
 		t.Fatal("protected tensors with a partial-TEE fleet must fail")
+	}
+	if _, err := Run(Scenario{Clients: 4, SecAgg: true, MaskDegree: -1}); err == nil {
+		t.Fatal("negative mask degree must fail")
 	}
 }

@@ -411,3 +411,13 @@ func TestRootMinReleaseFloor(t *testing.T) {
 		}
 	}
 }
+
+// TestRootRejectsNegativeMaskDegree: the degree is 0 (sized per shard
+// round) or a pinned positive value; anything else is a configuration
+// error before any edge is enrolled.
+func TestRootRejectsNegativeMaskDegree(t *testing.T) {
+	root := NewRoot(testModel(), RootConfig{SecAgg: true, MaskDegree: -1})
+	if _, err := root.Run(nil); !errors.Is(err, fl.ErrBadMaskDegree) {
+		t.Fatalf("err = %v, want ErrBadMaskDegree", err)
+	}
+}

@@ -49,12 +49,13 @@ type RootConfig struct {
 	// shard must quantise identically or the ring sums would not
 	// compose. 0 selects secagg.DefaultScaleBits.
 	SecAggScaleBits int
-	// MaskDegree is the fleet-wide masking topology, adopted by every
-	// edge for its shard-scoped rosters: 0 = legacy full pairwise,
-	// secagg.AutoDegree = per-shard-round k-regular graphs with double
-	// masking, >0 = fixed degree. Shard graphs are independent (each
-	// shard's roster seeds its own graph), so the modes compose at the
-	// root exactly like full-pairwise ring sums.
+	// MaskDegree is the fleet-wide mask-graph degree, adopted by every
+	// edge for its shard-scoped rosters (fl.ServerConfig.MaskDegree): 0
+	// (secagg.AutoDegree) sizes each shard round's k-regular graph from
+	// its cohort, >0 pins the degree; Run rejects a negative value.
+	// Shard graphs are independent (each shard's roster seeds its own
+	// graph), and their reconciled ring sums compose additively at the
+	// root.
 	MaskDegree int
 	// MinRelease, in secure-aggregation sessions, is the fleet-wide
 	// release floor: a round whose composed partials fold fewer client
@@ -278,6 +279,9 @@ type edgeArrival struct {
 // rebuilt by RecoverRoot starts at the first uncommitted round instead
 // of round 0.
 func (r *Root) Run(edges []fl.Conn) (int, error) {
+	if r.cfg.MaskDegree < 0 {
+		return 0, fmt.Errorf("%w: got %d", fl.ErrBadMaskDegree, r.cfg.MaskDegree)
+	}
 	sessions := r.enrol(edges)
 	if r.cfg.MinShards == 0 {
 		// "Every edge": whatever enrolled defines the floor — but never

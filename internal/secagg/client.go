@@ -10,8 +10,14 @@ import (
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
-// Reconciliation-role errors (k-regular double masking).
+// Masking and reconciliation-role errors.
 var (
+	// ErrMaskDowngrade is returned when a cohort of two or more members is
+	// announced with a mask degree below 1. Every multi-member round is
+	// double-masked over a k-regular graph; a server asking for less is
+	// asking for an update without its self mask — which revealed pair
+	// seeds alone would strip — so the client refuses to mask at all.
+	ErrMaskDowngrade = errors.New("secagg: mask degree below 1 for a multi-member cohort")
 	// ErrRoleConflict is returned when the server asks this client to
 	// treat one peer as both dropped (reveal the pair seed) and
 	// surviving (reveal its self-seed share) in the same round. Honouring
@@ -32,14 +38,14 @@ type ClientSession struct {
 	key       *MaskKey
 	scaleBits int
 
-	// Per-round reconciliation state (k-regular mode): the graph the
-	// update was masked under and the roles already conceded per peer.
-	// A peer may be treated as dropped or as surviving in a round —
-	// never both (ErrRoleConflict).
-	round  int
-	graph  *Graph
-	peers  map[string]Peer
-	roles  map[string]int
+	// Per-round reconciliation state: the graph the update was masked
+	// under and the roles already conceded per peer. A peer may be
+	// treated as dropped or as surviving in a round — never both
+	// (ErrRoleConflict).
+	round int
+	graph *Graph
+	peers map[string]Peer
+	roles map[string]int
 }
 
 const (
@@ -103,18 +109,22 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 
 // MaskedUpdate quantises the update (nil entries mark protected
 // positions travelling through the sealed path), multiplies by the
-// client's FedAvg weight in the ring, and masks it. The cohort must
-// contain this client exactly once and no name twice.
+// client's FedAvg weight in the ring, and double-masks it. The cohort
+// must contain this client exactly once and no name twice.
 //
-// degree 0 is the legacy full-pairwise mode: one mask per cohort peer,
-// no self-mask, no shares — byte-compatible with pre-double-masking
-// cohorts. degree > 0 masks only against the k-regular graph
-// neighbours, adds the self-mask PRG(selfSeed), and returns the
+// The client masks against its neighbours in the round's k-regular
+// graph (degree is the server-resolved graph degree, capped at the
+// complete graph), adds the self-mask PRG(selfSeed), and returns the
 // Shamir shares of that seed wrapped for each neighbour (threshold
-// Graph.Threshold), which ride the MaskedUp upload.
+// Graph.Threshold), which ride the MaskedUp upload. degree < 1 is only
+// meaningful for a one-member cohort — no pairs, no self mask, no
+// shares; for any larger cohort it is refused with ErrMaskDowngrade.
 func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
 	if weight == 0 {
 		return nil, nil, fmt.Errorf("secagg: zero update weight")
+	}
+	if degree < 1 && len(cohort) > 1 {
+		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, len(cohort))
 	}
 	out := make([]*wire.U64Tensor, len(upd))
 	var active [][]uint64
@@ -129,11 +139,13 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 
 	self := 0
 	peers := make(map[string]Peer, len(cohort))
-	for _, peer := range cohort {
+	names := make([]string, len(cohort))
+	for i, peer := range cohort {
 		if _, dup := peers[peer.Device]; dup {
 			return nil, nil, fmt.Errorf("secagg: duplicate device %q in cohort", peer.Device)
 		}
 		peers[peer.Device] = peer
+		names[i] = peer.Device
 		if peer.Device == s.device {
 			self++
 		}
@@ -142,25 +154,6 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 		return nil, nil, fmt.Errorf("secagg: client %q appears %d times in cohort", s.device, self)
 	}
 
-	if degree == 0 {
-		s.round, s.graph, s.peers, s.roles = round, nil, nil, nil
-		for _, peer := range cohort {
-			if peer.Device == s.device {
-				continue
-			}
-			seed, err := s.roundSeedWith(peer, round)
-			if err != nil {
-				return nil, nil, err
-			}
-			streamMask(seed, PairSign(s.device, peer.Device), active)
-		}
-		return out, nil, nil
-	}
-
-	names := make([]string, len(cohort))
-	for i, p := range cohort {
-		names[i] = p.Device
-	}
 	graph, err := NewGraph(round, names, degree)
 	if err != nil {
 		return nil, nil, err
@@ -203,34 +196,7 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 	return out, shares, nil
 }
 
-// Shares reveals this client's round seeds with the listed dropped
-// peers — the legacy (degree 0) reconciliation path. Only the named
-// round's seeds are derivable from the result.
-func (s *ClientSession) Shares(round int, cohort []Peer, dropped []string) ([]PairShare, error) {
-	byDevice := make(map[string]Peer, len(cohort))
-	for _, p := range cohort {
-		byDevice[p.Device] = p
-	}
-	out := make([]PairShare, 0, len(dropped))
-	for _, d := range dropped {
-		if d == s.device {
-			return nil, fmt.Errorf("%w: asked to reveal own seed", ErrSelfInPairs)
-		}
-		peer, ok := byDevice[d]
-		if !ok {
-			return nil, fmt.Errorf("%w: %q", ErrNoPair, d)
-		}
-		seed, err := s.roundSeedWith(peer, round)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PairShare{Device: d, Seed: seed})
-	}
-	return out, nil
-}
-
-// ReconAnswer is this client's reply to a k-regular reconciliation
-// request: pair seeds for its dropped neighbours and unwrapped
+// ReconAnswer is this client's reply to a reconciliation request: pair seeds for its dropped neighbours and unwrapped
 // self-seed shares for its folded neighbours.
 type ReconAnswer struct {
 	Pairs []PairShare

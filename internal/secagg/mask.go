@@ -193,20 +193,6 @@ func MaskLevels(seed [32]byte, sizes []int) [][]uint64 {
 	return out
 }
 
-// applyMask adds (sign=+1) or subtracts (sign=-1) mask levels onto a
-// level vector in the ring.
-func applyMask(dst []uint64, mask []uint64, sign int) {
-	if sign >= 0 {
-		for i, m := range mask {
-			dst[i] += m
-		}
-	} else {
-		for i, m := range mask {
-			dst[i] -= m
-		}
-	}
-}
-
 // maskChunk sizes the streaming expansion buffer (bytes): large
 // enough that per-call CTR setup is noise, small enough that the
 // scratch and zero buffers stay cache-resident (larger chunks

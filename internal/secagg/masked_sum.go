@@ -60,18 +60,6 @@ func NewMaskedSum(ref []*tensor.Tensor, protected map[int]bool, scaleBits int) *
 	return m
 }
 
-// ActiveSizes returns the element counts of the masked positions in
-// layout order — the sizes a mask expansion must cover.
-func (m *MaskedSum) ActiveSizes() []int {
-	var sizes []int
-	for i, on := range m.active {
-		if on {
-			sizes = append(sizes, m.ref[i].Size())
-		}
-	}
-	return sizes
-}
-
 // Validate checks a masked update against the layout without folding
 // it: exactly one level tensor per active position, shapes matching the
 // reference model.
@@ -142,29 +130,6 @@ func (m *MaskedSum) Add(up []*wire.U64Tensor, weight uint64) error {
 	}
 	m.weight += float64(weight)
 	m.count++
-	return nil
-}
-
-// ApplyMask adds (sign=+1) or subtracts (sign=-1) a mask expansion —
-// one level vector per active position — from the running sum. Used
-// during reconciliation to remove the unpaired residue left by dropped
-// clients.
-func (m *MaskedSum) ApplyMask(mask [][]uint64, sign int) error {
-	sizes := m.ActiveSizes()
-	if len(mask) != len(sizes) {
-		return fmt.Errorf("secagg: mask covers %d tensors, layout has %d", len(mask), len(sizes))
-	}
-	k := 0
-	for i, on := range m.active {
-		if !on {
-			continue
-		}
-		if len(mask[k]) != len(m.sum[i]) {
-			return fmt.Errorf("secagg: mask tensor %d has %d elements, want %d", k, len(mask[k]), len(m.sum[i]))
-		}
-		applyMask(m.sum[i], mask[k], sign)
-		k++
-	}
 	return nil
 }
 

@@ -13,8 +13,9 @@ import (
 // AutoDegree, as a mask-degree configuration value, selects
 // DegreeFor(n) per round: the CCS'20 ⌈log₂ n⌉ regime, the sweet spot
 // between mask cost (O(k·n·model) fleet-wide) and dropout tolerance
-// (⌊(k−1)/2⌋ arbitrary dropouts per round, see Graph).
-const AutoDegree = -1
+// (⌊(k−1)/2⌋ arbitrary dropouts per round, see Graph). It is the zero
+// value, so a configuration that never mentions the degree gets it.
+const AutoDegree = 0
 
 // degreeFloor is the minimum automatic degree. ⌈log₂ n⌉ alone leaves
 // small cohorts with almost no worst-case dropout tolerance (k = 4 at

@@ -14,8 +14,8 @@
 //     ±PRG(secret) to their levels. Summed over the cohort the masks
 //     cancel exactly (ring arithmetic — no floating-point residue), so
 //     the server folds masked updates it cannot read and still recovers
-//     the exact aggregate. In the default k-regular mode (Graph) each
-//     client masks only against its ~log₂ n graph neighbours — O(k·n)
+//     the exact aggregate. Each client masks only against its ~log₂ n
+//     neighbours in the round's k-regular graph (Graph) — O(k·n)
 //     keystream fleet-wide instead of O(n²) — and additionally adds a
 //     self-mask whose seed is Shamir-shared among those neighbours
 //     (double masking, Bonawitz CCS'17 / Bell CCS'20). Reconciliation
@@ -24,8 +24,9 @@
 //     (neighbour folded) — never both (ErrRoleConflict) — and the
 //     server subtracts exactly the dangling pair masks plus each folded
 //     client's reconstructed self-mask. Deterministic reconciliation,
-//     not a best-effort approximation. degree 0 preserves the legacy
-//     full-pairwise wire behaviour for old cohorts.
+//     not a best-effort approximation. This is the only masked
+//     protocol: a client asked to mask a multi-member cohort without
+//     the graph and the self mask refuses (ErrMaskDowngrade).
 //
 //   - Enclave aggregation for the sealed (protected-layer) half.
 //     Sealed blobs are folded inside a simulated server-side enclave
@@ -51,16 +52,15 @@
 // The server is honest-but-curious: it follows the protocol but reads
 // everything it can. Pair seeds revealed during reconciliation are
 // round-scoped (derived as H(pair secret ‖ round)), so a revealed seed
-// unmasks nothing in any other round. In the legacy full-pairwise mode
-// (degree 0) a malicious server that falsely reports a client as
-// dropped can collect its round seeds and unmask a *late* update from
-// that client if one arrives. Double masking (degree > 0) closes that
-// window by construction: a late update additionally carries its
-// self-mask, whose seed only ≥ Threshold neighbours acting in the
-// survivor role can reconstruct — and every honest neighbour refuses
-// to play both roles for one peer (ErrRoleConflict), so the server
-// must choose, per client, between the dropout path and the survivor
-// path. Residual caveat: a survivor that vanishes *during*
+// unmasks nothing in any other round. With pairwise masks alone, a
+// malicious server that falsely reports a client as dropped could
+// collect its round seeds and unmask a *late* update from that client
+// if one arrives. Double masking closes that window by construction: a
+// late update additionally carries its self-mask, whose seed only
+// ≥ Threshold neighbours acting in the survivor role can reconstruct —
+// and every honest neighbour refuses to play both roles for one peer
+// (ErrRoleConflict), so the server must choose, per client, between
+// the dropout path and the survivor path. Residual caveat: a survivor that vanishes *during*
 // reconciliation while its dropped neighbours' pair seeds are still
 // unrevealed fails the round (only its own self-seed, not its pair
 // seeds, is recoverable from shares — pair secrets are session-long

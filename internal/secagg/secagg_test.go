@@ -72,10 +72,12 @@ func plainWeightedMean(updates [][]*tensor.Tensor, weights []float64, ref []*ten
 }
 
 // TestMaskedAggregateBitIdentical: a full cohort's pairwise masks
-// cancel exactly in the ring and the dequantised mean is bit-identical
-// to the plaintext weighted FedAvg of the same dyadic updates.
+// cancel exactly in the ring along the edges of the mask graph — a
+// proper subgraph of the complete one — and, once every self mask is
+// stripped, the dequantised mean is bit-identical to the plaintext
+// weighted FedAvg of the same dyadic updates.
 func TestMaskedAggregateBitIdentical(t *testing.T) {
-	const n, round = 7, 3
+	const n, round, degree = 7, 3, 4
 	ref := []*tensor.Tensor{tensor.New(4, 3), tensor.New(5)}
 	shapes := [][]int{{4, 3}, {5}}
 	sessions, cohort := testCohort(t, n)
@@ -86,13 +88,20 @@ func TestMaskedAggregateBitIdentical(t *testing.T) {
 	for i, s := range sessions {
 		upd := dyadicUpdate(i, shapes)
 		w := uint64(1 + i%4)
-		masked, _, err := s.MaskedUpdate(round, cohort, 0, upd, w)
+		masked, shares, err := s.MaskedUpdate(round, cohort, degree, upd, w)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(shares) != degree {
+			t.Fatalf("client %d sent %d self-seed shares, want %d", i, len(shares), degree)
 		}
 		if err := msum.Add(masked, w); err != nil {
 			t.Fatal(err)
 		}
+		// The share-reconstruction path is TestDoubleMaskedAggregation's
+		// subject; here the self masks come off with the seeds themselves
+		// so only pair-mask cancellation is under test.
+		msum.ApplySeedMask(s.selfSeed(round), -1)
 		updates = append(updates, upd)
 		weights = append(weights, float64(w))
 	}
@@ -113,94 +122,26 @@ func TestMaskedAggregateBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMaskReconciliationAfterDropout: when some cohort members never
-// fold, survivor-revealed round seeds let the server subtract exactly
-// the unpaired residue — recovering the plaintext mean over survivors.
-func TestMaskReconciliationAfterDropout(t *testing.T) {
-	const n, round = 6, 1
-	ref := []*tensor.Tensor{tensor.New(3, 3), tensor.New(2)}
-	shapes := [][]int{{3, 3}, {2}}
-	sessions, cohort := testCohort(t, n)
-	droppedSet := map[int]bool{1: true, 4: true}
-	var droppedIDs []string
-	for i := range sessions {
-		if droppedSet[i] {
-			droppedIDs = append(droppedIDs, cohort[i].Device)
-		}
-	}
-
-	msum := NewMaskedSum(ref, nil, DefaultScaleBits)
-	var updates [][]*tensor.Tensor
-	var weights []float64
-	for i, s := range sessions {
-		upd := dyadicUpdate(100+i, shapes)
-		masked, _, err := s.MaskedUpdate(round, cohort, 0, upd, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if droppedSet[i] {
-			continue // straggled: masked update never folds
-		}
-		if err := msum.Add(masked, 1); err != nil {
-			t.Fatal(err)
-		}
-		updates = append(updates, upd)
-		weights = append(weights, 1)
-	}
-
-	// Reconciliation: every survivor reveals its round seeds with the
-	// dropped peers; the server subtracts each survivor-side residue.
-	for i, s := range sessions {
-		if droppedSet[i] {
-			continue
-		}
-		shares, err := s.Shares(round, cohort, droppedIDs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, share := range shares {
-			mask := MaskLevels(share.Seed, msum.ActiveSizes())
-			sign := PairSign(cohort[i].Device, share.Device)
-			if err := msum.ApplyMask(mask, -sign); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-
-	got, err := msum.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := plainWeightedMean(updates, weights, ref)
-	for i := range ref {
-		for j := range want[i].Data {
-			if got[i].Data[j] != want[i].Data[j] {
-				t.Fatalf("tensor %d elem %d: reconciled %v != plaintext %v", i, j, got[i].Data[j], want[i].Data[j])
-			}
-		}
-	}
-}
-
 // TestRoundSeedsAgreeAndScope: both ends of a pair derive the same
 // round seed, and different rounds yield different seeds.
 func TestRoundSeedsAgreeAndScope(t *testing.T) {
 	sessions, cohort := testCohort(t, 2)
-	a, err := sessions[0].Shares(5, cohort, []string{cohort[1].Device})
+	a, err := sessions[0].roundSeedWith(cohort[1], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sessions[1].Shares(5, cohort, []string{cohort[0].Device})
+	b, err := sessions[1].roundSeedWith(cohort[0], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].Seed != b[0].Seed {
+	if a != b {
 		t.Fatal("pair ends derived different round seeds")
 	}
-	c, err := sessions[0].Shares(6, cohort, []string{cohort[1].Device})
+	c, err := sessions[0].roundSeedWith(cohort[1], 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a[0].Seed == c[0].Seed {
+	if a == c {
 		t.Fatal("round seeds must differ across rounds")
 	}
 }
@@ -209,21 +150,63 @@ func TestRoundSeedsAgreeAndScope(t *testing.T) {
 func TestMaskedUpdateValidation(t *testing.T) {
 	sessions, cohort := testCohort(t, 3)
 	upd := dyadicUpdate(1, [][]int{{2}})
-	if _, _, err := sessions[0].MaskedUpdate(0, cohort[1:], 0, upd, 1); err == nil {
+	if _, _, err := sessions[0].MaskedUpdate(0, cohort[1:], 2, upd, 1); err == nil {
 		t.Fatal("cohort without self must fail")
 	}
 	dup := append(append([]Peer(nil), cohort...), cohort[1])
-	if _, _, err := sessions[0].MaskedUpdate(0, dup, 0, upd, 1); err == nil {
+	if _, _, err := sessions[0].MaskedUpdate(0, dup, 2, upd, 1); err == nil {
 		t.Fatal("duplicate cohort device must fail")
 	}
-	if _, _, err := sessions[0].MaskedUpdate(0, cohort, 0, upd, 0); err == nil {
+	if _, _, err := sessions[0].MaskedUpdate(0, cohort, 2, upd, 0); err == nil {
 		t.Fatal("zero weight must fail")
 	}
-	if _, err := sessions[0].Shares(0, cohort, []string{"dev-000"}); err == nil {
-		t.Fatal("revealing own seed must fail")
+	if _, err := sessions[0].Reconcile(0, nil, nil); !errors.Is(err, ErrNoRoundState) {
+		t.Fatalf("reconciling a round never masked = %v, want ErrNoRoundState", err)
 	}
-	if _, err := sessions[0].Shares(0, cohort, []string{"ghost"}); err == nil {
-		t.Fatal("unknown dropped peer must fail")
+	if _, _, err := sessions[0].MaskedUpdate(0, cohort, 2, upd, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sessions[0].Reconcile(0, []string{"dev-000"}, nil); !errors.Is(err, ErrSelfInPairs) {
+		t.Fatalf("revealing own seed = %v, want ErrSelfInPairs", err)
+	}
+	if _, err := sessions[0].Reconcile(0, []string{"ghost"}, nil); !errors.Is(err, ErrNoPair) {
+		t.Fatalf("unknown dropped peer = %v, want ErrNoPair", err)
+	}
+}
+
+// TestMaskDowngradeRefused: a degree below 1 strips the self mask and
+// the graph, so it is refused for every cohort that has pairs at all —
+// before anything is quantised or any seed derived. The one cohort it
+// is valid for has a single member: nothing to pair with, no self mask,
+// no shares, and the "masked" levels are the plain quantised update.
+func TestMaskDowngradeRefused(t *testing.T) {
+	sessions, cohort := testCohort(t, 3)
+	upd := dyadicUpdate(1, [][]int{{2}})
+	for _, degree := range []int{0, -1} {
+		levels, shares, err := sessions[0].MaskedUpdate(0, cohort, degree, upd, 1)
+		if !errors.Is(err, ErrMaskDowngrade) {
+			t.Fatalf("degree %d over 3 members = %v, want ErrMaskDowngrade", degree, err)
+		}
+		if levels != nil || shares != nil {
+			t.Fatalf("degree %d: a refused update must carry nothing", degree)
+		}
+	}
+	if _, err := sessions[0].Reconcile(0, []string{cohort[1].Device}, nil); !errors.Is(err, ErrNoRoundState) {
+		t.Fatalf("reconcile after a refused round = %v, want ErrNoRoundState", err)
+	}
+
+	levels, shares, err := sessions[0].MaskedUpdate(0, cohort[:1], 0, upd, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shares) != 0 {
+		t.Fatalf("one-member cohort produced %d self-seed shares", len(shares))
+	}
+	want := Quantise(upd[0], ScaleFor(DefaultScaleBits), 3)
+	for j, l := range levels[0].Levels {
+		if l != want.Levels[j] {
+			t.Fatalf("one-member cohort masked elem %d: %d != %d", j, l, want.Levels[j])
+		}
 	}
 }
 
@@ -231,9 +214,6 @@ func TestMaskedUpdateValidation(t *testing.T) {
 func TestMaskedSumValidation(t *testing.T) {
 	ref := []*tensor.Tensor{tensor.New(2, 2), tensor.New(3)}
 	m := NewMaskedSum(ref, map[int]bool{0: true}, DefaultScaleBits)
-	if got := m.ActiveSizes(); len(got) != 1 || got[0] != 3 {
-		t.Fatalf("active sizes = %v", got)
-	}
 	ok := []*wire.U64Tensor{nil, {Shape: []int{3}, Levels: make([]uint64, 3)}}
 	if err := m.Add(ok, 1); err != nil {
 		t.Fatal(err)
@@ -248,9 +228,6 @@ func TestMaskedSumValidation(t *testing.T) {
 	}
 	if err := m.Add(ok, 0); err == nil {
 		t.Fatal("zero weight must fail")
-	}
-	if err := m.ApplyMask([][]uint64{{1, 2}}, 1); err == nil {
-		t.Fatal("misshapen mask must fail")
 	}
 }
 
