@@ -14,13 +14,14 @@
 #   make bench-smoke  every benchmark once, small cases only (CI)
 #   make smoke-telemetry run the observability example end to end
 #   make smoke-secagg run the secure-aggregation walkthrough end to end
+#   make smoke-hier   run the hierarchical flat-vs-hier walkthrough end to end
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier check
 
 build:
 	$(GO) build ./...
@@ -64,7 +65,14 @@ smoke-telemetry:
 smoke-secagg:
 	$(GO) run ./examples/secagg
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg
+# The hierarchy walkthrough as a smoke test: the same fleet flat and
+# through a root over edge aggregators — plain, masked, and with a shard
+# degrading mid-session. It exits non-zero when a flat-vs-hier model
+# diverges.
+smoke-hier:
+	$(GO) run ./examples/hier
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
 # the default) vs enclave aggregation at 64/256/1024 clients. Three

@@ -37,6 +37,22 @@ func NewAggregator(ref []*tensor.Tensor) *Aggregator {
 // given weight (use 1 for plain FedAvg). The update must match the
 // reference shapes; it may be released by the caller immediately after.
 func (a *Aggregator) Add(update []*tensor.Tensor, weight float64) error {
+	return a.fold(update, weight, weight, 1)
+}
+
+// AddPartial composes an edge aggregator's partial: sum is that
+// shard's own Σ wᵢuᵢ over count updates of total weight — already
+// weighted, so it is added as is. Composed partials finish with the
+// same Mean as directly folded updates, which is what makes a
+// hierarchy's aggregate bit-identical to the flat one.
+func (a *Aggregator) AddPartial(sum []*tensor.Tensor, weight float64, count int) error {
+	return a.fold(sum, 1, weight, count)
+}
+
+// fold validates update against the reference shapes, then adds
+// scale×update to the running sum and books weight and count.
+// Validation precedes every mutation.
+func (a *Aggregator) fold(update []*tensor.Tensor, scale, weight float64, count int) error {
 	if len(update) != len(a.ref) {
 		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(a.ref))
 	}
@@ -52,10 +68,10 @@ func (a *Aggregator) Add(update []*tensor.Tensor, weight float64) error {
 		}
 	}
 	for i, u := range update {
-		tensor.AxPy(weight, u, a.sum[i])
+		tensor.AxPy(scale, u, a.sum[i])
 	}
 	a.weight += weight
-	a.count++
+	a.count += count
 	return nil
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/obs"
-	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
@@ -104,8 +103,8 @@ func (s *Server) RunAsync(conns []Conn) (int, error) {
 	if !s.cfg.Async.Enabled {
 		return 0, errors.New("fl: RunAsync without Async.Enabled")
 	}
-	if s.cfg.SecAgg || s.cfg.Partials {
-		return 0, errors.New("fl: asynchronous mode does not compose with SecAgg or Partials")
+	if s.cfg.SecAgg || s.cfg.Partials || s.cfg.EdgePeers {
+		return 0, errors.New("fl: asynchronous mode does not compose with SecAgg, Partials or EdgePeers")
 	}
 	open := s.Open
 	if s.Resumable() {
@@ -229,21 +228,8 @@ func (s *Server) runAsync() error {
 			case cfg.MinPushInterval > 0 && !ac.lastFold.IsZero() && now.Sub(ac.lastFold) < cfg.MinPushInterval:
 				stats.Duplicates++
 			default:
-				weight := 1.0
-				if m.Examples > 0 {
-					weight = float64(min(m.Examples, MaxExampleWeight))
-				}
-				weight *= cfg.Discount(staleness)
-				var err error
-				if m.Q8 != nil && len(m.Sealed) == 0 {
-					err = agg.AccumulateQ8(m.Q8, weight)
-				} else {
-					var update []*tensor.Tensor
-					if update, err = s.mergeUpdate(sess, m); err == nil {
-						err = agg.Add(update, weight)
-					}
-				}
-				if err != nil {
+				weight := float64(updateWeight(m.Examples)) * cfg.Discount(staleness)
+				if err := s.foldGradUp(agg, sess, m, weight); err != nil {
 					s.quarantineAt(sess, version, true, err, &stats, &reasons)
 					if s.cfg.Hooks.UpdatePushed != nil {
 						s.cfg.Hooks.UpdatePushed(version, sess.device, false)

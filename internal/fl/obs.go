@@ -26,6 +26,14 @@ type serverObs struct {
 
 	roundsOK     *obs.Counter
 	roundsFailed *obs.Counter
+	// roundSpan names the whole-round span: "round", or "hier_round"
+	// on an edge-peer tier.
+	roundSpan string
+
+	// fanIn and partial time an edge-peer round from the end of its
+	// broadcast: to the end of collect, and to each folded partial.
+	fanIn   *obs.Histogram
+	partial *obs.Histogram
 
 	phaseSample    *obs.Histogram
 	phaseBroadcast *obs.Histogram
@@ -59,6 +67,21 @@ type serverObs struct {
 	rxFrames  [wire.NumCodecs]*obs.Counter
 }
 
+// engineMetrics is the registry the round-engine families register in:
+// cfg.Metrics, except on an edge-peer tier. There cfg.Metrics is the
+// fleet registry — the engine families of the tiers below merge into it
+// under tier/shard labels, and a same-named family registered here
+// without them would fix the label schema first and shadow them all. So
+// an edge-peer tier exports only the gradsec_hier_* families, times its
+// phases as spans, and meters no wire bytes (RoundStats.BytesUp/Down
+// stay 0).
+func (cfg *ServerConfig) engineMetrics() *obs.Registry {
+	if cfg.EdgePeers {
+		return nil
+	}
+	return cfg.Metrics
+}
+
 // newServerObs resolves every instrument once. mode labels the session
 // flavour on the round counter ("sync", "async", "secagg"). Returns nil
 // when both surfaces are disabled.
@@ -66,7 +89,7 @@ func newServerObs(cfg *ServerConfig) *serverObs {
 	if cfg.Metrics == nil && cfg.Spans == nil {
 		return nil
 	}
-	r := cfg.Metrics // nil registry hands out nil (no-op) instruments
+	r := cfg.engineMetrics() // nil registry hands out nil (no-op) instruments
 	mode := "sync"
 	switch {
 	case cfg.Async.Enabled:
@@ -80,6 +103,7 @@ func newServerObs(cfg *ServerConfig) *serverObs {
 
 		roundsOK:     r.Counter("gradsec_rounds_total", "FL rounds closed by mode and result", "mode", mode, "result", "ok"),
 		roundsFailed: r.Counter("gradsec_rounds_total", "FL rounds closed by mode and result", "mode", mode, "result", "failed"),
+		roundSpan:    "round",
 
 		phaseSample:    r.Histogram("gradsec_phase_ns", "per-phase round latency in nanoseconds", "phase", "sample"),
 		phaseBroadcast: r.Histogram("gradsec_phase_ns", "per-phase round latency in nanoseconds", "phase", "broadcast"),
@@ -108,6 +132,14 @@ func newServerObs(cfg *ServerConfig) *serverObs {
 	}
 	if o.clock == nil {
 		o.clock = simclock.Real()
+	}
+	if cfg.EdgePeers {
+		h := cfg.Metrics
+		o.roundsOK = h.Counter("gradsec_hier_rounds_total", "hierarchical rounds closed at the root by result", "result", "ok")
+		o.roundsFailed = h.Counter("gradsec_hier_rounds_total", "hierarchical rounds closed at the root by result", "result", "failed")
+		o.fanIn = h.Histogram("gradsec_hier_fanin_ns", "root fan-in latency (broadcast end to collect end) in nanoseconds")
+		o.partial = h.Histogram("gradsec_hier_partial_ns", "per-shard partial latency from broadcast end in nanoseconds")
+		o.roundSpan = "hier_round"
 	}
 	if r != nil {
 		o.meter = &wire.Meter{}
@@ -170,7 +202,7 @@ func (o *serverObs) startPhase(name string, round int) phaseTimer {
 	case "close":
 		h = o.phaseClose
 	case "round":
-		h = o.phaseRound
+		h, name = o.phaseRound, o.roundSpan
 	}
 	return phaseTimer{o: o, h: h, sp: o.spans.Start(name, round), round: round, start: o.clock.Now()}
 }
@@ -217,6 +249,20 @@ func (o *serverObs) observePush(start time.Time) {
 		return
 	}
 	o.pushNS.Observe(o.clock.Now().Sub(start).Nanoseconds())
+}
+
+// observePartial records one folded shard partial's latency since the
+// broadcast ended; observeFanIn the whole fan-in once collect is over.
+func (o *serverObs) observePartial(bcast time.Time) {
+	if o != nil {
+		o.partial.Observe(o.clock.Now().Sub(bcast).Nanoseconds())
+	}
+}
+
+func (o *serverObs) observeFanIn(bcast time.Time) {
+	if o != nil {
+		o.fanIn.Observe(o.clock.Now().Sub(bcast).Nanoseconds())
+	}
 }
 
 // observeStaleness records one async push's staleness in versions.

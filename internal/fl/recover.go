@@ -36,8 +36,9 @@ var (
 func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, error) {
 	// Replay duration is real I/O plus model reconstruction, so it is
 	// measured on the wall clock regardless of any simulated cfg.Clock.
+	metrics := cfg.engineMetrics()
 	var replayStart time.Time
-	if cfg.Metrics != nil {
+	if metrics != nil {
 		replayStart = time.Now()
 	}
 	recs, err := journal.Replay(path)
@@ -50,19 +51,7 @@ func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, er
 	}
 	s := NewServer(state, cfg) // applies config defaults first
 
-	var flags uint64
-	if s.cfg.SecAgg {
-		flags |= journal.FlagSecAgg
-	}
-	if s.cfg.Partials {
-		flags |= journal.FlagPartials
-	}
-	if s.cfg.Async.Enabled {
-		flags |= journal.FlagAsync
-	}
-	if s.cfg.RequireTEE {
-		flags |= journal.FlagRequireTEE
-	}
+	flags := s.sessionFlags()
 	switch {
 	case st.Session.Flags != flags:
 		return nil, fmt.Errorf("%w: journal mode flags %#x, config %#x", ErrJournalMismatch, st.Session.Flags, flags)
@@ -84,13 +73,18 @@ func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, er
 		}
 	}
 
-	s.roster = st.Roster
-	for device := range st.Quarantined {
-		s.noteHistory(device).quarantined = true
-	}
-	for device, until := range st.Probation {
-		if h := s.noteHistory(device); until > h.probationUntil {
-			h.probationUntil = until
+	// Edge peers enrol afresh after a crash (Run opens, never resumes):
+	// their standing lives in their own shard journals, and an edge the
+	// crashed session dropped is welcome back.
+	if !s.cfg.EdgePeers {
+		s.roster = st.Roster
+		for device := range st.Quarantined {
+			s.noteHistory(device).quarantined = true
+		}
+		for device, until := range st.Probation {
+			if h := s.noteHistory(device); until > h.probationUntil {
+				h.probationUntil = until
+			}
 		}
 	}
 
@@ -124,8 +118,8 @@ func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, er
 	for i := 0; i < st.Draws; i++ {
 		s.rng.Perm(len(s.roster))
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "replay").
+	if metrics != nil {
+		metrics.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "replay").
 			Observe(time.Since(replayStart).Nanoseconds())
 	}
 	return s, nil
@@ -216,14 +210,9 @@ func (s *Server) Resume(conns []Conn) (int, error) {
 	s.arrivals = make(chan arrival, buffer)
 	s.done = make(chan struct{})
 	for _, sess := range sessions {
-		if sess.quarantined {
-			continue
+		if !sess.quarantined {
+			s.startReader(sess)
 		}
-		s.readers.Add(1)
-		go func(sess *session) {
-			defer s.readers.Done()
-			readLoop(sess, s.arrivals, s.done)
-		}(sess)
 	}
 	s.opened = true
 	s.shut = false

@@ -66,8 +66,9 @@ var (
 	// ErrRobustSecAgg rejects SecAgg + a robust aggregator.
 	ErrRobustSecAgg = errors.New("fl: robust aggregation requires plaintext per-client updates and cannot compose with secure aggregation (masking hides exactly the per-client values trimming needs) — disable SecAgg or use AggFedAvg")
 	// ErrRobustPartials rejects robust aggregation on a hierarchical
-	// edge: a partial is an un-normalised sum, and trimming per-shard
-	// sums at the root would not bound per-client influence anyway.
+	// edge or root (Partials, EdgePeers): a partial is an un-normalised
+	// sum, and trimming per-shard sums at the root would not bound
+	// per-client influence anyway.
 	ErrRobustPartials = errors.New("fl: robust aggregation is not available in hierarchical partial mode (partials are sums, not per-client updates)")
 	// ErrRobustAsync rejects robust aggregation in asynchronous mode:
 	// the buffer mixes versions, so coordinate statistics are not
@@ -123,7 +124,7 @@ func (s *Server) validateAggregation() error {
 	if s.cfg.SecAgg {
 		return ErrRobustSecAgg
 	}
-	if s.cfg.Partials {
+	if s.cfg.Partials || s.cfg.EdgePeers {
 		return ErrRobustPartials
 	}
 	if s.cfg.Async.Enabled {

@@ -9,15 +9,17 @@ import (
 
 	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/obs"
+	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // syncRound is the state one round-synchronous cycle carries between
-// its phases. runRound and runSecAggRound drive it through the same
-// skeleton — openRound, distribute, collect with handleArrival,
-// minClientsGate — and add only their own fold and close.
+// its phases. runRound, runSecAggRound and runEdgeRound drive it through
+// the same skeleton — openRound, distribute, collect with
+// handleArrival, minClientsGate — and add only their own fold and
+// close.
 type syncRound struct {
 	round   int
 	sampled []*session
@@ -82,16 +84,17 @@ func deviceNames(sessions []*session) []string {
 	return names
 }
 
-// distribute sends the round's model to the cohort in parallel and
-// marks every reached client pending; one that cannot be reached is
-// quarantined. Encode-once broadcast: every client for which sealed
-// reports false receives the identical ModelDown bytes, serialised from
-// down once per negotiated codec instead of once per client. Only the
-// rest need a per-client build from seal — their sealed payload is
-// keyed to their own trusted channel. The sends are not interruptible
-// by the round deadline; on deadline-capable transports (TCP) each
-// write is bounded by cfg.IOTimeout instead.
-func (s *Server) distribute(rd *syncRound, down *ModelDown, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
+// distribute sends the round's model (a ModelDown, or a ShardDown to
+// edge peers) to the cohort in parallel and marks every reached client
+// pending; one that cannot be reached is quarantined. Encode-once
+// broadcast: every client for which sealed reports false receives the
+// identical bytes, serialised from down once per negotiated codec
+// instead of once per client. Only the rest need a per-client build
+// from seal — their sealed payload is keyed to their own trusted
+// channel. The sends are not interruptible by the round deadline; on
+// deadline-capable transports (TCP) each write is bounded by
+// cfg.IOTimeout instead.
+func (s *Server) distribute(rd *syncRound, down Message, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
 	shared := make(map[wire.Codec][]byte)
 	for _, sess := range rd.sampled {
 		if _, ok := shared[sess.codec]; !ok && !sealed(sess) {
@@ -108,7 +111,7 @@ func (s *Server) distribute(rd *syncRound, down *ModelDown, sealed func(*session
 		go func(i int, sess *session) {
 			defer sends.Done()
 			if !sealed(sess) {
-				sendErrs[i] = sess.conn.SendFrame(MsgModelDown, shared[sess.codec])
+				sendErrs[i] = sess.conn.SendFrame(down.Kind(), shared[sess.codec])
 				return
 			}
 			own, err := seal(sess)
@@ -228,20 +231,41 @@ func (s *Server) noteFolded(rd *syncRound, sess *session) {
 	}
 }
 
-// minClientsGate fails the round when fewer than MinClients updates
-// folded before the deadline, naming what went wrong with the rest.
-func (s *Server) minClientsGate(rd *syncRound) error {
-	if rd.stats.Responded >= s.cfg.MinClients {
+// minClientsGate fails the round when fewer than MinClients cohort
+// members folded an answer before the deadline, naming what went wrong
+// with the rest.
+func (s *Server) minClientsGate(rd *syncRound, folded int) error {
+	if folded >= s.cfg.MinClients {
 		return nil
 	}
 	detail := ""
 	if len(rd.reasons) > 0 {
 		detail = " (" + strings.Join(rd.reasons, "; ") + ")"
 	}
-	err := fmt.Errorf("%w: %d of %d sampled clients responded, need %d%s",
-		ErrNotEnoughClients, rd.stats.Responded, rd.stats.Sampled, s.cfg.MinClients, detail)
+	err := fmt.Errorf("%w: %d of %d sampled peers responded, need %d%s",
+		ErrNotEnoughClients, folded, len(rd.sampled), s.cfg.MinClients, detail)
 	s.closeRound(rd.stats, false, nil)
 	return err
+}
+
+// releaseGate fails a secure-aggregation round whose folded cohort is
+// below the release floor: such an aggregate approaches an individual
+// update, so the round ends before anything is dequantised. (The
+// aggregation enclave enforces the same floor independently at Finish.)
+func (s *Server) releaseGate(rd *syncRound, folded int) error {
+	if !s.cfg.SecAgg || s.cfg.MinRelease <= 0 || folded >= s.cfg.MinRelease {
+		return nil
+	}
+	s.closeRound(rd.stats, false, nil)
+	return fmt.Errorf("%w: %d of %d required for release", secagg.ErrCohortTooSmall, folded, s.cfg.MinRelease)
+}
+
+// applyMean commits a successful round: the mean update is applied to
+// the model and journaled with the round's close.
+func (s *Server) applyMean(rd *syncRound, mean []*tensor.Tensor) {
+	rd.stats.UpdateNorm = UpdateNorm(mean)
+	ApplyUpdate(s.state, mean, 1.0)
+	s.closeRound(rd.stats, true, mean)
 }
 
 // updateWeight is the FedAvg weight of an update reporting the given
@@ -253,6 +277,22 @@ func updateWeight(examples uint64) uint64 {
 		return 1
 	}
 	return min(examples, MaxExampleWeight)
+}
+
+// foldGradUp folds one plaintext update into the aggregate at the given
+// weight. A purely-plain update that arrived in the lazy q8 form folds
+// its levels straight into the running sum — no per-client float64
+// model is ever materialised. Updates with a sealed half take the merge
+// path (the sealed tensors are f64 anyway).
+func (s *Server) foldGradUp(agg UpdateAggregator, sess *session, m *GradUp, weight float64) error {
+	if m.Q8 != nil && len(m.Sealed) == 0 {
+		return agg.AccumulateQ8(m.Q8, weight)
+	}
+	update, err := s.mergeUpdate(sess, m)
+	if err != nil {
+		return err
+	}
+	return agg.Add(update, weight)
 }
 
 // runRound executes one FL cycle: sample a cohort, distribute the model,
@@ -290,25 +330,13 @@ func (s *Server) runRound(round int) (*Partial, error) {
 		if !s.admitUpdate(rd, sess, m.Round, "update") {
 			return true
 		}
-		weight := float64(updateWeight(m.Examples))
-		// A purely-plain update that arrived in the lazy q8 form folds
-		// its levels straight into the running sum — no per-client
-		// float64 model is ever materialised. Updates with a sealed half
-		// take the merge path (the sealed tensors are f64 anyway).
-		var err error
-		if m.Q8 != nil && len(m.Sealed) == 0 {
-			err = agg.AccumulateQ8(m.Q8, weight)
-		} else {
-			var update []*tensor.Tensor
-			if update, err = s.mergeUpdate(sess, m); err == nil {
-				err = agg.Add(update, weight)
-			}
-		}
-		if err != nil {
+		if err := s.foldGradUp(agg, sess, m, float64(updateWeight(m.Examples))); err != nil {
 			s.failClient(rd, sess, true, err)
 			return true
 		}
-		s.mergeClientTelemetry(sess.device, m.Telemetry)
+		if s.cfg.ClientTelemetry {
+			s.mergeTelemetry("client", sess.device, m.Telemetry)
+		}
 		s.noteFolded(rd, sess)
 		return true
 	})
@@ -317,7 +345,7 @@ func (s *Server) runRound(round int) (*Partial, error) {
 
 	ptClose := s.ob.startPhase("close", round)
 	defer ptClose.end()
-	if err := s.minClientsGate(rd); err != nil {
+	if err := s.minClientsGate(rd, rd.stats.Responded); err != nil {
 		return nil, err
 	}
 	if s.cfg.Partials {
@@ -332,8 +360,6 @@ func (s *Server) runRound(round int) (*Partial, error) {
 		s.closeRound(rd.stats, false, nil)
 		return nil, err
 	}
-	rd.stats.UpdateNorm = UpdateNorm(mean)
-	ApplyUpdate(s.state, mean, 1.0)
-	s.closeRound(rd.stats, true, mean)
+	s.applyMean(rd, mean)
 	return nil, nil
 }

@@ -196,15 +196,10 @@ func (s *Server) runSecAggRound(round int) (*Partial, error) {
 	rd.stats.Responded = msum.Count()
 	rd.stats.WeightTotal = msum.Weight()
 
-	if err := s.minClientsGate(rd); err != nil {
+	if err := s.minClientsGate(rd, msum.Count()); err != nil {
 		return nil, err
 	}
-	if s.cfg.MinRelease > 0 && msum.Count() < s.cfg.MinRelease {
-		// Below the release floor the aggregate approaches an individual
-		// update; the round fails before anything is dequantised. The
-		// enclave enforces the same floor independently at Finish.
-		err := fmt.Errorf("%w: %d of %d required for release", secagg.ErrCohortTooSmall, msum.Count(), s.cfg.MinRelease)
-		s.closeRound(rd.stats, false, nil)
+	if err := s.releaseGate(rd, msum.Count()); err != nil {
 		return nil, err
 	}
 
@@ -267,9 +262,7 @@ func (s *Server) runSecAggRound(round int) (*Partial, error) {
 			mean[id] = encMean[k]
 		}
 	}
-	rd.stats.UpdateNorm = UpdateNorm(mean)
-	ApplyUpdate(s.state, mean, 1.0)
-	s.closeRound(rd.stats, true, mean)
+	s.applyMean(rd, mean)
 	return nil, nil
 }
 

@@ -167,6 +167,22 @@ type ServerConfig struct {
 	// shard partial cannot carry.
 	Partials bool
 
+	// EdgePeers makes the session's peers edge aggregators instead of
+	// devices: the hierarchy root (internal/hier), or an edge whose
+	// shard is itself made of edges. A round broadcasts one ShardDown
+	// and folds one PartialUp per peer on the same round skeleton as
+	// device rounds — exact sums (ring sums under SecAgg) compose, the
+	// shard accounting sums into RoundStats, and the fleet mean is
+	// applied or, with Partials, handed further upstream. Peers enrol by
+	// name (an edge holds no mask key and answers no attestation — do
+	// not set RequireTEE) and duplicate names are turned away.
+	// MinClients is then the shard floor (0 = every enrolled peer),
+	// RoundDeadline the shard deadline, and MinRelease the fleet-wide
+	// floor over composed client counts.
+	// Planner, AdaptiveCodec and ClientTelemetry do not apply; robust
+	// aggregation and Async are rejected.
+	EdgePeers bool
+
 	// QuarantineRounds, when positive, turns quarantine for training
 	// and protocol failures into probation: the client is excluded from
 	// sampling for that many subsequent rounds, then becomes eligible
@@ -282,7 +298,8 @@ type RoundStats struct {
 	Shards int
 	// BytesUp and BytesDown are the round's wire traffic (client→server
 	// and server→client, frame headers included), measured between round
-	// commits when ServerConfig.Metrics is set; 0 with metrics disabled.
+	// commits when ServerConfig.Metrics is set; 0 with metrics disabled
+	// and in the trace of an edge-peer tier, which meters no wire bytes.
 	// They are observability, not protocol state: the journal does not
 	// carry them (its Stats decode is strict about trailing bytes, so
 	// extending it would orphan every pre-existing journal), and a
@@ -397,6 +414,9 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 	}
 	if cfg.MinClients <= 0 {
 		cfg.MinClients = 1
+		if cfg.EdgePeers {
+			cfg.MinClients = 0 // every enrolled edge: resolved at Open
+		}
 	}
 	if cfg.SelectWorkers <= 0 {
 		cfg.SelectWorkers = 8
@@ -416,8 +436,10 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 	if cfg.MinRelease < 0 {
 		cfg.MinRelease = 0
 	}
-	if cfg.Partials {
-		cfg.AdaptiveCodec = 0 // edges never observe the update norm
+	if cfg.Partials || cfg.EdgePeers {
+		// Edges never observe the update norm, and edge peers do not
+		// speak CodecSwitch.
+		cfg.AdaptiveCodec = 0
 	}
 	if cfg.AdaptiveCodec > 0 {
 		cfg.Codec = wire.CodecF64 // adaptive sessions open exact
@@ -442,10 +464,10 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 		// the untrusted engine later claims.
 		cfg.Enclave.SetMinRelease(cfg.MinRelease)
 	}
-	if cfg.Journal != nil && cfg.Metrics != nil {
+	if r := cfg.engineMetrics(); cfg.Journal != nil && r != nil {
 		cfg.Journal.Instrument(
-			cfg.Metrics.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "append"),
-			cfg.Metrics.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "sync"),
+			r.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "append"),
+			r.Histogram("gradsec_journal_ns", "journal I/O latency in nanoseconds", "op", "sync"),
 		)
 	}
 	return &Server{
@@ -598,22 +620,28 @@ func (s *Server) Open(conns []Conn) (int, error) {
 		kept = append(kept, sess)
 	}
 	sessions = kept
-	if s.cfg.SecAgg {
+	if s.cfg.SecAgg || s.cfg.EdgePeers {
 		// Pairwise masking keys a mask to each device name: a duplicate
-		// name would make two clients derive colliding pair signs, so
-		// later duplicates are turned away (selection order is the input
-		// order, hence deterministic).
+		// name would make two clients derive colliding pair signs — and
+		// an edge's name is its shard identity — so later duplicates are
+		// turned away (selection order is the input order, hence
+		// deterministic).
 		seen := make(map[string]bool, len(sessions))
 		kept := sessions[:0]
 		for _, sess := range sessions {
 			if seen[sess.device] {
-				s.reject(sess.conn, fmt.Sprintf("duplicate device name %q in secure-aggregation session", sess.device))
+				s.reject(sess.conn, fmt.Sprintf("duplicate name %q in the session", sess.device))
 				continue
 			}
 			seen[sess.device] = true
 			kept = append(kept, sess)
 		}
 		sessions = kept
+	}
+	if s.cfg.MinClients == 0 {
+		// Edge peers, "every edge": whatever enrolled defines the floor
+		// — but never less than one shard.
+		s.cfg.MinClients = max(1, len(sessions))
 	}
 	if len(sessions) < s.cfg.MinClients {
 		for _, sess := range sessions {
@@ -637,11 +665,7 @@ func (s *Server) Open(conns []Conn) (int, error) {
 	s.arrivals = make(chan arrival, buffer)
 	s.done = make(chan struct{})
 	for _, sess := range sessions {
-		s.readers.Add(1)
-		go func(sess *session) {
-			defer s.readers.Done()
-			readLoop(sess, s.arrivals, s.done)
-		}(sess)
+		s.startReader(sess)
 	}
 	s.opened = true
 	s.shut = false
@@ -662,6 +686,26 @@ func (s *Server) journalSessionOpen(sessions []*session) {
 	if s.cfg.Journal == nil {
 		return
 	}
+	s.journalAppend(&journal.Record{
+		Type:   journal.RecSession,
+		Flags:  s.sessionFlags(),
+		Seed:   s.cfg.SampleSeed,
+		Rounds: s.cfg.Rounds,
+		Scale:  s.cfg.SecAggScaleBits,
+		Floor:  s.cfg.MinRelease,
+	})
+	for _, sess := range sessions {
+		s.journalAppend(rosterRecord(sess))
+	}
+	if s.cfg.MinRelease > 0 {
+		s.journalAppend(&journal.Record{Type: journal.RecFloor, Floor: s.cfg.MinRelease})
+	}
+	_ = s.cfg.Journal.Sync()
+}
+
+// sessionFlags is the journaled fingerprint of the session mode, which
+// Recover validates the recovering configuration against.
+func (s *Server) sessionFlags() uint64 {
 	var flags uint64
 	if s.cfg.SecAgg {
 		flags |= journal.FlagSecAgg
@@ -675,28 +719,22 @@ func (s *Server) journalSessionOpen(sessions []*session) {
 	if s.cfg.RequireTEE {
 		flags |= journal.FlagRequireTEE
 	}
-	s.journalAppend(&journal.Record{
-		Type:   journal.RecSession,
-		Flags:  flags,
-		Seed:   s.cfg.SampleSeed,
-		Rounds: s.cfg.Rounds,
-		Scale:  s.cfg.SecAggScaleBits,
-		Floor:  s.cfg.MinRelease,
-	})
-	for _, sess := range sessions {
-		s.journalAppend(&journal.Record{
-			Type:    journal.RecRoster,
-			Device:  sess.device,
-			Codec:   uint8(sess.codec),
-			Cap:     uint8(sess.cap),
-			HasTEE:  sess.hasTEE,
-			MaskPub: sess.maskPub,
-		})
+	if s.cfg.EdgePeers {
+		flags |= journal.FlagEdgePeers
 	}
-	if s.cfg.MinRelease > 0 {
-		s.journalAppend(&journal.Record{Type: journal.RecFloor, Floor: s.cfg.MinRelease})
+	return flags
+}
+
+// rosterRecord is one peer's journaled admission.
+func rosterRecord(sess *session) *journal.Record {
+	return &journal.Record{
+		Type:    journal.RecRoster,
+		Device:  sess.device,
+		Codec:   uint8(sess.codec),
+		Cap:     uint8(sess.cap),
+		HasTEE:  sess.hasTEE,
+		MaskPub: sess.maskPub,
 	}
-	_ = s.cfg.Journal.Sync()
 }
 
 // journalAppend writes one record when a journal is configured.
@@ -724,9 +762,12 @@ func (s *Server) StepRound(round int) (*Partial, error) {
 	s.journalAppend(&journal.Record{Type: journal.RecRoundOpen, Round: round})
 	var p *Partial
 	var err error
-	if s.cfg.SecAgg {
+	switch {
+	case s.cfg.EdgePeers:
+		p, err = s.runEdgeRound(round)
+	case s.cfg.SecAgg:
 		p, err = s.runSecAggRound(round)
-	} else {
+	default:
 		p, err = s.runRound(round)
 	}
 	if round+1 > s.nextRound {
@@ -737,6 +778,35 @@ func (s *Server) StepRound(round int) (*Partial, error) {
 	}
 	s.maybeAdaptCodec()
 	return p, nil
+}
+
+// Admit enrols further edge peers into the open session between rounds
+// — the way back in for a crashed-and-recovered edge. Each connection
+// runs the ordinary enrolment handshake; a name still live in the
+// session is turned away, and the dead session it replaces stays dead,
+// so stale arrivals from its old read loop keep filtering out by
+// session identity. Device sessions do not admit mid-session: their
+// cohort draws permute a roster that recovery must be able to replay.
+// Call from the goroutine driving StepRound.
+func (s *Server) Admit(conns []Conn) error {
+	if !s.opened || s.shut || !s.cfg.EdgePeers {
+		return errors.New("fl: Admit outside an open edge-peer session")
+	}
+	for _, sess := range s.selectClients(conns) {
+		live := false
+		for _, other := range s.sessions {
+			live = live || (!other.quarantined && other.device == sess.device)
+		}
+		if live {
+			s.reject(sess.conn, fmt.Sprintf("edge %q is already enrolled", sess.device))
+			continue
+		}
+		s.journalAppend(rosterRecord(sess))
+		s.sessions = append(s.sessions, sess)
+		s.health.roster.Add(1)
+		s.startReader(sess)
+	}
+	return nil
 }
 
 // Close ends the open session: every non-quarantined client receives a
@@ -859,6 +929,16 @@ func (s *Server) maybeAdaptCodec() {
 		sess.codec = wire.CodecQ8
 		sess.conn.SetSendCodec(wire.CodecQ8)
 	}
+}
+
+// startReader spawns the read loop of one session member; shutdown
+// waits for it.
+func (s *Server) startReader(sess *session) {
+	s.readers.Add(1)
+	go func() {
+		defer s.readers.Done()
+		readLoop(sess, s.arrivals, s.done)
+	}()
 }
 
 // readLoop pumps one connection into the shared arrival channel until
@@ -1006,6 +1086,10 @@ func (s *Server) selectOne(conn Conn) *session {
 	if !att.Cap.Valid() {
 		att.Cap = att.Codec // an unknown claimed cap is no cap at all
 	}
+	if s.cfg.EdgePeers && att.DeviceID == "" {
+		s.reject(conn, "edge enrolment without a name") // the name is the shard identity
+		return nil
+	}
 	if s.resuming {
 		// Resumption: the device must be a member of the journaled
 		// roster — its admission (including attestation) was already
@@ -1036,7 +1120,7 @@ func (s *Server) selectOne(conn Conn) *session {
 			return nil
 		}
 	}
-	if s.cfg.SecAgg {
+	if s.cfg.SecAgg && !s.cfg.EdgePeers { // mask rosters are shard-scoped: an edge holds no mask key
 		if len(att.MaskPub) == 0 {
 			s.reject(conn, "secure aggregation requires a mask public key")
 			return nil
@@ -1254,19 +1338,19 @@ func fromJournalStats(st journal.Stats) RoundStats {
 	}
 }
 
-// mergeClientTelemetry folds a client-attached telemetry snapshot into
-// the server registry under client-tier provenance labels. Off unless
-// the server opted in; a snapshot that fails to decode is dropped
+// mergeTelemetry folds a telemetry snapshot attached by a peer (tier
+// "client" or "edge") into the server registry under tier/shard
+// provenance labels. A snapshot that fails to decode is dropped
 // silently — telemetry must never fail a round.
-func (s *Server) mergeClientTelemetry(device string, blob []byte) {
-	if !s.cfg.ClientTelemetry || s.cfg.Metrics == nil || len(blob) == 0 {
+func (s *Server) mergeTelemetry(tier, peer string, blob []byte) {
+	if s.cfg.Metrics == nil || len(blob) == 0 {
 		return
 	}
 	snap, err := obs.DecodeSnapshot(blob)
 	if err != nil {
 		return
 	}
-	s.cfg.Metrics.MergeSnapshot(snap, "tier", "client", "shard", device)
+	s.cfg.Metrics.MergeSnapshot(snap, "tier", tier, "shard", peer)
 }
 
 // buildModelDown assembles one client's round message, splitting

@@ -1,18 +1,26 @@
 // Package hier is the hierarchical aggregation tier of the FL stack: a
-// two-level federation of one root and N edge aggregators that lifts
-// the round engine from "one server, one cohort" to fleet scale.
+// federation of one root and N edge aggregators that lifts the round
+// engine from "one server, one cohort" to fleet scale.
 //
-// Each edge aggregator runs the complete existing round protocol
-// against its shard of clients — selection and attestation, cohort
-// sampling, round deadlines, quarantine and probation, codec
+// There is one round engine, internal/fl, and both tiers are
+// configurations of it. Each edge aggregator runs the complete round
+// protocol against its shard of clients — selection and attestation,
+// cohort sampling, round deadlines, quarantine and probation, codec
 // negotiation, secure-aggregation masking — by driving an fl.Server in
-// hierarchical partial mode (fl.ServerConfig.Partials). Instead of
+// hierarchical partial mode (fl.ServerConfig.Partials): instead of
 // applying each round's weighted mean locally, the edge folds its
 // shard into one un-normalised partial aggregate and forwards a single
-// PartialUp frame upstream. The root broadcasts the global model once
-// per round (ShardDown, encode-once per negotiated codec), folds the
-// shard partials, normalises once over the whole fleet, and applies
-// the update.
+// PartialUp frame upstream. The root is an fl.Server whose peers are
+// edges (fl.ServerConfig.EdgePeers): on the same round skeleton that
+// serves devices it broadcasts the global model once per round
+// (ShardDown, encode-once per negotiated codec), folds the shard
+// partials, normalises once over the whole fleet, applies the update
+// and journals it. Root is the translation of the hierarchy's
+// vocabulary (RootConfig, Hooks, MinShards, ShardDeadline, Rejoin) onto
+// that engine, plus the session loop; RecoverRoot is fl.Recover.
+// Because the peer kind is the engine's and not the root's, an Edge
+// whose shard server itself has edge peers is a mid-tier aggregator,
+// and trees of any depth compose with no further code.
 //
 // The fan-in consequence is the point: the root handles O(shards)
 // connections, frames, and folds per round instead of O(fleet), and a
@@ -54,7 +62,8 @@
 // A shard whose round fails (too few responders, reconciliation
 // failure) reports an empty partial and stays in the session; a shard
 // that misses the root's ShardDeadline is dropped for the round; an
-// edge whose transport dies is removed. The root's round succeeds
-// while at least MinShards partials fold, so one bad shard degrades
-// coverage instead of killing the fleet.
+// edge whose transport dies, or whose partial fails validation
+// (fl.ErrBadPartial — nothing of it is folded or counted), is removed.
+// The root's round succeeds while at least MinShards partials fold, so
+// one bad shard degrades coverage instead of killing the fleet.
 package hier

@@ -1,89 +1,27 @@
 package hier
 
 import (
-	"errors"
-	"fmt"
-
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // ErrRootJournalMismatch rejects a root journal whose session
 // fingerprint disagrees with the configuration handed to RecoverRoot.
-var ErrRootJournalMismatch = errors.New("hier: journal does not match root config")
+var ErrRootJournalMismatch = fl.ErrJournalMismatch
 
-// RecoverRoot rebuilds a crashed hierarchy root from its journal: the
-// committed rounds' fleet means replay onto the initial model (state
-// must hold the values the crashed root was constructed with), the
-// trace is restored, and Run resumes at the first uncommitted round.
-// Edges re-enrol through Run as usual — their own shard journals carry
-// the per-client standing.
+// RecoverRoot rebuilds a crashed hierarchy root from its journal
+// (fl.Recover over the root's engine configuration): the committed
+// rounds' fleet means replay onto the initial model (state must hold
+// the values the crashed root was constructed with), the trace is
+// restored, and Run resumes at the first uncommitted round. Edges
+// re-enrol through Run as usual — their own shard journals carry the
+// per-client standing.
 func RecoverRoot(path string, state []*tensor.Tensor, cfg RootConfig) (*Root, error) {
-	recs, err := journal.Replay(path)
+	srv, err := fl.Recover(path, state, cfg.serverConfig())
 	if err != nil {
 		return nil, err
 	}
-	st := journal.Commit(recs)
-	if st.Session == nil {
-		return nil, fmt.Errorf("%w: journal has no session record", ErrRootJournalMismatch)
-	}
-	r := NewRoot(state, cfg) // applies config defaults first
-
-	var flags uint64
-	scale := 0
-	if r.cfg.SecAgg {
-		flags |= journal.FlagSecAgg
-		scale = r.cfg.SecAggScaleBits
-	}
-	switch {
-	case st.Session.Flags != flags:
-		return nil, fmt.Errorf("%w: journal mode flags %#x, config %#x", ErrRootJournalMismatch, st.Session.Flags, flags)
-	case st.Session.Rounds != r.cfg.Rounds:
-		return nil, fmt.Errorf("%w: journal plans %d rounds, config %d", ErrRootJournalMismatch, st.Session.Rounds, r.cfg.Rounds)
-	case r.cfg.SecAgg && st.Session.Scale != scale:
-		return nil, fmt.Errorf("%w: journal scale bits %d, config %d", ErrRootJournalMismatch, st.Session.Scale, scale)
-	}
-
-	for _, c := range st.Closes {
-		r.trace = append(r.trace, rootStatsFromJournal(c.Stats))
-		if !c.OK || c.Update == nil {
-			continue
-		}
-		if len(c.Update) != len(r.state) {
-			return nil, fmt.Errorf("%w: round %d update has %d tensors, model has %d", ErrRootJournalMismatch, c.Round, len(c.Update), len(r.state))
-		}
-		for i, u := range c.Update {
-			if !u.SameShape(r.state[i]) {
-				return nil, fmt.Errorf("%w: round %d update tensor %d shape %v, model %v", ErrRootJournalMismatch, c.Round, i, u.Shape, r.state[i].Shape)
-			}
-		}
-		fl.ApplyUpdate(r.state, c.Update, 1.0)
-	}
-	r.nextRound = st.NextRound
-	r.recovered = true
-	return r, nil
-}
-
-// NextRound returns the first round the root will run: 0 fresh, one
-// past the last committed round after recovery.
-func (r *Root) NextRound() int { return r.nextRound }
-
-func rootStatsFromJournal(st journal.Stats) fl.RoundStats {
-	return fl.RoundStats{
-		Round:         st.Round,
-		Sampled:       st.Sampled,
-		Responded:     st.Responded,
-		Dropped:       st.Dropped,
-		Quarantined:   st.Quarantined,
-		Probation:     st.Probation,
-		LateDiscarded: st.LateDiscarded,
-		Duplicates:    st.Duplicates,
-		Reconciled:    st.Reconciled,
-		WeightTotal:   st.WeightTotal,
-		UpdateNorm:    st.UpdateNorm,
-		Shards:        st.Shards,
-	}
+	return newRoot(srv, cfg), nil
 }
 
 // RecoverEdge rebuilds a crashed edge aggregator from its shard

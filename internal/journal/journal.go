@@ -113,6 +113,9 @@ const (
 	FlagPartials
 	FlagAsync
 	FlagRequireTEE
+	// FlagEdgePeers marks a session whose peers are edge aggregators
+	// (a hierarchy root's journal).
+	FlagEdgePeers
 )
 
 // Stats mirrors fl.RoundStats field-for-field. The journal cannot

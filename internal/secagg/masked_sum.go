@@ -95,6 +95,15 @@ func (m *MaskedSum) Add(up []*wire.U64Tensor, weight uint64) error {
 	if weight == 0 {
 		return errors.New("secagg: zero update weight")
 	}
+	return m.AddPartial(up, float64(weight), 1)
+}
+
+// AddPartial composes an edge aggregator's partial — that shard's ring
+// sums over count updates of total weight, its masks already cancelled
+// or reconciled. It is the fail-closed fold Add delegates to: ring sums
+// are additive in ℤ/2⁶⁴, so composed partials finish with the same Mean
+// as directly folded updates.
+func (m *MaskedSum) AddPartial(up []*wire.U64Tensor, weight float64, count int) error {
 	if err := m.Validate(up); err != nil {
 		return err
 	}
@@ -128,8 +137,8 @@ func (m *MaskedSum) Add(up []*wire.U64Tensor, weight uint64) error {
 			dst[j] += l
 		}
 	}
-	m.weight += float64(weight)
-	m.count++
+	m.weight += weight
+	m.count += count
 	return nil
 }
 
