@@ -15,13 +15,15 @@
 #   make smoke-telemetry run the observability example end to end
 #   make smoke-secagg run the secure-aggregation walkthrough end to end
 #   make smoke-hier   run the hierarchical flat-vs-hier walkthrough end to end
+#   make smoke-recovery run the crash-and-recover walkthrough end to end
+#   make smoke-async  run the sync-vs-async walkthrough end to end
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async check
 
 build:
 	$(GO) build ./...
@@ -72,7 +74,20 @@ smoke-secagg:
 smoke-hier:
 	$(GO) run ./examples/hier
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier
+# The crash-recovery walkthrough as a smoke test: a flat fleet killed
+# mid-round and recovered from its journal (flsim.RunWithCrash behind
+# the facade). It exits non-zero when the recovered model diverges from
+# the uninterrupted run's.
+smoke-recovery:
+	$(GO) run ./examples/recovery
+
+# The asynchronous walkthrough as a smoke test: one seeded fleet paced
+# by round barriers and then barrier-free (flsim.RunAsync behind the
+# facade). It exits non-zero when either session fails.
+smoke-async:
+	$(GO) run ./examples/async
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
 # the default) vs enclave aggregation at 64/256/1024 clients. Three

@@ -56,16 +56,14 @@ type AsyncConfig struct {
 	// QuarantineRounds, permanent otherwise. Defaults to 3; a folded
 	// update resets the count.
 	MaxViolations int
-	// Discount maps an update's staleness s (current version minus the
-	// version it trained on, ≥0) to a weight multiplier in (0,1]. The
-	// folded weight is the FedAvg example weight times this. Defaults
-	// to DefaultStalenessDiscount.
-	Discount func(staleness int) float64
 }
 
-// DefaultStalenessDiscount is the polynomial staleness discount
-// 1/√(1+s) (FedBuff's choice with a=½): a fresh update folds at full
-// weight, one trained 3 versions back at half.
+// DefaultStalenessDiscount maps an update's staleness s (current
+// version minus the version it trained on, ≥0) to a weight multiplier
+// in (0,1]; the folded weight is the FedAvg example weight times this.
+// It is the polynomial discount 1/√(1+s) (FedBuff's choice with a=½):
+// a fresh update folds at full weight, one trained 3 versions back at
+// half.
 func DefaultStalenessDiscount(s int) float64 {
 	return 1 / math.Sqrt(1+float64(s))
 }
@@ -228,7 +226,7 @@ func (s *Server) runAsync() error {
 			case cfg.MinPushInterval > 0 && !ac.lastFold.IsZero() && now.Sub(ac.lastFold) < cfg.MinPushInterval:
 				stats.Duplicates++
 			default:
-				weight := float64(updateWeight(m.Examples)) * cfg.Discount(staleness)
+				weight := float64(updateWeight(m.Examples)) * DefaultStalenessDiscount(staleness)
 				if err := s.foldGradUp(agg, sess, m, weight); err != nil {
 					s.quarantineAt(sess, version, true, err, &stats, &reasons)
 					if s.cfg.Hooks.UpdatePushed != nil {

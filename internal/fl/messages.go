@@ -434,12 +434,12 @@ type MaskedUp struct {
 	Sealed   []byte
 	Examples uint64
 	// Shares carries the client's wrapped Shamir shares of its
-	// double-masking self seed, one per mask-graph neighbour, in
-	// k-regular rounds (ModelDown.MaskDegree > 0). Each blob is
-	// encrypted and authenticated under the owner→holder pair key; the
-	// server stores them opaquely and forwards the relevant ones inside
-	// MaskRecon.Survivors. Trailing field: absent (nil) in legacy
-	// full-pairwise rounds.
+	// double-masking self seed, one per mask-graph neighbour. Each blob
+	// is encrypted and authenticated under the owner→holder pair key;
+	// the server stores them opaquely and forwards the relevant ones
+	// inside MaskRecon.Survivors. Trailing field: a frame that ends
+	// before it decodes to nil, and the server refuses the update (it
+	// wants exactly one share per neighbour before it folds anything).
 	Shares []secagg.WrappedShare
 }
 
@@ -478,19 +478,17 @@ func (m *MaskedUp) decode(r *wire.Reader) {
 }
 
 // MaskRecon asks a surviving cohort member to reconcile the round's
-// masks. In legacy full-pairwise rounds the frame is broadcast and
-// Dropped lists every straggler: the survivor reveals its pair seeds
-// with them. In k-regular rounds the frame is per-recipient: Dropped
-// lists only the recipient's dropped neighbours, and Survivors carries
-// the wrapped self-seed shares of its folded neighbours for it to
-// unwrap — per peer the server sends one of the two, never both (the
-// client enforces this with ErrRoleConflict).
+// masks. The frame is per-recipient: Dropped lists the recipient's
+// dropped mask-graph neighbours, whose pair seeds it reveals, and
+// Survivors carries the wrapped self-seed shares of its folded
+// neighbours for it to unwrap — per peer the server sends one of the
+// two, never both (the client enforces this with ErrRoleConflict).
 type MaskRecon struct {
 	Round   int
 	Dropped []string
-	// Survivors is the k-regular survivor path: each envelope holds a
-	// folded neighbour's wrapped self-seed share addressed to this
-	// recipient. Trailing field: absent (nil) in legacy rounds.
+	// Survivors is the survivor path: each envelope holds a folded
+	// neighbour's wrapped self-seed share addressed to this recipient.
+	// Trailing field: a frame that ends before it decodes to nil.
 	Survivors []secagg.SeedEnvelope
 }
 
@@ -525,8 +523,8 @@ func (m *MaskRecon) decode(r *wire.Reader) {
 }
 
 // MaskShares answers a MaskRecon: one round-scoped pair seed per
-// dropped peer, and — in k-regular rounds — one unwrapped self-seed
-// share per folded neighbour the request carried an envelope for. Only
+// dropped peer, and one unwrapped self-seed share per folded neighbour
+// the request carried an envelope for. Only
 // the named round's masks are derivable from the seeds, so the
 // revelation burns nothing beyond the failed pairs.
 type MaskShares struct {
@@ -535,8 +533,8 @@ type MaskShares struct {
 	// SeedShares are the unwrapped Shamir shares answering
 	// MaskRecon.Survivors. A corrupt envelope yields no share (the
 	// server needs only the threshold), so len(SeedShares) may be less
-	// than len(Survivors). Trailing field: absent (nil) in legacy
-	// rounds.
+	// than len(Survivors). Trailing field: a frame that ends before it
+	// decodes to nil.
 	SeedShares []secagg.SeedShare
 }
 

@@ -202,9 +202,6 @@ type ServerConfig struct {
 	// reads are not bounded by it (a sampled client may legitimately
 	// stay silent until the RoundDeadline). 0 disables.
 	IOTimeout time.Duration
-	// SelectWorkers bounds the parallel attestation pool during client
-	// selection. Defaults to 8.
-	SelectWorkers int
 	// Clock supplies wall time for round deadlines. Defaults to the
 	// real clock; tests and flsim inject a simclock.Virtual.
 	Clock simclock.WallClock
@@ -418,9 +415,6 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 			cfg.MinClients = 0 // every enrolled edge: resolved at Open
 		}
 	}
-	if cfg.SelectWorkers <= 0 {
-		cfg.SelectWorkers = 8
-	}
 	if cfg.SampleSeed == 0 {
 		cfg.SampleSeed = 1
 	}
@@ -453,9 +447,6 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 		}
 		if cfg.Async.MaxViolations <= 0 {
 			cfg.Async.MaxViolations = 3
-		}
-		if cfg.Async.Discount == nil {
-			cfg.Async.Discount = DefaultStalenessDiscount
 		}
 	}
 	if cfg.Enclave != nil && cfg.MinRelease > 0 {
@@ -965,16 +956,17 @@ func readLoop(sess *session, arrivals chan<- arrival, done <-chan struct{}) {
 	}
 }
 
+// selectWorkers bounds the parallel attestation pool during client
+// selection.
+const selectWorkers = 8
+
 // selectClients performs Fig. 2 step 1 — challenge, attestation
 // verification, trusted-channel establishment — across a bounded worker
 // pool. Clients that fail are rejected individually; input order is
 // preserved so sampling stays deterministic.
 func (s *Server) selectClients(conns []Conn) []*session {
 	results := make([]*session, len(conns))
-	workers := s.cfg.SelectWorkers
-	if workers > len(conns) {
-		workers = len(conns)
-	}
+	workers := min(selectWorkers, len(conns))
 	work := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {

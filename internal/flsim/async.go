@@ -3,14 +3,13 @@ package flsim
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gradsec/gradsec/internal/fl"
 	"github.com/gradsec/gradsec/internal/obs"
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
+	"github.com/gradsec/gradsec/internal/tz"
 )
 
 // AsyncScenario replays a seeded fleet through the asynchronous
@@ -109,78 +108,6 @@ func (sc *AsyncScenario) validate() error {
 	return nil
 }
 
-// asyncSimClient is one fleet member of an asynchronous simulation: it
-// adopts every model the server hands it, "trains" for its latency on
-// the virtual clock, and pushes the update tagged with the version it
-// trained on.
-type asyncSimClient struct {
-	index    int
-	profile  Profile
-	conn     fl.Conn
-	clk      *simclock.Virtual
-	latency  time.Duration
-	seed     int64
-	positive bool
-	shapes   [][]int
-	active   *atomic.Int64
-}
-
-func (c *asyncSimClient) run() {
-	defer c.active.Add(-1)
-	defer c.conn.Close()
-	msg, err := c.conn.Recv()
-	if err != nil {
-		return
-	}
-	ch, ok := msg.(*fl.Challenge)
-	if !ok {
-		return
-	}
-	if err := c.conn.Send(&fl.Attest{DeviceID: c.profile.Device, Codec: ch.Codec}); err != nil {
-		return
-	}
-	c.conn.SetCodec(ch.Codec)
-	first := true
-	for {
-		msg, err := c.conn.Recv()
-		if err != nil {
-			return
-		}
-		switch m := msg.(type) {
-		case *fl.Reject, *fl.Done:
-			return
-		case *fl.ModelDown:
-			d := c.latency
-			if first {
-				// Phase-offset the first deadline by (index+1)µs. Every
-				// later latency is a whole number of milliseconds, so this
-				// client's timers always fire at instants ≡ (index+1)µs
-				// (mod 1ms): no two clients ever share a fire time, and
-				// the lockstep driver advances to exactly one event at a
-				// time — the arrival order is deterministic.
-				d += time.Duration(c.index+1) * time.Microsecond
-				first = false
-			}
-			t := c.clk.NewTimer(d)
-			<-t.C
-			delta := dyadicDelta(c.seed, c.index, int(m.Version))
-			if c.positive {
-				delta = posDyadicDelta(c.seed, c.index, int(m.Version))
-			}
-			upd := make([]*tensor.Tensor, len(c.shapes))
-			for i, shape := range c.shapes {
-				upd[i] = tensor.Full(delta, shape...)
-			}
-			examples := uint64(max(c.profile.Examples, 0))
-			if err := c.conn.Send(&fl.GradUp{Round: m.Round, Plain: upd, Examples: examples, Version: m.Version}); err != nil {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
 // RunAsync executes an asynchronous scenario and returns its trace,
 // deterministic for a given scenario.
 //
@@ -200,40 +127,15 @@ func RunAsync(sc AsyncScenario) (*AsyncResult, error) {
 	clk := simclock.NewVirtual(time.Unix(0, 0))
 	start := clk.Now()
 
-	shapes := make([][]int, len(sc.Model))
-	for i, t := range sc.Model {
-		shapes[i] = t.Shape
+	// Local training is a timer of the device's latency on clk, armed
+	// by the simTrainer.
+	f := &fleet{
+		sc: &sc.Scenario, profiles: profiles, verifier: tz.NewVerifier(), clk: clk,
+		fast: sc.FastLatency, slow: sc.SlowLatency,
 	}
-	var active atomic.Int64
-	active.Store(int64(sc.Clients))
-	clients := make([]*asyncSimClient, sc.Clients)
-	conns := make([]fl.Conn, sc.Clients)
-	for i := range clients {
-		serverConn, clientConn := fl.Pipe()
-		latency := sc.FastLatency
-		if profiles[i].Straggler {
-			latency = sc.SlowLatency
-		}
-		clients[i] = &asyncSimClient{
-			index:    i,
-			profile:  profiles[i],
-			conn:     clientConn,
-			clk:      clk,
-			latency:  latency,
-			seed:     sc.Seed,
-			positive: sc.PositiveDeltas,
-			shapes:   shapes,
-			active:   &active,
-		}
-		conns[i] = serverConn
-	}
-	var fleet sync.WaitGroup
-	for _, c := range clients {
-		fleet.Add(1)
-		go func(c *asyncSimClient) {
-			defer fleet.Done()
-			c.run()
-		}(c)
+	conns, err := f.start(0, sc.Clients)
+	if err != nil {
+		return nil, err
 	}
 
 	srv := fl.NewServer(sc.Model, fl.ServerConfig{
@@ -267,8 +169,8 @@ func RunAsync(sc AsyncScenario) (*AsyncResult, error) {
 	// that can never park again (e.g. a client wedged awaiting a reply
 	// the engine will not send) instead of spinning forever.
 	stalled := 0
-	for active.Load() > 0 {
-		if int64(clk.Waiters()) == active.Load() {
+	for f.live.Load() > 0 {
+		if int64(clk.Waiters()) == f.live.Load() {
 			if at, ok := clk.NextAt(); ok {
 				clk.Set(at)
 				stalled = 0
@@ -280,7 +182,7 @@ func RunAsync(sc AsyncScenario) (*AsyncResult, error) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-	fleet.Wait()
+	f.wg.Wait()
 	out := <-done
 
 	res := &AsyncResult{

@@ -4,21 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
 
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/hier"
-	"github.com/gradsec/gradsec/internal/journal"
-	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/tensor"
-	"github.com/gradsec/gradsec/internal/tz"
 )
 
 // This file is the fault-injection suite: harnesses that kill a tier of
 // the federation mid-round — flat server, hierarchy root, one edge — or
 // sever a shard's network link, then recover the dead process from its
-// write-ahead journal and drive the session to completion. Simulated
-// clients are memoryless (updates are pure functions of seed, client
+// write-ahead journal and drive the session to completion. Each passes
+// runTree only what it changes about the session (treeOpts); the
+// scenario configures everything else exactly as Run would. Simulated
+// devices are memoryless (updates are pure functions of seed, client
 // index, and round), so a fleet that rejoins after a crash pushes
 // exactly the updates the dead process would have folded — which is
 // what lets the tests assert the recovered run bit-identical to an
@@ -32,16 +29,16 @@ var ErrSimCrash = errors.New("flsim: simulated crash")
 // escaping an engine goroutine is a real bug and re-panics.
 type simCrash struct{ round int }
 
-// CrashSpec places a crash inside a flat session: at the start of Round
-// (Folds == 0), or after the Folds-th client update of Round has been
+// CrashSpec places a crash inside a tier's session: at the start of
+// Round (Folds == 0), or after the Folds-th update of Round has been
 // folded — and journaled — mid-round.
 type CrashSpec struct {
 	Round int
 	Folds int
 }
 
-// installCrash arms a CrashSpec on the harness hooks. Both hooks fire
-// on the engine's round goroutine, so the panic unwinds srv.Run exactly
+// installCrash arms a CrashSpec on a tier's hooks. Both hooks fire
+// on the engine's round goroutine, so the panic unwinds its Run exactly
 // where a real process would die: after the round's write-ahead open
 // (RoundStarted fires past the journal append) or after a fold's
 // journal record.
@@ -70,50 +67,33 @@ func installCrash(hooks fl.Hooks, spec CrashSpec) fl.Hooks {
 	return hooks
 }
 
-// runOrCrash runs the flat engine, converting an injected crash panic
-// into ErrSimCrash after aborting the session (readers drained, conns
-// closed, journal synced — the moral equivalent of the process dying).
-func runOrCrash(srv *fl.Server, conns []fl.Conn) (n int, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(simCrash); !ok {
-				panic(p)
-			}
-			srv.Abort()
-			err = ErrSimCrash
-		}
-	}()
-	return srv.Run(conns)
-}
-
 // cloneModel deep-copies a model (the doomed phase of a crash scenario
 // works on scratch values so recovery can replay onto the originals).
 func cloneModel(model []*tensor.Tensor) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(model))
 	for i, t := range model {
-		c := tensor.New(t.Shape...)
-		copy(c.Data, t.Data)
-		out[i] = c
+		out[i] = t.Clone()
 	}
 	return out
 }
 
-// scratchModel allocates a zero model of the same shapes (edge
-// aggregators own shape-matched scratch state).
-func scratchModel(model []*tensor.Tensor) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(model))
-	for i, t := range model {
-		out[i] = tensor.New(t.Shape...)
+// runCrashThenRecover runs the scenario twice around an injected crash
+// of its root tier (the flat server, or the hierarchy root): the doomed
+// phase journals as opts(false) says and dies at spec's crash point, on
+// scratch model values so sc.Model keeps the initial state recovery
+// replays onto; the second phase is opts(true) — every journaled tier
+// rebuilt from its log, same config, fresh fleet, same profiles — and
+// its result is returned.
+func runCrashThenRecover(sc Scenario, spec CrashSpec, opts func(recover bool) treeOpts) (*Result, error) {
+	profiles := assignProfiles(&sc)
+	doomed := sc
+	doomed.Model = cloneModel(sc.Model)
+	opt := opts(false)
+	opt.root.crash = &spec
+	if _, err := runTree(doomed, profiles, opt); !errors.Is(err, ErrSimCrash) {
+		return nil, fmt.Errorf("flsim: session ended without reaching the crash point (round %d, fold %d): %v", spec.Round, spec.Folds, err)
 	}
-	return out
-}
-
-func shapesOf(model []*tensor.Tensor) [][]int {
-	shapes := make([][]int, len(model))
-	for i, t := range model {
-		shapes[i] = t.Shape
-	}
-	return shapes
+	return runTree(sc, profiles, opts(true))
 }
 
 // RunWithCrash executes a flat scenario twice around an injected crash:
@@ -134,32 +114,9 @@ func RunWithCrash(sc Scenario, spec CrashSpec, journalPath string) (*Result, err
 	if spec.Round < 0 || spec.Round >= sc.Rounds {
 		return nil, fmt.Errorf("flsim: crash round %d outside [0,%d)", spec.Round, sc.Rounds)
 	}
-	profiles := assignProfiles(&sc)
-
-	// Phase 1 — the doomed process: runs on scratch model values so
-	// sc.Model keeps the initial state recovery replays onto.
-	j, err := journal.Create(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	doomed := sc
-	doomed.Model = cloneModel(sc.Model)
-	_, runErr := runFlat(doomed, profiles, flatOpts{journal: j, crash: &spec})
-	_ = j.Close()
-	if !errors.Is(runErr, ErrSimCrash) {
-		return nil, fmt.Errorf("flsim: session ended without reaching the crash point (round %d, fold %d): %v", spec.Round, spec.Folds, runErr)
-	}
-
-	// Phase 2 — the recovered process: rebuilt from the journal, same
-	// config, fresh fleet, same profiles. Committed rounds are already
-	// applied by Recover; the engine resumes at the crashed round.
-	j2, err := journal.Append(journalPath)
-	if err != nil {
-		return nil, err
-	}
-	res, err := runFlat(sc, profiles, flatOpts{journal: j2, recoverPath: journalPath})
-	_ = j2.Close()
-	return res, err
+	return runCrashThenRecover(sc, spec, func(recover bool) treeOpts {
+		return treeOpts{root: tierOpts{journal: journalPath, recover: recover}}
+	})
 }
 
 // validateHierFault validates a scenario for the hierarchy fault
@@ -181,89 +138,16 @@ func validateHierFault(sc *Scenario) error {
 	return nil
 }
 
-func shardName(s int) string { return fmt.Sprintf("edge-%03d", s) }
-
-// shardServerCfg is the shard engine configuration the fault harnesses
-// hand to edges — identical across the doomed and recovered phases so
-// the journal fingerprint validates.
-func shardServerCfg(sc *Scenario, s int, verifier *tz.Verifier, j *journal.Journal) fl.ServerConfig {
-	cfg := fl.ServerConfig{
-		MinClients: sc.MinClients,
-		SampleSeed: sc.Seed + int64(s) + 1,
-		RequireTEE: sc.RequireTEE,
-		Verifier:   verifier,
-		Codec:      sc.Codec,
-		SecAgg:     sc.SecAgg,
-		Journal:    j,
-	}
-	if sc.SecAgg {
-		cfg.SecAggScaleBits = secagg.DefaultScaleBits
-	}
-	return cfg
-}
-
-// startShardClients builds and starts shard s's simulated clients,
-// returning the server-side conns in client-index order.
-func startShardClients(sc *Scenario, profiles []Profile, shapes [][]int, verifier *tz.Verifier, fleet *sync.WaitGroup, s int) ([]fl.Conn, error) {
-	lo, hi := shardRange(sc.Clients, sc.Shards, s)
-	conns := make([]fl.Conn, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		c, serverConn, err := buildClient(i, profiles[i], shapes, sc.Seed, verifier)
-		if err != nil {
-			return nil, err
-		}
-		c.positive = sc.PositiveDeltas
-		conns = append(conns, serverConn)
-		fleet.Add(1)
-		go func(c *simClient) {
-			defer fleet.Done()
-			c.run()
-		}(c)
-	}
-	return conns, nil
-}
-
-// runEdgeRecovering runs one edge, swallowing an injected shard crash
-// (Edge.Run's deferred Abort and upstream Close have already run during
-// the unwind — the shard process is dead and its link to the root is
-// severed) and invoking crashed, if set, once the teardown is complete.
-func runEdgeRecovering(edge *hier.Edge, upstream fl.Conn, clients []fl.Conn, crashed func()) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(simCrash); !ok {
-				panic(p)
-			}
-			if crashed != nil {
-				crashed()
-			}
-		}
-	}()
-	_ = edge.Run(upstream, clients) // shard loss degrades the root, never the harness
-}
-
-// runRootOrCrash mirrors runOrCrash for the hierarchy root.
-func runRootOrCrash(r *hier.Root, conns []fl.Conn) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(simCrash); !ok {
-				panic(p)
-			}
-			r.Abort()
-			err = ErrSimCrash
-		}
-	}()
-	_, err = r.Run(conns)
-	return err
-}
-
 // RunHierWithRootCrash runs a hierarchical scenario in which the root
 // process dies at the start of round crashRound — taking every edge and
 // client down with it, since the whole tree hangs off its connections —
 // and is then recovered, together with all of its edges, from the
 // write-ahead journals in dir (root.journal plus one edge journal per
-// shard). The recovered tiers resume with a fresh fleet at the crashed
-// round; the result is the recovered root's and is bit-identical to an
-// uncrashed run of the same scenario.
+// shard). The root dies pre-broadcast: its round is open but
+// uncommitted in root.journal and no edge has seen it, so all three
+// tiers agree on the resume point. The recovered tiers resume with a
+// fresh fleet at the crashed round; the result is the recovered root's
+// and is bit-identical to an uncrashed run of the same scenario.
 func RunHierWithRootCrash(sc Scenario, crashRound int, dir string) (*Result, error) {
 	if err := validateHierFault(&sc); err != nil {
 		return nil, err
@@ -271,137 +155,14 @@ func RunHierWithRootCrash(sc Scenario, crashRound int, dir string) (*Result, err
 	if crashRound < 0 || crashRound >= sc.Rounds {
 		return nil, fmt.Errorf("flsim: root crash round %d outside [0,%d)", crashRound, sc.Rounds)
 	}
-	profiles := assignProfiles(&sc)
-	shapes := shapesOf(sc.Model)
-	rootPath := filepath.Join(dir, "root.journal")
-	edgePath := func(s int) string { return filepath.Join(dir, shardName(s)+".journal") }
-
-	// Phase 1 — every tier journals; the root dies pre-broadcast at
-	// crashRound. Its round is open-but-uncommitted in root.journal,
-	// and no edge has seen the round, so all three tiers agree on the
-	// resume point.
-	rootJ, err := journal.Create(rootPath)
-	if err != nil {
-		return nil, err
-	}
-	verifier := tz.NewVerifier()
-	var fleet sync.WaitGroup
-	edgeConns := make([]fl.Conn, sc.Shards)
-	edgeJs := make([]*journal.Journal, sc.Shards)
-	for s := 0; s < sc.Shards; s++ {
-		ej, err := journal.Create(edgePath(s))
-		if err != nil {
-			return nil, err
+	return runCrashThenRecover(sc, CrashSpec{Round: crashRound}, func(recover bool) treeOpts {
+		return treeOpts{
+			root: tierOpts{journal: filepath.Join(dir, "root.journal"), recover: recover},
+			edge: func(s int) tierOpts {
+				return tierOpts{journal: filepath.Join(dir, shardName(s)+".journal"), recover: recover}
+			},
 		}
-		edgeJs[s] = ej
-		clientConns, err := startShardClients(&sc, profiles, shapes, verifier, &fleet, s)
-		if err != nil {
-			return nil, err
-		}
-		edge := hier.NewEdge(scratchModel(sc.Model), hier.EdgeConfig{
-			Name:     shardName(s),
-			MaxCodec: sc.Codec,
-			Server:   shardServerCfg(&sc, s, verifier, ej),
-		})
-		rootSide, edgeSide := fl.Pipe()
-		edgeConns[s] = rootSide
-		fleet.Add(1)
-		go func(edge *hier.Edge, up fl.Conn, cs []fl.Conn) {
-			defer fleet.Done()
-			runEdgeRecovering(edge, up, cs, nil)
-		}(edge, edgeSide, clientConns)
-	}
-	doomed := hier.NewRoot(cloneModel(sc.Model), hier.RootConfig{
-		Rounds:    sc.Rounds,
-		MinShards: sc.MinShards,
-		SecAgg:    sc.SecAgg,
-		Codec:     sc.Codec,
-		Journal:   rootJ,
-		Hooks: hier.Hooks{RoundStarted: func(round int, _ []string) {
-			if round == crashRound {
-				panic(simCrash{round})
-			}
-		}},
 	})
-	if err := runRootOrCrash(doomed, edgeConns); !errors.Is(err, ErrSimCrash) {
-		return nil, fmt.Errorf("flsim: hierarchy session ended without reaching the crash point (round %d): %v", crashRound, err)
-	}
-	fleet.Wait()
-	_ = rootJ.Close()
-	for _, ej := range edgeJs {
-		_ = ej.Close()
-	}
-
-	// Phase 2 — recover all three tiers: the root from its journal
-	// onto the pristine initial model, each edge from its shard
-	// journal (roster and standing intact, clients matched without
-	// re-attestation), and a fresh fleet rejoining underneath.
-	rootJ2, err := journal.Append(rootPath)
-	if err != nil {
-		return nil, err
-	}
-	rootCfg := hier.RootConfig{
-		Rounds:    sc.Rounds,
-		MinShards: sc.MinShards,
-		SecAgg:    sc.SecAgg,
-		Codec:     sc.Codec,
-		Journal:   rootJ2,
-	}
-	root, err := hier.RecoverRoot(rootPath, sc.Model, rootCfg)
-	if err != nil {
-		_ = rootJ2.Close()
-		return nil, err
-	}
-	verifier2 := tz.NewVerifier()
-	var fleet2 sync.WaitGroup
-	conns2 := make([]fl.Conn, sc.Shards)
-	edges := make([]*hier.Edge, sc.Shards)
-	edgeJ2s := make([]*journal.Journal, sc.Shards)
-	for s := 0; s < sc.Shards; s++ {
-		ej2, err := journal.Append(edgePath(s))
-		if err != nil {
-			return nil, err
-		}
-		edgeJ2s[s] = ej2
-		edge, err := hier.RecoverEdge(edgePath(s), scratchModel(sc.Model), hier.EdgeConfig{
-			Name:     shardName(s),
-			MaxCodec: sc.Codec,
-			Server:   shardServerCfg(&sc, s, verifier2, ej2),
-		})
-		if err != nil {
-			return nil, fmt.Errorf("flsim: recovering shard %d: %w", s, err)
-		}
-		edges[s] = edge
-		clientConns, err := startShardClients(&sc, profiles, shapes, verifier2, &fleet2, s)
-		if err != nil {
-			return nil, err
-		}
-		rootSide, edgeSide := fl.Pipe()
-		conns2[s] = rootSide
-		fleet2.Add(1)
-		go func(edge *hier.Edge, up fl.Conn, cs []fl.Conn) {
-			defer fleet2.Done()
-			runEdgeRecovering(edge, up, cs, nil)
-		}(edge, edgeSide, clientConns)
-	}
-	_, runErr := root.Run(conns2)
-	fleet2.Wait()
-	_ = rootJ2.Close()
-	for _, ej := range edgeJ2s {
-		_ = ej.Close()
-	}
-
-	selected := 0
-	for _, e := range edges {
-		selected += e.Selected
-	}
-	return &Result{
-		Selected: selected,
-		Rejected: sc.Clients - selected,
-		Trace:    root.Trace(),
-		Final:    sc.Model,
-		Profiles: profiles,
-	}, runErr
 }
 
 // RunHierWithEdgeCrash runs a hierarchical scenario in which one edge
@@ -424,122 +185,42 @@ func RunHierWithEdgeCrash(sc Scenario, shard, crashRound, rejoinRound int, dir s
 	if sc.MinShards > sc.Shards-1 {
 		return nil, errors.New("flsim: an edge crash needs MinShards headroom (MinShards <= Shards-1)")
 	}
-	profiles := assignProfiles(&sc)
-	shapes := shapesOf(sc.Model)
 	path := filepath.Join(dir, shardName(shard)+".journal")
-	ej, err := journal.Create(path)
-	if err != nil {
-		return nil, err
-	}
-
-	verifier := tz.NewVerifier()
-	var fleet sync.WaitGroup
-	edgeConns := make([]fl.Conn, sc.Shards)
-	edges := make([]*hier.Edge, sc.Shards)
 	crashedDown := make(chan struct{}) // closed once the dead edge's teardown and journal flush finish
-	for s := 0; s < sc.Shards; s++ {
-		clientConns, err := startShardClients(&sc, profiles, shapes, verifier, &fleet, s)
-		if err != nil {
-			return nil, err
-		}
-		var scfg fl.ServerConfig
-		var onCrash func()
-		if s == shard {
-			scfg = shardServerCfg(&sc, s, verifier, ej)
-			scfg.Hooks = fl.Hooks{RoundStarted: func(round int, _ []string) {
-				if round == crashRound {
-					panic(simCrash{round})
-				}
-			}}
-			onCrash = func() {
-				_ = ej.Close()
-				close(crashedDown)
-			}
-		} else {
-			scfg = shardServerCfg(&sc, s, verifier, nil)
-		}
-		edge := hier.NewEdge(scratchModel(sc.Model), hier.EdgeConfig{
-			Name:     shardName(s),
-			MaxCodec: sc.Codec,
-			Server:   scfg,
-		})
-		edges[s] = edge
-		rootSide, edgeSide := fl.Pipe()
-		edgeConns[s] = rootSide
-		fleet.Add(1)
-		go func(edge *hier.Edge, up fl.Conn, cs []fl.Conn, onCrash func()) {
-			defer fleet.Done()
-			runEdgeRecovering(edge, up, cs, onCrash)
-		}(edge, edgeSide, clientConns, onCrash)
-	}
-
-	var rejoined *hier.Edge
+	rejoined := false
 	var rejoinErr error
-	root := hier.NewRoot(sc.Model, hier.RootConfig{
-		Rounds:    sc.Rounds,
-		MinShards: sc.MinShards,
-		SecAgg:    sc.SecAgg,
-		Codec:     sc.Codec,
+	res, runErr := runTree(sc, assignProfiles(&sc), treeOpts{
+		edge: func(s int) tierOpts {
+			if s != shard {
+				return tierOpts{}
+			}
+			return tierOpts{journal: path, crash: &CrashSpec{Round: crashRound}}
+		},
+		edgeDown: func(int) { close(crashedDown) },
 		// Rejoin runs on the root's round goroutine and blocks until
 		// the crashed edge is rebuilt — which is exactly what makes the
 		// rejoin round deterministic.
-		Rejoin: func(round int) []fl.Conn {
-			if round != rejoinRound || rejoined != nil || rejoinErr != nil {
+		rejoin: func(t *tree, round int) []fl.Conn {
+			if round != rejoinRound || rejoined || rejoinErr != nil {
 				return nil
 			}
 			<-crashedDown
-			ej2, err := journal.Append(path)
+			conn, err := t.startEdge(shard, tierOpts{journal: path, recover: true})
 			if err != nil {
 				rejoinErr = err
 				return nil
 			}
-			edge, err := hier.RecoverEdge(path, scratchModel(sc.Model), hier.EdgeConfig{
-				Name:     shardName(shard),
-				MaxCodec: sc.Codec,
-				Server:   shardServerCfg(&sc, shard, verifier, ej2),
-			})
-			if err != nil {
-				rejoinErr = err
-				_ = ej2.Close()
-				return nil
-			}
-			clientConns, err := startShardClients(&sc, profiles, shapes, verifier, &fleet, shard)
-			if err != nil {
-				rejoinErr = err
-				_ = ej2.Close()
-				return nil
-			}
-			rejoined = edge
-			rootSide, edgeSide := fl.Pipe()
-			fleet.Add(1)
-			go func() {
-				defer fleet.Done()
-				defer ej2.Close()
-				runEdgeRecovering(edge, edgeSide, clientConns, nil)
-			}()
-			return []fl.Conn{rootSide}
+			rejoined = true
+			return []fl.Conn{conn}
 		},
 	})
-	_, runErr := root.Run(edgeConns)
-	fleet.Wait()
 	if runErr == nil && rejoinErr != nil {
 		runErr = fmt.Errorf("flsim: rejoining crashed shard: %w", rejoinErr)
 	}
-	if runErr == nil && rejoined == nil {
+	if runErr == nil && !rejoined {
 		runErr = errors.New("flsim: crashed shard never rejoined")
 	}
-
-	selected := 0
-	for _, e := range edges {
-		selected += e.Selected
-	}
-	return &Result{
-		Selected: selected,
-		Rejected: sc.Clients - selected,
-		Trace:    root.Trace(),
-		Final:    sc.Model,
-		Profiles: profiles,
-	}, runErr
+	return res, runErr
 }
 
 // RunHierWithPartition runs a hierarchical scenario in which shard's
@@ -562,58 +243,11 @@ func RunHierWithPartition(sc Scenario, shard, severRound int) (*Result, error) {
 	if sc.MinShards > sc.Shards-1 {
 		return nil, errors.New("flsim: a partition needs MinShards headroom (MinShards <= Shards-1)")
 	}
-	profiles := assignProfiles(&sc)
-	shapes := shapesOf(sc.Model)
-
-	verifier := tz.NewVerifier()
-	var fleet sync.WaitGroup
-	edgeConns := make([]fl.Conn, sc.Shards)
-	edges := make([]*hier.Edge, sc.Shards)
-	for s := 0; s < sc.Shards; s++ {
-		clientConns, err := startShardClients(&sc, profiles, shapes, verifier, &fleet, s)
-		if err != nil {
-			return nil, err
+	return runTree(sc, assignProfiles(&sc), treeOpts{roundStarted: func(t *tree, round int) {
+		if round == severRound {
+			// The partition: the link drops before the broadcast, so
+			// the send fails and the root drops the shard.
+			_ = t.edgeConns[shard].Close()
 		}
-		edge := hier.NewEdge(scratchModel(sc.Model), hier.EdgeConfig{
-			Name:     shardName(s),
-			MaxCodec: sc.Codec,
-			Server:   shardServerCfg(&sc, s, verifier, nil),
-		})
-		edges[s] = edge
-		rootSide, edgeSide := fl.Pipe()
-		edgeConns[s] = rootSide
-		fleet.Add(1)
-		go func(edge *hier.Edge, up fl.Conn, cs []fl.Conn) {
-			defer fleet.Done()
-			runEdgeRecovering(edge, up, cs, nil)
-		}(edge, edgeSide, clientConns)
-	}
-
-	root := hier.NewRoot(sc.Model, hier.RootConfig{
-		Rounds:    sc.Rounds,
-		MinShards: sc.MinShards,
-		SecAgg:    sc.SecAgg,
-		Codec:     sc.Codec,
-		Hooks: hier.Hooks{RoundStarted: func(round int, _ []string) {
-			if round == severRound {
-				// The partition: the link drops before the broadcast,
-				// so the send fails and the root drops the shard.
-				_ = edgeConns[shard].Close()
-			}
-		}},
-	})
-	_, runErr := root.Run(edgeConns)
-	fleet.Wait()
-
-	selected := 0
-	for _, e := range edges {
-		selected += e.Selected
-	}
-	return &Result{
-		Selected: selected,
-		Rejected: sc.Clients - selected,
-		Trace:    root.Trace(),
-		Final:    sc.Model,
-		Profiles: profiles,
-	}, runErr
+	}})
 }

@@ -65,15 +65,23 @@ func TestCrashRecoverBitIdenticalFlat(t *testing.T) {
 // TestCrashRecoverBitIdenticalHier: the root process dies mid-session
 // and the whole tree — root, every edge, a fresh fleet — recovers from
 // its journals; the completed run is bit-identical to one that never
-// crashed, plain and masked.
+// crashed, plain and masked — and under cohort sampling, which the
+// recovered shards must be configured with exactly as Run configures
+// them (every shard samples half its clients, and fast-forwards its
+// sampling RNG over the committed rounds).
 func TestCrashRecoverBitIdenticalHier(t *testing.T) {
-	for _, secAgg := range []bool{false, true} {
-		name := "plain"
-		if secAgg {
-			name = "masked"
-		}
-		t.Run(name, func(t *testing.T) {
-			base := Scenario{Clients: 12, Rounds: 6, MinClients: 1, Shards: 3, Seed: 7, SecAgg: secAgg}
+	cases := []struct {
+		name    string
+		sc      Scenario
+		sampled int // per-round fleet-wide cohort
+	}{
+		{"plain", Scenario{Clients: 12, Rounds: 6, MinClients: 1, Shards: 3, Seed: 7}, 12},
+		{"masked", Scenario{Clients: 12, Rounds: 6, MinClients: 1, Shards: 3, Seed: 7, SecAgg: true}, 12},
+		{"sampled", Scenario{Clients: 16, Rounds: 6, MinClients: 1, Shards: 4, Seed: 7, SampleFraction: 0.5}, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.sc
 			crashed := base
 			baseline, err := Run(base)
 			if err != nil {
@@ -87,6 +95,11 @@ func TestCrashRecoverBitIdenticalHier(t *testing.T) {
 				t.Fatalf("trace diverged\nbaseline:  %+v\nrecovered: %+v", baseline.Trace, recovered.Trace)
 			}
 			requireSameModel(t, "final model", recovered.Final, baseline.Final)
+			for _, st := range recovered.Trace {
+				if st.Sampled != tc.sampled {
+					t.Fatalf("round %d sampled %d clients, want %d", st.Round, st.Sampled, tc.sampled)
+				}
+			}
 		})
 	}
 }

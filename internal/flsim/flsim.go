@@ -1,5 +1,5 @@
 // Package flsim is a deterministic scenario-simulation harness for the
-// FL round engine: it spins up N in-memory clients over fl.Pipe with
+// FL round engine: it spins up N real fl.Clients over fl.Pipe with
 // per-client latency/failure/no-TEE profiles drawn from a seeded RNG,
 // drives the engine's round deadlines through a virtual clock, and
 // returns a round-by-round trace (participation, drops, quarantines,
@@ -19,18 +19,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sort"
-	"sync"
 	"time"
 
-	"github.com/gradsec/gradsec/internal/attack"
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/obs"
-	"github.com/gradsec/gradsec/internal/secagg"
-	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
-	"github.com/gradsec/gradsec/internal/tz"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
@@ -342,6 +335,11 @@ func (sc *Scenario) Validate() error {
 		if len(sc.Protect) > 0 && sc.SecAgg {
 			return errors.New("flsim: hierarchical secure aggregation cannot protect tensors (the sealed path needs the root's enclave)")
 		}
+		if m, _ := fl.ParseAggMethod(sc.Aggregation); m != fl.AggFedAvg {
+			// The edges' engines refuse it too (fl.ErrRobustPartials), but
+			// which shard's refusal the root reports first is a race.
+			return fmt.Errorf("flsim: %s aggregation needs a flat session (shard partials are sums, not per-client updates)", sc.Aggregation)
+		}
 		if sc.MinShards < 0 || sc.MinShards > sc.Shards {
 			return fmt.Errorf("flsim: MinShards %d outside [0,%d]", sc.MinShards, sc.Shards)
 		}
@@ -386,7 +384,9 @@ func (sc *Scenario) Validate() error {
 
 // assignProfiles deals straggler/failure/no-TEE roles across the fleet
 // from the scenario seed. Roles are disjoint: a straggler never also
-// fails (its failure would be unobservable anyway).
+// fails (its failure would be unobservable anyway). Per-shard fractions,
+// when the scenario gives any, then redraw those two roles shard by
+// shard.
 func assignProfiles(sc *Scenario) []Profile {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	n := sc.Clients
@@ -441,185 +441,8 @@ func assignProfiles(sc *Scenario) []Profile {
 	for k := 0; k < noTEE; k++ {
 		profiles[order[n-1-k]].NoTEE = true
 	}
+	overrideShardProfiles(sc, profiles)
 	return profiles
-}
-
-// simTA is the minimal trusted app simulated devices attest with.
-type simTA struct{ uuid tz.UUID }
-
-func (t *simTA) UUID() tz.UUID                                   { return t.uuid }
-func (t *simTA) Version() string                                 { return "flsim-1" }
-func (t *simTA) OpenSession(*tz.TAEnv) (any, error)              { return nil, nil }
-func (t *simTA) Invoke(*tz.TAEnv, any, uint32, any) (any, error) { return nil, nil }
-func (t *simTA) CloseSession(*tz.TAEnv, any)                     {}
-
-// simClient is one in-memory fleet member.
-type simClient struct {
-	index    int
-	profile  Profile
-	conn     fl.Conn
-	dev      *tz.Device // nil for no-TEE devices
-	app      *simTA
-	shapes   [][]int
-	seed     int64
-	positive bool    // PositiveDeltas scenarios draw from posDyadicDelta
-	gamma    float64 // poison amplification for Byzantine profiles
-	failed   bool
-
-	channel *tz.Channel           // trusted I/O path, when the device has a TEE
-	mask    *secagg.ClientSession // masking state in secagg sessions
-}
-
-// run speaks the client side of the FL protocol: attest, then answer
-// (or straggle / fail) every round addressed to it until Done. In
-// secure-aggregation sessions updates travel masked and the client
-// answers mask-reconciliation requests for dropped peers.
-func (c *simClient) run() {
-	defer c.conn.Close()
-	msg, err := c.conn.Recv()
-	if err != nil {
-		return
-	}
-	ch, ok := msg.(*fl.Challenge)
-	if !ok {
-		return
-	}
-	// Accept the server's codec offer wholesale: the negotiated codec
-	// governs every tensor this connection carries from here on.
-	att := &fl.Attest{DeviceID: c.profile.Device, HasTEE: c.dev != nil, Codec: ch.Codec}
-	if c.dev != nil {
-		quote, err := c.dev.Attest(c.app.UUID(), ch.Nonce)
-		if err != nil {
-			return
-		}
-		att.Quote = quote
-		offer, err := tz.NewChannelOffer()
-		if err != nil {
-			return
-		}
-		c.channel, err = offer.Establish(ch.ServerPub, false)
-		if err != nil {
-			return
-		}
-		att.ClientPub = offer.Public
-	}
-	if ch.SecAgg {
-		mask, err := secagg.NewClientSession(c.profile.Device, nil, int(ch.ScaleBits))
-		if err != nil {
-			return
-		}
-		c.mask = mask
-		att.MaskPub = mask.MaskPub()
-	}
-	if err := c.conn.Send(att); err != nil {
-		return
-	}
-	c.conn.SetCodec(ch.Codec)
-	for {
-		msg, err := c.conn.Recv()
-		if err != nil {
-			return // rejection close, quarantine close, or session end
-		}
-		switch m := msg.(type) {
-		case *fl.Reject, *fl.Done:
-			return
-		case *fl.ModelDown:
-			if c.profile.DropRound >= 0 && m.Round >= c.profile.DropRound {
-				return // goes dark: the deferred Close severs the pipe
-			}
-			if c.profile.Straggler {
-				continue // never answers inside the deadline
-			}
-			if !c.failed && c.profile.FailRound >= 0 && m.Round >= c.profile.FailRound {
-				c.failed = true
-				_ = c.conn.Send(&fl.ErrorMsg{Text: fmt.Sprintf("simulated training failure (round %d)", m.Round)})
-				continue // the engine quarantines (or probations) the client
-			}
-			if err := c.answerRound(m); err != nil {
-				return
-			}
-		case *fl.MaskRecon:
-			if c.mask == nil {
-				return
-			}
-			ans, err := c.mask.Reconcile(m.Round, m.Dropped, m.Survivors)
-			if err != nil {
-				return
-			}
-			if err := c.conn.Send(&fl.MaskShares{Round: m.Round, Shares: ans.Pairs, SeedShares: ans.Seeds}); err != nil {
-				return
-			}
-		default:
-			return
-		}
-	}
-}
-
-// answerRound builds the round's dyadic update and sends it plain or
-// masked, splitting protected tensors onto the sealed path.
-func (c *simClient) answerRound(m *fl.ModelDown) error {
-	delta := dyadicDelta(c.seed, c.index, m.Round)
-	if c.positive {
-		delta = posDyadicDelta(c.seed, c.index, m.Round)
-	}
-	examples := uint64(max(c.profile.Examples, 0))
-
-	// Protected positions are those the server sealed away from the
-	// plain view; the sealed blob names them.
-	var protIdx []int
-	if len(m.Sealed) > 0 {
-		if c.channel == nil {
-			return fmt.Errorf("sealed payload without a channel")
-		}
-		blob, err := c.channel.Open(m.Sealed)
-		if err != nil {
-			return err
-		}
-		if protIdx, _, err = fl.ParseSealedUpdate(blob); err != nil {
-			return err
-		}
-	}
-	protected := make(map[int]bool, len(protIdx))
-	for _, id := range protIdx {
-		protected[id] = true
-	}
-	plainUpd := make([]*tensor.Tensor, len(c.shapes))
-	protTs := make([]*tensor.Tensor, 0, len(protIdx))
-	for i, shape := range c.shapes {
-		upd := tensor.Full(delta, shape...)
-		if protected[i] {
-			protTs = append(protTs, upd)
-		} else {
-			plainUpd[i] = upd
-		}
-	}
-	// Byzantine clients transform the honest update before it leaves
-	// the device — the server sees a well-formed push.
-	switch c.profile.Poison {
-	case "signflip":
-		attack.SignFlip(plainUpd, c.gamma)
-		attack.SignFlip(protTs, c.gamma)
-	case "scale":
-		attack.ScalePoison(plainUpd, c.gamma)
-		attack.ScalePoison(protTs, c.gamma)
-	}
-	var sealedUpd []byte
-	if len(protIdx) > 0 {
-		sealedUpd = c.channel.Seal(fl.SealedUpdate(protIdx, protTs))
-	}
-
-	if c.mask == nil {
-		return c.conn.Send(&fl.GradUp{Round: m.Round, Plain: plainUpd, Sealed: sealedUpd, Examples: examples, Version: m.Version})
-	}
-	weight := uint64(1)
-	if examples > 0 {
-		weight = min(examples, fl.MaxExampleWeight)
-	}
-	levels, shares, err := c.mask.MaskedUpdate(m.Round, m.Cohort, m.MaskDegree, plainUpd, weight)
-	if err != nil {
-		return err
-	}
-	return c.conn.Send(&fl.MaskedUp{Round: m.Round, Levels: levels, Sealed: sealedUpd, Examples: examples, Shares: shares})
 }
 
 // staticProtect shields a fixed flat-index set every round.
@@ -627,34 +450,6 @@ type staticProtect map[int]bool
 
 // PlanRound implements fl.RoundPlanner.
 func (p staticProtect) PlanRound(int) (map[int]bool, []byte) { return p, nil }
-
-// buildClient provisions one simulated client — TEE device, TA install,
-// verifier registration — and returns it with the server side of its
-// transport pipe. Shared by the flat and hierarchical harnesses.
-func buildClient(i int, profile Profile, shapes [][]int, seed int64, verifier *tz.Verifier) (*simClient, fl.Conn, error) {
-	serverConn, clientConn := fl.Pipe()
-	c := &simClient{
-		index:   i,
-		profile: profile,
-		conn:    clientConn,
-		shapes:  shapes,
-		seed:    seed,
-	}
-	if !profile.NoTEE {
-		c.dev = tz.NewDevice(profile.Device)
-		c.app = &simTA{uuid: tz.NameUUID("flsim-ta")}
-		if err := c.dev.Install(c.app); err != nil {
-			return nil, nil, fmt.Errorf("flsim: installing TA on %s: %w", profile.Device, err)
-		}
-		verifier.RegisterDevice(c.dev.Identity().ID(), c.dev.Identity().RootKey())
-		m, err := c.dev.Measurement(c.app.UUID())
-		if err != nil {
-			return nil, nil, fmt.Errorf("flsim: measuring TA on %s: %w", profile.Device, err)
-		}
-		verifier.AllowMeasurement(m)
-	}
-	return c, serverConn, nil
-}
 
 // Run executes the scenario and returns its trace. The trace and final
 // model are identical across runs of the same scenario — including
@@ -664,194 +459,5 @@ func Run(sc Scenario) (*Result, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	profiles := assignProfiles(&sc)
-	if sc.Shards > 1 {
-		overrideShardProfiles(&sc, profiles)
-		return runHier(sc, profiles)
-	}
-	return runFlat(sc, profiles, flatOpts{})
-}
-
-// flatOpts are the fault-injection hooks of the flat harness: a
-// write-ahead journal for the engine, a crash trigger, and a journal
-// path to recover from. Zero opts run the scenario plainly.
-type flatOpts struct {
-	// journal, when set, is handed to the engine (write-through WAL).
-	journal *journal.Journal
-	// recoverPath, when non-empty, rebuilds the server with fl.Recover
-	// from that journal instead of opening a fresh session; the fleet
-	// then rejoins via Resume.
-	recoverPath string
-	// crash, when set, panics out of the engine's round goroutine at
-	// the configured point; runFlat recovers the panic, aborts the
-	// session, and returns ErrSimCrash.
-	crash *CrashSpec
-}
-
-// runFlat executes a validated flat scenario over the given profiles.
-func runFlat(sc Scenario, profiles []Profile, opt flatOpts) (*Result, error) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	start := clk.Now()
-
-	planner := sc.Planner
-	if planner == nil && len(sc.Protect) > 0 {
-		pm := make(staticProtect, len(sc.Protect))
-		for _, id := range sc.Protect {
-			pm[id] = true
-		}
-		planner = pm
-	}
-	var enclave *secagg.Enclave
-	if sc.SecAgg && len(sc.Protect) > 0 {
-		var err error
-		enclave, err = secagg.NewEnclave("flsim-aggregator")
-		if err != nil {
-			return nil, fmt.Errorf("flsim: booting aggregation enclave: %w", err)
-		}
-		defer enclave.Close()
-	}
-
-	verifier := tz.NewVerifier()
-	clients := make([]*simClient, sc.Clients)
-	serverConns := make([]fl.Conn, sc.Clients)
-	shapes := make([][]int, len(sc.Model))
-	for i, t := range sc.Model {
-		shapes[i] = t.Shape
-	}
-	for i := range clients {
-		c, serverConn, err := buildClient(i, profiles[i], shapes, sc.Seed, verifier)
-		if err != nil {
-			return nil, err
-		}
-		c.positive = sc.PositiveDeltas
-		c.gamma = sc.PoisonGamma
-		clients[i] = c
-		serverConns[i] = serverConn
-	}
-
-	// The harness rides the engine hooks (all fired from the round
-	// goroutine): once every on-time cohort member has either folded or
-	// been quarantined, only stragglers remain and the deadline may
-	// fire, so advance the virtual clock. Roles are seed-deterministic,
-	// hence so is every advance — and the whole trace.
-	type roundWait struct {
-		outstanding int // sampled clients that will answer (fold or fail)
-		stragglers  int // sampled clients that never answer
-	}
-	var wait roundWait
-	byDevice := make(map[string]*simClient, len(clients))
-	for _, c := range clients {
-		byDevice[c.profile.Device] = c
-	}
-	var quarantined []string
-	hooks := fl.Hooks{
-		RoundStarted: func(round int, sampled []string) {
-			wait = roundWait{}
-			for _, d := range sampled {
-				if byDevice[d].profile.Straggler {
-					wait.stragglers++
-				} else {
-					wait.outstanding++
-				}
-			}
-			if wait.outstanding == 0 && wait.stragglers > 0 {
-				clk.Advance(sc.Deadline)
-			}
-		},
-		UpdateFolded: func(int, string) {
-			wait.outstanding--
-			if wait.outstanding == 0 && wait.stragglers > 0 {
-				clk.Advance(sc.Deadline)
-			}
-		},
-		ClientQuarantined: func(device string, _ error) {
-			quarantined = append(quarantined, device)
-			wait.outstanding--
-			if wait.outstanding == 0 && wait.stragglers > 0 {
-				clk.Advance(sc.Deadline)
-			}
-		},
-		ClientProbationed: func(device string, _ error) {
-			quarantined = append(quarantined, device)
-			wait.outstanding--
-			if wait.outstanding == 0 && wait.stragglers > 0 {
-				clk.Advance(sc.Deadline)
-			}
-		},
-	}
-
-	if opt.crash != nil {
-		hooks = installCrash(hooks, *opt.crash)
-	}
-
-	aggMethod, _ := fl.ParseAggMethod(sc.Aggregation) // validated
-	cfg := fl.ServerConfig{
-		Rounds:           sc.Rounds,
-		MinClients:       sc.MinClients,
-		SampleCount:      sc.SampleCount,
-		SampleFraction:   sc.SampleFraction,
-		SampleSeed:       sc.Seed,
-		RoundDeadline:    sc.Deadline,
-		RequireTEE:       sc.RequireTEE,
-		Codec:            sc.Codec,
-		SecAgg:           sc.SecAgg,
-		MaskDegree:       sc.MaskDegree,
-		Enclave:          enclave,
-		QuarantineRounds: sc.QuarantineRounds,
-		Aggregation:      aggMethod,
-		TrimFraction:     sc.TrimFraction,
-		Verifier:         verifier,
-		Planner:          planner,
-		Clock:            clk,
-		Hooks:            hooks,
-		Journal:          opt.journal,
-		Metrics:          sc.Metrics,
-		Spans:            obs.NewTraceSink(sc.Spans, clk),
-	}
-	var srv *fl.Server
-	if opt.recoverPath != "" {
-		var err error
-		srv, err = fl.Recover(opt.recoverPath, sc.Model, cfg)
-		if err != nil {
-			for _, conn := range serverConns {
-				_ = conn.Close()
-			}
-			return nil, err
-		}
-	} else {
-		srv = fl.NewServer(sc.Model, cfg)
-	}
-
-	var fleet sync.WaitGroup
-	for _, c := range clients {
-		fleet.Add(1)
-		go func(c *simClient) {
-			defer fleet.Done()
-			c.run()
-		}(c)
-	}
-	selected, runErr := runOrCrash(srv, serverConns)
-	// A run that failed before selection (config validation) never
-	// touched the conns; close them so the fleet unblocks.
-	for _, conn := range serverConns {
-		_ = conn.Close()
-	}
-	fleet.Wait()
-
-	sort.Strings(quarantined) // arrival order within a round can race; the set cannot
-
-	res := &Result{
-		Selected:    selected,
-		Rejected:    sc.Clients - selected,
-		Trace:       srv.Trace(),
-		Final:       sc.Model,
-		Profiles:    profiles,
-		Quarantined: quarantined,
-		Elapsed:     clk.Now().Sub(start),
-		Idle:        idleFromTrace(srv.Trace(), sc.Deadline),
-	}
-	if enclave != nil {
-		res.EnclaveSMCs = enclave.Device().SMCCount()
-	}
-	return res, runErr
+	return runTree(sc, assignProfiles(&sc), treeOpts{})
 }

@@ -1,18 +1,11 @@
 package flsim
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
 	"sync"
 	"time"
 
-	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/hier"
-	"github.com/gradsec/gradsec/internal/obs"
 	"github.com/gradsec/gradsec/internal/simclock"
-	"github.com/gradsec/gradsec/internal/tensor"
-	"github.com/gradsec/gradsec/internal/tz"
 )
 
 // shardRange returns shard s's contiguous client range [lo, hi): the
@@ -65,8 +58,9 @@ func overrideShardProfiles(sc *Scenario, profiles []Profile) {
 // hierWait advances the shared virtual clock once every shard with a
 // round in flight is blocked on its deadline — all its answering
 // sampled clients have folded (or been quarantined) and only stragglers
-// remain — the multi-shard generalisation of the flat harness's wait
-// accounting. A shard that is still folding, or has moved on to mask
+// remain. A flat session is the one-shard case with nobody addressing
+// it. Roles are seed-deterministic, hence so is every advance — and the
+// whole trace. A shard that is still folding, or has moved on to mask
 // reconciliation, holds the clock: reconciliation arms its own deadline
 // timer on the same clock, and an advance meant for another shard's
 // stragglers would expire it before the survivors could answer. The
@@ -143,161 +137,4 @@ func (w *hierWait) roundClosed(shard int) {
 	defer w.mu.Unlock()
 	w.shards[shard].open = false
 	w.maybeAdvance()
-}
-
-// runHier executes a multi-tier scenario: the fleet is partitioned
-// into sc.Shards contiguous shards, each served by a hier.Edge running
-// the full round protocol over fl.Pipe, and a hier.Root folds one
-// partial per shard per round. Called by Run when sc.Shards > 1.
-func runHier(sc Scenario, profiles []Profile) (*Result, error) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	start := clk.Now()
-
-	var planner fl.RoundPlanner = sc.Planner
-	if planner == nil && len(sc.Protect) > 0 {
-		pm := make(staticProtect, len(sc.Protect))
-		for _, id := range sc.Protect {
-			pm[id] = true
-		}
-		planner = pm
-	}
-
-	verifier := tz.NewVerifier()
-	shapes := make([][]int, len(sc.Model))
-	for i, t := range sc.Model {
-		shapes[i] = t.Shape
-	}
-
-	wait := &hierWait{clk: clk, deadline: sc.Deadline, shards: make([]shardWait, sc.Shards)}
-	byDevice := make(map[string]*simClient, sc.Clients)
-	var mu sync.Mutex
-	var quarantined []string
-	shardHooks := func(shard int) fl.Hooks {
-		sanctioned := func(device string, _ error) {
-			mu.Lock()
-			quarantined = append(quarantined, device)
-			mu.Unlock()
-			wait.drained(shard)
-		}
-		return fl.Hooks{
-			RoundStarted: func(round int, sampled []string) {
-				stragglers, answering := 0, 0
-				for _, d := range sampled {
-					if byDevice[d].profile.Straggler {
-						stragglers++
-					} else {
-						answering++
-					}
-				}
-				wait.roundStarted(shard, stragglers, answering)
-			},
-			UpdateFolded:      func(int, string) { wait.drained(shard) },
-			ClientQuarantined: sanctioned,
-			ClientProbationed: sanctioned,
-			RoundClosed:       func(fl.RoundStats) { wait.roundClosed(shard) },
-		}
-	}
-
-	edges := make([]*hier.Edge, sc.Shards)
-	edgeConns := make([]fl.Conn, sc.Shards)
-	var edgeMetrics []*obs.Registry
-	if sc.FleetTelemetry {
-		edgeMetrics = make([]*obs.Registry, sc.Shards)
-	}
-	var fleet sync.WaitGroup
-	for s := 0; s < sc.Shards; s++ {
-		lo, hi := shardRange(sc.Clients, sc.Shards, s)
-		clientConns := make([]fl.Conn, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			c, serverConn, err := buildClient(i, profiles[i], shapes, sc.Seed, verifier)
-			if err != nil {
-				return nil, err
-			}
-			c.positive = sc.PositiveDeltas
-			byDevice[c.profile.Device] = c
-			clientConns = append(clientConns, serverConn)
-			fleet.Add(1)
-			go func(c *simClient) {
-				defer fleet.Done()
-				c.run()
-			}(c)
-		}
-		// The edge owns a model-shaped scratch state; values are
-		// overwritten by the root's broadcast every round.
-		edgeState := make([]*tensor.Tensor, len(sc.Model))
-		for i, t := range sc.Model {
-			edgeState[i] = tensor.New(t.Shape...)
-		}
-		scfg := fl.ServerConfig{
-			MinClients:       sc.MinClients,
-			SampleCount:      sc.SampleCount,
-			SampleFraction:   sc.SampleFraction,
-			SampleSeed:       sc.Seed + int64(s) + 1,
-			RoundDeadline:    sc.Deadline,
-			RequireTEE:       sc.RequireTEE,
-			Verifier:         verifier,
-			Codec:            sc.Codec,
-			QuarantineRounds: sc.QuarantineRounds,
-			Planner:          planner,
-			Clock:            clk,
-			Hooks:            shardHooks(s),
-		}
-		if sc.FleetTelemetry {
-			// A private per-shard registry: its deltas ride each PartialUp
-			// upstream and fold into sc.Metrics at the root.
-			edgeMetrics[s] = obs.NewRegistry()
-			scfg.Metrics = edgeMetrics[s]
-		}
-		if len(sc.EdgeSpans) > 0 {
-			scfg.Spans = obs.NewTraceSink(sc.EdgeSpans[s], clk)
-		}
-		edge := hier.NewEdge(edgeState, hier.EdgeConfig{
-			Name:     fmt.Sprintf("edge-%03d", s),
-			MaxCodec: sc.Codec,
-			Server:   scfg,
-		})
-		edges[s] = edge
-		rootSide, edgeSide := fl.Pipe()
-		edgeConns[s] = rootSide
-		fleet.Add(1)
-		go func(edge *hier.Edge, upstream fl.Conn, clients []fl.Conn) {
-			defer fleet.Done()
-			_ = edge.Run(upstream, clients) // shard loss degrades the root, never the harness
-		}(edge, edgeSide, clientConns)
-	}
-
-	root := hier.NewRoot(sc.Model, hier.RootConfig{
-		Rounds:     sc.Rounds,
-		MinShards:  sc.MinShards,
-		SecAgg:     sc.SecAgg,
-		MaskDegree: sc.MaskDegree,
-		Codec:      sc.Codec,
-		Clock:      clk,
-		Metrics:    sc.Metrics,
-		Spans:      obs.NewTraceSink(sc.Spans, clk),
-		Hooks: hier.Hooks{RoundStarted: func(_ int, shards []string) {
-			wait.fleetRoundStarted(len(shards))
-		}},
-	})
-	_, runErr := root.Run(edgeConns)
-	fleet.Wait()
-
-	sort.Strings(quarantined) // arrival order within a round can race; the set cannot
-
-	selected := 0
-	for _, e := range edges {
-		selected += e.Selected
-	}
-	res := &Result{
-		Selected:    selected,
-		Rejected:    sc.Clients - selected,
-		Trace:       root.Trace(),
-		Final:       sc.Model,
-		Profiles:    profiles,
-		Quarantined: quarantined,
-		Elapsed:     clk.Now().Sub(start),
-		Idle:        idleFromTrace(root.Trace(), sc.Deadline),
-		EdgeMetrics: edgeMetrics,
-	}
-	return res, runErr
 }

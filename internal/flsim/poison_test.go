@@ -135,6 +135,35 @@ func TestPoisonedRunsAreDeterministic(t *testing.T) {
 	}
 }
 
+// TestHierPoisonMatchesFlat: a poisoner is a device, not a topology —
+// sharding the fleet must not change what it pushes. Plain FedAvg over
+// 25% sign-flippers at the scenario's γ lands on the same model, bit
+// for bit, flat and through four edges.
+func TestHierPoisonMatchesFlat(t *testing.T) {
+	base := poisonScenario("fedavg", 0, 0.25)
+	flat, err := Run(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hierSc := base
+	hierSc.Shards = 4
+	hier, err := Run(hierSc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameModel(t, "4-shard poisoned model", hier.Final, flat.Final)
+	if clean, _ := Run(poisonScenario("fedavg", 0, 0)); modelSum(hier.Final) >= modelSum(clean.Final)/2 {
+		t.Fatalf("γ=4 sign-flippers should drag the hierarchical FedAvg well below the clean run: %v vs %v",
+			modelSum(hier.Final), modelSum(clean.Final))
+	}
+	// Robust aggregation cannot defend a hierarchy (shard partials are
+	// sums): refused up front, not silently run as FedAvg at the edges.
+	hierSc.Aggregation = "median"
+	if _, err := Run(hierSc); err == nil {
+		t.Fatal("robust aggregation over shards must be rejected")
+	}
+}
+
 // TestRobustSecAggRejected: the composition is structurally impossible
 // and must fail loudly at open, not silently fall back.
 func TestRobustSecAggRejected(t *testing.T) {

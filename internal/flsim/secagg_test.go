@@ -295,7 +295,7 @@ func TestQuarantineProbationScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every failer fails exactly once (simClients recover), so the
+	// Every failer fails exactly once (simulated devices recover), so the
 	// quarantine log matches the permanent-exclusion scenario…
 	if len(res.Quarantined) != 3 {
 		t.Fatalf("quarantined %v, want 3 devices", res.Quarantined)
