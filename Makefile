@@ -17,13 +17,14 @@
 #   make smoke-hier   run the hierarchical flat-vs-hier walkthrough end to end
 #   make smoke-recovery run the crash-and-recover walkthrough end to end
 #   make smoke-async  run the sync-vs-async walkthrough end to end
+#   make smoke-dynamicwindow run the moving-window cost walkthrough end to end
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check
 
 build:
 	$(GO) build ./...
@@ -87,7 +88,14 @@ smoke-recovery:
 smoke-async:
 	$(GO) run ./examples/async
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async
+# The paper's core as a smoke test: the dynamic plan's Table 6 cost from
+# the analytic model, then one window period of live secure training on
+# a simulated device. It exits non-zero when the live clock and the
+# model differ by a nanosecond on any cycle.
+smoke-dynamicwindow:
+	$(GO) run ./examples/dynamicwindow
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
 # the default) vs enclave aggregation at 64/256/1024 clients. Three

@@ -37,7 +37,6 @@ import (
 
 	"github.com/gradsec/gradsec/internal/core"
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/hier"
 	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/obs"
@@ -86,8 +85,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	adminSec := obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
-
 	codec, err := wire.ParseCodec(*codecName)
 	if err != nil {
 		log.Fatal(err)
@@ -103,22 +100,20 @@ func main() {
 		log.Fatal("-recover needs the crashed session's -journal")
 	}
 
-	if *edges > 0 {
-		if *async {
-			log.Fatal("-async is a flat-server mode (incompatible with -edges)")
-		}
-		if aggMethod != fl.AggFedAvg {
-			log.Fatal("-aggregation trimmed-mean/median is a flat-server mode (incompatible with -edges)")
-		}
-		runRoot(*addr, *edges, *rounds, *minShards, *minRelease, *deadline, *ioTimeout, codec, *secAgg, *secAggScale, *maskDegree, *journalPath, *recoverRun, *adminAddr, *spansPath, adminSec)
-		return
+	root := *edges > 0
+	if root && *async {
+		log.Fatal("-async is a flat-server mode (incompatible with -edges)")
+	}
+	if root && aggMethod != fl.AggFedAvg {
+		log.Fatal("-aggregation trimmed-mean/median is a flat-server mode (incompatible with -edges)")
 	}
 	if *async && *secAgg {
 		log.Fatal("-async aggregates plaintext updates (incompatible with -secagg)")
 	}
 
+	// A root plans nothing: each edge plans its own shard's rounds.
 	var protect []int
-	if trimmed := strings.TrimSpace(*layers); trimmed != "" && trimmed != "none" {
+	if trimmed := strings.TrimSpace(*layers); !root && trimmed != "" && trimmed != "none" {
 		for _, part := range strings.Split(trimmed, ",") {
 			l, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || l < 1 {
@@ -164,7 +159,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tel.Security = adminSec
+	tel.Security = obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
 	defer closeTelemetry(tel)
 	var srvHolder atomic.Pointer[fl.Server]
 	serveAdmin(tel, *adminAddr, func() obs.Health {
@@ -196,42 +191,52 @@ func main() {
 	if aggMethod != fl.AggFedAvg {
 		mode = fmt.Sprintf("Byzantine-robust aggregation (%s)", aggMethod)
 	}
-	fmt.Printf("flserver listening on %s; waiting for %d clients (plan %s, codec %s, %s)\n",
-		l.Addr(), *clients, planDesc, codec, mode)
+	peers, peer, dropped := *clients, "client", "quarantined"
+	if root {
+		peers, peer, dropped = *edges, "edge", "dropped edge"
+		mode = "plain partial sums"
+		if *secAgg {
+			mode = "masked ring partials (shard-scoped secure aggregation)"
+		}
+		fmt.Printf("flserver (root) listening on %s; waiting for %d edge aggregators (codec %s, %s)\n",
+			l.Addr(), peers, codec, mode)
+	} else {
+		fmt.Printf("flserver listening on %s; waiting for %d clients (plan %s, codec %s, %s)\n",
+			l.Addr(), peers, planDesc, codec, mode)
+	}
 
-	conns := make([]fl.Conn, 0, *clients)
-	for len(conns) < *clients {
+	conns := make([]fl.Conn, 0, peers)
+	for len(conns) < peers {
 		c, err := l.Accept()
 		if err != nil {
 			log.Fatal(err)
 		}
 		conns = append(conns, c)
-		fmt.Printf("client %d connected\n", len(conns))
+		fmt.Printf("%s %d connected\n", peer, len(conns))
 	}
 
+	// What the flat server and the hierarchy root share: the root is the
+	// same engine over edge peers — one partial fold per shard per round,
+	// fan-in O(shards) instead of O(fleet).
 	cfg := fl.ServerConfig{
-		Rounds:           *rounds,
-		Planner:          planner,
-		MinClients:       *minClients,
-		SampleFraction:   *sampleFraction,
-		SampleCount:      *sampleCount,
-		SampleSeed:       *seed,
-		RoundDeadline:    *deadline,
-		Codec:            codec,
-		IOTimeout:        *ioTimeout,
-		SecAgg:           *secAgg,
-		SecAggScaleBits:  *secAggScale,
-		MaskDegree:       *maskDegree,
-		Enclave:          enclave,
-		QuarantineRounds: *quarantineRounds,
-		MinRelease:       *minRelease,
-		AdaptiveCodec:    *adaptiveCodec,
-		Journal:          jnl,
-		Aggregation:      aggMethod,
-		TrimFraction:     *trim,
-		Metrics:          tel.Metrics,
-		Spans:            tel.Spans,
-		ClientTelemetry:  *clientTelemetry,
+		EdgePeers:       root,
+		Rounds:          *rounds,
+		MinClients:      *minClients,
+		RoundDeadline:   *deadline,
+		Codec:           codec,
+		IOTimeout:       *ioTimeout,
+		SecAgg:          *secAgg,
+		SecAggScaleBits: *secAggScale,
+		MaskDegree:      *maskDegree,
+		MinRelease:      *minRelease,
+		Journal:         jnl,
+		Metrics:         tel.Metrics,
+		Spans:           tel.Spans,
+		// Flat-server modes: none of these is set under -edges.
+		Planner:      planner,
+		Enclave:      enclave,
+		Aggregation:  aggMethod,
+		TrimFraction: *trim,
 		Async: fl.AsyncConfig{
 			Enabled:         *async,
 			GoalUpdates:     *goalUpdates,
@@ -241,16 +246,28 @@ func main() {
 		},
 		Hooks: fl.Hooks{
 			ClientQuarantined: func(device string, reason error) {
-				fmt.Printf("quarantined %s: %v\n", device, reason)
+				fmt.Printf("%s %s: %v\n", dropped, device, reason)
 			},
 			ClientProbationed: func(device string, reason error) {
 				fmt.Printf("probationed %s: %v\n", device, reason)
 			},
 			RoundClosed: func(st fl.RoundStats) {
+				if root {
+					fmt.Printf("round %d: %d shards, sampled %d, responded %d, dropped %d, reconciled %d, |update| %.4f\n",
+						st.Round, st.Shards, st.Sampled, st.Responded, st.Dropped, st.Reconciled, st.UpdateNorm)
+					return
+				}
 				fmt.Printf("round %d: sampled %d, responded %d, dropped %d, probation %d, quarantined %d, reconciled %d, |update| %.4f\n",
 					st.Round, st.Sampled, st.Responded, st.Dropped, st.Probation, st.Quarantined, st.Reconciled, st.UpdateNorm)
 			},
 		},
+	}
+	if root {
+		cfg.MinClients = *minShards
+	} else {
+		// The client-facing policies: under a root they are each edge's own.
+		cfg.SampleFraction, cfg.SampleCount, cfg.SampleSeed = *sampleFraction, *sampleCount, *seed
+		cfg.QuarantineRounds, cfg.AdaptiveCodec, cfg.ClientTelemetry = *quarantineRounds, *adaptiveCodec, *clientTelemetry
 	}
 	var srv *fl.Server
 	if *recoverRun {
@@ -288,8 +305,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "session failed: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("session complete: %d clients, %d %s, %d parameter tensors aggregated\n",
-		selected, *rounds, unit, len(srv.State()))
+	fmt.Printf("session complete: %d %ss, %d %s, %d parameter tensors aggregated\n",
+		selected, peer, *rounds, unit, len(srv.State()))
 }
 
 // abortOnSignal arranges a graceful shutdown: the first SIGINT/SIGTERM
@@ -340,110 +357,4 @@ func openJournal(path string, resume bool) (*journal.Journal, error) {
 		return journal.Append(path)
 	}
 	return journal.Create(path)
-}
-
-// runRoot drives the hierarchical root: N edge aggregators instead of
-// N clients, one partial fold per shard per round.
-func runRoot(addr string, edges, rounds, minShards, minRelease int, shardDeadline, ioTimeout time.Duration, codec wire.Codec, secAgg bool, secAggScale, maskDegree int, journalPath string, recoverRun bool, adminAddr, spansPath string, adminSec obs.AdminSecurity) {
-	global := nn.NewLeNet5Mini(rand.New(rand.NewSource(7)), nn.ActReLU)
-	jnl, err := openJournal(journalPath, recoverRun)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
-	tel, err := obs.OpenTelemetry(adminAddr, spansPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tel.Security = adminSec
-	defer closeTelemetry(tel)
-	var rootHolder atomic.Pointer[hier.Root]
-	serveAdmin(tel, adminAddr, func() obs.Health {
-		r := rootHolder.Load()
-		if r == nil {
-			return obs.Health{Rounds: rounds}
-		}
-		trace := r.Trace()
-		h := obs.Health{Open: len(trace) < rounds, Rounds: rounds, Roster: edges}
-		if n := len(trace); n > 0 {
-			h.Round = trace[n-1].Round + 1
-		}
-		if jnl != nil {
-			h.JournalLag = int(jnl.Pending())
-		}
-		return h
-	})
-	l, err := fl.Listen(addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer l.Close()
-	mode := "plain partial sums"
-	if secAgg {
-		mode = "masked ring partials (shard-scoped secure aggregation)"
-	}
-	fmt.Printf("flserver (root) listening on %s; waiting for %d edge aggregators (codec %s, %s)\n",
-		l.Addr(), edges, codec, mode)
-	conns := make([]fl.Conn, 0, edges)
-	for len(conns) < edges {
-		c, err := l.Accept()
-		if err != nil {
-			log.Fatal(err)
-		}
-		conns = append(conns, c)
-		fmt.Printf("edge %d connected\n", len(conns))
-	}
-	rootCfg := hier.RootConfig{
-		Rounds:          rounds,
-		MinShards:       minShards,
-		ShardDeadline:   shardDeadline,
-		Codec:           codec,
-		SecAgg:          secAgg,
-		SecAggScaleBits: secAggScale,
-		MaskDegree:      maskDegree,
-		MinRelease:      minRelease,
-		IOTimeout:       ioTimeout,
-		Journal:         jnl,
-		Metrics:         tel.Metrics,
-		Spans:           tel.Spans,
-		Hooks: hier.Hooks{
-			ShardDropped: func(shard string, reason error) {
-				fmt.Printf("dropped edge %s: %v\n", shard, reason)
-			},
-			RoundClosed: func(st fl.RoundStats) {
-				fmt.Printf("round %d: %d shards, sampled %d, responded %d, dropped %d, reconciled %d, |update| %.4f\n",
-					st.Round, st.Shards, st.Sampled, st.Responded, st.Dropped, st.Reconciled, st.UpdateNorm)
-			},
-		},
-	}
-	var root *hier.Root
-	if recoverRun {
-		root, err = hier.RecoverRoot(journalPath, global.StateDict(), rootCfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recovered root session from %s\n", journalPath)
-	} else {
-		root = hier.NewRoot(global.StateDict(), rootCfg)
-	}
-	rootHolder.Store(root)
-	var interrupted atomic.Bool
-	abortOnSignal(&interrupted, conns)
-	enrolled, err := root.Run(conns)
-	if interrupted.Load() {
-		if jnl != nil {
-			_ = jnl.Sync()
-		}
-		closeTelemetry(tel)
-		fmt.Printf("session interrupted: %d rounds committed, telemetry flushed\n", len(root.Trace()))
-		return
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "session failed: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("session complete: %d edge aggregators, %d rounds, fan-in O(shards) at the root\n",
-		enrolled, rounds)
 }

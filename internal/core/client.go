@@ -75,32 +75,31 @@ func (c *GradSecClient) TrainRound(round int, plain []*tensor.Tensor, sealed []b
 		}
 		copy(flat[i].Data, p.Data)
 	}
-	// Adopt the server's plan for this round.
+	// Adopt the server's plan for this round. No plan means nothing is
+	// protected: the placeholder plan the trainer was built with must not
+	// shield layers the server never asked for (it would pay TEE cost for
+	// them, and send a sealed half no masked round accepts).
+	var plan *Plan
 	if len(planBlob) > 0 {
-		plan, err := DecodePlan(planBlob)
-		if err != nil {
+		var err error
+		if plan, err = DecodePlan(planBlob); err != nil {
 			return nil, nil, fmt.Errorf("core: decoding plan: %w", err)
 		}
 		if err := plan.Validate(c.trainer.net.NumLayers()); err != nil {
 			return nil, nil, fmt.Errorf("core: validating plan: %w", err)
 		}
-		c.trainer.plan = plan
 	}
+	c.trainer.plan = plan
 	// Load protected weights into the TA first; RunCycle's beginCycle
 	// must then treat those layers' TA copies as authoritative.
 	if len(sealed) > 0 {
 		if err := c.trainer.LoadSealedWeights(sealed); err != nil {
 			return nil, nil, err
 		}
-		for i, p := range plain {
-			if p != nil {
-				continue
+		for l, r := range flatRanges(c.trainer.net) {
+			if r.start < r.end && plain[r.start] == nil {
+				c.trainer.taAuthoritative[l] = true
 			}
-			layer, _, err := locateFlat(flatRanges(c.trainer.net), i)
-			if err != nil {
-				return nil, nil, err
-			}
-			c.trainer.taAuthoritative[layer] = true
 		}
 	}
 	res, err := c.trainer.RunCycle(round)

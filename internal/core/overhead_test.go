@@ -45,7 +45,7 @@ func TestTEEMemoryMatchesTable6(t *testing.T) {
 
 // Table 6's training-time rows (user+kernel+alloc seconds). The cost
 // model is calibrated, so the totals must track the paper within
-// tolerance (DESIGN.md §4.3 documents the known L1 deviation).
+// tolerance (docs/COSTMODEL.md documents the known L1 deviation).
 func TestCycleCostMatchesTable6(t *testing.T) {
 	net := lenet(t)
 	sim := NewOverheadSim(net)

@@ -13,7 +13,8 @@
 // weights, activations, pre-activations, deltas and gradients confined to
 // the TrustZone simulator's secure world, closing both gradient-leakage
 // flaws of §6. The OverheadSim reproduces the paper's cost accounting
-// (Table 6) from the same layer metadata.
+// (Table 6) analytically, from the one cost table the trainer charges as
+// it runs (docs/COSTMODEL.md).
 package core
 
 import (
@@ -155,8 +156,12 @@ func normalizeLayers(layers []int) ([]int, error) {
 	return set, nil
 }
 
-// Validate checks the plan against a concrete model size.
+// Validate checks the plan against a concrete model size. A nil plan —
+// no protection at all — is valid for any model.
 func (p *Plan) Validate(numLayers int) error {
+	if p == nil {
+		return nil
+	}
 	switch p.Mode {
 	case ModeStatic, ModeDarkneTZ:
 		if len(p.Layers) == 0 {
@@ -192,8 +197,12 @@ func (p *Plan) Validate(numLayers int) error {
 // cycle. Dynamic plans use a deterministic largest-remainder schedule:
 // over any horizon of C cycles, position k is used ≈VMW[k]·C times, with
 // positions interleaved as evenly as possible (the paper fixes the
-// distribution statically; determinism makes runs reproducible).
+// distribution statically; determinism makes runs reproducible). A nil
+// plan shields nothing.
 func (p *Plan) ProtectedLayers(cycle, numLayers int) []int {
+	if p == nil {
+		return nil
+	}
 	switch p.Mode {
 	case ModeStatic, ModeDarkneTZ:
 		return append([]int(nil), p.Layers...)

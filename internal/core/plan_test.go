@@ -224,20 +224,11 @@ func mustDynamic(t *testing.T, size int, vmw []float64) *Plan {
 	return p
 }
 
-func TestContiguousRuns(t *testing.T) {
-	tests := []struct {
-		in   []int
-		want int
-	}{
-		{[]int{1, 4}, 2},    // L2+L5: two runs (the paper's grouped protection)
-		{[]int{1, 2, 3}, 1}, // contiguous slice: one run
-		{[]int{0}, 1},       // single layer
-		{[]int{0, 2, 4}, 3}, // fully scattered
-		{nil, 0},            // baseline
+func mustUniform(t *testing.T, size, numLayers int) *Plan {
+	t.Helper()
+	p, err := UniformDynamicPlan(size, numLayers)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range tests {
-		if got := len(contiguousRuns(tc.in)); got != tc.want {
-			t.Errorf("contiguousRuns(%v) = %d runs, want %d", tc.in, got, tc.want)
-		}
-	}
+	return p
 }

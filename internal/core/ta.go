@@ -3,40 +3,34 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	ad "github.com/gradsec/gradsec/internal/autodiff"
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
 )
 
 // Request/response types crossing the world boundary. Inputs may carry
 // normal-world tensors; responses are screened by the device against the
-// secure registry.
+// secure registry. beginCycle answers with the declassified weights of the
+// layers leaving the TEE ([]layerWeights), backwardRun with the
+// declassified δ into the preceding layer (*tensor.Tensor, nil when the
+// run starts at layer 0), endCycle with the sealed protected update.
 
-type incomingWeights struct {
+type layerWeights struct {
 	layer  int
 	params []*tensor.Tensor
 }
 
 type beginCycleReq struct {
-	cycle     int
 	protected []int
 	batch     int
-	incoming  []incomingWeights
-}
-
-type beginCycleResp struct {
-	released []incomingWeights // declassified weights of layers leaving the TEE
+	incoming  []layerWeights // weights of the layers entering the TEE
 }
 
 type forwardReq struct {
 	first, last int
 	input       *tensor.Tensor
 	labels      *tensor.Tensor // set when the run ends at the final layer
-	batch       int
 }
 
 type forwardResp struct {
@@ -49,33 +43,15 @@ type backwardReq struct {
 	gradOut     *tensor.Tensor // nil when the run owns the loss head
 }
 
-type backwardResp struct {
-	gradIn *tensor.Tensor // nil when the run starts at layer 0
-}
-
-type endCycleReq struct {
-	flat []flatRange
-}
-
-type endCycleResp struct {
-	sealed []byte
-}
-
 // gradsecTA is the trusted application: it owns the authoritative weights
 // of protected layers and performs every computation that touches them.
 type gradsecTA struct {
 	uuid    tz.UUID
 	version string
-	net     *nn.Network // secure clone of the full architecture
-	lr      float64
+	exec    *executor // the secure world's half of the training pass, over a private clone of the model
 
-	protected  map[int]bool
-	batch      int
-	regions    map[int][]*tz.Region
-	channel    *tz.Channel
-	cycleStart map[int][]*tensor.Tensor
-	fwdCache   map[int]*layerFwd
-	lossGrad   *tensor.Tensor // δ at logits when the TA owns the loss head
+	regions map[int]*tz.Region // enclave memory of each protected layer
+	channel *tz.Channel
 }
 
 // UUID implements tz.TrustedApp.
@@ -86,21 +62,18 @@ func (g *gradsecTA) Version() string { return g.version }
 
 // OpenSession implements tz.TrustedApp.
 func (g *gradsecTA) OpenSession(env *tz.TAEnv) (any, error) {
-	g.protected = make(map[int]bool)
-	g.regions = make(map[int][]*tz.Region)
-	g.cycleStart = make(map[int][]*tensor.Tensor)
-	g.fwdCache = make(map[int]*layerFwd)
+	g.exec.cost, g.exec.clock = costTable{env.Cost}, env.Clock
+	g.exec.begin(nil)
+	g.regions = make(map[int]*tz.Region)
 	return g, nil
 }
 
 // CloseSession implements tz.TrustedApp.
 func (g *gradsecTA) CloseSession(env *tz.TAEnv, state any) {
-	for _, regs := range g.regions {
-		for _, r := range regs {
-			_ = env.Mem.Free(r)
-		}
+	for _, r := range g.regions {
+		_ = env.Mem.Free(r)
 	}
-	g.regions = make(map[int][]*tz.Region)
+	g.regions = make(map[int]*tz.Region)
 }
 
 // Invoke implements tz.TrustedApp.
@@ -113,11 +86,11 @@ func (g *gradsecTA) Invoke(env *tz.TAEnv, _ any, cmd uint32, req any) (any, erro
 	case cmdBeginCycle:
 		return g.beginCycle(env, req)
 	case cmdForwardRun:
-		return g.forwardRun(env, req)
+		return g.forwardRun(req)
 	case cmdBackwardRun:
-		return g.backwardRun(env, req)
+		return g.backwardRun(req)
 	case cmdEndCycle:
-		return g.endCycle(env, req)
+		return g.endCycle()
 	default:
 		return nil, fmt.Errorf("core: gradsec TA: unknown command %d", cmd)
 	}
@@ -156,66 +129,52 @@ func (g *gradsecTA) loadSealedWeights(req any) error {
 	if err != nil {
 		return err
 	}
-	fr := flatRanges(g.net)
-	for j, flatIdx := range idx {
-		layer, pos, err := locateFlat(fr, flatIdx)
-		if err != nil {
-			return err
+	flat := g.exec.net.FlatParams()
+	for j, i := range idx {
+		if i < 0 || i >= len(flat) {
+			return fmt.Errorf("core: flat index %d out of range", i)
 		}
-		p := g.net.Layers[layer].Params()[pos]
-		if !p.SameShape(ts[j]) {
-			return fmt.Errorf("core: sealed weight %d shape %v, want %v", flatIdx, ts[j].Shape, p.Shape)
+		if !flat[i].SameShape(ts[j]) {
+			return fmt.Errorf("core: sealed weight %d shape %v, want %v", i, ts[j].Shape, flat[i].Shape)
 		}
-		copy(p.Data, ts[j].Data)
+		copy(flat[i].Data, ts[j].Data)
 	}
 	return nil
 }
 
-func locateFlat(fr []flatRange, idx int) (layer, pos int, err error) {
-	for l, r := range fr {
-		if idx >= r.start && idx < r.end {
-			return l, idx - r.start, nil
-		}
-	}
-	return 0, 0, fmt.Errorf("core: flat index %d out of range", idx)
-}
-
-func (g *gradsecTA) beginCycle(env *tz.TAEnv, req any) (*beginCycleResp, error) {
+func (g *gradsecTA) beginCycle(env *tz.TAEnv, req any) ([]layerWeights, error) {
 	r, ok := req.(*beginCycleReq)
 	if !ok {
 		return nil, errors.New("core: beginCycle expects *beginCycleReq")
 	}
-	newProt := make(map[int]bool, len(r.protected))
-	for _, l := range r.protected {
-		newProt[l] = true
-	}
-	resp := &beginCycleResp{}
+	net := g.exec.net
+	segs := segments(net.NumLayers(), r.protected)
+	var released []layerWeights
 
 	// Declassify layers leaving the enclave and free their regions.
-	for l := range g.protected {
-		if newProt[l] {
+	for _, seg := range segs {
+		if seg.secure {
 			continue
 		}
-		var out []*tensor.Tensor
-		for _, p := range g.net.Layers[l].Params() {
-			c := p.Clone() // fresh tensor, never registered secure
-			out = append(out, c)
-		}
-		resp.released = append(resp.released, incomingWeights{layer: l, params: out})
-		for _, reg := range g.regions[l] {
-			if err := env.Mem.Free(reg); err != nil {
+		for l := seg.first; l <= seg.last; l++ {
+			if !g.exec.protected[l] {
+				continue
+			}
+			// Fresh tensors, never registered secure.
+			released = append(released, layerWeights{layer: l, params: cloneParams(net.Layers[l])})
+			if err := env.Mem.Free(g.regions[l]); err != nil {
 				return nil, err
 			}
-		}
-		delete(g.regions, l)
-		for _, p := range g.net.Layers[l].Params() {
-			env.Mem.UnregisterTensor(p)
+			delete(g.regions, l)
+			for _, p := range net.Layers[l].Params() {
+				env.Mem.UnregisterTensor(p)
+			}
 		}
 	}
 
 	// Install weights for newly protected layers.
 	for _, in := range r.incoming {
-		ps := g.net.Layers[in.layer].Params()
+		ps := net.Layers[in.layer].Params()
 		if len(in.params) != len(ps) {
 			return nil, fmt.Errorf("core: layer %d: %d param tensors, want %d", in.layer, len(in.params), len(ps))
 		}
@@ -227,125 +186,71 @@ func (g *gradsecTA) beginCycle(env *tz.TAEnv, req any) (*beginCycleResp, error) 
 		}
 	}
 
-	// Allocate enclave regions for newly protected layers and charge the
-	// trusted-I/O-path provisioning time.
+	// Provision every protected layer through the trusted I/O path, and
+	// allocate enclave regions for the newly protected ones.
 	for _, l := range r.protected {
-		if g.protected[l] {
+		layer := net.Layers[l]
+		charge(g.exec.clock, g.exec.cost.provision(layer))
+		if g.exec.protected[l] {
 			continue
 		}
-		layer := g.net.Layers[l]
 		size := TEEMemoryBytes(layer, r.batch, env.Cost.BytesPerCell)
 		reg, err := env.Mem.Alloc(fmt.Sprintf("gradsec/L%d", l+1), size)
 		if err != nil {
 			return nil, err
 		}
-		g.regions[l] = []*tz.Region{reg}
+		g.regions[l] = reg
 		for _, p := range layer.Params() {
 			env.Mem.RegisterTensor(p, fmt.Sprintf("gradsec/L%d/params", l+1))
 		}
-		env.Clock.ChargeAlloc(env.Cost.AllocTime(layer.ParamCount()))
 	}
 
-	g.protected = newProt
-	g.batch = r.batch
-	// Snapshot protected weights for the cycle update.
-	g.cycleStart = make(map[int][]*tensor.Tensor)
-	for l := range newProt {
-		var ws []*tensor.Tensor
-		for _, p := range g.net.Layers[l].Params() {
-			ws = append(ws, p.Clone())
-		}
-		g.cycleStart[l] = ws
-	}
-	return resp, nil
+	g.exec.begin(segs)
+	return released, nil
 }
 
-func (g *gradsecTA) forwardRun(env *tz.TAEnv, req any) (*forwardResp, error) {
+func (g *gradsecTA) forwardRun(req any) (*forwardResp, error) {
 	r, ok := req.(*forwardReq)
 	if !ok {
 		return nil, errors.New("core: forwardRun expects *forwardReq")
 	}
-	cur := r.input
-	for l := r.first; l <= r.last; l++ {
-		if !g.protected[l] {
-			return nil, fmt.Errorf("core: forwardRun over unprotected layer %d", l)
-		}
-		layer := g.net.Layers[l]
-		f := buildLayerFwd(layer, cur, r.batch)
-		g.fwdCache[l] = f
-		cur = f.out.Value
-		env.Clock.ChargeKernel(env.Cost.SecureCompute(env.Cost.LayerCompute(LayerMACs(layer)*int64(r.batch), false)))
+	out, loss, err := g.exec.forward(r.first, r.last, r.input, r.labels)
+	if err != nil {
+		return nil, err
 	}
-	resp := &forwardResp{}
-	if r.labels != nil {
-		logits := ad.Var(cur)
-		lossNode := ad.SoftmaxCrossEntropy(logits, r.labels)
-		resp.loss = ad.Scalar(lossNode)
-		g.lossGrad = ad.GradValues(lossNode, []*ad.Node{logits})[0]
-	} else {
+	if out != nil {
 		// A_last feeds the next (unprotected) layer: deliberately
 		// declassified as a fresh tensor.
-		resp.activation = cur.Clone()
+		out = out.Clone()
 	}
-	return resp, nil
+	return &forwardResp{activation: out, loss: loss}, nil
 }
 
-func (g *gradsecTA) backwardRun(env *tz.TAEnv, req any) (*backwardResp, error) {
+func (g *gradsecTA) backwardRun(req any) (*tensor.Tensor, error) {
 	r, ok := req.(*backwardReq)
 	if !ok {
 		return nil, errors.New("core: backwardRun expects *backwardReq")
 	}
-	gradOut := r.gradOut
-	if gradOut == nil {
-		if g.lossGrad == nil {
-			return nil, errors.New("core: backwardRun without gradient or loss head")
-		}
-		gradOut = g.lossGrad
-		g.lossGrad = nil
+	gradIn, err := g.exec.backward(r.first, r.last, r.gradOut)
+	if err != nil || r.first == 0 {
+		return nil, err
 	}
-	for l := r.last; l >= r.first; l-- {
-		f := g.fwdCache[l]
-		if f == nil {
-			return nil, fmt.Errorf("core: backwardRun before forwardRun for layer %d", l)
-		}
-		layer := g.net.Layers[l]
-		gradIn, paramGrads := backwardLayer(f, gradOut)
-		d := env.Cost.LayerCompute(LayerMACs(layer)*int64(g.batch), false)
-		env.Clock.ChargeKernel(env.Cost.SecureCompute(time.Duration(float64(d) * (env.Cost.BackwardFactor - 1))))
-		for j, p := range layer.Params() {
-			tensor.AxPy(-g.lr, paramGrads[j], p)
-		}
-		gradOut = gradIn
-		delete(g.fwdCache, l)
-	}
-	resp := &backwardResp{}
-	if r.first > 0 {
-		// δ_{first-1} feeds the preceding unprotected layer's backward:
-		// deliberately declassified.
-		resp.gradIn = gradOut.Clone()
-	}
-	return resp, nil
+	// δ_{first-1} feeds the preceding unprotected layer's backward:
+	// deliberately declassified.
+	return gradIn.Clone(), nil
 }
 
-func (g *gradsecTA) endCycle(env *tz.TAEnv, req any) (*endCycleResp, error) {
-	r, ok := req.(*endCycleReq)
-	if !ok {
-		return nil, errors.New("core: endCycle expects *endCycleReq")
-	}
-	if len(g.protected) == 0 {
-		return &endCycleResp{}, nil
+func (g *gradsecTA) endCycle() ([]byte, error) {
+	var idx []int
+	var ts []*tensor.Tensor
+	g.exec.updates(func(flat int, update *tensor.Tensor) {
+		idx, ts = append(idx, flat), append(ts, update)
+	})
+	if len(idx) == 0 {
+		return nil, nil
 	}
 	if g.channel == nil {
 		return nil, errors.New("core: protected updates require a trusted channel")
 	}
-	var idx []int
-	var ts []*tensor.Tensor
-	for l, start := range g.cycleStart {
-		for j, p := range g.net.Layers[l].Params() {
-			idx = append(idx, r.flat[l].start+j)
-			ts = append(ts, tensor.Sub(p, start[j]))
-		}
-	}
-	sealed := g.channel.Seal(fl.SealedUpdate(idx, ts))
-	return &endCycleResp{sealed: sealed}, nil
+	return g.channel.Seal(fl.SealedUpdate(idx, ts)), nil
 }

@@ -3,9 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"time"
 
-	ad "github.com/gradsec/gradsec/internal/autodiff"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
@@ -65,9 +63,8 @@ type SecureTrainer struct {
 	ta   *gradsecTA
 	sess *tz.Session
 
-	// startWeights snapshots unprotected weights at cycle start.
-	startWeights map[int][]*tensor.Tensor
-	curProtected map[int]bool
+	exec *executor // the normal world's half of the training pass
+	segs []segment // the current cycle's schedule
 	// taAuthoritative marks layers whose current weights already live in
 	// the TA (loaded sealed through the trusted I/O path), so beginCycle
 	// must not overwrite them with the zeroed normal-world copies.
@@ -87,7 +84,8 @@ func NewSecureTrainer(dev *tz.Device, net *nn.Network, plan *Plan, cfg TrainerCo
 	if cfg.LR == 0 {
 		cfg.LR = 0.05
 	}
-	ta := &gradsecTA{uuid: tz.NameUUID("gradsec"), version: "1.0.0", net: net.Clone(), lr: cfg.LR}
+	ta := &gradsecTA{uuid: tz.NameUUID("gradsec"), version: "1.0.0",
+		exec: &executor{net: net.Clone(), lr: cfg.LR, secure: true}}
 	if err := dev.Install(ta); err != nil {
 		return nil, err
 	}
@@ -95,11 +93,11 @@ func NewSecureTrainer(dev *tz.Device, net *nn.Network, plan *Plan, cfg TrainerCo
 	if err != nil {
 		return nil, err
 	}
+	exec := &executor{net: net, lr: cfg.LR, cost: costTable{dev.Cost()}, clock: dev.Clock()}
+	exec.begin(nil) // nothing is protected before the first cycle
 	return &SecureTrainer{
 		dev: dev, net: net, plan: plan, cfg: cfg,
-		ta: ta, sess: sess,
-		startWeights:    make(map[int][]*tensor.Tensor),
-		curProtected:    make(map[int]bool),
+		ta: ta, sess: sess, exec: exec,
 		taAuthoritative: make(map[int]bool),
 	}, nil
 }
@@ -139,28 +137,29 @@ func (t *SecureTrainer) RunCycle(cycle int) (*CycleResult, error) {
 	if t.cfg.Batch == nil {
 		return nil, errors.New("core: TrainerConfig.Batch is required")
 	}
-	protected := t.plan.ProtectedLayers(cycle, t.net.NumLayers())
+	res := &CycleResult{Cycle: cycle, Protected: t.plan.ProtectedLayers(cycle, t.net.NumLayers())}
 	clock := t.dev.Clock()
 	before := clock.Snapshot()
 	t.dev.SecureMemory().ResetPeak()
-	if err := t.beginCycle(cycle, protected); err != nil {
+	// The enclave is sized by the batch, so iteration 0's batch is drawn
+	// before the cycle opens — once: Batch may be a stateful sampler.
+	x, y := t.cfg.Batch(cycle, 0)
+	if err := t.beginCycle(res.Protected, x.Shape[0]); err != nil {
 		return nil, err
 	}
+	charge(clock, t.exec.cost.cycleFixed())
 
-	res := &CycleResult{Cycle: cycle, Protected: protected}
-	clock.ChargeUser(t.dev.Cost().CycleUserOverhead)
-	clock.ChargeKernel(t.dev.Cost().CycleKernelOverhead)
-
-	totalLoss := 0.0
 	for iter := 0; iter < t.cfg.Iterations; iter++ {
-		x, y := t.cfg.Batch(cycle, iter)
+		if iter > 0 {
+			x, y = t.cfg.Batch(cycle, iter)
+		}
 		loss, err := t.trainStep(x, y)
 		if err != nil {
 			return nil, fmt.Errorf("core: cycle %d iter %d: %w", cycle, iter, err)
 		}
-		totalLoss += loss
+		res.MeanLoss += loss
 	}
-	res.MeanLoss = totalLoss / float64(t.cfg.Iterations)
+	res.MeanLoss /= float64(t.cfg.Iterations)
 
 	if err := t.endCycle(res); err != nil {
 		return nil, err
@@ -177,23 +176,15 @@ func (t *SecureTrainer) RunCycle(cycle int) (*CycleResult, error) {
 
 // beginCycle reconfigures protection: the TA allocates enclave regions
 // for newly protected layers and declassifies layers leaving the TEE.
-func (t *SecureTrainer) beginCycle(cycle int, protected []int) error {
-	newProt := make(map[int]bool, len(protected))
-	for _, l := range protected {
-		newProt[l] = true
-	}
-	req := &beginCycleReq{cycle: cycle, protected: protected, batch: t.batchSize()}
+func (t *SecureTrainer) beginCycle(protected []int, batch int) error {
+	req := &beginCycleReq{protected: protected, batch: batch}
 	// Hand weights of newly protected layers to the TA (they were public
 	// until now), then zero the normal-world copies. Layers whose weights
 	// already arrived sealed through the trusted I/O path are skipped —
 	// the TA copy is authoritative.
 	for _, l := range protected {
-		if !t.curProtected[l] && !t.taAuthoritative[l] {
-			var ws []*tensor.Tensor
-			for _, p := range t.net.Layers[l].Params() {
-				ws = append(ws, p.Clone())
-			}
-			req.incoming = append(req.incoming, incomingWeights{layer: l, params: ws})
+		if !t.exec.protected[l] && !t.taAuthoritative[l] {
+			req.incoming = append(req.incoming, layerWeights{layer: l, params: cloneParams(t.net.Layers[l])})
 		}
 	}
 	t.taAuthoritative = make(map[int]bool)
@@ -201,12 +192,12 @@ func (t *SecureTrainer) beginCycle(cycle int, protected []int) error {
 	if err != nil {
 		return err
 	}
-	out, ok := resp.(*beginCycleResp)
+	released, ok := resp.([]layerWeights)
 	if !ok {
 		return fmt.Errorf("core: unexpected beginCycle response %T", resp)
 	}
 	// Install declassified weights of layers that left the enclave.
-	for _, dw := range out.released {
+	for _, dw := range released {
 		for j, p := range t.net.Layers[dw.layer].Params() {
 			copy(p.Data, dw.params[j].Data)
 		}
@@ -217,122 +208,62 @@ func (t *SecureTrainer) beginCycle(cycle int, protected []int) error {
 			p.Fill(0)
 		}
 	}
-	t.curProtected = newProt
-	// Snapshot unprotected weights for update computation.
-	t.startWeights = make(map[int][]*tensor.Tensor)
-	for i, layer := range t.net.Layers {
-		if newProt[i] {
-			continue
-		}
-		var ws []*tensor.Tensor
-		for _, p := range layer.Params() {
-			ws = append(ws, p.Clone())
-		}
-		t.startWeights[i] = ws
-	}
+	t.segs = segments(t.net.NumLayers(), protected)
+	t.exec.begin(t.segs)
 	return nil
 }
 
-func (t *SecureTrainer) batchSize() int {
-	if t.cfg.Batch == nil {
-		return 1
-	}
-	x, _ := t.cfg.Batch(0, 0)
-	return x.Shape[0]
-}
-
-// layerFwd caches one layer's forward micro-graph for the backward pass.
-type layerFwd struct {
-	in     *ad.Node
-	out    *ad.Node
-	params []*ad.Node
-}
-
-// trainStep performs one forward+backward+SGD iteration, crossing into
-// the TA for each contiguous protected run.
+// trainStep performs one forward+backward+SGD iteration over the cycle's
+// segments, crossing into the TA for each secure one. The world that runs
+// the final segment also runs the loss head and keeps its δ.
 func (t *SecureTrainer) trainStep(x, y *tensor.Tensor) (float64, error) {
-	n := t.net.NumLayers()
-	batch := y.Shape[0]
-	cost := t.dev.Cost()
-	clock := t.dev.Clock()
-
-	fwd := make([]*layerFwd, n)
 	cur := x
 	var loss float64
-	lastProtected := t.curProtected[n-1]
-
-	// Forward pass.
-	for i := 0; i < n; i++ {
-		if !t.curProtected[i] {
-			f := buildLayerFwd(t.net.Layers[i], cur, batch)
-			fwd[i] = f
-			cur = f.out.Value
-			clock.ChargeUser(cost.LayerCompute(LayerMACs(t.net.Layers[i])*int64(batch), false))
+	for _, seg := range t.segs {
+		var labels *tensor.Tensor
+		if seg.last == t.net.NumLayers()-1 {
+			labels = y
+		}
+		if !seg.secure {
+			out, l, err := t.exec.forward(seg.first, seg.last, cur, labels)
+			if err != nil {
+				return 0, err
+			}
+			cur, loss = out, l
 			continue
 		}
-		// Start of a protected run: find its extent.
-		j := i
-		for j+1 < n && t.curProtected[j+1] {
-			j++
-		}
-		req := &forwardReq{first: i, last: j, input: cur.Clone(), batch: batch}
-		if j == n-1 {
-			req.labels = y.Clone() // TA computes the loss head internally
+		req := &forwardReq{first: seg.first, last: seg.last, input: cur.Clone()}
+		if labels != nil {
+			req.labels = labels.Clone()
 		}
 		resp, err := t.sess.Invoke(cmdForwardRun, req)
 		if err != nil {
 			return 0, err
 		}
 		out := resp.(*forwardResp)
-		if j == n-1 {
-			loss = out.loss
-		} else {
-			cur = out.activation
-		}
-		i = j
+		cur, loss = out.activation, out.loss
 	}
 
-	// Loss head in the normal world when the last layer is unprotected.
-	var gradOut *tensor.Tensor
-	if !lastProtected {
-		logits := ad.Var(cur)
-		lossNode := ad.SoftmaxCrossEntropy(logits, y)
-		loss = ad.Scalar(lossNode)
-		gradOut = ad.GradValues(lossNode, []*ad.Node{logits})[0]
-	}
-
-	// Backward pass, last layer to first.
-	for i := n - 1; i >= 0; {
-		if !t.curProtected[i] {
-			f := fwd[i]
-			layer := t.net.Layers[i]
-			gradIn, paramGrads := backwardLayer(f, gradOut)
-			d := cost.LayerCompute(LayerMACs(layer)*int64(batch), false)
-			clock.ChargeUser(time.Duration(float64(d) * (cost.BackwardFactor - 1)))
-			// Immediate SGD step (safe: this layer's backward is done and
-			// earlier layers only consume the δ already produced).
-			for j, p := range layer.Params() {
-				tensor.AxPy(-t.cfg.LR, paramGrads[j], p)
+	var gradOut *tensor.Tensor // nil into the final segment: its world holds the loss head's δ
+	for i := len(t.segs) - 1; i >= 0; i-- {
+		seg := t.segs[i]
+		if !seg.secure {
+			gradIn, err := t.exec.backward(seg.first, seg.last, gradOut)
+			if err != nil {
+				return 0, err
 			}
 			gradOut = gradIn
-			i--
 			continue
 		}
-		j := i // end of protected run (we iterate downward)
-		for j-1 >= 0 && t.curProtected[j-1] {
-			j--
-		}
-		req := &backwardReq{first: j, last: i}
-		if i != n-1 {
+		req := &backwardReq{first: seg.first, last: seg.last}
+		if gradOut != nil {
 			req.gradOut = gradOut.Clone()
 		}
 		resp, err := t.sess.Invoke(cmdBackwardRun, req)
 		if err != nil {
 			return 0, err
 		}
-		out := resp.(*backwardResp)
-		gradOut = out.gradIn // nil when the run starts at layer 0
-		i = j - 1
+		gradOut = resp.(*tensor.Tensor) // nil when the segment starts at layer 0
 	}
 	return loss, nil
 }
@@ -340,49 +271,18 @@ func (t *SecureTrainer) trainStep(x, y *tensor.Tensor) (float64, error) {
 // endCycle collects the observable updates and the sealed protected
 // updates.
 func (t *SecureTrainer) endCycle(res *CycleResult) error {
-	flat := flatRanges(t.net)
-	res.Observable = make([]*tensor.Tensor, flat[len(flat)-1].end)
-	for i, layer := range t.net.Layers {
-		if t.curProtected[i] {
-			continue
-		}
-		start := t.startWeights[i]
-		for j, p := range layer.Params() {
-			res.Observable[flat[i].start+j] = tensor.Sub(p, start[j])
-		}
-	}
-	resp, err := t.sess.Invoke(cmdEndCycle, &endCycleReq{flat: flat})
+	res.Observable = make([]*tensor.Tensor, len(t.net.FlatParams()))
+	t.exec.updates(func(flat int, update *tensor.Tensor) { res.Observable[flat] = update })
+	resp, err := t.sess.Invoke(cmdEndCycle, nil)
 	if err != nil {
 		return err
 	}
-	out, ok := resp.(*endCycleResp)
+	sealed, ok := resp.([]byte)
 	if !ok {
 		return fmt.Errorf("core: unexpected endCycle response %T", resp)
 	}
-	res.SealedUpdate = out.sealed
+	res.SealedUpdate = sealed
 	return nil
-}
-
-// buildLayerFwd constructs a single layer's forward micro-graph.
-func buildLayerFwd(layer nn.Layer, x *tensor.Tensor, batch int) *layerFwd {
-	in := ad.Var(x)
-	ps := layer.Params()
-	vars := make([]*ad.Node, len(ps))
-	for i, p := range ps {
-		vars[i] = ad.Var(p)
-	}
-	out := layer.Build(in, vars, batch)
-	return &layerFwd{in: in, out: out, params: vars}
-}
-
-// backwardLayer computes the layer's parameter gradients and input
-// gradient from the gradient at its output, via the exact VJP
-// s = ⟨out, gradOut⟩ ⇒ ∂s/∂θ = Jᵀ·gradOut.
-func backwardLayer(f *layerFwd, gradOut *tensor.Tensor) (*tensor.Tensor, []*tensor.Tensor) {
-	s := ad.SumAll(ad.Mul(f.out, ad.Const(gradOut.Reshape(f.out.Value.Shape...))))
-	wrt := append(append([]*ad.Node(nil), f.params...), f.in)
-	gs := ad.GradValues(s, wrt)
-	return gs[len(gs)-1], gs[:len(gs)-1]
 }
 
 // flatRange maps a layer to its slice of the flat parameter list.

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -365,5 +366,115 @@ func TestFlatIndicesForLayers(t *testing.T) {
 	// Layer 1 owns flat tensors 2,3 (W,B after layer 0's W,B).
 	if !got[2] || !got[3] || got[0] || got[4] {
 		t.Fatalf("flat indices = %v", got)
+	}
+}
+
+// Batch may be a stateful sampler: a cycle of k iterations draws exactly
+// k batches, each for its own (cycle, iter) — none just to size the
+// enclave.
+func TestRunCycleDrawsOneBatchPerIteration(t *testing.T) {
+	const iters = 3
+	batch := tinyBatch(5, iters)
+	var calls [][2]int
+	st, err := NewSecureTrainer(tz.NewDevice("batch-count"), tinyNet(7), mustStatic(t, 1), TrainerConfig{
+		Iterations: iters, LR: 0.05,
+		Batch: func(cycle, iter int) (*tensor.Tensor, *tensor.Tensor) {
+			calls = append(calls, [2]int{cycle, iter})
+			return batch(cycle, iter)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := EstablishServerView(st); err != nil {
+		t.Fatal(err)
+	}
+	for cycle := 0; cycle < 2; cycle++ {
+		calls = nil
+		if _, err := st.RunCycle(cycle); err != nil {
+			t.Fatal(err)
+		}
+		want := [][2]int{{cycle, 0}, {cycle, 1}, {cycle, 2}}
+		if !reflect.DeepEqual(calls, want) {
+			t.Fatalf("cycle %d: Batch called for %v, want %v", cycle, calls, want)
+		}
+	}
+}
+
+// roundMeter records what each TrainRound cost in world switches and
+// whether it produced a sealed half.
+type roundMeter struct {
+	*GradSecClient
+	smc    []int64
+	sealed []int
+}
+
+func (m *roundMeter) TrainRound(round int, plain []*tensor.Tensor, sealed, plan []byte) ([]*tensor.Tensor, []byte, error) {
+	dev := m.Trainer().Device()
+	before := dev.SMCCount()
+	upd, sealedUpd, err := m.GradSecClient.TrainRound(round, plain, sealed, plan)
+	m.smc = append(m.smc, dev.SMCCount()-before)
+	m.sealed = append(m.sealed, len(sealedUpd))
+	return upd, sealedUpd, err
+}
+
+// A device is built with a placeholder plan that the server's plan
+// replaces each round (cmd/flclient). When the server sends no plan,
+// nothing is protected that round: a masked session accepts the update
+// (it refuses a sealed half in a round without protected tensors) and a
+// plaintext session pays for no forward or backward TA invocation.
+func TestNoPlanFromServerProtectsNothing(t *testing.T) {
+	const rounds, iters = 2, 2
+	for _, secAgg := range []bool{true, false} {
+		var meters []*roundMeter
+		var conns []fl.Conn
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, name := range []string{"alpha", "beta"} {
+			st, err := NewSecureTrainer(tz.NewDevice(name), tinyNet(7), mustStatic(t, 0), TrainerConfig{
+				Iterations: iters, LR: 0.05, Batch: tinyBatch(int64(i), iters),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := &roundMeter{GradSecClient: NewGradSecClient(name, st)}
+			meters = append(meters, m)
+			clientConn, serverConn := fl.Pipe()
+			conns = append(conns, serverConn)
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = fl.NewClient(clientConn, m).Run()
+			}(i)
+		}
+		srv := fl.NewServer(tinyNet(7).StateDict(), fl.ServerConfig{Rounds: rounds, SecAgg: secAgg, MinClients: 2})
+		_, err := srv.Run(conns)
+		wg.Wait()
+		if err != nil {
+			t.Fatalf("secagg=%v: %v", secAgg, err)
+		}
+		for i, e := range errs {
+			if e != nil {
+				t.Fatalf("secagg=%v: client %d: %v", secAgg, i, e)
+			}
+		}
+		for _, st := range srv.Trace() {
+			if st.Responded != 2 {
+				t.Errorf("secagg=%v round %d: %d of 2 responded", secAgg, st.Round, st.Responded)
+			}
+		}
+		for _, m := range meters {
+			for r := range m.smc {
+				if m.sealed[r] != 0 {
+					t.Errorf("secagg=%v %s round %d: sealed update of %d bytes with nothing protected", secAgg, m.DeviceID(), r, m.sealed[r])
+				}
+				if want := int64(switchCount(0, iters)); m.smc[r] != want {
+					t.Errorf("secagg=%v %s round %d: %d world switches, want %d (no forward or backward invocation)", secAgg, m.DeviceID(), r, m.smc[r], want)
+				}
+			}
+			if len(m.smc) != rounds {
+				t.Errorf("secagg=%v %s trained %d rounds, want %d", secAgg, m.DeviceID(), len(m.smc), rounds)
+			}
+		}
 	}
 }

@@ -44,7 +44,7 @@ func Table6() *Table {
 		Header: []string{"Configuration", "paper total", "measured total", "paper mem", "measured mem"},
 		Notes: []string{
 			"totals are user+kernel+alloc seconds for one FL cycle",
-			"per-layer user shares deviate for L1 (paper's L1 runs anomalously fast); sums calibrated — DESIGN.md §4.3",
+			"per-layer user shares deviate for L1 (paper's L1 runs anomalously fast); sums calibrated — docs/COSTMODEL.md",
 		},
 	}
 	addRows := func(rows []paperRow) {

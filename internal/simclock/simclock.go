@@ -7,8 +7,8 @@
 // 0.34 s + 4.68 s = 5.02 s and TEE memory 0.565 + 0.704 = 1.269 MB), so a
 // calibrated per-layer analytic model reproduces every configuration —
 // including the dynamic moving-window weighted averages — while remaining
-// machine-independent and deterministic. DESIGN.md §4.3 details the
-// calibration fit.
+// machine-independent and deterministic. docs/COSTMODEL.md lists the
+// model's terms; Pi3B's comment holds the calibration fit.
 package simclock
 
 import (
@@ -112,7 +112,7 @@ type CostModel struct {
 
 // Pi3B returns the cost model calibrated against the paper's Table 6
 // (Raspberry Pi 3B+, ARM Cortex-A53 @1.4 GHz, OP-TEE; LeNet-5, CIFAR-100,
-// batch size 32). Fit summary (DESIGN.md §4.3):
+// batch size 32). The fit (docs/COSTMODEL.md has the terms it feeds):
 //
 //   - the summed per-layer user-time shares of Table 6 (1.966 s over
 //     3·32·I·998400 MACs with I = 10 local iterations per cycle) give

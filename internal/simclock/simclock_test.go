@@ -42,7 +42,7 @@ func TestBreakdownAddScaleString(t *testing.T) {
 	}
 }
 
-// The calibration anchors from the paper's Table 6 (DESIGN.md §4.3):
+// The calibration anchors from the paper's Table 6 (docs/COSTMODEL.md):
 // alloc(3.6K params) ≈ 0.34 s, alloc(76.9K params) ≈ 4.68 s.
 func TestPi3BAllocCalibration(t *testing.T) {
 	m := Pi3B()
