@@ -12,6 +12,8 @@
 #   make bench-recover journal-replay vs re-attest benchmarks -> bench/recover.txt
 #   make bench-obs    telemetry-overhead benchmarks (off vs on) -> bench/obs.txt
 #   make bench-smoke  every benchmark once, small cases only (CI)
+#   make bench-pair PARENT=<rev> WORKLOAD=<name[,name]> [PAIRS=10]
+#                     the ledger's paired-run recipe: <rev> against this tree
 #   make smoke-telemetry run the observability example end to end
 #   make smoke-secagg run the secure-aggregation walkthrough end to end
 #   make smoke-hier   run the hierarchical flat-vs-hier walkthrough end to end
@@ -24,7 +26,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check
 
 build:
 	$(GO) build ./...
@@ -146,3 +148,11 @@ bench-recover:
 # nor unrun.
 bench-smoke:
 	$(GO) test -short -run '^$$' -bench . -benchtime 1x -timeout 20m ./...
+
+# The repository benchmark's paired-run recipe (benchmark/README.md) as one
+# command: alternating runs of PARENT and of this tree on WORKLOAD, each
+# side's median and quartiles per end-to-end metric, and the pairs won.
+# SEED0, SECONDS_PER_RUN, TRACE=1 and OUT=<file.json> pass through the
+# environment (scripts/bench-pair.sh); BENCH_<pr>.json files are its OUT.
+bench-pair:
+	scripts/bench-pair.sh $(PARENT) $(WORKLOAD) $(PAIRS)

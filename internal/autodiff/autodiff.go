@@ -1,14 +1,19 @@
 // Package autodiff implements an eager reverse-mode automatic
 // differentiation engine over internal/tensor.
 //
-// The defining property of this engine — and the reason it exists instead
-// of hand-written backprop — is that vector-Jacobian products (VJPs) are
-// themselves built out of graph operations. Gradients returned by Grad are
-// ordinary nodes, so Grad can be applied to functions of gradients. This
-// "double backprop" is exactly what the Data-Reconstruction Inference
-// Attack (DRIA / deep-leakage-from-gradients) requires: it minimises
-// ‖∇W(x) − g*‖² with respect to the *input* x, which needs gradients of
-// gradients.
+// The defining property of this engine is that vector-Jacobian products
+// (VJPs) are themselves built out of graph operations. Gradients returned
+// by Grad are ordinary nodes, so Grad can be applied to functions of
+// gradients. This "double backprop" is exactly what the Data-Reconstruction
+// Inference Attack (DRIA / deep-leakage-from-gradients) requires: it
+// minimises ‖∇W(x) − g*‖² with respect to the *input* x, which needs
+// gradients of gradients.
+//
+// Training does not run on it: every trainer differentiates through the
+// first-order kernels of internal/nn, which compute the same values bit for
+// bit without building nodes (docs/TRAINING.md). The graph serves
+// attack.DRIA, the softmax-cross-entropy loss head, and the tests that hold
+// the kernels to it.
 //
 // Evaluation is eager: every operation computes its Value at construction
 // time, and Grad builds (and eagerly evaluates) new nodes for the backward
@@ -155,7 +160,7 @@ func Reciprocal(a *Node) *Node {
 // Sigmoid returns 1/(1+e^-a) elementwise. Its VJP is fully differentiable
 // (g·s·(1−s)), which is why the DRIA model zoo uses sigmoid activations.
 func Sigmoid(a *Node) *Node {
-	out := tensor.Apply(a.Value, sigmoid)
+	out := tensor.Apply(a.Value, Logistic)
 	var n *Node
 	n = newOp("sigmoid", out, func(g *Node) []*Node {
 		one := Const(tensor.Full(1, n.Value.Shape...))
@@ -164,7 +169,9 @@ func Sigmoid(a *Node) *Node {
 	return n
 }
 
-func sigmoid(v float64) float64 {
+// Logistic is the scalar function Sigmoid applies elementwise. It is
+// exported so that nn's first-order kernels evaluate the same expression.
+func Logistic(v float64) float64 {
 	if v >= 0 {
 		e := exp(-v)
 		return 1 / (1 + e)

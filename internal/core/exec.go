@@ -37,20 +37,19 @@ func segments(numLayers int, protected []int) []segment {
 	return segs
 }
 
-// layerFwd caches one layer's forward micro-graph for the backward pass.
-type layerFwd struct {
-	in     *ad.Node
-	out    *ad.Node
-	params []*ad.Node
-}
-
 // executor trains layer ranges of one world's copy of the model: the
 // SecureTrainer runs one over the normal-world view, the gradsec TA one
 // over its private clone. The two share this code and nothing else —
-// each has its own network, forward cache and cycle-start snapshot, and
-// every tensor that passes between them is cloned at the world boundary.
+// each has its own network, workspace and cycle-start snapshot, and every
+// tensor that passes between them is cloned at the world boundary.
+//
+// Layers run on nn's first-order kernels (docs/TRAINING.md); only the loss
+// head is an autodiff graph. What forward and backward return are workspace
+// buffers: valid until the layer's next pass, never to leave the world
+// un-cloned.
 type executor struct {
 	net    *nn.Network
+	ws     *nn.Workspace // this world's scratch, reused across iterations and cycles
 	lr     float64
 	secure bool // the world this executor runs in, hence the clock bucket it charges
 	cost   costTable
@@ -58,8 +57,12 @@ type executor struct {
 
 	protected []bool             // the cycle's protected layers
 	start     [][]*tensor.Tensor // cycle-start weights of the layers this world owns
-	fwd       []*layerFwd
-	lossGrad  *tensor.Tensor // δ at the logits, between the passes, when this world ran the loss head
+	pending   []int              // per layer, the batch size of a forward still awaiting its backward (0: none)
+	lossGrad  *tensor.Tensor     // δ at the logits, between the passes, when this world ran the loss head
+}
+
+func newExecutor(net *nn.Network, lr float64, secure bool) *executor {
+	return &executor{net: net, ws: nn.NewWorkspace(net), lr: lr, secure: secure}
 }
 
 // owns reports whether layer l executes in this world this cycle.
@@ -71,7 +74,7 @@ func (e *executor) owns(l int) bool {
 // the layers this world owns, for updates.
 func (e *executor) begin(segs []segment) {
 	n := e.net.NumLayers()
-	e.protected, e.start, e.fwd = make([]bool, n), make([][]*tensor.Tensor, n), make([]*layerFwd, n)
+	e.protected, e.start, e.pending = make([]bool, n), make([][]*tensor.Tensor, n), make([]int, n)
 	for _, s := range segs {
 		for l := s.first; l <= s.last; l++ {
 			e.protected[l] = s.secure
@@ -91,15 +94,9 @@ func (e *executor) forward(first, last int, x, labels *tensor.Tensor) (*tensor.T
 		if !e.owns(l) {
 			return nil, 0, fmt.Errorf("core: forward over layer %d, which runs in the other world", l)
 		}
-		layer := e.net.Layers[l]
-		f := &layerFwd{in: ad.Var(x)}
-		for _, p := range layer.Params() {
-			f.params = append(f.params, ad.Var(p))
-		}
-		f.out = layer.Build(f.in, f.params, batch)
-		e.fwd[l] = f
-		x = f.out.Value
-		charge(e.clock, e.cost.forward(layer, batch, e.secure))
+		x = e.ws.Forward(l, x, batch)
+		e.pending[l] = batch
+		charge(e.clock, e.cost.forward(e.net.Layers[l], batch, e.secure))
 	}
 	if labels == nil {
 		return x, 0, nil
@@ -112,7 +109,7 @@ func (e *executor) forward(first, last int, x, labels *tensor.Tensor) (*tensor.T
 
 // backward runs layers last..first from the gradient at last's output
 // (nil: from the loss head's δ), takes each layer's SGD step, and returns
-// the gradient at first's input.
+// the gradient at first's input — nil when first is layer 0.
 func (e *executor) backward(first, last int, gradOut *tensor.Tensor) (*tensor.Tensor, error) {
 	if gradOut == nil {
 		if e.lossGrad == nil {
@@ -121,23 +118,21 @@ func (e *executor) backward(first, last int, gradOut *tensor.Tensor) (*tensor.Te
 		gradOut, e.lossGrad = e.lossGrad, nil
 	}
 	for l := last; l >= first; l-- {
-		if !e.owns(l) || e.fwd[l] == nil {
+		if !e.owns(l) || e.pending[l] == 0 {
 			return nil, fmt.Errorf("core: backward before forward for layer %d", l)
 		}
-		f := e.fwd[l]
-		e.fwd[l] = nil
-		// Parameter and input gradients via the exact VJP
-		// s = ⟨out, gradOut⟩ ⇒ ∂s/∂θ = Jᵀ·gradOut.
-		s := ad.SumAll(ad.Mul(f.out, ad.Const(gradOut.Reshape(f.out.Value.Shape...))))
-		gs := ad.GradValues(s, append(f.params, f.in))
+		batch := e.pending[l]
+		e.pending[l] = 0
+		// Nobody reads ∂/∂input of layer 0, so it is not computed.
+		gradIn, grads := e.ws.Backward(l, gradOut, l > 0)
 		// Immediate SGD step (safe: this layer's backward is done and
 		// earlier layers only consume the δ already produced).
 		layer := e.net.Layers[l]
 		for j, p := range layer.Params() {
-			tensor.AxPy(-e.lr, gs[j], p)
+			tensor.AxPy(-e.lr, grads[j], p)
 		}
-		gradOut = gs[len(gs)-1]
-		charge(e.clock, e.cost.backward(layer, f.out.Value.Shape[0], e.secure))
+		gradOut = gradIn
+		charge(e.clock, e.cost.backward(layer, batch, e.secure))
 	}
 	return gradOut, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"github.com/gradsec/gradsec/internal/fl"
+	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
 )
@@ -38,6 +39,9 @@ type forwardResp struct {
 	loss       float64
 }
 
+// Tensors implements tz.TensorCarrier: the device screens the activation.
+func (r *forwardResp) Tensors() []*tensor.Tensor { return []*tensor.Tensor{r.activation} }
+
 type backwardReq struct {
 	first, last int
 	gradOut     *tensor.Tensor // nil when the run owns the loss head
@@ -45,6 +49,13 @@ type backwardReq struct {
 
 // gradsecTA is the trusted application: it owns the authoritative weights
 // of protected layers and performs every computation that touches them.
+//
+// Its executor's workspace holds protected activations and δ between
+// invocations. While a layer is protected its workspace buffers are on the
+// secure registry beside its weights — the temporaries all layers share for
+// the whole session — so the device refuses a response that carries one
+// instead of a clone; when the layer leaves the enclave they are zeroed in
+// place.
 type gradsecTA struct {
 	uuid    tz.UUID
 	version string
@@ -52,6 +63,47 @@ type gradsecTA struct {
 
 	regions map[int]*tz.Region // enclave memory of each protected layer
 	channel *tz.Channel
+}
+
+// newGradsecTA returns the TA over net, which becomes its private model.
+func newGradsecTA(net *nn.Network, lr float64) *gradsecTA {
+	return &gradsecTA{uuid: tz.NameUUID("gradsec"), version: "1.0.0", exec: newExecutor(net, lr, true)}
+}
+
+// protect allocates layer l's enclave region and puts its weights and
+// workspace buffers on the secure registry.
+func (g *gradsecTA) protect(env *tz.TAEnv, l, batch int) error {
+	layer := g.exec.net.Layers[l]
+	reg, err := env.Mem.Alloc(fmt.Sprintf("gradsec/L%d", l+1), TEEMemoryBytes(layer, batch, env.Cost.BytesPerCell))
+	if err != nil {
+		return err
+	}
+	g.regions[l] = reg
+	for _, p := range layer.Params() {
+		env.Mem.RegisterTensor(p, fmt.Sprintf("gradsec/L%d/params", l+1))
+	}
+	for _, b := range g.exec.ws.Buffers(l) {
+		env.Mem.RegisterTensor(b, fmt.Sprintf("gradsec/L%d/scratch", l+1))
+	}
+	return nil
+}
+
+// release frees layer l's region, scrubs its workspace buffers (and the
+// shared temporaries, which may hold its δ) and takes them and the weights
+// — which the caller declassifies or abandons — off the registry.
+func (g *gradsecTA) release(env *tz.TAEnv, l int) error {
+	if err := env.Mem.Free(g.regions[l]); err != nil {
+		return err
+	}
+	delete(g.regions, l)
+	for _, p := range g.exec.net.Layers[l].Params() {
+		env.Mem.UnregisterTensor(p)
+	}
+	g.exec.ws.Scrub(l)
+	for _, b := range g.exec.ws.Buffers(l) {
+		env.Mem.UnregisterTensor(b)
+	}
+	return nil
 }
 
 // UUID implements tz.TrustedApp.
@@ -65,15 +117,20 @@ func (g *gradsecTA) OpenSession(env *tz.TAEnv) (any, error) {
 	g.exec.cost, g.exec.clock = costTable{env.Cost}, env.Clock
 	g.exec.begin(nil)
 	g.regions = make(map[int]*tz.Region)
+	for _, b := range g.exec.ws.Temps() {
+		env.Mem.RegisterTensor(b, "gradsec/scratch")
+	}
 	return g, nil
 }
 
 // CloseSession implements tz.TrustedApp.
 func (g *gradsecTA) CloseSession(env *tz.TAEnv, state any) {
-	for _, r := range g.regions {
-		_ = env.Mem.Free(r)
+	for l := range g.regions {
+		_ = g.release(env, l) // a region in the map is live: Free cannot fail
 	}
-	g.regions = make(map[int]*tz.Region)
+	for _, b := range g.exec.ws.Temps() {
+		env.Mem.UnregisterTensor(b)
+	}
 }
 
 // Invoke implements tz.TrustedApp.
@@ -162,12 +219,8 @@ func (g *gradsecTA) beginCycle(env *tz.TAEnv, req any) ([]layerWeights, error) {
 			}
 			// Fresh tensors, never registered secure.
 			released = append(released, layerWeights{layer: l, params: cloneParams(net.Layers[l])})
-			if err := env.Mem.Free(g.regions[l]); err != nil {
+			if err := g.release(env, l); err != nil {
 				return nil, err
-			}
-			delete(g.regions, l)
-			for _, p := range net.Layers[l].Params() {
-				env.Mem.UnregisterTensor(p)
 			}
 		}
 	}
@@ -194,14 +247,8 @@ func (g *gradsecTA) beginCycle(env *tz.TAEnv, req any) ([]layerWeights, error) {
 		if g.exec.protected[l] {
 			continue
 		}
-		size := TEEMemoryBytes(layer, r.batch, env.Cost.BytesPerCell)
-		reg, err := env.Mem.Alloc(fmt.Sprintf("gradsec/L%d", l+1), size)
-		if err != nil {
+		if err := g.protect(env, l, r.batch); err != nil {
 			return nil, err
-		}
-		g.regions[l] = reg
-		for _, p := range layer.Params() {
-			env.Mem.RegisterTensor(p, fmt.Sprintf("gradsec/L%d/params", l+1))
 		}
 	}
 
@@ -220,7 +267,8 @@ func (g *gradsecTA) forwardRun(req any) (*forwardResp, error) {
 	}
 	if out != nil {
 		// A_last feeds the next (unprotected) layer: deliberately
-		// declassified as a fresh tensor.
+		// declassified as a fresh tensor. out itself is a registered
+		// workspace buffer the device would refuse.
 		out = out.Clone()
 	}
 	return &forwardResp{activation: out, loss: loss}, nil
@@ -236,7 +284,7 @@ func (g *gradsecTA) backwardRun(req any) (*tensor.Tensor, error) {
 		return nil, err
 	}
 	// δ_{first-1} feeds the preceding unprotected layer's backward:
-	// deliberately declassified.
+	// deliberately declassified; gradIn itself is a registered buffer.
 	return gradIn.Clone(), nil
 }
 

@@ -84,8 +84,7 @@ func NewSecureTrainer(dev *tz.Device, net *nn.Network, plan *Plan, cfg TrainerCo
 	if cfg.LR == 0 {
 		cfg.LR = 0.05
 	}
-	ta := &gradsecTA{uuid: tz.NameUUID("gradsec"), version: "1.0.0",
-		exec: &executor{net: net.Clone(), lr: cfg.LR, secure: true}}
+	ta := newGradsecTA(net.Clone(), cfg.LR)
 	if err := dev.Install(ta); err != nil {
 		return nil, err
 	}
@@ -93,7 +92,8 @@ func NewSecureTrainer(dev *tz.Device, net *nn.Network, plan *Plan, cfg TrainerCo
 	if err != nil {
 		return nil, err
 	}
-	exec := &executor{net: net, lr: cfg.LR, cost: costTable{dev.Cost()}, clock: dev.Clock()}
+	exec := newExecutor(net, cfg.LR, false)
+	exec.cost, exec.clock = costTable{dev.Cost()}, dev.Clock()
 	exec.begin(nil) // nothing is protected before the first cycle
 	return &SecureTrainer{
 		dev: dev, net: net, plan: plan, cfg: cfg,

@@ -1,9 +1,14 @@
 // Package nn is a from-scratch deep-neural-network framework — the Go
 // counterpart of the Darknet framework that DarkneTZ (and therefore the
 // paper's GradSec prototype) builds on. It provides convolutional,
-// max-pooling and dense layers over the autodiff engine, categorical
-// cross-entropy training, and the exact LeNet-5 and AlexNet architectures
-// of the paper's Table 4.
+// max-pooling and dense layers, categorical cross-entropy training, and
+// the exact LeNet-5 and AlexNet architectures of the paper's Table 4.
+//
+// Every layer is differentiated two ways that agree bit for bit
+// (docs/TRAINING.md): first-order kernels over a reused Workspace, which
+// every trainer, Gradients, TrainStep and Predict run on, and Build's
+// autodiff graph, whose gradients are themselves differentiable — what
+// attack.DRIA needs, and the reference the kernels are tested against.
 //
 // Layer indices are 1-based in the paper ("L1".."Ln"); this package uses
 // 0-based slice indices and the repro harness translates.
@@ -69,6 +74,11 @@ type Layer interface {
 	// Build appends the layer's computation to the graph. paramVars must
 	// contain one Var node per Params() entry, wrapping those tensors.
 	Build(x *ad.Node, paramVars []*ad.Node, batch int) *ad.Node
+	// forward and backward are the layer's first-order pass over its share
+	// of a Workspace (Workspace.Forward, Workspace.Backward): the values of
+	// Build's nodes and of their VJPs, without the nodes.
+	forward(s *scratch, x *tensor.Tensor, batch int) *tensor.Tensor
+	backward(s *scratch, gradOut *tensor.Tensor, needInput bool) *tensor.Tensor
 	// InCells returns the number of input activation cells per sample
 	// (|A_{l-1}| in the paper's notation).
 	InCells() int
@@ -83,6 +93,8 @@ type Layer interface {
 type Network struct {
 	Label  string
 	Layers []Layer
+
+	ws *Workspace // scratch of Gradients, TrainStep and Predict; built on first use, not cloned
 }
 
 // Forward holds the graph produced by one forward pass.
@@ -157,28 +169,58 @@ func (n *Network) LossGraph(x, y *tensor.Tensor) (*ad.Node, *Forward) {
 	return ad.SoftmaxCrossEntropy(f.Output, y), f
 }
 
-// Gradients runs a full forward/backward pass and returns the loss and
-// per-layer parameter gradients (dW_l in the paper's notation).
-func (n *Network) Gradients(x, y *tensor.Tensor) (float64, [][]*tensor.Tensor) {
-	loss, f := n.LossGraph(x, y)
-	var flat []*ad.Node
-	for _, vars := range f.ParamVars {
-		flat = append(flat, vars...)
+// workspace returns the network's own scratch. It makes Gradients,
+// TrainStep and Predict unsafe to call concurrently on one Network.
+func (n *Network) workspace() *Workspace {
+	if n.ws == nil {
+		n.ws = NewWorkspace(n)
 	}
-	gs := ad.GradValues(loss, flat)
+	return n.ws
+}
+
+// forward runs every layer on x through w and returns the logits buffer.
+func (n *Network) forward(w *Workspace, x *tensor.Tensor, batch int) *tensor.Tensor {
+	for l := range n.Layers {
+		x = w.Forward(l, x, batch)
+	}
+	return x
+}
+
+// gradients runs a full forward/backward pass through the network's
+// workspace and returns the loss and the per-layer parameter gradients —
+// workspace buffers, valid until the next pass.
+func (n *Network) gradients(x, y *tensor.Tensor) (float64, [][]*tensor.Tensor) {
+	w := n.workspace()
+	// The loss head stays on the node graph: it is tiny, and its fan-out
+	// is where a hand-derived gradient would round differently.
+	logits := ad.Var(n.forward(w, x, y.Shape[0]))
+	loss := ad.SoftmaxCrossEntropy(logits, y)
+	grad := ad.GradValues(loss, []*ad.Node{logits})[0]
 	out := make([][]*tensor.Tensor, len(n.Layers))
-	k := 0
-	for i, vars := range f.ParamVars {
-		out[i] = gs[k : k+len(vars)]
-		k += len(vars)
+	for l := len(n.Layers) - 1; l >= 0; l-- {
+		grad, out[l] = w.Backward(l, grad, l > 0)
 	}
 	return ad.Scalar(loss), out
 }
 
+// Gradients runs a full forward/backward pass and returns the loss and
+// per-layer parameter gradients (dW_l in the paper's notation). The
+// returned tensors are the caller's.
+func (n *Network) Gradients(x, y *tensor.Tensor) (float64, [][]*tensor.Tensor) {
+	loss, grads := n.gradients(x, y)
+	for l, gs := range grads {
+		grads[l] = make([]*tensor.Tensor, len(gs))
+		for j, g := range gs {
+			grads[l][j] = g.Clone()
+		}
+	}
+	return loss, grads
+}
+
 // TrainStep performs one optimizer step on batch (x, y) and returns the
-// pre-step loss.
+// pre-step loss. The optimizer reads the gradients during Step only.
 func (n *Network) TrainStep(x, y *tensor.Tensor, o opt.Optimizer) float64 {
-	loss, grads := n.Gradients(x, y)
+	loss, grads := n.gradients(x, y)
 	var flatP, flatG []*tensor.Tensor
 	for i := range grads {
 		flatP = append(flatP, n.Layers[i].Params()...)
@@ -188,9 +230,10 @@ func (n *Network) TrainStep(x, y *tensor.Tensor, o opt.Optimizer) float64 {
 	return loss
 }
 
-// Predict returns the logits for x with the given batch size.
+// Predict returns the logits for x with the given batch size. The
+// returned tensor is the caller's.
 func (n *Network) Predict(x *tensor.Tensor, batch int) *tensor.Tensor {
-	return n.BuildForward(x, batch).Output.Value
+	return n.forward(n.workspace(), x, batch).Clone()
 }
 
 // Accuracy returns top-1 accuracy of the network on (x, y).
@@ -237,7 +280,8 @@ func (n *Network) LoadState(state []*tensor.Tensor) error {
 }
 
 // Clone returns a structurally identical network with deep-copied weights.
-// Layer configuration structs are shared metadata copies.
+// Layer configuration structs are shared metadata copies; the clone starts
+// with no workspace of its own.
 func (n *Network) Clone() *Network {
 	c := &Network{Label: n.Label, Layers: make([]Layer, len(n.Layers))}
 	for i, l := range n.Layers {

@@ -39,11 +39,21 @@ func (g ConvGeom) ColShape() (rows, cols int) {
 // so that convolution with F filters becomes a matmul with a [C*KH*KW, F]
 // weight matrix. Out-of-bounds (padding) positions contribute zeros.
 func Im2Col(x *Tensor, g ConvGeom) *Tensor {
+	rows, cols := g.ColShape()
+	out := New(rows, cols)
+	Im2ColInto(out, x, g)
+	return out
+}
+
+// Im2ColInto unfolds x as Im2Col does, over dst [N*OutH*OutW, C*KH*KW].
+// Every element of dst is written, padding positions with zero, so what
+// dst held is discarded.
+func Im2ColInto(dst, x *Tensor, g ConvGeom) {
 	if len(x.Shape) != 4 || x.Shape[0] != g.N || x.Shape[1] != g.C || x.Shape[2] != g.H || x.Shape[3] != g.W {
 		panic(fmt.Sprintf("tensor: Im2Col input shape %v does not match geometry %+v", x.Shape, g))
 	}
 	rows, cols := g.ColShape()
-	out := New(rows, cols)
+	wantShape(dst, "Im2Col", rows, cols)
 	hw := g.H * g.W
 	chw := g.C * hw
 	row := 0
@@ -53,7 +63,7 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 			iy0 := oy*g.Stride - g.Pad
 			for ox := 0; ox < g.OutW; ox++ {
 				ix0 := ox*g.Stride - g.Pad
-				dst := out.Data[row*cols : (row+1)*cols]
+				drow := dst.Data[row*cols : (row+1)*cols]
 				col := 0
 				for c := 0; c < g.C; c++ {
 					cbase := base + c*hw
@@ -62,7 +72,9 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 						for kx := 0; kx < g.KW; kx++ {
 							ix := ix0 + kx
 							if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-								dst[col] = x.Data[cbase+iy*g.W+ix]
+								drow[col] = x.Data[cbase+iy*g.W+ix]
+							} else {
+								drow[col] = 0
 							}
 							col++
 						}
@@ -72,18 +84,26 @@ func Im2Col(x *Tensor, g ConvGeom) *Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // Col2Im is the adjoint of Im2Col: it scatter-adds a column matrix of shape
 // [N*OutH*OutW, C*KH*KW] back into an input-shaped tensor [N,C,H,W].
 // For every x and col matrix c: <Im2Col(x), c> == <x, Col2Im(c)>.
 func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
+	out := New(g.N, g.C, g.H, g.W)
+	Col2ImInto(out, cols, g)
+	return out
+}
+
+// Col2ImInto scatter-adds cols as Col2Im does, over dst [N,C,H,W]: dst is
+// zeroed first, then takes the column entries in row-major order of cols.
+func Col2ImInto(dst, cols *Tensor, g ConvGeom) {
 	rows, ncols := g.ColShape()
 	if len(cols.Shape) != 2 || cols.Shape[0] != rows || cols.Shape[1] != ncols {
 		panic(fmt.Sprintf("tensor: Col2Im input shape %v does not match geometry (want [%d,%d])", cols.Shape, rows, ncols))
 	}
-	out := New(g.N, g.C, g.H, g.W)
+	wantShape(dst, "Col2Im", g.N, g.C, g.H, g.W)
+	clear(dst.Data)
 	hw := g.H * g.W
 	chw := g.C * hw
 	row := 0
@@ -102,7 +122,7 @@ func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
 						for kx := 0; kx < g.KW; kx++ {
 							ix := ix0 + kx
 							if iy >= 0 && iy < g.H && ix >= 0 && ix < g.W {
-								out.Data[cbase+iy*g.W+ix] += src[col]
+								dst.Data[cbase+iy*g.W+ix] += src[col]
 							}
 							col++
 						}
@@ -112,7 +132,6 @@ func Col2Im(cols *Tensor, g ConvGeom) *Tensor {
 			}
 		}
 	}
-	return out
 }
 
 // MaxPool2D applies k×k max pooling with the given stride to x [N,C,H,W].
@@ -123,10 +142,25 @@ func MaxPool2D(x *Tensor, k, stride int) (*Tensor, []int) {
 	if len(x.Shape) != 4 {
 		panic(fmt.Sprintf("tensor: MaxPool2D requires [N,C,H,W], got %v", x.Shape))
 	}
+	g := NewConvGeom(x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3], k, k, stride, 0)
+	out := New(g.N, g.C, g.OutH, g.OutW)
+	arg := make([]int, out.Size())
+	MaxPool2DInto(out, arg, x, k, stride)
+	return out, arg
+}
+
+// MaxPool2DInto pools x as MaxPool2D does, over dst [N,C,OutH,OutW] and
+// arg, one argmax entry per element of dst.
+func MaxPool2DInto(dst *Tensor, arg []int, x *Tensor, k, stride int) {
+	if len(x.Shape) != 4 {
+		panic(fmt.Sprintf("tensor: MaxPool2D requires [N,C,H,W], got %v", x.Shape))
+	}
 	n, c, h, w := x.Shape[0], x.Shape[1], x.Shape[2], x.Shape[3]
 	g := NewConvGeom(n, c, h, w, k, k, stride, 0)
-	out := New(n, c, g.OutH, g.OutW)
-	arg := make([]int, out.Size())
+	wantShape(dst, "MaxPool2D", n, c, g.OutH, g.OutW)
+	if len(arg) != dst.Size() {
+		panic(fmt.Sprintf("tensor: MaxPool2D has %d argmax entries for %d outputs", len(arg), dst.Size()))
+	}
 	hw := h * w
 	oi := 0
 	for ni := 0; ni < n; ni++ {
@@ -145,25 +179,31 @@ func MaxPool2D(x *Tensor, k, stride int) (*Tensor, []int) {
 							}
 						}
 					}
-					out.Data[oi] = best
+					dst.Data[oi] = best
 					arg[oi] = bestIdx
 					oi++
 				}
 			}
 		}
 	}
-	return out, arg
 }
 
 // MaxUnpool2D scatters grad (shaped like a MaxPool2D output) back to the
 // input shape using the argmax indices captured in the forward pass.
 func MaxUnpool2D(grad *Tensor, arg []int, inShape []int) *Tensor {
+	out := New(inShape...)
+	MaxUnpool2DInto(out, grad, arg)
+	return out
+}
+
+// MaxUnpool2DInto scatters grad as MaxUnpool2D does, over dst: dst is
+// zeroed first, then element arg[i] takes grad's element i, in order.
+func MaxUnpool2DInto(dst, grad *Tensor, arg []int) {
 	if grad.Size() != len(arg) {
 		panic(fmt.Sprintf("tensor: MaxUnpool2D grad size %d does not match %d argmax entries", grad.Size(), len(arg)))
 	}
-	out := New(inShape...)
+	clear(dst.Data)
 	for i, v := range grad.Data {
-		out.Data[arg[i]] += v
+		dst.Data[arg[i]] += v
 	}
-	return out
 }

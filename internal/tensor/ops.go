@@ -114,30 +114,135 @@ func mat2(a *Tensor, op string) (rows, cols int) {
 	return a.Shape[0], a.Shape[1]
 }
 
+// wantShape asserts that dst, a kernel's caller-owned destination, has
+// exactly the given shape.
+func wantShape(dst *Tensor, op string, shape ...int) {
+	ok := len(dst.Shape) == len(shape)
+	for i := 0; ok && i < len(shape); i++ {
+		ok = dst.Shape[i] == shape[i]
+	}
+	if !ok {
+		panic(fmt.Sprintf("tensor: %s destination has shape %v, want %v", op, dst.Shape, shape))
+	}
+}
+
+// The three matrix products below share one accumulation rule: every
+// output element starts at +0 and takes its non-skipped terms one at a
+// time in ascending inner index, a term being skipped exactly when its
+// left-hand factor is zero. MatMulTNInto(dst, a, b) is therefore
+// bit-identical to MatMul(Transpose(a), b), and MatMulNTInto(dst, a, b) to
+// MatMul(a, Transpose(b)), without materialising the transpose. Blocking
+// over the outer indices keeps the rule; splitting the inner sum does not.
+
 // MatMul returns the matrix product a·b for 2-D tensors [m,k]·[k,n] → [m,n].
 func MatMul(a, b *Tensor) *Tensor {
+	m, _ := mat2(a, "MatMul")
+	_, n := mat2(b, "MatMul")
+	out := New(m, n)
+	MatMulInto(out, a, b)
+	return out
+}
+
+// MatMulInto writes a·b, [m,k]·[k,n], over dst [m,n]. dst must not share
+// data with a or b; what it held is discarded.
+func MatMulInto(dst, a, b *Tensor) {
 	m, k := mat2(a, "MatMul")
 	k2, n := mat2(b, "MatMul")
 	if k != k2 {
 		panic(fmt.Sprintf("tensor: MatMul inner dimension mismatch %v · %v", a.Shape, b.Shape))
 	}
-	out := New(m, n)
-	// ikj loop order for cache-friendly access of b and out.
+	wantShape(dst, "MatMul", m, n)
+	clear(dst.Data)
+	// ikj loop order for cache-friendly access of b and dst.
 	for i := 0; i < m; i++ {
 		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*n : (i+1)*n]
-		for p := 0; p < k; p++ {
-			av := arow[p]
+		orow := dst.Data[i*n : (i+1)*n]
+		for p, av := range arow {
 			if av == 0 {
 				continue
 			}
 			brow := b.Data[p*n : (p+1)*n]
-			for j := 0; j < n; j++ {
-				orow[j] += av * brow[j]
+			for j, bv := range brow {
+				orow[j] += av * bv
 			}
 		}
 	}
-	return out
+}
+
+// MatMulTNInto writes aᵀ·b, [k,m]ᵀ·[k,n], over dst [m,n]: the weight
+// gradient xᵀ·δ of a layer computing x·W. dst must not share data with a
+// or b; what it held is discarded.
+func MatMulTNInto(dst, a, b *Tensor) {
+	k, m := mat2(a, "MatMulTN")
+	k2, n := mat2(b, "MatMulTN")
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMulTN inner dimension mismatch %vᵀ · %v", a.Shape, b.Shape))
+	}
+	wantShape(dst, "MatMulTN", m, n)
+	clear(dst.Data)
+	// Row p of a and of b meet in every dst[i][j]; walking p outermost
+	// reads both contiguously and still adds to each element in ascending p.
+	for p := 0; p < k; p++ {
+		arow := a.Data[p*m : (p+1)*m]
+		brow := b.Data[p*n : (p+1)*n]
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			orow := dst.Data[i*n : (i+1)*n]
+			for j, bv := range brow {
+				orow[j] += av * bv
+			}
+		}
+	}
+}
+
+// MatMulNTInto writes a·bᵀ, [m,k]·[n,k]ᵀ, over dst [m,n]: the input
+// gradient δ·Wᵀ of a layer computing x·W. dst must not share data with a
+// or b; what it held is discarded.
+func MatMulNTInto(dst, a, b *Tensor) {
+	m, k := mat2(a, "MatMulNT")
+	n, k2 := mat2(b, "MatMulNT")
+	if k != k2 {
+		panic(fmt.Sprintf("tensor: MatMulNT inner dimension mismatch %v · %vᵀ", a.Shape, b.Shape))
+	}
+	wantShape(dst, "MatMulNT", m, n)
+	// Each element is a dot product of two rows. Four columns go at once so
+	// the four sums hide each other's add latency; each sum still takes its
+	// terms in ascending p.
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		orow := dst.Data[i*n : (i+1)*n]
+		j := 0
+		for ; j+4 <= n; j += 4 {
+			b0 := b.Data[j*k : (j+1)*k]
+			b1 := b.Data[(j+1)*k : (j+2)*k]
+			b2 := b.Data[(j+2)*k : (j+3)*k]
+			b3 := b.Data[(j+3)*k : (j+4)*k]
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s0 += av * b0[p]
+				s1 += av * b1[p]
+				s2 += av * b2[p]
+				s3 += av * b3[p]
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			brow := b.Data[j*k : (j+1)*k]
+			var s float64
+			for p, av := range arow {
+				if av == 0 {
+					continue
+				}
+				s += av * brow[p]
+			}
+			orow[j] = s
+		}
+	}
 }
 
 // Transpose returns the transpose of a 2-D tensor.
@@ -169,15 +274,24 @@ func RowSum(a *Tensor) *Tensor {
 
 // ColSum reduces a 2-D tensor [r,c] over rows producing [1,c].
 func ColSum(a *Tensor) *Tensor {
-	r, c := mat2(a, "ColSum")
+	_, c := mat2(a, "ColSum")
 	out := New(1, c)
+	ColSumInto(out, a)
+	return out
+}
+
+// ColSumInto writes the column sums of a [r,c] over dst [1,c], each sum
+// starting at +0 and taking its rows in ascending order.
+func ColSumInto(dst, a *Tensor) {
+	r, c := mat2(a, "ColSum")
+	wantShape(dst, "ColSum", 1, c)
+	clear(dst.Data)
 	for i := 0; i < r; i++ {
 		row := a.Data[i*c : (i+1)*c]
 		for j, v := range row {
-			out.Data[j] += v
+			dst.Data[j] += v
 		}
 	}
-	return out
 }
 
 // RowMax reduces a 2-D tensor [r,c] over columns producing the per-row

@@ -281,13 +281,22 @@ func (s *Session) Close() {
 	s.dev.mu.Unlock()
 }
 
+// TensorCarrier is implemented by TA response types that wrap tensors, so
+// that the boundary screen sees the tensors inside them.
+type TensorCarrier interface {
+	Tensors() []*tensor.Tensor
+}
+
 // scanForSecureRefs walks common response container shapes looking for
 // registered secure tensors. It intentionally covers the shapes used at
-// the GradSec TA boundary (tensors, slices and maps of tensors).
+// the GradSec TA boundary (tensors, slices and maps of tensors, and
+// response structs that declare theirs as a TensorCarrier).
 func (a *SecureAllocator) scanForSecureRefs(v any) string {
 	switch t := v.(type) {
 	case nil:
 		return ""
+	case TensorCarrier:
+		return a.scanForSecureRefs(t.Tensors())
 	case *tensor.Tensor:
 		return a.secureTensorName(t)
 	case []*tensor.Tensor:
