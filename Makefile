@@ -21,12 +21,13 @@
 #   make smoke-async  run the sync-vs-async walkthrough end to end
 #   make smoke-dynamicwindow run the moving-window cost walkthrough end to end
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
+#   make loc          non-test Go lines per package (the count ROADMAP/CHANGES quote)
 #
 # Benchmark artefacts land in the git-ignored bench/ directory.
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check loc
 
 build:
 	$(GO) build ./...
@@ -98,6 +99,16 @@ smoke-dynamicwindow:
 	$(GO) run ./examples/dynamicwindow
 
 check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow
+
+# Non-test Go lines per package — the number ROADMAP's needle 2 and
+# CHANGES.md track — from one recipe, so it is reproduced, not retyped:
+#   find <pkg> -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
+# (-maxdepth 1 only keeps the root package from counting its children.)
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | while read -r pkg; do \
+		rel=$${pkg#$(CURDIR)}; rel=$${rel#/}; \
+		printf '%6d %s\n' "$$(find "$$pkg" -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)" "$${rel:-.}"; \
+	done | awk '{ print; total += $$1 } END { printf "%6d total\n", total }'
 
 # Privacy-ladder benchmark: plain vs k-regular masked (auto degree,
 # the default) vs enclave aggregation at 64/256/1024 clients. Three

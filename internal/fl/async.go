@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/gradsec/gradsec/internal/journal"
@@ -14,15 +13,18 @@ import (
 
 // AsyncConfig parameterises the asynchronous buffered-federation mode
 // (ServerConfig.Async, driven by Server.RunAsync). The design follows
-// FedBuff: there is no round barrier — every client always holds a
-// model tagged with the version it was cut from, trains at its own
-// pace, and pushes its update whenever ready; the server folds arrivals
-// into a staleness-weighted buffer and applies the buffered aggregate
-// as soon as GoalUpdates have accumulated, which bumps the model
-// version. A device is re-armed with the then-current model the moment
-// its push is processed, so fast devices contribute often and slow
-// devices contribute late-but-discounted instead of idling the fleet
-// behind a deadline.
+// FedBuff, which differs from a synchronous round only in pacing: there
+// is no round barrier — every client always holds a model tagged with
+// the version it was cut from, trains at its own pace, and pushes its
+// update whenever ready; the server folds arrivals into a
+// staleness-weighted buffer and applies the buffered aggregate as soon
+// as GoalUpdates have accumulated, which bumps the model version. A
+// device is re-armed with the then-current model the moment its push is
+// processed, so fast devices contribute often and slow devices
+// contribute late-but-discounted instead of idling the fleet behind a
+// deadline. A version window runs on the round skeleton of round.go
+// (docs/ROUNDS.md): same fan-out, same arrival classification, same
+// commit.
 type AsyncConfig struct {
 	// Enabled turns the asynchronous mode on; ServerConfig.Rounds then
 	// counts buffered applications (model versions) instead of
@@ -50,13 +52,14 @@ type AsyncConfig struct {
 	// device is still re-armed, so one fast device cannot flood the
 	// buffer and crowd out the rest of the fleet.
 	MinPushInterval time.Duration
-	// MaxViolations is the per-device health budget: this many
-	// consecutive protocol violations (duplicate pushes without an
-	// outstanding model) quarantine the device — probation under
-	// QuarantineRounds, permanent otherwise. Defaults to 3; a folded
-	// update resets the count.
-	MaxViolations int
 }
+
+// maxAsyncStrikes is the per-device health budget: this many
+// consecutive protocol violations (duplicate pushes without an
+// outstanding model) sanction the device — probation under
+// QuarantineRounds, permanent quarantine otherwise. A folded update
+// resets the count.
+const maxAsyncStrikes = 3
 
 // DefaultStalenessDiscount maps an update's staleness s (current
 // version minus the version it trained on, ≥0) to a weight multiplier
@@ -68,31 +71,14 @@ func DefaultStalenessDiscount(s int) float64 {
 	return 1 / math.Sqrt(1+float64(s))
 }
 
-// asyncClient is the server-side health/book-keeping record for one
-// device in an asynchronous session, owned by the RunAsync goroutine.
-type asyncClient struct {
-	// sentVersion is the model version most recently sent; a valid push
-	// must echo it (GradUp.Version).
-	sentVersion int
-	// awaiting is set while a model is outstanding — exactly one push
-	// is owed. A push without it is a duplicate.
-	awaiting bool
-	// lastFold is the time of the last accepted fold (rate limiting).
-	lastFold time.Time
-	// strikes counts consecutive protocol violations.
-	strikes int
-	// doneSent marks a delivered end-of-session Done.
-	doneSent bool
-}
-
 // RunAsync executes selection followed by an asynchronous buffered
 // federation session over the given client connections: cfg.Rounds
-// buffered applications of cfg.Async.GoalUpdates staleness-discounted
-// updates each. It returns the number of selected clients. The round
-// trace holds one entry per applied version: Responded counts folded
-// updates, LateDiscarded over-stale pushes, Duplicates duplicate or
-// rate-limited ones, and WeightTotal the discounted weight actually
-// applied.
+// version windows, each closed by the buffered application of
+// cfg.Async.GoalUpdates staleness-discounted updates. It returns the
+// number of selected clients. The round trace holds one entry per
+// applied version: Responded counts folded updates, LateDiscarded
+// over-stale pushes, Duplicates duplicate or rate-limited ones, and
+// WeightTotal the discounted weight actually applied.
 //
 // Asynchronous sessions are plaintext-only for now: SecAgg and Partials
 // are rejected (a masked cohort needs a round barrier for its masks to
@@ -124,347 +110,225 @@ func (s *Server) RunAsync(conns []Conn) (int, error) {
 	return n, nil
 }
 
-// runAsync is the buffered-federation event loop. Single-goroutine by
-// design: arrivals from every connection reader funnel through the
-// bounded channel, so folds, version bumps and replies are totally
-// ordered and the trace is deterministic for a deterministic arrival
-// order.
+// asyncWindow is one version's window: the round skeleton's state, whose
+// pending set — the devices holding a model, each owing exactly one
+// push — carries over from window to window, plus the window's own
+// buffer, model frame and span.
+type asyncWindow struct {
+	*syncRound
+	agg  *Aggregator
+	down *ModelDown
+	// span covers the window (async has no sync phases). Its
+	// version-scoped trace ID correlates it with the ModelDown frames
+	// cut from the version across the fleet.
+	span *obs.Span
+}
+
+// runAsync paces the round skeleton without a barrier: windows follow
+// one another until cfg.Rounds versions are applied, then the session
+// drains. Single-goroutine by design: arrivals from every connection
+// reader funnel through the bounded channel, so folds, version bumps
+// and replies are totally ordered and the trace is deterministic for a
+// deterministic arrival order.
 func (s *Server) runAsync() error {
-	cfg := s.cfg.Async
-	clients := make(map[*session]*asyncClient, len(s.sessions))
-	for _, sess := range s.sessions {
-		clients[sess] = &asyncClient{}
+	w := &asyncWindow{syncRound: &syncRound{pending: make(map[*session]bool, len(s.sessions))}}
+	// 0 fresh; the first unwatermarked version after recovery.
+	s.openVersion(w, s.nextRound)
+	lose := func(sess *session, probationable bool, reason error) {
+		s.failClient(w.syncRound, sess, probationable, reason)
 	}
-
-	version := s.nextRound                // 0 fresh; the first unwatermarked version after recovery
-	frames := make(map[wire.Codec][]byte) // current version, per codec
-	agg := NewAggregator(s.state)
-	stats := RoundStats{Round: version, Sampled: len(s.sessions)}
-	var reasons []string
-
-	s.asyncRoundStarted(version)
-	// One span per buffered version window (async has no sync phases).
-	// The version-scoped trace ID correlates this window's spans with
-	// the ModelDown frames cut from it across the fleet.
-	s.ob.setTrace(obs.RoundTrace(version))
-	verSpan := s.ob.spanStart("version", version)
-
-	// Initial distribution: every selected client gets version 0,
-	// encoded once per negotiated codec, sent in parallel.
-	sendErrs := make([]error, len(s.sessions))
-	var sends sync.WaitGroup
-	for i, sess := range s.sessions {
-		payload := s.asyncFrame(frames, version, sess.codec)
-		sends.Add(1)
-		go func(i int, sess *session, payload []byte) {
-			defer sends.Done()
-			sendErrs[i] = sess.conn.SendFrame(MsgModelDown, payload)
-		}(i, sess, payload)
-	}
-	sends.Wait()
-	for i, sess := range s.sessions {
-		if sendErrs[i] != nil {
-			s.quarantineAt(sess, version, false, fmt.Errorf("sending model: %w", sendErrs[i]), &stats, &reasons)
-			continue
+	var pushErr error
+	take := func(sess *session, msg Message) bool {
+		m, ok := msg.(*GradUp)
+		if ok {
+			pushErr = s.asyncPush(w, sess, m)
 		}
-		ac := clients[sess]
-		ac.sentVersion = version
-		ac.awaiting = true
+		return ok
 	}
-
-	for version < s.cfg.Rounds {
-		if err := s.asyncCheckLiveness(clients, &reasons); err != nil {
-			s.closeRound(stats, false, nil)
+	for w.round < s.cfg.Rounds {
+		err := s.asyncStalled(w.syncRound)
+		if err == nil {
+			s.handleArrival(<-s.arrivals, lose, take)
+			err = pushErr
+		}
+		if err != nil {
+			s.closeRound(w.stats, false, nil)
 			return err
 		}
-		a := <-s.arrivals
-		pushStart := s.ob.now()
-		sess := a.sess
-		if sess.quarantined {
-			continue // residue from an already-closed connection
-		}
-		ac := clients[sess]
-		if a.err != nil {
-			ac.awaiting = false
-			s.quarantineAt(sess, version, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err), &stats, &reasons)
-			continue
-		}
-		switch m := a.msg.(type) {
-		case *CodecSwitch:
-			continue // ack, nothing to fold
-		case *GradUp:
-			if !ac.awaiting {
-				// Duplicate push: nothing is outstanding for this device.
-				// Discard without a reply (none is owed) and strike its
-				// health budget.
-				stats.Duplicates++
-				ac.strikes++
-				if s.cfg.Hooks.UpdatePushed != nil {
-					s.cfg.Hooks.UpdatePushed(version, sess.device, false)
-				}
-				if ac.strikes >= cfg.MaxViolations {
-					s.ob.observeStrikes(ac.strikes)
-					s.quarantineAt(sess, version, true, fmt.Errorf("%d consecutive duplicate pushes", ac.strikes), &stats, &reasons)
-				}
-				continue
-			}
-			ac.awaiting = false
-			if int(m.Version) != ac.sentVersion {
-				s.quarantineAt(sess, version, true, fmt.Errorf("update for version %d, expected %d", m.Version, ac.sentVersion), &stats, &reasons)
-				if s.cfg.Hooks.UpdatePushed != nil {
-					s.cfg.Hooks.UpdatePushed(version, sess.device, false)
-				}
-				continue
-			}
-			staleness := version - int(m.Version)
-			s.ob.observeStaleness(staleness)
-			now := s.cfg.Clock.Now()
-			folded := false
-			switch {
-			case cfg.MaxStaleness > 0 && staleness > cfg.MaxStaleness:
-				stats.LateDiscarded++
-			case cfg.MinPushInterval > 0 && !ac.lastFold.IsZero() && now.Sub(ac.lastFold) < cfg.MinPushInterval:
-				stats.Duplicates++
-			default:
-				weight := float64(updateWeight(m.Examples)) * DefaultStalenessDiscount(staleness)
-				if err := s.foldGradUp(agg, sess, m, weight); err != nil {
-					s.quarantineAt(sess, version, true, err, &stats, &reasons)
-					if s.cfg.Hooks.UpdatePushed != nil {
-						s.cfg.Hooks.UpdatePushed(version, sess.device, false)
-					}
-					continue
-				}
-				folded = true
-				ac.strikes = 0
-				ac.lastFold = now
-				if s.cfg.Hooks.UpdateFolded != nil {
-					s.cfg.Hooks.UpdateFolded(version, sess.device)
-				}
-			}
-			if s.cfg.Hooks.UpdatePushed != nil {
-				s.cfg.Hooks.UpdatePushed(version, sess.device, folded)
-			}
-			if folded && agg.Count() >= cfg.GoalUpdates {
-				// Goal reached: apply the buffered aggregate, bump the
-				// version, open the next window.
-				stats.Responded = agg.Count()
-				stats.WeightTotal = agg.Weight()
-				mean, err := agg.Mean()
-				if err != nil {
-					s.closeRound(stats, false, nil)
-					return err
-				}
-				stats.UpdateNorm = UpdateNorm(mean)
-				ApplyUpdate(s.state, mean, 1.0)
-				s.closeRound(stats, true, mean)
-				verSpan.End()
-				version++
-				if version >= s.cfg.Rounds {
-					break
-				}
-				agg = NewAggregator(s.state)
-				stats = RoundStats{Round: version, Sampled: s.asyncLive(version)}
-				reasons = nil
-				frames = make(map[wire.Codec][]byte)
-				s.asyncRoundStarted(version)
-				s.ob.setTrace(obs.RoundTrace(version))
-				verSpan = s.ob.spanStart("version", version)
-				// Devices whose probation window just elapsed rejoin here:
-				// they hold no model (their last interaction was a failure),
-				// so hand them the fresh version.
-				s.asyncReengage(version, clients, frames, &stats, &reasons)
-			}
-			// Re-arm the pusher with the current model — fresh if its fold
-			// just triggered the application.
-			s.asyncReply(sess, ac, version, frames, &stats, &reasons)
-			s.ob.observePush(pushStart)
-		case *ErrorMsg:
-			ac.awaiting = false
-			s.quarantineAt(sess, version, true, fmt.Errorf("client error: %s", m.Text), &stats, &reasons)
-		default:
-			ac.awaiting = false
-			s.quarantineAt(sess, version, true, fmt.Errorf("unexpected %T in async session", a.msg), &stats, &reasons)
-		}
 	}
-	return s.asyncDrain(clients)
+	s.asyncDrain(w.syncRound)
+	return nil
 }
 
-// asyncRoundStarted journals the version boundary and fires the
-// RoundStarted hook with the devices eligible at the given version.
-func (s *Server) asyncRoundStarted(version int) {
+// openVersion opens the window of a version: journal the boundary,
+// announce the eligible devices, and hand the version's model to each of
+// them that holds none — the whole fleet at the first window; later the
+// pusher whose fold closed the previous window and devices whose
+// probation just elapsed (their last interaction was a failure).
+func (s *Server) openVersion(w *asyncWindow, version int) {
+	w.round, w.sampled = version, live(s.sessions, version)
+	w.stats = RoundStats{Round: version, Sampled: len(w.sampled)}
+	w.reasons, w.frames = nil, make(map[wire.Codec][]byte)
+	w.agg = NewAggregator(s.state)
 	s.journalAppend(&journal.Record{Type: journal.RecRoundOpen, Round: version})
-	if s.cfg.Hooks.RoundStarted == nil {
-		return
+	if s.cfg.Hooks.RoundStarted != nil {
+		s.cfg.Hooks.RoundStarted(version, deviceNames(w.sampled))
 	}
-	var names []string
+	s.ob.setTrace(obs.RoundTrace(version))
+	w.span = s.ob.spanStart("version", version)
+	w.down = &ModelDown{Round: version, Plain: s.state, Version: uint64(version), Trace: obs.RoundTrace(version)}
+	var idle []*session
+	for _, sess := range w.sampled {
+		if !w.pending[sess] {
+			idle = append(idle, sess)
+		}
+	}
+	s.send(w.syncRound, idle, w.down, unsealed, nil)
+}
+
+// asyncPush is the window's take: one device's push is checked against
+// the model it was handed, folded at its staleness discount (or
+// discarded), and answered with the current model — fresh if the fold
+// just closed the window, the Done once the version budget is
+// exhausted. Only a buffer that cannot be averaged is an error.
+func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
+	cfg, rd, pushStart := s.cfg.Async, w.syncRound, s.ob.now()
+	pushed := func(folded bool) {
+		if s.cfg.Hooks.UpdatePushed != nil {
+			s.cfg.Hooks.UpdatePushed(rd.round, sess.device, folded)
+		}
+	}
+	if !rd.pending[sess] {
+		// Duplicate push: nothing is outstanding for this device.
+		// Discard without a reply (none is owed) and strike its health
+		// budget.
+		rd.stats.Duplicates++
+		sess.strikes++
+		pushed(false)
+		if sess.strikes >= maxAsyncStrikes {
+			s.ob.observeStrikes(sess.strikes)
+			s.failClient(rd, sess, true, fmt.Errorf("%d consecutive duplicate pushes", sess.strikes))
+		}
+		return nil
+	}
+	delete(rd.pending, sess)
+	if int(m.Version) != sess.sentVersion {
+		s.failClient(rd, sess, true, fmt.Errorf("update for version %d, expected %d", m.Version, sess.sentVersion))
+		pushed(false)
+		return nil
+	}
+	staleness := rd.round - sess.sentVersion
+	s.ob.observeStaleness(staleness)
+	now := s.cfg.Clock.Now()
+	folded := false
+	switch {
+	case cfg.MaxStaleness > 0 && staleness > cfg.MaxStaleness:
+		rd.stats.LateDiscarded++
+	case cfg.MinPushInterval > 0 && !sess.lastFold.IsZero() && now.Sub(sess.lastFold) < cfg.MinPushInterval:
+		rd.stats.Duplicates++
+	default:
+		weight := float64(updateWeight(m.Examples)) * DefaultStalenessDiscount(staleness)
+		if err := s.foldGradUp(w.agg, sess, m, weight); err != nil {
+			s.failClient(rd, sess, true, err)
+			pushed(false)
+			return nil
+		}
+		if s.cfg.ClientTelemetry {
+			s.mergeTelemetry("client", sess.device, m.Telemetry)
+		}
+		folded = true
+		sess.strikes, sess.lastFold = 0, now
+		if s.cfg.Hooks.UpdateFolded != nil {
+			s.cfg.Hooks.UpdateFolded(rd.round, sess.device)
+		}
+	}
+	pushed(folded)
+	if folded && w.agg.Count() >= cfg.GoalUpdates {
+		// Goal reached: apply the buffered aggregate, bump the version,
+		// open the next window.
+		rd.stats.Responded, rd.stats.WeightTotal = w.agg.Count(), w.agg.Weight()
+		mean, err := w.agg.Mean()
+		if err != nil {
+			return err
+		}
+		s.applyMean(rd, mean)
+		w.span.End()
+		if rd.round++; rd.round < s.cfg.Rounds {
+			s.openVersion(w, rd.round)
+		}
+	}
+	switch {
+	case !sess.eligible(rd.round) || rd.pending[sess]:
+		// A probationed device is re-engaged when its window ends; one
+		// the new window already armed owes its one push.
+	case rd.round >= s.cfg.Rounds:
+		s.asyncSendDone(sess)
+	default:
+		s.send(rd, []*session{sess}, w.down, unsealed, nil)
+	}
+	s.ob.observePush(pushStart)
+	return nil
+}
+
+// asyncStalled fails the session when it can no longer make progress:
+// fewer surviving devices than MinClients, or no device owes a push
+// (every survivor idle or stuck on probation) so the buffer can never
+// fill.
+func (s *Server) asyncStalled(rd *syncRound) error {
+	surviving := 0
 	for _, sess := range s.sessions {
-		if sess.eligible(version) {
-			names = append(names, sess.device)
+		if !sess.quarantined {
+			surviving++
 		}
 	}
-	s.cfg.Hooks.RoundStarted(version, names)
-}
-
-// asyncLive counts sessions eligible at the version.
-func (s *Server) asyncLive(version int) int {
-	n := 0
-	for _, sess := range s.sessions {
-		if sess.eligible(version) {
-			n++
-		}
-	}
-	return n
-}
-
-// asyncFrame returns the encode-once ModelDown frame for a version and
-// codec.
-func (s *Server) asyncFrame(frames map[wire.Codec][]byte, version int, codec wire.Codec) []byte {
-	payload, ok := frames[codec]
-	if !ok {
-		down := &ModelDown{Round: version, Plain: s.state, Version: uint64(version), Trace: obs.RoundTrace(version)}
-		payload = EncodeMessageCodec(down, codec)
-		frames[codec] = payload
-	}
-	return payload
-}
-
-// asyncReply re-arms one device with the current model version (or a
-// Done once the session's version budget is exhausted).
-func (s *Server) asyncReply(sess *session, ac *asyncClient, version int, frames map[wire.Codec][]byte, stats *RoundStats, reasons *[]string) {
-	if sess.quarantined || !sess.eligible(version) {
-		return // a probationed device is re-engaged when its window ends
-	}
-	if ac.awaiting {
-		return // already armed (e.g. by the reengage sweep): one push owed
-	}
-	if version >= s.cfg.Rounds {
-		s.asyncSendDone(sess, ac)
-		return
-	}
-	if err := sess.conn.SendFrame(MsgModelDown, s.asyncFrame(frames, version, sess.codec)); err != nil {
-		s.quarantineAt(sess, version, false, fmt.Errorf("sending model: %w", err), stats, reasons)
-		return
-	}
-	ac.sentVersion = version
-	ac.awaiting = true
-}
-
-// asyncReengage hands the current model to every eligible device with
-// no model outstanding — devices returning from probation.
-func (s *Server) asyncReengage(version int, clients map[*session]*asyncClient, frames map[wire.Codec][]byte, stats *RoundStats, reasons *[]string) {
-	for _, sess := range s.sessions {
-		ac := clients[sess]
-		if sess.quarantined || ac.awaiting || !sess.eligible(version) {
-			continue
-		}
-		s.asyncReply(sess, ac, version, frames, stats, reasons)
-	}
-}
-
-// asyncCheckLiveness fails the session when it can no longer make
-// progress: fewer surviving devices than MinClients, or no device owes
-// a push (every survivor idle or stuck on probation) so the buffer can
-// never fill.
-func (s *Server) asyncCheckLiveness(clients map[*session]*asyncClient, reasons *[]string) error {
-	surviving, awaiting := 0, 0
-	for _, sess := range s.sessions {
-		if sess.quarantined {
-			continue
-		}
-		surviving++
-		if clients[sess].awaiting {
-			awaiting++
-		}
-	}
-	if surviving < s.cfg.MinClients {
-		return fmt.Errorf("%w: %d surviving clients, need %d (%s)", ErrNotEnoughClients, surviving, s.cfg.MinClients, joinReasons(*reasons))
-	}
-	if awaiting == 0 {
-		return fmt.Errorf("%w: no client owes an update (%s)", ErrNotEnoughClients, joinReasons(*reasons))
+	switch {
+	case surviving < s.cfg.MinClients:
+		return fmt.Errorf("%w: %d surviving clients, need %d%s", ErrNotEnoughClients, surviving, s.cfg.MinClients, rd.failures())
+	case len(rd.pending) == 0:
+		return fmt.Errorf("%w: no client owes an update%s", ErrNotEnoughClients, rd.failures())
 	}
 	return nil
 }
 
-func joinReasons(reasons []string) string {
-	if len(reasons) == 0 {
-		return "no failures recorded"
-	}
-	out := reasons[0]
-	for _, r := range reasons[1:] {
-		out += "; " + r
-	}
-	return out
-}
-
 // asyncSendDone delivers the end-of-session Done with the final model,
 // best effort, at most once per device.
-func (s *Server) asyncSendDone(sess *session, ac *asyncClient) {
-	if ac.doneSent || sess.quarantined {
+func (s *Server) asyncSendDone(sess *session) {
+	if sess.doneSent || sess.quarantined {
 		return
 	}
-	ac.doneSent = true
-	ac.awaiting = false
+	sess.doneSent = true
 	_ = sess.conn.Send(&Done{Final: s.state})
 }
 
 // asyncDrain finishes the session after the last application: idle
 // devices get their Done immediately; devices still training get it as
 // the reply to their final push. The wait for in-flight trainers is
-// bounded by RoundDeadline when one is configured.
-func (s *Server) asyncDrain(clients map[*session]*asyncClient) error {
-	// Drain-time failures go through the same quarantine path as
-	// mid-session ones, so the ClientQuarantined hook, the journal
-	// record and the device history all still happen — a device that
-	// dies while we wait for its last push must not silently vanish.
-	// The accounting lands in a local stats block: the final version's
-	// trace entry is already committed.
-	var drainStats RoundStats
-	var drainReasons []string
-	outstanding := 0
+// bounded by RoundDeadline when one is configured — those past it are
+// abandoned, and Abort closes their connections. A failure during drain
+// is sanctioned like a mid-session one, so the ClientQuarantined hook,
+// the journal record and the device history all still happen — a device
+// that dies while we wait for its last push must not silently vanish.
+// (The accounting lands nowhere: the final version's trace entry is
+// already committed.)
+func (s *Server) asyncDrain(rd *syncRound) {
 	for _, sess := range s.sessions {
-		ac := clients[sess]
-		if sess.quarantined {
-			continue
-		}
-		if ac.awaiting {
-			outstanding++
-			continue
-		}
-		s.asyncSendDone(sess, ac)
-	}
-	var deadlineC <-chan time.Time
-	if s.cfg.RoundDeadline > 0 {
-		timer := s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
-		defer timer.Stop()
-		deadlineC = timer.C
-	}
-	for outstanding > 0 {
-		select {
-		case a := <-s.arrivals:
-			sess := a.sess
-			ac := clients[sess]
-			if sess.quarantined {
-				continue
-			}
-			if a.err != nil {
-				if ac.awaiting {
-					ac.awaiting = false
-					outstanding--
-				}
-				s.quarantineAt(sess, s.cfg.Rounds, false, fmt.Errorf("transport during drain: %w", a.err), &drainStats, &drainReasons)
-				continue
-			}
-			if !ac.awaiting {
-				continue // duplicate or ack during drain: ignore
-			}
-			ac.awaiting = false
-			outstanding--
-			s.asyncSendDone(sess, ac)
-		case <-deadlineC:
-			// In-flight trainers past the drain deadline are abandoned;
-			// Abort will close their connections.
-			return nil
+		if !rd.pending[sess] {
+			s.asyncSendDone(sess)
 		}
 	}
-	return nil
+	s.armDeadline(rd)
+	defer rd.finish()
+	s.await(rd, func(sess *session, probationable bool, reason error) {
+		s.failClient(rd, sess, probationable, fmt.Errorf("during drain: %w", reason))
+		s.asyncSendDone(sess) // on probation the connection is still open
+	}, func(sess *session, msg Message) bool {
+		if _, ok := msg.(*GradUp); !ok {
+			return false
+		}
+		if rd.pending[sess] {
+			delete(rd.pending, sess)
+			s.asyncSendDone(sess)
+		}
+		return true // an idle device's duplicate is ignored
+	})
 }

@@ -142,3 +142,100 @@ func TestAsyncWatermarkRecovery(t *testing.T) {
 	}
 	_ = j2.Close()
 }
+
+// TestAsyncFirstWindowHonoursStanding: the first window of a session —
+// here a resumed one — arms and counts only the devices eligible at its
+// version, like every later window. A device whose journal-recovered
+// probation has not elapsed is not handed a model (so it cannot be
+// folded) until the version that re-admits it, and the dead placeholder
+// of a roster member that stayed away is not counted as sampled.
+func TestAsyncFirstWindowHonoursStanding(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "async.journal")
+	cfg := ServerConfig{
+		Rounds: 4, MinClients: 1, QuarantineRounds: 2,
+		Async: AsyncConfig{Enabled: true, GoalUpdates: 1},
+	}
+
+	// The doomed process: c fails in version 0 (probation until version
+	// 3), a's push watermarks version 0 and the probation with it, and
+	// the process dies opening version 1.
+	j, err := journal.Create(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benched := make(chan struct{}, 1)
+	ccfg := cfg
+	ccfg.Journal = j
+	ccfg.Hooks = Hooks{
+		ClientProbationed: func(string, error) { benched <- struct{}{} },
+		RoundStarted: func(version int, _ []string) {
+			if version == 1 {
+				panic(crashSentinel{version})
+			}
+		},
+	}
+	srv := NewServer(newState(0), ccfg)
+	sa, ca := Pipe()
+	sb, cb := Pipe()
+	sc, cc := Pipe()
+	crashed := startAsyncUntilCrash(srv, []Conn{sa, sb, sc})
+	a, b, c := dialAsyncPeer(t, "a", ca), dialAsyncPeer(t, "b", cb), dialAsyncPeer(t, "c", cc)
+	ma := a.recvModel()
+	_, _ = b.recvModel(), c.recvModel()
+	if err := cc.Send(&ErrorMsg{Text: "boom"}); err != nil {
+		t.Fatal(err)
+	}
+	<-benched
+	a.push(ma, 1)
+	if crash, ok := (<-crashed).(crashSentinel); !ok || crash.round != 1 {
+		t.Fatalf("session ended without crashing at version 1: %v", crash)
+	}
+	_ = j.Close()
+
+	// Recovery: a and c rejoin, b stays away.
+	j2, err := journal.Append(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	var armed [][]string
+	rcfg := cfg
+	rcfg.Journal = j2
+	rcfg.Hooks = Hooks{RoundStarted: func(_ int, names []string) { armed = append(armed, names) }}
+	srv2, err := Recover(jpath, newState(0), rcfg)
+	if err != nil {
+		t.Fatalf("Recover: %v", err)
+	}
+	sa2, ca2 := Pipe()
+	sc2, cc2 := Pipe()
+	done := startAsyncUntilCrash(srv2, []Conn{sa2, sc2})
+	a2, c2 := dialAsyncPeer(t, "a", ca2), dialAsyncPeer(t, "c", cc2)
+	for version := uint64(1); version <= 3; version++ {
+		m := a2.recvModel()
+		if m.Version != version {
+			t.Fatalf("a armed with version %d, want %d", m.Version, version)
+		}
+		a2.push(m, 1)
+	}
+	a2.recvDone()
+	// c's first model is the version that ends its probation; its push
+	// lands in the drain.
+	mc := c2.recvModel()
+	if mc.Version != 3 {
+		t.Fatalf("c, on probation until version 3, was handed version %d", mc.Version)
+	}
+	c2.push(mc, 1)
+	c2.recvDone()
+	if err, ok := (<-done).(error); ok && err != nil {
+		t.Fatalf("resumed session: %v", err)
+	}
+	trace := srv2.Trace()
+	for version, want := range map[int]int{1: 1, 2: 1, 3: 2} {
+		if got := trace[version].Sampled; got != want {
+			t.Errorf("version %d sampled %d devices, want %d", version, got, want)
+		}
+	}
+	if len(armed) != 3 || len(armed[0]) != 1 || armed[0][0] != "a" {
+		t.Errorf("windows announced %v, want [a] first", armed)
+	}
+}

@@ -319,7 +319,7 @@ func TestAsyncRateLimitAndDuplicates(t *testing.T) {
 		Hooks: eventHooks(events),
 		Async: AsyncConfig{
 			Enabled: true, GoalUpdates: 2,
-			MinPushInterval: time.Second, MaxViolations: 2,
+			MinPushInterval: time.Second,
 		},
 	})
 	serverErr := make(chan error, 1)
@@ -349,14 +349,15 @@ func TestAsyncRateLimitAndDuplicates(t *testing.T) {
 	}
 
 	// A training failure benches flood (probation, no reply owed); its
-	// two follow-up pushes have no outstanding model, strike the health
-	// budget twice, and hit MaxViolations.
+	// three follow-up pushes have no outstanding model, strike the health
+	// budget three times, and exhaust it.
 	if err := floodClient.Send(&ErrorMsg{Text: "boom"}); err != nil {
 		t.Fatal(err)
 	}
 	flood.push(fm, 1)
 	flood.push(fm, 1)
-	// Both bench decisions — the failure and the MaxViolations trip —
+	flood.push(fm, 1)
+	// Both bench decisions — the failure and the third strike —
 	// must land before the keeper is allowed to finish the session, or
 	// the orphan pushes could drift into the drain and go unaccounted.
 	waitEvent(t, events, "probation")
@@ -388,11 +389,11 @@ func TestAsyncRateLimitAndDuplicates(t *testing.T) {
 		probation += st.Probation
 		quarantined += st.Quarantined
 	}
-	// 1 rate-limited push + 2 orphan pushes; the failure and the
-	// MaxViolations trip both book probation (QuarantineRounds > 0 keeps
-	// the bench temporary), never a permanent quarantine.
-	if duplicates != 3 {
-		t.Fatalf("duplicates = %d, want 3", duplicates)
+	// 1 rate-limited push + 3 orphan pushes; the failure and the third
+	// strike both book probation (QuarantineRounds > 0 keeps the bench
+	// temporary), never a permanent quarantine.
+	if duplicates != 4 {
+		t.Fatalf("duplicates = %d, want 4", duplicates)
 	}
 	if probation != 2 || quarantined != 0 {
 		t.Fatalf("probation %d quarantined %d, want 2/0", probation, quarantined)

@@ -43,8 +43,7 @@ func (s *Server) runEdgeRound(round int) (*Partial, error) {
 
 	// The trace ID this tier minted (or adopted from above) rides the
 	// ShardDown to every tier below.
-	s.distribute(rd, &ShardDown{Round: round, Model: s.state, Trace: s.curTrace},
-		func(*session) bool { return false }, nil)
+	s.distribute(rd, &ShardDown{Round: round, Model: s.state, Trace: s.curTrace}, unsealed, nil)
 	bcast := s.ob.now()
 
 	var agg *Aggregator

@@ -202,20 +202,7 @@ func (s *Server) Resume(conns []Conn) (int, error) {
 			ErrNotEnoughClients, returning, len(s.roster), s.cfg.MinClients)
 	}
 
-	buffer := len(sessions)
-	if s.cfg.Async.Enabled && s.cfg.Async.Buffer < buffer {
-		buffer = s.cfg.Async.Buffer
-	}
-	s.sessions = sessions
-	s.arrivals = make(chan arrival, buffer)
-	s.done = make(chan struct{})
-	for _, sess := range sessions {
-		if !sess.quarantined {
-			s.startReader(sess)
-		}
-	}
-	s.opened = true
-	s.shut = false
+	s.startSession(sessions)
 	return returning, nil
 }
 

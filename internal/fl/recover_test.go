@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/gradsec/gradsec/internal/journal"
+	"github.com/gradsec/gradsec/internal/obs"
 	"github.com/gradsec/gradsec/internal/tensor"
 )
 
@@ -325,5 +326,67 @@ func TestResumeRequiresRecovery(t *testing.T) {
 	srv := NewServer(newState(1), ServerConfig{})
 	if _, err := srv.Resume(nil); !errors.Is(err, ErrNotRecovered) {
 		t.Fatalf("err = %v, want ErrNotRecovered", err)
+	}
+}
+
+// TestResumeBringsSessionLive: Resume leaves the session exactly as live
+// as Open does. Inside the first resumed round /healthz reports the
+// session open, the rejoined members as its roster (the dead
+// placeholders of members that stayed away are not on it) and the
+// resumed round; and that round's wire bytes exclude the re-handshake.
+func TestResumeBringsSessionLive(t *testing.T) {
+	jpath := filepath.Join(t.TempDir(), "j")
+	j, err := journal.Create(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := ServerConfig{Rounds: 3, MinClients: 2, Journal: j}
+	cfg.Hooks = Hooks{RoundStarted: func(round int, _ []string) {
+		if round == 1 {
+			panic(crashSentinel{round})
+		}
+	}}
+	runUntilCrash(t, NewServer(newState(5), cfg), recoverTrainers(1, 2, 4, 8))
+	j.Close()
+
+	j2, err := journal.Append(jpath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	var resumed *Server
+	var first obs.Health
+	cfg2 := ServerConfig{Rounds: 3, MinClients: 2, Journal: j2, Metrics: obs.NewRegistry()}
+	cfg2.Hooks = Hooks{RoundStarted: func(round int, _ []string) {
+		if round == 1 {
+			first = resumed.Health()
+		}
+	}}
+	resumed, err = Recover(jpath, newState(5), cfg2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resumed.NextRound(); got != 1 {
+		t.Fatalf("NextRound = %d, want 1", got)
+	}
+	// Only "a" and "b" rejoin; "c" and "d" stay dead placeholders.
+	if _, err := runSession(t, resumed, recoverTrainers(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if !first.Open || first.Roster != 2 || first.Round != 1 {
+		t.Fatalf("health inside the first resumed round = open=%v roster=%d round=%d, want open=true roster=2 round=1",
+			first.Open, first.Roster, first.Round)
+	}
+	// A session of the same two devices that never crashed moves the
+	// same frames in its round 1; only a round metered from before the
+	// re-handshake could differ.
+	whole := NewServer(newState(5), ServerConfig{Rounds: 3, MinClients: 2, Metrics: obs.NewRegistry()})
+	if _, err := runSession(t, whole, recoverTrainers(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	got, want := resumed.Trace()[1], whole.Trace()[1]
+	if got.BytesUp == 0 || got.BytesUp != want.BytesUp || got.BytesDown != want.BytesDown {
+		t.Fatalf("first resumed round moved %d up / %d down, want %d / %d: the re-handshake was metered into it",
+			got.BytesUp, got.BytesDown, want.BytesUp, want.BytesDown)
 	}
 }

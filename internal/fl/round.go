@@ -15,16 +15,21 @@ import (
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
-// syncRound is the state one round-synchronous cycle carries between
-// its phases. runRound, runSecAggRound and runEdgeRound drive it through
-// the same skeleton — openRound, distribute, collect with
-// handleArrival, minClientsGate — and add only their own fold and
-// close.
+// syncRound is the state one round (or one asynchronous version
+// window) carries between its steps. runRound, runSecAggRound,
+// runEdgeRound and runAsync drive it through the same skeleton — open,
+// send, wait on handleArrival, gate, applyMean — and add only their own
+// pacing, fold and close (docs/ROUNDS.md).
 type syncRound struct {
 	round   int
 	sampled []*session
-	// pending holds the reached cohort members still owed an answer.
+	// pending holds the reached peers still owed an answer. In an
+	// asynchronous session it outlives the version window: a device
+	// armed in one version may answer in a later one.
 	pending map[*session]bool
+	// frames is the encode-once cache of the window's shared model
+	// frame, one serialisation per negotiated codec.
+	frames  map[wire.Codec][]byte
 	stats   RoundStats
 	reasons []string
 	// deadline fires when RoundDeadline expires; nil waits forever.
@@ -49,7 +54,7 @@ func (s *Server) openRound(round int) (*syncRound, error) {
 		s.curTrace = obs.RoundTrace(round)
 	}
 	s.ob.setTrace(s.curTrace)
-	rd := &syncRound{round: round}
+	rd := &syncRound{round: round, pending: make(map[*session]bool), frames: make(map[wire.Codec][]byte)}
 	rd.ptRound = s.ob.startPhase("round", round)
 	rd.ptSample = s.ob.startPhase("sample", round)
 	rd.sampled = s.sample(alive)
@@ -57,14 +62,19 @@ func (s *Server) openRound(round int) (*syncRound, error) {
 
 	// Arm the deadline before any model leaves the server so time spent
 	// distributing counts against the round budget.
-	if s.cfg.RoundDeadline > 0 {
-		rd.timer = s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
-		rd.deadline = rd.timer.C
-	}
+	s.armDeadline(rd)
 	if s.cfg.Hooks.RoundStarted != nil {
 		s.cfg.Hooks.RoundStarted(round, deviceNames(rd.sampled))
 	}
 	return rd, nil
+}
+
+// armDeadline starts the RoundDeadline timer, when one is configured.
+func (s *Server) armDeadline(rd *syncRound) {
+	if s.cfg.RoundDeadline > 0 {
+		rd.timer = s.cfg.Clock.NewTimer(s.cfg.RoundDeadline)
+		rd.deadline = rd.timer.C
+	}
 }
 
 // finish ends the round phase and disarms the deadline.
@@ -84,87 +94,120 @@ func deviceNames(sessions []*session) []string {
 	return names
 }
 
-// distribute sends the round's model (a ModelDown, or a ShardDown to
-// edge peers) to the cohort in parallel and marks every reached client
-// pending; one that cannot be reached is quarantined. Encode-once
-// broadcast: every client for which sealed reports false receives the
-// identical bytes, serialised from down once per negotiated codec
-// instead of once per client. Only the rest need a per-client build
-// from seal — their sealed payload is keyed to their own trusted
-// channel. The sends are not interruptible by the round deadline; on
-// deadline-capable transports (TCP) each write is bounded by
-// cfg.IOTimeout instead.
+// distribute is the synchronous broadcast: the round's model (a
+// ModelDown, or a ShardDown to edge peers) goes to the whole cohort. The
+// shared frames are serialised inside the sample phase, so the
+// broadcast phase times the fan-out alone.
 func (s *Server) distribute(rd *syncRound, down Message, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
-	shared := make(map[wire.Codec][]byte)
-	for _, sess := range rd.sampled {
-		if _, ok := shared[sess.codec]; !ok && !sealed(sess) {
-			shared[sess.codec] = EncodeMessageCodec(down, sess.codec)
+	rd.encode(down, rd.sampled, sealed)
+	rd.ptSample.end()
+	ptBroadcast := s.ob.startPhase("broadcast", rd.round)
+	s.send(rd, rd.sampled, down, sealed, seal)
+	ptBroadcast.end()
+}
+
+// encode serialises down once per negotiated codec among the peers that
+// take the shared frame (sealed reports false); codecs the window has
+// already serialised cost nothing.
+func (rd *syncRound) encode(down Message, to []*session, sealed func(*session) bool) {
+	for _, sess := range to {
+		if _, ok := rd.frames[sess.codec]; !ok && !sealed(sess) {
+			rd.frames[sess.codec] = EncodeMessageCodec(down, sess.codec)
 		}
 	}
-	rd.ptSample.end()
+}
 
-	ptBroadcast := s.ob.startPhase("broadcast", rd.round)
-	sendErrs := make([]error, len(rd.sampled))
-	var sends sync.WaitGroup
-	for i, sess := range rd.sampled {
-		sends.Add(1)
-		go func(i int, sess *session) {
-			defer sends.Done()
-			if !sealed(sess) {
-				sendErrs[i] = sess.conn.SendFrame(down.Kind(), shared[sess.codec])
-				return
-			}
-			own, err := seal(sess)
-			if err == nil {
-				err = sess.conn.Send(own)
-			}
-			sendErrs[i] = err
-		}(i, sess)
+// unsealed is the sealed predicate of a window without protected
+// tensors: every peer takes the shared frame.
+func unsealed(*session) bool { return false }
+
+// send hands the window's model to the given peers — in parallel, or
+// inline when there is one — and marks every reached peer pending; one
+// that cannot be reached is quarantined. Encode-once broadcast: every
+// peer for which sealed reports false receives the identical bytes,
+// serialised from down once per negotiated codec instead of once per
+// peer. Only the rest need a per-client build from seal — their sealed
+// payload is keyed to their own trusted channel. The sends are not
+// interruptible by the round deadline; on deadline-capable transports
+// (TCP) each write is bounded by cfg.IOTimeout instead.
+func (s *Server) send(rd *syncRound, to []*session, down Message, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
+	rd.encode(down, to, sealed) // the fan-out below only reads the cache
+	sendOne := func(sess *session) error {
+		if !sealed(sess) {
+			return sess.conn.SendFrame(down.Kind(), rd.frames[sess.codec])
+		}
+		own, err := seal(sess)
+		if err != nil {
+			return err
+		}
+		return sess.conn.Send(own)
 	}
-	sends.Wait()
-	ptBroadcast.end()
-
-	rd.pending = make(map[*session]bool, len(rd.sampled))
-	for i, sess := range rd.sampled {
+	sendErrs := make([]error, len(to))
+	if len(to) == 1 {
+		sendErrs[0] = sendOne(to[0])
+	} else {
+		var sends sync.WaitGroup
+		for i, sess := range to {
+			sends.Add(1)
+			go func(i int, sess *session) {
+				defer sends.Done()
+				sendErrs[i] = sendOne(sess)
+			}(i, sess)
+		}
+		sends.Wait()
+	}
+	for i, sess := range to {
 		if sendErrs[i] != nil {
 			s.quarantineAt(sess, rd.round, false, fmt.Errorf("sending model: %w", sendErrs[i]), &rd.stats, &rd.reasons)
 			continue
 		}
 		rd.pending[sess] = true
+		sess.sentVersion = rd.round
 	}
 }
 
-// collect routes arrivals through handleArrival until every pending
-// client has answered or the deadline fires; updates that raced the
-// deadline are drained, then whoever is still pending is dropped for
-// the round.
-func (s *Server) collect(rd *syncRound, update func(*session, Message) bool) {
-	ptCollect := s.ob.startPhase("collect", rd.round)
-loop:
+// await routes arrivals through handleArrival until nobody is pending
+// or the deadline fires; answers that raced the deadline are still
+// taken, then the wait is over for whoever is left pending.
+func (s *Server) await(rd *syncRound, lose func(*session, bool, error), take func(*session, Message) bool) {
 	for len(rd.pending) > 0 {
 		select {
 		case a := <-s.arrivals:
-			s.handleArrival(rd, a, update)
+			s.handleArrival(a, lose, take)
 		case <-rd.deadline:
 			for {
 				select {
 				case a := <-s.arrivals:
-					s.handleArrival(rd, a, update)
+					s.handleArrival(a, lose, take)
 				default:
-					break loop
+					return
 				}
 			}
 		}
 	}
+}
+
+// collect is the synchronous wait: the cohort's answers fold through
+// update until the deadline, and whoever is still pending then is
+// dropped for the round.
+func (s *Server) collect(rd *syncRound, update func(*session, Message) bool) {
+	ptCollect := s.ob.startPhase("collect", rd.round)
+	s.await(rd, func(sess *session, probationable bool, reason error) {
+		s.failClient(rd, sess, probationable, reason)
+	}, update)
 	ptCollect.end()
 	rd.stats.Dropped = len(rd.pending)
 }
 
-// handleArrival routes one client message during the collect phase.
-// Everything that is not an update is handled here, once for every
-// synchronous round; the round's own update messages go to update,
-// which reports false for a message type it does not take.
-func (s *Server) handleArrival(rd *syncRound, a arrival, update func(*session, Message) bool) {
+// handleArrival is the one place the server classifies what a peer's
+// read loop delivered, for every wait of every mode: collect,
+// reconciliation, an asynchronous version window and its drain. Residue
+// of a closed connection and codec acks are dropped; a failed read, a
+// client error and a message the caller does not take are handed to
+// lose — the caller's sanction — with whether the failure is
+// probationable; everything else goes to take, which reports false for
+// a message type the wait has no use for.
+func (s *Server) handleArrival(a arrival, lose func(*session, bool, error), take func(*session, Message) bool) {
 	sess := a.sess
 	if sess.quarantined {
 		return // residue from an already-closed connection
@@ -173,7 +216,7 @@ func (s *Server) handleArrival(rd *syncRound, a arrival, update func(*session, M
 		// A frame that failed to decode is a client protocol fault on a
 		// still-usable connection (probationable); anything else means
 		// the transport is gone (permanent).
-		s.failClient(rd, sess, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err))
+		lose(sess, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err))
 		return
 	}
 	switch m := a.msg.(type) {
@@ -181,16 +224,17 @@ func (s *Server) handleArrival(rd *syncRound, a arrival, update func(*session, M
 		// The client's ack of an adaptive downgrade; the receive codec
 		// already flipped in the read loop. Nothing to fold.
 	case *ErrorMsg:
-		s.failClient(rd, sess, true, fmt.Errorf("client error: %s", m.Text))
+		lose(sess, true, fmt.Errorf("client error: %s", m.Text))
 	default:
-		if !update(sess, a.msg) {
-			s.failClient(rd, sess, true, fmt.Errorf("unexpected %T mid-round", a.msg))
+		if !take(sess, a.msg) {
+			lose(sess, true, fmt.Errorf("unexpected %T", a.msg))
 		}
 	}
 }
 
 // failClient takes a client out of the round and quarantines it (or
-// puts it on probation, when the failure is probationable).
+// puts it on probation, when the failure is probationable): the lose
+// rule of every wait but reconciliation.
 func (s *Server) failClient(rd *syncRound, sess *session, probationable bool, reason error) {
 	delete(rd.pending, sess)
 	s.quarantineAt(sess, rd.round, probationable, reason, &rd.stats, &rd.reasons)
@@ -238,14 +282,19 @@ func (s *Server) minClientsGate(rd *syncRound, folded int) error {
 	if folded >= s.cfg.MinClients {
 		return nil
 	}
-	detail := ""
-	if len(rd.reasons) > 0 {
-		detail = " (" + strings.Join(rd.reasons, "; ") + ")"
-	}
 	err := fmt.Errorf("%w: %d of %d sampled peers responded, need %d%s",
-		ErrNotEnoughClients, folded, len(rd.sampled), s.cfg.MinClients, detail)
+		ErrNotEnoughClients, folded, len(rd.sampled), s.cfg.MinClients, rd.failures())
 	s.closeRound(rd.stats, false, nil)
 	return err
+}
+
+// failures renders what went wrong with the window's peers as an error
+// suffix; empty when nothing did.
+func (rd *syncRound) failures() string {
+	if len(rd.reasons) == 0 {
+		return ""
+	}
+	return " (" + strings.Join(rd.reasons, "; ") + ")"
 }
 
 // releaseGate fails a secure-aggregation round whose folded cohort is

@@ -362,19 +362,19 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 		droppedSet[d] = true
 	}
 	need := make(map[*session]*reconExpect, len(st.folded))
-	// lose sanctions a survivor that can no longer answer (transport
-	// gone, protocol fault) and decides whether the round survives it:
-	// fatal while it still owes pair seeds (they are held by nobody
-	// else), survivable when it only owed self-seed shares (the
-	// threshold check at the end decides).
-	lose := func(sess *session, probationable bool, reason error) error {
+	// lose is reconciliation's sanction for a survivor that can no longer
+	// answer (transport gone, protocol fault), and decides whether the
+	// round survives it: fatal while it still owes pair seeds (they are
+	// held by nobody else), survivable when it only owed self-seed shares
+	// (the threshold check at the end decides).
+	var fatal error
+	lose := func(sess *session, probationable bool, reason error) {
 		exp := need[sess]
 		delete(need, sess)
 		s.quarantineAt(sess, round, probationable, reason, &rd.stats, &rd.reasons)
 		if exp != nil && len(exp.dropped) > 0 {
-			return fmt.Errorf("%w: survivor %s lost before revealing pair seeds: %v", ErrSecAggRecon, sess.device, reason)
+			fatal = fmt.Errorf("%w: survivor %s lost before revealing pair seeds: %v", ErrSecAggRecon, sess.device, reason)
 		}
-		return nil
 	}
 
 	for sess := range st.folded {
@@ -405,8 +405,9 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 			sendErr = sess.conn.Send(req)
 		}
 		if sendErr != nil {
-			if err := lose(sess, false, fmt.Errorf("transport: %w", sendErr)); err != nil {
-				return err
+			lose(sess, false, fmt.Errorf("transport: %w", sendErr))
+			if fatal != nil {
+				return fatal
 			}
 		}
 	}
@@ -418,57 +419,46 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 		deadlineC = timer.C
 	}
 	seedShares := make(map[string][]secagg.Share, len(st.folded))
+	take := func(sess *session, msg Message) bool {
+		switch m := msg.(type) {
+		case *MaskShares:
+			exp := need[sess]
+			if m.Round != round || exp == nil {
+				lose(sess, true, fmt.Errorf("unexpected mask shares for round %d", m.Round))
+				break
+			}
+			delete(need, sess)
+			if err := applyMaskShares(sess.device, m, exp, graph, st.msum, seedShares); err != nil {
+				s.quarantineAt(sess, round, true, err, &rd.stats, &rd.reasons)
+				fatal = fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, err)
+			}
+		case *MaskedUp:
+			switch {
+			case m.Round < sess.reconDoneRound:
+				// A dropped straggler racing the reconciliation: its
+				// neighbours are revealing pair seeds for this round
+				// right now, so its update must be refused with the
+				// typed error — a curious server could unmask it.
+				lose(sess, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round))
+			case m.Round <= round:
+				// Folded members' stale duplicates stay plain late
+				// discards.
+				rd.stats.LateDiscarded++
+			default:
+				lose(sess, true, fmt.Errorf("masked update for future round %d", m.Round))
+			}
+		default:
+			return false
+		}
+		return true
+	}
 wait:
 	for len(need) > 0 {
 		select {
 		case a := <-s.arrivals:
-			sess := a.sess
-			if sess.quarantined {
-				continue // residue from an already-closed connection
-			}
-			if a.err != nil {
-				if err := lose(sess, errors.Is(a.err, ErrDecode), fmt.Errorf("transport: %w", a.err)); err != nil {
-					return err
-				}
-				continue
-			}
-			var err error
-			switch m := a.msg.(type) {
-			case *CodecSwitch:
-				// ack of an adaptive downgrade, handled in the read loop
-			case *MaskShares:
-				exp := need[sess]
-				if m.Round != round || exp == nil {
-					err = lose(sess, true, fmt.Errorf("unexpected mask shares for round %d", m.Round))
-					break
-				}
-				delete(need, sess)
-				if shareErr := applyMaskShares(sess.device, m, exp, graph, st.msum, seedShares); shareErr != nil {
-					s.quarantineAt(sess, round, true, shareErr, &rd.stats, &rd.reasons)
-					err = fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, shareErr)
-				}
-			case *MaskedUp:
-				switch {
-				case m.Round < sess.reconDoneRound:
-					// A dropped straggler racing the reconciliation: its
-					// neighbours are revealing pair seeds for this round
-					// right now, so its update must be refused with the
-					// typed error — a curious server could unmask it.
-					err = lose(sess, true, fmt.Errorf("%w: masked update for round %d", ErrLateAfterRecon, m.Round))
-				case m.Round <= round:
-					// Folded members' stale duplicates stay plain late
-					// discards.
-					rd.stats.LateDiscarded++
-				default:
-					err = lose(sess, true, fmt.Errorf("masked update for future round %d", m.Round))
-				}
-			case *ErrorMsg:
-				err = lose(sess, true, fmt.Errorf("client error: %s", m.Text))
-			default:
-				err = lose(sess, true, fmt.Errorf("unexpected %T during reconciliation", a.msg))
-			}
-			if err != nil {
-				return err
+			s.handleArrival(a, lose, take)
+			if fatal != nil {
+				return fatal
 			}
 		case <-deadlineC:
 			var missing []string

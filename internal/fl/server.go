@@ -445,9 +445,6 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 		if cfg.Async.Buffer <= 0 {
 			cfg.Async.Buffer = 2 * cfg.Async.GoalUpdates
 		}
-		if cfg.Async.MaxViolations <= 0 {
-			cfg.Async.MaxViolations = 3
-		}
 	}
 	if cfg.Enclave != nil && cfg.MinRelease > 0 {
 		// Arm the release floor inside the TA before any round begins,
@@ -530,6 +527,16 @@ type session struct {
 	// probationUntil, under ServerConfig.QuarantineRounds, is the first
 	// round index the client is eligible for again after a failure.
 	probationUntil int
+
+	// Asynchronous sessions (runAsync): sentVersion is the model version
+	// most recently sent — a valid push must echo it (GradUp.Version);
+	// lastFold the time of the last accepted fold (rate limiting);
+	// strikes the consecutive protocol violations; doneSent marks a
+	// delivered end-of-session Done.
+	sentVersion int
+	lastFold    time.Time
+	strikes     int
+	doneSent    bool
 }
 
 // eligible reports whether the session may be sampled in the round.
@@ -641,32 +648,41 @@ func (s *Server) Open(conns []Conn) (int, error) {
 		return len(sessions), fmt.Errorf("%w: %d of %d passed selection", ErrNotEnoughClients, len(sessions), s.cfg.MinClients)
 	}
 
-	// One reader per session feeds a shared arrival channel so a
-	// straggler's late reply can surface (and be discarded) during any
-	// later round instead of desynchronising the protocol. In
-	// asynchronous mode the channel is the bounded fan-in buffer: when
-	// it fills, the per-connection readers block — backpressure
-	// propagates to the transports instead of growing server memory.
+	s.journalSessionOpen(sessions)
+	s.startSession(sessions)
+	return len(sessions), nil
+}
+
+// startSession brings a selected (Open) or rejoined (Resume) roster
+// live. One reader per reachable member feeds a shared arrival channel
+// so a straggler's late reply can surface (and be discarded) during any
+// later round instead of desynchronising the protocol. In asynchronous
+// mode the channel is the bounded fan-in buffer: when it fills, the
+// per-connection readers block — backpressure propagates to the
+// transports instead of growing server memory.
+func (s *Server) startSession(sessions []*session) {
 	buffer := len(sessions)
 	if s.cfg.Async.Enabled && s.cfg.Async.Buffer < buffer {
 		buffer = s.cfg.Async.Buffer
 	}
-	s.journalSessionOpen(sessions)
 	s.sessions = sessions
 	s.arrivals = make(chan arrival, buffer)
 	s.done = make(chan struct{})
+	reachable := 0
 	for _, sess := range sessions {
-		s.startReader(sess)
+		if !sess.quarantined { // a resumed roster's dead placeholder
+			s.startReader(sess)
+			reachable++
+		}
 	}
 	s.opened = true
 	s.shut = false
 	// Selection handshakes are session setup, not round traffic: rebase
-	// the meter so round 0's byte deltas start clean.
+	// the meter so the first round's byte deltas start clean.
 	s.ob.resetMeterBase()
 	s.health.open.Store(true)
-	s.health.roster.Store(int64(len(sessions)))
+	s.health.roster.Store(int64(reachable))
 	s.health.round.Store(int64(s.nextRound))
-	return len(sessions), nil
 }
 
 // journalSessionOpen writes the session fingerprint and the roster, in

@@ -87,3 +87,49 @@ func TestClientTelemetryRequiresOptIn(t *testing.T) {
 		t.Fatalf("client telemetry folded without the server opt-in: %d observations", got)
 	}
 }
+
+// TestAsyncClientTelemetryFoldsAtServer: an asynchronous session folds
+// the telemetry a push carries exactly where a synchronous round does —
+// after the update folded, and only under the server's opt-in. The peer
+// is hand-driven: in a free-running fleet who supplies the folds is not
+// deterministic.
+func TestAsyncClientTelemetryFoldsAtServer(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		optIn bool
+		want  uint64
+	}{
+		{"opt-in folds the push's snapshot", true, 1},
+		{"without the opt-in nothing folds", false, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv := NewServer(newState(0), ServerConfig{
+				Rounds: 1, MinClients: 1, Metrics: reg, ClientTelemetry: tc.optIn,
+				Async: AsyncConfig{Enabled: true, GoalUpdates: 1},
+			})
+			sc, cc := Pipe()
+			serverErr := make(chan error, 1)
+			go func() {
+				_, err := srv.RunAsync([]Conn{sc})
+				serverErr <- err
+			}()
+			dev := dialAsyncPeer(t, "dev-0", cc)
+			m := dev.recvModel()
+
+			own := obs.NewRegistry()
+			own.Histogram("gradsec_client_train_ns", "local training time").Observe(5)
+			up := &GradUp{Round: m.Round, Plain: m.Plain, Version: m.Version, Telemetry: obs.TakeSnapshot(own).Encode()}
+			if err := cc.Send(up); err != nil {
+				t.Fatal(err)
+			}
+			dev.recvDone()
+			if err := <-serverErr; err != nil {
+				t.Fatal(err)
+			}
+			if got := reg.Histogram("gradsec_client_train_ns", "", "tier", "client", "shard", "dev-0").Count(); got != tc.want {
+				t.Fatalf("train_ns{dev-0} folded %d observations, want %d", got, tc.want)
+			}
+		})
+	}
+}
