@@ -20,6 +20,8 @@
 #   make smoke-recovery run the crash-and-recover walkthrough end to end
 #   make smoke-async  run the sync-vs-async walkthrough end to end
 #   make smoke-dynamicwindow run the moving-window cost walkthrough end to end
+#   make smoke-attackdemo run DRIA with and without L2 in the TEE end to end
+#   make smoke-repro  regenerate every paper artefact through the CLI
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #   make loc          non-test Go lines per package (the count ROADMAP/CHANGES quote)
 #
@@ -27,7 +29,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow check loc
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro check loc
 
 build:
 	$(GO) build ./...
@@ -44,7 +46,7 @@ test:
 # corpora and the entry point documented for CI. Real fuzzing is
 # `go test -fuzz FuzzReadFrame ./internal/wire` etc.
 fuzz-check:
-	$(GO) test -run 'Fuzz' ./internal/wire ./internal/fl ./internal/journal ./internal/obs ./internal/secagg
+	$(GO) test -run 'Fuzz' ./internal/wire ./internal/fl ./internal/journal ./internal/obs ./internal/secagg ./internal/core
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x -benchmem .
@@ -98,7 +100,20 @@ smoke-async:
 smoke-dynamicwindow:
 	$(GO) run ./examples/dynamicwindow
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow
+# The protection half of the paper's trade-off as a smoke test (≈1 s):
+# DRIA against one LeNet-5-mini training step. It exits non-zero unless
+# the reconstruction succeeds unprotected (ImageLoss < 1) and fails with
+# L2 in the TEE (ImageLoss > 1).
+smoke-attackdemo:
+	$(GO) run ./examples/attackdemo
+
+# Every artefact of internal/repro's registry through the CLI (≈7 s). It
+# exits non-zero on an unknown ID or an empty table; the bytes themselves
+# are pinned by TestGoldenArtefacts.
+smoke-repro:
+	$(GO) run ./cmd/gradsec-repro > /dev/null
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro
 
 # Non-test Go lines per package — the number ROADMAP's needle 2 and
 # CHANGES.md track — from one recipe, so it is reproduced, not retyped:

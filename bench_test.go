@@ -1,7 +1,7 @@
 package gradsec_test
 
-// One benchmark per table and figure of the paper's evaluation (§8).
-// Each benchmark regenerates the artefact through internal/repro; run
+// One sub-benchmark per table and figure of the paper's evaluation (§8).
+// Each regenerates the artefact through internal/repro; run
 //
 //	go test -bench=. -benchmem
 //
@@ -25,52 +25,25 @@ import (
 	"github.com/gradsec/gradsec/internal/tensor"
 )
 
-func benchArtefact(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		t := repro.ByID(id)
-		if t == nil || len(t.Rows) == 0 {
-			b.Fatalf("artefact %s produced no rows", id)
-		}
-		t.Print(io.Discard)
-		if i == 0 && testing.Verbose() {
-			b.Logf("artefact %s: %d rows", id, len(t.Rows))
-		}
+// BenchmarkArtefacts regenerates every artefact of internal/repro's
+// registry, one sub-benchmark per ID (-bench 'BenchmarkArtefacts/table6').
+func BenchmarkArtefacts(b *testing.B) {
+	for _, id := range repro.IDs() {
+		id := id
+		b.Run(id, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				t := repro.ByID(id)
+				if t == nil || len(t.Rows) == 0 {
+					b.Fatalf("artefact %s produced no rows", id)
+				}
+				t.Print(io.Discard)
+				if i == 0 && testing.Verbose() {
+					b.Logf("artefact %s: %d rows", id, len(t.Rows))
+				}
+			}
+		})
 	}
 }
-
-// BenchmarkTable1 regenerates the headline summary (paper Table 1).
-func BenchmarkTable1(b *testing.B) { benchArtefact(b, "table1") }
-
-// BenchmarkTable5 regenerates the DPIA AUC table (paper Table 5).
-func BenchmarkTable5(b *testing.B) { benchArtefact(b, "table5") }
-
-// BenchmarkTable6 regenerates the CPU/TEE-memory table (paper Table 6).
-func BenchmarkTable6(b *testing.B) { benchArtefact(b, "table6") }
-
-// BenchmarkFigure5a regenerates the LeNet-5 DRIA sweep (paper Fig. 5a).
-func BenchmarkFigure5a(b *testing.B) { benchArtefact(b, "fig5a") }
-
-// BenchmarkFigure5b regenerates the AlexNet DRIA sweep (paper Fig. 5b).
-func BenchmarkFigure5b(b *testing.B) { benchArtefact(b, "fig5b") }
-
-// BenchmarkFigure6a regenerates the LeNet-5 MIA sweep (paper Fig. 6a).
-func BenchmarkFigure6a(b *testing.B) { benchArtefact(b, "fig6a") }
-
-// BenchmarkFigure6b regenerates the AlexNet MIA sweep (paper Fig. 6b).
-func BenchmarkFigure6b(b *testing.B) { benchArtefact(b, "fig6b") }
-
-// BenchmarkFigure7 regenerates the overhead bar charts (paper Fig. 7).
-func BenchmarkFigure7(b *testing.B) { benchArtefact(b, "fig7") }
-
-// BenchmarkFigure8 regenerates the DarkneTZ comparison (paper Fig. 8).
-func BenchmarkFigure8(b *testing.B) { benchArtefact(b, "fig8") }
-
-// BenchmarkAblationSMC regenerates the world-switch-cost ablation.
-func BenchmarkAblationSMC(b *testing.B) { benchArtefact(b, "ablation-smc") }
-
-// BenchmarkAblationEnclave regenerates the enclave-size ablation.
-func BenchmarkAblationEnclave(b *testing.B) { benchArtefact(b, "ablation-enclave") }
 
 // BenchmarkFleetRound measures one full FL cycle of the concurrent
 // round engine over a simulated fleet: every client receives the

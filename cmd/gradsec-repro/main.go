@@ -2,38 +2,45 @@
 //
 // Usage:
 //
-//	gradsec-repro            # run everything (tables 1/5/6, figures 5-8)
+//	gradsec-repro            # run everything (tables 1/5/6, figures 5-8, ablations)
 //	gradsec-repro -exp fig5a # run one artefact
 //	gradsec-repro -list      # list artefact IDs
+//
+// It exits non-zero when an artefact is unknown or comes back without rows.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/gradsec/gradsec/internal/repro"
 )
 
 func main() {
-	exp := flag.String("exp", "", "single experiment ID (table1,table5,table6,fig5a,fig5b,fig6a,fig6b,fig7,fig8)")
+	exp := flag.String("exp", "", "single experiment ID ("+strings.Join(repro.IDs(), ",")+")")
 	list := flag.Bool("list", false, "list experiment IDs")
 	flag.Parse()
 
 	if *list {
-		fmt.Println("table1 table5 table6 fig5a fig5b fig6a fig6b fig7 fig8 ablation-smc ablation-enclave")
+		fmt.Println(strings.Join(repro.IDs(), " "))
 		return
 	}
+	ids := repro.IDs()
 	if *exp != "" {
-		t := repro.ByID(*exp)
+		ids = []string{*exp}
+	}
+	for _, id := range ids {
+		t := repro.ByID(id)
 		if t == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
+			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", id)
 			os.Exit(1)
 		}
-		t.Print(os.Stdout)
-		return
-	}
-	for _, t := range repro.All() {
+		if len(t.Rows) == 0 {
+			fmt.Fprintf(os.Stderr, "experiment %q produced an empty table\n", id)
+			os.Exit(1)
+		}
 		t.Print(os.Stdout)
 	}
 }

@@ -9,10 +9,13 @@
 //   - DPIA — data-property inference attack (Melis et al. 2019): a random
 //     forest over aggregated cross-cycle gradient features.
 //
-// TEE protection is modelled exactly as the paper's §8.1 does: "we simply
-// delete from D_grad all the gradients columns relative to a protected
-// layer". Deleted columns become NaN and are mean-imputed before attack-
-// model training — also the paper's strategy.
+// All three read one input, the Observation: what the normal world sees
+// of a training step, nil where the TEE shielded a layer. A live
+// core.SecureTrainer exposes it (CycleResult.Observable); the paper's §8.1
+// shortcut — "we simply delete from D_grad all the gradients columns
+// relative to a protected layer" — is Mask on an unprotected run
+// (docs/EVALUATION.md). Shielded features become NaN and are mean-imputed
+// before attack-model training, also the paper's strategy.
 package attack
 
 import (
@@ -21,6 +24,46 @@ import (
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/tensor"
 )
+
+// Observation is the attacker's raw input: per layer, the gradient (or,
+// across an FL cycle, the update) of each parameter tensor — nil for a
+// layer the TEE shielded.
+type Observation [][]*tensor.Tensor
+
+// Observe groups a flat per-parameter list (core.CycleResult.Observable,
+// an FL update) by net's layers; a withheld tensor shields its layer.
+func Observe(net *nn.Network, flat []*tensor.Tensor) Observation {
+	obs := make(Observation, net.NumLayers())
+	k := 0
+	for l, layer := range net.Layers {
+		n := len(layer.Params())
+		obs[l] = flat[k : k+n]
+		for _, t := range obs[l] {
+			if t == nil {
+				obs[l] = nil
+			}
+		}
+		k += n
+	}
+	return obs
+}
+
+// Mask returns the observation with the given layers shielded: the §8.1
+// deletion, on the raw tensors.
+func (o Observation) Mask(protected []int) Observation {
+	out := append(Observation(nil), o...)
+	for _, l := range protected {
+		out[l] = nil
+	}
+	return out
+}
+
+// Schedule maps an FL cycle (a GradDataset row) to its protected layers;
+// core.Plan.ProtectedLayers adapts directly.
+type Schedule func(cycle int) []int
+
+// Static is the constant schedule: the same layers shielded every cycle.
+func Static(layers ...int) Schedule { return func(int) []int { return layers } }
 
 // FeaturesPerLayer is the number of summary statistics extracted per
 // layer gradient: L2 norm, mean |g|, max |g|, std.
@@ -60,38 +103,4 @@ func LayerFeatures(grads []*tensor.Tensor) [FeaturesPerLayer]float64 {
 		maxAbs,
 		math.Sqrt(variance / float64(n)),
 	}
-}
-
-// GradientRow flattens per-layer gradients into one attack-model feature
-// row, writing NaN into every column of a protected layer (the paper's
-// deletion semantics).
-func GradientRow(grads [][]*tensor.Tensor, protected map[int]bool) []float64 {
-	row := make([]float64, 0, len(grads)*FeaturesPerLayer)
-	for l, layerGrads := range grads {
-		if protected[l] {
-			for k := 0; k < FeaturesPerLayer; k++ {
-				row = append(row, math.NaN())
-			}
-			continue
-		}
-		f := LayerFeatures(layerGrads)
-		row = append(row, f[:]...)
-	}
-	return row
-}
-
-// SampleGradients computes the per-sample gradient of the network's loss
-// — the attacker's raw observation for one data point.
-func SampleGradients(net *nn.Network, x, y *tensor.Tensor) [][]*tensor.Tensor {
-	_, grads := net.Gradients(x, y)
-	return grads
-}
-
-// ProtectedSet converts a layer list to a set.
-func ProtectedSet(layers []int) map[int]bool {
-	out := make(map[int]bool, len(layers))
-	for _, l := range layers {
-		out[l] = true
-	}
-	return out
 }

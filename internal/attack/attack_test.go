@@ -36,22 +36,35 @@ func TestLayerFeaturesEmpty(t *testing.T) {
 	}
 }
 
-func TestGradientRowDeletion(t *testing.T) {
-	grads := [][]*tensor.Tensor{
-		{tensor.Full(1, 2)},
-		{tensor.Full(2, 2)},
-		{tensor.Full(3, 2)},
+// A shielded (nil) layer becomes a NaN block, every other block is the
+// same bits with or without its neighbour shielded — on the raw tensors
+// (Observation.Mask) and after the fact (GradDataset.Masked) alike.
+func TestFeaturizerRowNilLayer(t *testing.T) {
+	net := nn.NewTinyConvNet(rand.New(rand.NewSource(1)), 1, 8, 8, 4, nn.ActReLU)
+	x := tensor.Randn(rand.New(rand.NewSource(2)), 1, 1, 1, 8, 8)
+	_, grads := net.Gradients(x, dataset.OneHot([]int{0}, 4))
+	fz := NewFeaturizer(net, 3)
+	open := fz.Row(grads)
+	if len(open) != net.NumLayers()*fz.PerLayer {
+		t.Fatalf("row length = %d", len(open))
 	}
-	row := GradientRow(grads, ProtectedSet([]int{1}))
-	if len(row) != 3*FeaturesPerLayer {
-		t.Fatalf("row length = %d", len(row))
+	masked := fz.Row(Observation(grads).Mask([]int{1}))
+	deleted := (&GradDataset{Rows: [][]float64{open}, Features: fz}).Masked(Static(1))[0]
+	flat := net.StateDict()
+	flat[len(net.Layers[0].Params())] = nil // one withheld tensor shields its whole layer
+	if obs := Observe(net, flat); obs[0] == nil || obs[1] != nil || obs[2] == nil {
+		t.Fatalf("Observe shielded layers %v %v %v, want layer 1 alone", obs[0] == nil, obs[1] == nil, obs[2] == nil)
 	}
-	for k := 0; k < FeaturesPerLayer; k++ {
-		if !math.IsNaN(row[FeaturesPerLayer+k]) {
-			t.Fatalf("protected layer feature %d not NaN: %v", k, row[FeaturesPerLayer+k])
+	for k, v := range masked {
+		shielded := k/fz.PerLayer == 1
+		if math.IsNaN(v) != shielded || math.IsNaN(open[k]) {
+			t.Fatalf("feature %d: open %v masked %v (shielded=%v)", k, open[k], v, shielded)
 		}
-		if math.IsNaN(row[k]) || math.IsNaN(row[2*FeaturesPerLayer+k]) {
-			t.Fatal("unprotected layer features must be present")
+		if !shielded && math.Float64bits(v) != math.Float64bits(open[k]) {
+			t.Fatalf("feature %d moved under masking: %v != %v", k, v, open[k])
+		}
+		if math.Float64bits(v) != math.Float64bits(deleted[k]) {
+			t.Fatalf("feature %d: Mask-then-Row %v != Row-then-Masked %v", k, v, deleted[k])
 		}
 	}
 }
@@ -70,8 +83,9 @@ func TestDRIAProtectionDegradesReconstruction(t *testing.T) {
 	y := dataset.OneHot([]int{0}, 4)
 
 	cfg := DRIAConfig{Iterations: 120, Seed: 42}
-	open := DRIA(net, x, y, nil, cfg)
-	protectedEarly := DRIA(net, x, y, []int{0, 1}, cfg)
+	_, grads := net.Gradients(x, y)
+	open := DRIA(net, x, y, grads, cfg)
+	protectedEarly := DRIA(net, x, y, Observation(grads).Mask([]int{0, 1}), cfg)
 
 	if open.ImageLoss >= protectedEarly.ImageLoss {
 		t.Fatalf("protection must hurt reconstruction: open %.3f vs protected %.3f",
@@ -89,7 +103,8 @@ func TestDRIAAllProtectedIsBlind(t *testing.T) {
 	net := nn.NewTinyMLP(rng, 8, 6, 3, nn.ActSigmoid)
 	x := tensor.Randn(rng, 1, 1, 8)
 	y := dataset.OneHot([]int{1}, 3)
-	res := DRIA(net, x, y, []int{0, 1}, DRIAConfig{Iterations: 5, Seed: 1})
+	_, grads := net.Gradients(x, y)
+	res := DRIA(net, x, y, Observation(grads).Mask([]int{0, 1}), DRIAConfig{Iterations: 5, Seed: 1})
 	if res.MatchLoss != 0 {
 		t.Fatalf("fully protected match loss = %v, want 0 (flat objective)", res.MatchLoss)
 	}
@@ -100,7 +115,8 @@ func TestDRIAAdamPath(t *testing.T) {
 	net := nn.NewTinyMLP(rng, 6, 5, 2, nn.ActSigmoid)
 	x := tensor.Randn(rng, 1, 1, 6)
 	y := dataset.OneHot([]int{0}, 2)
-	res := DRIA(net, x, y, nil, DRIAConfig{Iterations: 30, UseAdam: true, Seed: 2})
+	_, grads := net.Gradients(x, y)
+	res := DRIA(net, x, y, grads, DRIAConfig{Iterations: 30, UseAdam: true, Seed: 2})
 	if res.Reconstruction == nil || math.IsNaN(res.MatchLoss) {
 		t.Fatal("Adam DRIA produced invalid result")
 	}
@@ -118,27 +134,21 @@ func TestMIAProtectionEndpoints(t *testing.T) {
 		t.Skip("MIA victim training is slow in -short mode")
 	}
 	gen := dataset.NewGenerator(rand.New(rand.NewSource(10)), 4, 1, 8, 8, 1.2)
-	cfg := MIAConfig{VictimSteps: 500, BatchSize: 8, AttackSamples: 48, Seed: 11}
-	mk := func() *nn.Network {
-		return nn.NewTinyConvNet(rand.New(rand.NewSource(12)), 1, 8, 8, 4, nn.ActReLU)
+	net := nn.NewTinyConvNet(rand.New(rand.NewSource(12)), 1, 8, 8, 4, nn.ActReLU)
+	d, trainAcc := BuildMIADataset(net, gen, MIAConfig{VictimSteps: 500, AttackSamples: 48, Seed: 11})
+	if trainAcc < 0.9 {
+		t.Fatalf("victim not overfit: train acc %.2f", trainAcc)
 	}
 
-	open := MIA(mk(), gen, nil, cfg)
-	if open.VictimTrainAcc < 0.9 {
-		t.Fatalf("victim not overfit: train acc %.2f", open.VictimTrainAcc)
+	open := d.Eval(Static(), LogisticAttack, 12)
+	if open < 0.7 {
+		t.Fatalf("unprotected MIA AUC = %.3f, want ≥0.7", open)
 	}
-	if open.AUC < 0.7 {
-		t.Fatalf("unprotected MIA AUC = %.3f, want ≥0.7", open.AUC)
+	if tail := d.Eval(Static(2), LogisticAttack, 12); tail > open+0.05 {
+		t.Fatalf("protection must not help the attacker: open %.3f vs tail %.3f", open, tail)
 	}
-
-	tail := MIA(mk(), gen, []int{2}, cfg)
-	if tail.AUC > open.AUC+0.05 {
-		t.Fatalf("protection must not help the attacker: open %.3f vs tail %.3f", open.AUC, tail.AUC)
-	}
-
-	all := MIA(mk(), gen, []int{0, 1, 2}, cfg)
-	if math.Abs(all.AUC-0.5) > 0.15 {
-		t.Fatalf("full protection must reduce MIA to chance: AUC %.3f", all.AUC)
+	if all := d.Eval(Static(0, 1, 2), LogisticAttack, 12); math.Abs(all-0.5) > 0.15 {
+		t.Fatalf("full protection must reduce MIA to chance: AUC %.3f", all)
 	}
 }
 
@@ -147,19 +157,14 @@ func TestDPIADynamicProtectionReducesAUC(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DPIA cycle training is slow in -short mode")
 	}
-	mk := func() (*nn.Network, *dataset.FaceGenerator) {
-		return nn.NewTinyConvNet(rand.New(rand.NewSource(20)), 1, 8, 8, 2, nn.ActReLU),
-			dataset.NewFaceGenerator(rand.New(rand.NewSource(21)), 2, 1, 8, 8, 0.05)
-	}
-	cfg := DPIAConfig{Cycles: 80, ItersPerCycle: 1, BatchSize: 6, Seed: 22}
+	net := nn.NewTinyConvNet(rand.New(rand.NewSource(20)), 1, 8, 8, 2, nn.ActReLU)
+	gen := dataset.NewFaceGenerator(rand.New(rand.NewSource(21)), 2, 1, 8, 8, 0.05)
+	d := BuildDPIADataset(net, gen, DPIAConfig{Cycles: 80, ItersPerCycle: 1, BatchSize: 6, Seed: 22})
 
-	net, gen := mk()
-	open := DPIA(net, gen, nil, cfg)
-	if open.AUC < 0.8 {
-		t.Fatalf("unprotected DPIA AUC = %.3f, want ≥0.8", open.AUC)
+	open := d.Eval(Static(), ForestAttack(23), 24)
+	if open < 0.8 {
+		t.Fatalf("unprotected DPIA AUC = %.3f, want ≥0.8", open)
 	}
-
-	net2, gen2 := mk()
 	// Dynamic window cycling over all 3 layers (size 2 → 2 positions).
 	sched := func(c int) []int {
 		if c%2 == 0 {
@@ -167,9 +172,8 @@ func TestDPIADynamicProtectionReducesAUC(t *testing.T) {
 		}
 		return []int{1, 2}
 	}
-	dyn := DPIA(net2, gen2, sched, cfg)
-	if dyn.AUC >= open.AUC {
-		t.Fatalf("dynamic protection must reduce AUC: open %.3f vs dynamic %.3f", open.AUC, dyn.AUC)
+	if dyn := d.Eval(sched, ForestAttack(23), 24); dyn >= open {
+		t.Fatalf("dynamic protection must reduce AUC: open %.3f vs dynamic %.3f", open, dyn)
 	}
 }
 
@@ -180,12 +184,5 @@ func TestSelectVMW(t *testing.T) {
 	})
 	if auc != 0 || best[0] != 0 {
 		t.Fatalf("SelectVMW = %v, %v", best, auc)
-	}
-}
-
-func TestProtectedSet(t *testing.T) {
-	s := ProtectedSet([]int{1, 3})
-	if !s[1] || !s[3] || s[0] {
-		t.Fatalf("set = %v", s)
 	}
 }

@@ -9,10 +9,6 @@ import (
 	"github.com/gradsec/gradsec/internal/tensor"
 )
 
-// Schedule maps an FL cycle to its protected layer set (nil = none).
-// core.Plan.ProtectedLayers adapts directly.
-type Schedule func(cycle int) []int
-
 // DPIAConfig configures the data-property inference experiment.
 type DPIAConfig struct {
 	// Cycles is the number of FL cycles observed (0 = 120). DPIA is a
@@ -31,20 +27,7 @@ type DPIAConfig struct {
 	Seed int64
 }
 
-// DPIAResult reports the attack quality.
-type DPIAResult struct {
-	// AUC of the random-forest attack model on held-out cycles.
-	AUC float64
-}
-
-// DPIA runs the data-property inference attack of §3.2: across FL
-// cycles, the malicious client diffs consecutive model snapshots to get
-// aggregated gradients, labels each cycle by whether the private
-// property was present in the victim's batches, and trains a random
-// forest to detect the property. TEE-protected layers (which may change
-// per cycle under dynamic GradSec) are deleted from the observation and
-// mean-imputed, per §8.1.
-func DPIA(net *nn.Network, gen *dataset.FaceGenerator, schedule Schedule, cfg DPIAConfig) DPIAResult {
+func (cfg DPIAConfig) withDefaults() DPIAConfig {
 	if cfg.Cycles == 0 {
 		cfg.Cycles = 120
 	}
@@ -60,67 +43,39 @@ func DPIA(net *nn.Network, gen *dataset.FaceGenerator, schedule Schedule, cfg DP
 	if cfg.PropFrac == 0 {
 		cfg.PropFrac = 0.5
 	}
-	d := BuildDPIADataset(net, gen, cfg)
-	var protectedFor func(row int) map[int]bool
-	if schedule == nil {
-		protectedFor = func(int) map[int]bool { return nil }
-	} else {
-		protectedFor = func(row int) map[int]bool { return ProtectedSet(schedule(row)) }
-	}
-	auc := d.EvalSchedule(protectedFor, ForestAttack(cfg.Seed+1), cfg.Seed+2)
-	return DPIAResult{AUC: auc}
+	return cfg
 }
 
-// BuildDPIADataset runs the victim's FL cycles once and collects the full
-// (unprotected) per-cycle aggregated gradient dataset; protection
-// configurations are then evaluated by column deletion
-// (GradDataset.EvalStatic / EvalSchedule), as the paper's §8.1 does.
+// BuildDPIADataset is the data-property inference attack of §3.2 up to
+// the attack model: across FL cycles, the malicious client diffs
+// consecutive model snapshots to get aggregated gradients and labels each
+// cycle by whether the private property was in the victim's batches. It
+// runs net, the victim, through cfg.Cycles cycles of plain SGD and returns
+// the unprotected per-cycle dataset; Eval with ForestAttack detects the
+// property under any schedule, per-cycle ones (dynamic GradSec) included.
+// W_end − W_start is what core.SecureTrainer exposes as
+// CycleResult.Observable: these rows, masked, are the live trainer's.
 func BuildDPIADataset(net *nn.Network, gen *dataset.FaceGenerator, cfg DPIAConfig) *GradDataset {
-	if cfg.Cycles == 0 {
-		cfg.Cycles = 120
-	}
-	if cfg.ItersPerCycle == 0 {
-		cfg.ItersPerCycle = 2
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.LR == 0 {
-		cfg.LR = 0.05
-	}
-	if cfg.PropFrac == 0 {
-		cfg.PropFrac = 0.5
-	}
+	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	o := opt.NewSGD(cfg.LR, 0)
-	fz := NewFeaturizer(net, 54321)
-	d := &GradDataset{Layers: net.NumLayers(), PerLayer: fz.PerLayer}
+	d := &GradDataset{Features: NewFeaturizer(net, 54321)}
 	for c := 0; c < cfg.Cycles; c++ {
 		withProp := rng.Intn(2) == 0
-		before := net.StateDict()
+		update := net.StateDict() // the cycle-start snapshot, diffed in place below
 		for it := 0; it < cfg.ItersPerCycle; it++ {
 			x, y := gen.Batch(rng, cfg.BatchSize, withProp, cfg.PropFrac)
 			net.TrainStep(x, y, o)
 		}
 		// Aggregated gradients: snapshot difference (Flaw 1 at FL-cycle
-		// granularity), per layer.
-		d.Rows = append(d.Rows, fz.Row(snapshotDiff(net, before)))
+		// granularity).
+		for k, p := range net.FlatParams() {
+			update[k] = tensor.Sub(p, update[k])
+		}
+		d.Rows = append(d.Rows, d.Features.Row(Observe(net, update)))
 		d.Labels = append(d.Labels, withProp)
 	}
 	return d
-}
-
-// snapshotDiff returns per-layer parameter deltas since the snapshot.
-func snapshotDiff(net *nn.Network, before []*tensor.Tensor) [][]*tensor.Tensor {
-	out := make([][]*tensor.Tensor, net.NumLayers())
-	k := 0
-	for i, layer := range net.Layers {
-		for _, p := range layer.Params() {
-			out[i] = append(out[i], tensor.Sub(p, before[k]))
-			k++
-		}
-	}
-	return out
 }
 
 // SelectVMW implements the paper's VMW tuning loop (§8.2): for each

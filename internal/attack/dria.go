@@ -17,8 +17,6 @@ type DRIAConfig struct {
 	// UseAdam selects Adam instead of L-BFGS (the DLG paper uses L-BFGS;
 	// Adam is steadier on deep/pooled models like AlexNet).
 	UseAdam bool
-	// AdamLR is Adam's learning rate (0 = 0.1).
-	AdamLR float64
 	// Seed initialises the dummy image.
 	Seed int64
 }
@@ -36,29 +34,15 @@ type DRIAResult struct {
 
 // DRIA runs the deep-leakage-from-gradients attack: the honest-but-
 // curious attacker observed the victim's gradients for one (x, y) batch
-// — except those of TEE-protected layers — and optimises a dummy input so
+// — targets, nil at TEE-protected layers — and optimises a dummy input so
 // its gradients match. Second-order gradients come analytically from the
 // double-backprop autodiff engine.
 //
-// x is the true input (used to produce the victim gradients and to score
+// x is the true input (its shape seeds the dummy and it scores
 // ImageLoss); y is the label batch, assumed known as in the DLG setting.
-func DRIA(net *nn.Network, x, y *tensor.Tensor, protectedLayers []int, cfg DRIAConfig) DRIAResult {
+func DRIA(net *nn.Network, x, y *tensor.Tensor, targets Observation, cfg DRIAConfig) DRIAResult {
 	if cfg.Iterations == 0 {
 		cfg.Iterations = 100
-	}
-	if cfg.AdamLR == 0 {
-		cfg.AdamLR = 0.1
-	}
-	protected := ProtectedSet(protectedLayers)
-
-	// The victim's leaked gradients (deleted for protected layers).
-	_, victim := net.Gradients(x, y)
-	targets := make([][]*tensor.Tensor, len(victim))
-	for l, gs := range victim {
-		if protected[l] {
-			continue
-		}
-		targets[l] = gs
 	}
 
 	// matchObjective evaluates ‖∇W(dummy) − g*‖² and its gradient with
@@ -106,7 +90,7 @@ func DRIA(net *nn.Network, x, y *tensor.Tensor, protectedLayers []int, cfg DRIAC
 	var bestX []float64
 	var bestF float64
 	if cfg.UseAdam {
-		bestX, bestF = runAdam(matchObjective, dummy0.Data, cfg.Iterations, cfg.AdamLR)
+		bestX, bestF = runAdam(matchObjective, dummy0.Data, cfg.Iterations)
 	} else {
 		res := opt.LBFGS(matchObjective, dummy0.Data, opt.LBFGSConfig{
 			MaxIter: cfg.Iterations, History: 10, GradTol: 1e-10,
@@ -122,9 +106,9 @@ func DRIA(net *nn.Network, x, y *tensor.Tensor, protectedLayers []int, cfg DRIAC
 	}
 }
 
-func runAdam(obj opt.Objective, x0 []float64, iters int, lr float64) ([]float64, float64) {
+func runAdam(obj opt.Objective, x0 []float64, iters int) ([]float64, float64) {
 	x := tensor.FromSlice(append([]float64(nil), x0...), len(x0))
-	a := opt.NewAdam(lr)
+	a := opt.NewAdam(0.1)
 	var f float64
 	for i := 0; i < iters; i++ {
 		var g []float64

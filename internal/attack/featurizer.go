@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"github.com/gradsec/gradsec/internal/nn"
-	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // NumProbes is the number of random-projection features per layer. The
@@ -15,7 +14,7 @@ import (
 // cannot carry.
 const NumProbes = 6
 
-// Featurizer turns per-layer gradients into attack-model rows: the
+// Featurizer turns observations into attack-model rows: the
 // FeaturesPerLayer magnitude statistics plus NumProbes fixed random
 // projections per layer.
 type Featurizer struct {
@@ -48,35 +47,30 @@ func NewFeaturizer(net *nn.Network, seed int64) *Featurizer {
 	return f
 }
 
-// Row flattens per-layer gradients into one feature row (no deletion —
-// protection is applied later by GradDataset column deletion).
-func (f *Featurizer) Row(grads [][]*tensor.Tensor) []float64 {
-	row := make([]float64, 0, len(grads)*f.PerLayer)
-	for l, layerGrads := range grads {
+// Row flattens an observation into one feature row; a shielded layer's
+// block is NaN (the deletion GradDataset.Masked applies after the fact).
+func (f *Featurizer) Row(obs Observation) []float64 {
+	row := make([]float64, 0, len(obs)*f.PerLayer)
+	for l, layerGrads := range obs {
+		if layerGrads == nil {
+			for k := 0; k < f.PerLayer; k++ {
+				row = append(row, math.NaN())
+			}
+			continue
+		}
 		stats := LayerFeatures(layerGrads)
 		row = append(row, stats[:]...)
-		flat := flattenGrads(layerGrads)
-		scale := 1 / math.Sqrt(float64(len(flat))+1)
-		for k := 0; k < NumProbes; k++ {
-			dot := 0.0
-			probe := f.probes[l][k]
-			for i, v := range flat {
-				dot += v * probe[i]
+		for _, probe := range f.probes[l] {
+			scale := 1 / math.Sqrt(float64(len(probe))+1)
+			dot, i := 0.0, 0
+			for _, g := range layerGrads {
+				for _, v := range g.Data {
+					dot += v * probe[i]
+					i++
+				}
 			}
 			row = append(row, dot*scale)
 		}
 	}
 	return row
-}
-
-func flattenGrads(gs []*tensor.Tensor) []float64 {
-	n := 0
-	for _, g := range gs {
-		n += g.Size()
-	}
-	out := make([]float64, 0, n)
-	for _, g := range gs {
-		out = append(out, g.Data...)
-	}
-	return out
 }

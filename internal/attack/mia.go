@@ -4,9 +4,9 @@ import (
 	"math/rand"
 
 	"github.com/gradsec/gradsec/internal/dataset"
-	"github.com/gradsec/gradsec/internal/metrics"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/opt"
+	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // MIAConfig configures the membership-inference experiment.
@@ -19,32 +19,13 @@ type MIAConfig struct {
 	MembersPerClass int
 	// VictimLR is the victim training rate (0 = 0.1).
 	VictimLR float64
-	// BatchSize for victim training (0 = 8).
-	BatchSize int
 	// AttackSamples per class (member/non-member) in D_grad (0 = 96).
 	AttackSamples int
 	// Seed drives all randomness.
 	Seed int64
 }
 
-// MIAResult reports the attack quality.
-type MIAResult struct {
-	// AUC of the attack model on held-out gradients (the paper's metric).
-	AUC float64
-	// VictimTrainAcc indicates the overfitting level reached.
-	VictimTrainAcc float64
-}
-
-// MIA runs the membership-inference attack of the paper's §3.2: the
-// attacker holds data known to be in the training set (D1 ⊂ D) and data
-// known not to be (D2 ⊄ D), builds a gradient dataset from the victim
-// model, trains a binary attack classifier, and scores membership of
-// unseen points by their gradients. Protected layers' gradient columns
-// are deleted (NaN) and mean-imputed, per §8.1.
-//
-// The victim net is trained inside this function on members drawn from
-// gen; pass protectedLayers to evaluate a GradSec configuration.
-func MIA(net *nn.Network, gen *dataset.Generator, protectedLayers []int, cfg MIAConfig) MIAResult {
+func (cfg MIAConfig) withDefaults() MIAConfig {
 	if cfg.VictimSteps == 0 {
 		cfg.VictimSteps = 500
 	}
@@ -54,133 +35,50 @@ func MIA(net *nn.Network, gen *dataset.Generator, protectedLayers []int, cfg MIA
 	if cfg.VictimLR == 0 {
 		cfg.VictimLR = 0.1
 	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
 	if cfg.AttackSamples == 0 {
 		cfg.AttackSamples = 96
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	protected := ProtectedSet(protectedLayers)
+	return cfg
+}
 
+// BuildMIADataset is the membership-inference attack of the paper's §3.2
+// up to the attack model: the attacker holds data known to be in the
+// training set (D1 ⊂ D) and known not to be (D2 ⊄ D) and observes the
+// victim's per-sample gradients on both. It overfits net, the victim, on
+// members drawn from gen and returns the unprotected gradient dataset
+// (label = member) with the victim's training accuracy; Eval with
+// LogisticAttack scores held-out points under any protection schedule.
+func BuildMIADataset(net *nn.Network, gen *dataset.Generator, cfg MIAConfig) (*GradDataset, float64) {
+	cfg = cfg.withDefaults()
+	rng := rand.New(rand.NewSource(cfg.Seed))
 	// Victim training set (the members): deliberately small so the model
 	// memorises individual samples rather than class structure.
 	members := gen.FixedSet(rng, cfg.MembersPerClass)
 	o := opt.NewSGD(cfg.VictimLR, 0.9)
 	for s := 0; s < cfg.VictimSteps; s++ {
-		x, y := members.RandomBatch(rng, cfg.BatchSize)
+		x, y := members.RandomBatch(rng, 8)
 		net.TrainStep(x, y, o)
 	}
-	xAll, yAll := members.Batch(seq(members.Len()))
+	all := make([]int, members.Len())
+	for i := range all {
+		all[i] = i
+	}
+	xAll, yAll := members.Batch(all)
 	trainAcc := net.Accuracy(xAll, yAll)
 
 	// D_grad: per-sample gradients of members and fresh non-members.
-	d := buildMIARows(net, gen, members, cfg.AttackSamples, rng)
-	auc := d.EvalStatic(setToList(protected), LogisticAttack, cfg.Seed+1)
-	return MIAResult{AUC: auc, VictimTrainAcc: trainAcc}
-}
-
-// BuildMIADataset trains the victim into the overfitting regime and
-// builds the full (unprotected) membership gradient dataset once; use
-// GradDataset.EvalStatic to score every protection configuration, as the
-// paper's §8.1 does with column deletion.
-func BuildMIADataset(net *nn.Network, gen *dataset.Generator, cfg MIAConfig) (*GradDataset, float64) {
-	if cfg.VictimSteps == 0 {
-		cfg.VictimSteps = 500
+	d := &GradDataset{Features: NewFeaturizer(net, 12345)}
+	add := func(x, y *tensor.Tensor, member bool) {
+		_, grads := net.Gradients(x, y)
+		d.Rows = append(d.Rows, d.Features.Row(grads))
+		d.Labels = append(d.Labels, member)
 	}
-	if cfg.MembersPerClass == 0 {
-		cfg.MembersPerClass = 5
-	}
-	if cfg.VictimLR == 0 {
-		cfg.VictimLR = 0.1
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 8
-	}
-	if cfg.AttackSamples == 0 {
-		cfg.AttackSamples = 96
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	members := gen.FixedSet(rng, cfg.MembersPerClass)
-	o := opt.NewSGD(cfg.VictimLR, 0.9)
-	for s := 0; s < cfg.VictimSteps; s++ {
-		x, y := members.RandomBatch(rng, cfg.BatchSize)
-		net.TrainStep(x, y, o)
-	}
-	xAll, yAll := members.Batch(seq(members.Len()))
-	return buildMIARows(net, gen, members, cfg.AttackSamples, rng), net.Accuracy(xAll, yAll)
-}
-
-func buildMIARows(net *nn.Network, gen *dataset.Generator, members *dataset.Dataset, n int, rng *rand.Rand) *GradDataset {
-	fz := NewFeaturizer(net, 12345)
-	d := &GradDataset{Layers: net.NumLayers(), PerLayer: fz.PerLayer}
-	for i := 0; i < n; i++ {
-		mi := rng.Intn(members.Len())
-		x, lab := members.Sample(mi)
-		y := dataset.OneHot([]int{lab}, gen.Classes)
-		d.Rows = append(d.Rows, fz.Row(SampleGradients(net, x, y)))
-		d.Labels = append(d.Labels, true)
+	for i := 0; i < cfg.AttackSamples; i++ {
+		x, lab := members.Sample(rng.Intn(members.Len()))
+		add(x, dataset.OneHot([]int{lab}, gen.Classes), true)
 		cls := rng.Intn(gen.Classes)
 		nx := gen.Sample(rng, cls).Reshape(1, gen.C, gen.H, gen.W)
-		ny := dataset.OneHot([]int{cls}, gen.Classes)
-		d.Rows = append(d.Rows, fz.Row(SampleGradients(net, nx, ny)))
-		d.Labels = append(d.Labels, false)
+		add(nx, dataset.OneHot([]int{cls}, gen.Classes), false)
 	}
-	return d
-}
-
-func setToList(s map[int]bool) []int {
-	var out []int
-	for l := range s {
-		out = append(out, l)
-	}
-	return out
-}
-
-func seq(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-func split(rng *rand.Rand, rows [][]float64, labels []bool, frac float64) (trX [][]float64, trY []bool, teX [][]float64, teY []bool) {
-	perm := rng.Perm(len(rows))
-	cut := int(frac * float64(len(rows)))
-	for k, i := range perm {
-		if k < cut {
-			trX = append(trX, rows[i])
-			trY = append(trY, labels[i])
-		} else {
-			teX = append(teX, rows[i])
-			teY = append(teY, labels[i])
-		}
-	}
-	return
-}
-
-// normalize standardises columns using training statistics (logistic
-// regression needs comparable scales across layer features).
-func normalize(train, test [][]float64) {
-	if len(train) == 0 {
-		return
-	}
-	d := len(train[0])
-	for j := 0; j < d; j++ {
-		col := make([]float64, len(train))
-		for i, row := range train {
-			col[i] = row[j]
-		}
-		mean, std := metrics.MeanStd(col)
-		if std == 0 {
-			std = 1
-		}
-		for _, row := range train {
-			row[j] = (row[j] - mean) / std
-		}
-		for _, row := range test {
-			row[j] = (row[j] - mean) / std
-		}
-	}
+	return d, trainAcc
 }

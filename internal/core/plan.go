@@ -59,6 +59,7 @@ var (
 	ErrBadWindowSize  = errors.New("core: invalid moving-window size")
 	ErrVMWLength      = errors.New("core: VMW length must be numLayers-sizeMW+1")
 	ErrDuplicateLayer = errors.New("core: duplicate protected layer")
+	ErrLayerOrder     = errors.New("core: protected layers must ascend")
 )
 
 // Plan describes a protection schedule over 0-based layer indices.
@@ -78,47 +79,39 @@ type Plan struct {
 // NewStaticPlan protects an arbitrary set of layers for every cycle —
 // non-successive sets are explicitly allowed (GradSec's key capability).
 func NewStaticPlan(layers ...int) (*Plan, error) {
-	set, err := normalizeLayers(layers)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Mode: ModeStatic, Layers: set}, nil
+	set := append([]int(nil), layers...)
+	sort.Ints(set)
+	return validated(&Plan{Mode: ModeStatic, Layers: set})
 }
 
 // NewDarkneTZPlan builds the baseline plan protecting the contiguous
 // slice [first, last] (inclusive). It fails if the slice is empty.
 func NewDarkneTZPlan(first, last int) (*Plan, error) {
-	if first < 0 || last < first {
-		return nil, fmt.Errorf("%w: [%d, %d]", ErrNotContiguous, first, last)
-	}
-	layers := make([]int, 0, last-first+1)
+	var layers []int
 	for l := first; l <= last; l++ {
 		layers = append(layers, l)
 	}
-	return &Plan{Mode: ModeDarkneTZ, Layers: layers}, nil
+	return validated(&Plan{Mode: ModeDarkneTZ, Layers: layers})
 }
 
 // NewDynamicPlan builds a moving-window plan. VMW must be a probability
 // vector; its length fixes the number of window positions and therefore
 // implies the model's layer count (len(VMW)+sizeMW−1).
 func NewDynamicPlan(sizeMW int, vmw []float64) (*Plan, error) {
-	if sizeMW < 1 {
-		return nil, fmt.Errorf("%w: %d", ErrBadWindowSize, sizeMW)
+	return validated(&Plan{Mode: ModeDynamic, SizeMW: sizeMW, VMW: append([]float64(nil), vmw...)})
+}
+
+// validated checks a freshly constructed plan against the smallest model
+// it fits, so constructors and decoded plans pass the same Validate.
+func validated(p *Plan) (*Plan, error) {
+	n := len(p.VMW) + p.SizeMW - 1
+	if p.Mode != ModeDynamic && len(p.Layers) > 0 {
+		n = p.Layers[len(p.Layers)-1] + 1
 	}
-	if len(vmw) == 0 {
-		return nil, ErrBadVMW
+	if err := p.Validate(n); err != nil {
+		return nil, err
 	}
-	sum := 0.0
-	for _, p := range vmw {
-		if p < 0 || math.IsNaN(p) {
-			return nil, fmt.Errorf("%w: entry %v", ErrBadVMW, p)
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		return nil, fmt.Errorf("%w: sum %v", ErrBadVMW, sum)
-	}
-	return &Plan{Mode: ModeDynamic, SizeMW: sizeMW, VMW: append([]float64(nil), vmw...)}, nil
+	return p, nil
 }
 
 // UniformDynamicPlan is the paper's "round-robin" configuration: a moving
@@ -139,25 +132,10 @@ func UniformDynamicPlan(sizeMW, numLayers int) (*Plan, error) {
 // numLayers − sizeMW + 1 (§7.2).
 func WindowPositions(numLayers, sizeMW int) int { return numLayers - sizeMW + 1 }
 
-func normalizeLayers(layers []int) ([]int, error) {
-	if len(layers) == 0 {
-		return nil, ErrEmptyPlan
-	}
-	set := append([]int(nil), layers...)
-	sort.Ints(set)
-	for i, l := range set {
-		if l < 0 {
-			return nil, fmt.Errorf("%w: %d", ErrLayerRange, l)
-		}
-		if i > 0 && set[i-1] == l {
-			return nil, fmt.Errorf("%w: %d", ErrDuplicateLayer, l)
-		}
-	}
-	return set, nil
-}
-
-// Validate checks the plan against a concrete model size. A nil plan —
-// no protection at all — is valid for any model.
+// Validate checks the plan against a concrete model size. It is the only
+// plan check there is: the constructors call it, and so must whoever
+// decodes a plan off the wire, before anything indexes by it. A nil plan
+// — no protection at all — is valid for any model.
 func (p *Plan) Validate(numLayers int) error {
 	if p == nil {
 		return nil
@@ -167,16 +145,20 @@ func (p *Plan) Validate(numLayers int) error {
 		if len(p.Layers) == 0 {
 			return ErrEmptyPlan
 		}
-		for _, l := range p.Layers {
+		for i, l := range p.Layers {
 			if l < 0 || l >= numLayers {
 				return fmt.Errorf("%w: %d of %d", ErrLayerRange, l, numLayers)
 			}
-		}
-		if p.Mode == ModeDarkneTZ {
-			for i := 1; i < len(p.Layers); i++ {
-				if p.Layers[i] != p.Layers[i-1]+1 {
-					return fmt.Errorf("%w: %v", ErrNotContiguous, p.Layers)
-				}
+			if i == 0 {
+				continue
+			}
+			switch prev := p.Layers[i-1]; {
+			case l == prev:
+				return fmt.Errorf("%w: %d", ErrDuplicateLayer, l)
+			case l < prev:
+				return fmt.Errorf("%w: %v", ErrLayerOrder, p.Layers)
+			case p.Mode == ModeDarkneTZ && l != prev+1:
+				return fmt.Errorf("%w: %v", ErrNotContiguous, p.Layers)
 			}
 		}
 		return nil
@@ -186,6 +168,18 @@ func (p *Plan) Validate(numLayers int) error {
 		}
 		if len(p.VMW) != WindowPositions(numLayers, p.SizeMW) {
 			return fmt.Errorf("%w: got %d, want %d", ErrVMWLength, len(p.VMW), WindowPositions(numLayers, p.SizeMW))
+		}
+		// WindowPosition indexes by the largest VMW deficit: a NaN or an
+		// all-negative vector leaves it without one.
+		sum := 0.0
+		for _, share := range p.VMW {
+			if share < 0 || math.IsNaN(share) {
+				return fmt.Errorf("%w: entry %v", ErrBadVMW, share)
+			}
+			sum += share
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			return fmt.Errorf("%w: sum %v", ErrBadVMW, sum)
 		}
 		return nil
 	default:

@@ -232,3 +232,67 @@ func mustUniform(t *testing.T, size, numLayers int) *Plan {
 	}
 	return p
 }
+
+// hostilePlans are blobs a server (or whoever sits on the wire) can send
+// that the constructors would never build, with the error a five-layer
+// device must answer.
+var hostilePlans = []struct {
+	name string
+	plan Plan
+	want error
+}{
+	{"NaN VMW", Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{math.NaN(), 0.5, 0.25, 0.25}}, ErrBadVMW},
+	{"negative VMW", Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{-1, -1, -1, -1}}, ErrBadVMW},
+	{"VMW sums to 2", Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{0.5, 0.5, 0.5, 0.5}}, ErrBadVMW},
+	{"infinite VMW", Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{math.Inf(1), 0, 0, 0}}, ErrBadVMW},
+	{"duplicate layers", Plan{Mode: ModeStatic, Layers: []int{1, 1, 4}}, ErrDuplicateLayer},
+	{"unsorted layers", Plan{Mode: ModeStatic, Layers: []int{4, 1}}, ErrLayerOrder},
+	{"darknetz gap", Plan{Mode: ModeDarkneTZ, Layers: []int{1, 2, 4}}, ErrNotContiguous},
+}
+
+// A decoded plan passes the same checks as a constructed one: before this
+// held, a NaN VMW validated and ProtectedLayers indexed used[-1] on the
+// device, and duplicate layers were priced twice by OverheadSim.TEEMemory.
+func TestHostilePlanBlobRejected(t *testing.T) {
+	for _, h := range hostilePlans {
+		p, err := DecodePlan(h.plan.Encode())
+		if err != nil {
+			t.Fatalf("%s: decode: %v", h.name, err)
+		}
+		if err := p.Validate(5); !errors.Is(err, h.want) {
+			t.Errorf("%s: Validate = %v, want %v", h.name, err, h.want)
+		}
+	}
+}
+
+// FuzzDecodePlan: whatever decodes and validates against an n-layer model
+// yields, on every cycle of two window periods, a protected set that is in
+// range, ascending and duplicate-free — and never panics on the way.
+func FuzzDecodePlan(f *testing.F) {
+	static, _ := NewStaticPlan(1, 4)
+	darknetz, _ := NewDarkneTZPlan(1, 4)
+	dynamic, _ := NewDynamicPlan(2, []float64{0.2, 0.1, 0.6, 0.1})
+	uniform, _ := UniformDynamicPlan(3, 5)
+	for _, p := range []*Plan{static, darknetz, dynamic, uniform} {
+		f.Add(p.Encode(), uint8(4)) // n = 4%32+1 = 5 layers
+	}
+	for _, h := range hostilePlans {
+		f.Add(h.plan.Encode(), uint8(4)) // n = 4%32+1 = 5 layers
+	}
+	f.Fuzz(func(t *testing.T, blob []byte, layers uint8) {
+		n := int(layers%32) + 1
+		p, err := DecodePlan(blob)
+		if err != nil || p.Validate(n) != nil {
+			return
+		}
+		for c := 0; c < 2*n; c++ {
+			prev := -1
+			for _, l := range p.ProtectedLayers(c, n) {
+				if l <= prev || l >= n {
+					t.Fatalf("%s cycle %d of %d layers: protected %v", p, c, n, p.ProtectedLayers(c, n))
+				}
+				prev = l
+			}
+		}
+	})
+}

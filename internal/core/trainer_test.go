@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -476,5 +477,23 @@ func TestNoPlanFromServerProtectsNothing(t *testing.T) {
 				t.Errorf("secagg=%v %s trained %d rounds, want %d", secAgg, m.DeviceID(), len(m.smc), rounds)
 			}
 		}
+	}
+}
+
+// A device handed a hostile plan blob answers with the typed validation
+// error; it must not reach RunCycle, where the plan is indexed.
+func TestTrainRoundRejectsHostilePlan(t *testing.T) {
+	net := tinyNet(7)
+	st, err := NewSecureTrainer(tz.NewDevice("hostile"), net, nil, TrainerConfig{Iterations: 1, Batch: tinyBatch(1, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewGradSecClient("hostile", st)
+	hostile := &Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{math.NaN(), 1}}
+	if _, _, err := c.TrainRound(0, net.StateDict(), nil, hostile.Encode()); !errors.Is(err, ErrBadVMW) {
+		t.Fatalf("NaN VMW: err = %v, want ErrBadVMW", err)
+	}
+	if _, _, err := c.TrainRound(0, net.StateDict(), nil, (&Plan{Mode: ModeStatic, Layers: []int{1, 1}}).Encode()); !errors.Is(err, ErrDuplicateLayer) {
+		t.Fatalf("duplicate layers: err = %v, want ErrDuplicateLayer", err)
 	}
 }

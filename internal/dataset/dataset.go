@@ -12,7 +12,7 @@
 //     a secondary signal on a fraction of samples, which is what the
 //     data-property inference attack (DPIA) detects.
 //
-// DESIGN.md §1 documents these substitutions.
+// docs/EVALUATION.md ("Mini-scale deviations") documents these substitutions.
 package dataset
 
 import (

@@ -2,42 +2,14 @@ package repro
 
 import (
 	"fmt"
-	"math/rand"
-
-	"github.com/gradsec/gradsec/internal/core"
-	"github.com/gradsec/gradsec/internal/nn"
+	"time"
 )
-
-// paperTable6 holds the published per-configuration values: user, kernel
-// and allocation seconds plus TEE memory MB (Table 6 of the paper).
-type paperRow struct {
-	label                    string
-	protected                []int // 0-based
-	user, kernel, alloc, mem float64
-}
-
-var paperTable6Static = []paperRow{
-	{"Baseline (no protection)", nil, 2.191, 0.021, 0, 0},
-	{"L1", []int{0}, 1.886, 0.738, 0.09, 1.127},
-	{"L2 (vs DRIA)", []int{1}, 1.672, 0.652, 0.34, 0.565},
-	{"L3", []int{2}, 1.696, 0.674, 0.34, 0.286},
-	{"L4", []int{3}, 1.691, 0.673, 0.34, 0.286},
-	{"L5 (vs MIA)", []int{4}, 2.044, 0.187, 4.68, 0.704},
-	{"L2+L5 (vs DRIA+MIA)", []int{1, 4}, 1.561, 0.846, 5.02, 1.269},
-}
-
-var paperTable6MW2 = []paperRow{
-	{"MW2 L1+L2", []int{0, 1}, 1.323, 1.331, 0.43, 1.692},
-	{"MW2 L2+L3", []int{1, 2}, 1.139, 1.275, 0.68, 0.851},
-	{"MW2 L3+L4", []int{2, 3}, 1.134, 1.269, 0.68, 0.572},
-	{"MW2 L4+L5", []int{3, 4}, 1.507, 0.808, 5.02, 0.99},
-}
 
 // Table6 reproduces the paper's Table 6: CPU time (user+kernel+alloc) and
 // TEE memory per protected configuration of LeNet-5 (batch 32), static
 // and dynamic, through the calibrated Pi-3B+ cost model.
 func Table6() *Table {
-	sim := lenetSim()
+	e := lenet5()
 	t := &Table{
 		ID:     "table6",
 		Title:  "CPU time and TEE memory of GradSec (LeNet-5, batch 32, Pi-3B+ model)",
@@ -47,112 +19,41 @@ func Table6() *Table {
 			"per-layer user shares deviate for L1 (paper's L1 runs anomalously fast); sums calibrated — docs/COSTMODEL.md",
 		},
 	}
-	addRows := func(rows []paperRow) {
-		for _, r := range rows {
-			cost := sim.CycleCost(r.protected)
-			t.Rows = append(t.Rows, []string{
-				r.label,
-				sec(r.user + r.kernel + r.alloc),
-				sec(cost.Total().Seconds()),
-				fmt.Sprintf("%.3fMB", r.mem),
-				mb(sim.TEEMemory(r.protected)),
-			})
-		}
-	}
-	addRows(paperTable6Static)
-	addRows(paperTable6MW2)
-
-	// Dynamic averages, exactly the VMW rows the paper reports.
-	dynRows := []struct {
-		label                string
-		size                 int
-		vmw                  []float64
-		paperTotal, paperMem float64
-	}{
-		{"AVG MW=2 VMW=[.2 .1 .6 .1] (vs DPIA)", 2, []float64{0.2, 0.1, 0.6, 0.1}, 1.21 + 1.236 + 1.064, 1.692},
-		{"AVG MW=3 VMW=[.1 .1 .8]", 3, []float64{0.1, 0.1, 0.8}, 0.964 + 1.517 + 4.467, 1.978},
-		{"AVG MW=4 VMW=[.1 .9]", 4, []float64{0.1, 0.9}, 0.904 + 1.553 + 5.241, 2.264},
-	}
-	for _, d := range dynRows {
-		plan, err := core.NewDynamicPlan(d.size, d.vmw)
-		if err != nil {
-			panic(err)
-		}
-		res, err := sim.Dynamic(plan)
-		if err != nil {
-			panic(err)
-		}
-		t.Rows = append(t.Rows, []string{
-			d.label,
-			sec(d.paperTotal),
-			sec(res.Average.Total().Seconds()),
-			fmt.Sprintf("%.3fMB", d.paperMem),
-			mb(res.MaxMemory),
-		})
-	}
-	return t
-}
-
-func lenetSim() *core.OverheadSim {
-	return core.NewOverheadSim(nn.NewLeNet5(rand.New(rand.NewSource(1)), nn.ActReLU))
+	return t.view([]row{
+		{"Baseline (no protection)", none},
+		{"L1", l1}, {"L2 (vs DRIA)", l2}, {"L3", l3}, {"L4", l4}, {"L5 (vs MIA)", l5},
+		{"L2+L5 (vs DRIA+MIA)", l2l5},
+		{"MW2 L1+L2", l1l2}, {"MW2 L2+L3", l2l3}, {"MW2 L3+L4", l3l4}, {"MW2 L4+L5", l4l5},
+		// Dynamic averages, exactly the VMW rows the paper reports.
+		{"AVG MW=2 VMW=[.2 .1 .6 .1] (vs DPIA)", mw2},
+		{"AVG MW=3 VMW=[.1 .1 .8]", mw3},
+		{"AVG MW=4 VMW=[.1 .9]", mw4},
+	}, paperTotal, e.total, paperMem, e.mem)
 }
 
 // Figure7 reproduces the paper's Figure 7: per-configuration training
 // time breakdown and TEE memory bars for static GradSec (panels A, B) and
 // dynamic GradSec with sizeMW=2 (panels C, D).
 func Figure7() *Table {
-	sim := lenetSim()
+	e := lenet5()
 	t := &Table{
 		ID:     "fig7",
 		Title:  "Training time breakdown and TEE memory (static panels A/B, dynamic MW=2 panels C/D)",
 		Header: []string{"Bars", "user", "kernel", "alloc", "TEE mem"},
+		Notes:  []string{fmt.Sprintf("baseline (no protection): %s", e.cost(none.plan))},
 	}
-	configs := []paperRow{
-		{"A/B L1", []int{0}, 0, 0, 0, 0},
-		{"A/B L2 (vs DRIA)", []int{1}, 0, 0, 0, 0},
-		{"A/B L3", []int{2}, 0, 0, 0, 0},
-		{"A/B L4", []int{3}, 0, 0, 0, 0},
-		{"A/B L5 (vs MIA)", []int{4}, 0, 0, 0, 0},
-		{"A/B L2+L5", []int{1, 4}, 0, 0, 0, 0},
-		{"C/D L1+L2", []int{0, 1}, 0, 0, 0, 0},
-		{"C/D L2+L3", []int{1, 2}, 0, 0, 0, 0},
-		{"C/D L3+L4", []int{2, 3}, 0, 0, 0, 0},
-		{"C/D L4+L5", []int{3, 4}, 0, 0, 0, 0},
-	}
-	for _, cfgRow := range configs {
-		cost := sim.CycleCost(cfgRow.protected)
-		t.Rows = append(t.Rows, []string{
-			cfgRow.label,
-			sec(cost.User.Seconds()),
-			sec(cost.Kernel.Seconds()),
-			sec(cost.Alloc.Seconds()),
-			mb(sim.TEEMemory(cfgRow.protected)),
-		})
-	}
-	base := sim.CycleCost(nil)
-	t.Notes = append(t.Notes, fmt.Sprintf("baseline (no protection): %s", base))
-	return t
+	return t.view([]row{
+		{"A/B L1", l1}, {"A/B L2 (vs DRIA)", l2}, {"A/B L3", l3}, {"A/B L4", l4}, {"A/B L5 (vs MIA)", l5},
+		{"A/B L2+L5", l2l5},
+		{"C/D L1+L2", l1l2}, {"C/D L2+L3", l2l3}, {"C/D L3+L4", l3l4}, {"C/D L4+L5", l4l5},
+	}, e.user, e.kernel, e.alloc, e.mem)
 }
 
 // Figure8 reproduces the paper's Figure 8: GradSec vs DarkneTZ for
 // grouped protection (DRIA+MIA, panels A/B) and for DPIA (dynamic MW=2
 // vs DarkneTZ L2..L5, panels C/D).
 func Figure8() *Table {
-	sim := lenetSim()
-	gradsecStatic := sim.CycleCost([]int{1, 4})
-	darknetz := sim.CycleCost([]int{1, 2, 3, 4})
-	plan, err := core.NewDynamicPlan(2, []float64{0.2, 0.1, 0.6, 0.1})
-	if err != nil {
-		panic(err)
-	}
-	dyn, err := sim.Dynamic(plan)
-	if err != nil {
-		panic(err)
-	}
-	memGS := sim.TEEMemory([]int{1, 4})
-	memDZ := sim.TEEMemory([]int{1, 2, 3, 4})
-
-	gain := func(a, b float64) string { return fmt.Sprintf("%.1f%%", (1-a/b)*100) }
+	e := lenet5()
 	t := &Table{
 		ID:     "fig8",
 		Title:  "GradSec vs DarkneTZ (A/B grouped protection, C/D dynamic vs DPIA)",
@@ -161,14 +62,95 @@ func Figure8() *Table {
 			"paper gains: static −8.3% time / −30% mem; dynamic −56.7% time / −8% mem (Table 1)",
 		},
 	}
-	t.Rows = append(t.Rows,
-		[]string{"Static GradSec (L2+L5)", sec(gradsecStatic.Total().Seconds()), mb(memGS),
-			gain(gradsecStatic.Total().Seconds(), darknetz.Total().Seconds()),
-			gain(float64(memGS), float64(memDZ))},
-		[]string{"DarkneTZ (L2+L3+L4+L5)", sec(darknetz.Total().Seconds()), mb(memDZ), "-", "-"},
-		[]string{"Dynamic GradSec (MW=2, VMW=[.2 .1 .6 .1])", sec(dyn.Average.Total().Seconds()), mb(dyn.MaxMemory),
-			gain(dyn.Average.Total().Seconds(), darknetz.Total().Seconds()),
-			gain(float64(dyn.MaxMemory), float64(memDZ))},
-	)
+	return t.view([]row{
+		{"Static GradSec (L2+L5)", l2l5},
+		{"DarkneTZ (L2+L3+L4+L5)", darknetz},
+		{"Dynamic GradSec (MW=2, VMW=[.2 .1 .6 .1])", mw2},
+	}, e.total, e.mem, e.gainTime, e.gainMem)
+}
+
+// Table1 reassembles the paper's headline summary from the other
+// experiments: attack success unprotected, the layers each defence needs,
+// and GradSec's gains over DarkneTZ.
+func Table1() *Table {
+	e := lenet5()
+	grouped, sliding := row{config: l2l5}, row{config: mw2}
+	return &Table{
+		ID:     "table1",
+		Title:  "Headline comparison (paper Table 1)",
+		Header: []string{"Row", "DRIA", "MIA", "DRIA+MIA", "DPIA"},
+		Rows: [][]string{
+			{"Attack success unprotected", "ImageLoss<1", "AUC≈0.95", "-", "AUC≈0.99"},
+			{"TEE layers (DarkneTZ)", "L2", "L5", "L2-L3-L4-L5", "L2-L3-L4-L5"},
+			{"TEE layers (GradSec)", "L2", "L5", "L2 and L5", "MW=2 sliding"},
+			{"GradSec training-time gain", "≡", "≡", e.gainTime(grouped) + " (paper 8.3%)", e.gainTime(sliding) + " (paper 56.7%)"},
+			{"GradSec TCB-size gain", "≡", "≡", e.gainMem(grouped) + " (paper 30%)", e.gainMem(sliding) + " (paper 8%)"},
+		},
+	}
+}
+
+// AblationSMC quantifies the design trade-off behind GradSec's headline
+// feature: protecting non-successive layers saves the memory and compute
+// of the skipped middle layers but pays extra SMC world switches per
+// pass. This table sweeps the world-switch cost and reports when the
+// scattered set (L2+L5) stops beating its contiguous hull (L2..L5) —
+// on the real Pi (≈0.3 ms/switch) the answer is "never", which is why
+// the paper's result holds.
+func AblationSMC() *Table {
+	t := &Table{
+		ID:     "ablation-smc",
+		Title:  "Ablation: non-successive protection vs SMC world-switch cost (LeNet-5)",
+		Header: []string{"world switch", "L2+L5 total", "L2..L5 total", "scattered wins by"},
+		Notes: []string{
+			"L2+L5 pays 2 TA invocation pairs per pass; the hull pays 1 but shields 2 extra layers",
+			"Raspberry Pi 3B+/OP-TEE world switches are ≈0.3 ms — far below the crossover",
+		},
+	}
+	e := lenet5()
+	for _, sw := range []time.Duration{
+		100 * time.Microsecond,
+		300 * time.Microsecond, // calibrated Pi value
+		1 * time.Millisecond,
+		10 * time.Millisecond,
+		50 * time.Millisecond,
+		200 * time.Millisecond,
+	} {
+		e.sim.Cost.WorldSwitch = sw
+		scattered, hull := e.cost(l2l5.plan).Total(), e.cost(darknetz.plan).Total()
+		t.Rows = append(t.Rows, []string{
+			sw.String(),
+			sec(scattered.Seconds()),
+			sec(hull.Seconds()),
+			fmt.Sprintf("%+.1f%%", (1-scattered.Seconds()/hull.Seconds())*100),
+		})
+	}
 	return t
+}
+
+// AblationEnclaveSize sweeps the secure-memory capacity and reports which
+// protection plans still fit — the constraint (§3.3: 3–5 MB of TrustZone
+// secure RAM) that motivates selective protection in the first place.
+func AblationEnclaveSize() *Table {
+	t := &Table{
+		ID:     "ablation-enclave",
+		Title:  "Ablation: which plans fit a given enclave size (LeNet-5, batch 32)",
+		Header: []string{"Plan", "TEE memory", "fits 1MB", "fits 2MB", "fits 4MB"},
+	}
+	e := lenet5()
+	fits := func(capMB int) func(row) string {
+		return func(r row) string {
+			if e.memory(r.plan) <= capMB<<20 {
+				return "yes"
+			}
+			return "NO"
+		}
+	}
+	return t.view([]row{
+		{"L2 (vs DRIA)", l2},
+		{"L5 (vs MIA)", l5},
+		{"GradSec L2+L5", l2l5},
+		{"dynamic MW=2 worst (L1+L2)", mw2},
+		{"DarkneTZ L2..L5", darknetz},
+		{"all layers", all},
+	}, e.mem, fits(1), fits(2), fits(4))
 }

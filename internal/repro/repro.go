@@ -3,14 +3,16 @@
 // prints the paper's published value next to the value measured by this
 // reproduction. EXPERIMENTS.md records the comparison.
 //
-// Scale note (DESIGN.md §1, §3): the overhead artefacts (Table 6,
-// Figures 7–8) run the calibrated Pi-3B+ cost model over the *full*
-// LeNet-5 of Table 4 and are exact-scale. The security artefacts
-// (Figures 5–6, Table 5) run the real attacks against reduced-scale
-// models (LeNet-5-mini, AlexNet-S) on synthetic corpora — the laptop-run
-// substitution for the authors' CIFAR-100/LFW GPU training — so their
-// numbers match the paper in *shape* (which protections defeat which
-// attacks), not in absolute value.
+// Every artefact is a selection of rows (entries of the plan table,
+// plans.go) and columns (methods of the one evaluator) — docs/EVALUATION.md
+// maps each artefact to its view.
+//
+// Scale note (docs/EVALUATION.md, "Mini-scale deviations"): the overhead
+// artefacts (Table 6, Figures 7–8) are exact-scale — the calibrated
+// Pi-3B+ cost model over the full LeNet-5; the security artefacts
+// (Figures 5–6, Table 5) run the real attacks against reduced-scale models
+// on synthetic corpora, so they match the paper in *shape* (which
+// protections defeat which attacks), not in absolute value.
 package repro
 
 import (
@@ -64,6 +66,20 @@ func (t *Table) Print(w io.Writer) {
 	fmt.Fprintln(w)
 }
 
+// view appends one line per row — its label, then one cell per column: an
+// artefact is a selection of plan-table rows and of published or evaluator
+// columns.
+func (t *Table) view(rows []row, cols ...func(row) string) *Table {
+	for _, r := range rows {
+		cells := []string{r.label}
+		for _, col := range cols {
+			cells = append(cells, col(r))
+		}
+		t.Rows = append(t.Rows, cells)
+	}
+	return t
+}
+
 func pad(s string, w int) string {
 	if len(s) >= w {
 		return s
@@ -71,54 +87,47 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// All runs every experiment. Names follow the paper's artefact numbering.
-func All() []*Table {
-	return []*Table{
-		Table6(),
-		Figure7(),
-		Figure8(),
-		Figure5a(),
-		Figure5b(),
-		Figure6a(),
-		Figure6b(),
-		Table5(),
-		Table1(),
-		AblationSMC(),
-		AblationEnclaveSize(),
-	}
+// artefacts is the one ordered list of what this package reproduces (the
+// CLI, the root benchmarks and the golden-hash test read it), named after
+// the paper's numbering.
+var artefacts = []struct {
+	id  string
+	run func() *Table
+}{
+	{"table6", Table6},
+	{"fig7", Figure7},
+	{"fig8", Figure8},
+	{"fig5a", Figure5a},
+	{"fig5b", Figure5b},
+	{"fig6a", Figure6a},
+	{"fig6b", Figure6b},
+	{"table5", Table5},
+	{"table1", Table1},
+	{"ablation-smc", AblationSMC},
+	{"ablation-enclave", AblationEnclaveSize},
 }
 
-// ByID returns the experiment with the given ID, or nil.
-func ByID(id string) *Table {
-	switch strings.ToLower(id) {
-	case "table1":
-		return Table1()
-	case "table5":
-		return Table5()
-	case "table6":
-		return Table6()
-	case "fig5a", "figure5a":
-		return Figure5a()
-	case "fig5b", "figure5b":
-		return Figure5b()
-	case "fig6a", "figure6a":
-		return Figure6a()
-	case "fig6b", "figure6b":
-		return Figure6b()
-	case "fig7", "figure7":
-		return Figure7()
-	case "ablation-smc":
-		return AblationSMC()
-	case "ablation-enclave":
-		return AblationEnclaveSize()
-	case "fig8", "figure8":
-		return Figure8()
-	default:
-		return nil
+// IDs lists the artefact IDs, in the order a full run prints them.
+func IDs() []string {
+	ids := make([]string, len(artefacts))
+	for i, a := range artefacts {
+		ids[i] = a.id
 	}
+	return ids
+}
+
+// ByID returns the experiment with the given ID ("fig7" or "figure7",
+// any case), or nil.
+func ByID(id string) *Table {
+	id = strings.Replace(strings.ToLower(id), "figure", "fig", 1)
+	for _, a := range artefacts {
+		if a.id == id {
+			return a.run()
+		}
+	}
+	return nil
 }
 
 func f3(v float64) string  { return fmt.Sprintf("%.3f", v) }
-func f2(v float64) string  { return fmt.Sprintf("%.2f", v) }
 func sec(v float64) string { return fmt.Sprintf("%.3fs", v) }
 func mb(bytes int) string  { return fmt.Sprintf("%.3fMB", float64(bytes)/1e6) }
