@@ -22,6 +22,9 @@
 #   make smoke-dynamicwindow run the moving-window cost walkthrough end to end
 #   make smoke-attackdemo run DRIA with and without L2 in the TEE end to end
 #   make smoke-repro  regenerate every paper artefact through the CLI
+#   make smoke-fleet  run the 256-client fleet twice; the reruns must match
+#   make smoke-quickstart run one client's static-plan secure training
+#   make smoke-federated run a TEE-attested session over the in-memory transport
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #   make loc          non-test Go lines per package (the count ROADMAP/CHANGES quote)
 #
@@ -29,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro check loc
+.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated check loc
 
 build:
 	$(GO) build ./...
@@ -113,7 +116,24 @@ smoke-attackdemo:
 smoke-repro:
 	$(GO) run ./cmd/gradsec-repro > /dev/null
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro
+# The fleet walkthrough as a smoke test (≈1 s): 256 simulated clients with
+# stragglers, failures and no-TEE devices, run twice. It exits non-zero
+# when the rerun's trace, quarantine set or final model differs.
+smoke-fleet:
+	$(GO) run ./examples/fleet
+
+# The paper's core on one device (≈1 s): three cycles of static L2+L5
+# secure training and the server-side recovery of the full update.
+smoke-quickstart:
+	$(GO) run ./examples/quickstart
+
+# A full in-memory session (≈1 s): TEE-attested selection turns away the
+# legacy client, two GradSec clients train three rounds. Any failure is
+# fatal.
+smoke-federated:
+	$(GO) run ./examples/federated
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated
 
 # Non-test Go lines per package — the number ROADMAP's needle 2 and
 # CHANGES.md track — from one recipe, so it is reproduced, not retyped:
@@ -142,8 +162,8 @@ bench-hier:
 	$(GO) test -run xxx -bench 'BenchmarkHierRound' -benchtime=1x -benchmem -timeout 60m . > bench/hier.txt; \
 	status=$$?; cat bench/hier.txt; exit $$status
 
-# Async buffered-federation benchmark: lockstep-deterministic fleets at
-# 64/256 clients, 8 buffered applications each. The async soak and
+# Async buffered-federation benchmark: deterministic virtual-time fleets
+# at 64/256 clients, 8 buffered applications each. The async soak and
 # edge-case tests themselves run under the race detector via `make
 # test` (part of `check`).
 bench-async:

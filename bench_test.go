@@ -95,7 +95,7 @@ func BenchmarkFleetRound(b *testing.B) {
 }
 
 // BenchmarkAsyncRound measures the asynchronous buffered-federation
-// engine: a lockstep-deterministic fleet where every client pushes the
+// engine: a deterministic virtual-time fleet where every client pushes the
 // moment its (virtual-clock) training timer fires, and the server folds
 // each update staleness-discounted and applies the buffer every
 // K = clients/4 folds, for 8 model versions per iteration. Devices are

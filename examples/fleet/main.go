@@ -2,24 +2,26 @@
 // simulated heterogeneous edge fleet: 256 clients with stragglers,
 // training failures, and non-TEE devices, half-fleet sampling per round,
 // and a per-round deadline — the operating regime of the paper's Fig. 2
-// deployment story at scale. The scenario is fully deterministic: rerun
-// it and the trace is identical.
+// deployment story at scale. The scenario is fully deterministic: the
+// command reruns it and exits non-zero unless the rerun's trace,
+// quarantine set and final model are identical.
 package main
 
 import (
 	"fmt"
 	"log"
 	"math/rand"
+	"reflect"
 	"time"
 
 	"github.com/gradsec/gradsec"
 )
 
-func main() {
-	// The global model is the paper's LeNet-5 flat parameter tensors.
+// scenario builds the fleet over a fresh copy of the global model: the
+// paper's LeNet-5 flat parameter tensors.
+func scenario() gradsec.FleetScenario {
 	model := gradsec.NewLeNet5(rand.New(rand.NewSource(7)), gradsec.ActReLU)
-
-	scenario := gradsec.FleetScenario{
+	return gradsec.FleetScenario{
 		Clients:           256,
 		Rounds:            8,
 		MinClients:        16,
@@ -32,14 +34,17 @@ func main() {
 		Seed:              42,
 		Model:             model.StateDict(),
 	}
+}
 
+func main() {
+	sc := scenario()
 	fmt.Printf("fleet: %d clients, %d rounds, sample %.0f%%, deadline %v\n",
-		scenario.Clients, scenario.Rounds, scenario.SampleFraction*100, scenario.Deadline)
+		sc.Clients, sc.Rounds, sc.SampleFraction*100, sc.Deadline)
 	fmt.Printf("       %.0f%% stragglers, %.0f%% failing, %.0f%% without TEE (rejected: RequireTEE)\n\n",
-		scenario.StragglerFraction*100, scenario.FailureFraction*100, scenario.NoTEEFraction*100)
+		sc.StragglerFraction*100, sc.FailureFraction*100, sc.NoTEEFraction*100)
 
 	start := time.Now()
-	res, err := gradsec.RunFleet(scenario)
+	res, err := gradsec.RunFleet(sc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,4 +57,15 @@ func main() {
 	}
 	fmt.Printf("\nquarantined devices: %v\n", res.Quarantined)
 	fmt.Printf("virtual deadline time: %v, wall time: %v\n", res.Elapsed, time.Since(start).Round(time.Millisecond))
+
+	again, err := gradsec.RunFleet(scenario())
+	if err != nil {
+		log.Fatal(err)
+	}
+	same := reflect.DeepEqual(res.Trace, again.Trace) && reflect.DeepEqual(res.Quarantined, again.Quarantined) &&
+		res.Elapsed == again.Elapsed && reflect.DeepEqual(res.Final, again.Final)
+	fmt.Printf("rerun identical (trace, quarantine set, final model): %v\n", same)
+	if !same {
+		log.Fatal("the rerun diverged")
+	}
 }

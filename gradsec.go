@@ -298,7 +298,10 @@ func Pi3BCostModel() simclock.CostModel { return simclock.Pi3B() }
 func RunFleet(sc FleetScenario) (*FleetResult, error) { return flsim.Run(sc) }
 
 // RunFleetAsync simulates an asynchronous buffered-federation session
-// over the same seeded fleet RunFleet would build, deterministically:
-// clients push on their own per-device cadence, the server folds
-// staleness-discounted updates and applies every GoalUpdates folds.
+// over the same seeded fleet RunFleet would build, on the same
+// virtual-time scheduler: clients push on their own per-device cadence, the
+// server folds staleness-discounted updates and applies every
+// GoalUpdates folds. Time passes only once every client is parked on its
+// training timer, and simultaneous timers fire in client order, so the
+// trace is deterministic for any fleet size and latency.
 func RunFleetAsync(sc AsyncFleetScenario) (*AsyncFleetResult, error) { return flsim.RunAsync(sc) }

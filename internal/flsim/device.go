@@ -3,13 +3,10 @@ package flsim
 import (
 	"fmt"
 	"io"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gradsec/gradsec/internal/attack"
 	"github.com/gradsec/gradsec/internal/fl"
-	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
 )
@@ -30,10 +27,10 @@ func (t *simTA) Invoke(*tz.TAEnv, any, uint32, any) (any, error) { return nil, n
 func (t *simTA) CloseSession(*tz.TAEnv, any)                     {}
 
 // simTrainer is the fl.Trainer (and fl.ExampleCounter) behind a
-// simulated device. It is memoryless where it matters: an update is a
-// pure function of seed, client index and round, so a fleet that
-// rejoins after a crash pushes exactly the updates the dead process
-// would have folded.
+// simulated device. It is memoryless where it matters: an update, and
+// whether training fails, are pure functions of seed, client index and
+// round, so a fleet that rejoins after a crash pushes exactly the
+// updates the dead process would have folded.
 type simTrainer struct {
 	index   int
 	profile Profile
@@ -41,11 +38,10 @@ type simTrainer struct {
 	dev     *tz.Device // nil for no-TEE devices
 	app     *simTA
 	channel *tz.Channel // trusted I/O path, once the server has offered one
-	failed  bool        // the profile's one training failure has happened
 
-	// Asynchronous sessions only: local training parks on the virtual
-	// clock for the device's latency.
-	clk     *simclock.Virtual
+	// Asynchronous sessions only: local training parks on a timer of
+	// the device's latency, armed under its index.
+	sched   *sched
 	latency time.Duration
 	trained bool
 }
@@ -94,23 +90,21 @@ func (t *simTrainer) OpenChannel(serverPub []byte) ([]byte, error) {
 // TrainRound builds the round's dyadic update, splitting the tensors
 // the server sealed away from the plain view onto the sealed path.
 func (t *simTrainer) TrainRound(round int, _ []*tensor.Tensor, sealed, _ []byte) ([]*tensor.Tensor, []byte, error) {
-	if t.clk != nil {
+	if t.latency > 0 {
 		d := t.latency
 		if !t.trained {
-			// Phase-offset the first deadline by (index+1)µs. Every
-			// later latency is a whole number of milliseconds, so this
-			// client's timers always fire at instants ≡ (index+1)µs
-			// (mod 1ms): no two clients ever share a fire time, and
-			// the lockstep driver advances to exactly one event at a
-			// time — the arrival order is deterministic.
+			// The first push is phase-offset by (index+1)µs, as the
+			// recorded asynchronous traces (and their Elapsed) were; the
+			// scheduler breaks any remaining tie by index.
 			d += time.Duration(t.index+1) * time.Microsecond
 			t.trained = true
 		}
-		<-t.clk.NewTimer(d).C
+		timer := t.sched.clk.Keyed(t.index).NewTimer(d)
+		t.sched.release() // parked: the scheduler may fire the timer now
+		<-timer.C
 	}
-	if !t.failed && t.profile.FailRound >= 0 && round >= t.profile.FailRound {
-		t.failed = true // the engine quarantines (or probations) the client
-		return nil, nil, fmt.Errorf("simulated training failure (round %d)", round)
+	if round == t.profile.FailRound {
+		return nil, nil, fmt.Errorf("simulated training failure (round %d)", round) // quarantined, or on probation
 	}
 	delta := dyadicDelta(t.sc.Seed, t.index, round)
 	if t.sc.PositiveDeltas {
@@ -165,7 +159,8 @@ func (t *simTrainer) TrainRound(round int, _ []*tensor.Tensor, sealed, _ []byte)
 
 // simConn is the device end of a misbehaving link in a synchronous
 // session: a straggler's never delivers a round's model inside the
-// deadline, and a disconnecting device's goes dark at DropRound.
+// deadline — the device is parked on a model it will never answer — and
+// a disconnecting device's goes dark at DropRound.
 type simConn struct {
 	fl.Conn
 	profile Profile
@@ -188,53 +183,46 @@ func (c *simConn) Recv() (fl.Message, error) {
 	}
 }
 
-// fleet is the device side of a simulation.
-type fleet struct {
-	sc       *Scenario
-	profiles []Profile
-	verifier *tz.Verifier
-	clk      *simclock.Virtual
-	// fast and slow, when set, make the session asynchronous: devices
-	// train for that long on clk (slow for Straggler profiles) and
-	// their links behave.
-	fast, slow time.Duration
-
-	wg   sync.WaitGroup // every device (and, in a tree, edge) goroutine
-	live atomic.Int64   // devices still running
-}
-
 // start provisions devices [lo, hi) and runs each as an fl.Client over
 // an in-memory pipe, returning the server sides in client-index order.
-func (f *fleet) start(lo, hi int) ([]fl.Conn, error) {
+func (t *tree) start(lo, hi int) ([]fl.Conn, error) {
 	conns := make([]fl.Conn, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		p := f.profiles[i]
-		t, err := newSimTrainer(f.sc, i, p, f.verifier)
+		p := t.profiles[i]
+		dev, err := newSimTrainer(t.sc, i, p, t.verifier)
 		if err != nil {
 			closeConns(conns)
 			return nil, err
 		}
 		serverConn, conn := fl.Pipe()
-		switch {
-		case f.fast > 0:
-			t.clk, t.latency = f.clk, f.fast
+		switch a := t.opt.async; {
+		case a != nil:
+			// Asynchronous: the device trains for its latency on the
+			// session clock and its link behaves.
+			dev.sched, dev.latency = t.sched, a.FastLatency
 			if p.Straggler {
-				t.latency = f.slow
+				dev.latency = a.SlowLatency
 			}
 		case p.Straggler || p.DropRound >= 0:
 			conn = &simConn{Conn: conn, profile: p}
 		}
-		c := fl.NewClient(conn, t)
+		c := fl.NewClient(conn, dev)
 		// Accept the server's codec offer wholesale.
-		c.MaxCodec = f.sc.Codec
+		c.MaxCodec = t.sc.Codec
 		conns = append(conns, serverConn)
-		f.wg.Add(1)
-		f.live.Add(1)
+		t.wg.Add(1)
 		go func() {
-			defer f.wg.Done()
-			defer f.live.Add(-1)
-			defer conn.Close()
-			_ = c.Run() // rejection, quarantine and going dark all end a device; the trace is the verdict
+			defer t.wg.Done()
+			// The trace is the verdict. A device the session released
+			// (Done, Reject) leaves its link for the server to close — its
+			// hang-up would race an asynchronous drain; one that failed
+			// hangs up.
+			if err := c.Run(); err != nil {
+				_ = conn.Close()
+			}
+			if dev.latency > 0 {
+				t.sched.release() // exiting returns the device's token
+			}
 		}()
 	}
 	return conns, nil

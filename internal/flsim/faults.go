@@ -14,12 +14,13 @@ import (
 // sever a shard's network link, then recover the dead process from its
 // write-ahead journal and drive the session to completion. Each passes
 // runTree only what it changes about the session (treeOpts); the
-// scenario configures everything else exactly as Run would. Simulated
-// devices are memoryless (updates are pure functions of seed, client
-// index, and round), so a fleet that rejoins after a crash pushes
-// exactly the updates the dead process would have folded — which is
-// what lets the tests assert the recovered run bit-identical to an
-// uncrashed one.
+// scenario configures everything else exactly as Run would — any fleet,
+// stragglers and deadlines included, under the same virtual-time scheduler.
+// Simulated devices are memoryless (updates, and the one round a
+// fail-once device fails in, are pure functions of seed, client index,
+// and round), so a fleet that rejoins after a crash pushes exactly the
+// updates the dead process would have folded — which is what lets the
+// tests assert the recovered run bit-identical to an uncrashed one.
 
 // ErrSimCrash is the error a fault harness phase returns when the
 // injected crash fired (the simulated process died as scheduled).
@@ -120,22 +121,12 @@ func RunWithCrash(sc Scenario, spec CrashSpec, journalPath string) (*Result, err
 }
 
 // validateHierFault validates a scenario for the hierarchy fault
-// harnesses, which study crash and partition behaviour in isolation:
-// full participation, no deadlines, no Byzantine or failing clients.
+// harnesses: there must be a hierarchy to fault.
 func validateHierFault(sc *Scenario) error {
 	if sc.Shards < 2 {
 		return errors.New("flsim: hierarchy fault scenarios need Shards > 1")
 	}
-	if err := sc.Validate(); err != nil {
-		return err
-	}
-	if sc.StragglerFraction > 0 || sc.FailureFraction > 0 || sc.NoTEEFraction > 0 ||
-		sc.PoisonFraction > 0 || sc.DisconnectFraction > 0 ||
-		len(sc.ShardStragglers) > 0 || len(sc.ShardFailures) > 0 ||
-		len(sc.Protect) > 0 || sc.Deadline > 0 {
-		return errors.New("flsim: hierarchy fault scenarios need a clean full-participation fleet (the crash is the fault under study)")
-	}
-	return nil
+	return sc.Validate()
 }
 
 // RunHierWithRootCrash runs a hierarchical scenario in which the root
@@ -200,7 +191,7 @@ func RunHierWithEdgeCrash(sc Scenario, shard, crashRound, rejoinRound int, dir s
 		// Rejoin runs on the root's round goroutine and blocks until
 		// the crashed edge is rebuilt — which is exactly what makes the
 		// rejoin round deterministic.
-		rejoin: func(t *tree, round int) []fl.Conn {
+		beforeRound: func(t *tree, round int) []fl.Conn {
 			if round != rejoinRound || rejoined || rejoinErr != nil {
 				return nil
 			}
@@ -224,7 +215,7 @@ func RunHierWithEdgeCrash(sc Scenario, shard, crashRound, rejoinRound int, dir s
 }
 
 // RunHierWithPartition runs a hierarchical scenario in which shard's
-// link to the root is severed just before round severRound's broadcast
+// link to the root is severed just before round severRound
 // — a network partition, not a process crash: the edge and its clients
 // are healthy but unreachable, the root drops the shard and degrades to
 // the survivors for the rest of the session (MinShards must leave
@@ -243,11 +234,12 @@ func RunHierWithPartition(sc Scenario, shard, severRound int) (*Result, error) {
 	if sc.MinShards > sc.Shards-1 {
 		return nil, errors.New("flsim: a partition needs MinShards headroom (MinShards <= Shards-1)")
 	}
-	return runTree(sc, assignProfiles(&sc), treeOpts{roundStarted: func(t *tree, round int) {
+	return runTree(sc, assignProfiles(&sc), treeOpts{beforeRound: func(t *tree, round int) []fl.Conn {
 		if round == severRound {
-			// The partition: the link drops before the broadcast, so
-			// the send fails and the root drops the shard.
+			// The partition: the link drops before the round samples and
+			// broadcasts, so the send fails and the root drops the shard.
 			_ = t.edgeConns[shard].Close()
 		}
+		return nil
 	}})
 }

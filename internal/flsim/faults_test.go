@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"github.com/gradsec/gradsec/internal/tensor"
 )
@@ -37,6 +38,10 @@ func TestCrashRecoverBitIdenticalFlat(t *testing.T) {
 	}{
 		{"round-boundary", func(sc *Scenario) { sc.FailureFraction = 0.2 }, CrashSpec{Round: 3}},
 		{"mid-round", func(sc *Scenario) { sc.FailureFraction = 0.2 }, CrashSpec{Round: 2, Folds: 3}},
+		// Failers that served their probation before the crash must not
+		// fail again in the recovered fleet.
+		{"probation", func(sc *Scenario) { sc.FailureFraction = 0.2; sc.QuarantineRounds = 1 }, CrashSpec{Round: 3}},
+		{"probation-mid-round", func(sc *Scenario) { sc.FailureFraction = 0.2; sc.QuarantineRounds = 1 }, CrashSpec{Round: 2, Folds: 3}},
 		{"sampled", func(sc *Scenario) { sc.SampleFraction = 0.5; sc.MinClients = 2 }, CrashSpec{Round: 3}},
 		{"masked", func(sc *Scenario) { sc.SecAgg = true }, CrashSpec{Round: 3}},
 		{"masked-mid-round", func(sc *Scenario) { sc.SecAgg = true }, CrashSpec{Round: 4, Folds: 5}},
@@ -78,6 +83,10 @@ func TestCrashRecoverBitIdenticalHier(t *testing.T) {
 		{"plain", Scenario{Clients: 12, Rounds: 6, MinClients: 1, Shards: 3, Seed: 7}, 12},
 		{"masked", Scenario{Clients: 12, Rounds: 6, MinClients: 1, Shards: 3, Seed: 7, SecAgg: true}, 12},
 		{"sampled", Scenario{Clients: 16, Rounds: 6, MinClients: 1, Shards: 4, Seed: 7, SampleFraction: 0.5}, 8},
+		// Fail-once devices on probation shrink some cohorts (sampled 0:
+		// not checked); stragglers make every shard wait out its deadline.
+		{"probation", Scenario{Clients: 16, Rounds: 6, MinClients: 1, Shards: 4, Seed: 7, FailureFraction: 0.25, QuarantineRounds: 1,
+			StragglerFraction: 0.125, Deadline: time.Second}, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -96,7 +105,7 @@ func TestCrashRecoverBitIdenticalHier(t *testing.T) {
 			}
 			requireSameModel(t, "final model", recovered.Final, baseline.Final)
 			for _, st := range recovered.Trace {
-				if st.Sampled != tc.sampled {
+				if tc.sampled > 0 && st.Sampled != tc.sampled {
 					t.Fatalf("round %d sampled %d clients, want %d", st.Round, st.Sampled, tc.sampled)
 				}
 			}
@@ -209,6 +218,51 @@ func TestPartitionDegradesGracefully(t *testing.T) {
 	requireSameModel(t, "determinism", again.Final, res.Final)
 }
 
+// TestHierFaultHarnessesTakeDirtyFleet: every hierarchy fault harness
+// completes on a fleet with stragglers behind a deadline and fail-once
+// devices on probation — a shard the fault removes simply leaves the
+// virtual-time accounting — and reproduces its outcome across runs; the
+// recovered root lands on the uncrashed run's trace and final model.
+func TestHierFaultHarnessesTakeDirtyFleet(t *testing.T) {
+	dirty := Scenario{Clients: 32, Rounds: 6, Shards: 4, MinShards: 3, Deadline: time.Second,
+		StragglerFraction: 0.125, FailureFraction: 0.0625, QuarantineRounds: 1, Seed: 5}
+	harnesses := []struct {
+		name string
+		run  func(dir string) (*Result, error)
+	}{
+		{"edge-crash", func(dir string) (*Result, error) { return RunHierWithEdgeCrash(dirty, 1, 2, 4, dir) }},
+		{"partition", func(string) (*Result, error) { return RunHierWithPartition(dirty, 2, 3) }},
+		{"root-crash", func(dir string) (*Result, error) { return RunHierWithRootCrash(dirty, 3, dir) }},
+	}
+	for _, h := range harnesses {
+		t.Run(h.name, func(t *testing.T) {
+			var hashes [2]string
+			var res *Result
+			for i := range hashes {
+				var err error
+				if res, err = h.run(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+				hashes[i] = hashOutcome(res.Selected, res.Rejected, res.Trace, res.Final, res.Quarantined, res.Elapsed)
+			}
+			if hashes[0] != hashes[1] {
+				t.Fatalf("outcome hash %s, rerun %s", hashes[0], hashes[1])
+			}
+			if h.name != "root-crash" {
+				return
+			}
+			baseline, err := Run(dirty)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(baseline.Trace, res.Trace) {
+				t.Fatalf("trace diverged\nbaseline:  %+v\nrecovered: %+v", baseline.Trace, res.Trace)
+			}
+			requireSameModel(t, "final model", res.Final, baseline.Final)
+		})
+	}
+}
+
 // TestDisconnectsQuarantinedSessionContinues: clients that go dark
 // mid-session surface as transport-error quarantines in the round they
 // drop; the session keeps running over the remaining fleet.
@@ -258,10 +312,6 @@ func TestFaultHarnessValidation(t *testing.T) {
 	noHeadroom := Scenario{Clients: 8, Rounds: 6, MinClients: 1, Shards: 2, Seed: 1}
 	if _, err := RunHierWithEdgeCrash(noHeadroom, 0, 2, 4, t.TempDir()); err == nil {
 		t.Fatal("edge crash without MinShards headroom must be rejected")
-	}
-	dirty := Scenario{Clients: 8, Rounds: 6, MinClients: 1, Shards: 2, MinShards: 1, FailureFraction: 0.5, Seed: 1}
-	if _, err := RunHierWithPartition(dirty, 0, 2); err == nil {
-		t.Fatal("hier fault scenarios must reject a dirty fleet")
 	}
 	if !errors.Is(ErrSimCrash, ErrSimCrash) {
 		t.Fatal("sentinel sanity")

@@ -6,12 +6,13 @@
 // aggregate update norm).
 //
 // Determinism: the cohort sampler, profile assignment, and failure
-// schedule all derive from Scenario.Seed; deadlines only fire when the
-// harness advances the virtual clock (after every on-time response has
-// been folded); and simulated updates are dyadic rationals, so their
-// sums are exact in float64 and independent of goroutine arrival order.
-// Two runs of the same scenario therefore produce identical traces and
-// bitwise-identical final models.
+// schedule all derive from Scenario.Seed; virtual time passes only when
+// every device and server of the session is parked, and then exactly the
+// earliest armed timer fires (sched.go, docs/SIMULATION.md); and
+// simulated updates are dyadic rationals, so their sums are exact in
+// float64 and independent of goroutine arrival order. Two runs of the
+// same scenario therefore produce identical traces and bitwise-identical
+// final models.
 package flsim
 
 import (
@@ -37,8 +38,10 @@ type Profile struct {
 	// scenario deadline, not as a graded delay.)
 	Straggler bool
 	// FailRound, when ≥ 0, makes the client report a training failure
-	// the first time it is sampled in a round ≥ FailRound (it is then
-	// quarantined by the engine).
+	// if it is addressed in round FailRound (the engine then quarantines
+	// it, or puts it on probation), and in no other round — a pure
+	// function of the round, so a fleet rebuilt after a crash fails
+	// exactly where the dead one did.
 	FailRound int
 	// NoTEE marks a device without a TEE; under RequireTEE it is
 	// rejected at selection.
@@ -213,7 +216,9 @@ type Result struct {
 	// Quarantined lists devices the engine excluded (permanently or on
 	// probation), in quarantine order.
 	Quarantined []string
-	// Elapsed is the total virtual time consumed by deadline waits.
+	// Elapsed is the virtual time the session consumed: the deadlines
+	// it waited out, and in an asynchronous session the devices'
+	// training latencies.
 	Elapsed time.Duration
 	// Idle is the virtual fleet-idle time implied by the trace: in a
 	// synchronous round that waited out its deadline (Dropped > 0),
@@ -297,8 +302,10 @@ func (sc *Scenario) Validate() error {
 			sc.PoisonGamma = 4
 		}
 	}
-	if _, err := fl.ParseAggMethod(sc.Aggregation); err != nil {
+	if m, err := fl.ParseAggMethod(sc.Aggregation); err != nil {
 		return err
+	} else if m != fl.AggFedAvg && sc.SecAgg {
+		return fmt.Errorf("flsim: %w", fl.ErrRobustSecAgg)
 	}
 	if sc.StragglerFraction > 0 && sc.Deadline <= 0 {
 		return errors.New("flsim: StragglerFraction needs a Deadline")
@@ -391,13 +398,6 @@ func assignProfiles(sc *Scenario) []Profile {
 	rng := rand.New(rand.NewSource(sc.Seed))
 	n := sc.Clients
 	order := rng.Perm(n)
-	stragglers := int(float64(n)*sc.StragglerFraction + 0.5)
-	failers := int(float64(n)*sc.FailureFraction + 0.5)
-	if stragglers+failers > n {
-		failers = n - stragglers
-	}
-	noTEE := int(float64(n)*sc.NoTEEFraction + 0.5)
-
 	profiles := make([]Profile, n)
 	for i := range profiles {
 		profiles[i] = Profile{
@@ -410,39 +410,69 @@ func assignProfiles(sc *Scenario) []Profile {
 			profiles[i].Examples = 1 + int(h%16)
 		}
 	}
-	for k := 0; k < stragglers; k++ {
-		profiles[order[k]].Straggler = true
-	}
-	for k := stragglers; k < stragglers+failers; k++ {
-		profiles[order[k]].FailRound = rng.Intn(sc.Rounds)
-	}
+	rest := deal(order, n, sc.StragglerFraction, func(i int) { profiles[i].Straggler = true })
+	rest = deal(rest, n, sc.FailureFraction, func(i int) { profiles[i].FailRound = rng.Intn(sc.Rounds) })
 	// Poisoners follow stragglers and failers in the shuffle — disjoint
 	// roles, because an attacker wants its update folded every round.
-	poisoners := int(float64(n)*sc.PoisonFraction + 0.5)
-	if stragglers+failers+poisoners > n {
-		poisoners = n - stragglers - failers
-	}
-	for k := stragglers + failers; k < stragglers+failers+poisoners; k++ {
-		profiles[order[k]].Poison = sc.PoisonMode
-	}
+	rest = deal(rest, n, sc.PoisonFraction, func(i int) { profiles[i].Poison = sc.PoisonMode })
 	// Disconnectors are next in the shuffle: a client that goes dark
 	// mid-session (connection severed, engine quarantines on the
 	// transport error).
-	taken := stragglers + failers + poisoners
-	drops := int(float64(n)*sc.DisconnectFraction + 0.5)
-	if taken+drops > n {
-		drops = n - taken
-	}
-	for k := taken; k < taken+drops; k++ {
-		profiles[order[k]].DropRound = sc.DisconnectRound
-	}
+	deal(rest, n, sc.DisconnectFraction, func(i int) { profiles[i].DropRound = sc.DisconnectRound })
 	// No-TEE devices are drawn from the back of the shuffle, keeping the
 	// role disjoint from stragglers/failers while fractions sum to ≤ 1.
-	for k := 0; k < noTEE; k++ {
+	for k := 0; k < int(float64(n)*sc.NoTEEFraction+0.5); k++ {
 		profiles[order[n-1-k]].NoTEE = true
 	}
 	overrideShardProfiles(sc, profiles)
 	return profiles
+}
+
+// deal gives role to the next ⌊n·f⌉ devices of a shuffled order — as
+// many of them as are left — and returns the rest.
+func deal(order []int, n int, f float64, role func(i int)) []int {
+	k := min(int(float64(n)*f+0.5), len(order))
+	for _, i := range order[:k] {
+		role(i)
+	}
+	return order[k:]
+}
+
+// shardRange returns shard s's contiguous client range [lo, hi): the
+// fleet is partitioned in index order, so device names, profiles, and
+// update values line up exactly with the flat run of the same
+// scenario.
+func shardRange(n, shards, s int) (lo, hi int) {
+	return s * n / shards, (s + 1) * n / shards
+}
+
+// overrideShardProfiles applies per-shard straggler/failure fractions
+// on top of the fleet-wide assignment: each overridden shard redraws
+// its roles from a per-shard seeded RNG, so heterogeneous edge
+// profiles stay deterministic.
+func overrideShardProfiles(sc *Scenario, profiles []Profile) {
+	if len(sc.ShardStragglers) == 0 && len(sc.ShardFailures) == 0 {
+		return
+	}
+	for s := 0; s < sc.Shards; s++ {
+		lo, hi := shardRange(sc.Clients, sc.Shards, s)
+		size := hi - lo
+		sf := sc.StragglerFraction
+		if len(sc.ShardStragglers) > 0 {
+			sf = sc.ShardStragglers[s]
+		}
+		ff := sc.FailureFraction
+		if len(sc.ShardFailures) > 0 {
+			ff = sc.ShardFailures[s]
+		}
+		for i := lo; i < hi; i++ {
+			profiles[i].Straggler = false
+			profiles[i].FailRound = -1
+		}
+		rng := rand.New(rand.NewSource(sc.Seed ^ (int64(s)+1)*0x9e3779b9))
+		rest := deal(rng.Perm(size), size, sf, func(i int) { profiles[lo+i].Straggler = true })
+		deal(rest, size, ff, func(i int) { profiles[lo+i].FailRound = rng.Intn(sc.Rounds) })
+	}
 }
 
 // staticProtect shields a fixed flat-index set every round.

@@ -49,9 +49,14 @@ func closeJournal(j *journal.Journal) {
 	}
 }
 
-// treeOpts is everything a fault harness changes about a session; the
-// scenario decides the rest. Zero opts run the scenario plainly.
+// treeOpts is everything a harness changes about a session — its pacing
+// and the faults it injects; the scenario decides the rest. Zero opts
+// run the scenario plainly.
 type treeOpts struct {
+	// async, when set, paces the flat session barrier-free: devices
+	// train for their latency on the session clock and push whenever
+	// ready (RunAsync).
+	async *AsyncScenario
 	// root configures the flat server, or the root of a hierarchy.
 	root tierOpts
 	// edge, when set, configures each shard's edge.
@@ -59,26 +64,27 @@ type treeOpts struct {
 	// edgeDown, when set, is called once an edge's injected crash has
 	// torn it down and its journal is flushed.
 	edgeDown func(shard int)
-	// roundStarted, when set, runs on the root's round goroutine once a
-	// round is open, before its broadcast — where a harness severs a
-	// link.
-	roundStarted func(t *tree, round int)
-	// rejoin, when set, is the root's RootConfig.Rejoin poll.
-	rejoin func(t *tree, round int) []fl.Conn
+	// beforeRound, when set, is the root's RootConfig.Rejoin poll: it
+	// runs on the root's round goroutine before each round, where a
+	// harness severs a link or hands back recovered edges to readmit.
+	beforeRound func(t *tree, round int) []fl.Conn
 }
 
 // tree is one simulated federation: a flat server, or a root over one
 // edge per shard, above a fleet of real fl.Clients — the only place the
 // engine's configuration is derived from the scenario.
 type tree struct {
-	fleet
+	sc         *Scenario
+	profiles   []Profile
+	stragglers map[string]Profile
 	opt        treeOpts
-	epoch      time.Time
-	wait       *hierWait
+	sched      *sched
+	top        *tier // the flat server, or the root
 	planner    fl.RoundPlanner
+	verifier   *tz.Verifier
 	enclave    *secagg.Enclave
-	stragglers map[string]bool // devices that never answer inside the deadline
 
+	wg          sync.WaitGroup // every device and edge goroutine
 	mu          sync.Mutex
 	quarantined []string
 
@@ -88,21 +94,26 @@ type tree struct {
 	edgeMetrics []*obs.Registry
 }
 
+// epoch is the instant every session's virtual clock starts at.
+var epoch = time.Unix(0, 0)
+
 // runTree executes a validated scenario over the given profiles.
 func runTree(sc Scenario, profiles []Profile, opt treeOpts) (*Result, error) {
-	clk := simclock.NewVirtual(time.Unix(0, 0))
-	shards := max(sc.Shards, 1)
 	t := &tree{
-		fleet:      fleet{sc: &sc, profiles: profiles, verifier: tz.NewVerifier(), clk: clk},
+		sc:         &sc,
+		profiles:   profiles,
+		stragglers: make(map[string]Profile),
 		opt:        opt,
-		epoch:      clk.Now(),
-		wait:       &hierWait{clk: clk, deadline: sc.Deadline, shards: make([]shardWait, shards)},
+		sched:      &sched{clk: simclock.NewVirtual(epoch), n: sc.Clients, edges: make(map[string]*tier), dead: make(map[int]bool)},
 		planner:    sc.Planner,
-		stragglers: make(map[string]bool),
+		verifier:   tz.NewVerifier(),
+	}
+	if opt.async != nil {
+		t.sched.devices = sc.Clients // each runs until it first parks on its latency timer
 	}
 	for _, p := range profiles {
 		if p.Straggler {
-			t.stragglers[p.Device] = true
+			t.stragglers[p.Device] = p
 		}
 	}
 	if t.planner == nil && len(sc.Protect) > 0 {
@@ -123,12 +134,21 @@ func runTree(sc Scenario, profiles []Profile, opt treeOpts) (*Result, error) {
 	if sc.Shards <= 1 {
 		return t.runFlat()
 	}
-	t.edges = make([]*hier.Edge, shards)
-	t.edgeConns = make([]fl.Conn, shards)
+	t.edges = make([]*hier.Edge, sc.Shards)
+	t.edgeConns = make([]fl.Conn, sc.Shards)
 	if sc.FleetTelemetry {
-		t.edgeMetrics = make([]*obs.Registry, shards)
+		t.edgeMetrics = make([]*obs.Registry, sc.Shards)
 	}
 	return t.runHier()
+}
+
+// answers reports whether a sampled device answers round without time
+// passing: in a synchronous session every device but a straggler that
+// has not yet gone dark, in an asynchronous one none — every push waits
+// out its device's latency.
+func (t *tree) answers(device string, round int) bool {
+	p, straggler := t.stragglers[device]
+	return t.opt.async == nil && (!straggler || p.DropRound >= 0 && round >= p.DropRound)
 }
 
 // result assembles the session's outcome once every tier has stopped.
@@ -141,7 +161,7 @@ func (t *tree) result(selected int, trace []fl.RoundStats) *Result {
 		Final:       t.sc.Model,
 		Profiles:    t.profiles,
 		Quarantined: t.quarantined,
-		Elapsed:     t.clk.Now().Sub(t.epoch),
+		Elapsed:     t.sched.clk.Now().Sub(epoch),
 		Idle:        idleFromTrace(trace, t.sc.Deadline),
 		EdgeMetrics: t.edgeMetrics,
 	}
@@ -151,13 +171,12 @@ func (t *tree) result(selected int, trace []fl.RoundStats) *Result {
 	return res
 }
 
-// serverCfg derives the round-engine configuration for shard's server —
-// the flat server itself, or an edge's shard engine — from the
-// scenario.
-func (t *tree) serverCfg(shard int, opt tierOpts, j *journal.Journal) fl.ServerConfig {
+// serverCfg derives the round-engine configuration for tier tr — the
+// flat server itself, or shard's edge engine — from the scenario.
+func (t *tree) serverCfg(tr *tier, shard int, opt tierOpts, j *journal.Journal) fl.ServerConfig {
 	sc := t.sc
 	aggMethod, _ := fl.ParseAggMethod(sc.Aggregation) // validated
-	hooks := t.shardHooks(shard)
+	hooks := t.hooks(tr)
 	if opt.crash != nil {
 		hooks = installCrash(hooks, *opt.crash)
 	}
@@ -181,13 +200,20 @@ func (t *tree) serverCfg(shard int, opt tierOpts, j *journal.Journal) fl.ServerC
 		Aggregation:      aggMethod,
 		TrimFraction:     sc.TrimFraction,
 		Planner:          t.planner,
-		Clock:            t.clk,
+		Clock:            t.sched.clk.Keyed(tr.key),
 		Hooks:            hooks,
 		Journal:          j,
 	}
+	if a := t.opt.async; a != nil {
+		cfg.Rounds = a.Versions
+		cfg.Async = fl.AsyncConfig{Enabled: true, GoalUpdates: a.GoalUpdates, MaxStaleness: a.MaxStaleness}
+		// Slow devices are not stragglers here: the drain waits for
+		// their last push instead of cutting it off at a deadline.
+		cfg.RoundDeadline = 0
+	}
 	if sc.Shards <= 1 {
 		cfg.Metrics = sc.Metrics
-		cfg.Spans = obs.NewTraceSink(sc.Spans, t.clk)
+		cfg.Spans = obs.NewTraceSink(sc.Spans, t.sched.clk)
 		return cfg
 	}
 	// The root owns the scenario's registry and span stream; an edge
@@ -197,35 +223,27 @@ func (t *tree) serverCfg(shard int, opt tierOpts, j *journal.Journal) fl.ServerC
 		cfg.Metrics = t.edgeMetrics[shard]
 	}
 	if len(sc.EdgeSpans) > 0 {
-		cfg.Spans = obs.NewTraceSink(sc.EdgeSpans[shard], t.clk)
+		cfg.Spans = obs.NewTraceSink(sc.EdgeSpans[shard], t.sched.clk)
 	}
 	return cfg
 }
 
-// shardHooks ride the engine hooks (all fired from the shard's round
-// goroutine) to keep the quarantine log and tell the wait accounting
-// how many sampled clients will still answer.
-func (t *tree) shardHooks(shard int) fl.Hooks {
-	sanctioned := func(device string, _ error) {
-		t.mu.Lock()
-		t.quarantined = append(t.quarantined, device)
-		t.mu.Unlock()
-		t.wait.drained(shard)
+// hooks ride tier tr's engine hooks (all fired from its round goroutine)
+// to feed the virtual-time scheduler and keep the quarantine log.
+func (t *tree) hooks(tr *tier) fl.Hooks {
+	sanctioned := func(child string, _ error) {
+		if tr.answers != nil { // a device, not a dropped edge
+			t.mu.Lock()
+			t.quarantined = append(t.quarantined, child)
+			t.mu.Unlock()
+		}
+		t.sched.answered(tr, child)
 	}
 	return fl.Hooks{
-		RoundStarted: func(_ int, sampled []string) {
-			stragglers := 0
-			for _, d := range sampled {
-				if t.stragglers[d] {
-					stragglers++
-				}
-			}
-			t.wait.roundStarted(shard, stragglers, len(sampled)-stragglers)
-		},
-		UpdateFolded:      func(int, string) { t.wait.drained(shard) },
+		RoundStarted:      func(round int, sampled []string) { t.sched.open(tr, round, sampled) },
+		UpdateFolded:      func(_ int, child string) { t.sched.answered(tr, child) },
 		ClientQuarantined: sanctioned,
 		ClientProbationed: sanctioned,
-		RoundClosed:       func(fl.RoundStats) { t.wait.roundClosed(shard) },
 	}
 }
 
@@ -256,7 +274,8 @@ func (t *tree) runFlat() (*Result, error) {
 		return nil, err
 	}
 	defer closeJournal(j)
-	cfg := t.serverCfg(0, opt, j)
+	t.top = t.sched.newTier("", t.answers)
+	cfg := t.serverCfg(t.top, 0, opt, j)
 	var srv *fl.Server
 	if opt.recover {
 		// The fleet rejoins the recovered server via Resume.
@@ -266,6 +285,10 @@ func (t *tree) runFlat() (*Result, error) {
 	} else {
 		srv = fl.NewServer(t.sc.Model, cfg)
 	}
+	run := srv.Run
+	if t.opt.async != nil {
+		run = srv.RunAsync
+	}
 	conns, err := t.start(0, t.sc.Clients)
 	if err != nil {
 		return nil, err
@@ -273,7 +296,8 @@ func (t *tree) runFlat() (*Result, error) {
 	var selected int
 	// On a crash, Abort drains the readers, closes the conns and syncs
 	// the journal.
-	runErr := orCrash(func() (err error) { selected, err = srv.Run(conns); return }, srv.Abort)
+	runErr := orCrash(func() (err error) { selected, err = run(conns); return }, srv.Abort)
+	t.sched.leave(t.top)
 	// A run that failed before selection (config validation) never
 	// touched the conns; close them so the fleet unblocks.
 	closeConns(conns)
@@ -297,7 +321,8 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 		// upstream and fold into sc.Metrics at the root.
 		t.edgeMetrics[shard] = obs.NewRegistry()
 	}
-	cfg := hier.EdgeConfig{Name: shardName(shard), MaxCodec: t.sc.Codec, Server: t.serverCfg(shard, opt, j)}
+	tr := t.sched.newTier(shardName(shard), t.answers)
+	cfg := hier.EdgeConfig{Name: tr.name, MaxCodec: t.sc.Codec, Server: t.serverCfg(tr, shard, opt, j)}
 	// The edge owns a model-shaped scratch state; values are
 	// overwritten by the root's broadcast every round.
 	state := make([]*tensor.Tensor, len(t.sc.Model))
@@ -316,6 +341,7 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 	}
 	if err != nil {
 		closeJournal(j)
+		t.sched.leave(tr)
 		return nil, fmt.Errorf("flsim: starting shard %d: %w", shard, err)
 	}
 	t.edges[shard] = edge
@@ -327,9 +353,11 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 		// crash has already run Edge.Run's deferred Abort and upstream
 		// Close during the unwind: the shard process is dead and its
 		// link to the root severed.
-		err := orCrash(func() error { return edge.Run(edgeSide, clients) }, nil)
+		up := uplink{edgeSide, func() { t.sched.answered(t.top, tr.name) }}
+		err := orCrash(func() error { return edge.Run(up, clients) }, nil)
 		closeConns(clients) // an edge that never opened its shard left them untouched
 		closeJournal(j)
+		t.sched.leave(tr)
 		if errors.Is(err, ErrSimCrash) && t.opt.edgeDown != nil {
 			t.opt.edgeDown(shard)
 		}
@@ -337,16 +365,26 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 	return rootSide, nil
 }
 
+// uplink is an edge's end of its link to the root. A shard round that
+// failed forwards an empty partial, which the root takes without a fold
+// hook: the send itself hands the edge back to its parent.
+type uplink struct {
+	fl.Conn
+	emptySent func()
+}
+
+func (u uplink) Send(m fl.Message) error {
+	if p, ok := m.(*fl.PartialUp); ok && p.Count == 0 {
+		u.emptySent()
+	}
+	return u.Conn.Send(m)
+}
+
 // newRoot builds the hierarchy root, or recovers it from its journal
 // onto the scenario's (pristine) model.
 func (t *tree) newRoot(j *journal.Journal) (*hier.Root, error) {
 	sc, opt := t.sc, t.opt.root
-	hooks := fl.Hooks{RoundStarted: func(round int, shards []string) {
-		if t.opt.roundStarted != nil {
-			t.opt.roundStarted(t, round)
-		}
-		t.wait.fleetRoundStarted(len(shards))
-	}}
+	hooks := t.hooks(t.top)
 	if opt.crash != nil {
 		hooks = installCrash(hooks, *opt.crash)
 	}
@@ -356,14 +394,18 @@ func (t *tree) newRoot(j *journal.Journal) (*hier.Root, error) {
 		SecAgg:     sc.SecAgg,
 		MaskDegree: sc.MaskDegree,
 		Codec:      sc.Codec,
-		Clock:      t.clk,
+		Clock:      t.sched.clk.Keyed(t.top.key),
 		Journal:    j,
 		Metrics:    sc.Metrics,
-		Spans:      obs.NewTraceSink(sc.Spans, t.clk),
-		Hooks:      hier.Hooks{RoundStarted: hooks.RoundStarted, PartialFolded: hooks.UpdateFolded},
+		Spans:      obs.NewTraceSink(sc.Spans, t.sched.clk),
+		Hooks: hier.Hooks{
+			RoundStarted:  hooks.RoundStarted,
+			PartialFolded: hooks.UpdateFolded,
+			ShardDropped:  hooks.ClientQuarantined,
+		},
 	}
-	if t.opt.rejoin != nil {
-		cfg.Rejoin = func(round int) []fl.Conn { return t.opt.rejoin(t, round) }
+	if t.opt.beforeRound != nil {
+		cfg.Rejoin = func(round int) []fl.Conn { return t.opt.beforeRound(t, round) }
 	}
 	if opt.recover {
 		return hier.RecoverRoot(opt.journal, sc.Model, cfg)
@@ -380,6 +422,7 @@ func (t *tree) runHier() (*Result, error) {
 		return nil, err
 	}
 	defer closeJournal(j)
+	t.top = t.sched.newTier("", nil)
 	root, err := t.newRoot(j)
 	if err != nil {
 		return nil, err
@@ -396,6 +439,7 @@ func (t *tree) runHier() (*Result, error) {
 	if err == nil {
 		err = orCrash(func() error { _, err := root.Run(t.edgeConns); return err }, root.Abort)
 	}
+	t.sched.leave(t.top)
 	// A root that never enrolled its edges never touched their uplinks;
 	// close them so the tree unwinds.
 	closeConns(t.edgeConns)

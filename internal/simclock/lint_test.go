@@ -26,7 +26,6 @@ var wallClockAllowed = map[string]struct {
 	"fl/recover.go":        {2, "journal replay latency: real I/O plus model reconstruction"},
 	"fl/transport.go":      {2, "TCP read/write deadlines: the kernel's socket timers run on the real clock"},
 	"fl/retry.go":          {2, "client reconnect: default jitter seed, and the default of the injectable Sleep seam"},
-	"flsim/async.go":       {1, "yield while the lockstep async harness polls real goroutines for quiescence"},
 }
 
 // wallClockFuncs are the package time functions that read or wait on

@@ -49,9 +49,9 @@ func (realClock) NewTimer(d time.Duration) *Timer {
 	return &Timer{C: rt.C, stop: func() { rt.Stop() }}
 }
 
-// Virtual is a manually advanced WallClock. Time only moves when Advance
-// (or Set) is called; due timers fire in timestamp order during the
-// call. All methods are safe for concurrent use.
+// Virtual is a manually advanced WallClock. Time only moves when Advance,
+// Set or FireNext is called; due timers fire in timestamp order during
+// the call. All methods are safe for concurrent use.
 type Virtual struct {
 	mu     sync.Mutex
 	now    time.Time
@@ -60,10 +60,18 @@ type Virtual struct {
 }
 
 type virtualTimer struct {
-	at      time.Time
-	seq     int // arming order breaks timestamp ties deterministically
-	ch      chan time.Time
-	stopped bool
+	at  time.Time
+	key int // the owner a Keyed view armed it for
+	seq int
+	ch  chan time.Time
+}
+
+// before orders timers by fire time, then key, then arming order.
+func (a *virtualTimer) before(b *virtualTimer) bool {
+	if !a.at.Equal(b.at) {
+		return a.at.Before(b.at)
+	}
+	return a.key < b.key || a.key == b.key && a.seq < b.seq
 }
 
 // NewVirtual creates a virtual clock reading start.
@@ -76,12 +84,26 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// NewTimer implements WallClock. A timer armed with d <= 0 fires on the
-// next Advance (or immediately on Advance(0)).
-func (v *Virtual) NewTimer(d time.Duration) *Timer {
+// NewTimer implements WallClock (under key 0). A timer armed with d <= 0
+// fires on the next Advance (or immediately on Advance(0)).
+func (v *Virtual) NewTimer(d time.Duration) *Timer { return v.newTimer(0, d) }
+
+// Keyed returns a view of v whose timers are armed under key: FireNext
+// reports it, and orders timers due at the same instant by it.
+func (v *Virtual) Keyed(key int) WallClock { return keyedClock{v, key} }
+
+type keyedClock struct {
+	v   *Virtual
+	key int
+}
+
+func (k keyedClock) Now() time.Time                  { return k.v.Now() }
+func (k keyedClock) NewTimer(d time.Duration) *Timer { return k.v.newTimer(k.key, d) }
+
+func (v *Virtual) newTimer(key int, d time.Duration) *Timer {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	vt := &virtualTimer{at: v.now.Add(d), seq: v.seq, ch: make(chan time.Time, 1)}
+	vt := &virtualTimer{at: v.now.Add(d), key: key, seq: v.seq, ch: make(chan time.Time, 1)}
 	v.seq++
 	v.timers = append(v.timers, vt)
 	return &Timer{C: vt.ch, stop: func() { v.stopTimer(vt) }}
@@ -90,7 +112,6 @@ func (v *Virtual) NewTimer(d time.Duration) *Timer {
 func (v *Virtual) stopTimer(vt *virtualTimer) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	vt.stopped = true
 	for i, t := range v.timers {
 		if t == vt {
 			v.timers = append(v.timers[:i], v.timers[i+1:]...)
@@ -100,7 +121,7 @@ func (v *Virtual) stopTimer(vt *virtualTimer) {
 }
 
 // Advance moves the clock forward by d, firing every due timer in
-// timestamp order (arming order breaks ties).
+// timestamp order (key, then arming order, breaks ties).
 func (v *Virtual) Advance(d time.Duration) { v.Set(v.Now().Add(d)) }
 
 // Set jumps the clock to t (never backwards), firing due timers.
@@ -119,12 +140,7 @@ func (v *Virtual) Set(t time.Time) {
 		}
 	}
 	v.timers = rest
-	sort.Slice(due, func(i, j int) bool {
-		if !due[i].at.Equal(due[j].at) {
-			return due[i].at.Before(due[j].at)
-		}
-		return due[i].seq < due[j].seq
-	})
+	sort.Slice(due, func(i, j int) bool { return due[i].before(due[j]) })
 	now := v.now
 	v.mu.Unlock()
 	for _, vt := range due {
@@ -140,17 +156,35 @@ func (v *Virtual) Waiters() int {
 	return len(v.timers)
 }
 
-// NextAt returns the earliest armed timer's fire time. Harnesses that
-// drive event-at-a-time simulations (the flsim async lockstep) pair it
-// with Set to advance exactly to the next scheduled event. ok is false
-// when no timer is armed.
-func (v *Virtual) NextAt() (at time.Time, ok bool) {
+// FireNext is a discrete-event step: it moves the clock to the earliest
+// timer armed under a key not in dead and fires that timer alone (of
+// timers due together, the one Advance would fire first). Timers under
+// keys in dead are disarmed unfired. ok is false when none is left.
+func (v *Virtual) FireNext(dead map[int]bool) (key int, ok bool) {
 	v.mu.Lock()
-	defer v.mu.Unlock()
+	next := -1
+	kept := v.timers[:0]
 	for _, vt := range v.timers {
-		if !ok || vt.at.Before(at) {
-			at, ok = vt.at, true
+		if dead[vt.key] {
+			continue
 		}
+		if next < 0 || vt.before(kept[next]) {
+			next = len(kept)
+		}
+		kept = append(kept, vt)
 	}
-	return at, ok
+	if next < 0 {
+		v.timers = kept
+		v.mu.Unlock()
+		return 0, false
+	}
+	vt := kept[next]
+	v.timers = append(kept[:next], kept[next+1:]...)
+	if vt.at.After(v.now) {
+		v.now = vt.at
+	}
+	now := v.now
+	v.mu.Unlock()
+	vt.ch <- now // capacity 1, only ever one send
+	return vt.key, true
 }

@@ -73,6 +73,40 @@ func TestVirtualTieBreakIsArmingOrder(t *testing.T) {
 	<-second.C
 }
 
+// TestVirtualFireNextOneAtATime: FireNext fires the earliest timer
+// alone — ties by key, whatever the arming order — and disarms timers
+// under dead keys without moving the clock to them.
+func TestVirtualFireNextOneAtATime(t *testing.T) {
+	start := time.Unix(0, 0)
+	v := NewVirtual(start)
+	armedFirst := v.Keyed(2).NewTimer(time.Second)
+	armedSecond := v.Keyed(1).NewTimer(time.Second)
+	disarmed := v.Keyed(9).NewTimer(time.Millisecond)
+	earliest := v.Keyed(3).NewTimer(time.Millisecond)
+	dead := map[int]bool{9: true}
+	for _, want := range []struct {
+		key int
+		tm  *Timer
+		at  time.Duration
+	}{{3, earliest, time.Millisecond}, {1, armedSecond, time.Second}, {2, armedFirst, time.Second}} {
+		key, ok := v.FireNext(dead)
+		if !ok || key != want.key {
+			t.Fatalf("fired key %d (ok %v), want %d", key, ok, want.key)
+		}
+		if at := <-want.tm.C; !at.Equal(start.Add(want.at)) || !v.Now().Equal(at) {
+			t.Fatalf("key %d fired at %v, clock %v, want %v", key, at, v.Now(), start.Add(want.at))
+		}
+	}
+	if _, ok := v.FireNext(dead); ok || v.Waiters() != 0 {
+		t.Fatalf("a timer is left: ok %v, %d waiters", ok, v.Waiters())
+	}
+	select {
+	case <-disarmed.C:
+		t.Fatal("a dead key's timer fired")
+	default:
+	}
+}
+
 func TestRealClockTimerFires(t *testing.T) {
 	clk := Real()
 	if clk.Now().IsZero() {
