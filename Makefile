@@ -4,6 +4,7 @@
 #   make vet          static checks
 #   make test         full test suite, race detector enabled
 #   make fuzz-check   run the fuzz corpora in regression mode (no fuzzing)
+#   make fuzz-smoke   fuzz every Fuzz* target for 5 s each (CI, after check)
 #   make bench        all artefact + fleet benchmarks (one iteration each)
 #   make bench-fleet  fixed-benchtime fleet benchmarks -> bench/fleet.txt
 #   make bench-secagg secagg privacy-ladder benchmarks -> bench/secagg.txt
@@ -32,7 +33,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated check loc
+.PHONY: build vet test fuzz-check fuzz-smoke bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated check loc
 
 build:
 	$(GO) build ./...
@@ -43,13 +44,27 @@ vet:
 test:
 	$(GO) test -race ./...
 
+# The packages holding fuzz targets: every decoder that faces hostile
+# input.
+FUZZ_PKGS = ./internal/wire ./internal/fl ./internal/journal ./internal/obs ./internal/secagg ./internal/core
+
 # Replays the fuzz seed corpora as ordinary tests. `make test` already
 # covers the seeds implicitly (go test runs fuzz targets as unit tests);
 # this target is the explicit, fast regression gate for the decoder
-# corpora and the entry point documented for CI. Real fuzzing is
-# `go test -fuzz FuzzReadFrame ./internal/wire` etc.
+# corpora and the entry point documented for CI.
 fuzz-check:
-	$(GO) test -run 'Fuzz' ./internal/wire ./internal/fl ./internal/journal ./internal/obs ./internal/secagg ./internal/core
+	$(GO) test -run 'Fuzz' $(FUZZ_PKGS)
+
+# Real fuzzing, briefly: `go test -fuzz` takes one target per run, so
+# each Fuzz* target of each package gets its own 5 s run. Not part of
+# `check` (it is time-boxed rather than deterministic); CI runs it after.
+fuzz-smoke:
+	@for pkg in $(FUZZ_PKGS); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "fuzz $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 bench:
 	$(GO) test -run xxx -bench . -benchtime=1x -benchmem .

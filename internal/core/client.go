@@ -3,9 +3,9 @@ package core
 import (
 	"fmt"
 
-	"github.com/gradsec/gradsec/internal/fl"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
+	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // Planner adapts a GradSec plan to the FL server's RoundPlanner: layer
@@ -149,7 +149,7 @@ func (v *ServerView) UnsealUpdate(sealed []byte) (map[int]*tensor.Tensor, error)
 	if err != nil {
 		return nil, err
 	}
-	idx, ts, err := fl.ParseSealedUpdate(blob)
+	idx, ts, err := wire.DecodeSealedUpdate(blob)
 	if err != nil {
 		return nil, err
 	}

@@ -5,11 +5,11 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/gradsec/gradsec/internal/fl"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
+	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // contiguousRuns is the run finder OverheadSim counted world switches
@@ -180,5 +180,5 @@ func distribute(sv *ServerView, protected []int) ([]*tensor.Tensor, []byte) {
 			plain[i] = w
 		}
 	}
-	return plain, sv.channel.Seal(fl.SealedUpdate(idx, ts))
+	return plain, sv.channel.Seal(wire.EncodeSealedUpdate(idx, ts))
 }

@@ -238,41 +238,22 @@ func (p *Plan) WindowPosition(cycle int) int {
 
 // Encode serialises the plan to the opaque blob carried by the FL
 // protocol's ModelDown message.
-func (p *Plan) Encode() []byte {
-	w := wire.NewWriter()
-	w.Uvarint(uint64(p.Mode))
-	w.Uvarint(uint64(len(p.Layers)))
-	for _, l := range p.Layers {
-		w.Uvarint(uint64(l))
-	}
-	w.Uvarint(uint64(p.SizeMW))
-	w.Float64s(p.VMW)
-	return w.Bytes()
-}
+func (p *Plan) Encode() []byte { return wire.Encode(wire.CodecF64, p.walk) }
 
 // DecodePlan reconstructs a plan encoded with Encode.
 func DecodePlan(blob []byte) (*Plan, error) {
-	r := wire.NewReader(blob)
-	p := &Plan{Mode: Mode(r.Uvarint())}
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
+	p := &Plan{}
+	if err := wire.Decode(blob, wire.CodecF64, p.walk); err != nil {
 		return nil, err
-	}
-	if n < 0 || n > len(blob) {
-		return nil, fmt.Errorf("core: plan claims %d layers", n)
-	}
-	for i := 0; i < n; i++ {
-		p.Layers = append(p.Layers, int(r.Uvarint()))
-	}
-	p.SizeMW = int(r.Uvarint())
-	p.VMW = r.Float64s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(p.VMW) == 0 {
-		p.VMW = nil
 	}
 	return p, nil
+}
+
+func (p *Plan) walk(f *wire.Fields) {
+	f.Int((*int)(&p.Mode))
+	wire.List(f, &p.Layers, (*wire.Fields).Int)
+	f.Int(&p.SizeMW)
+	wire.List(f, &p.VMW, (*wire.Fields).Float64)
 }
 
 // String renders the plan using the paper's 1-based layer naming.

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -295,4 +298,31 @@ func FuzzDecodePlan(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestGoldenPlanFormat pins the plan blob's bytes for each mode,
+// recorded before the plan moved onto the field walker, and each blob
+// must decode back to its plan exactly.
+func TestGoldenPlanFormat(t *testing.T) {
+	for _, c := range []struct {
+		plan *Plan
+		want string
+	}{
+		{&Plan{Mode: ModeStatic, Layers: []int{1, 4, 200}}, "dc9dd89599c0a560918046c406b3d78f122e7bcfec50aa4aa4fb68c2a7453f1c"},
+		{&Plan{Mode: ModeDynamic, SizeMW: 2, VMW: []float64{0.2, 0.1, 0.6, 0.1}}, "f1f2b11b3dd34442da86eebbdbf60fccad4e82e063e45dd3e9be4d97dc3bcc2d"},
+		{&Plan{Mode: ModeDarkneTZ, Layers: []int{1, 2, 3}}, "fe7c4da39d9064dd3d1b785800d7e2d8a3806dd10716214aa060c636e9985b14"},
+	} {
+		blob := c.plan.Encode()
+		h := sha256.Sum256(blob)
+		if got := hex.EncodeToString(h[:]); got != c.want {
+			t.Errorf("%s: hash %s, recorded %s", c.plan, got, c.want)
+		}
+		dec, err := DecodePlan(blob)
+		if err != nil {
+			t.Fatalf("%s: %v", c.plan, err)
+		}
+		if !reflect.DeepEqual(dec, c.plan) {
+			t.Errorf("decode = %+v, want %+v", dec, c.plan)
+		}
+	}
 }

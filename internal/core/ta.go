@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 
-	"github.com/gradsec/gradsec/internal/fl"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
+	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // Request/response types crossing the world boundary. Inputs may carry
@@ -182,7 +182,7 @@ func (g *gradsecTA) loadSealedWeights(req any) error {
 	if err != nil {
 		return err
 	}
-	idx, ts, err := fl.ParseSealedUpdate(blob)
+	idx, ts, err := wire.DecodeSealedUpdate(blob)
 	if err != nil {
 		return err
 	}
@@ -300,5 +300,5 @@ func (g *gradsecTA) endCycle() ([]byte, error) {
 	if g.channel == nil {
 		return nil, errors.New("core: protected updates require a trusted channel")
 	}
-	return g.channel.Seal(fl.SealedUpdate(idx, ts)), nil
+	return g.channel.Seal(wire.EncodeSealedUpdate(idx, ts)), nil
 }

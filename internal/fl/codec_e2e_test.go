@@ -194,7 +194,7 @@ func TestSealedPayloadsByteIdenticalAcrossCodecs(t *testing.T) {
 	}
 	// The sealed model payload must carry the exact f64 state (5 in
 	// round 0), not a quantised copy.
-	idx, ts, err := ParseSealedUpdate(ref.opened[0])
+	idx, ts, err := wire.DecodeSealedUpdate(ref.opened[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func (t *testTrainer) TrainRound(round int, plain []*tensor.Tensor, sealed []byt
 			return nil, nil, err
 		}
 		t.openedBlobs = append(t.openedBlobs, append([]byte(nil), blob...))
-		idx, ts, err := ParseSealedUpdate(blob)
+		idx, ts, err := wire.DecodeSealedUpdate(blob)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -132,7 +132,7 @@ func (t *testTrainer) TrainRound(round int, plain []*tensor.Tensor, sealed []byt
 	}
 	var sealedUpd []byte
 	if len(protIdx) > 0 {
-		blob := SealedUpdate(protIdx, secretTs)
+		blob := wire.EncodeSealedUpdate(protIdx, secretTs)
 		t.sentBlobs = append(t.sentBlobs, blob)
 		sealedUpd = t.ch.Seal(blob)
 	}
@@ -368,6 +368,34 @@ func TestMessageCodecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHostileListCountRejected: a list count the remaining payload
+// cannot hold fails the frame. Before the one list rule, each of these
+// decoded without error — the list as empty, and whatever followed the
+// count as later fields (a ModelDown read Version 7, Trace 9).
+func TestHostileListCountRejected(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		mt   MsgType
+		head []uint64 // uvarints before the hostile count
+	}{
+		{"ModelDown.Cohort", MsgModelDown, []uint64{3, 0, 0, 0}},
+		{"MaskedUp.Shares", MsgMaskedUp, []uint64{3, 0, 0, 0}},
+		{"MaskRecon.Dropped", MsgMaskRecon, []uint64{3}},
+		{"MaskRecon.Survivors", MsgMaskRecon, []uint64{3, 0}},
+		{"MaskShares.Shares", MsgMaskShares, []uint64{3}},
+		{"MaskShares.SeedShares", MsgMaskShares, []uint64{3, 0}},
+	} {
+		w := wire.NewWriter()
+		for _, v := range append(c.head, 200, 7, 9) {
+			w.Uvarint(v)
+		}
+		m, err := DecodeMessageCodec(c.mt, w.Bytes(), wire.CodecF64)
+		if !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("%s: count 200 over 2 bytes decoded as %+v, err %v; want wire.ErrCorrupt", c.name, m, err)
+		}
+	}
+}
+
 func TestFedAvgMath(t *testing.T) {
 	u1 := []*tensor.Tensor{tensor.Full(1, 2), tensor.Full(10, 2)}
 	u2 := []*tensor.Tensor{tensor.Full(3, 2), tensor.Full(30, 2)}
@@ -396,8 +424,8 @@ func newStateScalar(v float64, n int) []*tensor.Tensor {
 func TestSealedUpdateRoundTrip(t *testing.T) {
 	idx := []int{2, 5}
 	ts := []*tensor.Tensor{tensor.Full(1, 2), tensor.Full(2, 3)}
-	blob := SealedUpdate(idx, ts)
-	gotIdx, gotTs, err := ParseSealedUpdate(blob)
+	blob := wire.EncodeSealedUpdate(idx, ts)
+	gotIdx, gotTs, err := wire.DecodeSealedUpdate(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -407,7 +435,7 @@ func TestSealedUpdateRoundTrip(t *testing.T) {
 	if !gotTs[1].EqualApprox(ts[1], 0) {
 		t.Fatal("tensor mismatch")
 	}
-	if _, _, err := ParseSealedUpdate([]byte{0xFF, 0xFF}); err == nil {
+	if _, _, err := wire.DecodeSealedUpdate([]byte{0xFF, 0xFF}); err == nil {
 		t.Fatal("corrupt sealed update must fail")
 	}
 }

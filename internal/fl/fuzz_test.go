@@ -1,31 +1,20 @@
 package fl
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
-	"github.com/gradsec/gradsec/internal/secagg"
-	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // FuzzDecodeMessage throws arbitrary payloads at the protocol decoder
-// under every message type and codec: it must never panic, and any
-// message it accepts must survive a re-encode/re-decode cycle.
+// under every message type and codec, seeded with the golden example
+// table: it must never panic, and any message it accepts must survive a
+// re-encode/re-decode cycle unchanged.
 func FuzzDecodeMessage(f *testing.F) {
-	seeds := []Message{
-		&Challenge{Nonce: []byte{1, 2}, ServerPub: []byte{3}, RequireTEE: true, Codec: wire.CodecQ8},
-		&Attest{DeviceID: "d", HasTEE: true, ClientPub: []byte{9}, Codec: wire.CodecF32},
-		&Reject{Reason: "no"},
-		&ModelDown{Round: 2, Plain: []*tensor.Tensor{nil, tensor.Full(1.5, 2, 2)}, Plan: []byte{1}},
-		&GradUp{Round: 2, Plain: []*tensor.Tensor{tensor.Full(-0.25, 3)}, Examples: 7},
-		&Done{Final: []*tensor.Tensor{tensor.Full(2, 1)}},
-		&ErrorMsg{Text: "boom"},
-		&MaskedUp{Round: 1, Levels: []*wire.U64Tensor{nil, {Shape: []int{2}, Levels: []uint64{1, 1 << 63}}}, Examples: 3},
-		&MaskRecon{Round: 1, Dropped: []string{"d1", "d2"}},
-		&MaskShares{Round: 1, Shares: []secagg.PairShare{{Device: "d1", Seed: [32]byte{7}}}},
-	}
-	for _, m := range seeds {
-		for _, c := range []wire.Codec{wire.CodecF64, wire.CodecF32, wire.CodecQ8} {
+	for _, m := range wireExamples() {
+		for _, c := range goldenCodecs {
 			f.Add(byte(m.Kind()), uint8(c), EncodeMessageCodec(m, c))
 		}
 	}
@@ -38,13 +27,67 @@ func FuzzDecodeMessage(f *testing.F) {
 		if err != nil {
 			return
 		}
-		re := EncodeMessageCodec(m, c)
-		m2, err := DecodeMessageCodec(MsgType(mt), re, c)
+		m2, err := DecodeMessageCodec(MsgType(mt), EncodeMessageCodec(m, c), c)
 		if err != nil {
 			t.Fatalf("accepted %T failed to re-decode: %v", m, err)
 		}
-		if m2.Kind() != m.Kind() {
-			t.Fatalf("kind drifted: %v -> %v", m.Kind(), m2.Kind())
+		switch m.(type) {
+		case *ModelDown, *Done, *ShardDown:
+			if c == wire.CodecQ8 {
+				return // materialised q8 tensors requantise on re-encode
+			}
+		}
+		if !equalBits(reflect.ValueOf(m2), reflect.ValueOf(m)) {
+			t.Fatalf("%T changed on a round trip:\n got  %+v\n want %+v", m, m2, m)
 		}
 	})
+}
+
+// TestEveryMessageHasAnExample guards the example table that seeds the
+// golden hashes and the fuzz corpus: a new message type must join it.
+func TestEveryMessageHasAnExample(t *testing.T) {
+	have := map[MsgType]bool{}
+	for _, m := range wireExamples() {
+		have[m.Kind()] = true
+	}
+	for mt := MsgType(1); newMessage(mt) != nil; mt++ {
+		if !have[mt] {
+			t.Errorf("message type %d (%T) has no example in wireExamples", mt, newMessage(mt))
+		}
+	}
+}
+
+// equalBits is reflect.DeepEqual with floats compared by bit pattern,
+// so a NaN that survives a round trip counts as the same value.
+func equalBits(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalBits(a.Elem(), b.Elem())
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() || a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }

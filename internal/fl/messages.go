@@ -42,8 +42,9 @@ const (
 type Message interface {
 	// Kind returns the message discriminator.
 	Kind() MsgType
-	encode(w *wire.Writer)
-	decode(r *wire.Reader)
+	// walk hands every field, in wire order, to the field walker — one
+	// method that both encodes and decodes the message (docs/WIRE.md).
+	walk(f *wire.Fields)
 }
 
 // Challenge opens selection for a training session: the server sends a
@@ -83,38 +84,28 @@ type Challenge struct {
 // Kind implements Message.
 func (*Challenge) Kind() MsgType { return MsgChallenge }
 
-func (m *Challenge) encode(w *wire.Writer) {
-	w.Blob(m.Nonce)
-	w.Blob(m.ServerPub)
-	w.Bool(m.RequireTEE)
-	w.Uvarint(uint64(m.Codec))
-	w.Bool(m.SecAgg)
-	w.Uvarint(uint64(m.ScaleBits))
-	w.String(m.AggQuote.DeviceID)
-	w.Blob(m.AggQuote.Measurement[:])
-	w.Blob(m.AggQuote.Nonce)
-	w.Blob(m.AggQuote.MAC)
-	w.Uvarint(uint64(m.MaskDegree))
+func (m *Challenge) walk(f *wire.Fields) {
+	f.Blob(&m.Nonce)
+	f.Blob(&m.ServerPub)
+	f.Bool(&m.RequireTEE)
+	f.Trailing()
+	f.Codec(&m.Codec)
+	f.Trailing()
+	f.Bool(&m.SecAgg)
+	f.Uint8(&m.ScaleBits)
+	walkQuote(f, &m.AggQuote)
+	f.Trailing()
+	f.Int(&m.MaskDegree)
 }
 
-func (m *Challenge) decode(r *wire.Reader) {
-	m.Nonce = r.Blob()
-	m.ServerPub = r.Blob()
-	m.RequireTEE = r.Bool()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Codec = wire.Codec(r.Uvarint())
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.SecAgg = r.Bool()
-		m.ScaleBits = uint8(r.Uvarint())
-		m.AggQuote.DeviceID = r.String()
-		copy(m.AggQuote.Measurement[:], r.Blob())
-		m.AggQuote.Nonce = r.Blob()
-		m.AggQuote.MAC = r.Blob()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.MaskDegree = int(r.Uvarint())
-	}
+// walkQuote walks an attestation quote; the measurement is exactly a
+// SHA-256.
+func walkQuote(f *wire.Fields, q *tz.Quote) {
+	f.String(&q.DeviceID)
+	measurement := q.Measurement[:]
+	f.Fixed(&measurement, len(q.Measurement))
+	f.Blob(&q.Nonce)
+	f.Blob(&q.MAC)
 }
 
 // Attest is the client's selection response: device capability, an
@@ -142,37 +133,18 @@ type Attest struct {
 // Kind implements Message.
 func (*Attest) Kind() MsgType { return MsgAttest }
 
-func (m *Attest) encode(w *wire.Writer) {
-	w.String(m.DeviceID)
-	w.Bool(m.HasTEE)
-	w.String(m.Quote.DeviceID)
-	w.Blob(m.Quote.Measurement[:])
-	w.Blob(m.Quote.Nonce)
-	w.Blob(m.Quote.MAC)
-	w.Blob(m.ClientPub)
-	w.Uvarint(uint64(m.Codec))
-	w.Blob(m.MaskPub)
-	w.Uvarint(uint64(m.Cap))
-}
-
-func (m *Attest) decode(r *wire.Reader) {
-	m.DeviceID = r.String()
-	m.HasTEE = r.Bool()
-	m.Quote.DeviceID = r.String()
-	copy(m.Quote.Measurement[:], r.Blob())
-	m.Quote.Nonce = r.Blob()
-	m.Quote.MAC = r.Blob()
-	m.ClientPub = r.Blob()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Codec = wire.Codec(r.Uvarint())
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.MaskPub = r.Blob()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Cap = wire.Codec(r.Uvarint())
-	}
-	if m.Cap < m.Codec {
+func (m *Attest) walk(f *wire.Fields) {
+	f.String(&m.DeviceID)
+	f.Bool(&m.HasTEE)
+	walkQuote(f, &m.Quote)
+	f.Blob(&m.ClientPub)
+	f.Trailing()
+	f.Codec(&m.Codec)
+	f.Trailing()
+	f.Blob(&m.MaskPub)
+	f.Trailing()
+	f.Codec(&m.Cap)
+	if f.Decoding() && m.Cap < m.Codec {
 		m.Cap = m.Codec // absent or stale cap: the spoken codec is proof
 	}
 }
@@ -185,8 +157,7 @@ type Reject struct {
 // Kind implements Message.
 func (*Reject) Kind() MsgType { return MsgReject }
 
-func (m *Reject) encode(w *wire.Writer) { w.String(m.Reason) }
-func (m *Reject) decode(r *wire.Reader) { m.Reason = r.String() }
+func (m *Reject) walk(f *wire.Fields) { f.String(&m.Reason) }
 
 // ModelDown distributes the round's model: unprotected parameter tensors
 // travel in the clear (nil at protected positions); protected tensors are
@@ -224,100 +195,50 @@ type ModelDown struct {
 // Kind implements Message.
 func (*ModelDown) Kind() MsgType { return MsgModelDown }
 
-func (m *ModelDown) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.TensorList(m.Plain)
-	w.Blob(m.Sealed)
-	w.Blob(m.Plan)
-	w.Uvarint(uint64(len(m.Cohort)))
-	for _, p := range m.Cohort {
-		w.String(p.Device)
-		w.Blob(p.Pub)
-	}
-	w.Uvarint(m.Version)
-	w.Uvarint(m.Trace)
-	w.Uvarint(uint64(m.MaskDegree))
+func (m *ModelDown) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	f.Tensors(&m.Plain)
+	f.Blob(&m.Sealed)
+	f.Blob(&m.Plan)
+	f.Trailing()
+	walkCohort(f, &m.Cohort)
+	f.Trailing()
+	f.Uvarint(&m.Version)
+	f.Trailing()
+	f.Uvarint(&m.Trace)
+	f.Trailing()
+	f.Int(&m.MaskDegree)
 }
 
-func (m *ModelDown) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Plain = r.TensorList()
-	m.Sealed = r.Blob()
-	m.Plan = r.Blob()
-	if r.Err() != nil || r.Remaining() == 0 {
+// walkCohort walks the cohort roster: (device, mask pub) pairs. Decoding
+// copies every device name into one shared string and every mask pub
+// into one shared byte slice instead of two heap objects per peer. The
+// roster rides every ModelDown, so at fleet scale a cohort of n costs
+// n·cohort decoded peers per round and the per-peer garbage was costing
+// the collector more than the decode itself.
+func walkCohort(f *wire.Fields, cohort *[]secagg.Peer) {
+	if !f.Decoding() {
+		wire.List(f, cohort, func(f *wire.Fields, p *secagg.Peer) {
+			f.String(&p.Device)
+			f.Blob(&p.Pub)
+		})
 		return
 	}
-	m.Cohort = decodePeerList(r)
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Version = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Trace = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.MaskDegree = int(r.Uvarint())
-	}
-}
-
-// decodeBoundedList reads a length-prefixed list of elements, each
-// costing at least one encoded byte: a hostile count claim is rejected
-// against the remaining payload, the initial allocation is capped so
-// the claim alone cannot force a large allocation, and decoding stops
-// (returning nil, with the reader's sticky error set by the element
-// decoder) at the first corrupt element.
-func decodeBoundedList[T any](r *wire.Reader, elem func(*wire.Reader) T) []T {
-	n := r.Uvarint()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		return nil
-	}
-	out := make([]T, 0, min(n, 1024))
-	for i := uint64(0); i < n; i++ {
-		e := elem(r)
-		if r.Err() != nil {
-			return nil
-		}
-		out = append(out, e)
-	}
-	return out
-}
-
-// decodePeerList reads the cohort roster into two shared backing
-// slabs — one string carrying every device name, one byte slice
-// carrying every mask pub — instead of two heap objects per peer. The
-// roster rides every ModelDown, so at fleet scale a cohort of n costs
-// n·cohort decoded peers per round and the per-peer garbage was
-// costing the collector more than the decode itself. Bounds mirror
-// decodeBoundedList: the count claim is checked against the remaining
-// payload and decoding stops at the first corrupt element.
-func decodePeerList(r *wire.Reader) []secagg.Peer {
-	n := r.Uvarint()
-	if r.Err() != nil || n > uint64(r.Remaining()) {
-		return nil
-	}
-	lens := make([][2]int, 0, min(n, 1024))
 	var names, pubs []byte
-	for i := uint64(0); i < n; i++ {
-		name := r.BlobBytes()
-		pub := r.BlobBytes()
-		if r.Err() != nil {
-			return nil
-		}
-		names = append(names, name...)
-		pubs = append(pubs, pub...)
+	var lens [][2]int
+	wire.List(f, cohort, func(f *wire.Fields, _ *secagg.Peer) {
+		name, pub := f.View(), f.View()
+		names, pubs = append(names, name...), append(pubs, pub...)
 		lens = append(lens, [2]int{len(name), len(pub)})
+	})
+	if f.Err() != nil {
+		return
 	}
 	shared := string(names)
-	out := make([]secagg.Peer, len(lens))
-	no, po := 0, 0
 	for i, l := range lens {
-		out[i] = secagg.Peer{
-			Device: shared[no : no+l[0]],
-			Pub:    pubs[po : po+l[1] : po+l[1]],
-		}
-		no += l[0]
-		po += l[1]
+		(*cohort)[i] = secagg.Peer{Device: shared[:l[0]], Pub: pubs[:l[1]:l[1]]}
+		shared, pubs = shared[l[0]:], pubs[l[1]:]
 	}
-	return out
 }
 
 // GradUp returns the client's model update: unprotected update tensors in
@@ -366,37 +287,16 @@ func (m *GradUp) Tensors() []*tensor.Tensor {
 	return out
 }
 
-func (m *GradUp) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	if m.Plain == nil && m.Q8 != nil {
-		// Re-encoding a lazily decoded update: emit the levels verbatim.
-		w.Q8TensorListRaw(m.Q8)
-	} else {
-		w.TensorList(m.Plain)
-	}
-	w.Blob(m.Sealed)
-	w.Uvarint(m.Examples)
-	w.Uvarint(m.Version)
-	w.Blob(m.Telemetry)
-}
-
-func (m *GradUp) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	if r.Codec == wire.CodecQ8 {
-		m.Q8 = r.Q8TensorList()
-	} else {
-		m.Plain = r.TensorList()
-	}
-	m.Sealed = r.Blob()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Examples = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Version = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Telemetry = r.Blob()
-	}
+func (m *GradUp) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	f.LazyTensors(&m.Plain, &m.Q8)
+	f.Blob(&m.Sealed)
+	f.Trailing()
+	f.Uvarint(&m.Examples)
+	f.Trailing()
+	f.Uvarint(&m.Version)
+	f.Trailing()
+	f.Blob(&m.Telemetry)
 }
 
 // Done ends a session, optionally delivering the final global model.
@@ -407,8 +307,7 @@ type Done struct {
 // Kind implements Message.
 func (*Done) Kind() MsgType { return MsgDone }
 
-func (m *Done) encode(w *wire.Writer) { w.TensorList(m.Final) }
-func (m *Done) decode(r *wire.Reader) { m.Final = r.TensorList() }
+func (m *Done) walk(f *wire.Fields) { f.Tensors(&m.Final) }
 
 // ErrorMsg reports a protocol failure to the peer.
 type ErrorMsg struct {
@@ -418,8 +317,7 @@ type ErrorMsg struct {
 // Kind implements Message.
 func (*ErrorMsg) Kind() MsgType { return MsgError }
 
-func (m *ErrorMsg) encode(w *wire.Writer) { w.String(m.Text) }
-func (m *ErrorMsg) decode(r *wire.Reader) { m.Text = r.String() }
+func (m *ErrorMsg) walk(f *wire.Fields) { f.String(&m.Text) }
 
 // MaskedUp is the secure-aggregation counterpart of GradUp: the
 // unprotected update travels as fixed-point ring levels with the
@@ -446,35 +344,18 @@ type MaskedUp struct {
 // Kind implements Message.
 func (*MaskedUp) Kind() MsgType { return MsgMaskedUp }
 
-func (m *MaskedUp) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.U64TensorList(m.Levels)
-	w.Blob(m.Sealed)
-	w.Uvarint(m.Examples)
-	w.Uvarint(uint64(len(m.Shares)))
-	for _, s := range m.Shares {
-		w.String(s.To)
-		w.Blob(s.Blob)
-	}
-}
-
-func (m *MaskedUp) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Levels = r.U64TensorList()
-	m.Sealed = r.Blob()
-	m.Examples = r.Uvarint()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Shares = decodeBoundedList(r, func(r *wire.Reader) secagg.WrappedShare {
-			s := secagg.WrappedShare{To: r.String(), Blob: r.Blob()}
-			// A wrapped share has exactly one valid length; anything else
-			// is hostile or corrupt and must fail the frame, not linger
-			// until reconciliation.
-			if r.Err() == nil && len(s.Blob) != secagg.WrappedShareLen {
-				r.Fail("wrapped share size")
-			}
-			return s
-		})
-	}
+func (m *MaskedUp) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	f.U64Tensors(&m.Levels)
+	f.Blob(&m.Sealed)
+	f.Uvarint(&m.Examples)
+	f.Trailing()
+	// A wrapped share has exactly one valid length; anything else is
+	// hostile or corrupt and fails the frame, not reconciliation.
+	wire.List(f, &m.Shares, func(f *wire.Fields, s *secagg.WrappedShare) {
+		f.String(&s.To)
+		f.Fixed(&s.Blob, secagg.WrappedShareLen)
+	})
 }
 
 // MaskRecon asks a surviving cohort member to reconcile the round's
@@ -495,31 +376,14 @@ type MaskRecon struct {
 // Kind implements Message.
 func (*MaskRecon) Kind() MsgType { return MsgMaskRecon }
 
-func (m *MaskRecon) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.Uvarint(uint64(len(m.Dropped)))
-	for _, d := range m.Dropped {
-		w.String(d)
-	}
-	w.Uvarint(uint64(len(m.Survivors)))
-	for _, s := range m.Survivors {
-		w.String(s.Owner)
-		w.Blob(s.Blob)
-	}
-}
-
-func (m *MaskRecon) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Dropped = decodeBoundedList(r, func(r *wire.Reader) string { return r.String() })
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Survivors = decodeBoundedList(r, func(r *wire.Reader) secagg.SeedEnvelope {
-			s := secagg.SeedEnvelope{Owner: r.String(), Blob: r.Blob()}
-			if r.Err() == nil && len(s.Blob) != secagg.WrappedShareLen {
-				r.Fail("wrapped share size")
-			}
-			return s
-		})
-	}
+func (m *MaskRecon) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	wire.List(f, &m.Dropped, (*wire.Fields).String)
+	f.Trailing()
+	wire.List(f, &m.Survivors, func(f *wire.Fields, s *secagg.SeedEnvelope) {
+		f.String(&s.Owner)
+		f.Fixed(&s.Blob, secagg.WrappedShareLen)
+	})
 }
 
 // MaskShares answers a MaskRecon: one round-scoped pair seed per
@@ -541,58 +405,28 @@ type MaskShares struct {
 // Kind implements Message.
 func (*MaskShares) Kind() MsgType { return MsgMaskShares }
 
-func (m *MaskShares) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.Uvarint(uint64(len(m.Shares)))
-	for _, s := range m.Shares {
-		w.String(s.Device)
-		w.Blob(s.Seed[:])
-	}
-	w.Uvarint(uint64(len(m.SeedShares)))
-	for _, s := range m.SeedShares {
-		w.String(s.Owner)
-		w.Uvarint(uint64(s.X))
-		w.Blob(s.Data)
-	}
-}
-
-func (m *MaskShares) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Shares = decodeBoundedList(r, func(r *wire.Reader) secagg.PairShare {
-		var s secagg.PairShare
-		s.Device = r.String()
-		seed := r.Blob()
-		// A short seed would zero-pad and silently subtract the wrong
-		// mask during reconciliation — corrupting the published
-		// aggregate instead of failing the round. Fail-stop instead.
-		if r.Err() == nil && len(seed) != len(s.Seed) {
-			r.Fail("mask share seed size")
-			return s
-		}
-		copy(s.Seed[:], seed)
-		return s
+func (m *MaskShares) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	// A seed of the wrong size would zero-pad and silently subtract the
+	// wrong mask during reconciliation — corrupting the published
+	// aggregate instead of failing the round. Fail-stop instead.
+	wire.List(f, &m.Shares, func(f *wire.Fields, s *secagg.PairShare) {
+		f.String(&s.Device)
+		seed := s.Seed[:]
+		f.Fixed(&seed, len(s.Seed))
 	})
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.SeedShares = decodeBoundedList(r, func(r *wire.Reader) secagg.SeedShare {
-			var s secagg.SeedShare
-			s.Owner = r.String()
-			x := r.Uvarint()
-			s.Data = r.Blob()
-			if r.Err() != nil {
-				return s
-			}
-			// A Shamir share has a fixed body and a nonzero x-coordinate
-			// below the field order; anything else would corrupt the
-			// reconstructed self seed — and thereby the published
-			// aggregate — instead of failing the round. Fail-stop.
-			if x == 0 || x > 255 || len(s.Data) != secagg.SeedShareLen {
-				r.Fail("seed share shape")
-				return s
-			}
-			s.X = uint8(x)
-			return s
-		})
-	}
+	f.Trailing()
+	// A Shamir share has a fixed body and a nonzero x-coordinate below
+	// the field order; anything else would corrupt the reconstructed
+	// self seed, and thereby the published aggregate.
+	wire.List(f, &m.SeedShares, func(f *wire.Fields, s *secagg.SeedShare) {
+		f.String(&s.Owner)
+		f.Uint8(&s.X)
+		f.Fixed(&s.Data, secagg.SeedShareLen)
+		if s.X == 0 {
+			f.Fail("seed share x-coordinate")
+		}
+	})
 }
 
 // ShardDown distributes one round's global model from the hierarchy
@@ -613,18 +447,11 @@ type ShardDown struct {
 // Kind implements Message.
 func (*ShardDown) Kind() MsgType { return MsgShardDown }
 
-func (m *ShardDown) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.TensorList(m.Model)
-	w.Uvarint(m.Trace)
-}
-
-func (m *ShardDown) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Model = r.TensorList()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Trace = r.Uvarint()
-	}
+func (m *ShardDown) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	f.Tensors(&m.Model)
+	f.Trailing()
+	f.Uvarint(&m.Trace)
 }
 
 // PartialUp carries one shard's folded round aggregate upstream: the
@@ -674,40 +501,22 @@ type PartialUp struct {
 // Kind implements Message.
 func (*PartialUp) Kind() MsgType { return MsgPartialUp }
 
-func (m *PartialUp) encode(w *wire.Writer) {
-	w.Uvarint(uint64(m.Round))
-	w.ExactTensorList(m.Sum)
-	w.U64TensorList(m.Levels)
-	w.Uvarint(uint64(m.ScaleBits))
-	w.Float64(m.Weight)
-	w.Uvarint(m.Count)
-	w.Uvarint(m.Sampled)
-	w.Uvarint(m.Dropped)
-	w.Uvarint(m.Quarantined)
-	w.Uvarint(m.LateDiscarded)
-	w.Uvarint(m.Reconciled)
-	w.Uvarint(m.Probation)
-	w.Blob(m.Telemetry)
-}
-
-func (m *PartialUp) decode(r *wire.Reader) {
-	m.Round = int(r.Uvarint())
-	m.Sum = r.ExactTensorList()
-	m.Levels = r.U64TensorList()
-	m.ScaleBits = uint8(r.Uvarint())
-	m.Weight = r.Float64()
-	m.Count = r.Uvarint()
-	m.Sampled = r.Uvarint()
-	m.Dropped = r.Uvarint()
-	m.Quarantined = r.Uvarint()
-	m.LateDiscarded = r.Uvarint()
-	m.Reconciled = r.Uvarint()
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Probation = r.Uvarint()
-	}
-	if r.Err() == nil && r.Remaining() > 0 {
-		m.Telemetry = r.Blob()
-	}
+func (m *PartialUp) walk(f *wire.Fields) {
+	f.Int(&m.Round)
+	f.ExactTensors(&m.Sum)
+	f.U64Tensors(&m.Levels)
+	f.Uint8(&m.ScaleBits)
+	f.Float64(&m.Weight)
+	f.Uvarint(&m.Count)
+	f.Uvarint(&m.Sampled)
+	f.Uvarint(&m.Dropped)
+	f.Uvarint(&m.Quarantined)
+	f.Uvarint(&m.LateDiscarded)
+	f.Uvarint(&m.Reconciled)
+	f.Trailing()
+	f.Uvarint(&m.Probation)
+	f.Trailing()
+	f.Blob(&m.Telemetry)
 }
 
 // CodecSwitch retunes the session's tensor codec mid-session (adaptive
@@ -740,8 +549,7 @@ type CodecSwitch struct {
 // Kind implements Message.
 func (*CodecSwitch) Kind() MsgType { return MsgCodecSwitch }
 
-func (m *CodecSwitch) encode(w *wire.Writer) { w.Uvarint(uint64(m.Codec)) }
-func (m *CodecSwitch) decode(r *wire.Reader) { m.Codec = wire.Codec(r.Uvarint()) }
+func (m *CodecSwitch) walk(f *wire.Fields) { f.Codec(&m.Codec) }
 
 // EncodeMessage serialises a message to a framed-payload byte slice
 // with the uncompressed f64 tensor codec.
@@ -752,12 +560,7 @@ func EncodeMessage(m Message) []byte { return EncodeMessageCodec(m, wire.CodecF6
 // a fresh buffer is allocated rather than draining the writer pool —
 // pooled buffer reuse belongs to the TCP send path, where frames are
 // written out and released immediately.
-func EncodeMessageCodec(m Message, codec wire.Codec) []byte {
-	w := wire.NewWriter()
-	w.Codec = codec
-	m.encode(w)
-	return w.Bytes()
-}
+func EncodeMessageCodec(m Message, codec wire.Codec) []byte { return wire.Encode(codec, m.walk) }
 
 // DecodeMessage reconstructs a message from its type and payload,
 // expecting the uncompressed f64 tensor codec.
@@ -769,56 +572,44 @@ func DecodeMessage(mt MsgType, payload []byte) (Message, error) {
 // with the given codec. The payload is fully copied out: it may be
 // reused by the caller immediately after.
 func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, error) {
-	var m Message
-	switch mt {
-	case MsgChallenge:
-		m = &Challenge{}
-	case MsgAttest:
-		m = &Attest{}
-	case MsgReject:
-		m = &Reject{}
-	case MsgModelDown:
-		m = &ModelDown{}
-	case MsgGradUp:
-		m = &GradUp{}
-	case MsgDone:
-		m = &Done{}
-	case MsgError:
-		m = &ErrorMsg{}
-	case MsgMaskedUp:
-		m = &MaskedUp{}
-	case MsgMaskRecon:
-		m = &MaskRecon{}
-	case MsgMaskShares:
-		m = &MaskShares{}
-	case MsgShardDown:
-		m = &ShardDown{}
-	case MsgPartialUp:
-		m = &PartialUp{}
-	case MsgCodecSwitch:
-		m = &CodecSwitch{}
-	default:
+	m := newMessage(mt)
+	if m == nil {
 		return nil, fmt.Errorf("fl: unknown message type %d", mt)
 	}
-	r := wire.NewReader(payload)
-	r.Codec = codec
-	m.decode(r)
-	if err := r.Err(); err != nil {
+	if err := wire.Decode(payload, codec, m.walk); err != nil {
 		return nil, fmt.Errorf("fl: decoding %T: %w", m, err)
 	}
 	return m, nil
 }
 
-// SealedUpdate encodes indexed tensors for transport inside a trusted
-// channel: count, then (flatIndex, tensor) pairs. The sealed path always
-// uses the exact f64 encoding — protected tensors are never quantised.
-// (The codec lives in wire so the aggregation enclave can parse sealed
-// blobs without importing this package.)
-func SealedUpdate(idx []int, ts []*tensor.Tensor) []byte {
-	return wire.EncodeSealedUpdate(idx, ts)
+// newMessage returns a zero message of the given type, nil for an
+// unknown one.
+func newMessage(mt MsgType) Message {
+	if int(mt) < len(zeroMessages) && zeroMessages[mt] != nil {
+		return zeroMessages[mt]()
+	}
+	return nil
 }
 
-// ParseSealedUpdate decodes a blob produced by SealedUpdate.
-func ParseSealedUpdate(blob []byte) (idx []int, ts []*tensor.Tensor, err error) {
-	return wire.DecodeSealedUpdate(blob)
+var zeroMessages = [...]func() Message{
+	MsgChallenge:   func() Message { return &Challenge{} },
+	MsgAttest:      func() Message { return &Attest{} },
+	MsgReject:      func() Message { return &Reject{} },
+	MsgModelDown:   func() Message { return &ModelDown{} },
+	MsgGradUp:      func() Message { return &GradUp{} },
+	MsgDone:        func() Message { return &Done{} },
+	MsgError:       func() Message { return &ErrorMsg{} },
+	MsgMaskedUp:    func() Message { return &MaskedUp{} },
+	MsgMaskRecon:   func() Message { return &MaskRecon{} },
+	MsgMaskShares:  func() Message { return &MaskShares{} },
+	MsgShardDown:   func() Message { return &ShardDown{} },
+	MsgPartialUp:   func() Message { return &PartialUp{} },
+	MsgCodecSwitch: func() Message { return &CodecSwitch{} },
+}
+
+// SealedUpdate encodes indexed tensors for the trusted channel; it is
+// wire.EncodeSealedUpdate, kept under this name for the repository
+// benchmark (benchmark/probes.go).
+func SealedUpdate(idx []int, ts []*tensor.Tensor) []byte {
+	return wire.EncodeSealedUpdate(idx, ts)
 }

@@ -93,7 +93,7 @@ func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, er
 	// float addition in commit order, so the recovered model is
 	// bit-identical to the crashed process's.
 	for _, c := range st.Closes {
-		s.trace = append(s.trace, fromJournalStats(c.Stats))
+		s.trace = append(s.trace, c.Stats)
 		if !c.OK || c.Update == nil {
 			continue
 		}

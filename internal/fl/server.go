@@ -257,53 +257,9 @@ type Hooks struct {
 	RoundClosed func(stats RoundStats)
 }
 
-// RoundStats is one round's trace entry.
-type RoundStats struct {
-	// Round is the FL cycle index.
-	Round int
-	// Sampled is the cohort size drawn for the round.
-	Sampled int
-	// Responded counts updates folded before the deadline.
-	Responded int
-	// Dropped counts sampled clients that straggled past the deadline.
-	Dropped int
-	// Quarantined counts clients permanently excluded during the round.
-	Quarantined int
-	// Probation counts clients placed on temporary probation during the
-	// round (QuarantineRounds; unlike Quarantined they come back).
-	Probation int
-	// LateDiscarded counts stale updates thrown away: answers to
-	// earlier rounds in synchronous sessions, or pushes staler than
-	// Async.MaxStaleness in asynchronous ones.
-	LateDiscarded int
-	// Duplicates counts duplicate or rate-limited pushes discarded in
-	// asynchronous sessions; always 0 in round-synchronous ones.
-	Duplicates int
-	// Reconciled counts dropped cohort members whose unpaired masks
-	// were reconstructed from survivor shares (secure aggregation).
-	Reconciled int
-	// WeightTotal is the summed FedAvg weight of the folded updates; it
-	// equals Responded when every client carries unit weight (no
-	// example counts on the wire).
-	WeightTotal float64
-	// UpdateNorm is the L2 norm of the applied aggregate update.
-	UpdateNorm float64
-	// Shards counts the edge partials folded into the round's aggregate
-	// in a hierarchical session (internal/hier); 0 in flat sessions. In
-	// a root's trace Sampled/Responded/Dropped/… are fleet-wide totals
-	// summed over the shard accounting each PartialUp carries.
-	Shards int
-	// BytesUp and BytesDown are the round's wire traffic (client→server
-	// and server→client, frame headers included), measured between round
-	// commits when ServerConfig.Metrics is set; 0 with metrics disabled
-	// and in the trace of an edge-peer tier, which meters no wire bytes.
-	// They are observability, not protocol state: the journal does not
-	// carry them (its Stats decode is strict about trailing bytes, so
-	// extending it would orphan every pre-existing journal), and a
-	// recovered trace therefore reports 0 for replayed rounds.
-	BytesUp   uint64
-	BytesDown uint64
-}
+// RoundStats is one round's trace entry. It is journal.Stats — one
+// struct, documented there — so a close record commits it as is.
+type RoundStats = journal.Stats
 
 // Partial is one round's un-normalised aggregate, produced by a server
 // in hierarchical partial mode (ServerConfig.Partials) and forwarded
@@ -1298,7 +1254,7 @@ func (s *Server) closeRound(stats RoundStats, ok bool, applied []*tensor.Tensor)
 			Type:   typ,
 			Round:  stats.Round,
 			OK:     ok,
-			Stats:  toJournalStats(stats),
+			Stats:  stats,
 			Update: applied,
 		})
 		_ = s.cfg.Journal.Sync()
@@ -1309,40 +1265,6 @@ func (s *Server) closeRound(stats RoundStats, ok bool, applied []*tensor.Tensor)
 	s.health.round.Store(int64(stats.Round + 1))
 	if s.cfg.Hooks.RoundClosed != nil {
 		s.cfg.Hooks.RoundClosed(stats)
-	}
-}
-
-func toJournalStats(st RoundStats) journal.Stats {
-	return journal.Stats{
-		Round:         st.Round,
-		Sampled:       st.Sampled,
-		Responded:     st.Responded,
-		Dropped:       st.Dropped,
-		Quarantined:   st.Quarantined,
-		Probation:     st.Probation,
-		LateDiscarded: st.LateDiscarded,
-		Duplicates:    st.Duplicates,
-		Reconciled:    st.Reconciled,
-		WeightTotal:   st.WeightTotal,
-		UpdateNorm:    st.UpdateNorm,
-		Shards:        st.Shards,
-	}
-}
-
-func fromJournalStats(st journal.Stats) RoundStats {
-	return RoundStats{
-		Round:         st.Round,
-		Sampled:       st.Sampled,
-		Responded:     st.Responded,
-		Dropped:       st.Dropped,
-		Quarantined:   st.Quarantined,
-		Probation:     st.Probation,
-		LateDiscarded: st.LateDiscarded,
-		Duplicates:    st.Duplicates,
-		Reconciled:    st.Reconciled,
-		WeightTotal:   st.WeightTotal,
-		UpdateNorm:    st.UpdateNorm,
-		Shards:        st.Shards,
 	}
 }
 
@@ -1378,7 +1300,7 @@ func (s *Server) buildModelDown(round int, sess *session, protected map[int]bool
 		}
 	}
 	if len(secretIdx) > 0 {
-		down.Sealed = sess.channel.Seal(SealedUpdate(secretIdx, secretTs))
+		down.Sealed = sess.channel.Seal(wire.EncodeSealedUpdate(secretIdx, secretTs))
 	}
 	return down, nil
 }
@@ -1396,7 +1318,7 @@ func (s *Server) mergeUpdate(sess *session, up *GradUp) ([]*tensor.Tensor, error
 		if err != nil {
 			return nil, fmt.Errorf("unsealing update: %w", err)
 		}
-		idx, ts, err := ParseSealedUpdate(blob)
+		idx, ts, err := wire.DecodeSealedUpdate(blob)
 		if err != nil {
 			return nil, fmt.Errorf("parsing sealed update: %w", err)
 		}

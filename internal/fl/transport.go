@@ -273,7 +273,7 @@ func (c *tcpConn) Send(m Message) error {
 	w := wire.GetWriter()
 	w.BeginFrame(byte(m.Kind()))
 	w.Codec = wire.Codec(c.sendCodec.Load())
-	m.encode(w)
+	m.walk(wire.Encoder(w))
 	buf, err := w.Frame()
 	if err == nil {
 		c.writeMu.Lock()

@@ -9,6 +9,7 @@ import (
 	"github.com/gradsec/gradsec/internal/fl"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
+	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // Every simulated device is a real fl.Client: the handshake,
@@ -122,7 +123,7 @@ func (t *simTrainer) TrainRound(round int, _ []*tensor.Tensor, sealed, _ []byte)
 		if err != nil {
 			return nil, nil, err
 		}
-		if protIdx, _, err = fl.ParseSealedUpdate(blob); err != nil {
+		if protIdx, _, err = wire.DecodeSealedUpdate(blob); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -152,7 +153,7 @@ func (t *simTrainer) TrainRound(round int, _ []*tensor.Tensor, sealed, _ []byte)
 	}
 	var sealedUpd []byte
 	if len(protIdx) > 0 {
-		sealedUpd = t.channel.Seal(fl.SealedUpdate(protIdx, protTs))
+		sealedUpd = t.channel.Seal(wire.EncodeSealedUpdate(protIdx, protTs))
 	}
 	return plainUpd, sealedUpd, nil
 }

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
+	"reflect"
 	"testing"
-
-	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // seedJournal builds valid journal bytes in memory for the corpus.
@@ -33,23 +33,10 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(magic[:])
 	f.Add(seedJournal(nil))
-	f.Add(seedJournal([]*Record{
-		{Type: RecSession, Flags: FlagSecAgg | FlagPartials, Seed: -3, Rounds: 7, Scale: 24, Floor: 1},
-		{Type: RecRoster, Device: "edge-0", Codec: 2, Cap: 2, HasTEE: true, MaskPub: []byte{1, 2, 3, 4}},
-		{Type: RecFloor, Floor: 5},
-		{Type: RecRoundOpen, Round: 0},
-		{Type: RecFold, Round: 0, Device: "edge-0"},
-		{Type: RecProbation, Device: "edge-0", Until: 4},
-		{Type: RecRoundClose, Round: 0, OK: true,
-			Stats:  Stats{Round: 0, Sampled: 1, Responded: 1, WeightTotal: 1, UpdateNorm: 2},
-			Update: []*tensor.Tensor{tensor.Full(0.5, 3, 3), tensor.Full(-0.25, 3)}},
-		{Type: RecRoundOpen, Round: 1},
-		{Type: RecQuarantine, Device: "edge-0"},
-	}))
-	f.Add(seedJournal([]*Record{
-		{Type: RecSession, Flags: FlagAsync},
-		{Type: RecWatermark, Round: 0, OK: true, Update: []*tensor.Tensor{tensor.Full(1, 2)}},
-	}))
+	f.Add(seedJournal(recordExamples()))
+	for _, rec := range recordExamples() {
+		f.Add(seedJournal([]*Record{rec}))
+	}
 	// A deliberately corrupt trailer on a valid prefix.
 	corrupt := seedJournal([]*Record{{Type: RecQuarantine, Device: "x"}})
 	corrupt[len(corrupt)-1] ^= 0xff
@@ -83,16 +70,62 @@ func FuzzJournalReplay(f *testing.F) {
 				t.Fatalf("non-roster record in Roster: %v", r.Type)
 			}
 		}
-		// Decoded records must re-encode and decode to the same type
-		// sequence (round-trip stability on survivors).
+		// Decoded records must re-encode and decode unchanged.
 		re, err := Decode(seedJournal(recs))
-		if err != nil || len(re) != len(recs) {
-			t.Fatalf("re-encode round trip: %d/%d records, err %v", len(re), len(recs), err)
-		}
-		for i := range recs {
-			if re[i].Type != recs[i].Type {
-				t.Fatalf("record %d type changed on round trip", i)
-			}
+		if err != nil || !equalBits(reflect.ValueOf(re), reflect.ValueOf(recs)) {
+			t.Fatalf("re-encode round trip: %d of %d records, err %v", len(re), len(recs), err)
 		}
 	})
+}
+
+// TestEveryRecordHasAnExample guards the example table that seeds the
+// golden hashes and the fuzz corpus: a new record type must join it.
+func TestEveryRecordHasAnExample(t *testing.T) {
+	have := map[RecType]bool{}
+	for _, rec := range recordExamples() {
+		have[rec.Type] = true
+	}
+	for typ := RecType(1); ; typ++ {
+		if _, err := decodeRecord(encodeRecord(&Record{Type: typ})); err != nil {
+			break // the first type the format does not know
+		}
+		if !have[typ] {
+			t.Errorf("record type %s has no example in recordExamples", typ)
+		}
+	}
+}
+
+// equalBits is reflect.DeepEqual with floats compared by bit pattern,
+// so a NaN that survives a round trip counts as the same value.
+func equalBits(a, b reflect.Value) bool {
+	if a.Type() != b.Type() {
+		return false
+	}
+	switch a.Kind() {
+	case reflect.Float32, reflect.Float64:
+		return math.Float64bits(a.Float()) == math.Float64bits(b.Float())
+	case reflect.Pointer, reflect.Interface:
+		if a.IsNil() || b.IsNil() {
+			return a.IsNil() == b.IsNil()
+		}
+		return equalBits(a.Elem(), b.Elem())
+	case reflect.Slice, reflect.Array:
+		if a.Len() != b.Len() || a.Kind() == reflect.Slice && a.IsNil() != b.IsNil() {
+			return false
+		}
+		for i := 0; i < a.Len(); i++ {
+			if !equalBits(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			if !equalBits(a.Field(i), b.Field(i)) {
+				return false
+			}
+		}
+		return true
+	}
+	return reflect.DeepEqual(a.Interface(), b.Interface())
 }

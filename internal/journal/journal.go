@@ -10,7 +10,8 @@
 //	uint32 BE payload length | uint32 BE CRC-32 (IEEE) of payload | payload
 //
 // and the payload is a record-type byte followed by wire-encoded
-// fields. The file opens with an 8-byte magic. Appends are a single
+// fields, walked once for both directions by Record.walk
+// (docs/WIRE.md). The file opens with an 8-byte magic. Appends are a single
 // write(2) each, so a crash tears at most the trailing record; Replay
 // stops cleanly at the first torn or corrupt record and returns
 // everything before it. Nothing in the file is trusted: Decode is
@@ -33,6 +34,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -79,8 +81,6 @@ const (
 	// stats and the applied update, but asynchronous sessions never
 	// sample, so watermarks burn no RNG draws on replay.
 	RecWatermark RecType = 9
-
-	recMax = RecWatermark
 )
 
 func (t RecType) String() string {
@@ -118,22 +118,70 @@ const (
 	FlagEdgePeers
 )
 
-// Stats mirrors fl.RoundStats field-for-field. The journal cannot
-// import internal/fl (fl writes through the journal), so the engine
-// converts at the boundary.
+// Stats is one round's accounting: the engine's trace entry and hook
+// argument (fl.RoundStats is this type) and the stats a close record
+// commits. Every field but the two wire byte counters is journaled.
 type Stats struct {
-	Round         int
-	Sampled       int
-	Responded     int
-	Dropped       int
-	Quarantined   int
-	Probation     int
+	// Round is the FL cycle index.
+	Round int
+	// Sampled is the cohort size drawn for the round.
+	Sampled int
+	// Responded counts updates folded before the deadline.
+	Responded int
+	// Dropped counts sampled clients that straggled past the deadline.
+	Dropped int
+	// Quarantined counts clients permanently excluded during the round.
+	Quarantined int
+	// Probation counts clients placed on temporary probation during the
+	// round (QuarantineRounds; unlike Quarantined they come back).
+	Probation int
+	// LateDiscarded counts stale updates thrown away: answers to
+	// earlier rounds in synchronous sessions, or pushes staler than
+	// Async.MaxStaleness in asynchronous ones.
 	LateDiscarded int
-	Duplicates    int
-	Reconciled    int
-	WeightTotal   float64
-	UpdateNorm    float64
-	Shards        int
+	// Duplicates counts duplicate or rate-limited pushes discarded in
+	// asynchronous sessions; always 0 in round-synchronous ones.
+	Duplicates int
+	// Reconciled counts dropped cohort members whose unpaired masks
+	// were reconstructed from survivor shares (secure aggregation).
+	Reconciled int
+	// WeightTotal is the summed FedAvg weight of the folded updates; it
+	// equals Responded when every client carries unit weight (no
+	// example counts on the wire).
+	WeightTotal float64
+	// UpdateNorm is the L2 norm of the applied aggregate update.
+	UpdateNorm float64
+	// Shards counts the edge partials folded into the round's aggregate
+	// in a hierarchical session (internal/hier); 0 in flat sessions. In
+	// a root's trace Sampled/Responded/Dropped/… are fleet-wide totals
+	// summed over the shard accounting each PartialUp carries.
+	Shards int
+	// BytesUp and BytesDown are the round's wire traffic (client→server
+	// and server→client, frame headers included), measured between round
+	// commits when the server has metrics; 0 with metrics disabled and in
+	// the trace of an edge-peer tier, which meters no wire bytes. They
+	// are observability, not protocol state: walk does not journal them
+	// (a close record's stats end at Shards, and its decode is strict
+	// about trailing bytes), so a recovered trace reports 0 for replayed
+	// rounds.
+	BytesUp   uint64
+	BytesDown uint64
+}
+
+// walk is the journaled part of the stats.
+func (st *Stats) walk(f *wire.Fields) {
+	f.Int(&st.Round)
+	f.Int(&st.Sampled)
+	f.Int(&st.Responded)
+	f.Int(&st.Dropped)
+	f.Int(&st.Quarantined)
+	f.Int(&st.Probation)
+	f.Int(&st.LateDiscarded)
+	f.Int(&st.Duplicates)
+	f.Int(&st.Reconciled)
+	f.Float64(&st.WeightTotal)
+	f.Float64(&st.UpdateNorm)
+	f.Int(&st.Shards)
 }
 
 // Record is one journal entry. Which fields are meaningful depends on
@@ -331,140 +379,65 @@ func (j *Journal) Close() error {
 // Tensors always travel uncompressed f64 — a journal is a durability
 // artefact, not a bandwidth-constrained link, and replay must be
 // bit-exact.
-func encodeRecord(rec *Record) []byte {
-	w := wire.NewWriter()
-	w.Codec = wire.CodecF64
-	w.Uvarint(uint64(rec.Type))
-	switch rec.Type {
-	case RecSession:
-		w.Uvarint(rec.Flags)
-		w.Uvarint(uint64(rec.Seed))
-		w.Uvarint(uint64(rec.Rounds))
-		w.Uvarint(uint64(rec.Scale))
-		w.Uvarint(uint64(rec.Floor))
-	case RecRoster:
-		w.String(rec.Device)
-		w.Uvarint(uint64(rec.Codec))
-		w.Uvarint(uint64(rec.Cap))
-		w.Bool(rec.HasTEE)
-		w.Blob(rec.MaskPub)
-	case RecFloor:
-		w.Uvarint(uint64(rec.Floor))
-	case RecQuarantine:
-		w.String(rec.Device)
-	case RecProbation:
-		w.String(rec.Device)
-		w.Uvarint(uint64(rec.Until))
-	case RecRoundOpen:
-		w.Uvarint(uint64(rec.Round))
-	case RecFold:
-		w.Uvarint(uint64(rec.Round))
-		w.String(rec.Device)
-	case RecRoundClose, RecWatermark:
-		w.Uvarint(uint64(rec.Round))
-		w.Bool(rec.OK)
-		encodeStats(w, &rec.Stats)
-		w.Bool(rec.Update != nil)
-		if rec.Update != nil {
-			w.TensorList(rec.Update)
-		}
-	}
-	return w.Detach()
-}
-
-func encodeStats(w *wire.Writer, st *Stats) {
-	w.Uvarint(uint64(st.Round))
-	w.Uvarint(uint64(st.Sampled))
-	w.Uvarint(uint64(st.Responded))
-	w.Uvarint(uint64(st.Dropped))
-	w.Uvarint(uint64(st.Quarantined))
-	w.Uvarint(uint64(st.Probation))
-	w.Uvarint(uint64(st.LateDiscarded))
-	w.Uvarint(uint64(st.Duplicates))
-	w.Uvarint(uint64(st.Reconciled))
-	w.Float64(st.WeightTotal)
-	w.Float64(st.UpdateNorm)
-	w.Uvarint(uint64(st.Shards))
-}
+func encodeRecord(rec *Record) []byte { return wire.Encode(wire.CodecF64, rec.walk) }
 
 // decodeRecord parses one payload. Returns an error on any malformed
-// field — the caller treats that as a torn tail.
+// field or trailing byte — the caller treats that as a torn tail.
 func decodeRecord(payload []byte) (*Record, error) {
-	r := wire.NewReader(payload)
-	r.Codec = wire.CodecF64
-	t := r.Uvarint()
-	if r.Err() != nil || t == 0 || t > uint64(recMax) {
-		return nil, fmt.Errorf("journal: bad record type %d", t)
-	}
-	rec := &Record{Type: RecType(t)}
-	switch rec.Type {
-	case RecSession:
-		rec.Flags = r.Uvarint()
-		rec.Seed = int64(r.Uvarint())
-		rec.Rounds = asInt(r.Uvarint())
-		rec.Scale = asInt(r.Uvarint())
-		rec.Floor = asInt(r.Uvarint())
-	case RecRoster:
-		rec.Device = r.String()
-		rec.Codec = uint8(r.Uvarint())
-		rec.Cap = uint8(r.Uvarint())
-		rec.HasTEE = r.Bool()
-		rec.MaskPub = r.Blob()
-	case RecFloor:
-		rec.Floor = asInt(r.Uvarint())
-	case RecQuarantine:
-		rec.Device = r.String()
-	case RecProbation:
-		rec.Device = r.String()
-		rec.Until = asInt(r.Uvarint())
-	case RecRoundOpen:
-		rec.Round = asInt(r.Uvarint())
-	case RecFold:
-		rec.Round = asInt(r.Uvarint())
-		rec.Device = r.String()
-	case RecRoundClose, RecWatermark:
-		rec.Round = asInt(r.Uvarint())
-		rec.OK = r.Bool()
-		decodeStats(r, &rec.Stats)
-		if r.Bool() {
-			rec.Update = r.TensorList()
-			if r.Err() == nil && rec.Update == nil {
-				return nil, errors.New("journal: close record with empty update list")
-			}
-		}
-	}
-	if r.Err() != nil {
-		return nil, fmt.Errorf("journal: decoding %s record: %w", rec.Type, r.Err())
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("journal: %d trailing bytes in %s record", r.Remaining(), rec.Type)
+	rec := &Record{}
+	if err := wire.Decode(payload, wire.CodecF64, rec.walk); err != nil {
+		return nil, fmt.Errorf("journal: decoding %s record: %w", rec.Type, err)
 	}
 	return rec, nil
 }
 
-func decodeStats(r *wire.Reader, st *Stats) {
-	st.Round = asInt(r.Uvarint())
-	st.Sampled = asInt(r.Uvarint())
-	st.Responded = asInt(r.Uvarint())
-	st.Dropped = asInt(r.Uvarint())
-	st.Quarantined = asInt(r.Uvarint())
-	st.Probation = asInt(r.Uvarint())
-	st.LateDiscarded = asInt(r.Uvarint())
-	st.Duplicates = asInt(r.Uvarint())
-	st.Reconciled = asInt(r.Uvarint())
-	st.WeightTotal = r.Float64()
-	st.UpdateNorm = r.Float64()
-	st.Shards = asInt(r.Uvarint())
-}
-
-// asInt narrows a journal varint to int, saturating rather than
-// wrapping on hostile 64-bit values (fuzzed inputs).
-func asInt(v uint64) int {
-	const maxInt = int(^uint(0) >> 1)
-	if v > uint64(maxInt) {
-		return maxInt
+// walk is the record format: the type, then the fields that type
+// carries. Session seeds are two's-complement int64s; every other
+// integer is a non-negative int.
+func (rec *Record) walk(f *wire.Fields) {
+	f.Uint8((*uint8)(&rec.Type))
+	switch rec.Type {
+	case RecSession:
+		f.Uvarint(&rec.Flags)
+		f.Int64(&rec.Seed)
+		f.Int(&rec.Rounds)
+		f.Int(&rec.Scale)
+		f.Int(&rec.Floor)
+	case RecRoster:
+		f.String(&rec.Device)
+		f.Uint8(&rec.Codec)
+		f.Uint8(&rec.Cap)
+		f.Bool(&rec.HasTEE)
+		f.Blob(&rec.MaskPub)
+	case RecFloor:
+		f.Int(&rec.Floor)
+	case RecQuarantine:
+		f.String(&rec.Device)
+	case RecProbation:
+		f.String(&rec.Device)
+		f.Int(&rec.Until)
+	case RecRoundOpen:
+		f.Int(&rec.Round)
+	case RecFold:
+		f.Int(&rec.Round)
+		f.String(&rec.Device)
+	case RecRoundClose, RecWatermark:
+		f.Int(&rec.Round)
+		f.Bool(&rec.OK)
+		rec.Stats.walk(f)
+		present := rec.Update != nil
+		f.Bool(&present)
+		if present {
+			// Recovery applies the update to every model tensor in turn.
+			f.Tensors(&rec.Update)
+			if len(rec.Update) == 0 || slices.Contains(rec.Update, nil) {
+				f.Fail("close record update with no or nil tensors")
+			}
+		}
+	default:
+		f.Fail("record type")
 	}
-	return int(v)
+	f.End()
 }
 
 // Replay reads a journal file and returns its committed records in

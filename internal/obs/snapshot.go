@@ -87,127 +87,85 @@ func TakeSnapshot(r *Registry) *Snapshot {
 }
 
 // Encode serialises the snapshot to the telemetry wire format.
-func (s *Snapshot) Encode() []byte {
-	w := wire.GetWriter()
-	s.encodeTo(w)
-	b := w.Detach()
-	wire.PutWriter(w)
-	return b
-}
-
-func (s *Snapshot) encodeTo(w *wire.Writer) {
-	w.Uvarint(snapshotVersion)
-	w.Uvarint(uint64(len(s.Families)))
-	for _, f := range s.Families {
-		w.String(f.Name)
-		w.String(f.Help)
-		w.Uvarint(uint64(f.Kind))
-		w.Uvarint(uint64(len(f.LabelKeys)))
-		for _, k := range f.LabelKeys {
-			w.String(k)
-		}
-		w.Uvarint(uint64(len(f.Instruments)))
-		for _, inst := range f.Instruments {
-			for _, v := range inst.LabelVals {
-				w.String(v)
-			}
-			switch f.Kind {
-			case KindCounter:
-				w.Uvarint(inst.Counter)
-			case KindGauge:
-				w.Uvarint(uint64(inst.Gauge))
-			case KindHistogram:
-				w.Uvarint(inst.Count)
-				w.Uvarint(uint64(inst.Sum))
-				w.Uvarint(uint64(len(inst.BucketIdx)))
-				for i, b := range inst.BucketIdx {
-					w.Uvarint(uint64(b))
-					w.Uvarint(inst.BucketN[i])
-					w.Uvarint(inst.ExRound[i])
-					w.Uvarint(uint64(inst.ExVal[i]))
-				}
-			}
-		}
-	}
-}
-
-// snapListLen reads a list length and bounds it against the remaining
-// payload (each element costs at least one encoded byte), so a hostile
-// count claim cannot force a large allocation or a long loop.
-func snapListLen(r *wire.Reader, what string) int {
-	n := r.Uvarint()
-	if r.Err() != nil {
-		return 0
-	}
-	if n > uint64(r.Remaining()) {
-		r.Fail(what)
-		return 0
-	}
-	return int(n)
-}
+func (s *Snapshot) Encode() []byte { return wire.Encode(wire.CodecF64, s.walk) }
 
 // DecodeSnapshot parses a telemetry blob produced by Snapshot.Encode.
-// Decoding is hostile-input safe: every length claim is checked against
-// the remaining payload before allocation, bucket indices are bounded
-// by the histogram layout, and corrupt input returns an error rather
-// than panicking.
+// Decoding is hostile-input safe: every list count is bounded by the
+// remaining payload (wire.List), bucket indices are bounded by the
+// histogram layout, and corrupt input returns an error rather than
+// panicking.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	r := wire.NewReader(data)
-	if v := r.Uvarint(); r.Err() == nil && v != snapshotVersion {
-		return nil, fmt.Errorf("obs: unsupported telemetry version %d", v)
-	}
 	s := &Snapshot{}
-	nf := snapListLen(r, "telemetry family count")
-	for fi := 0; fi < nf && r.Err() == nil; fi++ {
-		f := SnapFamily{Name: r.String(), Help: r.String(), Kind: Kind(r.Uvarint())}
-		if r.Err() == nil && f.Kind > KindHistogram {
-			r.Fail("telemetry family kind")
-		}
-		nk := snapListLen(r, "telemetry label key count")
-		for i := 0; i < nk && r.Err() == nil; i++ {
-			f.LabelKeys = append(f.LabelKeys, r.String())
-		}
-		ni := snapListLen(r, "telemetry instrument count")
-		for i := 0; i < ni && r.Err() == nil; i++ {
-			inst := SnapInstrument{}
-			for k := 0; k < nk && r.Err() == nil; k++ {
-				inst.LabelVals = append(inst.LabelVals, r.String())
-			}
-			switch f.Kind {
-			case KindCounter:
-				inst.Counter = r.Uvarint()
-			case KindGauge:
-				inst.Gauge = int64(r.Uvarint())
-			case KindHistogram:
-				inst.Count = r.Uvarint()
-				inst.Sum = int64(r.Uvarint())
-				nb := snapListLen(r, "telemetry bucket count")
-				if nb > numBuckets {
-					r.Fail("telemetry bucket count")
-				}
-				for b := 0; b < nb && r.Err() == nil; b++ {
-					idx := r.Uvarint()
-					if r.Err() == nil && idx >= numBuckets {
-						r.Fail("telemetry bucket index")
-						break
-					}
-					inst.BucketIdx = append(inst.BucketIdx, uint32(idx))
-					inst.BucketN = append(inst.BucketN, r.Uvarint())
-					inst.ExRound = append(inst.ExRound, r.Uvarint())
-					inst.ExVal = append(inst.ExVal, int64(r.Uvarint()))
-				}
-			}
-			f.Instruments = append(f.Instruments, inst)
-		}
-		s.Families = append(s.Families, f)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("obs: %d trailing bytes after telemetry snapshot", r.Remaining())
+	if err := wire.Decode(data, wire.CodecF64, s.walk); err != nil {
+		return nil, fmt.Errorf("obs: decoding telemetry: %w", err)
 	}
 	return s, nil
+}
+
+// walk is the telemetry wire format: a version byte, then the families.
+func (s *Snapshot) walk(f *wire.Fields) {
+	v := uint64(snapshotVersion)
+	f.Uvarint(&v)
+	if v != snapshotVersion {
+		f.Fail("unsupported telemetry version")
+	}
+	wire.List(f, &s.Families, walkFamily)
+	f.End()
+}
+
+func walkFamily(f *wire.Fields, fam *SnapFamily) {
+	f.String(&fam.Name)
+	f.String(&fam.Help)
+	f.Uint8((*uint8)(&fam.Kind))
+	if fam.Kind > KindHistogram {
+		f.Fail("telemetry family kind")
+	}
+	wire.List(f, &fam.LabelKeys, (*wire.Fields).String)
+	wire.List(f, &fam.Instruments, func(f *wire.Fields, inst *SnapInstrument) {
+		walkInstrument(f, fam.Kind, len(fam.LabelKeys), inst)
+	})
+}
+
+// walkInstrument walks one cell: its label values (one per family key,
+// no count on the wire), then the value its kind carries — histograms
+// as parallel sparse bucket arrays.
+func walkInstrument(f *wire.Fields, kind Kind, keys int, inst *SnapInstrument) {
+	// keys strings were just decoded, so keys is within the payload.
+	if f.Decoding() && keys > 0 {
+		inst.LabelVals = make([]string, keys)
+	}
+	for i := range inst.LabelVals {
+		f.String(&inst.LabelVals[i])
+	}
+	switch kind {
+	case KindCounter:
+		f.Uvarint(&inst.Counter)
+	case KindGauge:
+		f.Int64(&inst.Gauge)
+	case KindHistogram:
+		f.Uvarint(&inst.Count)
+		f.Int64(&inst.Sum)
+		nb := len(inst.BucketIdx)
+		f.Count(&nb)
+		if nb > numBuckets {
+			f.Fail("telemetry bucket count")
+		}
+		if f.Decoding() && nb > 0 && f.Err() == nil {
+			inst.BucketIdx, inst.BucketN = make([]uint32, nb), make([]uint64, nb)
+			inst.ExRound, inst.ExVal = make([]uint64, nb), make([]int64, nb)
+		}
+		for b := range inst.BucketIdx {
+			idx := uint64(inst.BucketIdx[b])
+			f.Uvarint(&idx)
+			if idx >= numBuckets {
+				f.Fail("telemetry bucket index")
+			}
+			inst.BucketIdx[b] = uint32(idx)
+			f.Uvarint(&inst.BucketN[b])
+			f.Uvarint(&inst.ExRound[b])
+			f.Int64(&inst.ExVal[b])
+		}
+	}
 }
 
 // MergeSnapshot folds a snapshot into the registry, extending each

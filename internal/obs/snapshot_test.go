@@ -2,6 +2,8 @@ package obs
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -259,4 +261,33 @@ func FuzzTelemetryDecode(f *testing.F) {
 			t.Fatalf("re-encode of merged fuzz input does not decode: %v", err)
 		}
 	})
+}
+
+// TestGoldenSnapshotFormat pins the telemetry blob's bytes for every
+// instrument kind, recorded before the snapshot moved onto the field
+// walker, and the blob must decode back to its snapshot exactly.
+func TestGoldenSnapshotFormat(t *testing.T) {
+	snap := &Snapshot{Families: []SnapFamily{
+		{Name: "t_rounds_total", Help: "rounds", Kind: KindCounter, LabelKeys: []string{"result"},
+			Instruments: []SnapInstrument{{LabelVals: []string{"ok"}, Counter: 300}, {LabelVals: []string{"failed"}, Counter: 1}}},
+		{Name: "t_roster", Help: "roster", Kind: KindGauge, Instruments: []SnapInstrument{{Gauge: -5}}},
+		{Name: "t_phase_ns", Help: "phase latency", Kind: KindHistogram, LabelKeys: []string{"phase", "tier"},
+			Instruments: []SnapInstrument{{
+				LabelVals: []string{"collect", "edge"}, Count: 7, Sum: -12,
+				BucketIdx: []uint32{0, 63, 200}, BucketN: []uint64{3, 3, 1},
+				ExRound: []uint64{0, 9, 1 << 40}, ExVal: []int64{0, -1 << 40, 12345},
+			}}},
+	}}
+	blob := snap.Encode()
+	h := sha256.Sum256(blob)
+	if got, want := hex.EncodeToString(h[:]), "2f6831aec07ddfb4de7228d312dfd098030323bdedde7c8897c9b023272272cc"; got != want {
+		t.Errorf("hash %s, recorded %s", got, want)
+	}
+	dec, err := DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(dec, snap) {
+		t.Fatalf("decode = %+v, want %+v", dec, snap)
+	}
 }

@@ -449,6 +449,12 @@ func TestEnclaveRejectsBadFolds(t *testing.T) {
 	if err := enc.Fold("c0", 1, wrongIdx, 1); err == nil {
 		t.Fatal("wrong protected index must fail")
 	}
+	// The nil-tensor marker is refused, not dereferenced: the fold fails,
+	// and the good fold below still lands alone on an untouched sum.
+	nilTensor := ch.Seal(wire.EncodeSealedUpdate(idx, []*tensor.Tensor{nil}))
+	if err := enc.Fold("c0", 1, nilTensor, 1); err == nil {
+		t.Fatal("nil protected tensor must fail")
+	}
 	good := ch.Seal(wire.EncodeSealedUpdate(idx, []*tensor.Tensor{tensor.Full(0.5, 2)}))
 	if err := enc.Fold("c0", 1, good, 1); err != nil {
 		t.Fatal(err)

@@ -43,12 +43,7 @@ func (w *Writer) U64Tensor(t *U64Tensor) {
 
 // U64TensorList appends a length-prefixed list of (possibly nil) level
 // tensors.
-func (w *Writer) U64TensorList(ts []*U64Tensor) {
-	w.Uvarint(uint64(len(ts)))
-	for _, t := range ts {
-		w.U64Tensor(t)
-	}
-}
+func (w *Writer) U64TensorList(ts []*U64Tensor) { List(Encoder(w), &ts, (*Fields).U64Tensor) }
 
 // U64Tensor reads a level tensor; returns nil for the nil marker.
 func (r *Reader) U64Tensor() *U64Tensor {
@@ -71,6 +66,7 @@ func (r *Reader) U64Tensor() *U64Tensor {
 }
 
 // U64TensorList reads a list written by Writer.U64TensorList.
-func (r *Reader) U64TensorList() []*U64Tensor {
-	return readList(r, "u64 tensor list length", (*Reader).U64Tensor)
+func (r *Reader) U64TensorList() (ts []*U64Tensor) {
+	List(Decoder(r), &ts, (*Fields).U64Tensor)
+	return ts
 }

@@ -73,8 +73,9 @@ func (r *Reader) Q8Tensor() *Q8Tensor {
 }
 
 // Q8TensorList reads a tensor list written with CodecQ8 lazily.
-func (r *Reader) Q8TensorList() []*Q8Tensor {
-	return readList(r, "q8 tensor list length", (*Reader).Q8Tensor)
+func (r *Reader) Q8TensorList() (ts []*Q8Tensor) {
+	List(Decoder(r), &ts, (*Fields).Q8Tensor)
+	return ts
 }
 
 // Q8TensorRaw re-encodes a lazily decoded q8 tensor verbatim (header
@@ -95,9 +96,4 @@ func (w *Writer) Q8TensorRaw(t *Q8Tensor) {
 }
 
 // Q8TensorListRaw re-encodes a lazily decoded q8 tensor list verbatim.
-func (w *Writer) Q8TensorListRaw(ts []*Q8Tensor) {
-	w.Uvarint(uint64(len(ts)))
-	for _, t := range ts {
-		w.Q8TensorRaw(t)
-	}
-}
+func (w *Writer) Q8TensorListRaw(ts []*Q8Tensor) { List(Encoder(w), &ts, (*Fields).Q8Tensor) }

@@ -1,45 +1,40 @@
 package wire
 
 import (
-	"fmt"
-
 	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // EncodeSealedUpdate encodes indexed tensors for transport inside a
 // trusted channel: count, then (flatIndex, tensor) pairs. The sealed
 // path always uses the exact f64 encoding — protected tensors are never
-// quantised. (fl.SealedUpdate wraps this; it also lives here so the
-// server-side aggregation enclave (internal/secagg) can parse sealed
-// blobs without depending on the protocol package.)
+// quantised. It lives here so the server-side aggregation enclave
+// (internal/secagg) can parse sealed blobs without depending on the
+// protocol package.
 func EncodeSealedUpdate(idx []int, ts []*tensor.Tensor) []byte {
-	w := NewWriter()
-	w.Uvarint(uint64(len(idx)))
-	for i, id := range idx {
-		w.Uvarint(uint64(id))
-		w.Tensor(ts[i])
-	}
-	return w.Bytes()
+	return Encode(CodecF64, func(f *Fields) { walkSealedUpdate(f, &idx, &ts) })
 }
 
 // DecodeSealedUpdate decodes a blob produced by EncodeSealedUpdate.
+// Every accepted entry carries a tensor: the enclave and the TA fold
+// and load what it returns without a nil check.
 func DecodeSealedUpdate(blob []byte) (idx []int, ts []*tensor.Tensor, err error) {
-	r := NewReader(blob)
-	n := int(r.Uvarint())
-	if err := r.Err(); err != nil {
+	if err := Decode(blob, CodecF64, func(f *Fields) { walkSealedUpdate(f, &idx, &ts) }); err != nil {
 		return nil, nil, err
 	}
-	if n < 0 || n > len(blob) {
-		return nil, nil, fmt.Errorf("wire: sealed update claims %d entries", n)
-	}
-	idx = make([]int, 0, n)
-	ts = make([]*tensor.Tensor, 0, n)
-	for i := 0; i < n; i++ {
-		idx = append(idx, int(r.Uvarint()))
-		ts = append(ts, r.Tensor())
-		if err := r.Err(); err != nil {
-			return nil, nil, err
+	return idx, ts, nil
+}
+
+func walkSealedUpdate(f *Fields, idx *[]int, ts *[]*tensor.Tensor) {
+	n := len(*idx)
+	f.Count(&n)
+	for i := 0; i < n && f.Err() == nil; i++ {
+		if f.Decoding() {
+			*idx, *ts = append(*idx, 0), append(*ts, nil)
+		}
+		f.Int(&(*idx)[i])
+		f.Tensor(&(*ts)[i])
+		if (*ts)[i] == nil {
+			f.Fail("nil sealed tensor")
 		}
 	}
-	return idx, ts, nil
 }

@@ -26,6 +26,13 @@
 // tensor encoding is not self-describing; that keeps CodecF64 output
 // bit-identical to the pre-codec protocol.
 //
+// # Schemas
+//
+// Every message, journal record, plan, sealed update and telemetry
+// snapshot is written once, as a walk over its fields (Fields), which
+// both encodes and decodes it; docs/WIRE.md has the rules and how to
+// add a field.
+//
 // # Buffer reuse
 //
 // Writers are poolable: GetWriter/PutWriter recycle encode buffers, and
@@ -194,12 +201,7 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 }
 
 // TensorList appends a length-prefixed list of (possibly nil) tensors.
-func (w *Writer) TensorList(ts []*tensor.Tensor) {
-	w.Uvarint(uint64(len(ts)))
-	for _, t := range ts {
-		w.Tensor(t)
-	}
-}
+func (w *Writer) TensorList(ts []*tensor.Tensor) { List(Encoder(w), &ts, (*Fields).Tensor) }
 
 // BeginFrame starts encoding a framed message in place: the message type
 // byte and a 4-byte length placeholder, patched by Frame. The writer
@@ -256,11 +258,6 @@ func (r *Reader) fail(what string) {
 	}
 }
 
-// Fail marks the input corrupt with a sticky error — for consumers
-// whose message-level invariants (fixed-size fields, structural
-// checks) go beyond what the primitive readers can see.
-func (r *Reader) Fail(what string) { r.fail(what) }
-
 // Uvarint reads an unsigned varint.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
@@ -273,6 +270,16 @@ func (r *Reader) Uvarint() uint64 {
 	}
 	r.off += n
 	return v
+}
+
+// uvarintMax reads an unsigned varint that must not exceed max, the
+// largest value of the Go field it fills.
+func (r *Reader) uvarintMax(max uint64) uint64 {
+	if v := r.Uvarint(); v <= max {
+		return v
+	}
+	r.fail("varint overflows its field")
+	return 0
 }
 
 // Bool reads a boolean byte.
@@ -289,10 +296,11 @@ func (r *Reader) Bool() bool {
 	return b != 0
 }
 
-// Blob reads a length-prefixed byte slice (copied).
+// Blob reads a length-prefixed byte slice (copied). An empty one reads
+// as nil, as a nil one writes like an empty one.
 func (r *Reader) Blob() []byte {
 	n := r.Uvarint()
-	if r.err != nil {
+	if r.err != nil || n == 0 {
 		return nil
 	}
 	if n > uint64(len(r.buf)-r.off) {
@@ -465,35 +473,23 @@ func (r *Reader) Tensor() *tensor.Tensor {
 	return tensor.FromSlice(data, shape...)
 }
 
-// readList decodes a length-prefixed list of elements, each costing at
-// least one encoded byte: the count claim is checked against the
-// remaining payload, the initial allocation is capped so a hostile
-// claim alone cannot force a large allocation, and decoding stops with
-// the reader's sticky error at the first corrupt element. Shared by
-// every list decoder in the package.
-func readList[T any](r *Reader, what string, elem func(*Reader) T) []T {
+// listLen reads a list count under the one bounded-list rule: every
+// element costs at least one encoded byte, so a count above the bytes
+// left is impossible and fails the input — the bytes after it never
+// decode as later fields.
+func (r *Reader) listLen() int {
 	n := r.Uvarint()
-	if r.err != nil {
-		return nil
+	if n > uint64(r.Remaining()) {
+		r.fail("list length")
+		return 0
 	}
-	if n > uint64(len(r.buf)-r.off) {
-		r.fail(what)
-		return nil
-	}
-	out := make([]T, 0, min(n, 4096))
-	for i := uint64(0); i < n; i++ {
-		e := elem(r)
-		if r.err != nil {
-			return nil
-		}
-		out = append(out, e)
-	}
-	return out
+	return int(n)
 }
 
 // TensorList reads a list written by Writer.TensorList.
-func (r *Reader) TensorList() []*tensor.Tensor {
-	return readList(r, "tensor list length", (*Reader).Tensor)
+func (r *Reader) TensorList() (ts []*tensor.Tensor) {
+	List(Decoder(r), &ts, (*Fields).Tensor)
+	return ts
 }
 
 // WriteFrame writes a framed message: type byte, 4-byte big-endian
