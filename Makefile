@@ -26,6 +26,8 @@
 #   make smoke-fleet  run the 256-client fleet twice; the reruns must match
 #   make smoke-quickstart run one client's static-plan secure training
 #   make smoke-federated run a TEE-attested session over the in-memory transport
+#   make smoke-tcp    flserver/fledge/flclient over loopback: flat + recovery,
+#                     a two-edge hierarchy, and refused configurations
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #   make loc          non-test Go lines per package (the count ROADMAP/CHANGES quote)
 #
@@ -33,7 +35,7 @@
 
 GO ?= go
 
-.PHONY: build vet test fuzz-check fuzz-smoke bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated check loc
+.PHONY: build vet test fuzz-check fuzz-smoke bench bench-fleet bench-secagg bench-hier bench-async bench-recover bench-obs bench-smoke bench-pair smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated smoke-tcp check loc
 
 build:
 	$(GO) build ./...
@@ -148,7 +150,14 @@ smoke-quickstart:
 smoke-federated:
 	$(GO) run ./examples/federated
 
-check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated
+# The three TCP binaries over loopback (≈2 s, scripts/smoke-tcp.sh): a
+# journaled flat session then its -recover, a root over two fledges, and
+# flag combinations fl.ServerConfig.Validate refuses before flserver
+# listens. It exits non-zero on any failed process or missing line.
+smoke-tcp:
+	scripts/smoke-tcp.sh
+
+check: build vet test fuzz-check smoke-telemetry smoke-secagg smoke-hier smoke-recovery smoke-async smoke-dynamicwindow smoke-attackdemo smoke-repro smoke-fleet smoke-quickstart smoke-federated smoke-tcp
 
 # Non-test Go lines per package — the number ROADMAP's needle 2 and
 # CHANGES.md track — from one recipe, so it is reproduced, not retyped:

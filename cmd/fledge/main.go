@@ -71,6 +71,36 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The shard engine's configuration — the root's enrolment challenge
+	// adds the hierarchy-wide aggregation mode — checked once, before
+	// anything is bound: a configuration the engine refuses is a usage
+	// error.
+	scfg := fl.ServerConfig{
+		Partials:         true,
+		MinClients:       *minClients,
+		SampleFraction:   *sampleFraction,
+		SampleCount:      *sampleCount,
+		SampleSeed:       *seed,
+		RoundDeadline:    *deadline,
+		Codec:            codec,
+		IOTimeout:        *ioTimeout,
+		QuarantineRounds: *quarantineRounds,
+		MinRelease:       *minRelease,
+		ClientTelemetry:  *clientTelemetry,
+		Hooks: fl.Hooks{
+			ClientQuarantined: func(device string, reason error) {
+				fmt.Printf("quarantined %s: %v\n", device, reason)
+			},
+			RoundClosed: func(st fl.RoundStats) {
+				fmt.Printf("shard round %d: sampled %d, responded %d, dropped %d, reconciled %d\n",
+					st.Round, st.Sampled, st.Responded, st.Dropped, st.Reconciled)
+			},
+		},
+	}
+	if err := scfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "fledge: %v\n", err)
+		os.Exit(2)
+	}
 
 	tel, err := obs.OpenTelemetry(*adminAddr, *spansPath)
 	if err != nil {
@@ -78,37 +108,12 @@ func main() {
 	}
 	tel.Security = obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
 	defer closeTelemetry(tel)
+	scfg.Metrics, scfg.Spans = tel.Metrics, tel.Spans
 
 	// The model template mirrors the root's: shapes are what matter,
 	// values are overwritten by the root's broadcast each round.
 	template := nn.NewLeNet5Mini(rand.New(rand.NewSource(7)), nn.ActReLU).StateDict()
-	edge := hier.NewEdge(template, hier.EdgeConfig{
-		Name:     *name,
-		MaxCodec: maxCodec,
-		Server: fl.ServerConfig{
-			MinClients:       *minClients,
-			SampleFraction:   *sampleFraction,
-			SampleCount:      *sampleCount,
-			SampleSeed:       *seed,
-			RoundDeadline:    *deadline,
-			Codec:            codec,
-			IOTimeout:        *ioTimeout,
-			QuarantineRounds: *quarantineRounds,
-			MinRelease:       *minRelease,
-			Metrics:          tel.Metrics,
-			Spans:            tel.Spans,
-			ClientTelemetry:  *clientTelemetry,
-			Hooks: fl.Hooks{
-				ClientQuarantined: func(device string, reason error) {
-					fmt.Printf("quarantined %s: %v\n", device, reason)
-				},
-				RoundClosed: func(st fl.RoundStats) {
-					fmt.Printf("shard round %d: sampled %d, responded %d, dropped %d, reconciled %d\n",
-						st.Round, st.Sampled, st.Responded, st.Dropped, st.Reconciled)
-				},
-			},
-		},
-	})
+	edge := hier.NewEdge(template, hier.EdgeConfig{Name: *name, MaxCodec: maxCodec, Server: scfg})
 	if bound, err := tel.Serve(*adminAddr, edge.Health); err != nil {
 		log.Fatal(err)
 	} else if bound != "" {

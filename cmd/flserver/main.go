@@ -20,6 +20,13 @@
 // the model once per round, and folds one partial aggregate per shard —
 // fan-in O(shards) instead of O(fleet). Clients then connect to the
 // fledge processes, not to this one.
+//
+// The flags become one fl.ServerConfig, checked once by its Validate
+// before any enclave, journal or listener exists: a combination the
+// engine cannot run (-secagg with a robust -aggregation, -async with
+// -secagg or -edges, -mask-degree -1, -secagg-scale 60) is a usage
+// error, exit status 2. The session is fl.Server.Run, which paces -async
+// by configuration and resumes a -recover'ed journal itself.
 package main
 
 import (
@@ -80,11 +87,6 @@ func main() {
 	spansPath := flag.String("spans", "", "export round spans as JSONL to this file (empty = off)")
 	clientTelemetry := flag.Bool("client-telemetry", false, "fold device-side gradsec_client_* metrics riding plaintext GradUps into the server registry (needs -admin)")
 	flag.Parse()
-	if *maskDegree < 0 {
-		fmt.Fprintf(os.Stderr, "flserver: -mask-degree %d: must be 0 (automatic) or a positive graph degree\n", *maskDegree)
-		flag.Usage()
-		os.Exit(2)
-	}
 	codec, err := wire.ParseCodec(*codecName)
 	if err != nil {
 		log.Fatal(err)
@@ -93,23 +95,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if aggMethod != fl.AggFedAvg && *secAgg {
-		log.Fatal("-aggregation trimmed-mean/median needs per-client updates (incompatible with -secagg)")
-	}
 	if *recoverRun && *journalPath == "" {
 		log.Fatal("-recover needs the crashed session's -journal")
 	}
-
 	root := *edges > 0
-	if root && *async {
-		log.Fatal("-async is a flat-server mode (incompatible with -edges)")
-	}
-	if root && aggMethod != fl.AggFedAvg {
-		log.Fatal("-aggregation trimmed-mean/median is a flat-server mode (incompatible with -edges)")
-	}
-	if *async && *secAgg {
-		log.Fatal("-async aggregates plaintext updates (incompatible with -secagg)")
-	}
 
 	// A root plans nothing: each edge plans its own shard's rounds.
 	var protect []int
@@ -136,88 +125,13 @@ func main() {
 		planDesc = plan.String()
 	}
 
-	// Secure aggregation with protected layers requires the aggregation
-	// enclave — the server must not unseal updates into plaintext.
-	var enclave *secagg.Enclave
-	if *secAgg && len(protect) > 0 {
-		enclave, err = secagg.NewEnclave("flserver-aggregator")
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer enclave.Close()
-	}
-
-	jnl, err := openJournal(*journalPath, *recoverRun)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if jnl != nil {
-		defer jnl.Close()
-	}
-
-	tel, err := obs.OpenTelemetry(*adminAddr, *spansPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	tel.Security = obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
-	defer closeTelemetry(tel)
-	var srvHolder atomic.Pointer[fl.Server]
-	serveAdmin(tel, *adminAddr, func() obs.Health {
-		if s := srvHolder.Load(); s != nil {
-			return s.Health()
-		}
-		return obs.Health{}
-	})
-
-	l, err := fl.Listen(*addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer l.Close()
-	mode := "plaintext aggregation"
-	if *secAgg {
-		mode = "secure aggregation (k-regular masking, auto degree"
-		if *maskDegree > 0 {
-			mode = fmt.Sprintf("secure aggregation (k-regular masking, degree %d", *maskDegree)
-		}
-		if enclave != nil {
-			mode += " + enclave"
-		}
-		mode += ")"
-	}
-	if *async {
-		mode = "asynchronous buffered aggregation"
-	}
-	if aggMethod != fl.AggFedAvg {
-		mode = fmt.Sprintf("Byzantine-robust aggregation (%s)", aggMethod)
-	}
-	peers, peer, dropped := *clients, "client", "quarantined"
-	if root {
-		peers, peer, dropped = *edges, "edge", "dropped edge"
-		mode = "plain partial sums"
-		if *secAgg {
-			mode = "masked ring partials (shard-scoped secure aggregation)"
-		}
-		fmt.Printf("flserver (root) listening on %s; waiting for %d edge aggregators (codec %s, %s)\n",
-			l.Addr(), peers, codec, mode)
-	} else {
-		fmt.Printf("flserver listening on %s; waiting for %d clients (plan %s, codec %s, %s)\n",
-			l.Addr(), peers, planDesc, codec, mode)
-	}
-
-	conns := make([]fl.Conn, 0, peers)
-	for len(conns) < peers {
-		c, err := l.Accept()
-		if err != nil {
-			log.Fatal(err)
-		}
-		conns = append(conns, c)
-		fmt.Printf("%s %d connected\n", peer, len(conns))
-	}
-
 	// What the flat server and the hierarchy root share: the root is the
 	// same engine over edge peers — one partial fold per shard per round,
 	// fan-in O(shards) instead of O(fleet).
+	dropped := "quarantined"
+	if root {
+		dropped = "dropped edge"
+	}
 	cfg := fl.ServerConfig{
 		EdgePeers:       root,
 		Rounds:          *rounds,
@@ -229,12 +143,9 @@ func main() {
 		SecAggScaleBits: *secAggScale,
 		MaskDegree:      *maskDegree,
 		MinRelease:      *minRelease,
-		Journal:         jnl,
-		Metrics:         tel.Metrics,
-		Spans:           tel.Spans,
-		// Flat-server modes: none of these is set under -edges.
+		// Flat-server modes: a root plans nothing, and Validate refuses
+		// the rest under -edges.
 		Planner:      planner,
-		Enclave:      enclave,
 		Aggregation:  aggMethod,
 		TrimFraction: *trim,
 		Async: fl.AsyncConfig{
@@ -269,6 +180,94 @@ func main() {
 		cfg.SampleFraction, cfg.SampleCount, cfg.SampleSeed = *sampleFraction, *sampleCount, *seed
 		cfg.QuarantineRounds, cfg.AdaptiveCodec, cfg.ClientTelemetry = *quarantineRounds, *adaptiveCodec, *clientTelemetry
 	}
+	// The one compatibility check, before anything is created or bound:
+	// a configuration the engine refuses is a usage error.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "flserver: %v\n", err)
+		os.Exit(2)
+	}
+
+	// Secure aggregation with protected layers requires the aggregation
+	// enclave — the server must not unseal updates into plaintext.
+	var enclave *secagg.Enclave
+	if *secAgg && len(protect) > 0 {
+		enclave, err = secagg.NewEnclave("flserver-aggregator")
+		if err != nil {
+			log.Fatal(err)
+		}
+		defer enclave.Close()
+		cfg.Enclave = enclave
+	}
+
+	jnl, err := openJournal(*journalPath, *recoverRun)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if jnl != nil {
+		defer jnl.Close()
+	}
+
+	tel, err := obs.OpenTelemetry(*adminAddr, *spansPath)
+	if err != nil {
+		log.Fatal(err)
+	}
+	tel.Security = obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
+	defer closeTelemetry(tel)
+	cfg.Journal, cfg.Metrics, cfg.Spans = jnl, tel.Metrics, tel.Spans
+	var srvHolder atomic.Pointer[fl.Server]
+	serveAdmin(tel, *adminAddr, func() obs.Health {
+		if s := srvHolder.Load(); s != nil {
+			return s.Health()
+		}
+		return obs.Health{}
+	})
+
+	l, err := fl.Listen(*addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer l.Close()
+	mode := "plaintext aggregation"
+	if *secAgg {
+		mode = "secure aggregation (k-regular masking, auto degree"
+		if *maskDegree > 0 {
+			mode = fmt.Sprintf("secure aggregation (k-regular masking, degree %d", *maskDegree)
+		}
+		if enclave != nil {
+			mode += " + enclave"
+		}
+		mode += ")"
+	}
+	if *async {
+		mode = "asynchronous buffered aggregation"
+	}
+	if aggMethod != fl.AggFedAvg {
+		mode = fmt.Sprintf("Byzantine-robust aggregation (%s)", aggMethod)
+	}
+	peers, peer := *clients, "client"
+	if root {
+		peers, peer = *edges, "edge"
+		mode = "plain partial sums"
+		if *secAgg {
+			mode = "masked ring partials (shard-scoped secure aggregation)"
+		}
+		fmt.Printf("flserver (root) listening on %s; waiting for %d edge aggregators (codec %s, %s)\n",
+			l.Addr(), peers, codec, mode)
+	} else {
+		fmt.Printf("flserver listening on %s; waiting for %d clients (plan %s, codec %s, %s)\n",
+			l.Addr(), peers, planDesc, codec, mode)
+	}
+
+	conns := make([]fl.Conn, 0, peers)
+	for len(conns) < peers {
+		c, err := l.Accept()
+		if err != nil {
+			log.Fatal(err)
+		}
+		conns = append(conns, c)
+		fmt.Printf("%s %d connected\n", peer, len(conns))
+	}
+
 	var srv *fl.Server
 	if *recoverRun {
 		srv, err = fl.Recover(*journalPath, global.StateDict(), cfg)
@@ -282,13 +281,11 @@ func main() {
 	srvHolder.Store(srv)
 	var interrupted atomic.Bool
 	abortOnSignal(&interrupted, conns)
-	run := srv.Run
 	unit := "rounds"
 	if *async {
-		run = srv.RunAsync
 		unit = "model versions"
 	}
-	selected, err := run(conns)
+	selected, err := srv.Run(conns)
 	if interrupted.Load() {
 		// Graceful shutdown: the engine already tore the session down
 		// through its transport-failure path (committing the journal

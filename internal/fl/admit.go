@@ -11,77 +11,95 @@ import (
 	"github.com/gradsec/gradsec/internal/tz"
 )
 
-// Open performs selection over the given client connections and starts
-// the session's per-connection readers. It returns the number of
-// selected clients; on error no session is open. Most callers use Run —
-// Open/StepRound/Close expose the round lifecycle to callers that pace
-// rounds externally, such as hierarchical edge aggregators driven by
-// their root.
+// Open admits the session's peers over the given connections and starts
+// their per-connection readers; it returns the number admitted, and on
+// error no session is open. A fresh server verifies each peer
+// (selectOne). A server rebuilt by Recover resumes instead: each device
+// must be a member of the journaled roster and rejoins without
+// re-attesting, and the session is rebuilt in roster order, a member
+// that stays away keeping its slot as a dead placeholder so the
+// roster-sized sampling permutation indexes the same space as before the
+// crash. Either way standing carries over and MinClients must be met.
+// Most callers use Run — Open/StepRound/Close expose the round lifecycle
+// to callers that pace rounds externally, such as hierarchical edge
+// aggregators driven by their root.
 func (s *Server) Open(conns []Conn) (int, error) {
 	if s.opened {
 		return 0, errors.New("fl: session already open")
 	}
-	if s.cfg.RequireTEE && s.cfg.Verifier == nil {
-		return 0, errors.New("fl: RequireTEE set but no Verifier configured")
-	}
-	if err := s.validateAggregation(); err != nil {
+	if err := s.cfg.Validate(); err != nil {
 		return 0, err
 	}
-	sessions := s.selectClients(conns)
-	// Standing from earlier sessions of this server carries over: a
-	// quarantined device stays out, an unserved probation window is
-	// restored.
-	kept := sessions[:0]
-	for _, sess := range sessions {
-		if h := s.history[sess.device]; h != nil {
-			if h.quarantined {
-				s.reject(sess.conn, "device quarantined in an earlier session")
-				continue
-			}
-			sess.probationUntil = h.probationUntil
-		}
-		kept = append(kept, sess)
-	}
-	sessions = kept
-	if s.cfg.SecAgg || s.cfg.EdgePeers {
-		// Pairwise masking keys a mask to each device name: a duplicate
-		// name would make two clients derive colliding pair signs — and
-		// an edge's name is its shard identity — so later duplicates are
-		// turned away (selection order is the input order, hence
-		// deterministic).
-		seen := make(map[string]bool, len(sessions))
-		kept := sessions[:0]
-		for _, sess := range sessions {
-			if seen[sess.device] {
-				s.reject(sess.conn, fmt.Sprintf("duplicate name %q in the session", sess.device))
-				continue
+	resumed := s.roster != nil
+	// Pairwise masking keys a mask to each device name: a duplicate name
+	// would make two clients derive colliding pair signs — an edge's name
+	// is its shard identity, and a roster slot holds one device — so
+	// later duplicates are turned away (selection order is the input
+	// order, hence deterministic).
+	unique := resumed || s.cfg.SecAgg || s.cfg.EdgePeers
+	seen := make(map[string]bool, len(conns))
+	var sessions []*session
+	for _, sess := range s.selectClients(conns) {
+		// Standing from earlier sessions of this server, or from before
+		// the crash, carries over: a quarantined device stays out, an
+		// unserved probation window is restored.
+		h := s.history[sess.device]
+		switch {
+		case h != nil && h.quarantined:
+			s.reject(sess.conn, "device quarantined in an earlier session")
+		case unique && seen[sess.device]:
+			s.reject(sess.conn, fmt.Sprintf("duplicate name %q in the session", sess.device))
+		default:
+			if h != nil {
+				sess.probationUntil = h.probationUntil
 			}
 			seen[sess.device] = true
-			kept = append(kept, sess)
+			sessions = append(sessions, sess)
 		}
-		sessions = kept
 	}
 	if s.cfg.MinClients == 0 {
 		// Edge peers, "every edge": whatever enrolled defines the floor
 		// — but never less than one shard.
 		s.cfg.MinClients = max(1, len(sessions))
 	}
-	if len(sessions) < s.cfg.MinClients {
+	n := len(sessions)
+	if n < s.cfg.MinClients {
 		for _, sess := range sessions {
 			s.reject(sess.conn, "not enough clients passed selection")
 		}
-		return len(sessions), fmt.Errorf("%w: %d of %d passed selection", ErrNotEnoughClients, len(sessions), s.cfg.MinClients)
+		return n, fmt.Errorf("%w: %d admitted, need %d", ErrNotEnoughClients, n, s.cfg.MinClients)
 	}
-
-	s.journalSessionOpen(sessions)
+	if resumed {
+		sessions = s.inRosterOrder(sessions)
+		s.roster = nil // a later session selects afresh
+	} else {
+		s.journalSessionOpen(sessions)
+	}
 	s.startSession(sessions)
-	return len(sessions), nil
+	return n, nil
 }
 
-// startSession brings a selected (Open) or rejoined (Resume) roster
-// live. One reader per reachable member feeds a shared arrival channel
-// so a straggler's late reply can surface (and be discarded) during any
-// later round instead of desynchronising the protocol. In asynchronous
+// inRosterOrder lays the rejoined sessions out in the recovered
+// roster's order, a dead placeholder — invisible to live() and Close —
+// in the slot of every member that did not rejoin.
+func (s *Server) inRosterOrder(rejoined []*session) []*session {
+	byName := make(map[string]*session, len(rejoined))
+	for _, sess := range rejoined {
+		byName[sess.device] = sess
+	}
+	out := make([]*session, len(s.roster))
+	for i, ent := range s.roster {
+		if out[i] = byName[ent.Device]; out[i] == nil {
+			out[i] = &session{conn: deadConn{}, device: ent.Device, quarantined: true}
+		}
+	}
+	return out
+}
+
+// startSession brings an admitted roster live. One reader per reachable
+// member feeds a shared arrival channel so a straggler's late reply can
+// surface (and be discarded) during any later round instead of
+// desynchronising the protocol. In asynchronous
 // mode the channel is the bounded fan-in buffer: when it fills, the
 // per-connection readers block — backpressure propagates to the
 // transports instead of growing server memory.
@@ -178,18 +196,10 @@ func (s *Server) journalAppend(rec *journal.Record) {
 	}
 }
 
-// Admit enrols further edge peers into the open session between rounds
-// — the way back in for a crashed-and-recovered edge. Each connection
-// runs the ordinary enrolment handshake; a name still live in the
-// session is turned away, and the dead session it replaces stays dead,
-// so stale arrivals from its old read loop keep filtering out by
-// session identity. Device sessions do not admit mid-session: their
-// cohort draws permute a roster that recovery must be able to replay.
-// Call from the goroutine driving StepRound.
-func (s *Server) Admit(conns []Conn) error {
-	if !s.opened || s.shut || !s.cfg.EdgePeers {
-		return errors.New("fl: Admit outside an open edge-peer session")
-	}
+// admit enrols further edge peers into the open session between rounds
+// (ServerConfig.Rejoin): a name still live in the session is turned
+// away, the rest join the roster.
+func (s *Server) admit(conns []Conn) {
 	for _, sess := range s.selectClients(conns) {
 		live := false
 		for _, other := range s.sessions {
@@ -204,7 +214,6 @@ func (s *Server) Admit(conns []Conn) error {
 		s.health.roster.Add(1)
 		s.startReader(sess)
 	}
-	return nil
 }
 
 // selectWorkers bounds the parallel attestation pool during client
@@ -333,7 +342,7 @@ func (s *Server) selectOne(conn Conn) *session {
 		s.reject(conn, "edge enrolment without a name") // the name is the shard identity
 		return nil
 	}
-	if s.resuming {
+	if s.roster != nil {
 		// Resumption: the device must be a member of the journaled
 		// roster — its admission (including attestation) was already
 		// journaled by the crashed process, so it rejoins without

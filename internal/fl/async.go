@@ -1,7 +1,6 @@
 package fl
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -12,7 +11,7 @@ import (
 )
 
 // AsyncConfig parameterises the asynchronous buffered-federation mode
-// (ServerConfig.Async, driven by Server.RunAsync). The design follows
+// (ServerConfig.Async, paced by Server.Run). The design follows
 // FedBuff, which differs from a synchronous round only in pacing: there
 // is no round barrier — every client always holds a model tagged with
 // the version it was cut from, trains at its own pace, and pushes its
@@ -26,9 +25,11 @@ import (
 // (docs/ROUNDS.md): same fan-out, same arrival classification, same
 // commit.
 type AsyncConfig struct {
-	// Enabled turns the asynchronous mode on; ServerConfig.Rounds then
-	// counts buffered applications (model versions) instead of
-	// synchronous cycles. Run/StepRound ignore it — use RunAsync.
+	// Enabled turns the asynchronous mode on: Run paces the session
+	// barrier-free, and ServerConfig.Rounds counts buffered applications
+	// (model versions) instead of synchronous cycles. Validate refuses it
+	// under SecAgg, Partials or EdgePeers (ErrAsyncMode), and the
+	// protection Planner and AdaptiveCodec are ignored.
 	Enabled bool
 	// GoalUpdates (K) is the buffer goal: the buffered aggregate is
 	// applied once this many updates have been folded since the last
@@ -71,44 +72,10 @@ func DefaultStalenessDiscount(s int) float64 {
 	return 1 / math.Sqrt(1+float64(s))
 }
 
-// RunAsync executes selection followed by an asynchronous buffered
-// federation session over the given client connections: cfg.Rounds
-// version windows, each closed by the buffered application of
-// cfg.Async.GoalUpdates staleness-discounted updates. It returns the
-// number of selected clients. The round trace holds one entry per
-// applied version: Responded counts folded updates, LateDiscarded
-// over-stale pushes, Duplicates duplicate or rate-limited ones, and
-// WeightTotal the discounted weight actually applied.
+// RunAsync is Run.
 //
-// Asynchronous sessions are plaintext-only for now: SecAgg and Partials
-// are rejected (a masked cohort needs a round barrier for its masks to
-// cancel), and the protection Planner and AdaptiveCodec are ignored.
-func (s *Server) RunAsync(conns []Conn) (int, error) {
-	if !s.cfg.Async.Enabled {
-		return 0, errors.New("fl: RunAsync without Async.Enabled")
-	}
-	if s.cfg.SecAgg || s.cfg.Partials || s.cfg.EdgePeers {
-		return 0, errors.New("fl: asynchronous mode does not compose with SecAgg, Partials or EdgePeers")
-	}
-	open := s.Open
-	if s.Resumable() {
-		// Journal-recovered session: rejoin the roster and continue at
-		// the first unwatermarked version.
-		open = s.Resume
-	}
-	n, err := open(conns)
-	if err != nil {
-		return n, err
-	}
-	if err := s.runAsync(); err != nil {
-		s.Abort()
-		return n, fmt.Errorf("fl: async: %w", err)
-	}
-	// Every surviving client has already received its Done; Abort just
-	// tears down the readers and connections.
-	s.Abort()
-	return n, nil
-}
+// Deprecated: Run paces by configuration (Async.Enabled).
+func (s *Server) RunAsync(conns []Conn) (int, error) { return s.Run(conns) }
 
 // asyncWindow is one version's window: the round skeleton's state, whose
 // pending set — the devices holding a model, each owing exactly one
@@ -126,10 +93,13 @@ type asyncWindow struct {
 
 // runAsync paces the round skeleton without a barrier: windows follow
 // one another until cfg.Rounds versions are applied, then the session
-// drains. Single-goroutine by design: arrivals from every connection
-// reader funnel through the bounded channel, so folds, version bumps
-// and replies are totally ordered and the trace is deterministic for a
-// deterministic arrival order.
+// drains. The round trace holds one entry per applied version:
+// Responded counts folded updates, LateDiscarded over-stale pushes,
+// Duplicates duplicate or rate-limited ones, and WeightTotal the
+// discounted weight actually applied. Single-goroutine by design:
+// arrivals from every connection reader funnel through the bounded
+// channel, so folds, version bumps and replies are totally ordered and
+// the trace is deterministic for a deterministic arrival order.
 func (s *Server) runAsync() error {
 	w := &asyncWindow{syncRound: &syncRound{pending: make(map[*session]bool, len(s.sessions))}}
 	// 0 fresh; the first unwatermarked version after recovery.

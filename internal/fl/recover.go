@@ -10,17 +10,10 @@ import (
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
-// Errors surfaced by journal recovery.
-var (
-	// ErrJournalMismatch rejects a journal whose session fingerprint
-	// disagrees with the configuration handed to Recover — replaying,
-	// say, a masked session into a plaintext server would corrupt
-	// state silently.
-	ErrJournalMismatch = errors.New("fl: journal does not match session config")
-	// ErrNotRecovered rejects Resume on a server that was not built by
-	// Recover.
-	ErrNotRecovered = errors.New("fl: Resume requires a journal-recovered server")
-)
+// ErrJournalMismatch rejects a journal whose session fingerprint
+// disagrees with the configuration handed to Recover — replaying, say, a
+// masked session into a plaintext server would corrupt state silently.
+var ErrJournalMismatch = errors.New("fl: journal does not match session config")
 
 // Recover rebuilds a crashed session from its journal: same round
 // number, same roster, same quarantine/probation standing, same
@@ -29,11 +22,18 @@ var (
 // *initial* model (the values the crashed server was constructed
 // with); Recover replays the committed updates onto it. cfg must match
 // the crashed session's configuration; the journaled fingerprint is
-// validated against it.
+// validated against it, after Validate.
 //
-// The returned server is not yet serving: call Resume (or Run, which
-// resumes automatically) with the rejoining client connections.
+// The returned server is not yet serving: Open (or Run) resumes the
+// session over the rejoining client connections — devices are matched
+// against the journaled roster instead of being re-attested, and
+// secure-aggregation clients present fresh mask keys (masks are
+// round-scoped, so a key change between rounds is invisible to the
+// protocol).
 func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	// Replay duration is real I/O plus model reconstruction, so it is
 	// measured on the wall clock regardless of any simulated cfg.Clock.
 	metrics := cfg.engineMetrics()
@@ -125,10 +125,6 @@ func Recover(path string, state []*tensor.Tensor, cfg ServerConfig) (*Server, er
 	return s, nil
 }
 
-// Resumable reports whether the server was rebuilt from a journal and
-// has not yet reopened its session (Run will call Resume, not Open).
-func (s *Server) Resumable() bool { return s.roster != nil && !s.opened }
-
 // rosterEntry looks a device up in the recovered roster.
 func (s *Server) rosterEntry(device string) *journal.Record {
 	for _, ent := range s.roster {
@@ -137,73 +133,6 @@ func (s *Server) rosterEntry(device string) *journal.Record {
 		}
 	}
 	return nil
-}
-
-// Resume reopens a recovered session over the rejoining client
-// connections. The handshake runs as usual except that devices are
-// matched against the journaled roster instead of being re-attested
-// (the crashed session already verified them — that admission is what
-// the roster records). Sessions are rebuilt in roster order; a roster
-// member that does not rejoin keeps its slot as a dead placeholder so
-// the roster-sized sampling permutation is applied to the same index
-// space as before the crash. It returns the number of rejoined
-// clients.
-//
-// Secure-aggregation clients present fresh mask keys on rejoin — masks
-// are round-scoped, so a key change between rounds is invisible to the
-// protocol.
-func (s *Server) Resume(conns []Conn) (int, error) {
-	if s.roster == nil {
-		return 0, ErrNotRecovered
-	}
-	if s.opened {
-		return 0, errors.New("fl: session already open")
-	}
-	if err := s.validateAggregation(); err != nil {
-		return 0, err
-	}
-	s.resuming = true
-	selected := s.selectClients(conns)
-	s.resuming = false
-
-	byName := make(map[string]*session, len(selected))
-	for _, sess := range selected {
-		if byName[sess.device] != nil {
-			s.reject(sess.conn, fmt.Sprintf("duplicate device name %q on resume", sess.device))
-			continue
-		}
-		byName[sess.device] = sess
-	}
-
-	sessions := make([]*session, 0, len(s.roster))
-	returning := 0
-	for _, ent := range s.roster {
-		sess := byName[ent.Device]
-		if sess == nil {
-			// Keep the slot: quarantined placeholders are invisible to
-			// live() and Close, but preserve roster size and order for
-			// the sampling permutation.
-			sessions = append(sessions, &session{conn: deadConn{}, device: ent.Device, quarantined: true})
-			continue
-		}
-		if h := s.history[ent.Device]; h != nil {
-			sess.probationUntil = h.probationUntil
-		}
-		sessions = append(sessions, sess)
-		returning++
-	}
-	if returning < s.cfg.MinClients {
-		for _, sess := range sessions {
-			if !sess.quarantined {
-				s.reject(sess.conn, "not enough clients rejoined the resumed session")
-			}
-		}
-		return returning, fmt.Errorf("%w: %d of %d roster members rejoined, need %d",
-			ErrNotEnoughClients, returning, len(s.roster), s.cfg.MinClients)
-	}
-
-	s.startSession(sessions)
-	return returning, nil
 }
 
 // NextRound returns the first round index the server will run: 0 for a

@@ -131,9 +131,6 @@ func TestRecoverBitIdentical(t *testing.T) {
 	if len(resumed.Trace()) != 2 {
 		t.Fatalf("recovered trace has %d rounds, want 2", len(resumed.Trace()))
 	}
-	if !resumed.Resumable() {
-		t.Fatal("recovered server is not Resumable")
-	}
 	if _, err := runSession(t, resumed, recoverTrainers(deltas...)); err != nil {
 		t.Fatal(err)
 	}
@@ -316,16 +313,6 @@ func TestRecoverConfigMismatch(t *testing.T) {
 	}
 	if _, err := Recover(jpath, newState(5), ServerConfig{Rounds: 3, MinClients: 2, SampleSeed: 11}); err != nil {
 		t.Fatalf("matching config rejected: %v", err)
-	}
-}
-
-// TestResumeRequiresRecovery: Resume on a fresh server is an error, and
-// a recovered server refuses robust aggregation it was not journaled
-// with... (the validation path is shared with Open).
-func TestResumeRequiresRecovery(t *testing.T) {
-	srv := NewServer(newState(1), ServerConfig{})
-	if _, err := srv.Resume(nil); !errors.Is(err, ErrNotRecovered) {
-		t.Fatalf("err = %v, want ErrNotRecovered", err)
 	}
 }
 

@@ -93,8 +93,8 @@ type UpdateAggregator interface {
 	// Weight returns the summed weight of the folded updates.
 	Weight() float64
 	// Sum returns the raw weighted sum for hierarchical partial
-	// forwarding; robust aggregators return nil (partial mode rejects
-	// them at Open).
+	// forwarding; robust aggregators return nil (Validate rejects them
+	// in partial mode).
 	Sum() []*tensor.Tensor
 	// Mean produces the round aggregate.
 	Mean() ([]*tensor.Tensor, error)
@@ -109,33 +109,6 @@ func (s *Server) newAggregator() UpdateAggregator {
 	default:
 		return NewAggregator(s.state)
 	}
-}
-
-// validateAggregation enforces the mode exclusions above, and the
-// secure-aggregation mask-degree range, at session open, where
-// configuration errors can still be reported cleanly.
-func (s *Server) validateAggregation() error {
-	if s.cfg.MaskDegree < 0 {
-		return fmt.Errorf("%w: got %d", ErrBadMaskDegree, s.cfg.MaskDegree)
-	}
-	if s.cfg.Aggregation == AggFedAvg {
-		return nil
-	}
-	if s.cfg.SecAgg {
-		return ErrRobustSecAgg
-	}
-	if s.cfg.Partials || s.cfg.EdgePeers {
-		return ErrRobustPartials
-	}
-	if s.cfg.Async.Enabled {
-		return ErrRobustAsync
-	}
-	if s.cfg.Aggregation == AggTrimmedMean {
-		if !(s.cfg.TrimFraction > 0 && s.cfg.TrimFraction < 0.5) {
-			return fmt.Errorf("%w: got %v", ErrBadTrim, s.cfg.TrimFraction)
-		}
-	}
-	return nil
 }
 
 // robustAggregator buffers the cohort's updates and aggregates
@@ -210,7 +183,7 @@ func (a *robustAggregator) Count() int { return len(a.updates) }
 func (a *robustAggregator) Weight() float64 { return a.weight }
 
 // Sum implements UpdateAggregator; robust aggregators have no partial
-// form (Open rejects Partials mode before one is ever built).
+// form (Validate rejects Partials mode before one is ever built).
 func (a *robustAggregator) Sum() []*tensor.Tensor { return nil }
 
 // Mean implements UpdateAggregator: the coordinate-wise trimmed mean

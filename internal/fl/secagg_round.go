@@ -37,7 +37,7 @@ var (
 	// and the device sanctioned (probation under QuarantineRounds,
 	// permanent quarantine otherwise).
 	ErrLateAfterRecon = errors.New("fl: update arrived after its round's masks were reconciled")
-	// ErrBadMaskDegree is returned by Open for a negative MaskDegree: 0
+	// ErrBadMaskDegree is returned by Validate for a negative MaskDegree: 0
 	// sizes the mask graph from the cohort and a positive value pins it;
 	// there is no third regime.
 	ErrBadMaskDegree = errors.New("fl: MaskDegree must be 0 (automatic) or a positive graph degree")

@@ -66,7 +66,8 @@ type ServerConfig struct {
 	// never up. The zero value, wire.CodecF64, keeps the uncompressed
 	// protocol: tensor payloads are byte-identical to the pre-codec
 	// encoding (messages gained optional trailing fields, which
-	// pre-codec decoders simply never read).
+	// pre-codec decoders simply never read). Validate refuses a codec
+	// the wire does not know.
 	Codec wire.Codec
 
 	// SecAgg enables secure aggregation: clients send double-masked
@@ -79,7 +80,8 @@ type ServerConfig struct {
 	// mode.
 	SecAgg bool
 	// SecAggScaleBits is the fixed-point precision for masked updates;
-	// 0 selects secagg.DefaultScaleBits.
+	// 0 selects secagg.DefaultScaleBits, and Validate refuses anything
+	// outside [0, secagg.MaxScaleBits].
 	SecAggScaleBits int
 	// MaskDegree is the degree k of the per-round k-regular mask graph
 	// in SecAgg sessions: each client masks against k neighbours and
@@ -89,7 +91,7 @@ type ServerConfig struct {
 	// — secagg.DegreeFor: ≈ ⌈log₂ cohort⌉, never below 6, i.e. at least
 	// 2 arbitrary dropouts per round; a positive value pins k
 	// (deployments expecting heavier churn). Either is capped at the
-	// complete graph. Negative values are rejected by Open.
+	// complete graph. Validate rejects negative values.
 	MaskDegree int
 	// Enclave, in SecAgg sessions, aggregates sealed protected-layer
 	// updates inside a simulated server enclave: trusted-channel keys
@@ -113,8 +115,8 @@ type ServerConfig struct {
 	// AggFedAvg, streams the weighted mean; AggTrimmedMean and
 	// AggMedian are the Byzantine-robust strategies (see robust.go).
 	// Robust strategies need plaintext per-client updates, so they are
-	// mutually exclusive with SecAgg, Partials and Async — Open rejects
-	// the combinations with a configuration error.
+	// mutually exclusive with SecAgg, Partials and Async — Validate
+	// rejects the combinations.
 	Aggregation AggMethod
 	// TrimFraction is the per-tail trim for AggTrimmedMean: the
 	// ⌈TrimFraction·n⌉ largest and smallest values of every coordinate
@@ -146,12 +148,12 @@ type ServerConfig struct {
 	// the root does).
 	AdaptiveCodec float64
 
-	// Async configures the asynchronous buffered-federation mode driven
-	// by RunAsync (FedBuff-style): no round barrier, clients push
-	// updates whenever ready and the server folds them into a
-	// staleness-weighted buffer applied every Async.GoalUpdates arrivals.
-	// Rounds then counts buffered applications (model versions) rather
-	// than synchronous cycles. Ignored by Run/StepRound.
+	// Async configures the asynchronous buffered-federation mode
+	// (FedBuff-style), which Run paces when Async.Enabled: no round
+	// barrier, clients push updates whenever ready and the server folds
+	// them into a staleness-weighted buffer applied every
+	// Async.GoalUpdates arrivals. Rounds then counts buffered
+	// applications (model versions) rather than synchronous cycles.
 	Async AsyncConfig
 
 	// Partials turns the server into a hierarchical edge aggregator:
@@ -181,6 +183,17 @@ type ServerConfig struct {
 	// Planner, AdaptiveCodec and ClientTelemetry do not apply; robust
 	// aggregation and Async are rejected.
 	EdgePeers bool
+	// Rejoin, in an edge-peer session, is polled by Run before every
+	// round for edge connections re-entering the session (a recovered
+	// edge redialling after a crash). Each runs the ordinary enrolment
+	// handshake; a name still live in the session is turned away, and
+	// the dead session it replaces stays dead, so stale arrivals from its
+	// old read loop keep filtering out by session identity. It runs on
+	// the round goroutine and may block — in simulations that is what
+	// makes rejoin timing deterministic. Device sessions never poll it:
+	// their cohort draws permute a roster that recovery must be able to
+	// replay.
+	Rejoin func(round int) []Conn
 
 	// QuarantineRounds, when positive, turns quarantine for training
 	// and protocol failures into probation: the client is excluded from
@@ -312,8 +325,8 @@ type Server struct {
 	}
 
 	// Session lifecycle (Open → StepRound* → Close/Abort). Run drives
-	// the whole sequence; hierarchical edges step rounds under upstream
-	// control.
+	// the whole sequence at the configured pace; hierarchical edges step
+	// rounds under upstream control.
 	sessions []*session
 	arrivals chan arrival
 	done     chan struct{}
@@ -339,14 +352,12 @@ type Server struct {
 	// nextRound is the first round Run will execute: 0 for a fresh
 	// server, one past the last committed round for a recovered one.
 	nextRound int
-	// roster, on a journal-recovered server, holds the crashed
-	// session's admissions in selection order; Resume rebuilds
-	// s.sessions in exactly this order so sampling draws line up.
+	// roster, on a journal-recovered server until its session reopens,
+	// holds the crashed session's admissions in selection order: Open
+	// matches devices against it instead of verifying them from scratch
+	// and rebuilds s.sessions in exactly this order so sampling draws
+	// line up.
 	roster []*journal.Record
-	// resuming switches selectOne into resumption mode: devices are
-	// matched against the journaled roster instead of being verified
-	// from scratch.
-	resuming bool
 }
 
 // deviceHistory is a device's durable standing across sessions.
@@ -356,15 +367,17 @@ type deviceHistory struct {
 }
 
 // NewServer creates a server owning the given initial global model state
-// (flat parameter tensors; the slice is used in place).
+// (flat parameter tensors; the slice is used in place). It fills zero
+// settings with their defaults; Open refuses a configuration Validate
+// rejects.
 func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 	if cfg.Planner == nil {
 		cfg.Planner = NoProtection{}
 	}
-	if cfg.Rounds <= 0 {
+	if cfg.Rounds == 0 {
 		cfg.Rounds = 1
 	}
-	if cfg.MinClients <= 0 {
+	if cfg.MinClients == 0 {
 		cfg.MinClients = 1
 		if cfg.EdgePeers {
 			cfg.MinClients = 0 // every enrolled edge: resolved at Open
@@ -376,14 +389,8 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 	if cfg.Clock == nil {
 		cfg.Clock = simclock.Real()
 	}
-	if !cfg.Codec.Valid() {
-		cfg.Codec = wire.CodecF64
-	}
-	if cfg.SecAggScaleBits <= 0 || cfg.SecAggScaleBits > secagg.MaxScaleBits {
+	if cfg.SecAggScaleBits == 0 {
 		cfg.SecAggScaleBits = secagg.DefaultScaleBits
-	}
-	if cfg.MinRelease < 0 {
-		cfg.MinRelease = 0
 	}
 	if cfg.Partials || cfg.EdgePeers {
 		// Edges never observe the update norm, and edge peers do not
@@ -394,10 +401,10 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 		cfg.Codec = wire.CodecF64 // adaptive sessions open exact
 	}
 	if cfg.Async.Enabled {
-		if cfg.Async.GoalUpdates <= 0 {
+		if cfg.Async.GoalUpdates == 0 {
 			cfg.Async.GoalUpdates = cfg.MinClients
 		}
-		if cfg.Async.Buffer <= 0 {
+		if cfg.Async.Buffer == 0 {
 			cfg.Async.Buffer = 2 * cfg.Async.GoalUpdates
 		}
 	}
@@ -517,22 +524,33 @@ var ErrNotEnoughClients = errors.New("fl: not enough clients")
 // one client can outweigh at most this many unit-weight peers.
 const MaxExampleWeight = 1 << 20
 
-// Run executes selection followed by cfg.Rounds FL cycles over the given
-// client connections, then closes them with a Done carrying the final
-// model. It returns the number of selected clients. On a
-// journal-recovered server (Recover) the connections rejoin the crashed
-// session via Resume and Run continues from the first uncommitted
-// round.
+// Run is the session driver: Open over the given connections — a fresh
+// selection, or on a journal-recovered server (Recover) the rejoin of
+// the crashed session — then cfg.Rounds rounds at the configured pace,
+// from the first uncommitted one: barrier-free version windows when
+// Async.Enabled (runAsync), synchronous rounds otherwise, each preceded
+// in an edge-peer session by the Rejoin poll. Every surviving peer ends
+// with a Done carrying the final model. It returns the number of
+// admitted peers.
 func (s *Server) Run(conns []Conn) (int, error) {
-	open := s.Open
-	if s.Resumable() {
-		open = s.Resume
-	}
-	n, err := open(conns)
+	n, err := s.Open(conns)
 	if err != nil {
 		return n, err
 	}
+	if s.cfg.Async.Enabled {
+		// runAsync hands each surviving device its Done; Abort only tears
+		// the session down.
+		err = s.runAsync()
+		s.Abort()
+		if err != nil {
+			return n, fmt.Errorf("fl: async: %w", err)
+		}
+		return n, nil
+	}
 	for round := s.nextRound; round < s.cfg.Rounds; round++ {
+		if s.cfg.EdgePeers && s.cfg.Rejoin != nil {
+			s.admit(s.cfg.Rejoin(round))
+		}
 		if _, err := s.StepRound(round); err != nil {
 			s.Abort()
 			return n, fmt.Errorf("fl: round %d: %w", round, err)

@@ -4,12 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"time"
-
-	"github.com/gradsec/gradsec/internal/fl"
 )
 
 // AsyncScenario replays a seeded fleet through the asynchronous
-// buffered-federation mode (fl.Server.RunAsync) instead of synchronous
+// buffered-federation mode (fl.AsyncConfig) instead of synchronous
 // rounds. The embedded Scenario supplies the fleet — size, seed,
 // profiles, model, codec — exactly as the synchronous Run of the same
 // scenario would assign them, so the two modes are directly
@@ -57,7 +55,10 @@ type AsyncResult struct {
 	Duplicates int
 }
 
-// validate checks the async scenario and applies defaults.
+// validate checks the async scenario, applies defaults and hands the
+// asynchronously paced tiers to the engine's check, which refuses async
+// under SecAgg or Shards (fl.ErrAsyncMode) and robust aggregation
+// (fl.ErrRobustAsync).
 func (sc *AsyncScenario) validate() error {
 	if err := sc.Scenario.Validate(); err != nil {
 		return err
@@ -65,11 +66,8 @@ func (sc *AsyncScenario) validate() error {
 	if sc.FailureFraction > 0 || sc.DisconnectFraction > 0 {
 		return errors.New("flsim: async scenarios model slowness, not failure (FailureFraction and DisconnectFraction must be 0)")
 	}
-	if sc.SecAgg || len(sc.Protect) > 0 || sc.Shards > 1 {
-		return errors.New("flsim: async mode is plaintext and flat (no SecAgg, Protect, or Shards)")
-	}
-	if m, _ := fl.ParseAggMethod(sc.Aggregation); m != fl.AggFedAvg {
-		return fmt.Errorf("flsim: %w", fl.ErrRobustAsync)
+	if len(sc.Protect) > 0 {
+		return errors.New("flsim: async sessions ignore protection plans (Protect must be empty)")
 	}
 	if sc.Versions <= 0 {
 		sc.Versions = sc.Rounds
@@ -83,7 +81,7 @@ func (sc *AsyncScenario) validate() error {
 	if sc.FastLatency < 0 || sc.SlowLatency < 0 {
 		return errors.New("flsim: async latencies must be positive")
 	}
-	return nil
+	return sc.validateEngine(sc)
 }
 
 // RunAsync executes an asynchronous scenario and returns its trace,

@@ -92,7 +92,7 @@ func runCrashThenRecover(sc Scenario, spec CrashSpec, opts func(recover bool) tr
 	opt := opts(false)
 	opt.root.crash = &spec
 	if _, err := runTree(doomed, profiles, opt); !errors.Is(err, ErrSimCrash) {
-		return nil, fmt.Errorf("flsim: session ended without reaching the crash point (round %d, fold %d): %v", spec.Round, spec.Folds, err)
+		return nil, fmt.Errorf("flsim: session ended without reaching the crash point (round %d, fold %d): %w", spec.Round, spec.Folds, err)
 	}
 	return runTree(sc, profiles, opts(true))
 }

@@ -272,7 +272,10 @@ func idleFromTrace(trace []fl.RoundStats, deadline time.Duration) time.Duration 
 	return idle
 }
 
-// Validate checks scenario consistency and applies defaults.
+// Validate checks the scenario's own consistency, applies defaults, and
+// then lets the engine judge the session it describes:
+// fl.ServerConfig.Validate on every tier's configuration, before any
+// tier starts.
 func (sc *Scenario) Validate() error {
 	if sc.Clients <= 0 {
 		return errors.New("flsim: scenario needs at least one client")
@@ -302,22 +305,14 @@ func (sc *Scenario) Validate() error {
 			sc.PoisonGamma = 4
 		}
 	}
-	if m, err := fl.ParseAggMethod(sc.Aggregation); err != nil {
+	if _, err := fl.ParseAggMethod(sc.Aggregation); err != nil {
 		return err
-	} else if m != fl.AggFedAvg && sc.SecAgg {
-		return fmt.Errorf("flsim: %w", fl.ErrRobustSecAgg)
 	}
 	if sc.StragglerFraction > 0 && sc.Deadline <= 0 {
 		return errors.New("flsim: StragglerFraction needs a Deadline")
 	}
-	if sc.MaskDegree < 0 {
-		return fmt.Errorf("flsim: MaskDegree %d is negative (0 sizes the mask graph from the cohort)", sc.MaskDegree)
-	}
 	if sc.Seed == 0 {
 		sc.Seed = 1
-	}
-	if !sc.Codec.Valid() {
-		return fmt.Errorf("flsim: unknown codec %s", sc.Codec)
 	}
 	if sc.Model == nil {
 		sc.Model = []*tensor.Tensor{tensor.New(8, 8), tensor.New(8)}
@@ -341,11 +336,6 @@ func (sc *Scenario) Validate() error {
 	if sc.Shards > 1 {
 		if len(sc.Protect) > 0 && sc.SecAgg {
 			return errors.New("flsim: hierarchical secure aggregation cannot protect tensors (the sealed path needs the root's enclave)")
-		}
-		if m, _ := fl.ParseAggMethod(sc.Aggregation); m != fl.AggFedAvg {
-			// The edges' engines refuse it too (fl.ErrRobustPartials), but
-			// which shard's refusal the root reports first is a race.
-			return fmt.Errorf("flsim: %s aggregation needs a flat session (shard partials are sums, not per-client updates)", sc.Aggregation)
 		}
 		if sc.MinShards < 0 || sc.MinShards > sc.Shards {
 			return fmt.Errorf("flsim: MinShards %d outside [0,%d]", sc.MinShards, sc.Shards)
@@ -386,7 +376,7 @@ func (sc *Scenario) Validate() error {
 	} else if sc.FleetTelemetry || len(sc.EdgeSpans) > 0 {
 		return errors.New("flsim: fleet telemetry needs Shards > 1")
 	}
-	return nil
+	return sc.validateEngine(nil)
 }
 
 // assignProfiles deals straggler/failure/no-TEE roles across the fleet

@@ -3,6 +3,7 @@ package flsim
 import (
 	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"sync"
 	"time"
@@ -64,8 +65,8 @@ type treeOpts struct {
 	// edgeDown, when set, is called once an edge's injected crash has
 	// torn it down and its journal is flushed.
 	edgeDown func(shard int)
-	// beforeRound, when set, is the root's RootConfig.Rejoin poll: it
-	// runs on the root's round goroutine before each round, where a
+	// beforeRound, when set, is the root's fl.ServerConfig.Rejoin poll:
+	// it runs on the root's round goroutine before each round, where a
 	// harness severs a link or hands back recovered edges to readmit.
 	beforeRound func(t *tree, round int) []fl.Conn
 }
@@ -96,6 +97,24 @@ type tree struct {
 
 // epoch is the instant every session's virtual clock starts at.
 var epoch = time.Unix(0, 0)
+
+// validateEngine runs the engine's one check, fl.ServerConfig.Validate,
+// on the configuration of every tier the scenario would start — paced
+// by async when it is set. Edges differ from one another only in their
+// seed.
+func (sc *Scenario) validateEngine(async *AsyncScenario) error {
+	t := &tree{sc: sc, opt: treeOpts{async: async}, verifier: tz.NewVerifier()}
+	tiers := []int{-1}
+	if sc.Shards > 1 {
+		tiers = append(tiers, 0)
+	}
+	for _, shard := range tiers {
+		if err := t.serverCfg(shard).Validate(); err != nil {
+			return fmt.Errorf("flsim: %w", err)
+		}
+	}
+	return nil
+}
 
 // runTree executes a validated scenario over the given profiles.
 func runTree(sc Scenario, profiles []Profile, opt treeOpts) (*Result, error) {
@@ -131,15 +150,14 @@ func runTree(sc Scenario, profiles []Profile, opt treeOpts) (*Result, error) {
 		defer t.enclave.Close()
 	}
 
-	if sc.Shards <= 1 {
-		return t.runFlat()
+	if sc.Shards > 1 {
+		t.edges = make([]*hier.Edge, sc.Shards)
+		t.edgeConns = make([]fl.Conn, sc.Shards)
+		if sc.FleetTelemetry {
+			t.edgeMetrics = make([]*obs.Registry, sc.Shards)
+		}
 	}
-	t.edges = make([]*hier.Edge, sc.Shards)
-	t.edgeConns = make([]fl.Conn, sc.Shards)
-	if sc.FleetTelemetry {
-		t.edgeMetrics = make([]*obs.Registry, sc.Shards)
-	}
-	return t.runHier()
+	return t.run()
 }
 
 // answers reports whether a sampled device answers round without time
@@ -171,60 +189,62 @@ func (t *tree) result(selected int, trace []fl.RoundStats) *Result {
 	return res
 }
 
-// serverCfg derives the round-engine configuration for tier tr — the
-// flat server itself, or shard's edge engine — from the scenario.
-func (t *tree) serverCfg(tr *tier, shard int, opt tierOpts, j *journal.Journal) fl.ServerConfig {
+// serverCfg derives a tier's round-engine configuration from the
+// scenario: the top tier's (shard < 0) — the flat server, or the
+// hierarchy root over one edge peer per shard — or shard's edge. It is
+// the one place the scenario becomes engine settings; wire then attaches
+// the tier's clock, hooks, journal and telemetry.
+func (t *tree) serverCfg(shard int) fl.ServerConfig {
 	sc := t.sc
-	aggMethod, _ := fl.ParseAggMethod(sc.Aggregation) // validated
-	hooks := t.hooks(tr)
-	if opt.crash != nil {
-		hooks = installCrash(hooks, *opt.crash)
-	}
 	cfg := fl.ServerConfig{
-		Rounds:         sc.Rounds, // an edge ignores it: the root paces rounds
-		MinClients:     sc.MinClients,
-		SampleCount:    sc.SampleCount,
-		SampleFraction: sc.SampleFraction,
-		SampleSeed:     sc.Seed,
-		RoundDeadline:  sc.Deadline,
-		RequireTEE:     sc.RequireTEE,
-		Verifier:       t.verifier,
-		Codec:          sc.Codec,
-		SecAgg:         sc.SecAgg,
-		// Spelled out because a recovered edge compares the root's
-		// announced precision against this config as written.
-		SecAggScaleBits:  secagg.DefaultScaleBits,
-		MaskDegree:       sc.MaskDegree,
-		Enclave:          t.enclave,
-		QuarantineRounds: sc.QuarantineRounds,
-		Aggregation:      aggMethod,
-		TrimFraction:     sc.TrimFraction,
-		Planner:          t.planner,
-		Clock:            t.sched.clk.Keyed(tr.key),
-		Hooks:            hooks,
-		Journal:          j,
+		Rounds:     sc.Rounds, // an edge ignores it: the root paces rounds
+		Codec:      sc.Codec,
+		SecAgg:     sc.SecAgg,
+		MaskDegree: sc.MaskDegree,
 	}
 	if a := t.opt.async; a != nil {
 		cfg.Rounds = a.Versions
 		cfg.Async = fl.AsyncConfig{Enabled: true, GoalUpdates: a.GoalUpdates, MaxStaleness: a.MaxStaleness}
+	}
+	if shard < 0 && sc.Shards > 1 {
+		// The root: its peers are the edges and its floor MinShards; the
+		// client-facing policies below are each edge's own.
+		cfg.EdgePeers, cfg.MinClients = true, sc.MinShards
+		if t.opt.beforeRound != nil {
+			cfg.Rejoin = func(round int) []fl.Conn { return t.opt.beforeRound(t, round) }
+		}
+		return cfg
+	}
+	aggMethod, _ := fl.ParseAggMethod(sc.Aggregation) // parsed by Scenario.Validate
+	cfg.MinClients = sc.MinClients
+	cfg.SampleCount, cfg.SampleFraction, cfg.SampleSeed = sc.SampleCount, sc.SampleFraction, sc.Seed
+	cfg.RoundDeadline = sc.Deadline
+	cfg.RequireTEE, cfg.Verifier = sc.RequireTEE, t.verifier
+	cfg.Enclave, cfg.Planner = t.enclave, t.planner
+	cfg.QuarantineRounds = sc.QuarantineRounds
+	cfg.Aggregation, cfg.TrimFraction = aggMethod, sc.TrimFraction
+	if t.opt.async != nil {
 		// Slow devices are not stragglers here: the drain waits for
 		// their last push instead of cutting it off at a deadline.
 		cfg.RoundDeadline = 0
 	}
-	if sc.Shards <= 1 {
-		cfg.Metrics = sc.Metrics
-		cfg.Spans = obs.NewTraceSink(sc.Spans, t.sched.clk)
-		return cfg
+	if shard >= 0 {
+		cfg.Partials = true
+		cfg.SampleSeed = sc.Seed + int64(shard) + 1
 	}
-	// The root owns the scenario's registry and span stream; an edge
-	// gets its own of each, when the scenario asks for them.
-	cfg.SampleSeed = sc.Seed + int64(shard) + 1
-	if t.edgeMetrics != nil {
-		cfg.Metrics = t.edgeMetrics[shard]
+	return cfg
+}
+
+// wire attaches tier tr to its engine configuration: the tier's clock,
+// the scheduler's hooks (with the tier's injected crash), its journal,
+// and its telemetry sinks.
+func (t *tree) wire(cfg fl.ServerConfig, tr *tier, opt tierOpts, j *journal.Journal, metrics *obs.Registry, spans io.Writer) fl.ServerConfig {
+	cfg.Clock = t.sched.clk.Keyed(tr.key)
+	cfg.Hooks = t.hooks(tr)
+	if opt.crash != nil {
+		cfg.Hooks = installCrash(cfg.Hooks, *opt.crash)
 	}
-	if len(sc.EdgeSpans) > 0 {
-		cfg.Spans = obs.NewTraceSink(sc.EdgeSpans[shard], t.sched.clk)
-	}
+	cfg.Journal, cfg.Metrics, cfg.Spans = j, metrics, obs.NewTraceSink(spans, t.sched.clk)
 	return cfg
 }
 
@@ -266,43 +286,64 @@ func orCrash(run func() error, abort func()) (err error) {
 	return run()
 }
 
-// runFlat serves the whole fleet from one fl.Server.
-func (t *tree) runFlat() (*Result, error) {
+// run starts the session's tiers and drives the top one: an fl.Server —
+// or, with opt.root.recover, one rebuilt from its journal — over the
+// whole fleet, or over one edge per shard, each serving its contiguous
+// slice of the fleet over fl.Pipe. It returns once every tier has
+// stopped.
+func (t *tree) run() (*Result, error) {
 	opt := t.opt.root
 	j, err := opt.openJournal()
 	if err != nil {
 		return nil, err
 	}
 	defer closeJournal(j)
-	t.top = t.sched.newTier("", t.answers)
-	cfg := t.serverCfg(t.top, 0, opt, j)
+	answers := t.answers
+	if t.sc.Shards > 1 {
+		answers = nil // the root's children are edges, which account for themselves
+	}
+	t.top = t.sched.newTier("", answers)
+	cfg := t.wire(t.serverCfg(-1), t.top, opt, j, t.sc.Metrics, t.sc.Spans)
 	var srv *fl.Server
 	if opt.recover {
-		// The fleet rejoins the recovered server via Resume.
+		// The fleet rejoins the recovered server's session.
 		if srv, err = fl.Recover(opt.journal, t.sc.Model, cfg); err != nil {
 			return nil, err
 		}
 	} else {
 		srv = fl.NewServer(t.sc.Model, cfg)
 	}
-	run := srv.Run
-	if t.opt.async != nil {
-		run = srv.RunAsync
+	peers := t.edgeConns
+	if t.sc.Shards <= 1 {
+		peers, err = t.start(0, t.sc.Clients)
 	}
-	conns, err := t.start(0, t.sc.Clients)
-	if err != nil {
-		return nil, err
+	for s := 0; s < len(t.edges) && err == nil; s++ {
+		var eopt tierOpts
+		if t.opt.edge != nil {
+			eopt = t.opt.edge(s)
+		}
+		peers[s], err = t.startEdge(s, eopt)
 	}
-	var selected int
-	// On a crash, Abort drains the readers, closes the conns and syncs
-	// the journal.
-	runErr := orCrash(func() (err error) { selected, err = run(conns); return }, srv.Abort)
+	selected := 0
+	if err == nil {
+		// On a crash, Abort drains the readers, closes the conns and syncs
+		// the journal.
+		err = orCrash(func() (err error) { selected, err = srv.Run(peers); return }, srv.Abort)
+	}
 	t.sched.leave(t.top)
-	// A run that failed before selection (config validation) never
-	// touched the conns; close them so the fleet unblocks.
-	closeConns(conns)
+	// A top tier that never opened its session never touched its peers'
+	// links; close them so the tree unwinds.
+	closeConns(peers)
 	t.wg.Wait()
-	return t.result(selected, srv.Trace()), runErr
+	if t.edges != nil {
+		selected = 0 // the fleet behind the edges, not the edges
+		for _, e := range t.edges {
+			if e != nil {
+				selected += e.Selected
+			}
+		}
+	}
+	return t.result(selected, srv.Trace()), err
 }
 
 func shardName(s int) string { return fmt.Sprintf("edge-%03d", s) }
@@ -322,7 +363,15 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 		t.edgeMetrics[shard] = obs.NewRegistry()
 	}
 	tr := t.sched.newTier(shardName(shard), t.answers)
-	cfg := hier.EdgeConfig{Name: tr.name, MaxCodec: t.sc.Codec, Server: t.serverCfg(tr, shard, opt, j)}
+	var spans io.Writer
+	if len(t.sc.EdgeSpans) > 0 {
+		spans = t.sc.EdgeSpans[shard]
+	}
+	var metrics *obs.Registry
+	if t.edgeMetrics != nil {
+		metrics = t.edgeMetrics[shard]
+	}
+	cfg := hier.EdgeConfig{Name: tr.name, MaxCodec: t.sc.Codec, Server: t.wire(t.serverCfg(shard), tr, opt, j, metrics, spans)}
 	// The edge owns a model-shaped scratch state; values are
 	// overwritten by the root's broadcast every round.
 	state := make([]*tensor.Tensor, len(t.sc.Model))
@@ -331,14 +380,11 @@ func (t *tree) startEdge(shard int, opt tierOpts) (fl.Conn, error) {
 	}
 	var edge *hier.Edge
 	if opt.recover {
-		edge, err = hier.RecoverEdge(opt.journal, state, cfg)
+		edge = hier.RecoverEdge(opt.journal, state, cfg)
 	} else {
 		edge = hier.NewEdge(state, cfg)
 	}
-	var clients []fl.Conn
-	if err == nil {
-		clients, err = t.start(shardRange(t.sc.Clients, t.sc.Shards, shard))
-	}
+	clients, err := t.start(shardRange(t.sc.Clients, t.sc.Shards, shard))
 	if err != nil {
 		closeJournal(j)
 		t.sched.leave(tr)
@@ -378,77 +424,4 @@ func (u uplink) Send(m fl.Message) error {
 		u.emptySent()
 	}
 	return u.Conn.Send(m)
-}
-
-// newRoot builds the hierarchy root, or recovers it from its journal
-// onto the scenario's (pristine) model.
-func (t *tree) newRoot(j *journal.Journal) (*hier.Root, error) {
-	sc, opt := t.sc, t.opt.root
-	hooks := t.hooks(t.top)
-	if opt.crash != nil {
-		hooks = installCrash(hooks, *opt.crash)
-	}
-	cfg := hier.RootConfig{
-		Rounds:     sc.Rounds,
-		MinShards:  sc.MinShards,
-		SecAgg:     sc.SecAgg,
-		MaskDegree: sc.MaskDegree,
-		Codec:      sc.Codec,
-		Clock:      t.sched.clk.Keyed(t.top.key),
-		Journal:    j,
-		Metrics:    sc.Metrics,
-		Spans:      obs.NewTraceSink(sc.Spans, t.sched.clk),
-		Hooks: hier.Hooks{
-			RoundStarted:  hooks.RoundStarted,
-			PartialFolded: hooks.UpdateFolded,
-			ShardDropped:  hooks.ClientQuarantined,
-		},
-	}
-	if t.opt.beforeRound != nil {
-		cfg.Rejoin = func(round int) []fl.Conn { return t.opt.beforeRound(t, round) }
-	}
-	if opt.recover {
-		return hier.RecoverRoot(opt.journal, sc.Model, cfg)
-	}
-	return hier.NewRoot(sc.Model, cfg), nil
-}
-
-// runHier partitions the fleet into contiguous shards, each served by a
-// hier.Edge running the full round protocol over fl.Pipe, under a
-// hier.Root folding one partial per shard per round.
-func (t *tree) runHier() (*Result, error) {
-	j, err := t.opt.root.openJournal()
-	if err != nil {
-		return nil, err
-	}
-	defer closeJournal(j)
-	t.top = t.sched.newTier("", nil)
-	root, err := t.newRoot(j)
-	if err != nil {
-		return nil, err
-	}
-	for s := range t.edges {
-		var opt tierOpts
-		if t.opt.edge != nil {
-			opt = t.opt.edge(s)
-		}
-		if t.edgeConns[s], err = t.startEdge(s, opt); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		err = orCrash(func() error { _, err := root.Run(t.edgeConns); return err }, root.Abort)
-	}
-	t.sched.leave(t.top)
-	// A root that never enrolled its edges never touched their uplinks;
-	// close them so the tree unwinds.
-	closeConns(t.edgeConns)
-	t.wg.Wait()
-	selected := 0
-	for _, e := range t.edges {
-		if e != nil {
-			selected += e.Selected
-		}
-	}
-	return t.result(selected, root.Trace()), err
 }

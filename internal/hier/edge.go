@@ -38,6 +38,9 @@ type Edge struct {
 	cfg   EdgeConfig
 	state []*tensor.Tensor
 	srv   *fl.Server
+	// journal, set by RecoverEdge, is the shard journal Run rebuilds the
+	// engine from instead of building it fresh.
+	journal string
 
 	// mu guards upstream, aborted, and the srv pointer itself: Run
 	// registers the upstream connection and builds the shard engine,
@@ -139,7 +142,9 @@ func (e *Edge) Run(upstream fl.Conn, clients []fl.Conn) error {
 	upstream.SetCodec(codec)
 
 	// The shard engine adopts the hierarchy-wide aggregation mode from
-	// the enrolment challenge and always runs in partial mode.
+	// the enrolment challenge and always runs in partial mode. A
+	// recovered shard (RecoverEdge) replays its journal against exactly
+	// this configuration, and Open then resumes its session.
 	scfg := e.cfg.Server
 	scfg.Partials = true
 	scfg.SecAgg = ch.SecAgg
@@ -147,30 +152,23 @@ func (e *Edge) Run(upstream fl.Conn, clients []fl.Conn) error {
 		scfg.SecAggScaleBits = int(ch.ScaleBits)
 		scfg.MaskDegree = ch.MaskDegree
 	}
-	var n int
-	if e.srv != nil && e.srv.Resumable() {
-		// Journal-recovered shard (RecoverEdge): the engine already
-		// holds the roster and round position. The root's announced
-		// mode must match what the journal was validated against.
-		if scfg.SecAgg != e.cfg.Server.SecAgg || (scfg.SecAgg && scfg.SecAggScaleBits != e.cfg.Server.SecAggScaleBits) {
-			_ = upstream.Send(&fl.ErrorMsg{Text: "recovered shard mode does not match root challenge"})
-			return fmt.Errorf("hier: recovered shard ran %v/%d, root announces %v/%d",
-				e.cfg.Server.SecAgg, e.cfg.Server.SecAggScaleBits, scfg.SecAgg, scfg.SecAggScaleBits)
-		}
-		n, err = e.srv.Resume(clients)
+	var srv *fl.Server
+	if e.journal != "" {
+		srv, err = fl.Recover(e.journal, e.state, scfg)
 	} else {
-		srv := fl.NewServer(e.state, scfg)
+		srv = fl.NewServer(e.state, scfg)
+	}
+	if err == nil {
 		e.mu.Lock()
 		e.srv = srv
 		e.mu.Unlock()
-		n, err = srv.Open(clients)
+		e.Selected, err = srv.Open(clients)
 	}
-	e.Selected = n
 	if err != nil {
 		// The shard cannot serve: tell the root and leave — the root
 		// degrades to the remaining shards.
-		_ = upstream.Send(&fl.ErrorMsg{Text: fmt.Sprintf("shard selection failed: %v", err)})
-		return fmt.Errorf("hier: shard selection: %w", err)
+		_ = upstream.Send(&fl.ErrorMsg{Text: fmt.Sprintf("opening shard failed: %v", err)})
+		return fmt.Errorf("hier: opening shard: %w", err)
 	}
 	defer e.srv.Abort()
 

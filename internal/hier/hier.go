@@ -15,9 +15,13 @@
 // serves devices it broadcasts the global model once per round
 // (ShardDown, encode-once per negotiated codec), folds the shard
 // partials, normalises once over the whole fleet, applies the update
-// and journals it. Root is the translation of the hierarchy's
-// vocabulary (RootConfig, Hooks, MinShards, ShardDeadline, Rejoin) onto
-// that engine, plus the session loop; RecoverRoot is fl.Recover.
+// and journals it. Root is a vocabulary adapter over that engine's own
+// session driver: RootConfig and Hooks rename MinClients, RoundDeadline
+// and the peer hooks as MinShards, ShardDeadline and the shard hooks,
+// Root.Run is srv.Run with the peer floor reported as
+// ErrNotEnoughShards, and RecoverRoot is fl.Recover. A recovered edge
+// rejoins a running root through fl.ServerConfig.Rejoin, which Run polls
+// before every round of an edge-peer session.
 // Because the peer kind is the engine's and not the root's, an Edge
 // whose shard server itself has edge peers is a mid-tier aggregator,
 // and trees of any depth compose with no further code.

@@ -21,26 +21,23 @@ func RecoverRoot(path string, state []*tensor.Tensor, cfg RootConfig) (*Root, er
 	if err != nil {
 		return nil, err
 	}
-	return newRoot(srv, cfg), nil
+	return &Root{srv}, nil
 }
 
-// RecoverEdge rebuilds a crashed edge aggregator from its shard
-// journal (EdgeConfig.Server.Journal written by a previous run). The
-// shard server comes back with its roster, quarantine/probation
-// standing, and round position intact; Run then resumes the shard
-// session — matching rejoining clients against the journaled roster
-// instead of re-attesting — and re-enrols with the root, which paces
-// it from the next uncommitted round. cfg.Server must carry the same
-// mode flags (SecAgg, scale bits, seed) the crashed edge ran with;
-// the journal fingerprint is validated against it.
-func RecoverEdge(path string, state []*tensor.Tensor, cfg EdgeConfig) (*Edge, error) {
-	scfg := cfg.Server
-	scfg.Partials = true
-	srv, err := fl.Recover(path, state, scfg)
-	if err != nil {
-		return nil, err
-	}
+// RecoverEdge returns an edge aggregator that rebuilds its crashed
+// predecessor from the shard journal at path (EdgeConfig.Server.Journal
+// written by a previous run). Run replays it once the root's enrolment
+// challenge has fixed the shard's mode, so the journal fingerprint is
+// validated (fl.Recover, ErrRootJournalMismatch) against the
+// configuration every edge adopts from the root — the resolved
+// precision and mask degree included — plus cfg.Server's seed and
+// horizon. The shard server comes back with its roster,
+// quarantine/probation standing and round position intact, resumes the
+// shard session — matching rejoining clients against the journaled
+// roster instead of re-attesting — and the root paces it from the next
+// uncommitted round.
+func RecoverEdge(path string, state []*tensor.Tensor, cfg EdgeConfig) *Edge {
 	e := NewEdge(state, cfg)
-	e.srv = srv
-	return e, nil
+	e.journal = path
+	return e
 }

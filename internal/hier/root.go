@@ -18,7 +18,11 @@ import (
 // round closes.
 var ErrNotEnoughShards = errors.New("hier: not enough shards")
 
-// RootConfig configures the hierarchy root.
+// RootConfig configures the hierarchy root in the hierarchy's
+// vocabulary. Root is a vocabulary adapter over fl.Server.Run, and
+// serverConfig the translation onto its fl.ServerConfig: shards are the
+// engine's peers. A caller that readmits recovered edges mid-session
+// drives an edge-peer fl.Server directly and sets its Rejoin.
 type RootConfig struct {
 	// Rounds is the number of FL cycles to run.
 	Rounds int
@@ -69,14 +73,6 @@ type RootConfig struct {
 	// applied fleet mean — so a crashed root recovers with RecoverRoot
 	// to the same model and round, bit for bit.
 	Journal *journal.Journal
-	// Rejoin, when set, is polled at the start of every round for edge
-	// connections re-entering the session (a recovered edge redialling
-	// after a crash). Each returned connection runs the ordinary
-	// enrolment handshake; a name already live in the session is turned
-	// away. The callback runs on the root's round goroutine and may
-	// block — in simulations that is what makes rejoin timing
-	// deterministic.
-	Rejoin func(round int) []fl.Conn
 	// Hooks observe the root lifecycle; all callbacks fire from the
 	// root's round goroutine.
 	Hooks Hooks
@@ -105,27 +101,21 @@ type Hooks struct {
 }
 
 // Root drives a hierarchical FL session over a set of edge-aggregator
-// connections. It is a configuration of the fl round engine, not a
+// connections. It is a vocabulary adapter over the fl round engine, not a
 // second one: an fl.Server whose peers are edges (fl.ServerConfig.
 // EdgePeers), which per round broadcasts the global model once per
 // negotiated codec, folds O(shards) partial aggregates, normalises once
-// over the fleet, and applies the update. What Root adds is the
-// hierarchy's vocabulary — shards, RootConfig, Hooks — and the session
-// loop that readmits recovered edges between rounds.
+// over the fleet, and applies the update — all inside srv.Run. What Root
+// adds is the hierarchy's vocabulary: shards, RootConfig, Hooks, and
+// ErrNotEnoughShards for the engine's peer floor.
 type Root struct {
-	srv    *fl.Server
-	rounds int
-	rejoin func(round int) []fl.Conn
+	srv *fl.Server
 }
 
 // NewRoot creates a root owning the given global model state (flat
 // parameter tensors; the slice is updated in place).
 func NewRoot(state []*tensor.Tensor, cfg RootConfig) *Root {
-	return newRoot(fl.NewServer(state, cfg.serverConfig()), cfg)
-}
-
-func newRoot(srv *fl.Server, cfg RootConfig) *Root {
-	return &Root{srv: srv, rounds: max(cfg.Rounds, 1), rejoin: cfg.Rejoin}
+	return &Root{fl.NewServer(state, cfg.serverConfig())}
 }
 
 // serverConfig translates the root's configuration onto the round
@@ -169,39 +159,15 @@ func (r *Root) State() []*tensor.Tensor { return r.srv.State() }
 // the session is running.
 func (r *Root) Trace() []fl.RoundStats { return r.srv.Trace() }
 
-// NextRound returns the first round the root will run: 0 fresh, one
-// past the last committed round after recovery.
-func (r *Root) NextRound() int { return r.srv.NextRound() }
-
 // Run enrols the given edge connections and executes RootConfig.Rounds
-// hierarchical FL cycles — polling Rejoin before each — then closes the
-// edges with a Done carrying the final model. It returns the number of
-// enrolled edges. A root rebuilt by RecoverRoot starts at the first
+// hierarchical FL cycles — fl.Server.Run over edge peers — then closes
+// the edges with a Done carrying the final model. It returns the number
+// of enrolled edges. A root rebuilt by RecoverRoot starts at the first
 // uncommitted round instead of round 0.
 func (r *Root) Run(edges []fl.Conn) (int, error) {
-	n, err := r.srv.Open(edges)
-	if err != nil {
-		return n, shardErr(err)
-	}
-	for round := r.srv.NextRound(); round < r.rounds; round++ {
-		if r.rejoin != nil {
-			err = r.srv.Admit(r.rejoin(round))
-		}
-		if err == nil {
-			_, err = r.srv.StepRound(round)
-		}
-		if err != nil {
-			r.srv.Abort()
-			return n, fmt.Errorf("hier: round %d: %w", round, shardErr(err))
-		}
-	}
-	return n, r.srv.Close(nil)
+	n, err := r.srv.Run(edges)
+	return n, shardErr(err)
 }
-
-// Abort tears the session down without a final broadcast: connections
-// close, readers drain, the journal is flushed. Used by crash harnesses
-// after recovering a panic out of Run.
-func (r *Root) Abort() { r.srv.Abort() }
 
 // shardErr names the engine's peer floor in the hierarchy's terms: too
 // few peers here means too few shards.
