@@ -22,6 +22,9 @@ type Aggregator struct {
 	count  int
 }
 
+// foldChunk is the number of elements Accumulate decodes at a time.
+const foldChunk = 2048
+
 // NewAggregator creates an aggregator for updates shaped like ref (the
 // global model's flat parameter tensors). No per-client storage is
 // allocated — only one model-sized accumulator.
@@ -53,19 +56,8 @@ func (a *Aggregator) AddPartial(sum []*tensor.Tensor, weight float64, count int)
 // scale×update to the running sum and books weight and count.
 // Validation precedes every mutation.
 func (a *Aggregator) fold(update []*tensor.Tensor, scale, weight float64, count int) error {
-	if len(update) != len(a.ref) {
-		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(a.ref))
-	}
-	if weight <= 0 {
-		return fmt.Errorf("fl: non-positive update weight %v", weight)
-	}
-	for i, u := range update {
-		if u == nil {
-			return fmt.Errorf("fl: update missing tensor %d", i)
-		}
-		if !u.SameShape(a.ref[i]) {
-			return fmt.Errorf("fl: update tensor %d has shape %v, want %v", i, u.Shape, a.ref[i].Shape)
-		}
+	if err := checkUpdate(a.ref, update, weight, tensorFits); err != nil {
+		return err
 	}
 	for i, u := range update {
 		tensor.AxPy(scale, u, a.sum[i])
@@ -75,41 +67,58 @@ func (a *Aggregator) fold(update []*tensor.Tensor, scale, weight float64, count 
 	return nil
 }
 
-// AccumulateQ8 folds one complete client update that arrived in the
-// lazy q8 wire form, dequantising each element straight into the
-// running sum — no per-client float64 tensors are materialised, which
-// removes the remaining allocation floor of large quantised fleets.
-// The arithmetic is element-for-element identical to materialising the
-// tensors and calling Add: v = lo + q·(scale/2) + q·(scale/2), then
-// sum += weight·v.
-func (a *Aggregator) AccumulateQ8(update []*wire.Q8Tensor, weight float64) error {
-	if len(update) != len(a.ref) {
-		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(a.ref))
+// Accumulate folds one complete client update that arrived as wire
+// views, under any codec, into the running sum: each view is decoded a
+// chunk at a time into a stack scratch and added as AxPy adds,
+// y += weight·x, so the result is bit-identical to materialising the
+// update and calling Add, and no per-client tensor is ever allocated.
+// Validation precedes every mutation.
+func (a *Aggregator) Accumulate(update []*wire.View, weight float64) error {
+	if err := checkUpdate(a.ref, update, weight, (*wire.View).Fits); err != nil {
+		return err
 	}
-	if weight <= 0 {
-		return fmt.Errorf("fl: non-positive update weight %v", weight)
-	}
-	for i, q := range update {
-		if q == nil {
-			return fmt.Errorf("fl: update missing tensor %d", i)
-		}
-		if !q.SameShape(a.ref[i]) || len(q.Levels) != a.ref[i].Size() {
-			return fmt.Errorf("fl: update tensor %d has shape %v, want %v", i, q.Shape, a.ref[i].Shape)
-		}
-	}
-	for i, q := range update {
-		dst := a.sum[i].Data
-		half := q.Scale / 2
-		lo := q.Lo
-		for j, b := range q.Levels {
-			lvl := float64(b)
-			dst[j] += weight * (lo + lvl*half + lvl*half)
+	var chunk [foldChunk]float64
+	for i, v := range update {
+		sum := a.sum[i].Data
+		for from := 0; from < len(sum); from += foldChunk {
+			y := sum[from:min(from+foldChunk, len(sum))]
+			x := chunk[:len(y)]
+			v.Decode(x, from)
+			for j := range y {
+				y[j] += weight * x[j]
+			}
 		}
 	}
 	a.weight += weight
 	a.count++
 	return nil
 }
+
+// AccumulateQ8 is Accumulate, kept for benchmark/.
+func (a *Aggregator) AccumulateQ8(update []*wire.Q8Tensor, weight float64) error {
+	return a.Accumulate(update, weight)
+}
+
+// checkUpdate is the validation every fold runs before it mutates
+// anything: as many tensors as the model, a positive weight, and every
+// tensor accepted by fits against its model tensor.
+func checkUpdate[T any](ref []*tensor.Tensor, update []T, weight float64, fits func(T, *tensor.Tensor) bool) error {
+	if len(update) != len(ref) {
+		return fmt.Errorf("fl: update has %d tensors, model has %d", len(update), len(ref))
+	}
+	if weight <= 0 {
+		return fmt.Errorf("fl: non-positive update weight %v", weight)
+	}
+	for i, u := range update {
+		if !fits(u, ref[i]) {
+			return fmt.Errorf("fl: update tensor %d missing or not shaped %v", i, ref[i].Shape)
+		}
+	}
+	return nil
+}
+
+// tensorFits is checkUpdate's test for a materialised update tensor.
+func tensorFits(u, ref *tensor.Tensor) bool { return u != nil && u.SameShape(ref) }
 
 // Count returns the number of folded updates.
 func (a *Aggregator) Count() int { return a.count }

@@ -101,7 +101,10 @@ type asyncWindow struct {
 // channel, so folds, version bumps and replies are totally ordered and
 // the trace is deterministic for a deterministic arrival order.
 func (s *Server) runAsync() error {
-	w := &asyncWindow{syncRound: &syncRound{pending: make(map[*session]bool, len(s.sessions))}}
+	w := &asyncWindow{syncRound: &syncRound{
+		pending: make(map[*session]bool, len(s.sessions)),
+		done:    make(map[wire.Codec][]byte),
+	}}
 	// 0 fresh; the first unwatermarked version after recovery.
 	s.openVersion(w, s.nextRound)
 	lose := func(sess *session, probationable bool, reason error) {
@@ -232,7 +235,7 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 		// A probationed device is re-engaged when its window ends; one
 		// the new window already armed owes its one push.
 	case rd.round >= s.cfg.Rounds:
-		s.asyncSendDone(sess)
+		s.asyncSendDone(rd, sess)
 	default:
 		s.send(rd, []*session{sess}, w.down, unsealed, nil)
 	}
@@ -261,13 +264,14 @@ func (s *Server) asyncStalled(rd *syncRound) error {
 }
 
 // asyncSendDone delivers the end-of-session Done with the final model,
-// best effort, at most once per device.
-func (s *Server) asyncSendDone(sess *session) {
+// best effort, at most once per device, serialised once per codec for
+// the whole drain (rd.done).
+func (s *Server) asyncSendDone(rd *syncRound, sess *session) {
 	if sess.doneSent || sess.quarantined {
 		return
 	}
 	sess.doneSent = true
-	_ = sess.conn.Send(&Done{Final: s.state})
+	_ = sendDone(rd.done, sess, s.state)
 }
 
 // asyncDrain finishes the session after the last application: idle
@@ -283,21 +287,21 @@ func (s *Server) asyncSendDone(sess *session) {
 func (s *Server) asyncDrain(rd *syncRound) {
 	for _, sess := range s.sessions {
 		if !rd.pending[sess] {
-			s.asyncSendDone(sess)
+			s.asyncSendDone(rd, sess)
 		}
 	}
 	s.armDeadline(rd)
 	defer rd.finish()
 	s.await(rd, func(sess *session, probationable bool, reason error) {
 		s.failClient(rd, sess, probationable, fmt.Errorf("during drain: %w", reason))
-		s.asyncSendDone(sess) // on probation the connection is still open
+		s.asyncSendDone(rd, sess) // on probation the connection is still open
 	}, func(sess *session, msg Message) bool {
 		if _, ok := msg.(*GradUp); !ok {
 			return false
 		}
 		if rd.pending[sess] {
 			delete(rd.pending, sess)
-			s.asyncSendDone(sess)
+			s.asyncSendDone(rd, sess)
 		}
 		return true // an idle device's duplicate is ignored
 	})

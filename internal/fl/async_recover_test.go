@@ -105,8 +105,8 @@ func TestAsyncWatermarkRecovery(t *testing.T) {
 	if int(ma2.Version) != 2 {
 		t.Fatalf("resumed distribution at version %d, want 2", ma2.Version)
 	}
-	for _, ten := range ma2.Plain {
-		for _, v := range ten.Data {
+	for _, view := range ma2.Views {
+		for _, v := range view.Materialise().Data {
 			if v != 3 {
 				t.Fatalf("recovered model value %v, want 3 (the two committed watermarks)", v)
 			}

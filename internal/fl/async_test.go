@@ -80,9 +80,9 @@ func (p *asyncPeer) recvModel() *ModelDown {
 // push answers the given model with a constant update trained on it.
 func (p *asyncPeer) push(m *ModelDown, delta float64) {
 	p.t.Helper()
-	upd := make([]*tensor.Tensor, len(m.Plain))
-	for i, w := range m.Plain {
-		upd[i] = tensor.Full(delta, w.Shape...)
+	upd := make([]*tensor.Tensor, len(m.Views))
+	for i, v := range m.Views {
+		upd[i] = tensor.Full(delta, v.Shape...)
 	}
 	if err := p.conn.Send(&GradUp{Round: m.Round, Plain: upd, Version: m.Version}); err != nil {
 		p.t.Fatalf("%s: pushing: %v", p.name, err)

@@ -33,6 +33,8 @@ type Trainer interface {
 	// sealed carries the protected parameters for the TA; plan is the
 	// round's protection plan blob. It returns the unprotected updates
 	// (nil at protected positions) and the sealed protected updates.
+	// plain is the client's own model buffer, overwritten by the next
+	// round's model: a trainer that keeps it past the call must copy it.
 	TrainRound(round int, plain []*tensor.Tensor, sealed []byte, plan []byte) (plainUpd []*tensor.Tensor, sealedUpd []byte, err error)
 }
 
@@ -107,6 +109,10 @@ type Client struct {
 	// snap cuts per-round telemetry deltas from Metrics (lazily built so
 	// a zero-value Client stays telemetry-free).
 	snap *obs.Snapshotter
+
+	// model holds a buffer per model tensor, reused across rounds: every
+	// ModelDown's views decode into it (adopt).
+	model []*tensor.Tensor
 }
 
 // NewClient pairs a connection with a trainer.
@@ -233,7 +239,7 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	c.Spans.SetTrace(m.Trace)
 	sp := c.Spans.Start("train", m.Round)
 	start := c.now()
-	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, m.Plain, m.Sealed, m.Plan)
+	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, c.adopt(m.Views), m.Sealed, m.Plan)
 	if c.Metrics != nil {
 		c.Metrics.Histogram("gradsec_client_train_ns", "device-side local training latency in nanoseconds").
 			ObserveEx(c.now().Sub(start).Nanoseconds(), m.Round)
@@ -285,6 +291,28 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	// later hang-up should not be misattributed to it.
 	c.lastTrainErr = nil
 	return nil
+}
+
+// adopt decodes a round's model views into the client's own buffers,
+// allocating one only for a tensor whose shape it has not held before,
+// and returns them nil at the views' nil (protected) positions. The
+// views' frame is only read — a broadcast frame is shared by the fleet.
+func (c *Client) adopt(views []*wire.View) []*tensor.Tensor {
+	if len(c.model) != len(views) {
+		c.model = make([]*tensor.Tensor, len(views))
+	}
+	plain := make([]*tensor.Tensor, len(views))
+	for i, v := range views {
+		if v == nil {
+			continue
+		}
+		if c.model[i] == nil || !v.SameShape(c.model[i]) {
+			c.model[i] = tensor.New(v.Shape...)
+		}
+		v.Decode(c.model[i].Data, 0)
+		plain[i] = c.model[i]
+	}
+	return plain
 }
 
 // now reads the client's clock, defaulting to the wall clock.

@@ -2,8 +2,10 @@ package fl
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -215,67 +217,85 @@ func TestSealedPayloadsByteIdenticalAcrossCodecs(t *testing.T) {
 	}
 }
 
-// TestAccumulateQ8MatchesMaterialisedFold: folding raw q8 levels must
-// be bit-for-bit the arithmetic of materialising the tensors and
-// calling Add.
-func TestAccumulateQ8MatchesMaterialisedFold(t *testing.T) {
-	ref := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7)}
-	encode := func(seed int64) []*wire.Q8Tensor {
+// views encodes ts under codec and reads them back as wire views.
+func views(codec wire.Codec, ts []*tensor.Tensor) (vs []*wire.View) {
+	payload := wire.Encode(codec, func(f *wire.Fields) { f.Tensors(&ts) })
+	if err := wire.Decode(payload, codec, func(f *wire.Fields) { wire.List(f, &vs, (*wire.Fields).View) }); err != nil {
+		panic(err)
+	}
+	return vs
+}
+
+// TestAccumulateMatchesMaterialisedFold: under every codec, folding an
+// update's wire views must be bit for bit the arithmetic of
+// materialising them and calling Add, at unit and at non-dyadic weight;
+// and a hostile update must be refused before it touches the sum, the
+// weight or the count.
+func TestAccumulateMatchesMaterialisedFold(t *testing.T) {
+	// The last tensor spans more than one fold chunk.
+	ref := []*tensor.Tensor{tensor.New(3, 4), tensor.New(7), tensor.New(foldChunk + 5)}
+	update := func(codec wire.Codec, seed int64) []*wire.View {
 		rng := rand.New(rand.NewSource(seed))
 		upd := make([]*tensor.Tensor, len(ref))
 		for i, r := range ref {
 			upd[i] = tensor.Randn(rng, 1.0, r.Shape...)
 		}
-		w := wire.NewWriter()
-		w.Codec = wire.CodecQ8
-		w.TensorList(upd)
-		r := wire.NewReader(w.Bytes())
-		r.Codec = wire.CodecQ8
-		return r.Q8TensorList()
+		return views(codec, upd)
 	}
+	type snapshot struct {
+		bits   []uint64
+		weight float64
+		count  int
+	}
+	snap := func(a *Aggregator) snapshot { return snapshot{sumBits(a), a.Weight(), a.Count()} }
+	for _, codec := range goldenCodecs {
+		for _, weight := range []float64{1, 0.3} {
+			t.Run(fmt.Sprintf("%s/w=%v", codec, weight), func(t *testing.T) {
+				lazy, eager := NewAggregator(ref), NewAggregator(ref)
+				for seed := int64(1); seed <= 5; seed++ {
+					vs := update(codec, seed)
+					if err := lazy.Accumulate(vs, weight); err != nil {
+						t.Fatal(err)
+					}
+					mat := make([]*tensor.Tensor, len(vs))
+					for i, v := range vs {
+						mat[i] = v.Materialise()
+					}
+					if err := eager.Add(mat, weight); err != nil {
+						t.Fatal(err)
+					}
+				}
+				want := snap(eager)
+				if got := snap(lazy); !reflect.DeepEqual(got, want) {
+					t.Fatalf("Accumulate diverged from materialise-then-Add")
+				}
 
-	lazy := NewAggregator(ref)
-	eager := NewAggregator(ref)
-	for seed := int64(1); seed <= 5; seed++ {
-		q8 := encode(seed)
-		weight := float64(seed)
-		if err := lazy.AccumulateQ8(q8, weight); err != nil {
-			t.Fatal(err)
+				short := update(codec, 9)
+				short[2] = &wire.View{Shape: short[2].Shape, Codec: codec, Raw: short[2].Raw[:len(short[2].Raw)-1]}
+				shape := update(codec, 9)
+				shape[1] = update(codec, 9)[0]
+				missing := update(codec, 9)
+				missing[2] = nil
+				for name, hostile := range map[string]struct {
+					vs     []*wire.View
+					weight float64
+				}{
+					"wrong shape":     {shape, weight},
+					"short raw":       {short, weight},
+					"nil entry":       {missing, weight},
+					"short list":      {update(codec, 9)[:2], weight},
+					"zero weight":     {update(codec, 9), 0},
+					"negative weight": {update(codec, 9), -weight},
+				} {
+					if err := lazy.Accumulate(hostile.vs, hostile.weight); err == nil {
+						t.Errorf("%s: accepted", name)
+					}
+					if got := snap(lazy); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s: refused update moved the aggregate", name)
+					}
+				}
+			})
 		}
-		mat := make([]*tensor.Tensor, len(q8))
-		for i, q := range q8 {
-			mat[i] = q.Materialise()
-		}
-		if err := eager.Add(mat, weight); err != nil {
-			t.Fatal(err)
-		}
-	}
-	lm, err := lazy.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	em, err := eager.Mean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref {
-		for j := range lm[i].Data {
-			if lm[i].Data[j] != em[i].Data[j] {
-				t.Fatalf("tensor %d elem %d: lazy %v != eager %v", i, j, lm[i].Data[j], em[i].Data[j])
-			}
-		}
-	}
-	// Validation parity with Add.
-	if err := lazy.AccumulateQ8(encode(9)[:1], 1); err == nil {
-		t.Fatal("short q8 update must be rejected")
-	}
-	if err := lazy.AccumulateQ8(encode(9), 0); err == nil {
-		t.Fatal("zero weight must be rejected")
-	}
-	bad := encode(9)
-	bad[0] = nil
-	if err := lazy.AccumulateQ8(bad, 1); err == nil {
-		t.Fatal("nil q8 tensor must be rejected")
 	}
 }
 

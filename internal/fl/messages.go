@@ -170,8 +170,14 @@ func (m *Reject) walk(f *wire.Fields) { f.String(&m.Reason) }
 // the client echoes it back in GradUp.Version so the server can compute
 // the update's staleness.
 type ModelDown struct {
-	Round   int
-	Plain   []*tensor.Tensor
+	Round int
+	// Plain is the sender's unprotected model (nil at protected
+	// positions). A decoded ModelDown leaves it nil and carries Views
+	// instead, which the client decodes into model buffers of its own.
+	Plain []*tensor.Tensor
+	// Views is the decoded form of Plain, aliasing the frame
+	// (docs/WIRE.md, rule 6).
+	Views   []*wire.View
 	Sealed  []byte
 	Plan    []byte
 	Cohort  []secagg.Peer
@@ -197,7 +203,7 @@ func (*ModelDown) Kind() MsgType { return MsgModelDown }
 
 func (m *ModelDown) walk(f *wire.Fields) {
 	f.Int(&m.Round)
-	f.Tensors(&m.Plain)
+	f.Views(&m.Plain, &m.Views)
 	f.Blob(&m.Sealed)
 	f.Blob(&m.Plan)
 	f.Trailing()
@@ -227,7 +233,7 @@ func walkCohort(f *wire.Fields, cohort *[]secagg.Peer) {
 	var names, pubs []byte
 	var lens [][2]int
 	wire.List(f, cohort, func(f *wire.Fields, _ *secagg.Peer) {
-		name, pub := f.View(), f.View()
+		name, pub := f.BlobView(), f.BlobView()
 		names, pubs = append(names, name...), append(pubs, pub...)
 		lens = append(lens, [2]int{len(name), len(pub)})
 	})
@@ -245,18 +251,21 @@ func walkCohort(f *wire.Fields, cohort *[]secagg.Peer) {
 // the clear, protected ones sealed. Examples carries the size of the
 // client's local training set; when positive the server uses it as the
 // FedAvg weight (0 — including pre-codec peers — means unit weight).
-//
-// Under CodecQ8 the decode is lazy: the update arrives as Q8 (raw
-// quantisation levels, Plain nil) so the aggregator can fold levels
-// directly (Aggregator.AccumulateQ8) without materialising a per-client
-// float64 model. Tensors() converts on demand.
 // Version echoes the ModelDown.Version the update was trained against.
 // The asynchronous engine derives the update's staleness from it (the
 // difference against the current model version); the round-synchronous
 // engine ignores it.
 type GradUp struct {
-	Round    int
-	Plain    []*tensor.Tensor
+	Round int
+	// Plain is the sender's unprotected update (nil at protected
+	// positions). A decoded GradUp leaves it nil and carries Views
+	// instead, which the aggregator folds without materialising a
+	// per-client float64 update (Aggregator.Accumulate).
+	Plain []*tensor.Tensor
+	// Views is the decoded form of Plain, aliasing the frame
+	// (docs/WIRE.md, rule 6).
+	Views []*wire.View
+	// Q8 is Views on a CodecQ8 decode, kept for benchmark/.
 	Q8       []*wire.Q8Tensor
 	Sealed   []byte
 	Examples uint64
@@ -272,24 +281,12 @@ type GradUp struct {
 // Kind implements Message.
 func (*GradUp) Kind() MsgType { return MsgGradUp }
 
-// Tensors returns the plain update tensors, materialising the lazy q8
-// form if that is what arrived.
-func (m *GradUp) Tensors() []*tensor.Tensor {
-	if m.Plain != nil || m.Q8 == nil {
-		return m.Plain
-	}
-	out := make([]*tensor.Tensor, len(m.Q8))
-	for i, q := range m.Q8 {
-		if q != nil {
-			out[i] = q.Materialise()
-		}
-	}
-	return out
-}
-
 func (m *GradUp) walk(f *wire.Fields) {
 	f.Int(&m.Round)
-	f.LazyTensors(&m.Plain, &m.Q8)
+	f.Views(&m.Plain, &m.Views)
+	if f.Decoding() && f.TensorCodec() == wire.CodecQ8 {
+		m.Q8 = m.Views
+	}
 	f.Blob(&m.Sealed)
 	f.Trailing()
 	f.Uvarint(&m.Examples)
@@ -555,11 +552,11 @@ func (m *CodecSwitch) walk(f *wire.Fields) { f.Codec(&m.Codec) }
 // with the uncompressed f64 tensor codec.
 func EncodeMessage(m Message) []byte { return EncodeMessageCodec(m, wire.CodecF64) }
 
-// EncodeMessageCodec serialises a message with the given tensor codec.
-// The payload escapes to the caller (pipe frames, broadcast caches), so
-// a fresh buffer is allocated rather than draining the writer pool —
-// pooled buffer reuse belongs to the TCP send path, where frames are
-// written out and released immediately.
+// EncodeMessageCodec serialises a message with the given tensor codec
+// into a fresh payload of exactly its encoded size (wire.Encode): the
+// payload escapes to the caller (pipe frames, broadcast caches) and
+// costs one allocation. A decoded GradUp or ModelDown re-encodes its
+// views verbatim.
 func EncodeMessageCodec(m Message, codec wire.Codec) []byte { return wire.Encode(codec, m.walk) }
 
 // DecodeMessage reconstructs a message from its type and payload,
@@ -569,8 +566,10 @@ func DecodeMessage(mt MsgType, payload []byte) (Message, error) {
 }
 
 // DecodeMessageCodec reconstructs a message whose tensors were encoded
-// with the given codec. The payload is fully copied out: it may be
-// reused by the caller immediately after.
+// with the given codec. A decoded message owns its payload: GradUp and
+// ModelDown read their tensors through views into it, so the caller may
+// neither reuse nor mutate a payload it has handed over (docs/WIRE.md,
+// rule 6); every other message copies everything out.
 func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, error) {
 	m := newMessage(mt)
 	if m == nil {

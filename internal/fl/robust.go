@@ -83,11 +83,9 @@ var (
 // and the round loop folds arrivals through it without knowing which
 // is behind it.
 type UpdateAggregator interface {
-	// Add folds one complete client update with the given weight.
-	Add(update []*tensor.Tensor, weight float64) error
-	// AccumulateQ8 folds one update that arrived in the lazy q8 wire
-	// form.
-	AccumulateQ8(update []*wire.Q8Tensor, weight float64) error
+	// Accumulate folds one complete client update, as it arrived on the
+	// wire, with the given weight.
+	Accumulate(update []*wire.View, weight float64) error
 	// Count returns the number of folded updates.
 	Count() int
 	// Weight returns the summed weight of the folded updates.
@@ -112,10 +110,10 @@ func (s *Server) newAggregator() UpdateAggregator {
 }
 
 // robustAggregator buffers the cohort's updates and aggregates
-// coordinate-wise at Mean time. Updates are retained as handed to Add
-// (the decoder allocates fresh tensors per arrival, so no copy is
-// needed). Weights are summed for trace accounting but deliberately do
-// not influence the aggregate.
+// coordinate-wise at Mean time. An update arrives as views into its
+// frame, so Accumulate materialises it — the buffer owns what it keeps.
+// Weights are summed for trace accounting but deliberately do not
+// influence the aggregate.
 type robustAggregator struct {
 	ref     []*tensor.Tensor
 	updates [][]*tensor.Tensor
@@ -128,28 +126,10 @@ func newRobustAggregator(ref []*tensor.Tensor, method AggMethod, trim float64) *
 	return &robustAggregator{ref: ref, method: method, trim: trim}
 }
 
-func (a *robustAggregator) validate(n int, shape func(i int) bool, weight float64) error {
-	if n != len(a.ref) {
-		return fmt.Errorf("fl: update has %d tensors, model has %d", n, len(a.ref))
-	}
-	if weight <= 0 {
-		return fmt.Errorf("fl: non-positive update weight %v", weight)
-	}
-	for i := 0; i < n; i++ {
-		if !shape(i) {
-			return fmt.Errorf("fl: update tensor %d shape mismatch", i)
-		}
-	}
-	return nil
-}
-
-// Add implements UpdateAggregator, retaining the update for the
-// coordinate pass.
+// Add retains a materialised update, which the caller hands over, for
+// the coordinate pass.
 func (a *robustAggregator) Add(update []*tensor.Tensor, weight float64) error {
-	err := a.validate(len(update), func(i int) bool {
-		return update[i] != nil && update[i].SameShape(a.ref[i])
-	}, weight)
-	if err != nil {
+	if err := checkUpdate(a.ref, update, weight, tensorFits); err != nil {
 		return err
 	}
 	a.updates = append(a.updates, update)
@@ -157,23 +137,17 @@ func (a *robustAggregator) Add(update []*tensor.Tensor, weight float64) error {
 	return nil
 }
 
-// AccumulateQ8 implements UpdateAggregator by materialising the q8
-// tensors — robust methods need every coordinate in float form, so the
-// lazy-fold optimisation does not apply.
-func (a *robustAggregator) AccumulateQ8(update []*wire.Q8Tensor, weight float64) error {
-	err := a.validate(len(update), func(i int) bool {
-		return update[i] != nil && update[i].SameShape(a.ref[i]) && len(update[i].Levels) == a.ref[i].Size()
-	}, weight)
-	if err != nil {
+// Accumulate implements UpdateAggregator by materialising the views —
+// robust methods need every coordinate of every update at Mean time.
+func (a *robustAggregator) Accumulate(update []*wire.View, weight float64) error {
+	if err := checkUpdate(a.ref, update, weight, (*wire.View).Fits); err != nil {
 		return err
 	}
 	mat := make([]*tensor.Tensor, len(update))
-	for i, q := range update {
-		mat[i] = q.Materialise()
+	for i, v := range update {
+		mat[i] = v.Materialise()
 	}
-	a.updates = append(a.updates, mat)
-	a.weight += weight
-	return nil
+	return a.Add(mat, weight)
 }
 
 // Count implements UpdateAggregator.

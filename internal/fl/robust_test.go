@@ -132,10 +132,9 @@ func TestRobustAggregatorRejects(t *testing.T) {
 
 func TestRobustAccumulateQ8Materialises(t *testing.T) {
 	a := newRobustAggregator(oneTensor(0, 0), AggMedian, 0)
-	// Constant tensors (Scale 0) dequantise exactly to Lo.
+	// Constant tensors dequantise exactly under q8.
 	for _, v := range []float64{-2, 0, 2} {
-		q := &wire.Q8Tensor{Shape: []int{2}, Lo: v, Levels: []byte{0, 0}}
-		if err := a.AccumulateQ8([]*wire.Q8Tensor{q}, 1); err != nil {
+		if err := a.Accumulate(views(wire.CodecQ8, oneTensor(v, v)), 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,8 +148,7 @@ func TestRobustAccumulateQ8Materialises(t *testing.T) {
 	if a.Count() != 3 {
 		t.Fatalf("count = %d, want 3", a.Count())
 	}
-	bad := &wire.Q8Tensor{Shape: []int{3}, Levels: []byte{0, 0, 0}}
-	if err := a.AccumulateQ8([]*wire.Q8Tensor{bad}, 1); err == nil {
+	if err := a.Accumulate(views(wire.CodecQ8, []*tensor.Tensor{tensor.New(3)}), 1); err == nil {
 		t.Fatal("accepted q8 shape mismatch")
 	}
 }

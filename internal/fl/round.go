@@ -29,7 +29,10 @@ type syncRound struct {
 	pending map[*session]bool
 	// frames is the encode-once cache of the window's shared model
 	// frame, one serialisation per negotiated codec.
-	frames  map[wire.Codec][]byte
+	frames map[wire.Codec][]byte
+	// done is the asynchronous drain's encode-once cache of the closing
+	// Done (sendDone).
+	done    map[wire.Codec][]byte
 	stats   RoundStats
 	reasons []string
 	// deadline fires when RoundDeadline expires; nil waits forever.
@@ -329,19 +332,15 @@ func updateWeight(examples uint64) uint64 {
 }
 
 // foldGradUp folds one plaintext update into the aggregate at the given
-// weight. A purely-plain update that arrived in the lazy q8 form folds
-// its levels straight into the running sum — no per-client float64
-// model is ever materialised. Updates with a sealed half take the merge
-// path (the sealed tensors are f64 anyway).
+// weight, as views into its frames: no per-client float64 update is
+// ever materialised, whatever the codec and whether or not it has a
+// sealed half.
 func (s *Server) foldGradUp(agg UpdateAggregator, sess *session, m *GradUp, weight float64) error {
-	if m.Q8 != nil && len(m.Sealed) == 0 {
-		return agg.AccumulateQ8(m.Q8, weight)
-	}
 	update, err := s.mergeUpdate(sess, m)
 	if err != nil {
 		return err
 	}
-	return agg.Add(update, weight)
+	return agg.Accumulate(update, weight)
 }
 
 // runRound executes one FL cycle: sample a cohort, distribute the model,

@@ -605,20 +605,26 @@ func (s *Server) Close(final []*tensor.Tensor) error {
 	if final == nil {
 		final = s.state
 	}
-	finalFrames := make(map[wire.Codec][]byte)
+	frames := make(map[wire.Codec][]byte)
 	for _, sess := range s.sessions {
-		if sess.quarantined {
-			continue
+		if !sess.quarantined {
+			_ = sendDone(frames, sess, final)
 		}
-		payload, ok := finalFrames[sess.codec]
-		if !ok {
-			payload = EncodeMessageCodec(&Done{Final: final}, sess.codec)
-			finalFrames[sess.codec] = payload
-		}
-		_ = sess.conn.SendFrame(MsgDone, payload)
 	}
 	s.shutdown()
 	return nil
+}
+
+// sendDone hands sess the session's closing Done through frames, its
+// encode-once cache: one serialisation of final per negotiated codec,
+// shared by every peer that speaks it.
+func sendDone(frames map[wire.Codec][]byte, sess *session, final []*tensor.Tensor) error {
+	payload, ok := frames[sess.codec]
+	if !ok {
+		payload = EncodeMessageCodec(&Done{Final: final}, sess.codec)
+		frames[sess.codec] = payload
+	}
+	return sess.conn.SendFrame(MsgDone, payload)
 }
 
 // Abort tears the open session down without a final-model broadcast
@@ -923,37 +929,31 @@ func (s *Server) buildModelDown(round int, sess *session, protected map[int]bool
 	return down, nil
 }
 
-// mergeUpdate reassembles a client's full flat update from its plain and
-// sealed halves and validates it against the model shapes.
-func (s *Server) mergeUpdate(sess *session, up *GradUp) ([]*tensor.Tensor, error) {
-	full := make([]*tensor.Tensor, len(s.state))
-	copy(full, up.Tensors())
-	if len(up.Sealed) > 0 {
-		if sess.channel == nil {
-			return nil, errors.New("sealed update without an established channel")
-		}
-		blob, err := sess.channel.Open(up.Sealed)
-		if err != nil {
-			return nil, fmt.Errorf("unsealing update: %w", err)
-		}
-		idx, ts, err := wire.DecodeSealedUpdate(blob)
-		if err != nil {
-			return nil, fmt.Errorf("parsing sealed update: %w", err)
-		}
-		for j, id := range idx {
-			if id < 0 || id >= len(full) {
-				return nil, fmt.Errorf("sealed update index %d out of range", id)
-			}
-			full[id] = ts[j]
-		}
+// mergeUpdate reassembles a client's full flat update from its plain
+// views and its sealed half, which is read through f64 views into the
+// freshly opened blob; the aggregator validates the result.
+func (s *Server) mergeUpdate(sess *session, up *GradUp) ([]*wire.View, error) {
+	if len(up.Sealed) == 0 {
+		return up.Views, nil
 	}
-	for i, u := range full {
-		if u == nil {
-			return nil, fmt.Errorf("update missing tensor %d", i)
+	if sess.channel == nil {
+		return nil, errors.New("sealed update without an established channel")
+	}
+	blob, err := sess.channel.Open(up.Sealed)
+	if err != nil {
+		return nil, fmt.Errorf("unsealing update: %w", err)
+	}
+	idx, sealed, err := wire.DecodeSealedViews(blob)
+	if err != nil {
+		return nil, fmt.Errorf("parsing sealed update: %w", err)
+	}
+	full := make([]*wire.View, len(s.state))
+	copy(full, up.Views)
+	for j, id := range idx {
+		if id < 0 || id >= len(full) {
+			return nil, fmt.Errorf("sealed update index %d out of range", id)
 		}
-		if !u.SameShape(s.state[i]) {
-			return nil, fmt.Errorf("update tensor %d has shape %v, want %v", i, u.Shape, s.state[i].Shape)
-		}
+		full[id] = sealed[j]
 	}
 	return full, nil
 }

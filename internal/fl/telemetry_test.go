@@ -119,7 +119,7 @@ func TestAsyncClientTelemetryFoldsAtServer(t *testing.T) {
 
 			own := obs.NewRegistry()
 			own.Histogram("gradsec_client_train_ns", "local training time").Observe(5)
-			up := &GradUp{Round: m.Round, Plain: m.Plain, Version: m.Version, Telemetry: obs.TakeSnapshot(own).Encode()}
+			up := &GradUp{Round: m.Round, Views: m.Views, Version: m.Version, Telemetry: obs.TakeSnapshot(own).Encode()}
 			if err := cc.Send(up); err != nil {
 				t.Fatal(err)
 			}

@@ -22,8 +22,9 @@ type Conn interface {
 	Send(m Message) error
 	// SendFrame transmits a message payload that was already encoded
 	// (with EncodeMessageCodec and this connection's codec). The payload
-	// is not copied and must not be mutated afterwards — broadcast
-	// senders share one buffer across many connections.
+	// is not copied and must never be mutated afterwards: broadcast
+	// senders share one buffer across many connections, and an in-memory
+	// receiver reads its tensors through views into that very buffer.
 	SendFrame(mt MsgType, payload []byte) error
 	// Recv blocks for the next message. It returns io.EOF after the peer
 	// closes. A frame that arrives intact but fails to decode is
@@ -148,9 +149,10 @@ func (c *pipeConn) Send(m Message) error {
 	return c.SendFrame(m.Kind(), EncodeMessageCodec(m, wire.Codec(c.sendCodec.Load())))
 }
 
-// SendFrame implements Conn. The payload travels by reference: the
-// receiver's decode copies everything out, so sharing one payload
-// across many pipes is safe as long as no sender mutates it.
+// SendFrame implements Conn. The payload travels by reference and the
+// receiver decodes GradUp and ModelDown tensors as views into it, so one
+// payload shared across many pipes is read by every receiver and must
+// never be mutated by sender or receiver.
 func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
 	// Check for closure first: the select below would otherwise pick the
 	// (buffered) send case at random even when already closed.
@@ -210,8 +212,9 @@ func (c *pipeConn) Close() error {
 
 // tcpConn adapts a net.Conn to the Message framing. Outgoing messages
 // are encoded into a pooled buffer and written with a single Write;
-// incoming frames decode from a per-connection scratch buffer, so a
-// steady session allocates only the decoded messages themselves.
+// incoming frames are read into a per-connection scratch buffer, which a
+// message decoded into views takes with it (the next frame gets a fresh
+// one) and any other message leaves for the next frame.
 type tcpConn struct {
 	nc        net.Conn
 	writeMu   sync.Mutex
@@ -324,17 +327,24 @@ func (c *tcpConn) Recv() (Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Keep the grown scratch for the next frame, but never pin more
-	// than maxReadScratch per connection: one huge frame must not hold
-	// its capacity for the connection's lifetime.
-	if cap(payload) > cap(c.readBuf) && cap(payload) <= maxReadScratch {
-		c.readBuf = payload
-	}
 	codec := wire.Codec(c.recvCodec.Load())
 	if m := c.meter.Load(); m != nil {
 		m.CountRx(codec, 5+len(payload))
 	}
-	return decodeFrame(MsgType(mt), payload, codec)
+	msg, err := decodeFrame(MsgType(mt), payload, codec)
+	switch msg.(type) {
+	case *GradUp, *ModelDown:
+		// Their views own the frame now: never read into it again.
+		c.readBuf = nil
+	default:
+		// Keep the grown scratch for the next frame, but never pin more
+		// than maxReadScratch per connection: one huge frame must not
+		// hold its capacity for the connection's lifetime.
+		if cap(payload) > cap(c.readBuf) && cap(payload) <= maxReadScratch {
+			c.readBuf = payload
+		}
+	}
+	return msg, err
 }
 
 // Close implements Conn.

@@ -68,21 +68,32 @@ func (w *Writer) appendFloat32s(fs []float64) {
 	}
 }
 
-// float32sInto bulk-decodes len(dst) little-endian float32 values.
-func (r *Reader) float32sInto(dst []float64) {
-	if r.err != nil {
-		return
+// rawSize is the element payload c spends on n elements.
+func (c Codec) rawSize(n int) int {
+	switch c {
+	case CodecF32:
+		return 4 * n
+	case CodecQ8:
+		return q8Header + n
+	default:
+		return 8 * n
 	}
-	need := 4 * len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("float32s payload")
-		return
+}
+
+// decodeF64 decodes len(dst) little-endian float64 values from src.
+func decodeF64(dst []float64, src []byte) {
+	src = src[:8*len(dst)]
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}
-	src := r.buf[r.off : r.off+need]
+}
+
+// decodeF32 decodes len(dst) little-endian float32 values from src.
+func decodeF32(dst []float64, src []byte) {
+	src = src[:4*len(dst)]
 	for i := range dst {
 		dst[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:])))
 	}
-	r.off += need
 }
 
 // appendQ8 appends the q8 encoding of fs: min, scale, then one level
@@ -128,25 +139,15 @@ func (w *Writer) appendQ8(fs []float64) {
 	}
 }
 
-// q8Into decodes len(dst) q8 levels written by appendQ8.
-func (r *Reader) q8Into(dst []float64) {
-	if r.err != nil {
-		return
-	}
-	need := q8Header + len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("q8 payload")
-		return
-	}
-	lo := r.Float64()
+// decodeQ8 dequantises len(dst) levels written by appendQ8 under its
+// (lo, scale) header.
+func decodeQ8(dst []float64, lo, scale float64, levels []byte) {
 	// Reconstruct in two half-steps: for full-range tensors q·scale can
 	// overflow even though lo + q·scale is finite, while every partial
 	// sum of lo + q·half + q·half stays within [lo, hi].
-	half := r.Float64() / 2
-	src := r.buf[r.off : r.off+len(dst)]
-	for i := range dst {
-		q := float64(src[i])
+	half := scale / 2
+	for i, b := range levels[:len(dst)] {
+		q := float64(b)
 		dst[i] = lo + q*half + q*half
 	}
-	r.off += len(dst)
 }

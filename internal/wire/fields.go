@@ -30,9 +30,17 @@ func Encoder(w *Writer) *Fields { return &Fields{w: w} }
 // Decoder returns a walker that reads every field it visits from r.
 func Decoder(r *Reader) *Fields { return &Fields{r: r} }
 
-// Encode walks a schema into a fresh payload under the tensor codec.
+// Encode walks a schema into a fresh payload under the tensor codec,
+// allocated once at exactly its encoded size: a first walk sizes the
+// payload without encoding element data or blobs, the second encodes it.
+// (A walk the sizing pass miscounts still encodes correctly; it only
+// grows the buffer.)
 func Encode(codec Codec, walk func(*Fields)) []byte {
-	w := &Writer{Codec: codec}
+	size := GetWriter()
+	size.Codec, size.sizing = codec, true
+	walk(Encoder(size))
+	w := &Writer{buf: make([]byte, 0, size.Len()), Codec: codec}
+	PutWriter(size)
 	walk(Encoder(w))
 	return w.buf
 }
@@ -50,6 +58,14 @@ func Decode(data []byte, codec Codec, walk func(*Fields)) error {
 // Decoding reports whether the walk reads fields rather than writing
 // them — for the few schema steps that only make sense on input.
 func (f *Fields) Decoding() bool { return f.r != nil }
+
+// TensorCodec returns the session codec the walk's tensors use.
+func (f *Fields) TensorCodec() Codec {
+	if f.r != nil {
+		return f.r.Codec
+	}
+	return f.w.Codec
+}
 
 // Err returns the decoding error so far; always nil when encoding.
 func (f *Fields) Err() error {
@@ -159,11 +175,11 @@ func (f *Fields) Fixed(p *[]byte, n int) {
 	})
 }
 
-// View reads a length-prefixed byte slice as a view into the payload
-// (Reader.BlobBytes), for an element decoder that copies it into a
-// shared slab before the frame is released. Encoding reads nothing and
+// BlobView reads a length-prefixed byte slice as a view into the
+// payload (Reader.BlobBytes), for an element decoder that copies it into
+// a shared slab before the frame is released. Encoding reads nothing and
 // returns nil.
-func (f *Fields) View() (b []byte) {
+func (f *Fields) BlobView() (b []byte) {
 	if f.r != nil {
 		field(f, &b, nil, (*Reader).BlobBytes)
 	}
@@ -188,18 +204,18 @@ func (f *Fields) U64Tensor(p **U64Tensor) { field(f, p, (*Writer).U64Tensor, (*R
 // U64Tensors walks a list of raw 64-bit level tensors.
 func (f *Fields) U64Tensors(p *[]*U64Tensor) { List(f, p, (*Fields).U64Tensor) }
 
-// Q8Tensor walks one lazily decoded q8 tensor: its header and levels
-// verbatim, never requantised.
-func (f *Fields) Q8Tensor(p **Q8Tensor) { field(f, p, (*Writer).Q8TensorRaw, (*Reader).Q8Tensor) }
+// View walks one (possibly nil) tensor as a View: decoding aliases the
+// payload (Reader.View), encoding writes the view (Writer.View).
+func (f *Fields) View(p **View) { field(f, p, (*Writer).View, (*Reader).View) }
 
-// LazyTensors walks a tensor list that a q8 session decodes lazily:
-// decoding under CodecQ8 fills *q8 with the raw levels (nothing is
-// materialised), any other codec fills *plain. Encoding writes *q8
-// verbatim when only it is set — re-encoding a lazily decoded list —
-// and *plain under the session codec otherwise.
-func (f *Fields) LazyTensors(plain *[]*tensor.Tensor, q8 *[]*Q8Tensor) {
-	if f.w != nil && *plain == nil && *q8 != nil || f.r != nil && f.r.Codec == CodecQ8 {
-		List(f, q8, (*Fields).Q8Tensor)
+// Views walks a tensor list that decodes lazily, under any codec
+// (docs/WIRE.md, rule 6): decoding fills *views, one View per tensor
+// aliasing the payload, and leaves *plain alone. Encoding writes *plain
+// under the session codec, or *views when only they are set — a decoded
+// message re-encodes its views, verbatim under their own codec.
+func (f *Fields) Views(plain *[]*tensor.Tensor, views *[]*View) {
+	if f.r != nil || *plain == nil && *views != nil {
+		List(f, views, (*Fields).View)
 	} else {
 		List(f, plain, (*Fields).Tensor)
 	}

@@ -31,9 +31,9 @@ func (w *Writer) U64Tensor(t *U64Tensor) {
 		w.Uvarint(0xFF)
 		return
 	}
-	w.Uvarint(uint64(len(t.Shape)))
-	for _, d := range t.Shape {
-		w.Uvarint(uint64(d))
+	w.shape(t.Shape)
+	if w.skip(8 * len(t.Levels)) {
+		return
 	}
 	dst := w.grow(8 * len(t.Levels))
 	for i, v := range t.Levels {

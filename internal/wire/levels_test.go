@@ -108,7 +108,7 @@ func TestQ8LazyMatchesEagerDecode(t *testing.T) {
 
 	w2 := NewWriter()
 	w2.Codec = CodecQ8
-	w2.Q8TensorListRaw(got)
+	List(Encoder(w2), &got, (*Fields).View)
 	if string(w2.Bytes()) != string(encoded) {
 		t.Fatal("verbatim re-encode diverged from the original bytes")
 	}
@@ -116,7 +116,8 @@ func TestQ8LazyMatchesEagerDecode(t *testing.T) {
 
 func TestQ8LazyCorruptInputs(t *testing.T) {
 	r := NewReader([]byte{1, 2, 0, 0}) // rank 1, dim 2, truncated header
-	if r.Q8Tensor(); r.Err() == nil {
+	r.Codec = CodecQ8
+	if r.View(); r.Err() == nil {
 		t.Fatal("truncated q8 tensor must fail")
 	}
 }

@@ -33,12 +33,15 @@
 // both encodes and decodes it; docs/WIRE.md has the rules and how to
 // add a field.
 //
-// # Buffer reuse
+// # Buffers and views
 //
-// Writers are poolable: GetWriter/PutWriter recycle encode buffers, and
-// Writer.Detach hands off an encoded payload while returning the Writer
-// to the pool. ReadFrameInto decodes frames into a caller-owned scratch
-// buffer so a long-lived connection performs no per-frame allocation.
+// Encode sizes a walk before it encodes it, so a payload costs one
+// allocation of exactly its own size. Writers are poolable
+// (GetWriter/PutWriter) for encoders that write a frame out and drop it.
+// ReadFrameInto reads frames into a caller-owned scratch buffer. A View
+// decodes nothing: it aliases the payload it was read from, so a payload
+// read through views may be neither reused nor mutated while they live
+// (docs/WIRE.md, rule 6).
 package wire
 
 import (
@@ -73,6 +76,11 @@ type Writer struct {
 	buf []byte
 	// Codec is the tensor encoding applied by Tensor/TensorList.
 	Codec Codec
+	// sizing makes the writer measure instead of encode (Encode's first
+	// pass): small fields still land in buf, while element payloads and
+	// blobs are only counted, in skipped.
+	sizing  bool
+	skipped int
 }
 
 // NewWriter returns an empty writer.
@@ -105,14 +113,15 @@ func PutWriter(w *Writer) {
 func (w *Writer) Reset() {
 	w.buf = w.buf[:0]
 	w.Codec = CodecF64
+	w.sizing, w.skipped = false, 0
 }
 
 // Bytes returns the accumulated encoding. The slice aliases the writer's
 // buffer and is invalidated by Reset/PutWriter.
 func (w *Writer) Bytes() []byte { return w.buf }
 
-// Len returns the number of encoded bytes.
-func (w *Writer) Len() int { return len(w.buf) }
+// Len returns the number of encoded (or, sizing, measured) bytes.
+func (w *Writer) Len() int { return len(w.buf) + w.skipped }
 
 // Detach returns the accumulated encoding and releases it from the
 // writer, so the bytes stay valid after the writer is pooled.
@@ -135,6 +144,15 @@ func (w *Writer) grow(n int) []byte {
 	return w.buf[off:]
 }
 
+// skip counts n bytes of bulk payload a sizing writer measures instead
+// of writing, and reports whether the writer is sizing.
+func (w *Writer) skip(n int) bool {
+	if w.sizing {
+		w.skipped += n
+	}
+	return w.sizing
+}
+
 // Uvarint appends an unsigned varint.
 func (w *Writer) Uvarint(v uint64) {
 	w.buf = binary.AppendUvarint(w.buf, v)
@@ -152,7 +170,9 @@ func (w *Writer) Bool(b bool) {
 // Blob appends a length-prefixed byte slice.
 func (w *Writer) Blob(b []byte) {
 	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
+	if !w.skip(len(b)) {
+		w.buf = append(w.buf, b...)
+	}
 }
 
 // String appends a length-prefixed string.
@@ -179,6 +199,15 @@ func (w *Writer) appendFloat64s(fs []float64) {
 	}
 }
 
+// shape appends the tensor prelude every tensor encoding shares: the
+// rank, then each dim.
+func (w *Writer) shape(dims []int) {
+	w.Uvarint(uint64(len(dims)))
+	for _, d := range dims {
+		w.Uvarint(uint64(d))
+	}
+}
+
 // Tensor appends a tensor (nil allowed: encoded as rank 0xFF marker)
 // using the writer's Codec for the element payload.
 func (w *Writer) Tensor(t *tensor.Tensor) {
@@ -186,17 +215,21 @@ func (w *Writer) Tensor(t *tensor.Tensor) {
 		w.Uvarint(0xFF)
 		return
 	}
-	w.Uvarint(uint64(len(t.Shape)))
-	for _, d := range t.Shape {
-		w.Uvarint(uint64(d))
+	w.shape(t.Shape)
+	if !w.skip(w.Codec.rawSize(len(t.Data))) {
+		w.elements(t.Data)
 	}
+}
+
+// elements appends a tensor's element payload under the writer's codec.
+func (w *Writer) elements(data []float64) {
 	switch w.Codec {
 	case CodecF32:
-		w.appendFloat32s(t.Data)
+		w.appendFloat32s(data)
 	case CodecQ8:
-		w.appendQ8(t.Data)
+		w.appendQ8(data)
 	default:
-		w.appendFloat64s(t.Data)
+		w.appendFloat64s(data)
 	}
 }
 
@@ -230,8 +263,9 @@ type Reader struct {
 	buf []byte
 	off int
 	err error
-	// decoded tracks the cumulative bytes of tensor data materialised
-	// from this reader; capped at MaxFrame so compressed codecs cannot
+	// decoded tracks the cumulative float64 bytes the tensors read from
+	// this reader decode to, views included (a view is decoded when it is
+	// folded or copied); capped at MaxFrame so compressed codecs cannot
 	// amplify a frame into more memory than an f64 frame could carry.
 	decoded int
 	// Codec is the tensor encoding expected by Tensor/TensorList.
@@ -360,28 +394,9 @@ func (r *Reader) Float64s() []float64 {
 		return nil
 	}
 	out := make([]float64, n)
-	r.float64sInto(out)
-	if r.err != nil {
-		return nil
-	}
+	decodeF64(out, r.buf[r.off:])
+	r.off += 8 * int(n)
 	return out
-}
-
-// float64sInto bulk-decodes len(dst) raw little-endian float64 values.
-func (r *Reader) float64sInto(dst []float64) {
-	if r.err != nil {
-		return
-	}
-	need := 8 * len(dst)
-	if len(r.buf)-r.off < need {
-		r.fail("float64s payload")
-		return
-	}
-	src := r.buf[r.off : r.off+need]
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
-	}
-	r.off += need
 }
 
 // tensorHeader reads the shared tensor prelude — rank and dims — and
@@ -438,39 +453,14 @@ func (r *Reader) tensorHeader() (size int, shape []int) {
 }
 
 // Tensor reads a tensor; returns nil for the nil marker. The reader's
-// Codec must match the encoding.
+// Codec must match the encoding. It is View, then Materialise: the one
+// tensor reader, so a materialised tensor and a view pass the same
+// checks.
 func (r *Reader) Tensor() *tensor.Tensor {
-	size, shape := r.tensorHeader()
-	if r.err != nil || shape == nil {
-		return nil
+	if v := r.View(); v != nil {
+		return v.Materialise()
 	}
-	// Payload-size check per codec before any allocation.
-	var need int
-	switch r.Codec {
-	case CodecF32:
-		need = 4 * size
-	case CodecQ8:
-		need = q8Header + size
-	default:
-		need = 8 * size
-	}
-	if need > len(r.buf)-r.off {
-		r.fail("tensor size")
-		return nil
-	}
-	data := make([]float64, size)
-	switch r.Codec {
-	case CodecF32:
-		r.float32sInto(data)
-	case CodecQ8:
-		r.q8Into(data)
-	default:
-		r.float64sInto(data)
-	}
-	if r.err != nil {
-		return nil
-	}
-	return tensor.FromSlice(data, shape...)
+	return nil
 }
 
 // listLen reads a list count under the one bounded-list rule: every
