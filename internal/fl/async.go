@@ -156,7 +156,7 @@ func (s *Server) openVersion(w *asyncWindow, version int) {
 			idle = append(idle, sess)
 		}
 	}
-	s.send(w.syncRound, idle, w.down, unsealed, nil)
+	s.send(w.syncRound, idle, w.down)
 }
 
 // asyncPush is the window's take: one device's push is checked against
@@ -237,7 +237,7 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 	case rd.round >= s.cfg.Rounds:
 		s.asyncSendDone(rd, sess)
 	default:
-		s.send(rd, []*session{sess}, w.down, unsealed, nil)
+		s.send(rd, []*session{sess}, w.down)
 	}
 	s.ob.observePush(pushStart)
 	return nil

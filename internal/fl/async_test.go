@@ -476,25 +476,24 @@ func TestAsyncBackpressureBufferOne(t *testing.T) {
 	}
 }
 
-// TestAsyncConfigRejected: RunAsync guards its preconditions.
+// TestAsyncConfigRejected: asynchronous pacing under SecAgg is refused
+// with ErrAsyncMode by Validate and by both entry points (RunAsync is
+// Run), before any connection is looked at; a valid async configuration
+// with no clients fails selection instead.
 func TestAsyncConfigRejected(t *testing.T) {
-	srv := NewServer(newState(0), ServerConfig{Rounds: 1})
-	if _, err := srv.RunAsync(nil); err == nil {
-		t.Fatal("RunAsync without Async.Enabled must fail")
+	cfg := ServerConfig{Rounds: 1, SecAgg: true, Async: AsyncConfig{Enabled: true}}
+	if err := cfg.Validate(); !errors.Is(err, ErrAsyncMode) {
+		t.Fatalf("Validate = %v, want ErrAsyncMode", err)
 	}
-	srv = NewServer(newState(0), ServerConfig{
-		Rounds: 1, SecAgg: true, Async: AsyncConfig{Enabled: true},
-	})
-	if _, err := srv.RunAsync(nil); err == nil {
-		t.Fatal("RunAsync under SecAgg must fail")
+	if _, err := NewServer(newState(0), cfg).Run(nil); !errors.Is(err, ErrAsyncMode) {
+		t.Fatalf("Run = %v, want ErrAsyncMode", err)
 	}
-	srv = NewServer(newState(0), ServerConfig{
-		Rounds: 1, Async: AsyncConfig{Enabled: true},
-	})
+	if _, err := NewServer(newState(0), cfg).RunAsync(nil); !errors.Is(err, ErrAsyncMode) {
+		t.Fatalf("RunAsync = %v, want ErrAsyncMode", err)
+	}
+	srv := NewServer(newState(0), ServerConfig{Rounds: 1, Async: AsyncConfig{Enabled: true}})
 	if _, err := srv.Run(nil); !errors.Is(err, ErrNotEnoughClients) {
-		// Run ignores Async; with no clients it fails selection, not
-		// configuration.
-		t.Fatalf("Run with Async.Enabled = %v", err)
+		t.Fatalf("Run with Async.Enabled and no clients = %v, want ErrNotEnoughClients", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"github.com/gradsec/gradsec/internal/secagg"
-	"github.com/gradsec/gradsec/internal/tensor"
 )
 
 // ErrBadPartial is the reason an edge is dropped for a PartialUp that
@@ -16,47 +15,25 @@ import (
 // folded or counted.
 var ErrBadPartial = errors.New("fl: malformed shard partial")
 
-// partialSum is what a round needs of its accumulator once the shard
-// partials are in: an Aggregator over exact float sums in plain
-// sessions, a secagg.MaskedSum over ring sums in masked ones.
-type partialSum interface {
-	Count() int
-	Weight() float64
-	Mean() ([]*tensor.Tensor, error)
-}
-
-// runEdgeRound executes one FL cycle over edge peers (EdgePeers) on the
-// same skeleton as runRound: broadcast the model as a ShardDown, fold
-// one PartialUp per shard until the deadline, and close. Partial sums
-// compose exactly — plain shards forward Σ wᵢuᵢ, masked shards their
-// cancelled ring sums — and are normalised once over the fleet weight,
-// so dyadic fleets reproduce flat FedAvg bit for bit. The round's stats
-// are the fleet's: the shard accounting each PartialUp carries, summed.
-// In partial mode the composed sum goes further upstream instead of
-// being applied.
-func (s *Server) runEdgeRound(round int) (*Partial, error) {
-	rd, err := s.openRound(round)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.finish()
-
+// collectPartials is an edge-peer round's distribute and collect
+// (EdgePeers): broadcast the model as a ShardDown and fold one PartialUp
+// per shard until the deadline. Partial sums compose exactly — plain
+// shards forward Σ wᵢuᵢ, masked shards their cancelled ring sums — and
+// publish normalises once over the fleet weight, so dyadic fleets
+// reproduce flat FedAvg bit for bit. The round's stats become the
+// fleet's: the shard accounting each PartialUp carries, summed.
+func (s *Server) collectPartials(rd *syncRound) roundSum {
 	// The trace ID this tier minted (or adopted from above) rides the
 	// ShardDown to every tier below.
-	s.distribute(rd, &ShardDown{Round: round, Model: s.state, Trace: s.curTrace}, unsealed, nil)
+	s.distribute(rd, &ShardDown{Round: rd.round, Model: s.state, Trace: s.curTrace})
 	bcast := s.ob.now()
-
-	var agg *Aggregator
-	var msum *secagg.MaskedSum
-	var sum partialSum
+	var sum roundSum
 	if s.cfg.SecAgg {
-		msum = secagg.NewMaskedSum(s.state, nil, s.cfg.SecAggScaleBits)
-		sum = msum
+		sum = &maskedRound{MaskedSum: secagg.NewMaskedSum(s.state, nil, s.cfg.SecAggScaleBits)}
 	} else {
-		agg = NewAggregator(s.state)
-		sum = agg
+		sum = NewAggregator(s.state)
 	}
-	fleet := RoundStats{Round: round}
+	fleet := RoundStats{Round: rd.round}
 	s.collect(rd, func(sess *session, msg Message) bool {
 		m, ok := msg.(*PartialUp)
 		if !ok {
@@ -65,7 +42,7 @@ func (s *Server) runEdgeRound(round int) (*Partial, error) {
 		if !s.admitUpdate(rd, sess, m.Round, "partial") {
 			return true
 		}
-		if err := s.composePartial(m, agg, msum); err != nil {
+		if err := s.composePartial(m, sum); err != nil {
 			s.failClient(rd, sess, true, err)
 			return true
 		}
@@ -84,7 +61,6 @@ func (s *Server) runEdgeRound(round int) (*Partial, error) {
 			rd.reasons = append(rd.reasons, fmt.Sprintf("%s: empty partial (shard round failed)", sess.device))
 			return true
 		}
-		fleet.Shards++
 		s.ob.observePartial(bcast)
 		s.noteFolded(rd, sess)
 		return true
@@ -93,45 +69,20 @@ func (s *Server) runEdgeRound(round int) (*Partial, error) {
 	// The trace entry counts clients, not peers: of this tier's own
 	// bookkeeping only the stale partials it discarded carry over (an
 	// edge it dropped is a lost shard, not a quarantined client).
+	fleet.Shards = rd.folded
 	fleet.LateDiscarded += rd.stats.LateDiscarded
-	fleet.Responded, fleet.WeightTotal = sum.Count(), sum.Weight()
 	rd.stats = fleet
-
-	ptClose := s.ob.startPhase("close", round)
-	defer ptClose.end()
-	if err := s.minClientsGate(rd, fleet.Shards); err != nil {
-		return nil, err
-	}
-	if err := s.releaseGate(rd, sum.Count()); err != nil {
-		return nil, err
-	}
-	if s.cfg.Partials {
-		s.closeRound(rd.stats, true, nil)
-		p := &Partial{Round: round, Weight: sum.Weight(), Count: sum.Count(), Stats: rd.stats}
-		if msum != nil {
-			p.Levels, p.ScaleBits = msum.Levels(), s.cfg.SecAggScaleBits
-		} else {
-			p.Sum = agg.Sum()
-		}
-		return p, nil
-	}
-	mean, err := sum.Mean()
-	if err != nil {
-		s.closeRound(rd.stats, false, nil)
-		return nil, err
-	}
-	s.applyMean(rd, mean)
-	return nil, nil
+	return sum
 }
 
 // composePartial validates one shard partial — its counters, then its
 // sum against the session mode and the model layout — and composes it
-// into the round's accumulator (agg in plain sessions, msum in masked
-// ones). Every check precedes every mutation, and the caller books the
-// shard's accounting only once this returns nil, so a refused partial
-// leaves the round exactly as if its edge had never answered. An empty
-// partial (Count 0: the shard's round failed) composes nothing.
-func (s *Server) composePartial(m *PartialUp, agg *Aggregator, msum *secagg.MaskedSum) error {
+// into the round's accumulator. Every check precedes every mutation,
+// and the caller books the shard's accounting only once this returns
+// nil, so a refused partial leaves the round exactly as if its edge had
+// never answered. An empty partial (Count 0: the shard's round failed)
+// composes nothing.
+func (s *Server) composePartial(m *PartialUp, sum roundSum) error {
 	// The counters arrive as unchecked uint64: anything a real shard
 	// cannot reach would wrap the fleet's int accounting negative.
 	for _, n := range [...]uint64{m.Count, m.Sampled, m.Dropped, m.Quarantined, m.Probation, m.LateDiscarded, m.Reconciled} {
@@ -145,20 +96,21 @@ func (s *Server) composePartial(m *PartialUp, agg *Aggregator, msum *secagg.Mask
 	if m.Count == 0 {
 		return nil
 	}
+	mr, masked := sum.(*maskedRound)
 	var err error
 	switch {
 	case !(m.Weight > 0) || math.IsInf(m.Weight, 0):
 		err = fmt.Errorf("weight %v", m.Weight)
-	case msum == nil && len(m.Levels) != 0:
+	case !masked && len(m.Levels) != 0:
 		err = errors.New("masked partial in a plain session")
-	case msum == nil:
-		err = agg.AddPartial(m.Sum, m.Weight, int(m.Count))
+	case !masked:
+		err = sum.(*Aggregator).AddPartial(m.Sum, m.Weight, int(m.Count))
 	case len(m.Sum) != 0:
 		err = errors.New("plain partial in a secure-aggregation session")
 	case int(m.ScaleBits) != s.cfg.SecAggScaleBits:
 		err = fmt.Errorf("quantised at %d bits, session runs %d", m.ScaleBits, s.cfg.SecAggScaleBits)
 	default:
-		err = msum.AddPartial(m.Levels, m.Weight, int(m.Count))
+		err = mr.AddPartial(m.Levels, m.Weight, int(m.Count))
 	}
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrBadPartial, err)

@@ -78,24 +78,27 @@ var (
 	ErrBadTrim = errors.New("fl: TrimFraction must be in (0, 0.5)")
 )
 
-// UpdateAggregator is the round aggregation strategy: the streaming
-// FedAvg Aggregator and the buffering robust aggregators implement it,
-// and the round loop folds arrivals through it without knowing which
-// is behind it.
-type UpdateAggregator interface {
-	// Accumulate folds one complete client update, as it arrived on the
-	// wire, with the given weight.
-	Accumulate(update []*wire.View, weight float64) error
-	// Count returns the number of folded updates.
+// roundSum is a round's accumulator as publish reads it once collect is
+// over: an UpdateAggregator in a plain round (or composing a plain
+// edge-peer round's partials), a maskedRound in a masked one.
+type roundSum interface {
+	// Count returns the number of folded client updates.
 	Count() int
 	// Weight returns the summed weight of the folded updates.
 	Weight() float64
-	// Sum returns the raw weighted sum for hierarchical partial
-	// forwarding; robust aggregators return nil (Validate rejects them
-	// in partial mode).
-	Sum() []*tensor.Tensor
 	// Mean produces the round aggregate.
 	Mean() ([]*tensor.Tensor, error)
+}
+
+// UpdateAggregator is the plaintext round aggregation strategy: the
+// streaming FedAvg Aggregator and the buffering robust aggregators
+// implement it, and a plain round folds arrivals through it without
+// knowing which is behind it.
+type UpdateAggregator interface {
+	roundSum
+	// Accumulate folds one complete client update, as it arrived on the
+	// wire, with the given weight.
+	Accumulate(update []*wire.View, weight float64) error
 }
 
 // newAggregator builds the configured aggregation strategy for one
@@ -155,10 +158,6 @@ func (a *robustAggregator) Count() int { return len(a.updates) }
 
 // Weight implements UpdateAggregator.
 func (a *robustAggregator) Weight() float64 { return a.weight }
-
-// Sum implements UpdateAggregator; robust aggregators have no partial
-// form (Validate rejects Partials mode before one is ever built).
-func (a *robustAggregator) Sum() []*tensor.Tensor { return nil }
 
 // Mean implements UpdateAggregator: the coordinate-wise trimmed mean
 // or median of the buffered updates. Sorting each coordinate makes the

@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -16,10 +17,11 @@ import (
 )
 
 // syncRound is the state one round (or one asynchronous version
-// window) carries between its steps. runRound, runSecAggRound,
-// runEdgeRound and runAsync drive it through the same skeleton — open,
-// send, wait on handleArrival, gate, applyMean — and add only their own
-// pacing, fold and close (docs/ROUNDS.md).
+// window) carries between its steps. runRound drives every synchronous
+// round through it — open, distribute, collect, then publish's gate and
+// commit — with the mode supplying only its model frame and its fold
+// (collectUpdates, collectMasked, collectPartials); runAsync paces the
+// same skeleton without a barrier (docs/ROUNDS.md).
 type syncRound struct {
 	round   int
 	sampled []*session
@@ -27,9 +29,17 @@ type syncRound struct {
 	// asynchronous session it outlives the version window: a device
 	// armed in one version may answer in a later one.
 	pending map[*session]bool
+	// folded counts the peers whose answer folded (noteFolded): clients,
+	// or shards on an edge-peer tier — what MinClients gates.
+	folded int
 	// frames is the encode-once cache of the window's shared model
 	// frame, one serialisation per negotiated codec.
 	frames map[wire.Codec][]byte
+	// sealed is the round's protected half, encoded once (nil when the
+	// round protects nothing), and bare the ModelDown a sealing peer
+	// takes around its sealed copy of it (protect, seals).
+	sealed []byte
+	bare   *ModelDown
 	// done is the asynchronous drain's encode-once cache of the closing
 	// Done (sendDone).
 	done    map[wire.Codec][]byte
@@ -101,49 +111,73 @@ func deviceNames(sessions []*session) []string {
 // ModelDown, or a ShardDown to edge peers) goes to the whole cohort. The
 // shared frames are serialised inside the sample phase, so the
 // broadcast phase times the fan-out alone.
-func (s *Server) distribute(rd *syncRound, down Message, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
-	rd.encode(down, rd.sampled, sealed)
+func (s *Server) distribute(rd *syncRound, down Message) {
+	rd.encode(down, rd.sampled)
 	rd.ptSample.end()
 	ptBroadcast := s.ob.startPhase("broadcast", rd.round)
-	s.send(rd, rd.sampled, down, sealed, seal)
+	s.send(rd, rd.sampled, down)
 	ptBroadcast.end()
 }
 
 // encode serialises down once per negotiated codec among the peers that
-// take the shared frame (sealed reports false); codecs the window has
-// already serialised cost nothing.
-func (rd *syncRound) encode(down Message, to []*session, sealed func(*session) bool) {
+// take the shared frame; codecs the window has already serialised cost
+// nothing.
+func (rd *syncRound) encode(down Message, to []*session) {
 	for _, sess := range to {
-		if _, ok := rd.frames[sess.codec]; !ok && !sealed(sess) {
+		if _, ok := rd.frames[sess.codec]; !ok && !rd.seals(sess) {
 			rd.frames[sess.codec] = EncodeMessageCodec(down, sess.codec)
 		}
 	}
 }
 
-// unsealed is the sealed predicate of a window without protected
-// tensors: every peer takes the shared frame.
-func unsealed(*session) bool { return false }
+// protect arms the round's sealing rule for down: when idx names
+// protected tensors, their half is encoded once for the round and bare
+// is down with them withheld.
+func (rd *syncRound) protect(down *ModelDown, idx []int) {
+	if len(idx) == 0 {
+		return
+	}
+	bare := *down
+	bare.Plain = slices.Clone(down.Plain)
+	half := make([]*tensor.Tensor, len(idx))
+	for k, i := range idx {
+		half[k], bare.Plain[i] = down.Plain[i], nil
+	}
+	rd.bare = &bare
+	rd.sealed = wire.EncodeSealedUpdate(idx, half)
+}
+
+// seals is the one sealing rule: a peer takes a sealed ModelDown if and
+// only if the round protects tensors and the peer holds a trusted
+// channel, its own or one inside the aggregation enclave.
+func (rd *syncRound) seals(sess *session) bool {
+	return rd.sealed != nil && (sess.channel != nil || sess.enclaveChannel)
+}
 
 // send hands the window's model to the given peers — in parallel, or
 // inline when there is one — and marks every reached peer pending; one
 // that cannot be reached is quarantined. Encode-once broadcast: every
-// peer for which sealed reports false receives the identical bytes,
-// serialised from down once per negotiated codec instead of once per
-// peer. Only the rest need a per-client build from seal — their sealed
-// payload is keyed to their own trusted channel. The sends are not
-// interruptible by the round deadline; on deadline-capable transports
-// (TCP) each write is bounded by cfg.IOTimeout instead.
-func (s *Server) send(rd *syncRound, to []*session, down Message, sealed func(*session) bool, seal func(*session) (*ModelDown, error)) {
-	rd.encode(down, to, sealed) // the fan-out below only reads the cache
+// peer the round does not seal receives the identical bytes, serialised
+// from down once per negotiated codec instead of once per peer; a
+// sealing peer takes the bare frame with the protected half sealed on
+// its trusted channel — its own, or the one the aggregation enclave
+// holds for it. The sends are not interruptible by the round
+// deadline; on deadline-capable transports (TCP) each write is bounded
+// by cfg.IOTimeout instead.
+func (s *Server) send(rd *syncRound, to []*session, down Message) {
+	rd.encode(down, to) // the fan-out below only reads the cache
 	sendOne := func(sess *session) error {
-		if !sealed(sess) {
+		if !rd.seals(sess) {
 			return sess.conn.SendFrame(down.Kind(), rd.frames[sess.codec])
 		}
-		own, err := seal(sess)
-		if err != nil {
+		own := *rd.bare
+		var err error
+		if sess.channel != nil {
+			own.Sealed = sess.channel.Seal(rd.sealed)
+		} else if own.Sealed, err = s.cfg.Enclave.Seal(sess.device, rd.sealed); err != nil {
 			return err
 		}
-		return sess.conn.Send(own)
+		return sess.conn.Send(&own)
 	}
 	sendErrs := make([]error, len(to))
 	if len(to) == 1 {
@@ -268,27 +302,15 @@ func (s *Server) admitUpdate(rd *syncRound, sess *session, msgRound int, what st
 	return true
 }
 
-// noteFolded records a folded update: the client has answered, the fold
-// is journaled and announced.
+// noteFolded records a folded update: the peer has answered, the fold
+// is counted, journaled and announced.
 func (s *Server) noteFolded(rd *syncRound, sess *session) {
 	delete(rd.pending, sess)
+	rd.folded++
 	s.journalAppend(&journal.Record{Type: journal.RecFold, Round: rd.round, Device: sess.device})
 	if s.cfg.Hooks.UpdateFolded != nil {
 		s.cfg.Hooks.UpdateFolded(rd.round, sess.device)
 	}
-}
-
-// minClientsGate fails the round when fewer than MinClients cohort
-// members folded an answer before the deadline, naming what went wrong
-// with the rest.
-func (s *Server) minClientsGate(rd *syncRound, folded int) error {
-	if folded >= s.cfg.MinClients {
-		return nil
-	}
-	err := fmt.Errorf("%w: %d of %d sampled peers responded, need %d%s",
-		ErrNotEnoughClients, folded, len(rd.sampled), s.cfg.MinClients, rd.failures())
-	s.closeRound(rd.stats, false, nil)
-	return err
 }
 
 // failures renders what went wrong with the window's peers as an error
@@ -300,16 +322,21 @@ func (rd *syncRound) failures() string {
 	return " (" + strings.Join(rd.reasons, "; ") + ")"
 }
 
-// releaseGate fails a secure-aggregation round whose folded cohort is
-// below the release floor: such an aggregate approaches an individual
-// update, so the round ends before anything is dequantised. (The
-// aggregation enclave enforces the same floor independently at Finish.)
-func (s *Server) releaseGate(rd *syncRound, folded int) error {
-	if !s.cfg.SecAgg || s.cfg.MinRelease <= 0 || folded >= s.cfg.MinRelease {
-		return nil
+// gate refuses to publish an aggregate over too few folds: fewer than
+// MinClients peers folded (clients, or shards on an edge-peer tier),
+// naming what went wrong with the rest; or, under SecAgg, fewer than
+// MinRelease client updates — an aggregate that approaches an individual
+// update. (The aggregation enclave enforces the release floor
+// independently at Finish.)
+func (s *Server) gate(rd *syncRound, count int) error {
+	if rd.folded < s.cfg.MinClients {
+		return fmt.Errorf("%w: %d of %d sampled peers responded, need %d%s",
+			ErrNotEnoughClients, rd.folded, len(rd.sampled), s.cfg.MinClients, rd.failures())
 	}
-	s.closeRound(rd.stats, false, nil)
-	return fmt.Errorf("%w: %d of %d required for release", secagg.ErrCohortTooSmall, folded, s.cfg.MinRelease)
+	if s.cfg.SecAgg && s.cfg.MinRelease > 0 && count < s.cfg.MinRelease {
+		return fmt.Errorf("%w: %d of %d required for release", secagg.ErrCohortTooSmall, count, s.cfg.MinRelease)
+	}
+	return nil
 }
 
 // applyMean commits a successful round: the mean update is applied to
@@ -343,32 +370,45 @@ func (s *Server) foldGradUp(agg UpdateAggregator, sess *session, m *GradUp, weig
 	return agg.Accumulate(update, weight)
 }
 
-// runRound executes one FL cycle: sample a cohort, distribute the model,
-// fold updates as they arrive (streaming FedAvg), and close the round at
-// the deadline with whoever responded. In partial mode the aggregate is
-// returned un-normalised instead of being applied.
-func (s *Server) runRound(round int) (*Partial, error) {
+// runRound executes one synchronous FL cycle — the only round body, for
+// devices, masked cohorts and edge peers alike: open the round, let the
+// mode distribute its model and fold the answers until the deadline
+// (collectUpdates, collectMasked, collectPartials), then publish.
+func (s *Server) runRound(round int) (*PartialUp, error) {
 	rd, err := s.openRound(round)
 	if err != nil {
 		return nil, err
 	}
 	defer rd.finish()
-
-	protected, planBlob := s.cfg.Planner.PlanRound(round)
-	hasProtected := false
-	for _, p := range protected {
-		if p {
-			hasProtected = true
-			break
+	var sum roundSum
+	switch {
+	case s.cfg.EdgePeers:
+		sum = s.collectPartials(rd)
+	case s.cfg.SecAgg:
+		mr, err := s.openMasked(rd)
+		if err != nil {
+			return s.fail(rd, err)
 		}
+		// An enclave half publish does not finish — a failed gate or
+		// reconciliation, a hook panicking mid-collect — is aborted.
+		defer mr.abort()
+		s.collectMasked(rd, mr)
+		sum = mr
+	default:
+		sum = s.collectUpdates(rd)
 	}
-	// Only clients with a trusted channel AND a non-empty protection plan
-	// take a sealed payload.
-	down := &ModelDown{Round: round, Plain: s.state, Plan: planBlob, Version: uint64(round), Trace: s.curTrace}
-	s.distribute(rd, down,
-		func(sess *session) bool { return hasProtected && sess.channel != nil },
-		func(sess *session) (*ModelDown, error) { return s.buildModelDown(round, sess, protected, planBlob) })
+	return s.publish(rd, sum)
+}
 
+// collectUpdates is a plain round's distribute and collect: the model
+// goes out under the sealing rule, and each pending client's GradUp for
+// this round folds into the configured aggregation strategy — its views,
+// merged with a sealed half, in place — then its telemetry.
+func (s *Server) collectUpdates(rd *syncRound) UpdateAggregator {
+	down, idx := s.planRound(rd)
+	down.Version = uint64(rd.round)
+	rd.protect(down, idx)
+	s.distribute(rd, down)
 	agg := s.newAggregator()
 	s.collect(rd, func(sess *session, msg Message) bool {
 		m, ok := msg.(*GradUp)
@@ -388,26 +428,76 @@ func (s *Server) runRound(round int) (*Partial, error) {
 		s.noteFolded(rd, sess)
 		return true
 	})
-	rd.stats.Responded = agg.Count()
-	rd.stats.WeightTotal = agg.Weight()
+	return agg
+}
 
-	ptClose := s.ob.startPhase("close", round)
+// planRound asks the planner for the round's protection and builds the
+// ModelDown a device round sends — the whole model, the plan blob and
+// the round's trace ID — with the protected flat indices in order.
+func (s *Server) planRound(rd *syncRound) (*ModelDown, []int) {
+	protected, planBlob := s.cfg.Planner.PlanRound(rd.round)
+	var idx []int
+	for i := range s.state {
+		if protected[i] {
+			idx = append(idx, i)
+		}
+	}
+	return &ModelDown{Round: rd.round, Plain: s.state, Plan: planBlob, Trace: s.curTrace}, idx
+}
+
+// publish ends every synchronous round, inside its close phase: gate,
+// then a masked round's reconciliation — strictly after the gates, so no
+// seed is revealed for a round that fails its floors — then the commit.
+// The mean is applied, or in partial mode the un-normalised sum is
+// returned as the round's PartialUp: the tier above normalises once over
+// the whole fleet, so the hierarchy's arithmetic composes exactly.
+func (s *Server) publish(rd *syncRound, sum roundSum) (*PartialUp, error) {
+	ptClose := s.ob.startPhase("close", rd.round)
 	defer ptClose.end()
-	if err := s.minClientsGate(rd, rd.stats.Responded); err != nil {
-		return nil, err
+	rd.stats.Responded, rd.stats.WeightTotal = sum.Count(), sum.Weight()
+	if err := s.gate(rd, sum.Count()); err != nil {
+		return s.fail(rd, err)
+	}
+	mr, masked := sum.(*maskedRound)
+	if masked {
+		if err := s.reconcile(rd, mr); err != nil {
+			return s.fail(rd, err)
+		}
 	}
 	if s.cfg.Partials {
-		// Hierarchical edge: hand the raw weighted sum upstream; the
-		// root normalises once over the whole fleet, so the hierarchy's
-		// arithmetic composes exactly.
+		up := rd.partial()
+		up.Weight, up.Count = sum.Weight(), uint64(sum.Count())
+		if masked {
+			up.Levels, up.ScaleBits = mr.Levels(), uint8(s.cfg.SecAggScaleBits)
+		} else {
+			up.Sum = sum.(*Aggregator).Sum()
+		}
 		s.closeRound(rd.stats, true, nil)
-		return &Partial{Round: round, Sum: agg.Sum(), Weight: agg.Weight(), Count: agg.Count(), Stats: rd.stats}, nil
+		return up, nil
 	}
-	mean, err := agg.Mean()
+	mean, err := sum.Mean()
 	if err != nil {
-		s.closeRound(rd.stats, false, nil)
-		return nil, err
+		return s.fail(rd, err)
 	}
 	s.applyMean(rd, mean)
 	return nil, nil
+}
+
+// fail closes a round that failed after it opened. In partial mode the
+// round's accounting still goes upstream: the PartialUp returned with
+// the error carries it, with nothing folded.
+func (s *Server) fail(rd *syncRound, err error) (*PartialUp, error) {
+	s.closeRound(rd.stats, false, nil)
+	if !s.cfg.Partials {
+		return nil, err
+	}
+	return rd.partial(), err
+}
+
+// partial is the round's PartialUp as far as its accounting goes.
+func (rd *syncRound) partial() *PartialUp {
+	st := rd.stats
+	return &PartialUp{Round: rd.round, Sampled: uint64(st.Sampled), Dropped: uint64(st.Dropped),
+		Quarantined: uint64(st.Quarantined), Probation: uint64(st.Probation),
+		LateDiscarded: uint64(st.LateDiscarded), Reconciled: uint64(st.Reconciled)}
 }

@@ -9,7 +9,6 @@ import (
 
 	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/tensor"
-	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // Secure-aggregation errors.
@@ -43,142 +42,97 @@ var (
 	ErrBadMaskDegree = errors.New("fl: MaskDegree must be 0 (automatic) or a positive graph degree")
 )
 
-// secAggRoundState bundles one secure-aggregation round's mutable fold
-// state so the arrival handler and the reconciliation phase share one
-// view of it.
-type secAggRoundState struct {
-	graph        *secagg.Graph
-	msum         *secagg.MaskedSum
-	hasProtected bool
-	folded       map[*session]bool
+// maskedRound is a masked round's accumulator: the MaskedSum the ring
+// levels fold into, the enclave half the sealed protected tensors fold
+// into (open while enclave is set), the round's mask graph, and the
+// escrow of wrapped self-seed shares reconciliation forwards. An
+// edge-peer tier composes its shards' masked partials into one with no
+// graph: their masks already cancelled below.
+type maskedRound struct {
+	*secagg.MaskedSum
+	round   int
+	enclave *secagg.Enclave
+	protIdx []int
+	graph   *secagg.Graph
+	folded  map[*session]bool
 	// wrapped stores each folded client's wrapped self-seed shares,
 	// owner → holder → blob, opaque to the server until reconciliation
 	// forwards them to their holders.
 	wrapped map[string]map[string][]byte
 }
 
-// runSecAggRound executes one secure-aggregation FL cycle on the same
-// round skeleton as runRound — sample, distribute, fold until the
-// deadline — but the server folds double-masked ring levels it cannot
-// read, the sealed half of each update is aggregated inside the
-// enclave, and the round ends with a reconciliation phase: survivors
-// reveal their round-scoped pair seeds with dropped neighbours and
-// their Shamir shares of folded neighbours' self-mask seeds, so both
-// mask layers can be subtracted. In partial mode the cancelled ring
-// sums are returned instead of being dequantised and applied.
-func (s *Server) runSecAggRound(round int) (*Partial, error) {
-	rd, err := s.openRound(round)
-	if err != nil {
-		return nil, err
-	}
-	defer rd.finish()
-
-	protected, planBlob := s.cfg.Planner.PlanRound(round)
-	var protIdx []int
-	protectedMap := make(map[int]bool)
-	for i := range s.state {
-		if protected[i] {
-			protIdx = append(protIdx, i)
-			protectedMap[i] = true
-		}
-	}
-	hasProtected := len(protIdx) > 0
-	if hasProtected && s.cfg.Partials {
-		s.closeRound(rd.stats, false, nil)
+// openMasked opens a masked device round once its cohort is drawn: the
+// server folds double-masked ring levels it cannot read, and the sealed
+// half of each update is aggregated inside the enclave. It derives the
+// mask graph, begins the enclave half when the plan protects tensors,
+// and distributes the ModelDown carrying the roster and the resolved
+// degree under the sealing rule.
+func (s *Server) openMasked(rd *syncRound) (*maskedRound, error) {
+	down, idx := s.planRound(rd)
+	if len(idx) > 0 && s.cfg.Partials {
 		return nil, ErrPartialProtected
 	}
-	if hasProtected && s.cfg.Enclave == nil {
-		s.closeRound(rd.stats, false, nil)
+	if len(idx) > 0 && s.cfg.Enclave == nil {
 		return nil, ErrSecAggNeedsEnclave
 	}
-	if hasProtected {
-		shapes := make([][]int, len(protIdx))
-		for k, id := range protIdx {
-			shapes[k] = s.state[id].Shape
-		}
-		if err := s.cfg.Enclave.Begin(round, protIdx, shapes); err != nil {
-			s.closeRound(rd.stats, false, nil)
-			return nil, fmt.Errorf("fl: enclave round begin: %w", err)
-		}
-	}
-	finished := false
-	defer func() {
-		if hasProtected && !finished {
-			s.cfg.Enclave.Abort(round)
-		}
-	}()
-
 	// The cohort roster travels with every ModelDown so each member can
-	// derive its masks. It is identical for the whole cohort, so the
-	// no-sealing broadcast stays encode-once per codec.
+	// derive its masks, and the server derives the same deterministic
+	// graph from (round, roster) — no extra negotiation on the wire, only
+	// the resolved degree riding ModelDown. A one-member cohort's graph
+	// has no edges whatever the degree (auto resolves to 0): no pairs, no
+	// self mask, nothing to reconcile.
 	names := deviceNames(rd.sampled)
-	cohort := make([]secagg.Peer, len(rd.sampled))
+	down.Cohort = make([]secagg.Peer, len(rd.sampled))
 	for i, sess := range rd.sampled {
-		cohort[i] = secagg.Peer{Device: sess.device, Pub: sess.maskPub}
+		down.Cohort[i] = secagg.Peer{Device: sess.device, Pub: sess.maskPub}
 	}
-	// The server derives the same deterministic graph every cohort
-	// member derives from (round, roster) — no extra negotiation on the
-	// wire, only the resolved degree riding ModelDown. A one-member
-	// cohort's graph has no edges whatever the degree (auto resolves to
-	// 0): no pairs, no self mask, nothing to reconcile.
-	degree := s.cfg.MaskDegree
-	if degree == secagg.AutoDegree {
-		degree = secagg.DegreeFor(len(names))
+	down.MaskDegree = s.cfg.MaskDegree
+	if down.MaskDegree == secagg.AutoDegree {
+		down.MaskDegree = secagg.DegreeFor(len(names))
 	}
-	graph, err := secagg.NewGraph(round, names, degree)
+	graph, err := secagg.NewGraph(rd.round, names, down.MaskDegree)
 	if err != nil {
-		s.closeRound(rd.stats, false, nil)
 		return nil, fmt.Errorf("fl: deriving mask graph: %w", err)
 	}
-
-	// Distribute: without a protection plan every client receives the
-	// shared frame; with one, each client's protected tensors are sealed
-	// by the enclave on its own trusted channel.
-	plain := make([]*tensor.Tensor, len(s.state))
-	for i, p := range s.state {
-		if !protectedMap[i] {
-			plain[i] = p
+	protected := make(map[int]bool, len(idx))
+	shapes := make([][]int, len(idx))
+	for k, id := range idx {
+		protected[id], shapes[k] = true, s.state[id].Shape
+	}
+	mr := &maskedRound{
+		MaskedSum: secagg.NewMaskedSum(s.state, protected, s.cfg.SecAggScaleBits),
+		round:     rd.round,
+		graph:     graph,
+		folded:    make(map[*session]bool, len(rd.sampled)),
+		wrapped:   make(map[string]map[string][]byte),
+	}
+	s.ob.instrumentMaskedSum(mr.MaskedSum)
+	if len(idx) > 0 {
+		if err := s.cfg.Enclave.Begin(rd.round, idx, shapes); err != nil {
+			return nil, fmt.Errorf("fl: enclave round begin: %w", err)
 		}
+		mr.enclave, mr.protIdx = s.cfg.Enclave, idx
 	}
-	var sealedBlob []byte
-	if hasProtected {
-		sealedBlob = wire.EncodeSealedUpdate(protIdx, protTensors(s.state, protIdx))
-	}
-	down := &ModelDown{Round: round, Plain: plain, Plan: planBlob, Cohort: cohort, Trace: s.curTrace, MaskDegree: degree}
-	s.distribute(rd, down,
-		func(*session) bool { return hasProtected },
-		func(sess *session) (*ModelDown, error) {
-			sealed, err := s.cfg.Enclave.Seal(sess.device, sealedBlob)
-			if err != nil {
-				return nil, err
-			}
-			own := *down
-			own.Sealed = sealed
-			return &own, nil
-		})
+	rd.protect(down, idx)
+	s.distribute(rd, down)
+	return mr, nil
+}
 
-	msum := secagg.NewMaskedSum(s.state, protectedMap, s.cfg.SecAggScaleBits)
-	s.ob.instrumentMaskedSum(msum)
-	st := &secAggRoundState{
-		graph:        graph,
-		msum:         msum,
-		hasProtected: hasProtected,
-		folded:       make(map[*session]bool, len(rd.sampled)),
-		wrapped:      make(map[string]map[string][]byte),
-	}
+// collectMasked is a masked round's collect: each pending client's
+// MaskedUp for this round folds (foldMasked); a plaintext GradUp is
+// refused.
+func (s *Server) collectMasked(rd *syncRound, mr *maskedRound) {
 	s.collect(rd, func(sess *session, msg Message) bool {
 		switch m := msg.(type) {
 		case *MaskedUp:
 			if !s.admitUpdate(rd, sess, m.Round, "masked update") {
 				return true
 			}
-			// The client applied the same clamped weight in the ring
-			// before masking.
-			if err := s.foldMasked(sess, round, m, updateWeight(m.Examples), st); err != nil {
+			if err := s.foldMasked(sess, m, mr); err != nil {
 				s.failClient(rd, sess, true, err)
 				return true
 			}
-			st.folded[sess] = true
+			mr.folded[sess] = true
 			s.noteFolded(rd, sess)
 			return true
 		case *GradUp:
@@ -193,99 +147,46 @@ func (s *Server) runSecAggRound(round int) (*Partial, error) {
 		}
 		return false
 	})
-	rd.stats.Responded = msum.Count()
-	rd.stats.WeightTotal = msum.Weight()
-
-	if err := s.minClientsGate(rd, msum.Count()); err != nil {
-		return nil, err
-	}
-	if err := s.releaseGate(rd, msum.Count()); err != nil {
-		return nil, err
-	}
-
-	// Every folded update carries a self mask that only the cohort's
-	// Shamir shares can remove, and every cohort member that did not
-	// fold — straggler, quarantined or unreachable — left its pairwise
-	// masks with the survivors dangling: reconcile before the sum is
-	// readable.
-	if graph.Degree() > 0 {
-		var unfolded []string
-		for _, sess := range rd.sampled {
-			if !st.folded[sess] {
-				unfolded = append(unfolded, sess.device)
-				// From here the survivors reveal seeds for this round with
-				// the unfolded members counted as dropped: any later update
-				// from them for this round is refusable as
-				// unmaskable-by-the-server (ErrLateAfterRecon), never
-				// silently discarded.
-				sess.reconDoneRound = round + 1
-			}
-		}
-		ptRecon := s.ob.startPhase("reconcile", round)
-		err := s.reconcile(rd, st, unfolded)
-		ptRecon.end()
-		if err != nil {
-			s.closeRound(rd.stats, false, nil)
-			return nil, err
-		}
-		// Reconciled counts reconciled dropouts — a full fold reports 0
-		// even though its self masks were removed, keeping round traces
-		// comparable with plaintext runs.
-		rd.stats.Reconciled = len(unfolded)
-	}
-
-	if s.cfg.Partials {
-		// Hierarchical edge: the shard's masks have cancelled (or been
-		// reconciled), so the ring sums are clean partials that compose
-		// additively in ℤ/2⁶⁴ at the root — which dequantises exactly
-		// once over the whole fleet.
-		s.closeRound(rd.stats, true, nil)
-		return &Partial{Round: round, Levels: msum.Levels(), ScaleBits: s.cfg.SecAggScaleBits,
-			Weight: msum.Weight(), Count: msum.Count(), Stats: rd.stats}, nil
-	}
-
-	ptClose := s.ob.startPhase("close", round)
-	defer ptClose.end()
-	mean, err := msum.Mean()
-	if err != nil {
-		s.closeRound(rd.stats, false, nil)
-		return nil, err
-	}
-	if hasProtected {
-		encMean, err := s.cfg.Enclave.Finish(round, msum.Count())
-		if err != nil {
-			s.closeRound(rd.stats, false, nil)
-			return nil, fmt.Errorf("fl: enclave round finish: %w", err)
-		}
-		finished = true
-		for k, id := range protIdx {
-			mean[id] = encMean[k]
-		}
-	}
-	s.applyMean(rd, mean)
-	return nil, nil
 }
 
-// protTensors selects the protected tensors in index order.
-func protTensors(state []*tensor.Tensor, idx []int) []*tensor.Tensor {
-	out := make([]*tensor.Tensor, len(idx))
-	for k, id := range idx {
-		out[k] = state[id]
+// Mean dequantises the reconciled ring sums and splices in the enclave's
+// mean over the protected positions, which finishes the enclave half.
+func (mr *maskedRound) Mean() ([]*tensor.Tensor, error) {
+	mean, err := mr.MaskedSum.Mean()
+	if err != nil || mr.enclave == nil {
+		return mean, err
 	}
-	return out
+	encMean, err := mr.enclave.Finish(mr.round, mr.Count())
+	if err != nil {
+		return nil, fmt.Errorf("fl: enclave round finish: %w", err)
+	}
+	mr.enclave = nil
+	for k, id := range mr.protIdx {
+		mean[id] = encMean[k]
+	}
+	return mean, nil
+}
+
+// abort releases an enclave half the round began and never finished.
+func (mr *maskedRound) abort() {
+	if mr.enclave != nil {
+		mr.enclave.Abort(mr.round)
+	}
 }
 
 // foldMasked validates and folds one masked update: levels into the
 // masked sum, the sealed half into the enclave, the wrapped self-seed
-// shares into the round's escrow. Validation precedes every mutation so
-// a rejected update leaves all accumulators untouched and consistent
+// shares into the round's escrow. The client applied the same clamped
+// weight in the ring before masking. Validation precedes every mutation
+// so a rejected update leaves all accumulators untouched and consistent
 // with each other.
-func (s *Server) foldMasked(sess *session, round int, m *MaskedUp, weight uint64, st *secAggRoundState) error {
-	wrapped, err := validateShares(sess.device, m.Shares, st.graph)
+func (s *Server) foldMasked(sess *session, m *MaskedUp, mr *maskedRound) error {
+	weight := updateWeight(m.Examples)
+	wrapped, err := validateShares(sess.device, m.Shares, mr.graph)
 	if err != nil {
 		return err
 	}
-	if !st.hasProtected {
+	if mr.enclave == nil {
 		if len(m.Sealed) > 0 {
 			return errors.New("sealed payload in a round without protected tensors")
 		}
@@ -293,20 +194,20 @@ func (s *Server) foldMasked(sess *session, round int, m *MaskedUp, weight uint64
 		// The level check must pass before the enclave folds, or the two
 		// accumulators drift apart on a rejected update. Add's own repeat
 		// of the validation cannot fail after this.
-		if err := st.msum.Validate(m.Levels); err != nil {
+		if err := mr.Validate(m.Levels); err != nil {
 			return err
 		}
 		if len(m.Sealed) == 0 {
 			return errors.New("masked update missing its sealed protected half")
 		}
-		if err := s.cfg.Enclave.Fold(sess.device, round, m.Sealed, float64(weight)); err != nil {
+		if err := mr.enclave.Fold(sess.device, mr.round, m.Sealed, float64(weight)); err != nil {
 			return err
 		}
 	}
-	if err := st.msum.Add(m.Levels, weight); err != nil { // Add validates atomically
+	if err := mr.Add(m.Levels, weight); err != nil { // Add validates atomically
 		return err
 	}
-	st.wrapped[sess.device] = wrapped
+	mr.wrapped[sess.device] = wrapped
 	return nil
 }
 
@@ -343,25 +244,43 @@ type reconExpect struct {
 	owners  map[string]bool // folded neighbours whose self-seed shares it may reveal
 }
 
-// reconcile runs the double-masking reconciliation. Per folded survivor
-// the server sends one MaskRecon naming, among the survivor's graph
-// neighbours only, (a) the dropped ones — their dangling pair masks
-// must come off via revealed pair seeds — and (b) the folded ones, each
-// with its wrapped self-seed share — their self masks must come off via
-// Shamir reconstruction. Per peer a neighbour is asked for exactly one
-// of the two (the client enforces the same exclusivity with
-// ErrRoleConflict). The phase tolerates survivors vanishing — before it
-// starts or in the middle of it — as long as (a) they owed no pair seeds
-// and (b) every folded member still reaches its Shamir threshold;
-// otherwise the round fails with ErrSecAggRecon and nothing is
-// published.
-func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []string) error {
-	round, graph := rd.round, st.graph
-	droppedSet := make(map[string]bool, len(unfolded))
-	for _, d := range unfolded {
-		droppedSet[d] = true
+// reconcile runs the double-masking reconciliation of a masked round
+// whose graph has edges, inside the reconcile phase: every folded update
+// carries a self mask that only the cohort's Shamir shares can remove,
+// and every cohort member that did not fold — straggler, quarantined or
+// unreachable — left its pairwise masks with the survivors dangling.
+// Per folded survivor the server sends one MaskRecon naming, among the
+// survivor's graph neighbours only, (a) the dropped ones — their
+// dangling pair masks must come off via revealed pair seeds — and (b)
+// the folded ones, each with its wrapped self-seed share — their self
+// masks must come off via Shamir reconstruction. Per peer a neighbour is
+// asked for exactly one of the two (the client enforces the same
+// exclusivity with ErrRoleConflict). The phase tolerates survivors
+// vanishing — before it starts or in the middle of it — as long as (a)
+// they owed no pair seeds and (b) every folded member still reaches its
+// Shamir threshold; otherwise the round fails with ErrSecAggRecon and
+// nothing is published. Reconciled counts the reconciled dropouts — a
+// full fold reports 0 even though its self masks were removed, keeping
+// round traces comparable with plaintext runs.
+func (s *Server) reconcile(rd *syncRound, mr *maskedRound) error {
+	round, graph := rd.round, mr.graph
+	if graph == nil || graph.Degree() == 0 {
+		return nil
 	}
-	need := make(map[*session]*reconExpect, len(st.folded))
+	droppedSet := make(map[string]bool)
+	for _, sess := range rd.sampled {
+		if !mr.folded[sess] {
+			droppedSet[sess.device] = true
+			// From here the survivors reveal seeds for this round with the
+			// unfolded members counted as dropped: any later update from
+			// them for this round is refusable as unmaskable-by-the-server
+			// (ErrLateAfterRecon), never silently discarded.
+			sess.reconDoneRound = round + 1
+		}
+	}
+	ptRecon := s.ob.startPhase("reconcile", round)
+	defer ptRecon.end()
+	need := make(map[*session]*reconExpect, len(mr.folded))
 	// lose is reconciliation's sanction for a survivor that can no longer
 	// answer (transport gone, protocol fault), and decides whether the
 	// round survives it: fatal while it still owes pair seeds (they are
@@ -377,7 +296,7 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 		}
 	}
 
-	for sess := range st.folded {
+	for sess := range mr.folded {
 		exp := &reconExpect{dropped: make(map[string]bool), owners: make(map[string]bool)}
 		req := &MaskRecon{Round: round}
 		for _, p := range graph.Neighbors(sess.device) {
@@ -386,7 +305,7 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 				req.Dropped = append(req.Dropped, p)
 				continue
 			}
-			if blob, ok := st.wrapped[p][sess.device]; ok {
+			if blob, ok := mr.wrapped[p][sess.device]; ok {
 				exp.owners[p] = true
 				req.Survivors = append(req.Survivors, secagg.SeedEnvelope{Owner: p, Blob: blob})
 			}
@@ -418,7 +337,7 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 		defer timer.Stop()
 		deadlineC = timer.C
 	}
-	seedShares := make(map[string][]secagg.Share, len(st.folded))
+	seedShares := make(map[string][]secagg.Share, len(mr.folded))
 	take := func(sess *session, msg Message) bool {
 		switch m := msg.(type) {
 		case *MaskShares:
@@ -428,7 +347,7 @@ func (s *Server) reconcile(rd *syncRound, st *secAggRoundState, unfolded []strin
 				break
 			}
 			delete(need, sess)
-			if err := applyMaskShares(sess.device, m, exp, graph, st.msum, seedShares); err != nil {
+			if err := applyMaskShares(sess.device, m, exp, graph, mr.MaskedSum, seedShares); err != nil {
 				s.quarantineAt(sess, round, true, err, &rd.stats, &rd.reasons)
 				fatal = fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, err)
 			}
@@ -484,15 +403,16 @@ wait:
 	// expansion. Short of threshold the sum stays opaque — fail the
 	// round rather than publish masked data.
 	threshold := graph.Threshold()
-	for sess := range st.folded {
+	for sess := range mr.folded {
 		owner := sess.device
 		seed, err := secagg.CombineSeed(seedShares[owner], threshold)
 		if err != nil {
 			return fmt.Errorf("%w: reconstructing self seed of %s from %d shares (threshold %d): %v",
 				ErrSecAggRecon, owner, len(seedShares[owner]), threshold, err)
 		}
-		st.msum.ApplySeedMask(seed, -1)
+		mr.ApplySeedMask(seed, -1)
 	}
+	rd.stats.Reconciled = len(droppedSet)
 	return nil
 }
 

@@ -273,29 +273,6 @@ type Hooks struct {
 // struct, documented there — so a close record commits it as is.
 type RoundStats = journal.Stats
 
-// Partial is one round's un-normalised aggregate, produced by a server
-// in hierarchical partial mode (ServerConfig.Partials) and forwarded
-// upstream as a PartialUp frame. Exactly one of Sum (plain) or Levels
-// (secure aggregation) is set.
-type Partial struct {
-	Round int
-	// Sum is Σ wᵢuᵢ over the shard's folded updates.
-	Sum []*tensor.Tensor
-	// Levels are the shard's ring sums with all pairwise masks
-	// cancelled or reconciled (nil at protected positions — always
-	// absent in partial mode).
-	Levels []*wire.U64Tensor
-	// ScaleBits is the fixed-point precision of Levels.
-	ScaleBits int
-	// Weight is the shard's summed FedAvg weight.
-	Weight float64
-	// Count is the number of folded client updates.
-	Count int
-	// Stats is the shard's round accounting, forwarded for root-side
-	// bookkeeping.
-	Stats RoundStats
-}
-
 // Server drives an FL training session over a set of client connections:
 // parallel TEE-aware selection, per-round client sampling, deadline-based
 // straggler dropout, quarantine of failed clients, and streaming FedAvg
@@ -563,9 +540,12 @@ func (s *Server) Run(conns []Conn) (int, error) {
 // mode the round's weighted-mean update is applied to the server state
 // and StepRound returns (nil, nil); in hierarchical partial mode
 // (ServerConfig.Partials) the state is left untouched and the round's
-// partial aggregate is returned for upstream forwarding. Rounds must be
-// stepped with strictly increasing indices.
-func (s *Server) StepRound(round int) (*Partial, error) {
+// PartialUp — the un-normalised sum with the shard accounting filled in
+// — is returned for upstream forwarding. A partial-mode round that
+// failed after it opened returns its accounting-only PartialUp together
+// with the error. Rounds must be stepped with strictly increasing
+// indices.
+func (s *Server) StepRound(round int) (*PartialUp, error) {
 	if !s.opened || s.shut {
 		return nil, errors.New("fl: StepRound outside an open session")
 	}
@@ -573,24 +553,14 @@ func (s *Server) StepRound(round int) (*Partial, error) {
 	// and the round's close commit atomically at the close; a crash
 	// leaves them uncommitted and recovery re-runs the round.
 	s.journalAppend(&journal.Record{Type: journal.RecRoundOpen, Round: round})
-	var p *Partial
-	var err error
-	switch {
-	case s.cfg.EdgePeers:
-		p, err = s.runEdgeRound(round)
-	case s.cfg.SecAgg:
-		p, err = s.runSecAggRound(round)
-	default:
-		p, err = s.runRound(round)
-	}
+	up, err := s.runRound(round)
 	if round+1 > s.nextRound {
 		s.nextRound = round + 1
 	}
-	if err != nil {
-		return nil, err
+	if err == nil {
+		s.maybeAdaptCodec()
 	}
-	s.maybeAdaptCodec()
-	return p, nil
+	return up, err
 }
 
 // Close ends the open session: every non-quarantined client receives a
@@ -905,28 +875,6 @@ func (s *Server) mergeTelemetry(tier, peer string, blob []byte) {
 		return
 	}
 	s.cfg.Metrics.MergeSnapshot(snap, "tier", tier, "shard", peer)
-}
-
-// buildModelDown assembles one client's round message, splitting
-// protected tensors into the sealed path when the client has a trusted
-// channel.
-func (s *Server) buildModelDown(round int, sess *session, protected map[int]bool, planBlob []byte) (*ModelDown, error) {
-	down := &ModelDown{Round: round, Plan: planBlob, Version: uint64(round), Trace: s.curTrace}
-	down.Plain = make([]*tensor.Tensor, len(s.state))
-	var secretIdx []int
-	var secretTs []*tensor.Tensor
-	for i, p := range s.state {
-		if protected[i] && sess.channel != nil {
-			secretIdx = append(secretIdx, i)
-			secretTs = append(secretTs, p)
-		} else {
-			down.Plain[i] = p
-		}
-	}
-	if len(secretIdx) > 0 {
-		down.Sealed = sess.channel.Seal(wire.EncodeSealedUpdate(secretIdx, secretTs))
-	}
-	return down, nil
 }
 
 // mergeUpdate reassembles a client's full flat update from its plain

@@ -151,35 +151,41 @@ func TestHierScenarioStragglerDropout(t *testing.T) {
 // TestHierScenarioShardDegradation: a shard whose clients all straggle
 // never contributes a partial; with MinShards below the shard count
 // the fleet's rounds degrade to the healthy shards instead of failing.
+// The failed shard round's accounting still reaches the root — in a
+// masked session through the accounting-only partial of a shard that
+// failed its gate.
 func TestHierScenarioShardDegradation(t *testing.T) {
-	sc := Scenario{
-		Clients:         32,
-		Rounds:          3,
-		Shards:          4,
-		MinShards:       3,
-		Deadline:        time.Second,
-		ShardStragglers: []float64{0, 0, 0, 1}, // one fully congested edge
-		Seed:            3,
-	}
-	res, err := Run(sc)
-	if err != nil {
-		t.Fatalf("session should degrade, not fail: %v", err)
-	}
-	for r, st := range res.Trace {
-		if st.Shards != 3 {
-			t.Fatalf("round %d folded %d shards, want 3", r, st.Shards)
+	for _, secAgg := range []bool{false, true} {
+		sc := Scenario{
+			Clients:         32,
+			Rounds:          3,
+			Shards:          4,
+			MinShards:       3,
+			Deadline:        time.Second,
+			ShardStragglers: []float64{0, 0, 0, 1}, // one fully congested edge
+			SecAgg:          secAgg,
+			Seed:            3,
 		}
-		if st.Responded != 24 || st.Dropped != 8 {
-			t.Fatalf("round %d stats = %+v", r, st)
+		res, err := Run(sc)
+		if err != nil {
+			t.Fatalf("secAgg=%v: session should degrade, not fail: %v", secAgg, err)
 		}
-	}
-	// Reproducible, like every scenario.
-	again, err := Run(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(res.Trace, again.Trace) {
-		t.Fatalf("degraded traces differ between runs:\n  %+v\n  %+v", res.Trace, again.Trace)
+		for r, st := range res.Trace {
+			if st.Shards != 3 {
+				t.Fatalf("secAgg=%v: round %d folded %d shards, want 3", secAgg, r, st.Shards)
+			}
+			if st.Responded != 24 || st.Dropped != 8 {
+				t.Fatalf("secAgg=%v: round %d stats = %+v", secAgg, r, st)
+			}
+		}
+		// Reproducible, like every scenario.
+		again, err := Run(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res.Trace, again.Trace) {
+			t.Fatalf("secAgg=%v: degraded traces differ between runs:\n  %+v\n  %+v", secAgg, res.Trace, again.Trace)
+		}
 	}
 }
 

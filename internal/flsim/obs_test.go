@@ -310,3 +310,100 @@ func TestFleetTelemetryPlane(t *testing.T) {
 		}
 	}
 }
+
+// phaseCounts reads one tier's span stream into per-round counts of each
+// span name.
+func phaseCounts(t *testing.T, stream []byte) map[int]map[string]int {
+	t.Helper()
+	out := make(map[int]map[string]int)
+	for _, line := range strings.Split(strings.TrimSpace(string(stream)), "\n") {
+		var rec struct {
+			Span  string `json:"span"`
+			Round int    `json:"round"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad span line %q: %v", line, err)
+		}
+		if out[rec.Round] == nil {
+			out[rec.Round] = make(map[string]int)
+		}
+		out[rec.Round][rec.Span]++
+	}
+	return out
+}
+
+// TestEveryModeTimesEveryPhase: every tier of every synchronous mode
+// times each phase of each round exactly once — sample, broadcast,
+// collect, close (the gates, a nested reconcile and the commit) and the
+// round itself — and a masked device tier times one reconcile per
+// committed round. Each tier's span stream is read per round; on the
+// edges, whose registry deltas ride upstream (FleetTelemetry), the phase
+// histograms must agree.
+func TestEveryModeTimesEveryPhase(t *testing.T) {
+	const rounds, shards = 3, 4
+	for _, tc := range []struct {
+		name   string
+		secAgg bool
+		hier   bool
+	}{
+		{"plain-flat", false, false},
+		{"masked-flat", true, false},
+		{"plain-4-shard", false, true},
+		{"masked-4-shard", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sc := Scenario{Clients: 24, Rounds: rounds, SecAgg: tc.secAgg, Seed: 9, Metrics: obs.NewRegistry()}
+			var top bytes.Buffer
+			sc.Spans = &top
+			var edges []*bytes.Buffer
+			if tc.hier {
+				sc.Shards, sc.FleetTelemetry = shards, true
+				for i := 0; i < shards; i++ {
+					edges = append(edges, &bytes.Buffer{})
+					sc.EdgeSpans = append(sc.EdgeSpans, edges[i])
+				}
+			}
+			res, err := Run(sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// check asserts one tier's phases; recon is the reconcile count
+			// every round must show.
+			check := func(tier string, stream []byte, roundSpan string, recon int) {
+				counts := phaseCounts(t, stream)
+				for r := 0; r < rounds; r++ {
+					for _, phase := range []string{"sample", "broadcast", "collect", "close", roundSpan} {
+						if got := counts[r][phase]; got != 1 {
+							t.Errorf("%s round %d: %s timed %d times, want 1", tier, r, phase, got)
+						}
+					}
+					if got := counts[r]["reconcile"]; got != recon {
+						t.Errorf("%s round %d: reconcile timed %d times, want %d", tier, r, got, recon)
+					}
+				}
+			}
+			recon := 0
+			if tc.secAgg {
+				recon = 1 // every round commits, and every cohort's mask graph has edges
+			}
+			if !tc.hier {
+				check("server", top.Bytes(), "round", recon)
+				return
+			}
+			check("root", top.Bytes(), "hier_round", 0)
+			for i, buf := range edges {
+				shard := fmt.Sprintf("edge-%03d", i)
+				check(shard, buf.Bytes(), "round", recon)
+				for _, phase := range []string{"sample", "broadcast", "collect", "close", "round", "reconcile"} {
+					want := uint64(rounds)
+					if phase == "reconcile" {
+						want = uint64(rounds * recon)
+					}
+					if got := res.EdgeMetrics[i].Histogram("gradsec_phase_ns", "", "phase", phase).Count(); got != want {
+						t.Errorf("%s registry: phase %s observed %d times, want %d", shard, phase, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -200,9 +200,10 @@ func (e *Edge) Run(upstream fl.Conn, clients []fl.Conn) error {
 }
 
 // serveRound adopts the round's global model, runs the shard round,
-// and forwards the partial (or an empty partial when the shard round
-// failed — the shard stays enrolled and may recover as clients come
-// off probation).
+// and forwards the PartialUp StepRound returns — for a degraded shard
+// round (too few responders, a failed reconciliation or release floor)
+// the accounting-only one, and the shard stays enrolled: it may recover
+// as clients come off probation. Any other failure ends the edge.
 func (e *Edge) serveRound(upstream fl.Conn, m *fl.ShardDown) error {
 	// Adopt the root-minted trace before the shard round starts so every
 	// span this round emits — here and on this shard's clients — carries
@@ -212,38 +213,20 @@ func (e *Edge) serveRound(upstream fl.Conn, m *fl.ShardDown) error {
 		_ = upstream.Send(&fl.ErrorMsg{Text: err.Error()})
 		return fmt.Errorf("hier: adopting round %d model: %w", m.Round, err)
 	}
-	partial, err := e.srv.StepRound(m.Round)
+	up, err := e.srv.StepRound(m.Round)
 	e.Rounds++
-	if err != nil {
-		if errors.Is(err, fl.ErrNotEnoughClients) || errors.Is(err, fl.ErrSecAggRecon) || errors.Is(err, secagg.ErrCohortTooSmall) {
-			// A degraded shard round: report it and stay in the session.
-			up := &fl.PartialUp{Round: m.Round}
-			if st := e.lastStats(m.Round); st != nil {
-				fillShardStats(up, *st)
-			}
-			// A degraded round still reports its telemetry: the failure's
-			// accounting is exactly what the fleet view must not lose.
-			up.Telemetry = e.telemetryDelta()
-			if sendErr := upstream.Send(up); sendErr != nil {
-				return fmt.Errorf("hier: reporting failed shard round %d: %w", m.Round, sendErr)
-			}
-			return nil
-		}
+	if err != nil && !errors.Is(err, fl.ErrNotEnoughClients) && !errors.Is(err, fl.ErrSecAggRecon) && !errors.Is(err, secagg.ErrCohortTooSmall) {
 		_ = upstream.Send(&fl.ErrorMsg{Text: err.Error()})
 		return fmt.Errorf("hier: shard round %d: %w", m.Round, err)
 	}
-	up := &fl.PartialUp{
-		Round:     partial.Round,
-		Sum:       partial.Sum,
-		Levels:    partial.Levels,
-		ScaleBits: uint8(partial.ScaleBits),
-		Weight:    partial.Weight,
-		Count:     uint64(partial.Count),
+	if up == nil {
+		up = &fl.PartialUp{Round: m.Round} // the round failed before it opened
 	}
-	fillShardStats(up, partial.Stats)
+	// Taken after the round so its own observations — a degraded round's
+	// above all — ride the partial they describe.
 	up.Telemetry = e.telemetryDelta()
 	if err := upstream.Send(up); err != nil {
-		return fmt.Errorf("hier: forwarding round %d partial: %w", partial.Round, err)
+		return fmt.Errorf("hier: forwarding round %d partial: %w", m.Round, err)
 	}
 	return nil
 }
@@ -260,28 +243,6 @@ func (e *Edge) telemetryDelta() []byte {
 		e.snap = obs.NewSnapshotter(e.cfg.Server.Metrics)
 	}
 	return e.snap.Delta()
-}
-
-// lastStats returns the shard engine's stats for the given round, if
-// the round got far enough to record any.
-func (e *Edge) lastStats(round int) *fl.RoundStats {
-	trace := e.srv.Trace()
-	for i := len(trace) - 1; i >= 0; i-- {
-		if trace[i].Round == round {
-			return &trace[i]
-		}
-	}
-	return nil
-}
-
-// fillShardStats copies the shard round accounting onto the wire.
-func fillShardStats(up *fl.PartialUp, st fl.RoundStats) {
-	up.Sampled = uint64(st.Sampled)
-	up.Dropped = uint64(st.Dropped)
-	up.Quarantined = uint64(st.Quarantined)
-	up.LateDiscarded = uint64(st.LateDiscarded)
-	up.Reconciled = uint64(st.Reconciled)
-	up.Probation = uint64(st.Probation)
 }
 
 // ShardState returns the edge's current model state (the last adopted

@@ -8,9 +8,10 @@
 // cohort sampling, round deadlines, quarantine and probation, codec
 // negotiation, secure-aggregation masking — by driving an fl.Server in
 // hierarchical partial mode (fl.ServerConfig.Partials): instead of
-// applying each round's weighted mean locally, the edge folds its
-// shard into one un-normalised partial aggregate and forwards a single
-// PartialUp frame upstream. The root is an fl.Server whose peers are
+// applying each round's weighted mean locally, the edge's StepRound
+// returns the shard's un-normalised partial aggregate as the PartialUp
+// itself, shard accounting filled in, and the edge forwards it upstream
+// as a single frame with its telemetry delta attached. The root is an fl.Server whose peers are
 // edges (fl.ServerConfig.EdgePeers): on the same round skeleton that
 // serves devices it broadcasts the global model once per round
 // (ShardDown, encode-once per negotiated codec), folds the shard
@@ -64,7 +65,9 @@
 // # Degradation
 //
 // A shard whose round fails (too few responders, reconciliation
-// failure) reports an empty partial and stays in the session; a shard
+// failure, release floor) forwards the accounting-only PartialUp
+// StepRound returns with the error — Count 0, nothing folded — and
+// stays in the session; a shard
 // that misses the root's ShardDeadline is dropped for the round; an
 // edge whose transport dies, or whose partial fails validation
 // (fl.ErrBadPartial — nothing of it is folded or counted), is removed.

@@ -4,7 +4,8 @@
 #   1. flat: flserver -journal over 4 flclients, then flserver -recover on
 #      the finished journal — the reconnecting fleet rejoins the journaled
 #      roster and is handed the final model;
-#   2. hierarchy: flserver -edges 2 over 2 fledges of 2 flclients each;
+#   2. hierarchy: flserver -edges 2 over 2 fledges of 2 flclients each,
+#      plain and then masked (-secagg);
 #   3. fail-fast: flag combinations fl.ServerConfig.Validate refuses exit
 #      non-zero before flserver listens (-mask-degree -1 and -secagg-scale
 #      60 with the usage status, 2).
@@ -86,28 +87,35 @@ expect flat-fresh-server "^round 1: sampled 4, responded 4"
 expect flat-recovered-server "resuming at round 2"
 expect flat-recovered-clients "completed 0 rounds" 4
 
-# 2. Hierarchy: a root over two edges of two clients each.
-start hier-root "$bin/flserver" -addr "$(addr 2)" -edges 2 -rounds 2
-root=$started
-edges=()
-for e in 0 1; do
-	start "hier-edge-$e" "$bin/fledge" -name "edge-$e" -addr "$(addr $((3 + e)))" -upstream "$(addr 2)" \
-		-clients 2 "${client_flags[@]}"
-	edges+=("$started")
-done
-clients=()
-for i in 1 2 3 4; do
-	start "hier-client-$i" "$bin/flclient" -addr "$(addr $((3 + (i - 1) / 2)))" -name "pi-$i" -seed "$i" \
-		"${client_flags[@]}"
-	clients+=("$started")
-done
-for i in 1 2 3 4; do finish "hier-client-$i" "${clients[$((i - 1))]}"; done
-for e in 0 1; do finish "hier-edge-$e" "${edges[$e]}"; done
-finish hier-root "$root"
-expect hier-root "^round 1: 2 shards, sampled 4, responded 4"
-expect hier-root "session complete: 2 edges, 2 rounds"
-cat "$work"/hier-client-*.log >"$work/hier-clients.log"
-expect hier-clients "final model received" 4
+# 2. Hierarchy: a root over two edges of two clients each, plain and then
+# masked (-secagg: every shard masks its own cohort and forwards ring sums).
+# hier NAME PORT0 [ROOT FLAGS...] runs one on ports PORT0..PORT0+2.
+hier() {
+	local name=$1 port=$2
+	shift 2
+	start "$name-root" "$bin/flserver" -addr "$(addr "$port")" -edges 2 -rounds 2 "$@"
+	local root=$started edges=() clients=()
+	for e in 0 1; do
+		start "$name-edge-$e" "$bin/fledge" -name "edge-$e" -addr "$(addr $((port + 1 + e)))" \
+			-upstream "$(addr "$port")" -clients 2 "${client_flags[@]}"
+		edges+=("$started")
+	done
+	for i in 1 2 3 4; do
+		start "$name-client-$i" "$bin/flclient" -addr "$(addr $((port + 1 + (i - 1) / 2)))" -name "pi-$i" \
+			-seed "$i" "${client_flags[@]}"
+		clients+=("$started")
+	done
+	for i in 1 2 3 4; do finish "$name-client-$i" "${clients[$((i - 1))]}"; done
+	for e in 0 1; do finish "$name-edge-$e" "${edges[$e]}"; done
+	finish "$name-root" "$root"
+	expect "$name-root" "^round 1: 2 shards, sampled 4, responded 4"
+	expect "$name-root" "session complete: 2 edges, 2 rounds"
+	cat "$work"/$name-client-*.log >"$work/$name-clients.log"
+	expect "$name-clients" "final model received" 4
+}
+hier hier 2
+hier hier-masked 5 -secagg
+expect hier-masked-clients "masked updates" 4
 
 # 3. Refused before listening.
 refused() {
@@ -125,4 +133,4 @@ refused async-secagg "" -async -secagg
 refused mask-degree 2 -mask-degree -1
 refused secagg-scale 2 -secagg -secagg-scale 60
 
-echo "smoke-tcp: flat + recovery, hierarchy and four refusals passed"
+echo "smoke-tcp: flat + recovery, plain and masked hierarchy and four refusals passed"
