@@ -178,7 +178,8 @@ func TestGoldenWireFormat(t *testing.T) {
 }
 
 // materialised returns a decoded message with the views of a GradUp or
-// ModelDown decoded into Plain, as its sender built it.
+// ModelDown decoded into Plain, and the level views of a MaskedUp or
+// PartialUp into Levels, as its sender built it.
 func materialised(m Message) Message {
 	var plain *[]*tensor.Tensor
 	var vs []*wire.View
@@ -187,6 +188,12 @@ func materialised(m Message) Message {
 		plain, vs, m.Views, m.Q8 = &m.Plain, m.Views, nil, nil
 	case *ModelDown:
 		plain, vs, m.Views = &m.Plain, m.Views, nil
+	case *MaskedUp:
+		m.Levels = ownedLevels(m.Levels)
+		return m
+	case *PartialUp:
+		m.Levels = ownedLevels(m.Levels)
+		return m
 	default:
 		return m
 	}
@@ -197,6 +204,19 @@ func materialised(m Message) Message {
 		}
 	}
 	return m
+}
+
+// ownedLevels returns level tensors with every view's words decoded into
+// Levels.
+func ownedLevels(ts []*wire.U64Tensor) []*wire.U64Tensor {
+	out := make([]*wire.U64Tensor, len(ts))
+	for i, t := range ts {
+		if t != nil {
+			out[i] = &wire.U64Tensor{Shape: t.Shape, Levels: make([]uint64, t.Size())}
+			t.AddTo(out[i].Levels)
+		}
+	}
+	return out
 }
 
 // checkGolden compares computed hashes with the recorded table and

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/gradsec/gradsec/internal/nn"
+	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/tz"
 	"github.com/gradsec/gradsec/internal/wire"
@@ -31,11 +32,12 @@ func bitsOf(xs []float64) []uint64 {
 	return out
 }
 
-// TestReceivedUpdatesOwnTheirFrames: a decoded GradUp reads its tensors
-// through views into its frame, so a transport must never read the next
-// frame into it. A peer sends two updates back to back and the server
-// side receives both before folding either; the fold must equal the
-// materialised one on every transport.
+// TestReceivedUpdatesOwnTheirFrames: a decoded GradUp reads its tensors,
+// and a decoded MaskedUp or PartialUp its ring levels, through views into
+// its frame, so a transport must never read the next frame into it. A
+// peer sends two updates back to back and the server side receives both
+// before folding either; the fold must equal the materialised one — the
+// sent messages folded as built — word for word on every transport.
 func TestReceivedUpdatesOwnTheirFrames(t *testing.T) {
 	transports := map[string]func(t *testing.T) (server, peer Conn){
 		"pipe": func(*testing.T) (Conn, Conn) { return Pipe() },
@@ -56,36 +58,98 @@ func TestReceivedUpdatesOwnTheirFrames(t *testing.T) {
 			return server, peer
 		},
 	}
+	// levels returns ring levels shaped like newState's tensors, one
+	// pattern per value.
+	levels := func(vals ...uint64) []*wire.U64Tensor {
+		out := make([]*wire.U64Tensor, len(vals))
+		for i, v := range vals {
+			out[i] = &wire.U64Tensor{Shape: []int{2, 2}, Levels: []uint64{v, v + 1, v << 40, ^v}}
+		}
+		return out
+	}
+	// maskedFold folds each update's levels into a ring sum and returns
+	// its words.
+	maskedFold := func(t *testing.T, ups []Message, add func(*secagg.MaskedSum, Message) error) []uint64 {
+		sum := secagg.NewMaskedSum(newState(0, 0), nil, 0)
+		for _, up := range ups {
+			if err := add(sum, up); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var words []uint64
+		for _, l := range sum.Levels() {
+			words = append(words, l.Levels...)
+		}
+		return words
+	}
+	// Each kind sends two updates and folds a list of them, decoded or as
+	// sent, into the words of its running sum.
+	kinds := map[string]struct {
+		ups  []Message
+		fold func(t *testing.T, ups []Message) []uint64
+	}{
+		"GradUp": {
+			ups: []Message{&GradUp{Plain: newState(1.5, -2)}, &GradUp{Plain: newState(0.25, 8)}},
+			fold: func(t *testing.T, ups []Message) []uint64 {
+				agg := NewAggregator(newState(0, 0))
+				for _, m := range ups {
+					up := m.(*GradUp)
+					var err error
+					if up.Views != nil {
+						err = agg.Accumulate(up.Views, 1)
+					} else {
+						err = agg.Add(up.Plain, 1)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+				}
+				return sumBits(agg)
+			},
+		},
+		"MaskedUp": {
+			ups: []Message{&MaskedUp{Levels: levels(3, 1<<63)}, &MaskedUp{Levels: levels(^uint64(0), 7)}},
+			fold: func(t *testing.T, ups []Message) []uint64 {
+				return maskedFold(t, ups, func(sum *secagg.MaskedSum, m Message) error { return sum.Add(m.(*MaskedUp).Levels, 1) })
+			},
+		},
+		"PartialUp": {
+			ups: []Message{
+				&PartialUp{Levels: levels(5, 1<<62), Weight: 2, Count: 1},
+				&PartialUp{Levels: levels(1<<33, ^uint64(4)), Weight: 3, Count: 2},
+			},
+			fold: func(t *testing.T, ups []Message) []uint64 {
+				return maskedFold(t, ups, func(sum *secagg.MaskedSum, m Message) error {
+					up := m.(*PartialUp)
+					return sum.AddPartial(up.Levels, up.Weight, int(up.Count))
+				})
+			},
+		},
+	}
 	for name, connect := range transports {
 		t.Run(name, func(t *testing.T) {
-			server, peer := connect(t)
-			defer server.Close()
-			defer peer.Close()
-			ups := []*GradUp{{Plain: newState(1.5, -2)}, {Plain: newState(0.25, 8)}}
-			for _, up := range ups {
-				if err := peer.Send(up); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var got []*GradUp
-			for range ups {
-				m, err := server.Recv()
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, m.(*GradUp))
-			}
-			lazy, eager := NewAggregator(newState(0, 0)), NewAggregator(newState(0, 0))
-			for i, up := range ups {
-				if err := lazy.Accumulate(got[i].Views, 1); err != nil {
-					t.Fatal(err)
-				}
-				if err := eager.Add(up.Plain, 1); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if a, b := sumBits(lazy), sumBits(eager); !slices.Equal(a, b) {
-				t.Fatalf("folded %v, want %v: the second frame overwrote the first", lazy.Sum(), eager.Sum())
+			for kind, k := range kinds {
+				t.Run(kind, func(t *testing.T) {
+					server, peer := connect(t)
+					defer server.Close()
+					defer peer.Close()
+					for _, up := range k.ups {
+						if err := peer.Send(up); err != nil {
+							t.Fatal(err)
+						}
+					}
+					var got []Message
+					for range k.ups {
+						m, err := server.Recv()
+						if err != nil {
+							t.Fatal(err)
+						}
+						got = append(got, m)
+					}
+					if lazy, eager := k.fold(t, got), k.fold(t, k.ups); !slices.Equal(lazy, eager) {
+						t.Fatalf("folded %v, want %v: the second frame overwrote the first", lazy, eager)
+					}
+				})
 			}
 		})
 	}
@@ -276,49 +340,73 @@ func (s *stubTrainer) TrainRound(int, []*tensor.Tensor, []byte, []byte) ([]*tens
 }
 
 // TestRoundAllocationGuard pins the zero-materialisation update path: a
-// warm f64 round of 32 clients on the LeNet-5 state over pipes allocates
-// under 1.3 encoded GradUps per client plus four models — each update
+// warm round of 32 clients on the LeNet-5 state over pipes allocates
+// under 1.3 encoded updates per client plus four models — each update
 // frame is one exact-size payload the server folds in place, and each
-// client decodes the broadcast into its own model.
+// client decodes the broadcast into its own model. The masked row (auto
+// degree) holds the same bound over MaskedUp frames: a client quantises
+// and masks into buffers it keeps, and the server folds the ring levels
+// straight from the frame and strips the round's seeds in one pass over
+// one scratch.
 func TestRoundAllocationGuard(t *testing.T) {
 	const clients, warm, measured = 32, 2, 4
-	state := nn.NewLeNet5(rand.New(rand.NewSource(1)), nn.ActReLU).StateDict()
-	upd := make([]*tensor.Tensor, len(state))
+	lenet := func() []*tensor.Tensor { return nn.NewLeNet5(rand.New(rand.NewSource(1)), nn.ActReLU).StateDict() }
+	upd := lenet()
+	levels := make([]*wire.U64Tensor, len(upd))
 	modelBytes := 0
-	for i, s := range state {
-		upd[i] = tensor.Full(0.125, s.Shape...)
-		modelBytes += 8 * s.Size()
+	for i, u := range upd {
+		upd[i] = tensor.Full(0.125, u.Shape...)
+		levels[i] = secagg.Quantise(upd[i], secagg.ScaleFor(secagg.DefaultScaleBits), 1)
+		modelBytes += 8 * u.Size()
 	}
-	gradUp := len(EncodeMessageCodec(&GradUp{Plain: upd}, wire.CodecF64))
-
-	var closed []uint64
-	srv := NewServer(state, ServerConfig{Rounds: warm + measured, Hooks: Hooks{RoundClosed: func(RoundStats) {
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		closed = append(closed, ms.TotalAlloc)
-	}}})
-	conns := make([]Conn, clients)
-	var wg sync.WaitGroup
-	for i := range conns {
-		sc, cc := Pipe()
-		conns[i] = sc
-		c := NewClient(cc, &stubTrainer{id: string(rune('A' + i)), upd: upd})
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := c.Run(); err != nil {
-				t.Error(err)
+	shares := make([]secagg.WrappedShare, secagg.DegreeFor(clients))
+	for i := range shares {
+		shares[i] = secagg.WrappedShare{To: "A", Blob: make([]byte, secagg.WrappedShareLen)}
+	}
+	rows := []struct {
+		name  string
+		cfg   ServerConfig
+		frame int
+	}{
+		{"f64", ServerConfig{}, len(EncodeMessageCodec(&GradUp{Plain: upd}, wire.CodecF64))},
+		{"secagg", ServerConfig{SecAgg: true, MaskDegree: secagg.AutoDegree},
+			len(EncodeMessageCodec(&MaskedUp{Levels: levels, Shares: shares}, wire.CodecF64))},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var closed []uint64
+			cfg := row.cfg
+			cfg.Rounds = warm + measured
+			cfg.Hooks = Hooks{RoundClosed: func(RoundStats) {
+				var ms runtime.MemStats
+				runtime.ReadMemStats(&ms)
+				closed = append(closed, ms.TotalAlloc)
+			}}
+			srv := NewServer(lenet(), cfg)
+			conns := make([]Conn, clients)
+			var wg sync.WaitGroup
+			for i := range conns {
+				sc, cc := Pipe()
+				conns[i] = sc
+				c := NewClient(cc, &stubTrainer{id: string(rune('A' + i)), upd: upd})
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					if err := c.Run(); err != nil {
+						t.Error(err)
+					}
+				}()
 			}
-		}()
-	}
-	if _, err := srv.Run(conns); err != nil {
-		t.Fatal(err)
-	}
-	wg.Wait()
-	perRound := float64(closed[len(closed)-1]-closed[warm-1]) / measured
-	bound := 1.3*float64(clients*gradUp) + 4*float64(modelBytes)
-	t.Logf("%.2f MB per round, bound %.2f MB (%.2f× the bound)", perRound/1e6, bound/1e6, perRound/bound)
-	if perRound >= bound {
-		t.Fatalf("a warm round allocated %.2f MB, want < %.2f MB", perRound/1e6, bound/1e6)
+			if _, err := srv.Run(conns); err != nil {
+				t.Fatal(err)
+			}
+			wg.Wait()
+			perRound := float64(closed[len(closed)-1]-closed[warm-1]) / measured
+			bound := 1.3*float64(clients*row.frame) + 4*float64(modelBytes)
+			t.Logf("%.2f MB per round, bound %.2f MB (%.2f× the bound)", perRound/1e6, bound/1e6, perRound/bound)
+			if perRound >= bound {
+				t.Fatalf("a warm round allocated %.2f MB, want < %.2f MB", perRound/1e6, bound/1e6)
+			}
+		})
 	}
 }

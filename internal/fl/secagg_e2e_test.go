@@ -918,8 +918,10 @@ func TestSecAggOneMemberCohort(t *testing.T) {
 			t.Fatalf("round %d upload carries %d self-seed shares", up.Round, len(up.Shares))
 		}
 		want := secagg.Quantise(newState(2)[0], secagg.ScaleFor(secagg.DefaultScaleBits), 1)
-		if up.Levels[0].Levels[0] != want.Levels[0] {
-			t.Fatalf("round %d levels are masked: %d, want the plain quantised %d", up.Round, up.Levels[0].Levels[0], want.Levels[0])
+		got := make([]uint64, up.Levels[0].Size())
+		up.Levels[0].AddTo(got)
+		if got[0] != want.Levels[0] {
+			t.Fatalf("round %d levels are masked: %d, want the plain quantised %d", up.Round, got[0], want.Levels[0])
 		}
 	}
 	if ups != 2 {

@@ -338,6 +338,10 @@ func (s *Server) reconcile(rd *syncRound, mr *maskedRound) error {
 		deadlineC = timer.C
 	}
 	seedShares := make(map[string][]secagg.Share, len(mr.folded))
+	// masks collects every seed to strip — revealed pair seeds as the
+	// answers validate, then the reconstructed self seeds — and nothing
+	// touches the sum until the round can no longer fail.
+	var masks []secagg.SeedMask
 	take := func(sess *session, msg Message) bool {
 		switch m := msg.(type) {
 		case *MaskShares:
@@ -347,7 +351,7 @@ func (s *Server) reconcile(rd *syncRound, mr *maskedRound) error {
 				break
 			}
 			delete(need, sess)
-			if err := applyMaskShares(sess.device, m, exp, graph, mr.MaskedSum, seedShares); err != nil {
+			if err := applyMaskShares(sess.device, m, exp, graph, &masks, seedShares); err != nil {
 				s.quarantineAt(sess, round, true, err, &rd.stats, &rd.reasons)
 				fatal = fmt.Errorf("%w: shares from %s: %v", ErrSecAggRecon, sess.device, err)
 			}
@@ -410,20 +414,22 @@ wait:
 			return fmt.Errorf("%w: reconstructing self seed of %s from %d shares (threshold %d): %v",
 				ErrSecAggRecon, owner, len(seedShares[owner]), threshold, err)
 		}
-		mr.ApplySeedMask(seed, -1)
+		masks = append(masks, secagg.SeedMask{Seed: seed, Sign: -1})
 	}
+	mr.ApplySeedMasks(masks)
 	rd.stats.Reconciled = len(droppedSet)
 	return nil
 }
 
-// applyMaskShares validates and applies one survivor's MaskShares
-// answer during reconciliation: pair seeds exactly covering
-// its dropped neighbours are subtracted immediately; self-seed shares —
-// at most one per folded neighbour it was sent an envelope for, with
+// applyMaskShares validates and banks one survivor's MaskShares answer
+// during reconciliation: pair seeds exactly covering its dropped
+// neighbours join masks, oriented to come off the sum; self-seed shares
+// — at most one per folded neighbour it was sent an envelope for, with
 // the x-coordinate pinned to the owner's share index for this holder —
 // are banked for reconstruction. A client may return fewer seed shares
-// than envelopes (corrupt blobs are withheld), never more.
-func applyMaskShares(holder string, m *MaskShares, exp *reconExpect, graph *secagg.Graph, msum *secagg.MaskedSum, seedShares map[string][]secagg.Share) error {
+// than envelopes (corrupt blobs are withheld), never more. An answer
+// that fails validation banks nothing.
+func applyMaskShares(holder string, m *MaskShares, exp *reconExpect, graph *secagg.Graph, masks *[]secagg.SeedMask, seedShares map[string][]secagg.Share) error {
 	if len(m.Shares) != len(exp.dropped) {
 		return fmt.Errorf("revealed %d pair seeds, want %d", len(m.Shares), len(exp.dropped))
 	}
@@ -452,7 +458,7 @@ func applyMaskShares(holder string, m *MaskShares, exp *reconExpect, graph *seca
 		}
 	}
 	for _, share := range m.Shares {
-		msum.ApplySeedMask(share.Seed, -secagg.PairSign(holder, share.Device))
+		*masks = append(*masks, secagg.SeedMask{Seed: share.Seed, Sign: -secagg.PairSign(holder, share.Device)})
 	}
 	for _, ss := range m.SeedShares {
 		seedShares[ss.Owner] = append(seedShares[ss.Owner], secagg.Share{X: ss.X, Data: ss.Data})

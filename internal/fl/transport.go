@@ -150,7 +150,8 @@ func (c *pipeConn) Send(m Message) error {
 }
 
 // SendFrame implements Conn. The payload travels by reference and the
-// receiver decodes GradUp and ModelDown tensors as views into it, so one
+// receiver decodes the tensors of GradUp and ModelDown, and the levels
+// of MaskedUp and PartialUp, as views into it, so one
 // payload shared across many pipes is read by every receiver and must
 // never be mutated by sender or receiver.
 func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
@@ -333,7 +334,7 @@ func (c *tcpConn) Recv() (Message, error) {
 	}
 	msg, err := decodeFrame(MsgType(mt), payload, codec)
 	switch msg.(type) {
-	case *GradUp, *ModelDown:
+	case *GradUp, *ModelDown, *MaskedUp, *PartialUp:
 		// Their views own the frame now: never read into it again.
 		c.readBuf = nil
 	default:

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
@@ -46,6 +47,13 @@ type ClientSession struct {
 	graph *Graph
 	peers map[string]Peer
 	roles map[string]int
+
+	// levels are the buffers MaskedUpdate quantises into, per position,
+	// and scratch is its mask kernel's keystream chunk; both are reused
+	// across rounds, a level buffer reallocated only when its shape
+	// changes.
+	levels  []*wire.U64Tensor
+	scratch []byte
 }
 
 const (
@@ -119,22 +127,17 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 // Graph.Threshold), which ride the MaskedUp upload. degree < 1 is only
 // meaningful for a one-member cohort — no pairs, no self mask, no
 // shares; for any larger cohort it is refused with ErrMaskDowngrade.
+//
+// The levels are quantised into buffers the session owns and reuses
+// across rounds, and every mask lands on them in one kernel pass: the
+// returned tensors are valid until the session's next MaskedUpdate, so
+// a caller encodes (or copies) them before masking another round.
 func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
 	if weight == 0 {
 		return nil, nil, fmt.Errorf("secagg: zero update weight")
 	}
 	if degree < 1 && len(cohort) > 1 {
 		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, len(cohort))
-	}
-	out := make([]*wire.U64Tensor, len(upd))
-	var active [][]uint64
-	for i, t := range upd {
-		if t == nil {
-			continue
-		}
-		q := Quantise(t, ScaleFor(s.scaleBits), weight)
-		out[i] = q
-		active = append(active, q.Levels)
 	}
 
 	self := 0
@@ -159,12 +162,13 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 		return nil, nil, err
 	}
 	neigh := graph.Neighbors(s.device)
+	masks := make([]SeedMask, 0, len(neigh)+1)
 	for _, d := range neigh {
 		seed, err := s.roundSeedWith(peers[d], round)
 		if err != nil {
 			return nil, nil, err
 		}
-		streamMask(seed, PairSign(s.device, d), active)
+		masks = append(masks, SeedMask{Seed: seed, Sign: PairSign(s.device, d)})
 	}
 
 	var shares []WrappedShare
@@ -174,7 +178,7 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 		// straggler's masks can be reconciled without ever exposing a
 		// folded update, and a late update stays masked by construction.
 		seed := s.selfSeed(round)
-		streamMask(seed, 1, active)
+		masks = append(masks, SeedMask{Seed: seed, Sign: 1})
 		xs := make([]uint8, len(neigh))
 		for i := range neigh {
 			xs[i] = uint8(i + 1) // == graph.ShareIndex(s.device, neigh[i])
@@ -192,6 +196,27 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 			shares[i] = WrappedShare{To: d, Blob: wrapShare(shareWrapKey(pair, round, s.device), split[i])}
 		}
 	}
+
+	out := make([]*wire.U64Tensor, len(upd))
+	var active [][]uint64
+	if len(s.levels) != len(upd) {
+		s.levels = make([]*wire.U64Tensor, len(upd))
+	}
+	for i, t := range upd {
+		if t == nil {
+			continue
+		}
+		if s.levels[i] == nil || !slices.Equal(s.levels[i].Shape, t.Shape) {
+			s.levels[i] = &wire.U64Tensor{Shape: slices.Clone(t.Shape), Levels: make([]uint64, len(t.Data))}
+		}
+		quantiseInto(s.levels[i].Levels, t.Data, ScaleFor(s.scaleBits), weight)
+		out[i] = s.levels[i]
+		active = append(active, out[i].Levels)
+	}
+	if s.scratch == nil {
+		s.scratch = make([]byte, maskChunk)
+	}
+	applyMasks(masks, active, s.scratch)
 	s.round, s.graph, s.peers, s.roles = round, graph, peers, make(map[string]int)
 	return out, shares, nil
 }

@@ -24,15 +24,19 @@ type MaskedSum struct {
 	weight float64
 	count  int
 
+	// scratch is the mask kernel's keystream chunk, allocated by the
+	// first seed application.
+	scratch []byte
+
 	// expandNS, when attached, times seed-mask keystream expansion.
 	// CPU work measured on the real clock — it never feeds the trace
 	// sink, so simulated-time determinism is unaffected.
 	expandNS *obs.Histogram
 }
 
-// Instrument attaches a histogram timing ApplySeedMask's keystream
-// expansion. A nil histogram (or never calling Instrument) keeps the
-// path untimed.
+// Instrument attaches a histogram timing ApplySeedMasks: one
+// observation per call, covering every seed the call expands. A nil
+// histogram (or never calling Instrument) keeps the path untimed.
 func (m *MaskedSum) Instrument(expandNS *obs.Histogram) {
 	m.expandNS = expandNS
 }
@@ -77,8 +81,8 @@ func (m *MaskedSum) Validate(up []*wire.U64Tensor) error {
 		if t == nil {
 			return fmt.Errorf("secagg: update missing levels for tensor %d", i)
 		}
-		if len(t.Levels) != m.ref[i].Size() || t.Size() != m.ref[i].Size() {
-			return fmt.Errorf("secagg: levels for tensor %d have %d elements, want %d", i, len(t.Levels), m.ref[i].Size())
+		if !t.Fits(m.ref[i].Size()) {
+			return fmt.Errorf("secagg: levels for tensor %d do not hold %d elements", i, m.ref[i].Size())
 		}
 	}
 	return nil
@@ -100,9 +104,11 @@ func (m *MaskedSum) Add(up []*wire.U64Tensor, weight uint64) error {
 
 // AddPartial composes an edge aggregator's partial — that shard's ring
 // sums over count updates of total weight, its masks already cancelled
-// or reconciled. It is the fail-closed fold Add delegates to: ring sums
-// are additive in ℤ/2⁶⁴, so composed partials finish with the same Mean
-// as directly folded updates.
+// or reconciled. It is the one fail-closed fold, Add's included: ring
+// sums are additive in ℤ/2⁶⁴, so composed partials finish with the same
+// Mean as directly folded updates. A decoded tensor's words fold
+// straight from its payload (wire.U64Tensor.AddTo), so a fold
+// allocates nothing.
 func (m *MaskedSum) AddPartial(up []*wire.U64Tensor, weight float64, count int) error {
 	if err := m.Validate(up); err != nil {
 		return err
@@ -124,17 +130,13 @@ func (m *MaskedSum) AddPartial(up []*wire.U64Tensor, weight float64, count int) 
 		if m.sum[i] == nil {
 			return fmt.Errorf("secagg: levels present at protected position %d", i)
 		}
-		if len(t.Levels) != len(m.sum[i]) {
-			return fmt.Errorf("secagg: levels for tensor %d have %d elements, want %d", i, len(t.Levels), len(m.sum[i]))
+		if !t.Fits(len(m.sum[i])) {
+			return fmt.Errorf("secagg: levels for tensor %d do not hold %d elements", i, len(m.sum[i]))
 		}
 	}
 	for i, t := range up {
-		if t == nil {
-			continue
-		}
-		dst := m.sum[i]
-		for j, l := range t.Levels {
-			dst[j] += l
+		if t != nil {
+			t.AddTo(m.sum[i])
 		}
 	}
 	m.weight += weight
@@ -142,25 +144,35 @@ func (m *MaskedSum) AddPartial(up []*wire.U64Tensor, weight float64, count int) 
 	return nil
 }
 
-// ApplySeedMask expands a revealed round seed and adds (sign=+1) or
-// subtracts (sign=-1) it from the running sum, streaming the keystream
-// instead of materialising the full expansion — the reconciliation hot
-// path for large models.
-func (m *MaskedSum) ApplySeedMask(seed [32]byte, sign int) {
+// ApplySeedMasks expands revealed round seeds and adds (Sign ≥ 0) or
+// subtracts each from the running sum in one pass of the mask kernel —
+// the clients' own, so what a client masked with a seed comes off word
+// for word. Reconciliation applies a round's pair seeds and
+// reconstructed self seeds in one call, once the round can no longer
+// fail.
+func (m *MaskedSum) ApplySeedMasks(masks []SeedMask) {
 	var active [][]uint64
 	for i, on := range m.active {
 		if on {
 			active = append(active, m.sum[i])
 		}
 	}
+	if m.scratch == nil {
+		m.scratch = make([]byte, maskChunk)
+	}
 	var start time.Time
 	if m.expandNS != nil {
 		start = time.Now()
 	}
-	streamMask(seed, sign, active)
+	applyMasks(masks, active, m.scratch)
 	if m.expandNS != nil {
 		m.expandNS.Observe(time.Since(start).Nanoseconds())
 	}
+}
+
+// ApplySeedMask is ApplySeedMasks of one seed.
+func (m *MaskedSum) ApplySeedMask(seed [32]byte, sign int) {
+	m.ApplySeedMasks([]SeedMask{{Seed: seed, Sign: sign}})
 }
 
 // Levels returns the ring sums as level tensors aligned with the

@@ -93,12 +93,17 @@ func ScaleFor(bits int) float64 { return math.Ldexp(1, bits) }
 // carries its FedAvg weight before masking.
 func Quantise(t *tensor.Tensor, scale float64, weight uint64) *wire.U64Tensor {
 	levels := make([]uint64, len(t.Data))
-	for i, v := range t.Data {
-		levels[i] = uint64(int64(math.Round(v*scale))) * weight
-	}
+	quantiseInto(levels, t.Data, scale, weight)
 	shape := make([]int, len(t.Shape))
 	copy(shape, t.Shape)
 	return &wire.U64Tensor{Shape: shape, Levels: levels}
+}
+
+// quantiseInto is Quantise into a caller-owned buffer of len(src) words.
+func quantiseInto(dst []uint64, src []float64, scale float64, weight uint64) {
+	for i, v := range src[:len(dst)] {
+		dst[i] = uint64(int64(math.Round(v*scale))) * weight
+	}
 }
 
 // Dequantise converts an unmasked ring sum back to float64 values:

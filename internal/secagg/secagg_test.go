@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"github.com/gradsec/gradsec/internal/tensor"
@@ -257,11 +259,16 @@ func TestMaskedSumAddFailClosed(t *testing.T) {
 		{"good prefix, short tail", []*wire.U64Tensor{lv(4, 1), lv(6, 1), lv(3, 1)}},
 		{"good prefix, long tail", []*wire.U64Tensor{lv(4, 1), lv(6, 1), lv(9, 1)}},
 		{"shape/levels mismatch", []*wire.U64Tensor{lv(4, 1), lv(6, 1), {Shape: []int{5}, Levels: make([]uint64, 3)}}},
+		// Views, as the wire decodes them: words still in the frame.
+		{"view: truncated payload", []*wire.U64Tensor{lv(4, 1), lv(6, 1), {Shape: []int{5}, Raw: make([]byte, 8*5-3)}}},
+		{"view: word count differs from shape", []*wire.U64Tensor{lv(4, 1), lv(6, 1), {Shape: []int{5}, Raw: make([]byte, 8*4)}}},
+		{"view: words and levels both set", []*wire.U64Tensor{lv(4, 1), lv(6, 1), {Shape: []int{5}, Raw: make([]byte, 8*5), Levels: make([]uint64, 5)}}},
+		{"view at protected position", []*wire.U64Tensor{lv(4, 1), lv(6, 1), {Shape: []int{5}, Raw: make([]byte, 8*5)}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			protected := map[int]bool{}
-			if tc.name == "levels at protected position" {
+			if strings.HasSuffix(tc.name, "at protected position") {
 				protected[2] = true
 			}
 			m := NewMaskedSum(ref, protected, DefaultScaleBits)
@@ -563,5 +570,163 @@ func TestEnclaveMinReleaseFloor(t *testing.T) {
 	}
 	if got := enc.Device().SecureMemory().InUse(); got != 0 {
 		t.Fatalf("secure memory leaked: %d", got)
+	}
+}
+
+// withMasks returns base plus Σ ±MaskLevels of the masks over base's
+// sizes, computed seed by seed from fully materialised expansions: the
+// reference the mask kernel must match word for word.
+func withMasks(base [][]uint64, masks []SeedMask) [][]uint64 {
+	sizes := make([]int, len(base))
+	out := make([][]uint64, len(base))
+	for i, b := range base {
+		sizes[i], out[i] = len(b), append([]uint64(nil), b...)
+	}
+	for _, m := range masks {
+		for i, exp := range MaskLevels(m.Seed, sizes) {
+			for j, e := range exp {
+				if m.Sign >= 0 {
+					out[i][j] += e
+				} else {
+					out[i][j] -= e
+				}
+			}
+		}
+	}
+	return out
+}
+
+// kernelSizes straddle the kernel's 8192-word chunk.
+var kernelSizes = []int{1, 8191, 8192, 8193}
+
+// TestMaskKernelMatchesReference: the mask kernel, applied by the server
+// as one batch or one seed at a time, equals Σ ±MaskLevels word for word
+// for 1, 2, 9 and 33 seeds of both signs over tensors that straddle its
+// chunk, with a protected (nil) position in the layout.
+func TestMaskKernelMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ref := []*tensor.Tensor{tensor.New(kernelSizes[0])}
+	for _, n := range kernelSizes[1:] {
+		ref = append(ref, tensor.New(7), tensor.New(n)) // every tensor 7 words is protected
+	}
+	protected := map[int]bool{}
+	var base []*wire.U64Tensor
+	var active [][]uint64
+	for i, r := range ref {
+		if r.Size() == 7 {
+			protected[i] = true
+			base = append(base, nil)
+			continue
+		}
+		u := &wire.U64Tensor{Shape: r.Shape, Levels: make([]uint64, r.Size())}
+		for j := range u.Levels {
+			u.Levels[j] = rng.Uint64()
+		}
+		base, active = append(base, u), append(active, u.Levels)
+	}
+	for _, n := range []int{1, 2, 9, 33} {
+		t.Run(fmt.Sprint(n, " seeds"), func(t *testing.T) {
+			masks := make([]SeedMask, n)
+			for k := range masks {
+				rng.Read(masks[k].Seed[:])
+				masks[k].Sign = 1 - 2*rng.Intn(2)
+			}
+			want := withMasks(active, masks)
+			batch := NewMaskedSum(ref, protected, DefaultScaleBits)
+			single := NewMaskedSum(ref, protected, DefaultScaleBits)
+			for _, m := range []*MaskedSum{batch, single} {
+				if err := m.Add(base, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			batch.ApplySeedMasks(masks)
+			for _, m := range masks {
+				single.ApplySeedMask(m.Seed, m.Sign)
+			}
+			for name, m := range map[string]*MaskedSum{"batched": batch, "per-seed": single} {
+				var got [][]uint64
+				for _, l := range m.Levels() {
+					if l != nil {
+						got = append(got, l.Levels)
+					}
+				}
+				for i := range want {
+					for j := range want[i] {
+						if got[i][j] != want[i][j] {
+							t.Fatalf("%s apply: tensor %d word %d = %d, want %d", name, i, j, got[i][j], want[i][j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestMaskedUpdateMatchesReference: MaskedUpdate's fused pass — quantise
+// into the session's buffers, then every pair seed and the self seed in
+// one kernel call — equals Quantise plus Σ ±MaskLevels word for word, on
+// tensors that straddle the kernel's chunk with the protected (nil)
+// position moving between rounds, for 2, 9 and 33 seeds (degree 1, 8 and
+// 32 plus the self seed). The second round reuses the first round's
+// buffers.
+func TestMaskedUpdateMatchesReference(t *testing.T) {
+	var shapes [][]int
+	for _, n := range kernelSizes {
+		shapes = append(shapes, []int{n})
+	}
+	for _, degree := range []int{1, 8, 32} {
+		t.Run(fmt.Sprint(degree+1, " seeds"), func(t *testing.T) {
+			sessions, cohort := testCohort(t, degree+1)
+			s := sessions[0]
+			names := make([]string, len(cohort))
+			for i, p := range cohort {
+				names[i] = p.Device
+			}
+			for round := 1; round <= 2; round++ {
+				upd := dyadicUpdate(round, shapes)
+				upd[round] = nil // protected this round
+				const weight = 3
+				levels, _, err := s.MaskedUpdate(round, cohort, degree, upd, weight)
+				if err != nil {
+					t.Fatal(err)
+				}
+				graph, err := NewGraph(round, names, degree)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var masks []SeedMask
+				for _, d := range graph.Neighbors(s.device) {
+					seed, err := s.roundSeedWith(Peer{Device: d, Pub: cohort[slices.Index(names, d)].Pub}, round)
+					if err != nil {
+						t.Fatal(err)
+					}
+					masks = append(masks, SeedMask{Seed: seed, Sign: PairSign(s.device, d)})
+				}
+				if len(masks) != degree {
+					t.Fatalf("graph gave %d neighbours, want %d", len(masks), degree)
+				}
+				masks = append(masks, SeedMask{Seed: s.selfSeed(round), Sign: 1})
+				var quantised [][]uint64
+				for _, u := range upd {
+					if u != nil {
+						quantised = append(quantised, Quantise(u, ScaleFor(DefaultScaleBits), weight).Levels)
+					}
+				}
+				want := withMasks(quantised, masks)
+				k := 0
+				for i, l := range levels {
+					if (l == nil) != (upd[i] == nil) {
+						t.Fatalf("round %d: levels at %d present %v, update present %v", round, i, l != nil, upd[i] != nil)
+					}
+					if l == nil {
+						continue
+					}
+					if !slices.Equal(l.Levels, want[k]) {
+						t.Fatalf("round %d tensor %d: masked levels differ from Quantise + Σ ±MaskLevels", round, i)
+					}
+					k++
+				}
+			}
+		})
 	}
 }

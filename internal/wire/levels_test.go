@@ -30,21 +30,44 @@ func TestU64TensorRoundTrip(t *testing.T) {
 		if got[i].Size() != want.Size() {
 			t.Fatalf("tensor %d size %d != %d", i, got[i].Size(), want.Size())
 		}
+		words := make([]uint64, got[i].Size())
+		got[i].AddTo(words)
 		for j, v := range want.Levels {
-			if got[i].Levels[j] != v {
-				t.Fatalf("tensor %d level %d: %d != %d", i, j, got[i].Levels[j], v)
+			if words[j] != v {
+				t.Fatalf("tensor %d level %d: %d != %d", i, j, words[j], v)
 			}
 		}
 	}
 }
 
 func TestU64TensorCorruptInputs(t *testing.T) {
-	// Truncated payload after a valid header.
+	// Truncated payload after a valid header, at every cut.
 	w := NewWriter()
 	w.U64Tensor(&U64Tensor{Shape: []int{4}, Levels: []uint64{1, 2, 3, 4}})
-	r := NewReader(w.Bytes()[:8])
-	if r.U64Tensor(); r.Err() == nil {
-		t.Fatal("truncated u64 tensor must fail")
+	for cut := range w.Bytes() {
+		r := NewReader(w.Bytes()[:cut])
+		if r.U64Tensor(); r.Err() == nil {
+			t.Fatalf("u64 tensor truncated to %d bytes must fail", cut)
+		}
+	}
+	// A decoded view fits exactly its own shape; a view of unknown
+	// provenance fits only with exactly its shape's words, in exactly one
+	// of Raw and Levels.
+	r := NewReader(w.Bytes())
+	v := r.U64Tensor()
+	if r.Err() != nil || v.Levels != nil || !v.Fits(4) || v.Fits(3) || v.Fits(5) {
+		t.Fatalf("decoded view %+v must fit exactly 4 words", v)
+	}
+	for name, bad := range map[string]*U64Tensor{
+		"truncated raw":             {Shape: []int{4}, Raw: v.Raw[:31]},
+		"raw word count ≠ shape":    {Shape: []int{4}, Raw: v.Raw[:24]},
+		"levels word count ≠ shape": {Shape: []int{4}, Levels: make([]uint64, 3)},
+		"raw and levels":            {Shape: []int{4}, Raw: v.Raw, Levels: make([]uint64, 4)},
+		"nil":                       nil,
+	} {
+		if bad.Fits(4) {
+			t.Errorf("%s: hostile view fits", name)
+		}
 	}
 	// Hostile list length.
 	r = NewReader([]byte{0xFF, 0xFF, 0xFF, 0x01})
