@@ -26,8 +26,8 @@
 #   make smoke-fleet  run the 256-client fleet twice; the reruns must match
 #   make smoke-quickstart run one client's static-plan secure training
 #   make smoke-federated run a TEE-attested session over the in-memory transport
-#   make smoke-tcp    flserver/fledge/flclient over loopback: flat + recovery,
-#                     a two-edge hierarchy, and refused configurations
+#   make smoke-tcp    flserver/flclient over loopback: flat + recovery, a
+#                     two-edge hierarchy, and refused configurations
 #   make check        build + vet + test + fuzz regression + example smokes (CI gate)
 #   make loc          non-test Go lines per package (the count ROADMAP/CHANGES quote)
 #
@@ -150,10 +150,11 @@ smoke-quickstart:
 smoke-federated:
 	$(GO) run ./examples/federated
 
-# The three TCP binaries over loopback (≈2 s, scripts/smoke-tcp.sh): a
-# journaled flat session then its -recover, a root over two fledges, and
-# flag combinations fl.ServerConfig.Validate refuses before flserver
-# listens. It exits non-zero on any failed process or missing line.
+# The two TCP binaries over loopback (≈2 s, scripts/smoke-tcp.sh): a
+# journaled flat session then its -recover, a root over two edges
+# (flserver -upstream), and flag combinations that fl.ServerConfig.Validate
+# or the role table refuses before flserver listens. It exits non-zero
+# on any failed process or missing line.
 smoke-tcp:
 	scripts/smoke-tcp.sh
 

@@ -4,7 +4,7 @@
 // GradSec trusted application.
 //
 // The client is tier-agnostic: -addr may point at a flat flserver or at
-// a fledge edge aggregator — the round protocol is identical, so a
+// an edge (flserver -upstream) — the round protocol is identical, so a
 // device cannot tell (and need not care) whether its aggregator is the
 // root or a shard of a larger hierarchy. Adaptive servers may switch
 // the session codec mid-run (CodecSwitch); the client follows any

@@ -1,32 +1,28 @@
-// Command flserver runs a GradSec federated-learning server over TCP:
-// it waits for -clients connections, performs TEE-aware selection (open
-// enrolment: device keys are accepted on first use in this demo binary),
-// and drives -rounds FL cycles of the LeNet-5-mini model with the given
-// protection plan.
+// Command flserver runs a GradSec federated-learning server over TCP in
+// one of three roles, each the same fl round engine:
 //
-// With -async the session is asynchronous buffered federation
-// (FedBuff-style): clients train and push on their own cadence, the
-// server folds updates staleness-discounted into a buffer and applies
-// it every -goal-updates folds; -rounds counts those applications.
+//   - flat (default): waits for -clients connections, performs TEE-aware
+//     selection (open enrolment: device keys are accepted on first use),
+//     and drives -rounds FL cycles of LeNet-5-mini under the -protect
+//     plan — asynchronous buffered federation with -async, a
+//     Byzantine-robust aggregator with -aggregation.
+//   - root (-edges N): waits for N edges and folds one partial aggregate
+//     per shard per round: fan-in O(shards) instead of O(fleet).
+//   - edge (-upstream ADDR): waits for its -clients shard clients, dials
+//     the root and forwards one partial per round the root paces. SecAgg,
+//     its precision and mask degree come from the root's challenge; an
+//     edge plans no protection and accepts the root's broadcast up to its
+//     own -codec.
 //
-// With -journal the server writes a checksummed round journal; after a
-// crash, restarting with -recover replays the committed rounds and
-// resumes the session bit-identically with the reconnecting fleet.
-// -aggregation trimmed-mean/median swaps FedAvg for a Byzantine-robust
-// aggregator (see -trim for the trimmed-mean tail fraction).
+// A flat server or root with -journal writes a checksummed round journal;
+// -recover replays it and resumes the session bit-identically. A flag set
+// for a role that does not read it (readBy, printed by -help), or a
+// configuration fl.ServerConfig.Validate refuses, is a usage error (exit
+// status 2) before anything is created, bound or dialled.
 //
-// With -edges N the binary runs as a hierarchical aggregation root
-// instead: it waits for N fledge edge-aggregator connections, broadcasts
-// the model once per round, and folds one partial aggregate per shard —
-// fan-in O(shards) instead of O(fleet). Clients then connect to the
-// fledge processes, not to this one.
-//
-// The flags become one fl.ServerConfig, checked once by its Validate
-// before any enclave, journal or listener exists: a combination the
-// engine cannot run (-secagg with a robust -aggregation, -async with
-// -secagg or -edges, -mask-degree -1, -secagg-scale 60) is a usage
-// error, exit status 2. The session is fl.Server.Run, which paces -async
-// by configuration and resumes a -recover'ed journal itself.
+//	flserver -edges 2 -rounds 3
+//	flserver -upstream 127.0.0.1:7443 -name edge-a -addr :7501 -clients 2
+//	flclient -addr 127.0.0.1:7501 -name pi-1
 package main
 
 import (
@@ -36,6 +32,7 @@ import (
 	"math/rand"
 	"os"
 	"os/signal"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -44,12 +41,71 @@ import (
 
 	"github.com/gradsec/gradsec/internal/core"
 	"github.com/gradsec/gradsec/internal/fl"
+	"github.com/gradsec/gradsec/internal/hier"
 	"github.com/gradsec/gradsec/internal/journal"
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/obs"
 	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/wire"
 )
+
+// role is a set of the tiers flserver runs as.
+type role uint8
+
+const (
+	flat role = 1 << iota
+	root      // -edges N
+	edge      // -upstream ADDR
+)
+
+func (r role) String() string {
+	var names []string
+	for i, n := range [...]string{"flat", "root", "edge"} {
+		if r&(1<<i) != 0 {
+			names = append(names, n)
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// readBy is the role table: each row names the flags its roles read. An
+// edge adopts the root's pacing and SecAgg; a root's edges own the client policies.
+var readBy = [...]struct {
+	roles role
+	flags string
+}{
+	{flat | root | edge, "-addr -codec -deadline -io-timeout -min-release -admin -admin-token -admin-cert -admin-key -spans"},
+	{flat | edge, "-clients -min-clients -sample-fraction -sample-count -seed -quarantine-rounds -client-telemetry"},
+	{flat | root, "-rounds -secagg -secagg-scale -mask-degree -journal -recover"},
+	{flat, "-protect -adaptive-codec -aggregation -trim -async -goal-updates -max-staleness -async-buffer -push-interval"},
+	{root, "-edges -min-shards"},
+	{edge, "-upstream -name -retry -retry-max"},
+}
+
+// checkRole refuses an explicitly set flag that the role does not read.
+func checkRole(r role) (err error) {
+	flag.Visit(func(f *flag.Flag) {
+		var rs role
+		for _, row := range readBy {
+			if slices.Contains(strings.Fields(row.flags), "-"+f.Name) {
+				rs |= row.roles
+			}
+		}
+		if rs&r == 0 && err == nil {
+			err = fmt.Errorf("-%s is not read by the %s role (only by: %s)", f.Name, r, rs)
+		}
+	})
+	return err
+}
+
+func usage() {
+	out := flag.CommandLine.Output()
+	fmt.Fprintln(out, "usage: flserver [flags]\n\nRoles: flat (default), root (-edges N), edge (-upstream ADDR). A flag set\nfor a role that does not read it is a usage error. The flags each role reads:")
+	for _, row := range readBy {
+		fmt.Fprintf(out, "  %-17s %s\n", row.roles.String()+":", row.flags)
+	}
+	flag.PrintDefaults()
+}
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7443", "listen address")
@@ -61,15 +117,15 @@ func main() {
 	sampleCount := flag.Int("sample-count", 0, "clients sampled per round (overrides -sample-fraction)")
 	deadline := flag.Duration("deadline", 0, "per-round deadline; stragglers are dropped (0 = wait forever)")
 	seed := flag.Int64("seed", 1, "cohort sampling seed")
-	codecName := flag.String("codec", "f64", "tensor wire codec offered to clients: f64, f32, or q8")
+	codecName := flag.String("codec", "f64", "tensor wire codec offered to clients (an edge also accepts the root's broadcast up to it): f64, f32, or q8")
 	ioTimeout := flag.Duration("io-timeout", 30*time.Second, "per-operation transport deadline: handshake reads and model-distribution writes (0 = none)")
 	secAgg := flag.Bool("secagg", false, "secure aggregation: clients send double-masked updates over a k-regular mask graph (see -mask-degree); protected layers aggregate inside a simulated server enclave")
 	secAggScale := flag.Int("secagg-scale", secagg.DefaultScaleBits, "fixed-point fractional bits for masked updates")
 	maskDegree := flag.Int("mask-degree", 0, "secagg mask-graph degree k: each client masks against k graph neighbours plus a Shamir-shared self mask, and a round survives any (k-1)/2 dropouts; 0 = size k from each round's cohort (log2 cohort, at least 6, i.e. 2 dropouts), k>0 = pin it; negative is an error")
 	quarantineRounds := flag.Int("quarantine-rounds", 0, "probation window for failed clients in rounds (0 = permanent exclusion)")
 	minRelease := flag.Int("min-release", 0, "secure-aggregation release floor: rounds folding fewer updates never publish their aggregate (0 = no floor)")
-	adaptiveCodec := flag.Float64("adaptive-codec", 0, "adaptive codec downgrade: open the session at f64 and switch capable clients to q8 once the round update norm falls below this threshold (0 = off; flat mode only)")
-	edges := flag.Int("edges", 0, "hierarchical root mode: wait for this many fledge edge aggregators instead of clients (0 = flat server)")
+	adaptiveCodec := flag.Float64("adaptive-codec", 0, "adaptive codec downgrade: open the session at f64 and switch capable clients to q8 once the round update norm falls below this threshold (0 = off)")
+	edges := flag.Int("edges", 0, "hierarchical root mode: wait for this many edge aggregators instead of clients (0 = flat server)")
 	minShards := flag.Int("min-shards", 0, "root mode: shard partials required per round (0 = all edges)")
 	async := flag.Bool("async", false, "asynchronous buffered federation: clients push whenever ready; -rounds counts buffered model applications instead of synchronous cycles")
 	goalUpdates := flag.Int("goal-updates", 0, "async: buffer goal K — apply the staleness-weighted aggregate once this many updates fold (0 = -min-clients)")
@@ -85,8 +141,23 @@ func main() {
 	adminCert := flag.String("admin-cert", "", "PEM certificate serving the admin endpoint over TLS (needs -admin-key)")
 	adminKey := flag.String("admin-key", "", "PEM private key for -admin-cert")
 	spansPath := flag.String("spans", "", "export round spans as JSONL to this file (empty = off)")
-	clientTelemetry := flag.Bool("client-telemetry", false, "fold device-side gradsec_client_* metrics riding plaintext GradUps into the server registry (needs -admin)")
+	clientTelemetry := flag.Bool("client-telemetry", false, "fold device-side gradsec_client_* metrics riding plaintext GradUps into the server registry (an edge forwards them to the root; needs -admin)")
+	upstream := flag.String("upstream", "", "edge mode: the root's address (flserver -edges); this server then aggregates one shard (empty = not an edge)")
+	name := flag.String("name", "edge", "edge mode: shard identity at the root")
+	retries := flag.Int("retry", 1, "edge mode: total root connection attempts with jittered exponential backoff (1 = no retry)")
+	retryMax := flag.Duration("retry-max", 8*time.Second, "edge mode: backoff cap between root connection attempts")
+	flag.Usage = usage
 	flag.Parse()
+	r := flat
+	if *upstream != "" {
+		r = edge
+	} else if *edges > 0 {
+		r = root
+	}
+	if err := checkRole(r); err != nil {
+		fmt.Fprintf(os.Stderr, "flserver: %v\n", err)
+		os.Exit(2)
+	}
 	codec, err := wire.ParseCodec(*codecName)
 	if err != nil {
 		log.Fatal(err)
@@ -98,11 +169,11 @@ func main() {
 	if *recoverRun && *journalPath == "" {
 		log.Fatal("-recover needs the crashed session's -journal")
 	}
-	root := *edges > 0
 
-	// A root plans nothing: each edge plans its own shard's rounds.
+	// Only a flat server plans protection; a root's and an edge's shards
+	// run unprotected, as their clients are told each round.
 	var protect []int
-	if trimmed := strings.TrimSpace(*layers); !root && trimmed != "" && trimmed != "none" {
+	if trimmed := strings.TrimSpace(*layers); r == flat && trimmed != "" && trimmed != "none" {
 		for _, part := range strings.Split(trimmed, ",") {
 			l, err := strconv.Atoi(strings.TrimSpace(part))
 			if err != nil || l < 1 {
@@ -125,29 +196,33 @@ func main() {
 		planDesc = plan.String()
 	}
 
-	// What the flat server and the hierarchy root share: the root is the
-	// same engine over edge peers — one partial fold per shard per round,
-	// fan-in O(shards) instead of O(fleet).
+	// One configuration for every role: a flag the role does not read was
+	// refused above, so it holds its default here.
 	dropped := "quarantined"
-	if root {
+	if r == root {
 		dropped = "dropped edge"
 	}
 	cfg := fl.ServerConfig{
-		EdgePeers:       root,
-		Rounds:          *rounds,
-		MinClients:      *minClients,
-		RoundDeadline:   *deadline,
-		Codec:           codec,
-		IOTimeout:       *ioTimeout,
-		SecAgg:          *secAgg,
-		SecAggScaleBits: *secAggScale,
-		MaskDegree:      *maskDegree,
-		MinRelease:      *minRelease,
-		// Flat-server modes: a root plans nothing, and Validate refuses
-		// the rest under -edges.
-		Planner:      planner,
-		Aggregation:  aggMethod,
-		TrimFraction: *trim,
+		EdgePeers:        r == root,
+		Partials:         r == edge,
+		Rounds:           *rounds,
+		MinClients:       *minClients,
+		SampleFraction:   *sampleFraction,
+		SampleCount:      *sampleCount,
+		SampleSeed:       *seed,
+		RoundDeadline:    *deadline,
+		Codec:            codec,
+		IOTimeout:        *ioTimeout,
+		SecAgg:           *secAgg,
+		SecAggScaleBits:  *secAggScale,
+		MaskDegree:       *maskDegree,
+		MinRelease:       *minRelease,
+		QuarantineRounds: *quarantineRounds,
+		AdaptiveCodec:    *adaptiveCodec,
+		ClientTelemetry:  *clientTelemetry,
+		Planner:          planner,
+		Aggregation:      aggMethod,
+		TrimFraction:     *trim,
 		Async: fl.AsyncConfig{
 			Enabled:         *async,
 			GoalUpdates:     *goalUpdates,
@@ -163,25 +238,27 @@ func main() {
 				fmt.Printf("probationed %s: %v\n", device, reason)
 			},
 			RoundClosed: func(st fl.RoundStats) {
-				if root {
+				switch r {
+				case root:
 					fmt.Printf("round %d: %d shards, sampled %d, responded %d, dropped %d, reconciled %d, |update| %.4f\n",
 						st.Round, st.Shards, st.Sampled, st.Responded, st.Dropped, st.Reconciled, st.UpdateNorm)
-					return
+				case edge: // an edge forwards its partial unnormalised: it sees no update norm
+					fmt.Printf("shard round %d: sampled %d, responded %d, dropped %d, probation %d, quarantined %d, reconciled %d\n",
+						st.Round, st.Sampled, st.Responded, st.Dropped, st.Probation, st.Quarantined, st.Reconciled)
+				default:
+					fmt.Printf("round %d: sampled %d, responded %d, dropped %d, probation %d, quarantined %d, reconciled %d, |update| %.4f\n",
+						st.Round, st.Sampled, st.Responded, st.Dropped, st.Probation, st.Quarantined, st.Reconciled, st.UpdateNorm)
 				}
-				fmt.Printf("round %d: sampled %d, responded %d, dropped %d, probation %d, quarantined %d, reconciled %d, |update| %.4f\n",
-					st.Round, st.Sampled, st.Responded, st.Dropped, st.Probation, st.Quarantined, st.Reconciled, st.UpdateNorm)
 			},
 		},
 	}
-	if root {
+	switch r {
+	case root:
 		cfg.MinClients = *minShards
-	} else {
-		// The client-facing policies: under a root they are each edge's own.
-		cfg.SampleFraction, cfg.SampleCount, cfg.SampleSeed = *sampleFraction, *sampleCount, *seed
-		cfg.QuarantineRounds, cfg.AdaptiveCodec, cfg.ClientTelemetry = *quarantineRounds, *adaptiveCodec, *clientTelemetry
+	case edge:
+		cfg.Rounds = 0 // the root paces the rounds
 	}
-	// The one compatibility check, before anything is created or bound:
-	// a configuration the engine refuses is a usage error.
+	// The one compatibility check: a config the engine refuses is a usage error.
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintf(os.Stderr, "flserver: %v\n", err)
 		os.Exit(2)
@@ -189,17 +266,20 @@ func main() {
 
 	// Secure aggregation with protected layers requires the aggregation
 	// enclave — the server must not unseal updates into plaintext.
-	var enclave *secagg.Enclave
 	if *secAgg && len(protect) > 0 {
-		enclave, err = secagg.NewEnclave("flserver-aggregator")
-		if err != nil {
+		if cfg.Enclave, err = secagg.NewEnclave("flserver-aggregator"); err != nil {
 			log.Fatal(err)
 		}
-		defer enclave.Close()
-		cfg.Enclave = enclave
+		defer cfg.Enclave.Close()
 	}
 
-	jnl, err := openJournal(*journalPath, *recoverRun)
+	var jnl *journal.Journal
+	switch {
+	case *recoverRun:
+		jnl, err = journal.Append(*journalPath)
+	case *journalPath != "":
+		jnl, err = journal.Create(*journalPath)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -214,49 +294,61 @@ func main() {
 	tel.Security = obs.AdminSecurity{Token: *adminToken, CertFile: *adminCert, KeyFile: *adminKey}
 	defer closeTelemetry(tel)
 	cfg.Journal, cfg.Metrics, cfg.Spans = jnl, tel.Metrics, tel.Spans
-	var srvHolder atomic.Pointer[fl.Server]
-	serveAdmin(tel, *adminAddr, func() obs.Health {
-		if s := srvHolder.Load(); s != nil {
-			return s.Health()
+	var srv *fl.Server
+	var shard *hier.Edge
+	var health func() obs.Health
+	switch {
+	case r == edge:
+		// Only the template's shapes matter: the root's broadcast sets its values.
+		shard = hier.NewEdge(global.StateDict(), hier.EdgeConfig{Name: *name, MaxCodec: codec, Server: cfg})
+		health = shard.Health
+	case *recoverRun:
+		if srv, err = fl.Recover(*journalPath, global.StateDict(), cfg); err != nil {
+			log.Fatal(err)
 		}
-		return obs.Health{}
-	})
+		fmt.Printf("recovered session from %s: resuming at round %d\n", *journalPath, srv.NextRound())
+	default:
+		srv = fl.NewServer(global.StateDict(), cfg)
+	}
+	if srv != nil {
+		health = srv.Health
+	}
+	if bound, err := tel.Serve(*adminAddr, health); err != nil {
+		log.Fatal(err)
+	} else if bound != "" {
+		fmt.Printf("admin listening on %s (/metrics, /healthz, /debug/pprof)\n", bound)
+	}
 
 	l, err := fl.Listen(*addr)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer l.Close()
-	mode := "plaintext aggregation"
-	if *secAgg {
-		mode = "secure aggregation (k-regular masking, auto degree"
-		if *maskDegree > 0 {
-			mode = fmt.Sprintf("secure aggregation (k-regular masking, degree %d", *maskDegree)
-		}
-		if enclave != nil {
-			mode += " + enclave"
-		}
-		mode += ")"
-	}
-	if *async {
-		mode = "asynchronous buffered aggregation"
-	}
-	if aggMethod != fl.AggFedAvg {
-		mode = fmt.Sprintf("Byzantine-robust aggregation (%s)", aggMethod)
-	}
-	peers, peer := *clients, "client"
-	if root {
-		peers, peer = *edges, "edge"
-		mode = "plain partial sums"
+	peers, peer, mode := *clients, "client", "plaintext aggregation"
+	switch {
+	case r == root:
+		peers, peer, mode = *edges, "edge", "plain partial sums"
 		if *secAgg {
 			mode = "masked ring partials (shard-scoped secure aggregation)"
 		}
-		fmt.Printf("flserver (root) listening on %s; waiting for %d edge aggregators (codec %s, %s)\n",
-			l.Addr(), peers, codec, mode)
-	} else {
-		fmt.Printf("flserver listening on %s; waiting for %d clients (plan %s, codec %s, %s)\n",
-			l.Addr(), peers, planDesc, codec, mode)
+	case r == edge:
+		peer, mode = "shard client", "aggregation mode from the root"
+	case aggMethod != fl.AggFedAvg:
+		mode = fmt.Sprintf("Byzantine-robust aggregation (%s)", aggMethod)
+	case *async:
+		mode = "asynchronous buffered aggregation"
+	case *secAgg:
+		degree := "auto degree"
+		if *maskDegree > 0 {
+			degree = fmt.Sprintf("degree %d", *maskDegree)
+		}
+		if cfg.Enclave != nil {
+			degree += " + enclave"
+		}
+		mode = fmt.Sprintf("secure aggregation (k-regular masking, %s)", degree)
 	}
+	fmt.Printf("flserver (%s) listening on %s; waiting for %d %ss (plan %s, codec %s, %s)\n",
+		r, l.Addr(), peers, peer, planDesc, codec, mode)
 
 	conns := make([]fl.Conn, 0, peers)
 	for len(conns) < peers {
@@ -267,30 +359,21 @@ func main() {
 		conns = append(conns, c)
 		fmt.Printf("%s %d connected\n", peer, len(conns))
 	}
-
-	var srv *fl.Server
-	if *recoverRun {
-		srv, err = fl.Recover(*journalPath, global.StateDict(), cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("recovered session from %s: resuming at round %d\n", *journalPath, srv.NextRound())
-	} else {
-		srv = fl.NewServer(global.StateDict(), cfg)
+	if shard != nil {
+		runEdge(shard, *name, conns, *upstream, fl.RetryConfig{Attempts: *retries, Max: *retryMax})
+		return
 	}
-	srvHolder.Store(srv)
+
 	var interrupted atomic.Bool
-	abortOnSignal(&interrupted, conns)
+	abortOnSignal(&interrupted, conns, nil)
 	unit := "rounds"
 	if *async {
 		unit = "model versions"
 	}
 	selected, err := srv.Run(conns)
 	if interrupted.Load() {
-		// Graceful shutdown: the engine already tore the session down
-		// through its transport-failure path (committing the journal
-		// close records); flush the remaining durability surfaces and
-		// report what completed.
+		// The engine tore the session down through its transport-failure
+		// path; flush the remaining durability surfaces.
 		if jnl != nil {
 			_ = jnl.Sync()
 		}
@@ -306,12 +389,38 @@ func main() {
 		selected, peer, *rounds, unit, len(srv.State()))
 }
 
+// runEdge enrols the shard with the root and serves the rounds the root
+// paces until its Done, which it forwards to the shard's clients. The
+// caller's deferred teardown flushes the telemetry.
+func runEdge(shard *hier.Edge, name string, conns []fl.Conn, upstream string, retry fl.RetryConfig) {
+	up, err := fl.DialRetry(upstream, retry)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("enrolling with root at %s\n", upstream)
+	var interrupted atomic.Bool
+	abortOnSignal(&interrupted, conns, shard.Abort)
+	err = shard.Run(up, conns)
+	switch {
+	case interrupted.Load():
+		fmt.Printf("edge interrupted: %d shard rounds served\n", shard.Rounds)
+	case err != nil:
+		fmt.Fprintf(os.Stderr, "edge session failed: %v\n", err)
+		os.Exit(1)
+	case shard.RejectedReason != "":
+		fmt.Printf("rejected by root: %s\n", shard.RejectedReason)
+	default:
+		fmt.Printf("%s: %d shard clients served across %d rounds; partials forwarded upstream\n",
+			name, shard.Selected, shard.Rounds)
+	}
+}
+
 // abortOnSignal arranges a graceful shutdown: the first SIGINT/SIGTERM
-// closes every session connection, which unwinds the engine through its
-// ordinary transport-failure path on its own goroutine — no
-// cross-goroutine access to session state. A second signal falls back
-// to the runtime's default (kill).
-func abortOnSignal(interrupted *atomic.Bool, conns []fl.Conn) {
+// calls abort (an edge's upstream teardown, or nil) and closes every
+// session connection, which unwinds the engine through its ordinary
+// transport-failure path on its own goroutine. A second signal falls
+// back to the runtime's default (kill).
+func abortOnSignal(interrupted *atomic.Bool, conns []fl.Conn, abort func()) {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -319,21 +428,13 @@ func abortOnSignal(interrupted *atomic.Bool, conns []fl.Conn) {
 		signal.Stop(sig)
 		interrupted.Store(true)
 		fmt.Fprintf(os.Stderr, "received %s: aborting session\n", s)
+		if abort != nil {
+			abort()
+		}
 		for _, c := range conns {
 			_ = c.Close()
 		}
 	}()
-}
-
-// serveAdmin starts the admin HTTP listener when an address is set.
-func serveAdmin(tel *obs.Telemetry, addr string, health func() obs.Health) {
-	bound, err := tel.Serve(addr, health)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if bound != "" {
-		fmt.Printf("admin listening on %s (/metrics, /healthz, /debug/pprof)\n", bound)
-	}
 }
 
 // closeTelemetry flushes the telemetry surfaces, reporting a failed
@@ -342,16 +443,4 @@ func closeTelemetry(tel *obs.Telemetry) {
 	if err := tel.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "span export: %v\n", err)
 	}
-}
-
-// openJournal opens the write-ahead journal: created fresh for a new
-// session, reopened for appending when resuming a crashed one.
-func openJournal(path string, resume bool) (*journal.Journal, error) {
-	if path == "" {
-		return nil, nil
-	}
-	if resume {
-		return journal.Append(path)
-	}
-	return journal.Create(path)
 }

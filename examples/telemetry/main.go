@@ -11,9 +11,10 @@
 // mesh into the edges.
 //
 // The same surface attaches to the real binaries with
-// `flserver -admin 127.0.0.1:9090 -spans rounds.jsonl` (and the
-// matching fledge/flclient flags; add -admin-token for non-loopback
-// binds and -client-telemetry to fold device-side metrics).
+// `flserver -admin 127.0.0.1:9090 -spans rounds.jsonl` (and the same
+// flags on an edge, flserver -upstream, or on flclient; add -admin-token
+// for non-loopback binds and -client-telemetry to fold device-side
+// metrics).
 package main
 
 import (

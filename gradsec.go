@@ -97,8 +97,8 @@
 // `go run ./examples/hier` for the flat-vs-hierarchy identity and
 // degradation demo, or `go run ./cmd/flserver -deadline 5s
 // -sample-fraction 0.5 -codec q8` plus several `go run ./cmd/flclient`
-// processes for the engine over real TCP (`flserver -edges N` plus
-// `cmd/fledge` processes for the two-tier topology).
+// processes for the engine over real TCP (`flserver -edges N` plus one
+// `flserver -upstream ADDR` per shard for the two-tier topology).
 //
 // See examples/ for runnable programs and internal/repro for the code
 // that regenerates every table and figure of the paper.

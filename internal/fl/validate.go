@@ -26,7 +26,7 @@ var (
 
 // Validate reports whether the configuration describes a session the
 // engine can run. It is the one compatibility check: Open and Recover
-// call it, and a front end (flserver, fledge, flsim) calls it on the
+// call it, and a front end (flserver in each role, flsim) calls it on the
 // configuration it built before it listens or starts a device. It reads
 // cfg only, and a configuration it accepts stays accepted once NewServer
 // has filled in the defaults. The exclusion table (docs/ROUNDS.md):

@@ -20,9 +20,10 @@
 // session driver: RootConfig and Hooks rename MinClients, RoundDeadline
 // and the peer hooks as MinShards, ShardDeadline and the shard hooks,
 // Root.Run is srv.Run with the peer floor reported as
-// ErrNotEnoughShards, and RecoverRoot is fl.Recover. A recovered edge
-// rejoins a running root through fl.ServerConfig.Rejoin, which Run polls
-// before every round of an edge-peer session.
+// ErrNotEnoughShards, and a crashed root recovers with fl.Recover over
+// the same engine configuration. A recovered edge rejoins a running
+// root through fl.ServerConfig.Rejoin, which Run polls before every
+// round of an edge-peer session.
 // Because the peer kind is the engine's and not the root's, an Edge
 // whose shard server itself has edge peers is a mid-tier aggregator,
 // and trees of any depth compose with no further code.

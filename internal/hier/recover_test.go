@@ -85,10 +85,11 @@ func TestRecoveredEdgeRejoinsMaskedRoot(t *testing.T) {
 	}
 	defer ej.Close()
 	state := testModel()
-	root, err := RecoverRoot(rootPath, state, RootConfig{Rounds: rounds, SecAgg: true, Journal: rj})
+	srv, err := fl.Recover(rootPath, state, RootConfig{Rounds: rounds, SecAgg: true, Journal: rj}.serverConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	root := &Root{srv}
 	rootSide, edgeSide = fl.Pipe()
 	rootErr, edgeErr := generation(root, RecoverEdge(edgePath, testModel(), edgeCfg(ej)), rootSide, edgeSide)
 	if rootErr != nil || edgeErr != nil {

@@ -70,8 +70,8 @@ type RootConfig struct {
 	Clock simclock.WallClock
 	// Journal, when set, receives the root's write-ahead records —
 	// enrolments, round opens, and committed closes carrying the
-	// applied fleet mean — so a crashed root recovers with RecoverRoot
-	// to the same model and round, bit for bit.
+	// applied fleet mean — so a crashed root recovers with fl.Recover
+	// over serverConfig to the same model and round, bit for bit.
 	Journal *journal.Journal
 	// Hooks observe the root lifecycle; all callbacks fire from the
 	// root's round goroutine.
@@ -162,8 +162,8 @@ func (r *Root) Trace() []fl.RoundStats { return r.srv.Trace() }
 // Run enrols the given edge connections and executes RootConfig.Rounds
 // hierarchical FL cycles — fl.Server.Run over edge peers — then closes
 // the edges with a Done carrying the final model. It returns the number
-// of enrolled edges. A root rebuilt by RecoverRoot starts at the first
-// uncommitted round instead of round 0.
+// of enrolled edges. A root whose engine fl.Recover rebuilt starts at
+// the first uncommitted round instead of round 0.
 func (r *Root) Run(edges []fl.Conn) (int, error) {
 	n, err := r.srv.Run(edges)
 	return n, shardErr(err)

@@ -50,9 +50,7 @@ func Measure(app TrustedApp) [32]byte {
 	h.Write(u[:])
 	h.Write([]byte{0})
 	h.Write([]byte(app.Version()))
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	return [32]byte(h.Sum(nil))
 }
 
 // Quote is a signed attestation statement.

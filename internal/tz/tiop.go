@@ -1,8 +1,12 @@
 package tz
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"crypto/ecdh"
+	"crypto/hmac"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -22,11 +26,14 @@ var (
 	ErrChannelAuth   = errors.New("tz: trusted channel authentication failed")
 )
 
+// nonceSize is the AES-GCM nonce length; a nonce ends in the sequence number.
+const nonceSize = 12
+
 // Channel is one endpoint of an established trusted I/O path.
 type Channel struct {
 	mu      sync.Mutex
-	sendKey [32]byte
-	recvKey [32]byte
+	send    cipher.AEAD
+	recv    cipher.AEAD
 	sendSeq uint64
 	recvSeq uint64
 }
@@ -58,15 +65,11 @@ func (o *ChannelOffer) Establish(peerPublic []byte, initiator bool) (*Channel, e
 	if err != nil {
 		return nil, fmt.Errorf("tz: ECDH: %w", err)
 	}
-	kAB := deriveKey(shared, "tiop-a2b", nil)
-	kBA := deriveKey(shared, "tiop-b2a", nil)
-	ch := &Channel{}
+	a2b, b2a := gcm(deriveKey(shared, "tiop-a2b")), gcm(deriveKey(shared, "tiop-b2a"))
 	if initiator {
-		ch.sendKey, ch.recvKey = kAB, kBA
-	} else {
-		ch.sendKey, ch.recvKey = kBA, kAB
+		return &Channel{send: a2b, recv: b2a}, nil
 	}
-	return ch, nil
+	return &Channel{send: b2a, recv: a2b}, nil
 }
 
 // EstablishPair returns two connected channel endpoints directly (for
@@ -100,7 +103,7 @@ func (c *Channel) Seal(plaintext []byte) []byte {
 	c.sendSeq++
 	nonce := make([]byte, nonceSize)
 	binary.BigEndian.PutUint64(nonce[nonceSize-8:], seq)
-	ct := gcmSeal(c.sendKey, nonce, plaintext, nonce[nonceSize-8:])
+	ct := c.send.Seal(nil, nonce, plaintext, nonce[nonceSize-8:])
 	out := make([]byte, 8+len(ct))
 	binary.BigEndian.PutUint64(out[:8], seq)
 	copy(out[8:], ct)
@@ -121,10 +124,31 @@ func (c *Channel) Open(sealed []byte) ([]byte, error) {
 	}
 	nonce := make([]byte, nonceSize)
 	binary.BigEndian.PutUint64(nonce[nonceSize-8:], seq)
-	pt, err := gcmOpen(c.recvKey, nonce, sealed[8:], sealed[:8])
+	pt, err := c.recv.Open(nil, nonce, sealed[8:], sealed[:8])
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrChannelAuth, err)
 	}
 	c.recvSeq = seq + 1
 	return pt, nil
+}
+
+// deriveKey is an HKDF-style expand: HMAC-SHA256(parent, label || 0).
+func deriveKey(parent []byte, label string) [32]byte {
+	mac := hmac.New(sha256.New, parent)
+	mac.Write([]byte(label))
+	mac.Write([]byte{0})
+	return [32]byte(mac.Sum(nil))
+}
+
+// gcm returns AES-256-GCM under key; a 32-byte key cannot fail.
+func gcm(key [32]byte) cipher.AEAD {
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		panic(err)
+	}
+	aead, err := cipher.NewGCM(block)
+	if err != nil {
+		panic(err)
+	}
+	return aead
 }

@@ -9,8 +9,6 @@
 //     typically 3–5 MB);
 //   - a GlobalPlatform-style trusted-application (TA) framework with
 //     install / open-session / invoke-command / close-session lifecycle;
-//   - secure storage with the OP-TEE key hierarchy (per-device SSK → per-TA
-//     TSK → per-object FEK) over REE-FS and RPMB backends;
 //   - a trusted I/O path (authenticated encrypted channel between the FL
 //     server and a TA); and
 //   - HMAC-based remote attestation.
@@ -67,8 +65,6 @@ type TrustedApp interface {
 type TAEnv struct {
 	// Mem is the secure-memory allocator.
 	Mem *SecureAllocator
-	// Storage is the TA's secure storage instance.
-	Storage *SecureStorage
 	// Clock is the device's virtual clock; TAs charge their own compute.
 	Clock *simclock.Clock
 	// Cost is the device cost model.
@@ -90,32 +86,20 @@ func WithSecureMemory(capBytes int) DeviceOption {
 	return func(d *Device) { d.mem = NewSecureAllocator(capBytes) }
 }
 
-// WithCostModel overrides the device cost model.
-func WithCostModel(m simclock.CostModel) DeviceOption {
-	return func(d *Device) { d.cost = m }
-}
-
-// WithStorageBackend overrides the secure-storage backend.
-func WithStorageBackend(b StorageBackend) DeviceOption {
-	return func(d *Device) { d.backend = b }
-}
-
 // DefaultSecureMemory is the default enclave capacity: the paper cites
 // 3–5 MB of TrustZone secure memory; we default to 4 MiB.
 const DefaultSecureMemory = 4 << 20
 
 // Device models one TrustZone-capable client device: both worlds, the
-// secure monitor, the trusted OS with its installed TAs, secure memory
-// and storage, and a per-device identity for attestation.
+// secure monitor, the trusted OS with its installed TAs, secure memory,
+// and a per-device identity for attestation.
 type Device struct {
 	mu sync.Mutex
 
-	clock   *simclock.Clock
-	cost    simclock.CostModel
-	mem     *SecureAllocator
-	backend StorageBackend
-	ssk     [32]byte // per-device Secure Storage Key
-	ident   *Identity
+	clock *simclock.Clock
+	cost  simclock.CostModel
+	mem   *SecureAllocator
+	ident *Identity
 
 	apps     map[UUID]TrustedApp
 	smcCount int64
@@ -123,18 +107,16 @@ type Device struct {
 	openSess map[int]*Session
 }
 
-// NewDevice creates a device with the Pi-3B+ cost model, 4 MiB of secure
-// memory and an in-memory REE-FS storage backend, unless overridden.
+// NewDevice creates a device with the Pi-3B+ cost model and 4 MiB of
+// secure memory, unless overridden.
 func NewDevice(name string, opts ...DeviceOption) *Device {
 	d := &Device{
 		clock:    &simclock.Clock{},
 		cost:     simclock.Pi3B(),
 		mem:      NewSecureAllocator(DefaultSecureMemory),
-		backend:  NewREEFSBackend(),
 		apps:     make(map[UUID]TrustedApp),
 		openSess: make(map[int]*Session),
 	}
-	d.ssk = sha256.Sum256([]byte("device-ssk:" + name))
 	d.ident = NewIdentity(name)
 	for _, o := range opts {
 		o(d)
@@ -204,12 +186,11 @@ func (d *Device) smc() {
 }
 
 // env builds the secure-world environment for a TA.
-func (d *Device) env(uuid UUID) *TAEnv {
+func (d *Device) env() *TAEnv {
 	return &TAEnv{
-		Mem:     d.mem,
-		Storage: NewSecureStorage(d.ssk, uuid, d.backend),
-		Clock:   d.clock,
-		Cost:    d.cost,
+		Mem:   d.mem,
+		Clock: d.clock,
+		Cost:  d.cost,
 	}
 }
 
@@ -234,7 +215,7 @@ func (d *Device) OpenSession(uuid UUID) (*Session, error) {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownTA, uuid)
 	}
 	d.smc() // enter secure world
-	env := d.env(uuid)
+	env := d.env()
 	state, err := app.OpenSession(env)
 	d.smc() // return to normal world
 	if err != nil {

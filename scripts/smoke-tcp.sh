@@ -1,14 +1,14 @@
 #!/usr/bin/env bash
-# The three TCP binaries end to end over loopback (make smoke-tcp):
+# The two TCP binaries end to end over loopback (make smoke-tcp):
 #
 #   1. flat: flserver -journal over 4 flclients, then flserver -recover on
 #      the finished journal — the reconnecting fleet rejoins the journaled
 #      roster and is handed the final model;
-#   2. hierarchy: flserver -edges 2 over 2 fledges of 2 flclients each,
-#      plain and then masked (-secagg);
-#   3. fail-fast: flag combinations fl.ServerConfig.Validate refuses exit
-#      non-zero before flserver listens (-mask-degree -1 and -secagg-scale
-#      60 with the usage status, 2).
+#   2. hierarchy: flserver -edges 2 over 2 edges (flserver -upstream) of 2
+#      flclients each, plain and then masked (-secagg);
+#   3. fail-fast: flag combinations fl.ServerConfig.Validate refuses, and
+#      flags the chosen role does not read, exit non-zero before flserver
+#      listens (all but the first two with the usage status, 2).
 #
 # Every process runs under a timeout with its output in a temp dir, all of
 # which is printed when a row fails. PORT_BASE (default: random in
@@ -57,7 +57,7 @@ expect() {
 }
 
 bin=$work/bin
-go build -o "$bin/" ./cmd/flserver ./cmd/fledge ./cmd/flclient
+go build -o "$bin/" ./cmd/flserver ./cmd/flclient
 base=${PORT_BASE:-$((20000 + RANDOM % 20000))}
 addr() { echo "127.0.0.1:$((base + $1))"; }
 client_flags=(-retry 60 -retry-max 500ms)
@@ -96,8 +96,8 @@ hier() {
 	start "$name-root" "$bin/flserver" -addr "$(addr "$port")" -edges 2 -rounds 2 "$@"
 	local root=$started edges=() clients=()
 	for e in 0 1; do
-		start "$name-edge-$e" "$bin/fledge" -name "edge-$e" -addr "$(addr $((port + 1 + e)))" \
-			-upstream "$(addr "$port")" -clients 2 "${client_flags[@]}"
+		start "$name-edge-$e" "$bin/flserver" -upstream "$(addr "$port")" -name "edge-$e" \
+			-addr "$(addr $((port + 1 + e)))" -clients 2 "${client_flags[@]}"
 		edges+=("$started")
 	done
 	for i in 1 2 3 4; do
@@ -132,5 +132,8 @@ refused robust-secagg "" -secagg -aggregation median
 refused async-secagg "" -async -secagg
 refused mask-degree 2 -mask-degree -1
 refused secagg-scale 2 -secagg -secagg-scale 60
+refused edge-async 2 -upstream "$(addr 8)" -async
+refused edge-secagg 2 -upstream "$(addr 8)" -secagg
+refused root-sampling 2 -edges 2 -sample-fraction 0.5
 
-echo "smoke-tcp: flat + recovery, plain and masked hierarchy and four refusals passed"
+echo "smoke-tcp: flat + recovery, plain and masked hierarchy and seven refusals passed"
