@@ -85,7 +85,7 @@ func (a *Aggregator) Accumulate(update []*wire.View, weight float64) error {
 			x := chunk[:len(y)]
 			v.Decode(x, from)
 			for j := range y {
-				y[j] += weight * x[j]
+				y[j] += float64(weight * x[j]) // AxPy's rounding: no fused multiply-add
 			}
 		}
 	}
@@ -153,7 +153,7 @@ func UpdateNorm(update []*tensor.Tensor) float64 {
 	var ss float64
 	for _, u := range update {
 		for _, x := range u.Data {
-			ss += x * x
+			ss += float64(x * x) // no fused multiply-add
 		}
 	}
 	return math.Sqrt(ss)

@@ -239,7 +239,11 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	c.Spans.SetTrace(m.Trace)
 	sp := c.Spans.Start("train", m.Round)
 	start := c.now()
-	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, c.adopt(m.Views), m.Sealed, m.Plan)
+	// The model's views are decoded into the client's own buffers: the
+	// frame goes back to the transport before training starts.
+	plain := c.adopt(m.Views)
+	m.release()
+	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, plain, m.Sealed, m.Plan)
 	if c.Metrics != nil {
 		c.Metrics.Histogram("gradsec_client_train_ns", "device-side local training latency in nanoseconds").
 			ObserveEx(c.now().Sub(start).Nanoseconds(), m.Round)

@@ -196,6 +196,8 @@ type ModelDown struct {
 	// only for a one-member cohort, and a client handed it for a larger
 	// one refuses to mask (secagg.ErrMaskDowngrade).
 	MaskDegree int
+
+	leased
 }
 
 // Kind implements Message.
@@ -274,8 +276,10 @@ type GradUp struct {
 	// metric registry (training step timing, SMC cost), folded into the
 	// server's fleet view when ServerConfig.ClientTelemetry is on.
 	// Trailing field: absent (empty) on pre-telemetry peers and when the
-	// client has no registry.
+	// client has no registry. A decoded one references the frame.
 	Telemetry []byte
+
+	leased
 }
 
 // Kind implements Message.
@@ -293,7 +297,7 @@ func (m *GradUp) walk(f *wire.Fields) {
 	f.Trailing()
 	f.Uvarint(&m.Version)
 	f.Trailing()
-	f.Blob(&m.Telemetry)
+	f.BlobRef(&m.Telemetry)
 }
 
 // Done ends a session, optionally delivering the final global model.
@@ -335,7 +339,10 @@ type MaskedUp struct {
 	// inside MaskRecon.Survivors. Trailing field: a frame that ends
 	// before it decodes to nil, and the server refuses the update (it
 	// wants exactly one share per neighbour before it folds anything).
+	// A decoded share's blob references the frame.
 	Shares []secagg.WrappedShare
+
+	leased
 }
 
 // Kind implements Message.
@@ -351,7 +358,7 @@ func (m *MaskedUp) walk(f *wire.Fields) {
 	// hostile or corrupt and fails the frame, not reconciliation.
 	wire.List(f, &m.Shares, func(f *wire.Fields, s *secagg.WrappedShare) {
 		f.String(&s.To)
-		f.Fixed(&s.Blob, secagg.WrappedShareLen)
+		f.FixedRef(&s.Blob, secagg.WrappedShareLen)
 	})
 }
 
@@ -491,8 +498,11 @@ type PartialUp struct {
 	// tier/shard labels. Trailing field: absent (empty) on pre-telemetry
 	// peers and when the edge runs without a registry. Degraded shard
 	// rounds (Count 0) still carry telemetry — a struggling shard is
-	// exactly the one whose latency distributions matter.
+	// exactly the one whose latency distributions matter. A decoded one
+	// references the frame.
 	Telemetry []byte
+
+	leased
 }
 
 // Kind implements Message.
@@ -513,7 +523,7 @@ func (m *PartialUp) walk(f *wire.Fields) {
 	f.Trailing()
 	f.Uvarint(&m.Probation)
 	f.Trailing()
-	f.Blob(&m.Telemetry)
+	f.BlobRef(&m.Telemetry)
 }
 
 // CodecSwitch retunes the session's tensor codec mid-session (adaptive
@@ -554,9 +564,9 @@ func EncodeMessage(m Message) []byte { return EncodeMessageCodec(m, wire.CodecF6
 
 // EncodeMessageCodec serialises a message with the given tensor codec
 // into a fresh payload of exactly its encoded size (wire.Encode): the
-// payload escapes to the caller (pipe frames, broadcast caches) and
-// costs one allocation. A decoded GradUp or ModelDown re-encodes its
-// views verbatim.
+// payload escapes to the caller (broadcast caches) and costs one
+// allocation. A decoded GradUp or ModelDown re-encodes its views
+// verbatim.
 func EncodeMessageCodec(m Message, codec wire.Codec) []byte { return wire.Encode(codec, m.walk) }
 
 // DecodeMessage reconstructs a message from its type and payload,
@@ -567,9 +577,12 @@ func DecodeMessage(mt MsgType, payload []byte) (Message, error) {
 
 // DecodeMessageCodec reconstructs a message whose tensors were encoded
 // with the given codec. A decoded message owns its payload: GradUp and
-// ModelDown read their tensors through views into it, so the caller may
-// neither reuse nor mutate a payload it has handed over (docs/WIRE.md,
-// rule 6); every other message copies everything out.
+// ModelDown read their tensors, MaskedUp and PartialUp their ring levels
+// through views into it, and GradUp, MaskedUp and PartialUp reference
+// their telemetry or share blobs in it, so the caller may neither reuse
+// nor mutate a payload it has handed over (docs/WIRE.md, rule 6) until
+// the message's lease is released; every other message copies
+// everything out.
 func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, error) {
 	m := newMessage(mt)
 	if m == nil {

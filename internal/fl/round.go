@@ -243,8 +243,12 @@ func (s *Server) collect(rd *syncRound, update func(*session, Message) bool) {
 // client error and a message the caller does not take are handed to
 // lose — the caller's sanction — with whether the failure is
 // probationable; everything else goes to take, which reports false for
-// a message type the wait has no use for.
+// a message type the wait has no use for. It is also the server's one
+// release point: take folds, or discards, a message's views before it
+// returns and keeps nothing that references the frame, so the frame is
+// released once the arrival is classified, whatever the verdict.
 func (s *Server) handleArrival(a arrival, lose func(*session, bool, error), take func(*session, Message) bool) {
+	defer releaseFrame(a.msg)
 	sess := a.sess
 	if sess.quarantined {
 		return // residue from an already-closed connection

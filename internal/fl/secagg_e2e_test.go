@@ -806,10 +806,14 @@ func (c *tapConn) SendFrame(mt MsgType, payload []byte) error {
 	return c.Conn.SendFrame(mt, payload)
 }
 
+// Recv records a copy of what it receives: the engine releases a
+// message's frame once it has classified it, and the tap reads its
+// record after the session.
 func (c *tapConn) Recv() (Message, error) {
 	m, err := c.Conn.Recv()
 	if err == nil {
-		c.note(&c.received, m)
+		own, _ := DecodeMessage(m.Kind(), EncodeMessage(m))
+		c.note(&c.received, own)
 	}
 	return m, err
 }

@@ -214,7 +214,8 @@ func (s *Server) foldMasked(sess *session, m *MaskedUp, mr *maskedRound) error {
 // validateShares checks a masked update's wrapped self-seed shares
 // against the round's mask graph before anything is folded: exactly one
 // share per graph neighbour, none elsewhere, every blob the single
-// valid length. Returns the shares keyed by holder.
+// valid length. Returns the shares keyed by holder, copied out of the
+// frame they were decoded from — escrow outlives the update's lease.
 func validateShares(device string, shares []secagg.WrappedShare, graph *secagg.Graph) (map[string][]byte, error) {
 	neigh := graph.Neighbors(device)
 	if len(shares) != len(neigh) {
@@ -225,6 +226,7 @@ func validateShares(device string, shares []secagg.WrappedShare, graph *secagg.G
 		allowed[d] = true
 	}
 	out := make(map[string][]byte, len(shares))
+	escrow := make([]byte, 0, len(shares)*secagg.WrappedShareLen)
 	for _, ws := range shares {
 		if !allowed[ws.To] || out[ws.To] != nil {
 			return nil, fmt.Errorf("self-seed share addressed to %q outside the mask neighbourhood", ws.To)
@@ -232,7 +234,8 @@ func validateShares(device string, shares []secagg.WrappedShare, graph *secagg.G
 		if len(ws.Blob) != secagg.WrappedShareLen {
 			return nil, fmt.Errorf("self-seed share for %q is %d bytes, want %d", ws.To, len(ws.Blob), secagg.WrappedShareLen)
 		}
-		out[ws.To] = ws.Blob
+		escrow = append(escrow, ws.Blob...)
+		out[ws.To] = escrow[len(escrow)-secagg.WrappedShareLen:]
 	}
 	return out, nil
 }

@@ -24,7 +24,8 @@ type Conn interface {
 	// (with EncodeMessageCodec and this connection's codec). The payload
 	// is not copied and must never be mutated afterwards: broadcast
 	// senders share one buffer across many connections, and an in-memory
-	// receiver reads its tensors through views into that very buffer.
+	// receiver reads its tensors through views into that very buffer —
+	// which, unlike a Send frame, it never releases for reuse.
 	SendFrame(mt MsgType, payload []byte) error
 	// Recv blocks for the next message. It returns io.EOF after the peer
 	// closes. A frame that arrives intact but fails to decode is
@@ -96,9 +97,100 @@ func decodeFrame(mt MsgType, payload []byte, codec wire.Codec) (Message, error) 
 	return m, nil
 }
 
-// maxReadScratch caps the per-connection receive buffer retained across
-// frames (larger payloads are read fine, just not kept).
+// maxReadScratch caps the frame buffer a connection keeps for its next
+// frame (larger payloads are read fine, just not kept).
 const maxReadScratch = 8 << 20
+
+// A received frame's buffer is leased to the message decoded from it
+// (docs/WIRE.md, rule 6). A message that reads views into its frame —
+// GradUp, ModelDown, MaskedUp, PartialUp — carries the lease, and the
+// engine releases it at the one point it is done with the views: the
+// server once handleArrival has classified the arrival, a client once
+// adopt has decoded the model. The buffer then goes back to the side
+// that fills the next frame — a pipe's sending end, a TCP conn's read
+// scratch — through that side's frameSlot. Any other message copies
+// everything out while decoding, so its frame goes back at once. The
+// lease rides the message, so a Conn wrapper passes it on untouched; a
+// frame never released is only garbage, and a shared broadcast frame
+// (SendFrame) carries none.
+
+// frameSlot holds at most one spare frame buffer, handed from the
+// goroutine that releases a frame to the one that fills the next.
+type frameSlot chan []byte
+
+func newFrameSlot() frameSlot { return make(frameSlot, 1) }
+
+// take returns the spare buffer, nil when there is none.
+func (s frameSlot) take() []byte {
+	select {
+	case b := <-s:
+		return b
+	default:
+		return nil
+	}
+}
+
+// put offers a released buffer as the spare: kept unless a spare is
+// already there or it is larger than maxReadScratch.
+func (s frameSlot) put(b []byte) {
+	if poisonFrames {
+		b = b[:cap(b)]
+		for i := range b {
+			b[i] = 0xFF
+		}
+	}
+	if cap(b) > maxReadScratch {
+		return
+	}
+	select {
+	case s <- b:
+	default:
+	}
+}
+
+// poisonFrames is a test seam: when set (only ever from _test.go files),
+// every released frame is overwritten with 0xFF bytes before it can be
+// reused, so a view read after its release reads NaNs, all-ones words
+// and garbage lengths at once instead of whatever the next frame put
+// there, whenever it gets there.
+var poisonFrames bool
+
+// leased is embedded in every message decoded into views: the frame they
+// alias and the slot it returns to, both nil on a message built in memory
+// or read from a shared frame.
+type leased struct {
+	frame []byte
+	home  *frameSlot
+}
+
+func (l *leased) attach(frame []byte, home *frameSlot) { l.frame, l.home = frame, home }
+
+// release hands the frame back; the message's views are dead from here.
+// Releasing twice, or a message without a lease, does nothing.
+func (l *leased) release() {
+	if l.home != nil {
+		l.home.put(l.frame)
+		l.frame, l.home = nil, nil
+	}
+}
+
+// lend attaches a received frame to the message decoded from it — or,
+// when the message holds nothing of the frame (or did not decode),
+// returns it to home straight away.
+func lend(msg Message, frame []byte, home *frameSlot) {
+	if m, ok := msg.(interface{ attach([]byte, *frameSlot) }); ok {
+		m.attach(frame, home)
+		return
+	}
+	home.put(frame)
+}
+
+// releaseFrame releases the frame msg's views alias, if it holds one.
+func releaseFrame(msg Message) {
+	if m, ok := msg.(interface{ release() }); ok {
+		m.release()
+	}
+}
 
 // pipeConn is an in-memory Conn built on channels. Messages still pass
 // through the full wire codec so in-process tests exercise encoding.
@@ -111,11 +203,17 @@ type pipeConn struct {
 	sendCodec atomic.Uint32
 	recvCodec atomic.Uint32
 	meter     atomic.Pointer[wire.Meter]
+	// spare is the frame buffer the peer released last: Send encodes
+	// into it when its capacity fits.
+	spare frameSlot
 }
 
 type frame struct {
 	mt      MsgType
 	payload []byte
+	// home is the sending end's spare slot the payload returns to once
+	// the receiver releases it; nil for a shared frame (SendFrame).
+	home *frameSlot
 }
 
 // Pipe returns a connected in-memory transport pair.
@@ -124,8 +222,8 @@ func Pipe() (Conn, Conn) {
 	ba := make(chan frame, 16)
 	aClosed := make(chan struct{})
 	bClosed := make(chan struct{})
-	a := &pipeConn{send: ab, recv: ba, closed: aClosed, peerDone: bClosed}
-	b := &pipeConn{send: ba, recv: ab, closed: bClosed, peerDone: aClosed}
+	a := &pipeConn{send: ab, recv: ba, closed: aClosed, peerDone: bClosed, spare: newFrameSlot()}
+	b := &pipeConn{send: ba, recv: ab, closed: bClosed, peerDone: aClosed, spare: newFrameSlot()}
 	return a, b
 }
 
@@ -144,17 +242,24 @@ func (c *pipeConn) SetRecvCodec(codec wire.Codec) { c.recvCodec.Store(uint32(cod
 // setMeter implements meteredConn.
 func (c *pipeConn) setMeter(m *wire.Meter) { c.meter.Store(m) }
 
-// Send implements Conn.
+// Send implements Conn: the message is encoded into the spare buffer
+// the peer released last, when it fits, and its frame is leased to the
+// message the peer decodes.
 func (c *pipeConn) Send(m Message) error {
-	return c.SendFrame(m.Kind(), EncodeMessageCodec(m, wire.Codec(c.sendCodec.Load())))
+	payload := wire.EncodeInto(c.spare.take(), wire.Codec(c.sendCodec.Load()), m.walk)
+	return c.sendFrame(frame{mt: m.Kind(), payload: payload, home: &c.spare})
 }
 
 // SendFrame implements Conn. The payload travels by reference and the
 // receiver decodes the tensors of GradUp and ModelDown, and the levels
 // of MaskedUp and PartialUp, as views into it, so one
 // payload shared across many pipes is read by every receiver and must
-// never be mutated by sender or receiver.
+// never be mutated by sender or receiver; it carries no lease.
 func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
+	return c.sendFrame(frame{mt: mt, payload: payload})
+}
+
+func (c *pipeConn) sendFrame(f frame) error {
 	// Check for closure first: the select below would otherwise pick the
 	// (buffered) send case at random even when already closed.
 	select {
@@ -169,22 +274,27 @@ func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
 		return ErrConnClosed
 	case <-c.peerDone:
 		return ErrConnClosed
-	case c.send <- frame{mt: mt, payload: payload}:
+	case c.send <- f:
 		if m := c.meter.Load(); m != nil {
 			// 5 = header parity with the TCP framing (1 type + 4 length).
-			m.CountTx(wire.Codec(c.sendCodec.Load()), 5+len(payload))
+			m.CountTx(wire.Codec(c.sendCodec.Load()), 5+len(f.payload))
 		}
 		return nil
 	}
 }
 
-// recvFrame decodes one frame, metering it first.
+// recvFrame decodes one frame, metering it first, and lends a frame
+// that has a home to the decoded message.
 func (c *pipeConn) recvFrame(f frame) (Message, error) {
 	codec := wire.Codec(c.recvCodec.Load())
 	if m := c.meter.Load(); m != nil {
 		m.CountRx(codec, 5+len(f.payload))
 	}
-	return decodeFrame(f.mt, f.payload, codec)
+	msg, err := decodeFrame(f.mt, f.payload, codec)
+	if f.home != nil {
+		lend(msg, f.payload, f.home)
+	}
+	return msg, err
 }
 
 // Recv implements Conn.
@@ -211,11 +321,12 @@ func (c *pipeConn) Close() error {
 	return nil
 }
 
-// tcpConn adapts a net.Conn to the Message framing. Outgoing messages
-// are encoded into a pooled buffer and written with a single Write;
-// incoming frames are read into a per-connection scratch buffer, which a
-// message decoded into views takes with it (the next frame gets a fresh
-// one) and any other message leaves for the next frame.
+// tcpConn adapts a net.Conn to the Message framing. Incoming frames are
+// read into the connection's read scratch, which a message decoded into
+// views holds on lease until the engine releases it (the views alias it
+// until then) and any other message leaves for the next frame; Send
+// encodes into the scratch too while no frame holds it. Every frame goes
+// out as one writev of header and payload.
 type tcpConn struct {
 	nc        net.Conn
 	writeMu   sync.Mutex
@@ -225,12 +336,15 @@ type tcpConn struct {
 	readTO    atomic.Int64 // read timeout, ns; 0 = none
 	writeTO   atomic.Int64 // write timeout, ns; 0 = none
 	meter     atomic.Pointer[wire.Meter]
-	readBuf   []byte // frame scratch, owned by the single Recv caller
+	// scratch is the read buffer, in its slot whenever no frame holds
+	// it: Recv takes it once a frame's header has arrived, so a frame
+	// released while Recv waited for the next one is read into.
+	scratch frameSlot
 }
 
 // NewNetConn wraps an established net.Conn (TCP or otherwise). The
 // returned Conn also implements DeadlineConn.
-func NewNetConn(nc net.Conn) Conn { return &tcpConn{nc: nc} }
+func NewNetConn(nc net.Conn) Conn { return &tcpConn{nc: nc, scratch: newFrameSlot()} }
 
 // Dial connects to an FL server at addr over TCP.
 func Dial(addr string) (Conn, error) {
@@ -272,25 +386,14 @@ func (c *tcpConn) armWriteDeadline() {
 	}
 }
 
-// Send implements Conn: encode into a pooled frame buffer, one Write.
+// Send implements Conn: the message is encoded into the read scratch
+// when no received frame holds it (a fresh buffer otherwise) and written
+// like SendFrame; the buffer is then the scratch for the next frame.
 func (c *tcpConn) Send(m Message) error {
-	w := wire.GetWriter()
-	w.BeginFrame(byte(m.Kind()))
-	w.Codec = wire.Codec(c.sendCodec.Load())
-	m.walk(wire.Encoder(w))
-	buf, err := w.Frame()
-	if err == nil {
-		c.writeMu.Lock()
-		c.armWriteDeadline()
-		_, err = c.nc.Write(buf)
-		c.writeMu.Unlock()
-		if err != nil {
-			err = fmt.Errorf("wire: writing frame: %w", err)
-		} else if mtr := c.meter.Load(); mtr != nil {
-			mtr.CountTx(w.Codec, len(buf))
-		}
-	}
-	wire.PutWriter(w)
+	codec := wire.Codec(c.sendCodec.Load())
+	payload := wire.EncodeInto(c.scratch.take(), codec, m.walk)
+	err := c.writeFrame(m.Kind(), payload, codec)
+	c.scratch.put(payload)
 	return err
 }
 
@@ -298,6 +401,12 @@ func (c *tcpConn) Send(m Message) error {
 // writev, so broadcasts neither copy the payload nor split the header
 // into its own packet.
 func (c *tcpConn) SendFrame(mt MsgType, payload []byte) error {
+	return c.writeFrame(mt, payload, wire.Codec(c.sendCodec.Load()))
+}
+
+// writeFrame writes one frame, metered under the codec its payload was
+// encoded with.
+func (c *tcpConn) writeFrame(mt MsgType, payload []byte, codec wire.Codec) error {
 	if len(payload) > wire.MaxFrame {
 		return fmt.Errorf("%w: %d bytes", wire.ErrFrameTooLarge, len(payload))
 	}
@@ -312,7 +421,7 @@ func (c *tcpConn) SendFrame(mt MsgType, payload []byte) error {
 		return fmt.Errorf("wire: writing frame: %w", err)
 	}
 	if m := c.meter.Load(); m != nil {
-		m.CountTx(wire.Codec(c.sendCodec.Load()), 5+len(payload))
+		m.CountTx(codec, 5+len(payload))
 	}
 	return nil
 }
@@ -324,7 +433,11 @@ func (c *tcpConn) Recv() (Message, error) {
 	} else {
 		_ = c.nc.SetReadDeadline(time.Time{})
 	}
-	mt, payload, err := wire.ReadFrameInto(c.nc, c.readBuf)
+	mt, n, err := wire.ReadFrameHeader(c.nc)
+	if err != nil {
+		return nil, err
+	}
+	payload, err := wire.ReadPayload(c.nc, c.scratch.take(), n)
 	if err != nil {
 		return nil, err
 	}
@@ -333,18 +446,7 @@ func (c *tcpConn) Recv() (Message, error) {
 		m.CountRx(codec, 5+len(payload))
 	}
 	msg, err := decodeFrame(MsgType(mt), payload, codec)
-	switch msg.(type) {
-	case *GradUp, *ModelDown, *MaskedUp, *PartialUp:
-		// Their views own the frame now: never read into it again.
-		c.readBuf = nil
-	default:
-		// Keep the grown scratch for the next frame, but never pin more
-		// than maxReadScratch per connection: one huge frame must not
-		// hold its capacity for the connection's lifetime.
-		if cap(payload) > cap(c.readBuf) && cap(payload) <= maxReadScratch {
-			c.readBuf = payload
-		}
-	}
+	lend(msg, payload, &c.scratch)
 	return msg, err
 }
 

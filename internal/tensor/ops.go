@@ -50,7 +50,7 @@ func AxPy(alpha float64, b, a *Tensor) {
 		panic(fmt.Sprintf("tensor: shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	for i := range a.Data {
-		a.Data[i] += alpha * b.Data[i]
+		a.Data[i] += float64(alpha * b.Data[i]) // no fused multiply-add: the product rounds first on every GOARCH
 	}
 }
 

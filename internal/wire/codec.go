@@ -148,6 +148,6 @@ func decodeQ8(dst []float64, lo, scale float64, levels []byte) {
 	half := scale / 2
 	for i, b := range levels[:len(dst)] {
 		q := float64(b)
-		dst[i] = lo + q*half + q*half
+		dst[i] = lo + float64(q*half) + float64(q*half) // each product rounds: no fused multiply-add
 	}
 }

@@ -264,30 +264,6 @@ func TestTensorListRoundTripAllCodecs(t *testing.T) {
 	}
 }
 
-func TestWriterFrameHelpers(t *testing.T) {
-	w := GetWriter()
-	w.BeginFrame(42)
-	w.String("payload")
-	buf, err := w.Frame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	mt, payload, err := ReadFrame(bytes.NewReader(buf))
-	if err != nil || mt != 42 {
-		t.Fatalf("frame readback: %d %v", mt, err)
-	}
-	r := NewReader(payload)
-	if s := r.String(); s != "payload" {
-		t.Fatalf("payload = %q", s)
-	}
-	PutWriter(w)
-
-	w2 := NewWriter()
-	if _, err := w2.Frame(); err == nil {
-		t.Fatal("Frame without BeginFrame must fail")
-	}
-}
-
 func TestReadFrameIntoReusesBuffer(t *testing.T) {
 	var net bytes.Buffer
 	for i := 0; i < 3; i++ {
@@ -307,6 +283,32 @@ func TestReadFrameIntoReusesBuffer(t *testing.T) {
 		}
 		lastPtr = &payload[0]
 		scratch = payload
+	}
+}
+
+// TestEncodeIntoReusesBuffer: EncodeInto writes Encode's bytes into the
+// buffer it is handed when the capacity holds them, and into a fresh
+// exact-size payload when it does not.
+func TestEncodeIntoReusesBuffer(t *testing.T) {
+	ts := []*tensor.Tensor{tensor.Full(0.5, 3, 4), nil, tensor.Full(-2, 7)}
+	walk := func(f *Fields) {
+		f.Tensors(&ts)
+		blob := []byte("trailer")
+		f.Blob(&blob)
+	}
+	want := Encode(CodecF64, walk)
+	roomy := make([]byte, 3, 2*len(want))
+	for i := range roomy {
+		roomy[i] = 0xAA
+	}
+	got := EncodeInto(roomy, CodecF64, walk)
+	if !bytes.Equal(got, want) || &got[0] != &roomy[0] {
+		t.Fatalf("a buffer with room: reused %v, bytes equal %v", &got[0] == &roomy[0], bytes.Equal(got, want))
+	}
+	small := make([]byte, 0, len(want)-1)
+	got = EncodeInto(small, CodecF64, walk)
+	if !bytes.Equal(got, want) || cap(got) != len(want) {
+		t.Fatalf("a buffer without room: %d-byte payload in a %d-byte buffer, bytes equal %v", len(got), cap(got), bytes.Equal(got, want))
 	}
 }
 

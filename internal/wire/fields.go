@@ -35,12 +35,21 @@ func Decoder(r *Reader) *Fields { return &Fields{r: r} }
 // payload without encoding element data or blobs, the second encodes it.
 // (A walk the sizing pass miscounts still encodes correctly; it only
 // grows the buffer.)
-func Encode(codec Codec, walk func(*Fields)) []byte {
+func Encode(codec Codec, walk func(*Fields)) []byte { return EncodeInto(nil, codec, walk) }
+
+// EncodeInto is Encode into buf's storage when its capacity holds the
+// payload Encode's sizing walk measures, and into a fresh exact-size
+// payload otherwise — for a transport that recycles the buffer of a
+// frame its peer has released. The bytes are Encode's either way.
+func EncodeInto(buf []byte, codec Codec, walk func(*Fields)) []byte {
 	size := GetWriter()
 	size.Codec, size.sizing = codec, true
 	walk(Encoder(size))
-	w := &Writer{buf: make([]byte, 0, size.Len()), Codec: codec}
+	if n := size.Len(); cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	PutWriter(size)
+	w := &Writer{buf: buf[:0], Codec: codec}
 	walk(Encoder(w))
 	return w.buf
 }
@@ -172,6 +181,32 @@ func (f *Fields) Fixed(p *[]byte, n int) {
 		}
 		copy(*p, b)
 		return *p
+	})
+}
+
+// BlobRef walks a length-prefixed byte slice like Blob, except that
+// decoding references the payload instead of copying it out (rule 6):
+// the slice is valid only as long as the frame it was read from. An
+// empty one reads as nil.
+func (f *Fields) BlobRef(p *[]byte) {
+	field(f, p, (*Writer).Blob, func(r *Reader) []byte {
+		if b := r.BlobBytes(); len(b) > 0 {
+			return b
+		}
+		return nil
+	})
+}
+
+// FixedRef walks a byte field of exactly n valid bytes like Fixed,
+// except that decoding references the payload like BlobRef.
+func (f *Fields) FixedRef(p *[]byte, n int) {
+	field(f, p, (*Writer).Blob, func(r *Reader) []byte {
+		b := r.BlobBytes()
+		if len(b) != n {
+			r.fail("fixed-size field length")
+			return nil
+		}
+		return b
 	})
 }
 

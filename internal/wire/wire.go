@@ -37,8 +37,10 @@
 //
 // Encode sizes a walk before it encodes it, so a payload costs one
 // allocation of exactly its own size. Writers are poolable
-// (GetWriter/PutWriter) for encoders that write a frame out and drop it.
-// ReadFrameInto reads frames into a caller-owned scratch buffer. A View
+// (GetWriter/PutWriter): Encode's sizing pass takes one.
+// ReadFrameInto reads frames into a caller-owned scratch buffer
+// (ReadFrameHeader then ReadPayload, for a reader that picks the buffer
+// once the frame begins), and EncodeInto encodes into one. A View
 // decodes nothing: it aliases the payload it was read from, so a payload
 // read through views may be neither reused nor mutated while they live
 // (docs/WIRE.md, rule 6).
@@ -235,27 +237,6 @@ func (w *Writer) elements(data []float64) {
 
 // TensorList appends a length-prefixed list of (possibly nil) tensors.
 func (w *Writer) TensorList(ts []*tensor.Tensor) { List(Encoder(w), &ts, (*Fields).Tensor) }
-
-// BeginFrame starts encoding a framed message in place: the message type
-// byte and a 4-byte length placeholder, patched by Frame. The writer
-// must be empty (freshly reset).
-func (w *Writer) BeginFrame(msgType byte) {
-	w.buf = append(w.buf[:0], msgType, 0, 0, 0, 0)
-}
-
-// Frame finalises a frame started with BeginFrame and returns the
-// complete wire bytes (header + payload), ready for a single Write.
-func (w *Writer) Frame() ([]byte, error) {
-	if len(w.buf) < 5 {
-		return nil, errors.New("wire: Frame without BeginFrame")
-	}
-	payload := len(w.buf) - 5
-	if payload > MaxFrame {
-		return nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, payload)
-	}
-	binary.BigEndian.PutUint32(w.buf[1:5], uint32(payload))
-	return w.buf, nil
-}
 
 // Reader decodes values from a byte slice with a sticky error. Codec
 // selects the tensor decoding and must match the writer's.
@@ -514,14 +495,33 @@ const frameChunk = 1 << 20
 // allocation on a long-lived connection). The returned payload aliases
 // buf when it fits.
 func ReadFrameInto(r io.Reader, buf []byte) (msgType byte, payload []byte, err error) {
+	msgType, n, err := ReadFrameHeader(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err = ReadPayload(r, buf, n)
+	return msgType, payload, err
+}
+
+// ReadFrameHeader reads one frame's header: its message type and the
+// length of the payload that follows, at most MaxFrame. A reader that
+// picks its payload buffer only once a frame has begun to arrive calls
+// it, then ReadPayload.
+func ReadFrameHeader(r io.Reader) (msgType byte, n int, err error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err // io.EOF passes through for clean shutdown
+		return 0, 0, err // io.EOF passes through for clean shutdown
 	}
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	n = int(binary.BigEndian.Uint32(hdr[1:]))
 	if n > MaxFrame {
-		return 0, nil, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
+	return hdr[0], n, nil
+}
+
+// ReadPayload reads the n-byte payload of a frame whose header
+// ReadFrameHeader read, into buf's storage when its capacity holds n.
+func ReadPayload(r io.Reader, buf []byte, n int) (payload []byte, err error) {
 	payload = buf[:0]
 	for remaining := n; remaining > 0; {
 		step := min(remaining, frameChunk)
@@ -533,9 +533,9 @@ func ReadFrameInto(r io.Reader, buf []byte) (msgType byte, payload []byte, err e
 		}
 		payload = payload[:start+step]
 		if _, err := io.ReadFull(r, payload[start:]); err != nil {
-			return 0, nil, fmt.Errorf("wire: reading frame payload: %w", err)
+			return nil, fmt.Errorf("wire: reading frame payload: %w", err)
 		}
 		remaining -= step
 	}
-	return hdr[0], payload, nil
+	return payload, nil
 }
