@@ -102,17 +102,11 @@ func decodeFrame(mt MsgType, payload []byte, codec wire.Codec) (Message, error) 
 const maxReadScratch = 8 << 20
 
 // A received frame's buffer is leased to the message decoded from it
-// (docs/WIRE.md, rule 6). A message that reads views into its frame —
-// GradUp, ModelDown, MaskedUp, PartialUp — carries the lease, and the
-// engine releases it at the one point it is done with the views: the
-// server once handleArrival has classified the arrival, a client once
-// adopt has decoded the model. The buffer then goes back to the side
-// that fills the next frame — a pipe's sending end, a TCP conn's read
-// scratch — through that side's frameSlot. Any other message copies
-// everything out while decoding, so its frame goes back at once. The
-// lease rides the message, so a Conn wrapper passes it on untouched; a
-// frame never released is only garbage, and a shared broadcast frame
-// (SendFrame) carries none.
+// when the message references it (GradUp, ModelDown, MaskedUp,
+// PartialUp); the engine releases it — the server in handleArrival, a
+// client after adopt — and the buffer goes back through the frameSlot of
+// the side that fills the next frame: a pipe's sending end, a TCP conn's
+// read scratch (docs/WIRE.md, rule 6).
 
 // frameSlot holds at most one spare frame buffer, handed from the
 // goroutine that releases a frame to the one that fills the next.

@@ -39,8 +39,8 @@ func Encode(codec Codec, walk func(*Fields)) []byte { return EncodeInto(nil, cod
 
 // EncodeInto is Encode into buf's storage when its capacity holds the
 // payload Encode's sizing walk measures, and into a fresh exact-size
-// payload otherwise — for a transport that recycles the buffer of a
-// frame its peer has released. The bytes are Encode's either way.
+// payload otherwise — for a transport that recycles frame buffers. The
+// bytes are Encode's either way.
 func EncodeInto(buf []byte, codec Codec, walk func(*Fields)) []byte {
 	size := GetWriter()
 	size.Codec, size.sizing = codec, true
