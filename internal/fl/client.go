@@ -113,6 +113,10 @@ type Client struct {
 	// model holds a buffer per model tensor, reused across rounds: every
 	// ModelDown's views decode into it (adopt).
 	model []*tensor.Tensor
+	// roster holds a masked round's cohort roster, copied out of the
+	// ModelDown frame into a buffer reused across rounds: masking reads
+	// it after training, when the frame is gone.
+	roster wire.Pairs
 }
 
 // NewClient pairs a connection with a trainer.
@@ -239,9 +243,11 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	c.Spans.SetTrace(m.Trace)
 	sp := c.Spans.Start("train", m.Round)
 	start := c.now()
-	// The model's views are decoded into the client's own buffers: the
-	// frame goes back to the transport before training starts.
+	// The model's views are decoded, and the roster copied, into the
+	// client's own buffers: the frame goes back to the transport before
+	// training starts.
 	plain := c.adopt(m.Views)
+	c.roster = wire.Pairs{N: m.Roster.N, Raw: append(c.roster.Raw[:0], m.Roster.Raw...)}
 	m.release()
 	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, plain, m.Sealed, m.Plan)
 	if c.Metrics != nil {
@@ -268,13 +274,13 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 		}
 	}
 	if c.mask != nil {
-		if len(m.Cohort) == 0 {
+		if c.roster.N == 0 {
 			return fmt.Errorf("fl: secagg round %d arrived without a cohort roster", m.Round)
 		}
 		// The FedAvg weight is applied in the ring before masking; it
 		// must equal the weight the server derives from Examples, hence
 		// the shared updateWeight.
-		levels, shares, err := c.mask.MaskedUpdate(m.Round, m.Cohort, m.MaskDegree, plainUpd, updateWeight(examples))
+		levels, shares, err := c.mask.MaskedUpdateRoster(m.Round, c.roster, m.MaskDegree, plainUpd, updateWeight(examples))
 		if err != nil {
 			return fmt.Errorf("fl: masking round %d update: %w", m.Round, err)
 		}

@@ -1,10 +1,13 @@
 package fl
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
 
+	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
@@ -19,6 +22,12 @@ func FuzzDecodeMessage(f *testing.F) {
 		}
 	}
 	f.Add(byte(MsgModelDown), uint8(wire.CodecF64), []byte{0xFF})
+	// A masked round's ModelDown: the roster decodes as a view.
+	cohort := make([]secagg.Peer, 5)
+	for i := range cohort {
+		cohort[i] = secagg.Peer{Device: fmt.Sprintf("dev-%d", i), Pub: bytes.Repeat([]byte{byte(i)}, 32)}
+	}
+	f.Add(byte(MsgModelDown), uint8(wire.CodecF64), EncodeMessage(&ModelDown{Round: 4, Plain: newState(1, 2), Cohort: cohort, MaskDegree: 4}))
 	f.Add(byte(200), uint8(wire.CodecF64), []byte{})
 
 	f.Fuzz(func(t *testing.T, mt byte, codec uint8, payload []byte) {

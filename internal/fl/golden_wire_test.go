@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -178,8 +179,9 @@ func TestGoldenWireFormat(t *testing.T) {
 }
 
 // materialised returns a decoded message with the views of a GradUp or
-// ModelDown decoded into Plain, and the level views of a MaskedUp or
-// PartialUp into Levels, as its sender built it.
+// ModelDown decoded into Plain (and a ModelDown's roster into Cohort),
+// and the level views of a MaskedUp or PartialUp into Levels, as its
+// sender built it.
 func materialised(m Message) Message {
 	var plain *[]*tensor.Tensor
 	var vs []*wire.View
@@ -188,6 +190,7 @@ func materialised(m Message) Message {
 		plain, vs, m.Views, m.Q8 = &m.Plain, m.Views, nil, nil
 	case *ModelDown:
 		plain, vs, m.Views = &m.Plain, m.Views, nil
+		m.Cohort, m.Roster = rosterPeers(m.Roster), wire.Pairs{}
 	case *MaskedUp:
 		m.Levels = ownedLevels(m.Levels)
 		return m
@@ -204,6 +207,17 @@ func materialised(m Message) Message {
 		}
 	}
 	return m
+}
+
+// rosterPeers returns a roster view's pairs as peers of their own.
+func rosterPeers(r wire.Pairs) []secagg.Peer {
+	var out []secagg.Peer
+	for i, off := 0, 0; i < r.N; i++ {
+		var name, pub []byte
+		name, pub, off = r.Next(off)
+		out = append(out, secagg.Peer{Device: string(name), Pub: slices.Clone(pub)})
+	}
+	return out
 }
 
 // ownedLevels returns level tensors with every view's words decoded into

@@ -177,10 +177,15 @@ type ModelDown struct {
 	Plain []*tensor.Tensor
 	// Views is the decoded form of Plain, aliasing the frame
 	// (docs/WIRE.md, rule 6).
-	Views   []*wire.View
-	Sealed  []byte
-	Plan    []byte
+	Views  []*wire.View
+	Sealed []byte
+	Plan   []byte
+	// Cohort is the sender's roster. A decoded ModelDown leaves it nil
+	// and carries Roster instead, aliasing the frame (docs/WIRE.md,
+	// rule 6); the client copies it into a buffer of its own before the
+	// frame is released.
 	Cohort  []secagg.Peer
+	Roster  wire.Pairs
 	Version uint64
 	// Trace is the round-scoped trace ID the serving tier stamps on its
 	// spans (minted at the hierarchy root, or by the flat server). The
@@ -209,7 +214,7 @@ func (m *ModelDown) walk(f *wire.Fields) {
 	f.Blob(&m.Sealed)
 	f.Blob(&m.Plan)
 	f.Trailing()
-	walkCohort(f, &m.Cohort)
+	walkCohort(f, &m.Cohort, &m.Roster)
 	f.Trailing()
 	f.Uvarint(&m.Version)
 	f.Trailing()
@@ -218,35 +223,19 @@ func (m *ModelDown) walk(f *wire.Fields) {
 	f.Int(&m.MaskDegree)
 }
 
-// walkCohort walks the cohort roster: (device, mask pub) pairs. Decoding
-// copies every device name into one shared string and every mask pub
-// into one shared byte slice instead of two heap objects per peer. The
-// roster rides every ModelDown, so at fleet scale a cohort of n costs
-// n·cohort decoded peers per round and the per-peer garbage was costing
-// the collector more than the decode itself.
-func walkCohort(f *wire.Fields, cohort *[]secagg.Peer) {
-	if !f.Decoding() {
-		wire.List(f, cohort, func(f *wire.Fields, p *secagg.Peer) {
-			f.String(&p.Device)
-			f.Blob(&p.Pub)
-		})
+// walkCohort walks the cohort roster: (device, mask pub) pairs.
+// Decoding fills *roster with a view of them in the frame (wire.Pairs)
+// and leaves *cohort alone; encoding writes *cohort, or *roster when
+// only it is set — a decoded message re-encodes its roster verbatim.
+func walkCohort(f *wire.Fields, cohort *[]secagg.Peer, roster *wire.Pairs) {
+	if f.Decoding() || *cohort == nil && roster.N > 0 {
+		f.Pairs(roster)
 		return
 	}
-	var names, pubs []byte
-	var lens [][2]int
-	wire.List(f, cohort, func(f *wire.Fields, _ *secagg.Peer) {
-		name, pub := f.BlobView(), f.BlobView()
-		names, pubs = append(names, name...), append(pubs, pub...)
-		lens = append(lens, [2]int{len(name), len(pub)})
+	wire.List(f, cohort, func(f *wire.Fields, p *secagg.Peer) {
+		f.String(&p.Device)
+		f.Blob(&p.Pub)
 	})
-	if f.Err() != nil {
-		return
-	}
-	shared := string(names)
-	for i, l := range lens {
-		(*cohort)[i] = secagg.Peer{Device: shared[:l[0]], Pub: pubs[:l[1]:l[1]]}
-		shared, pubs = shared[l[0]:], pubs[l[1]:]
-	}
 }
 
 // GradUp returns the client's model update: unprotected update tensors in

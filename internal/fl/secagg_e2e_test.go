@@ -904,8 +904,8 @@ func TestSecAggOneMemberCohort(t *testing.T) {
 	for _, m := range taps[0].sent {
 		switch m := m.(type) {
 		case *ModelDown:
-			if m.MaskDegree != 0 || len(m.Cohort) != 1 {
-				t.Fatalf("round %d: MaskDegree %d over %d members, want 0 over 1", m.Round, m.MaskDegree, len(m.Cohort))
+			if m.MaskDegree != 0 || m.Roster.N != 1 {
+				t.Fatalf("round %d: MaskDegree %d over %d members, want 0 over 1", m.Round, m.MaskDegree, m.Roster.N)
 			}
 		case *MaskRecon:
 			t.Fatalf("one-member round %d ran a reconciliation phase", m.Round)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/gradsec/gradsec/internal/tensor"
 	"github.com/gradsec/gradsec/internal/wire"
@@ -39,14 +40,26 @@ type ClientSession struct {
 	key       *MaskKey
 	scaleBits int
 
-	// Per-round reconciliation state: the graph the update was masked
-	// under and the roles already conceded per peer. A peer may be
-	// treated as dropped or as surviving in a round — never both
-	// (ErrRoleConflict).
-	round int
-	graph *Graph
-	peers map[string]Peer
-	roles map[string]int
+	// Per-round reconciliation state: the neighbours the update of round
+	// was masked against, in name order, each with the role already
+	// conceded for it. A peer may be treated as dropped or as surviving
+	// in a round — never both (ErrRoleConflict). spare is the other
+	// neighbour buffer: a round masks into it, and the two swap once the
+	// round has masked.
+	round  int
+	masked bool
+	neigh  []neighbour
+	spare  []neighbour
+
+	// The round's graph derivation and what it reads, re-derived every
+	// round into the same slices: the roster's mask pubs (by roster
+	// index), a copy of its names when it arrives as []Peer, and the
+	// client's neighbour ranks. None of it outlives the call.
+	ring  ring
+	pubs  [][]byte
+	names []byte
+	ranks []int32
+	masks []SeedMask
 
 	// levels are the buffers MaskedUpdate quantises into, per position,
 	// and scratch is its mask kernel's keystream chunk; both are reused
@@ -54,6 +67,14 @@ type ClientSession struct {
 	// changes.
 	levels  []*wire.U64Tensor
 	scratch []byte
+}
+
+// neighbour is one graph neighbour of the round's masked update: what
+// Reconcile needs of it.
+type neighbour struct {
+	device string
+	pair   [32]byte // the session-long pair secret (MaskKey.pairSecret)
+	role   int
 }
 
 const (
@@ -91,15 +112,6 @@ func (s *ClientSession) MaskPub() []byte { return s.key.Public() }
 // ScaleBits returns the session's fixed-point precision.
 func (s *ClientSession) ScaleBits() int { return s.scaleBits }
 
-// roundSeedWith derives the round-scoped pair seed with one peer.
-func (s *ClientSession) roundSeedWith(peer Peer, round int) ([32]byte, error) {
-	pair, err := s.key.pairSecret(peer.Pub)
-	if err != nil {
-		return [32]byte{}, fmt.Errorf("secagg: pairing with %s: %w", peer.Device, err)
-	}
-	return RoundSeed(pair, round), nil
-}
-
 // selfSeed derives the round-scoped double-masking self seed: secret
 // (bound to the private mask key) but deterministic per round, so
 // simulated sessions reproduce exactly.
@@ -118,7 +130,8 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 // MaskedUpdate quantises the update (nil entries mark protected
 // positions travelling through the sealed path), multiplies by the
 // client's FedAvg weight in the ring, and double-masks it. The cohort
-// must contain this client exactly once and no name twice.
+// must contain this client exactly once and no name twice
+// (ErrDuplicateDevice).
 //
 // The client masks against its neighbours in the round's k-regular
 // graph (degree is the server-resolved graph degree, capped at the
@@ -131,69 +144,85 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 // The levels are quantised into buffers the session owns and reuses
 // across rounds, and every mask lands on them in one kernel pass: the
 // returned tensors are valid until the session's next MaskedUpdate, so
-// a caller encodes (or copies) them before masking another round.
+// a caller encodes (or copies) them before masking another round. The
+// graph is derived into slices the session reuses too, and only the
+// client's k neighbours are kept for Reconcile: once warm, a round
+// allocates nothing that grows with the cohort.
 func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
+	s.names = s.names[:0]
+	for _, p := range cohort {
+		s.names = append(s.names, p.Device...)
+	}
+	s.ring.names, s.pubs = resize(s.ring.names, len(cohort)), resize(s.pubs, len(cohort))
+	off := 0
+	for i, p := range cohort {
+		s.ring.names[i], s.pubs[i] = s.names[off:off+len(p.Device)], p.Pub
+		off += len(p.Device)
+	}
+	return s.mask(round, degree, upd, weight)
+}
+
+// MaskedUpdateRoster is MaskedUpdate over a roster in its wire layout —
+// (device, mask pub) pairs, as a decoded ModelDown carries it — read in
+// place: the roster is only read during the call.
+func (s *ClientSession) MaskedUpdateRoster(round int, roster wire.Pairs, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
+	s.ring.names, s.pubs = resize(s.ring.names, roster.N), resize(s.pubs, roster.N)
+	off := 0
+	for i := range s.pubs {
+		s.ring.names[i], s.pubs[i], off = roster.Next(off)
+	}
+	return s.mask(round, degree, upd, weight)
+}
+
+// mask is MaskedUpdate over the roster loaded into s.ring.names and
+// s.pubs.
+func (s *ClientSession) mask(round, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
 	if weight == 0 {
 		return nil, nil, fmt.Errorf("secagg: zero update weight")
 	}
-	if degree < 1 && len(cohort) > 1 {
-		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, len(cohort))
+	n := len(s.pubs)
+	if degree < 1 && n > 1 {
+		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, n)
 	}
-
-	self := 0
-	peers := make(map[string]Peer, len(cohort))
-	names := make([]string, len(cohort))
-	for i, peer := range cohort {
-		if _, dup := peers[peer.Device]; dup {
-			return nil, nil, fmt.Errorf("secagg: duplicate device %q in cohort", peer.Device)
-		}
-		peers[peer.Device] = peer
-		names[i] = peer.Device
-		if peer.Device == s.device {
-			self++
-		}
-	}
-	if self != 1 {
-		return nil, nil, fmt.Errorf("secagg: client %q appears %d times in cohort", s.device, self)
-	}
-
-	graph, err := NewGraph(round, names, degree)
-	if err != nil {
+	if err := s.ring.derive(round, degree); err != nil {
 		return nil, nil, err
 	}
-	neigh := graph.Neighbors(s.device)
-	masks := make([]SeedMask, 0, len(neigh)+1)
-	for _, d := range neigh {
-		seed, err := s.roundSeedWith(peers[d], round)
+	self := s.ring.find(s.device)
+	if self < 0 {
+		return nil, nil, fmt.Errorf("secagg: client %q is not in the cohort", s.device)
+	}
+
+	s.ranks = s.ring.neighbours(s.ranks[:0], self)
+	next, masks := s.spare[:0], s.masks[:0]
+	for _, rank := range s.ranks {
+		d := string(s.ring.name(rank))
+		pair, err := s.key.pairSecret(s.pubs[s.ring.byName[rank]])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, fmt.Errorf("secagg: pairing with %s: %w", d, err)
 		}
-		masks = append(masks, SeedMask{Seed: seed, Sign: PairSign(s.device, d)})
+		next = append(next, neighbour{device: d, pair: pair})
+		masks = append(masks, SeedMask{Seed: RoundSeed(pair, round), Sign: PairSign(s.device, d)})
 	}
 
 	var shares []WrappedShare
-	if len(neigh) > 0 {
+	if len(next) > 0 {
 		// Double mask: the self-mask stays on the update until the server
 		// reconstructs its seed from ≥ threshold neighbour shares — so a
 		// straggler's masks can be reconciled without ever exposing a
 		// folded update, and a late update stays masked by construction.
 		seed := s.selfSeed(round)
 		masks = append(masks, SeedMask{Seed: seed, Sign: 1})
-		xs := make([]uint8, len(neigh))
-		for i := range neigh {
-			xs[i] = uint8(i + 1) // == graph.ShareIndex(s.device, neigh[i])
+		xs := make([]uint8, len(next))
+		for i := range next {
+			xs[i] = uint8(i + 1) // == Graph.ShareIndex(s.device, next[i].device)
 		}
-		split, err := SplitSeed(seed, xs, graph.Threshold(), s.device)
+		split, err := SplitSeed(seed, xs, s.ring.Threshold(), s.device)
 		if err != nil {
 			return nil, nil, fmt.Errorf("secagg: sharing self seed: %w", err)
 		}
-		shares = make([]WrappedShare, len(neigh))
-		for i, d := range neigh {
-			pair, err := s.key.pairSecret(peers[d].Pub)
-			if err != nil {
-				return nil, nil, fmt.Errorf("secagg: pairing with %s: %w", d, err)
-			}
-			shares[i] = WrappedShare{To: d, Blob: wrapShare(shareWrapKey(pair, round, s.device), split[i])}
+		shares = make([]WrappedShare, len(next))
+		for i, nb := range next {
+			shares[i] = WrappedShare{To: nb.device, Blob: wrapShare(shareWrapKey(nb.pair, round, s.device), split[i])}
 		}
 	}
 
@@ -217,7 +246,8 @@ func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd [
 		s.scratch = make([]byte, maskChunk)
 	}
 	applyMasks(masks, active, s.scratch)
-	s.round, s.graph, s.peers, s.roles = round, graph, peers, make(map[string]int)
+	s.round, s.masked = round, true
+	s.neigh, s.spare, s.masks = next, s.neigh, masks
 	return out, shares, nil
 }
 
@@ -246,51 +276,51 @@ type ReconAnswer struct {
 // neighbours. Wrapped blobs that fail authentication are skipped (the
 // server needs only Threshold of the k shares), never guessed at.
 func (s *ClientSession) Reconcile(round int, dropped []string, survivors []SeedEnvelope) (*ReconAnswer, error) {
-	if s.graph == nil || round != s.round {
+	if !s.masked || round != s.round {
 		return nil, fmt.Errorf("%w %d", ErrNoRoundState, round)
-	}
-	neigh := make(map[string]bool)
-	for _, d := range s.graph.Neighbors(s.device) {
-		neigh[d] = true
 	}
 	ans := &ReconAnswer{}
 	for _, d := range dropped {
 		if d == s.device {
 			return nil, fmt.Errorf("%w: asked to reveal own seed", ErrSelfInPairs)
 		}
-		if !neigh[d] {
+		nb := s.neighbour(d)
+		if nb == nil {
 			return nil, fmt.Errorf("%w: %q is not a mask neighbour", ErrNoPair, d)
 		}
-		if s.roles[d] == roleSurvivor {
+		if nb.role == roleSurvivor {
 			return nil, fmt.Errorf("%w: %q", ErrRoleConflict, d)
 		}
-		s.roles[d] = roleDropped
-		seed, err := s.roundSeedWith(s.peers[d], round)
-		if err != nil {
-			return nil, err
-		}
-		ans.Pairs = append(ans.Pairs, PairShare{Device: d, Seed: seed})
+		nb.role = roleDropped
+		ans.Pairs = append(ans.Pairs, PairShare{Device: d, Seed: RoundSeed(nb.pair, round)})
 	}
 	for _, env := range survivors {
 		if env.Owner == s.device {
 			return nil, fmt.Errorf("%w: asked to reveal own seed", ErrSelfInPairs)
 		}
-		if !neigh[env.Owner] {
+		nb := s.neighbour(env.Owner)
+		if nb == nil {
 			return nil, fmt.Errorf("%w: %q is not a mask neighbour", ErrNoPair, env.Owner)
 		}
-		if s.roles[env.Owner] == roleDropped {
+		if nb.role == roleDropped {
 			return nil, fmt.Errorf("%w: %q", ErrRoleConflict, env.Owner)
 		}
-		s.roles[env.Owner] = roleSurvivor
-		pair, err := s.key.pairSecret(s.peers[env.Owner].Pub)
-		if err != nil {
-			return nil, fmt.Errorf("secagg: pairing with %s: %w", env.Owner, err)
-		}
-		sh, err := unwrapShare(shareWrapKey(pair, round, env.Owner), env.Blob)
+		nb.role = roleSurvivor
+		sh, err := unwrapShare(shareWrapKey(nb.pair, round, env.Owner), env.Blob)
 		if err != nil {
 			continue // corrupt blob: withhold this share, not the round
 		}
 		ans.Seeds = append(ans.Seeds, SeedShare{Owner: env.Owner, X: sh.X, Data: sh.Data})
 	}
 	return ans, nil
+}
+
+// neighbour returns the masked round's neighbour named device, nil for
+// any other peer.
+func (s *ClientSession) neighbour(device string) *neighbour {
+	i, ok := slices.BinarySearchFunc(s.neigh, device, func(nb neighbour, d string) int { return strings.Compare(nb.device, d) })
+	if !ok {
+		return nil
+	}
+	return &s.neigh[i]
 }

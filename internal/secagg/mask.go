@@ -17,6 +17,10 @@ var (
 	ErrNoPair      = errors.New("secagg: peer not in cohort")
 	ErrBadMaskKey  = errors.New("secagg: bad mask key material")
 	ErrSelfInPairs = errors.New("secagg: cohort pairs a client with itself")
+	// ErrDuplicateDevice is returned for a roster that names one device
+	// twice, by the graph derivation both the server and every client
+	// run, before any mask is derived (see PairSign).
+	ErrDuplicateDevice = errors.New("secagg: duplicate device in cohort")
 )
 
 // Peer is one cohort member's masking identity, distributed to the
@@ -145,8 +149,8 @@ func RoundSeed(pair [32]byte, round int) [32]byte {
 // names would derive identical seeds with symmetric signs and nothing
 // would cancel — so the tie returns 0, which no masking path accepts.
 // Every caller rejects duplicate device names before deriving masks:
-// the server at selection (fl.Server.Open), and both NewGraph and
-// ClientSession.MaskedUpdate on the roster they are handed.
+// the server at selection (fl.Server.Open), and the graph derivation
+// on the roster it is handed (ErrDuplicateDevice).
 func PairSign(self, peer string) int {
 	switch {
 	case self < peer:

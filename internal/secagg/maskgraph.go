@@ -1,13 +1,14 @@
 package secagg
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 )
 
 // AutoDegree, as a mask-degree configuration value, selects
@@ -52,34 +53,65 @@ func DegreeFor(n int) int {
 // surviving vertex still has ≥ h+1 = Threshold surviving neighbours —
 // exactly enough to reconstruct its Shamir-shared self-mask seed.
 type Graph struct {
-	ring []string       // shuffled cohort; neighbours are ring offsets
-	pos  map[string]int // device → ring position
-	half int            // neighbours at circular distance 1..half
+	ring
+	devices []string // roster order
 }
 
 // NewGraph derives the round's masking graph over the cohort's device
-// names. Duplicate names are rejected here — before any mask is
-// derived — because PairSign cannot orient a pair of equal names (see
-// PairSign). degree ≤ 0 selects DegreeFor(len(devices)); any degree is
-// capped at the complete graph.
+// names. Duplicate names are rejected here (ErrDuplicateDevice) —
+// before any mask is derived — because PairSign cannot orient a pair of
+// equal names. degree ≤ 0 selects DegreeFor(len(devices)); any degree
+// is capped at the complete graph.
 func NewGraph(round int, devices []string, degree int) (*Graph, error) {
-	n := len(devices)
-	sorted := make([]string, n)
-	copy(sorted, devices)
-	sort.Strings(sorted)
-	pos := make(map[string]int, n)
-	for i, d := range sorted {
-		if _, dup := pos[d]; dup {
-			return nil, fmt.Errorf("%w: duplicate device %q in cohort", ErrSelfInPairs, d)
+	size := 0
+	for _, d := range devices {
+		size += len(d)
+	}
+	g := &Graph{devices: slices.Clone(devices)}
+	g.names = make([][]byte, len(devices))
+	buf := make([]byte, 0, size)
+	for i, d := range devices {
+		buf = append(buf, d...)
+		g.names[i] = buf[len(buf)-len(d):]
+	}
+	if err := g.derive(round, degree); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// ring is the one graph derivation, over a roster of names held as
+// index permutations in slices its owner keeps: the server's Graph
+// derives one per round, and a ClientSession re-derives into the same
+// slices every round, so deriving allocates nothing that grows with the
+// cohort once they have grown. Roster indices are sorted by name into
+// ranks, and the ring is a permutation of ranks.
+type ring struct {
+	names  [][]byte // the roster, in roster order
+	byName []int32  // rank → roster index: the roster in name order
+	cycle  []int32  // ring position → rank
+	pos    []int32  // rank → ring position
+	half   int      // neighbours at circular distance 1..half
+}
+
+// derive (re)builds the ring over r.names for the round: a duplicate
+// name fails with ErrDuplicateDevice; degree ≤ 0 selects DegreeFor(n),
+// capped at the complete graph.
+func (r *ring) derive(round, degree int) error {
+	n := len(r.names)
+	r.byName, r.cycle, r.pos = identity(r.byName, n), identity(r.cycle, n), resize(r.pos, n)
+	slices.SortFunc(r.byName, func(a, b int32) int { return bytes.Compare(r.names[a], r.names[b]) })
+	for i := 1; i < n; i++ {
+		if d := r.names[r.byName[i]]; bytes.Equal(r.names[r.byName[i-1]], d) {
+			return fmt.Errorf("%w: %q", ErrDuplicateDevice, d)
 		}
-		pos[d] = i
 	}
 	if degree <= 0 {
 		degree = DegreeFor(n)
 	}
-	h := (degree + 1) / 2
-	if n > 0 && 2*h > n-1 {
-		h = n / 2 // complete graph: circular distance ≤ ⌊n/2⌋ reaches everyone
+	r.half = (degree + 1) / 2
+	if n > 0 && 2*r.half > n-1 {
+		r.half = n / 2 // complete graph: circular distance ≤ ⌊n/2⌋ reaches everyone
 	}
 
 	// Seeded Fisher–Yates: the ring order is unpredictable without the
@@ -89,22 +121,76 @@ func NewGraph(round int, devices []string, degree int) (*Graph, error) {
 	var rb [8]byte
 	binary.BigEndian.PutUint64(rb[:], uint64(round))
 	hsh.Write(rb[:])
-	for _, d := range sorted {
-		binary.BigEndian.PutUint64(rb[:], uint64(len(d)))
+	for _, i := range r.byName {
+		binary.BigEndian.PutUint64(rb[:], uint64(len(r.names[i])))
 		hsh.Write(rb[:])
-		hsh.Write([]byte(d))
+		hsh.Write(r.names[i])
 	}
 	var seed [32]byte
-	copy(seed[:], hsh.Sum(nil))
+	hsh.Sum(seed[:0])
 	prg := newPRG(seed)
 	for i := n - 1; i > 0; i-- {
 		j := int(prg.uint64() % uint64(i+1))
-		sorted[i], sorted[j] = sorted[j], sorted[i]
+		r.cycle[i], r.cycle[j] = r.cycle[j], r.cycle[i]
 	}
-	for i, d := range sorted {
-		pos[d] = i
+	for p, rank := range r.cycle {
+		r.pos[rank] = int32(p)
 	}
-	return &Graph{ring: sorted, pos: pos, half: h}, nil
+	return nil
+}
+
+// find returns a device's rank, or -1 outside the roster. Names are
+// compared as string(name) operands, which the compiler does not copy.
+func (r *ring) find(device string) int {
+	rank, ok := slices.BinarySearchFunc(r.byName, device, func(i int32, d string) int {
+		switch name := r.names[i]; {
+		case string(name) < d:
+			return -1
+		case string(name) > d:
+			return 1
+		}
+		return 0
+	})
+	if !ok {
+		return -1
+	}
+	return rank
+}
+
+// neighbours appends the ranks of a member's masking partners to dst in
+// ascending order — which is name order.
+func (r *ring) neighbours(dst []int32, rank int) []int32 {
+	n, i, from := len(r.cycle), int(r.pos[rank]), len(dst)
+	for d := 1; d <= r.half; d++ {
+		lo, hi := (i-d+n)%n, (i+d)%n
+		dst = append(dst, r.cycle[hi])
+		if lo != hi && lo != i {
+			dst = append(dst, r.cycle[lo])
+		}
+	}
+	slices.Sort(dst[from:])
+	return dst
+}
+
+// name returns the roster name of a rank.
+func (r *ring) name(rank int32) []byte { return r.names[r.byName[rank]] }
+
+// identity returns buf resized to n and holding 0..n−1.
+func identity(buf []int32, n int) []int32 {
+	buf = resize(buf, n)
+	for i := range buf {
+		buf[i] = int32(i)
+	}
+	return buf
+}
+
+// resize returns buf with length n, reallocated only when it is too
+// short.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // prg draws deterministic uint64s from an AES-256-CTR keystream — the
@@ -140,22 +226,22 @@ func (p *prg) uint64() uint64 {
 }
 
 // Size returns the cohort size.
-func (g *Graph) Size() int { return len(g.ring) }
+func (r *ring) Size() int { return len(r.names) }
 
 // Degree returns the effective per-member degree: min(2·half, n−1).
-func (g *Graph) Degree() int {
-	n := len(g.ring)
+func (r *ring) Degree() int {
+	n := len(r.names)
 	if n == 0 {
 		return 0
 	}
-	return min(2*g.half, n-1)
+	return min(2*r.half, n-1)
 }
 
 // Threshold returns the Shamir threshold for self-mask seed shares:
 // k/2 + 1 of the k neighbours must survive (and respond) to
 // reconstruct a seed. 0 when the graph has no edges.
-func (g *Graph) Threshold() int {
-	d := g.Degree()
+func (r *ring) Threshold() int {
+	d := r.Degree()
 	if d == 0 {
 		return 0
 	}
@@ -163,29 +249,22 @@ func (g *Graph) Threshold() int {
 }
 
 // Contains reports cohort membership.
-func (g *Graph) Contains(device string) bool {
-	_, ok := g.pos[device]
-	return ok
-}
+func (g *Graph) Contains(device string) bool { return g.find(device) >= 0 }
 
 // Neighbors returns a member's masking partners in sorted name order —
 // the canonical order both sides use to assign Shamir share indices
 // (ShareIndex). It returns nil for devices outside the cohort.
 func (g *Graph) Neighbors(device string) []string {
-	i, ok := g.pos[device]
-	if !ok {
+	rank := g.find(device)
+	if rank < 0 {
 		return nil
 	}
-	n := len(g.ring)
-	out := make([]string, 0, g.Degree())
-	for d := 1; d <= g.half; d++ {
-		lo, hi := (i-d+n)%n, (i+d)%n
-		out = append(out, g.ring[hi])
-		if lo != hi && lo != i {
-			out = append(out, g.ring[lo])
-		}
+	var buf [16]int32
+	ranks := g.neighbours(buf[:0], rank)
+	out := make([]string, len(ranks))
+	for i, r := range ranks {
+		out[i] = g.devices[g.byName[r]]
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -174,12 +174,12 @@ func TestGraphConnectivityAndDropoutRecovery(t *testing.T) {
 		// neighbourhood is the worst case for that member.
 		block := map[string]bool{}
 		for i := 0; i < drops; i++ {
-			block[g.ring[(1+i)%n]] = true
+			block[ringOrder(g)[(1+i)%n]] = true
 		}
 		// Pseudo-random: spread across the ring.
 		spread := map[string]bool{}
 		for i := 0; i < drops; i++ {
-			spread[g.ring[(i*7+3)%n]] = true
+			spread[ringOrder(g)[(i*7+3)%n]] = true
 		}
 		for name, dropped := range map[string]map[string]bool{"block": block, "spread": spread} {
 			if !connectedAfter(g, devs, dropped) {
@@ -208,7 +208,7 @@ func TestGraphConnectivityAndDropoutRecovery(t *testing.T) {
 		if g.Degree() == 0 {
 			continue
 		}
-		owner := g.ring[0]
+		owner := ringOrder(g)[0]
 		neigh := g.Neighbors(owner)
 		xs := make([]uint8, len(neigh))
 		for i := range neigh {

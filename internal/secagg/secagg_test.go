@@ -124,22 +124,32 @@ func TestMaskedAggregateBitIdentical(t *testing.T) {
 	}
 }
 
+// roundSeedWith derives s's round-scoped pair seed with one peer, as
+// MaskedUpdate does for each neighbour.
+func roundSeedWith(s *ClientSession, peer Peer, round int) ([32]byte, error) {
+	pair, err := s.key.pairSecret(peer.Pub)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return RoundSeed(pair, round), nil
+}
+
 // TestRoundSeedsAgreeAndScope: both ends of a pair derive the same
 // round seed, and different rounds yield different seeds.
 func TestRoundSeedsAgreeAndScope(t *testing.T) {
 	sessions, cohort := testCohort(t, 2)
-	a, err := sessions[0].roundSeedWith(cohort[1], 5)
+	a, err := roundSeedWith(sessions[0], cohort[1], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := sessions[1].roundSeedWith(cohort[0], 5)
+	b, err := roundSeedWith(sessions[1], cohort[0], 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
 		t.Fatal("pair ends derived different round seeds")
 	}
-	c, err := sessions[0].roundSeedWith(cohort[1], 6)
+	c, err := roundSeedWith(sessions[0], cohort[1], 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -696,7 +706,7 @@ func TestMaskedUpdateMatchesReference(t *testing.T) {
 				}
 				var masks []SeedMask
 				for _, d := range graph.Neighbors(s.device) {
-					seed, err := s.roundSeedWith(Peer{Device: d, Pub: cohort[slices.Index(names, d)].Pub}, round)
+					seed, err := roundSeedWith(s, Peer{Device: d, Pub: cohort[slices.Index(names, d)].Pub}, round)
 					if err != nil {
 						t.Fatal(err)
 					}
