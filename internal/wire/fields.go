@@ -210,17 +210,6 @@ func (f *Fields) FixedRef(p *[]byte, n int) {
 	})
 }
 
-// BlobView reads a length-prefixed byte slice as a view into the
-// payload (Reader.BlobBytes), for an element decoder that copies it into
-// a shared slab before the frame is released. Encoding reads nothing and
-// returns nil.
-func (f *Fields) BlobView() (b []byte) {
-	if f.r != nil {
-		field(f, &b, nil, (*Reader).BlobBytes)
-	}
-	return b
-}
-
 // Tensor walks one (possibly nil) tensor under the session codec.
 func (f *Fields) Tensor(p **tensor.Tensor) { field(f, p, (*Writer).Tensor, (*Reader).Tensor) }
 
