@@ -247,7 +247,7 @@ func (c *Client) handleModelDown(m *ModelDown) error {
 	// client's own buffers: the frame goes back to the transport before
 	// training starts.
 	plain := c.adopt(m.Views)
-	c.roster = wire.Pairs{N: m.Roster.N, Raw: append(c.roster.Raw[:0], m.Roster.Raw...)}
+	c.roster = wire.Pairs{N: m.Cohort.N, Raw: append(c.roster.Raw[:0], m.Cohort.Raw...)}
 	m.release()
 	plainUpd, sealedUpd, err := c.trainer.TrainRound(m.Round, plain, m.Sealed, m.Plan)
 	if c.Metrics != nil {

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"github.com/gradsec/gradsec/internal/secagg"
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
@@ -23,9 +22,9 @@ func FuzzDecodeMessage(f *testing.F) {
 	}
 	f.Add(byte(MsgModelDown), uint8(wire.CodecF64), []byte{0xFF})
 	// A masked round's ModelDown: the roster decodes as a view.
-	cohort := make([]secagg.Peer, 5)
-	for i := range cohort {
-		cohort[i] = secagg.Peer{Device: fmt.Sprintf("dev-%d", i), Pub: bytes.Repeat([]byte{byte(i)}, 32)}
+	var cohort wire.Pairs
+	for i := 0; i < 5; i++ {
+		cohort.Append(fmt.Sprintf("dev-%d", i), bytes.Repeat([]byte{byte(i)}, 32))
 	}
 	f.Add(byte(MsgModelDown), uint8(wire.CodecF64), EncodeMessage(&ModelDown{Round: 4, Plain: newState(1, 2), Cohort: cohort, MaskDegree: 4}))
 	f.Add(byte(200), uint8(wire.CodecF64), []byte{})

@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"reflect"
-	"slices"
 	"sort"
 	"testing"
 
@@ -57,7 +56,7 @@ func wireExamples() []Message {
 		&Reject{Reason: "no TEE"},
 		&ModelDown{
 			Round: 300, Plain: model(1.25), Sealed: fill(40, 3), Plan: fill(12, 9),
-			Cohort:  []secagg.Peer{{Device: "pi-a", Pub: fill(32, 5)}, {Device: "pi-bb", Pub: fill(32, 55)}},
+			Cohort:  roster(secagg.Peer{Device: "pi-a", Pub: fill(32, 5)}, secagg.Peer{Device: "pi-bb", Pub: fill(32, 55)}),
 			Version: 1 << 33, Trace: 0xDEADBEEFCAFE, MaskDegree: 4,
 		},
 		&GradUp{
@@ -179,9 +178,8 @@ func TestGoldenWireFormat(t *testing.T) {
 }
 
 // materialised returns a decoded message with the views of a GradUp or
-// ModelDown decoded into Plain (and a ModelDown's roster into Cohort),
-// and the level views of a MaskedUp or PartialUp into Levels, as its
-// sender built it.
+// ModelDown decoded into Plain, and the level views of a MaskedUp or
+// PartialUp into Levels, as its sender built it.
 func materialised(m Message) Message {
 	var plain *[]*tensor.Tensor
 	var vs []*wire.View
@@ -190,7 +188,6 @@ func materialised(m Message) Message {
 		plain, vs, m.Views, m.Q8 = &m.Plain, m.Views, nil, nil
 	case *ModelDown:
 		plain, vs, m.Views = &m.Plain, m.Views, nil
-		m.Cohort, m.Roster = rosterPeers(m.Roster), wire.Pairs{}
 	case *MaskedUp:
 		m.Levels = ownedLevels(m.Levels)
 		return m
@@ -207,17 +204,6 @@ func materialised(m Message) Message {
 		}
 	}
 	return m
-}
-
-// rosterPeers returns a roster view's pairs as peers of their own.
-func rosterPeers(r wire.Pairs) []secagg.Peer {
-	var out []secagg.Peer
-	for i, off := 0, 0; i < r.N; i++ {
-		var name, pub []byte
-		name, pub, off = r.Next(off)
-		out = append(out, secagg.Peer{Device: string(name), Pub: slices.Clone(pub)})
-	}
-	return out
 }
 
 // ownedLevels returns level tensors with every view's words decoded into

@@ -180,12 +180,10 @@ type ModelDown struct {
 	Views  []*wire.View
 	Sealed []byte
 	Plan   []byte
-	// Cohort is the sender's roster. A decoded ModelDown leaves it nil
-	// and carries Roster instead, aliasing the frame (docs/WIRE.md,
-	// rule 6); the client copies it into a buffer of its own before the
-	// frame is released.
-	Cohort  []secagg.Peer
-	Roster  wire.Pairs
+	// Cohort is the roster, (device, mask pub) pairs; a decoded one
+	// aliases the frame (docs/WIRE.md, rule 6), and the client copies it
+	// into a buffer of its own before the frame is released.
+	Cohort  wire.Pairs
 	Version uint64
 	// Trace is the round-scoped trace ID the serving tier stamps on its
 	// spans (minted at the hierarchy root, or by the flat server). The
@@ -214,28 +212,13 @@ func (m *ModelDown) walk(f *wire.Fields) {
 	f.Blob(&m.Sealed)
 	f.Blob(&m.Plan)
 	f.Trailing()
-	walkCohort(f, &m.Cohort, &m.Roster)
+	f.Pairs(&m.Cohort)
 	f.Trailing()
 	f.Uvarint(&m.Version)
 	f.Trailing()
 	f.Uvarint(&m.Trace)
 	f.Trailing()
 	f.Int(&m.MaskDegree)
-}
-
-// walkCohort walks the cohort roster: (device, mask pub) pairs.
-// Decoding fills *roster with a view of them in the frame (wire.Pairs)
-// and leaves *cohort alone; encoding writes *cohort, or *roster when
-// only it is set — a decoded message re-encodes its roster verbatim.
-func walkCohort(f *wire.Fields, cohort *[]secagg.Peer, roster *wire.Pairs) {
-	if f.Decoding() || *cohort == nil && roster.N > 0 {
-		f.Pairs(roster)
-		return
-	}
-	wire.List(f, cohort, func(f *wire.Fields, p *secagg.Peer) {
-		f.String(&p.Device)
-		f.Blob(&p.Pub)
-	})
 }
 
 // GradUp returns the client's model update: unprotected update tensors in

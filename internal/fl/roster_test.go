@@ -9,6 +9,15 @@ import (
 	"github.com/gradsec/gradsec/internal/wire"
 )
 
+// roster lays peers out as a ModelDown carries them.
+func roster(peers ...secagg.Peer) wire.Pairs {
+	var r wire.Pairs
+	for _, p := range peers {
+		r.Append(p.Device, p.Pub)
+	}
+	return r
+}
+
 // rosterFrame encodes a ModelDown payload (round 0, no model, degree 2)
 // whose roster is the given counts (int) and length-prefixed strings,
 // verbatim.
@@ -76,9 +85,9 @@ func TestHostileRosterRefused(t *testing.T) {
 			if c.frame != nil {
 				err = sc.SendFrame(MsgModelDown, c.frame)
 			} else {
-				cohort := make([]secagg.Peer, len(c.cohort))
-				for i, d := range c.cohort {
-					cohort[i] = secagg.Peer{Device: d, Pub: []byte(pub)}
+				var cohort wire.Pairs
+				for _, d := range c.cohort {
+					cohort.Append(d, []byte(pub))
 				}
 				err = sc.Send(&ModelDown{Round: 0, Plain: newState(1), Cohort: cohort, MaskDegree: 2})
 			}

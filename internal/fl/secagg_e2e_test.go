@@ -904,8 +904,8 @@ func TestSecAggOneMemberCohort(t *testing.T) {
 	for _, m := range taps[0].sent {
 		switch m := m.(type) {
 		case *ModelDown:
-			if m.MaskDegree != 0 || m.Roster.N != 1 {
-				t.Fatalf("round %d: MaskDegree %d over %d members, want 0 over 1", m.Round, m.MaskDegree, m.Roster.N)
+			if m.MaskDegree != 0 || m.Cohort.N != 1 {
+				t.Fatalf("round %d: MaskDegree %d over %d members, want 0 over 1", m.Round, m.MaskDegree, m.Cohort.N)
 			}
 		case *MaskRecon:
 			t.Fatalf("one-member round %d ran a reconciliation phase", m.Round)
@@ -978,7 +978,7 @@ func TestSecAggClientRefusesMaskDowngrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cohort := []secagg.Peer{{Device: "victim", Pub: att.MaskPub}, {Device: "peer", Pub: peer.Public()}}
+	cohort := roster(secagg.Peer{Device: "victim", Pub: att.MaskPub}, secagg.Peer{Device: "peer", Pub: peer.Public()})
 	if err := sc.Send(&ModelDown{Round: 0, Plain: newState(1), Cohort: cohort, MaskDegree: 0}); err != nil {
 		t.Fatal(err)
 	}

@@ -82,9 +82,8 @@ func (s *Server) openMasked(rd *syncRound) (*maskedRound, error) {
 	// has no edges whatever the degree (auto resolves to 0): no pairs, no
 	// self mask, nothing to reconcile.
 	names := deviceNames(rd.sampled)
-	down.Cohort = make([]secagg.Peer, len(rd.sampled))
-	for i, sess := range rd.sampled {
-		down.Cohort[i] = secagg.Peer{Device: sess.device, Pub: sess.maskPub}
+	for _, sess := range rd.sampled {
+		down.Cohort.Append(sess.device, sess.maskPub)
 	}
 	down.MaskDegree = s.cfg.MaskDegree
 	if down.MaskDegree == secagg.AutoDegree {

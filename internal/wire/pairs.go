@@ -31,6 +31,16 @@ func lengthPrefixed(b []byte, off int) ([]byte, int) {
 	return b[off : off+int(n) : off+int(n)], off + int(n)
 }
 
+// Append appends one pair, encoded as the Reader reads it. A list that
+// is a view of a payload grows into storage of its own.
+func (p *Pairs) Append(name string, val []byte) {
+	p.Raw = binary.AppendUvarint(p.Raw, uint64(len(name)))
+	p.Raw = append(p.Raw, name...)
+	p.Raw = binary.AppendUvarint(p.Raw, uint64(len(val)))
+	p.Raw = append(p.Raw, val...)
+	p.N++
+}
+
 // Pairs reads a pair list as a view into the payload: a count the
 // payload cannot hold, a truncated pair or an empty name fails the
 // frame.

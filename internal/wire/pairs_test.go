@@ -8,7 +8,8 @@ import (
 
 // TestPairsView: a (String, Blob) list decodes as a Pairs view whose
 // walk returns every pair, aliasing the payload, and which re-encodes
-// to the same bytes; a truncated pair or an empty name fails the frame.
+// to the same bytes Append builds; a truncated pair or an empty name
+// fails the frame.
 func TestPairsView(t *testing.T) {
 	type pair struct{ name, val string }
 	in := []pair{{"pi-a", "key-a"}, {"pi-bb", ""}, {"c", "key-c"}}
@@ -40,6 +41,13 @@ func TestPairsView(t *testing.T) {
 	}
 	if got := Encode(CodecF64, func(f *Fields) { f.Pairs(&p) }); !bytes.Equal(got, payload) {
 		t.Fatalf("re-encoded %x, want %x", got, payload)
+	}
+	var built Pairs
+	for _, q := range in {
+		built.Append(q.name, []byte(q.val))
+	}
+	if built.N != p.N || !bytes.Equal(built.Raw, p.Raw) {
+		t.Fatalf("Append built %d pairs %x, want %d pairs %x", built.N, built.Raw, p.N, p.Raw)
 	}
 
 	empty := []pair{{"a", "x"}, {"", "y"}}
