@@ -53,13 +53,13 @@ type ClientSession struct {
 
 	// The round's graph derivation and what it reads, re-derived every
 	// round into the same slices: the roster's mask pubs (by roster
-	// index), a copy of its names when it arrives as []Peer, and the
+	// index), the roster itself when it arrives as []Peer, and the
 	// client's neighbour ranks. None of it outlives the call.
-	ring  ring
-	pubs  [][]byte
-	names []byte
-	ranks []int32
-	masks []SeedMask
+	ring   ring
+	pubs   [][]byte
+	cohort wire.Pairs
+	ranks  []int32
+	masks  []SeedMask
 
 	// levels are the buffers MaskedUpdate quantises into, per position,
 	// and scratch is its mask kernel's keystream chunk; both are reused
@@ -149,40 +149,27 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 // client's k neighbours are kept for Reconcile: once warm, a round
 // allocates nothing that grows with the cohort.
 func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
-	s.names = s.names[:0]
+	s.cohort = wire.Pairs{Raw: s.cohort.Raw[:0]}
 	for _, p := range cohort {
-		s.names = append(s.names, p.Device...)
+		s.cohort.Append(p.Device, p.Pub)
 	}
-	s.ring.names, s.pubs = resize(s.ring.names, len(cohort)), resize(s.pubs, len(cohort))
-	off := 0
-	for i, p := range cohort {
-		s.ring.names[i], s.pubs[i] = s.names[off:off+len(p.Device)], p.Pub
-		off += len(p.Device)
-	}
-	return s.mask(round, degree, upd, weight)
+	return s.MaskedUpdateRoster(round, s.cohort, degree, upd, weight)
 }
 
 // MaskedUpdateRoster is MaskedUpdate over a roster in its wire layout —
 // (device, mask pub) pairs, as a decoded ModelDown carries it — read in
 // place: the roster is only read during the call.
 func (s *ClientSession) MaskedUpdateRoster(round int, roster wire.Pairs, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
+	if weight == 0 {
+		return nil, nil, fmt.Errorf("secagg: zero update weight")
+	}
+	if degree < 1 && roster.N > 1 {
+		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, roster.N)
+	}
 	s.ring.names, s.pubs = resize(s.ring.names, roster.N), resize(s.pubs, roster.N)
 	off := 0
 	for i := range s.pubs {
 		s.ring.names[i], s.pubs[i], off = roster.Next(off)
-	}
-	return s.mask(round, degree, upd, weight)
-}
-
-// mask is MaskedUpdate over the roster loaded into s.ring.names and
-// s.pubs.
-func (s *ClientSession) mask(round, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
-	if weight == 0 {
-		return nil, nil, fmt.Errorf("secagg: zero update weight")
-	}
-	n := len(s.pubs)
-	if degree < 1 && n > 1 {
-		return nil, nil, fmt.Errorf("%w: degree %d announced for %d members", ErrMaskDowngrade, degree, n)
 	}
 	if err := s.ring.derive(round, degree); err != nil {
 		return nil, nil, err
