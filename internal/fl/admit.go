@@ -373,6 +373,12 @@ func (s *Server) selectOne(conn Conn) *session {
 		}
 	}
 	if s.cfg.SecAgg && !s.cfg.EdgePeers { // mask rosters are shard-scoped: an edge holds no mask key
+		if att.DeviceID == "" {
+			// The name is the client's place in the mask graph, and every
+			// client refuses a roster holding an empty one.
+			s.reject(conn, "secure aggregation requires a device name")
+			return nil
+		}
 		if len(att.MaskPub) == 0 {
 			s.reject(conn, "secure aggregation requires a mask public key")
 			return nil

@@ -704,6 +704,35 @@ func TestSecAggRejectsDuplicateDevices(t *testing.T) {
 	}
 }
 
+// TestSecAggRejectsNamelessDevice: a device's name is its place in the
+// mask graph, and a roster with an empty name is one every client
+// refuses to decode — so a client with no name is turned away at the
+// handshake, and the named clients mask and finish the round.
+func TestSecAggRejectsNamelessDevice(t *testing.T) {
+	state := newState(0)
+	// The deadline only bounds a failure: every client that was admitted
+	// answers at once.
+	srv := NewServer(state, ServerConfig{Rounds: 1, SecAgg: true, MinClients: 2, RoundDeadline: 10 * time.Second})
+	nameless := newTestTrainer("", false, 8)
+	a := newTestTrainer("a", false, 2)
+	b := newTestTrainer("b", false, 4)
+	clients, err := runSession(t, srv, []*testTrainer{nameless, a, b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(clients[0].RejectedReason, "name") {
+		t.Fatalf("nameless client reason = %q", clients[0].RejectedReason)
+	}
+	for i, c := range clients[1:] {
+		if c.RejectedReason != "" || c.Rounds != 1 {
+			t.Fatalf("named client %d: rejected %q, %d rounds", i+1, c.RejectedReason, c.Rounds)
+		}
+	}
+	if got := state[0].Data[0]; got != 3 {
+		t.Fatalf("state = %v, want the mean of the named clients' updates", got)
+	}
+}
+
 // TestSecAggDuplicateDeviceCannotClobberEnclaveChannel: with an
 // enclave, the first establisher of a device name keeps its channel;
 // the duplicate is rejected during selection and the surviving twin's

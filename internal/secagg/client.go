@@ -53,15 +53,14 @@ type ClientSession struct {
 
 	// The round's graph derivation and what it reads, re-derived every
 	// round into the same slices: the roster's mask pubs (by roster
-	// index), the roster itself when it arrives as []Peer, and the
-	// client's neighbour ranks. None of it outlives the call.
-	ring   ring
-	pubs   [][]byte
-	cohort wire.Pairs
-	ranks  []int32
-	masks  []SeedMask
+	// index) and the client's neighbour ranks. None of it outlives the
+	// call.
+	ring  ring
+	pubs  [][]byte
+	ranks []int32
+	masks []SeedMask
 
-	// levels are the buffers MaskedUpdate quantises into, per position,
+	// levels are the buffers MaskedUpdateRoster quantises into, per position,
 	// and scratch is its mask kernel's keystream chunk; both are reused
 	// across rounds, a level buffer reallocated only when its shape
 	// changes.
@@ -127,10 +126,25 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 	return out
 }
 
-// MaskedUpdate quantises the update (nil entries mark protected
+// MaskedUpdate is MaskedUpdateRoster over a cohort held as a []Peer
+// slice, for callers that keep one (the benchmark's masking probe). It
+// lays the cohort out as a roster on every call, O(n); a client masking
+// each round passes the roster its ModelDown decoded to
+// MaskedUpdateRoster instead.
+func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
+	var roster wire.Pairs
+	for _, p := range cohort {
+		roster.Append(p.Device, p.Pub)
+	}
+	return s.MaskedUpdateRoster(round, roster, degree, upd, weight)
+}
+
+// MaskedUpdateRoster quantises the update (nil entries mark protected
 // positions travelling through the sealed path), multiplies by the
-// client's FedAvg weight in the ring, and double-masks it. The cohort
-// must contain this client exactly once and no name twice
+// client's FedAvg weight in the ring, and double-masks it. The roster
+// is the cohort's (device, mask pub) pairs in their wire layout, as a
+// decoded ModelDown carries it, read in place and only during the
+// call. It must name this client exactly once and no name twice
 // (ErrDuplicateDevice).
 //
 // The client masks against its neighbours in the round's k-regular
@@ -143,22 +157,11 @@ func (s *ClientSession) selfSeed(round int) [32]byte {
 //
 // The levels are quantised into buffers the session owns and reuses
 // across rounds, and every mask lands on them in one kernel pass: the
-// returned tensors are valid until the session's next MaskedUpdate, so
+// returned tensors are valid until the session's next masked update, so
 // a caller encodes (or copies) them before masking another round. The
 // graph is derived into slices the session reuses too, and only the
 // client's k neighbours are kept for Reconcile: once warm, a round
 // allocates nothing that grows with the cohort.
-func (s *ClientSession) MaskedUpdate(round int, cohort []Peer, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
-	s.cohort = wire.Pairs{Raw: s.cohort.Raw[:0]}
-	for _, p := range cohort {
-		s.cohort.Append(p.Device, p.Pub)
-	}
-	return s.MaskedUpdateRoster(round, s.cohort, degree, upd, weight)
-}
-
-// MaskedUpdateRoster is MaskedUpdate over a roster in its wire layout —
-// (device, mask pub) pairs, as a decoded ModelDown carries it — read in
-// place: the roster is only read during the call.
 func (s *ClientSession) MaskedUpdateRoster(round int, roster wire.Pairs, degree int, upd []*tensor.Tensor, weight uint64) ([]*wire.U64Tensor, []WrappedShare, error) {
 	if weight == 0 {
 		return nil, nil, fmt.Errorf("secagg: zero update weight")
@@ -246,7 +249,7 @@ type ReconAnswer struct {
 }
 
 // Reconcile answers a double-masking reconciliation request against
-// the state MaskedUpdate stored for the round. Per neighbour it
+// the state MaskedUpdateRoster stored for the round. Per neighbour it
 // concedes exactly one role, across every request of the round:
 //
 //   - dropped → reveal the pairwise round seed (the peer's update

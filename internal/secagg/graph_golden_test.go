@@ -76,17 +76,18 @@ func TestGraphRingGolden(t *testing.T) {
 }
 
 // TestMaskedUpdateAllocsIndependentOfCohort: a client's masking bill is
-// O(k), so a warm MaskedUpdate on degree 8 allocates the same bytes per
-// call in a cohort of 32 as in one of 1024. The roster map, the name
-// slice and a per-client sorted copy of the roster made it grow by
-// ~1 KB per 10 members.
+// O(k), so a warm MaskedUpdateRoster on degree 8 — over a decoded
+// roster, as the fl client calls it — allocates the same bytes per call
+// in a cohort of 32 as in one of 1024. The roster map, the name slice
+// and a per-client sorted copy of the roster made it grow by ~1 KB per
+// 10 members.
 func TestMaskedUpdateAllocsIndependentOfCohort(t *testing.T) {
 	upd := dyadicUpdate(1, [][]int{{4, 16}})
 	perCall := func(n int) float64 {
 		sessions, cohort := testCohort(t, n)
-		self := sessions[n/2]
+		self, roster := sessions[n/2], rosterOf(cohort)
 		mask := func() {
-			if _, _, err := self.MaskedUpdate(3, cohort, 8, upd, 1); err != nil {
+			if _, _, err := self.MaskedUpdateRoster(3, roster, 8, upd, 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -101,7 +102,7 @@ func TestMaskedUpdateAllocsIndependentOfCohort(t *testing.T) {
 		return float64(after.TotalAlloc-before.TotalAlloc) / calls
 	}
 	small, large := perCall(32), perCall(1024)
-	t.Logf("MaskedUpdate allocates %.0f B per call at n=32, %.0f B at n=1024", small, large)
+	t.Logf("MaskedUpdateRoster allocates %.0f B per call at n=32, %.0f B at n=1024", small, large)
 	if diff := math.Abs(large - small); diff > 4096 {
 		t.Fatalf("per-call allocation grows with the cohort: %.0f B at n=32, %.0f B at n=1024", small, large)
 	}

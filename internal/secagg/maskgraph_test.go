@@ -18,8 +18,8 @@ func graphDevices(n int) []string {
 
 // TestPairSignTies: self == peer is not a pair — the sign is 0, which
 // no masking path accepts. Duplicate device IDs must be rejected
-// before any mask is derived: by NewGraph and by MaskedUpdate on the
-// roster (the server additionally dedups at selection).
+// before any mask is derived: by NewGraph and by MaskedUpdateRoster on
+// the roster (the server additionally dedups at selection).
 func TestPairSignTies(t *testing.T) {
 	if got := PairSign("a", "b"); got != 1 {
 		t.Fatalf("PairSign(a,b) = %d", got)
@@ -342,7 +342,7 @@ func TestWrappedShareTransport(t *testing.T) {
 }
 
 // TestDoubleMaskedAggregation drives the full k-regular double-masking
-// data path at the secagg layer: cohort masks with MaskedUpdate
+// data path at the secagg layer: cohort masks with MaskedUpdateRoster
 // (degree > 0), some clients straggle, the server-side reconciliation
 // removes dangling pair masks via revealed pair seeds and every folded
 // self-mask via shares reconstructed from Reconcile answers — and the
@@ -379,7 +379,7 @@ func TestDoubleMaskedAggregation(t *testing.T) {
 		byDevice[cohort[i].Device] = s
 		upd := dyadicUpdate(10+i, shapes)
 		w := uint64(1 + i%3)
-		masked, shares, err := s.MaskedUpdate(round, cohort, degree, upd, w)
+		masked, shares, err := s.MaskedUpdateRoster(round, rosterOf(cohort), degree, upd, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +463,7 @@ func TestReconcileRoleExclusivity(t *testing.T) {
 	upd := dyadicUpdate(1, [][]int{{3}})
 	wrapped := map[string]map[string][]byte{}
 	for i, s := range sessions {
-		_, shares, err := s.MaskedUpdate(round, cohort, degree, upd, 1)
+		_, shares, err := s.MaskedUpdateRoster(round, rosterOf(cohort), degree, upd, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

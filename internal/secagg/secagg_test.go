@@ -37,6 +37,15 @@ func testCohort(t *testing.T, n int) ([]*ClientSession, []Peer) {
 	return sessions, cohort
 }
 
+// rosterOf lays a cohort out as a ModelDown carries its roster.
+func rosterOf(cohort []Peer) wire.Pairs {
+	var r wire.Pairs
+	for _, p := range cohort {
+		r.Append(p.Device, p.Pub)
+	}
+	return r
+}
+
 func dyadicUpdate(seed int, shapes [][]int) []*tensor.Tensor {
 	out := make([]*tensor.Tensor, len(shapes))
 	k := 0
@@ -90,7 +99,7 @@ func TestMaskedAggregateBitIdentical(t *testing.T) {
 	for i, s := range sessions {
 		upd := dyadicUpdate(i, shapes)
 		w := uint64(1 + i%4)
-		masked, shares, err := s.MaskedUpdate(round, cohort, degree, upd, w)
+		masked, shares, err := s.MaskedUpdateRoster(round, rosterOf(cohort), degree, upd, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +134,7 @@ func TestMaskedAggregateBitIdentical(t *testing.T) {
 }
 
 // roundSeedWith derives s's round-scoped pair seed with one peer, as
-// MaskedUpdate does for each neighbour.
+// MaskedUpdateRoster does for each neighbour.
 func roundSeedWith(s *ClientSession, peer Peer, round int) ([32]byte, error) {
 	pair, err := s.key.pairSecret(peer.Pub)
 	if err != nil {
@@ -158,7 +167,8 @@ func TestRoundSeedsAgreeAndScope(t *testing.T) {
 	}
 }
 
-// TestMaskedUpdateValidation covers the cohort sanity checks.
+// TestMaskedUpdateValidation covers the cohort sanity checks, through
+// the []Peer form MaskedUpdate lays out as a roster.
 func TestMaskedUpdateValidation(t *testing.T) {
 	sessions, cohort := testCohort(t, 3)
 	upd := dyadicUpdate(1, [][]int{{2}})
@@ -166,8 +176,8 @@ func TestMaskedUpdateValidation(t *testing.T) {
 		t.Fatal("cohort without self must fail")
 	}
 	dup := append(append([]Peer(nil), cohort...), cohort[1])
-	if _, _, err := sessions[0].MaskedUpdate(0, dup, 2, upd, 1); err == nil {
-		t.Fatal("duplicate cohort device must fail")
+	if _, _, err := sessions[0].MaskedUpdate(0, dup, 2, upd, 1); !errors.Is(err, ErrDuplicateDevice) {
+		t.Fatalf("duplicate cohort device = %v, want ErrDuplicateDevice", err)
 	}
 	if _, _, err := sessions[0].MaskedUpdate(0, cohort, 2, upd, 0); err == nil {
 		t.Fatal("zero weight must fail")
@@ -195,7 +205,7 @@ func TestMaskDowngradeRefused(t *testing.T) {
 	sessions, cohort := testCohort(t, 3)
 	upd := dyadicUpdate(1, [][]int{{2}})
 	for _, degree := range []int{0, -1} {
-		levels, shares, err := sessions[0].MaskedUpdate(0, cohort, degree, upd, 1)
+		levels, shares, err := sessions[0].MaskedUpdateRoster(0, rosterOf(cohort), degree, upd, 1)
 		if !errors.Is(err, ErrMaskDowngrade) {
 			t.Fatalf("degree %d over 3 members = %v, want ErrMaskDowngrade", degree, err)
 		}
@@ -207,7 +217,7 @@ func TestMaskDowngradeRefused(t *testing.T) {
 		t.Fatalf("reconcile after a refused round = %v, want ErrNoRoundState", err)
 	}
 
-	levels, shares, err := sessions[0].MaskedUpdate(0, cohort[:1], 0, upd, 3)
+	levels, shares, err := sessions[0].MaskedUpdateRoster(0, rosterOf(cohort[:1]), 0, upd, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,7 +682,7 @@ func TestMaskKernelMatchesReference(t *testing.T) {
 	}
 }
 
-// TestMaskedUpdateMatchesReference: MaskedUpdate's fused pass — quantise
+// TestMaskedUpdateMatchesReference: MaskedUpdateRoster's fused pass — quantise
 // into the session's buffers, then every pair seed and the self seed in
 // one kernel call — equals Quantise plus Σ ±MaskLevels word for word, on
 // tensors that straddle the kernel's chunk with the protected (nil)
@@ -696,7 +706,7 @@ func TestMaskedUpdateMatchesReference(t *testing.T) {
 				upd := dyadicUpdate(round, shapes)
 				upd[round] = nil // protected this round
 				const weight = 3
-				levels, _, err := s.MaskedUpdate(round, cohort, degree, upd, weight)
+				levels, _, err := s.MaskedUpdateRoster(round, rosterOf(cohort), degree, upd, weight)
 				if err != nil {
 					t.Fatal(err)
 				}
