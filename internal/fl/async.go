@@ -79,10 +79,13 @@ func (s *Server) RunAsync(conns []Conn) (int, error) { return s.Run(conns) }
 
 // asyncWindow is one version's window: the round skeleton's state, whose
 // pending set — the devices holding a model, each owing exactly one
-// push — carries over from window to window, plus the window's own
-// buffer, model frame and span.
+// push — carries over from window to window, plus the window's buffer,
+// model frame and span.
 type asyncWindow struct {
 	*syncRound
+	// agg is the buffer, one for the session: a window's close writes
+	// the mean into its sum, and the next window's open resets it, so a
+	// version turnover allocates no model-sized tensor.
 	agg  *Aggregator
 	down *ModelDown
 	// span covers the window (async has no sync phases). Its
@@ -104,7 +107,7 @@ func (s *Server) runAsync() error {
 	w := &asyncWindow{syncRound: &syncRound{
 		pending: make(map[*session]bool, len(s.sessions)),
 		done:    make(map[wire.Codec][]byte),
-	}}
+	}, agg: NewAggregator(s.state)}
 	// 0 fresh; the first unwatermarked version after recovery.
 	s.openVersion(w, s.nextRound)
 	lose := func(sess *session, probationable bool, reason error) {
@@ -142,7 +145,7 @@ func (s *Server) openVersion(w *asyncWindow, version int) {
 	w.round, w.sampled = version, live(s.sessions, version)
 	w.stats = RoundStats{Round: version, Sampled: len(w.sampled)}
 	w.reasons, w.frames = nil, make(map[wire.Codec][]byte)
-	w.agg = NewAggregator(s.state)
+	w.agg.reset()
 	s.journalAppend(&journal.Record{Type: journal.RecRoundOpen, Round: version})
 	if s.cfg.Hooks.RoundStarted != nil {
 		s.cfg.Hooks.RoundStarted(version, deviceNames(w.sampled))
@@ -215,16 +218,19 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 			s.cfg.Hooks.UpdateFolded(rd.round, sess.device)
 		}
 	}
+	// The push is folded or discarded: its frame goes back now, not when
+	// handleArrival returns, so it is the spare the device's next push
+	// is encoded into, however fast the reply below is answered.
+	releaseFrame(m)
 	pushed(folded)
 	if folded && w.agg.Count() >= cfg.GoalUpdates {
 		// Goal reached: apply the buffered aggregate, bump the version,
 		// open the next window.
 		rd.stats.Responded, rd.stats.WeightTotal = w.agg.Count(), w.agg.Weight()
-		mean, err := w.agg.Mean()
-		if err != nil {
+		if err := w.agg.meanInto(w.agg.sum); err != nil {
 			return err
 		}
-		s.applyMean(rd, mean)
+		s.applyMean(rd, w.agg.sum)
 		w.span.End()
 		if rd.round++; rd.round < s.cfg.Rounds {
 			s.openVersion(w, rd.round)
@@ -299,6 +305,7 @@ func (s *Server) asyncDrain(rd *syncRound) {
 		if _, ok := msg.(*GradUp); !ok {
 			return false
 		}
+		releaseFrame(msg) // before the reply, as in asyncPush
 		if rd.pending[sess] {
 			delete(rd.pending, sess)
 			s.asyncSendDone(rd, sess)

@@ -229,6 +229,100 @@ func TestAsyncStalenessDiscount(t *testing.T) {
 	}
 }
 
+// replyWatch is a server-side Conn that notes, whenever the server sends
+// its device anything, whether the last GradUp it delivered still holds
+// its frame's lease.
+type replyWatch struct {
+	Conn
+	mu      sync.Mutex
+	pushed  *GradUp
+	replies int // sends that answered a push
+	held    int // of those, sends made while the push still held its frame
+}
+
+func (c *replyWatch) Recv() (Message, error) {
+	m, err := c.Conn.Recv()
+	if up, ok := m.(*GradUp); ok {
+		c.mu.Lock()
+		c.pushed = up
+		c.mu.Unlock()
+	}
+	return m, err
+}
+
+func (c *replyWatch) replying() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.pushed == nil {
+		return
+	}
+	c.replies++
+	if c.pushed.home != nil {
+		c.held++
+	}
+	c.pushed = nil
+}
+
+func (c *replyWatch) Send(m Message) error {
+	c.replying()
+	return c.Conn.Send(m)
+}
+
+func (c *replyWatch) SendFrame(mt MsgType, payload []byte) error {
+	c.replying()
+	return c.Conn.SendFrame(mt, payload)
+}
+
+// TestAsyncPushReleasedBeforeReply: the server gives a push's frame back
+// once the push is folded, before it answers the device — with the next
+// model, with the Done that ends the budget, and during the drain — so a
+// device that answers its reply at once encodes its next push into the
+// spare buffer instead of a fresh frame. Each peer waits for its reply
+// before pushing again, so every check runs at a fixed point of the
+// session, not on a race.
+func TestAsyncPushReleasedBeforeReply(t *testing.T) {
+	aConn, aClient := Pipe()
+	bConn, bClient := Pipe()
+	watches := []*replyWatch{{Conn: aConn}, {Conn: bConn}}
+	srv := NewServer(newState(0), ServerConfig{
+		Rounds: 2, MinClients: 2,
+		Async: AsyncConfig{Enabled: true, GoalUpdates: 2},
+	})
+	serverErr := make(chan error, 1)
+	go func() {
+		_, err := srv.Run([]Conn{watches[0], watches[1]})
+		serverErr <- err
+	}()
+	var a, b *asyncPeer
+	var handshake sync.WaitGroup
+	handshake.Add(2)
+	go func() { defer handshake.Done(); a = dialAsyncPeer(t, "a", aClient) }()
+	go func() { defer handshake.Done(); b = dialAsyncPeer(t, "b", bClient) }()
+	handshake.Wait()
+
+	ma, mb := a.recvModel(), b.recvModel()
+	a.push(ma, 1) // folded, one short of the goal: re-armed with version 0
+	ma = a.recvModel()
+	b.push(mb, 1) // folded, the goal: version 1 opens
+	mb = b.recvModel()
+	a.push(ma, 1) // folded one version stale
+	ma = a.recvModel()
+	b.push(mb, 1) // the goal again, the last version: Done
+	b.recvDone()
+	a.push(ma, 1) // the drain answers with Done
+	a.recvDone()
+	aClient.Close()
+	bClient.Close()
+	if err := <-serverErr; err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range watches {
+		if w.replies == 0 || w.held != 0 {
+			t.Errorf("peer %d: %d of %d replies sent while the push still held its frame", i, w.held, w.replies)
+		}
+	}
+}
+
 // TestAsyncMaxStalenessDiscard: an update more than MaxStaleness
 // versions behind is discarded (LateDiscarded), but the device is
 // immediately re-armed with the fresh model and stays healthy.

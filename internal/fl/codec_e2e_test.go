@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -124,7 +125,7 @@ func TestExampleWeightClamped(t *testing.T) {
 	state := newState(0)
 	srv := NewServer(state, ServerConfig{Rounds: 1})
 	greedy := newTestTrainer("greedy", false, 2)
-	greedy.examples = 1 << 40
+	greedy.examples = math.MaxInt // far above MaxExampleWeight, and an int on 32-bit hosts too
 	honest := newTestTrainer("honest", false, 6)
 	honest.examples = 1
 	if _, err := runSession(t, srv, []*testTrainer{greedy, honest}); err != nil {
@@ -134,7 +135,7 @@ func TestExampleWeightClamped(t *testing.T) {
 		t.Fatalf("WeightTotal = %v, want clamped %v", got, want)
 	}
 	// The aggregate is still dominated by the clamped client, but the
-	// honest update measurably participates (it would not at 2^40).
+	// honest update measurably participates (it would not at the claimed weight).
 	got := state[0].Data[0]
 	want := (float64(MaxExampleWeight)*2 + 6) * (1 / float64(MaxExampleWeight+1))
 	if got != want {

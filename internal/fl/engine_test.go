@@ -2,6 +2,7 @@ package fl
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"github.com/gradsec/gradsec/internal/simclock"
 	"github.com/gradsec/gradsec/internal/tensor"
+	"github.com/gradsec/gradsec/internal/wire"
 )
 
 // gateTrainer is a testTrainer whose TrainRound blocks on specific
@@ -457,6 +459,87 @@ func TestStreamingEqualsBufferedFedAvg(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAggregatorResetFoldsLikeFresh: an async window takes its mean into
+// the aggregator's own sum and resets it for the next window. The
+// in-place mean must equal Mean bit for bit, and the reset aggregator
+// must then fold — through Add and Accumulate, at uneven weights — to
+// exactly the sum and mean of a fresh one.
+func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	ref := []*tensor.Tensor{tensor.New(3, 4), tensor.New(5000), tensor.New(2, 2, 2)}
+	update := func() []*tensor.Tensor {
+		upd := make([]*tensor.Tensor, len(ref))
+		for i, r := range ref {
+			upd[i] = tensor.Randn(rng, 1.0, r.Shape...)
+		}
+		return upd
+	}
+	fold := func(agg *Aggregator, updates [][]*tensor.Tensor) {
+		t.Helper()
+		for c, upd := range updates {
+			weight := 1 / float64(c+3)
+			err := agg.Add(upd, weight)
+			if c%2 == 1 {
+				err = agg.Accumulate(views(wire.CodecF64, upd), weight)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	same := func(what string, got, want []*tensor.Tensor) {
+		t.Helper()
+		for i := range want {
+			for j, w := range want[i].Data {
+				if g := got[i].Data[j]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s: tensor %d elem %d = %v, want %v", what, i, j, g, w)
+				}
+			}
+		}
+	}
+	first, second := make([][]*tensor.Tensor, 5), make([][]*tensor.Tensor, 4)
+	for c := range first {
+		first[c] = update()
+	}
+	for c := range second {
+		second[c] = update()
+	}
+
+	reused := NewAggregator(ref)
+	fold(reused, first)
+	want, err := reused.Mean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.meanInto(reused.sum); err != nil {
+		t.Fatal(err)
+	}
+	same("in-place mean", reused.sum, want)
+
+	reused.reset()
+	if reused.Count() != 0 || reused.Weight() != 0 {
+		t.Fatalf("reset left count %d, weight %v", reused.Count(), reused.Weight())
+	}
+	if _, err := reused.Mean(); err == nil {
+		t.Fatal("mean of a reset aggregator must fail")
+	}
+	fresh := NewAggregator(ref)
+	fold(reused, second)
+	fold(fresh, second)
+	if reused.Count() != fresh.Count() || reused.Weight() != fresh.Weight() {
+		t.Fatalf("reset folds %d at %v, fresh %d at %v", reused.Count(), reused.Weight(), fresh.Count(), fresh.Weight())
+	}
+	same("sum after reset", reused.Sum(), fresh.Sum())
+	freshMean, err := fresh.Mean()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reused.meanInto(reused.sum); err != nil {
+		t.Fatal(err)
+	}
+	same("mean after reset", reused.sum, freshMean)
 }
 
 // TestAggregatorRejectsBadUpdates covers the streaming validation path.

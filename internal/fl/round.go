@@ -243,10 +243,11 @@ func (s *Server) collect(rd *syncRound, update func(*session, Message) bool) {
 // client error and a message the caller does not take are handed to
 // lose — the caller's sanction — with whether the failure is
 // probationable; everything else goes to take, which reports false for
-// a message type the wait has no use for. It is also the server's one
+// a message type the wait has no use for. It is also the server's
 // release point: take folds, or discards, a message's views before it
 // returns and keeps nothing that references the frame, so the frame is
-// released once the arrival is classified, whatever the verdict.
+// released once the arrival is classified, whatever the verdict. (An
+// async push releases earlier, before its reply; asyncPush.)
 func (s *Server) handleArrival(a arrival, lose func(*session, bool, error), take func(*session, Message) bool) {
 	defer releaseFrame(a.msg)
 	sess := a.sess

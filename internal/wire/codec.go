@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"unsafe"
 )
 
 // Codec identifies a negotiated tensor element encoding. Codecs are
@@ -80,9 +81,28 @@ func (c Codec) rawSize(n int) int {
 	}
 }
 
+// nativeLE reports whether the host stores words little-endian. There
+// the f64 wire layout, 8 little-endian bytes per element, is the memory
+// layout of a []float64 (and of a []uint64), so an element payload moves
+// in one copy; elsewhere it is converted word by word. Only tests change
+// it, to run both paths on one host.
+var nativeLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBytes returns the memory of ws as bytes, for the one-copy path.
+// Only this aligned word side is reinterpreted: frame bytes are never
+// read as words, because payload offsets are not 8-byte aligned
+// (docs/WIRE.md, rule 7).
+func wordBytes[T float64 | uint64](ws []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(ws))), 8*len(ws))
+}
+
 // decodeF64 decodes len(dst) little-endian float64 values from src.
 func decodeF64(dst []float64, src []byte) {
 	src = src[:8*len(dst)]
+	if nativeLE {
+		copy(wordBytes(dst), src)
+		return
+	}
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
 	}

@@ -55,26 +55,28 @@ func roundTrip(t *testing.T, c Codec, orig *tensor.Tensor) *tensor.Tensor {
 // protocol's exact bytes: rank, dims (uvarints), then raw little-endian
 // IEEE-754 — no codec marker, no header.
 func TestF64CodecBitIdentical(t *testing.T) {
-	orig := tensor.FromSlice([]float64{1.5, -2.25, math.Pi, 0}, 2, 2)
-	w := NewWriter()
-	w.Tensor(orig)
+	onEachF64Path(t, func(path string) {
+		orig := tensor.FromSlice([]float64{1.5, -2.25, math.Pi, 0}, 2, 2)
+		w := NewWriter()
+		w.Tensor(orig)
 
-	var want []byte
-	want = binary.AppendUvarint(want, 2)
-	want = binary.AppendUvarint(want, 2)
-	want = binary.AppendUvarint(want, 2)
-	for _, f := range orig.Data {
-		want = binary.LittleEndian.AppendUint64(want, math.Float64bits(f))
-	}
-	if !bytes.Equal(w.Bytes(), want) {
-		t.Fatalf("f64 encoding drifted from the seed protocol:\n got %x\nwant %x", w.Bytes(), want)
-	}
-	got := roundTrip(t, CodecF64, orig)
-	for i := range orig.Data {
-		if got.Data[i] != orig.Data[i] {
-			t.Fatalf("f64 elem %d: %v != %v", i, got.Data[i], orig.Data[i])
+		var want []byte
+		want = binary.AppendUvarint(want, 2)
+		want = binary.AppendUvarint(want, 2)
+		want = binary.AppendUvarint(want, 2)
+		for _, f := range orig.Data {
+			want = binary.LittleEndian.AppendUint64(want, math.Float64bits(f))
 		}
-	}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("%s: f64 encoding drifted from the seed protocol:\n got %x\nwant %x", path, w.Bytes(), want)
+		}
+		got := roundTrip(t, CodecF64, orig)
+		for i := range orig.Data {
+			if got.Data[i] != orig.Data[i] {
+				t.Fatalf("%s: f64 elem %d: %v != %v", path, i, got.Data[i], orig.Data[i])
+			}
+		}
+	})
 }
 
 func TestF32CodecRoundTrip(t *testing.T) {
@@ -229,11 +231,13 @@ func TestQuantisedTensorHostileInputs(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := NewReader(tc.data)
-			r.Codec = tc.codec
-			if got := r.Tensor(); got != nil || !errors.Is(r.Err(), ErrCorrupt) {
-				t.Fatalf("hostile input decoded: %v / %v", got, r.Err())
-			}
+			onEachF64Path(t, func(path string) {
+				r := NewReader(tc.data)
+				r.Codec = tc.codec
+				if got := r.Tensor(); got != nil || !errors.Is(r.Err(), ErrCorrupt) {
+					t.Fatalf("%s: hostile input decoded: %v / %v", path, got, r.Err())
+				}
+			})
 		})
 	}
 }

@@ -78,6 +78,10 @@ func (w *Writer) U64Tensor(t *U64Tensor) {
 		}
 	case !w.skip(8 * len(t.Levels)):
 		dst := w.grow(8 * len(t.Levels))
+		if nativeLE {
+			copy(dst, wordBytes(t.Levels))
+			break
+		}
 		for i, v := range t.Levels {
 			binary.LittleEndian.PutUint64(dst[8*i:8*i+8], v)
 		}

@@ -41,47 +41,49 @@ func TestU64TensorRoundTrip(t *testing.T) {
 }
 
 func TestU64TensorCorruptInputs(t *testing.T) {
-	// Truncated payload after a valid header, at every cut.
-	w := NewWriter()
-	w.U64Tensor(&U64Tensor{Shape: []int{4}, Levels: []uint64{1, 2, 3, 4}})
-	for cut := range w.Bytes() {
-		r := NewReader(w.Bytes()[:cut])
+	onEachF64Path(t, func(path string) {
+		// Truncated payload after a valid header, at every cut.
+		w := NewWriter()
+		w.U64Tensor(&U64Tensor{Shape: []int{4}, Levels: []uint64{1, 2, 3, 4}})
+		for cut := range w.Bytes() {
+			r := NewReader(w.Bytes()[:cut])
+			if r.U64Tensor(); r.Err() == nil {
+				t.Fatalf("%s: u64 tensor truncated to %d bytes must fail", path, cut)
+			}
+		}
+		// A decoded view fits exactly its own shape; a view of unknown
+		// provenance fits only with exactly its shape's words, in exactly one
+		// of Raw and Levels.
+		r := NewReader(w.Bytes())
+		v := r.U64Tensor()
+		if r.Err() != nil || v.Levels != nil || !v.Fits(4) || v.Fits(3) || v.Fits(5) {
+			t.Fatalf("%s: decoded view %+v must fit exactly 4 words", path, v)
+		}
+		for name, bad := range map[string]*U64Tensor{
+			"truncated raw":             {Shape: []int{4}, Raw: v.Raw[:31]},
+			"raw word count ≠ shape":    {Shape: []int{4}, Raw: v.Raw[:24]},
+			"levels word count ≠ shape": {Shape: []int{4}, Levels: make([]uint64, 3)},
+			"raw and levels":            {Shape: []int{4}, Raw: v.Raw, Levels: make([]uint64, 4)},
+			"nil":                       nil,
+		} {
+			if bad.Fits(4) {
+				t.Errorf("%s, %s: hostile view fits", path, name)
+			}
+		}
+		// Hostile list length.
+		r = NewReader([]byte{0xFF, 0xFF, 0xFF, 0x01})
+		if r.U64TensorList(); r.Err() == nil {
+			t.Fatalf("%s: hostile list length must fail", path)
+		}
+		// Oversized claimed dims.
+		w2 := NewWriter()
+		w2.Uvarint(1)
+		w2.Uvarint(1 << 30)
+		r = NewReader(w2.Bytes())
 		if r.U64Tensor(); r.Err() == nil {
-			t.Fatalf("u64 tensor truncated to %d bytes must fail", cut)
+			t.Fatalf("%s: oversized u64 tensor must fail", path)
 		}
-	}
-	// A decoded view fits exactly its own shape; a view of unknown
-	// provenance fits only with exactly its shape's words, in exactly one
-	// of Raw and Levels.
-	r := NewReader(w.Bytes())
-	v := r.U64Tensor()
-	if r.Err() != nil || v.Levels != nil || !v.Fits(4) || v.Fits(3) || v.Fits(5) {
-		t.Fatalf("decoded view %+v must fit exactly 4 words", v)
-	}
-	for name, bad := range map[string]*U64Tensor{
-		"truncated raw":             {Shape: []int{4}, Raw: v.Raw[:31]},
-		"raw word count ≠ shape":    {Shape: []int{4}, Raw: v.Raw[:24]},
-		"levels word count ≠ shape": {Shape: []int{4}, Levels: make([]uint64, 3)},
-		"raw and levels":            {Shape: []int{4}, Raw: v.Raw, Levels: make([]uint64, 4)},
-		"nil":                       nil,
-	} {
-		if bad.Fits(4) {
-			t.Errorf("%s: hostile view fits", name)
-		}
-	}
-	// Hostile list length.
-	r = NewReader([]byte{0xFF, 0xFF, 0xFF, 0x01})
-	if r.U64TensorList(); r.Err() == nil {
-		t.Fatal("hostile list length must fail")
-	}
-	// Oversized claimed dims.
-	w2 := NewWriter()
-	w2.Uvarint(1)
-	w2.Uvarint(1 << 30)
-	r = NewReader(w2.Bytes())
-	if r.U64Tensor(); r.Err() == nil {
-		t.Fatal("oversized u64 tensor must fail")
-	}
+	})
 }
 
 // TestQ8LazyMatchesEagerDecode: the lazy Q8Tensor representation must

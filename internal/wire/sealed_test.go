@@ -23,21 +23,23 @@ func sealedExample() ([]int, []*tensor.Tensor) {
 
 // TestGoldenSealedUpdate pins the sealed-update blob's bytes, recorded
 // before the blob moved onto the field walker, and the blob must decode
-// back to its update exactly.
+// back to its update exactly, on both f64 codec paths.
 func TestGoldenSealedUpdate(t *testing.T) {
-	idx, ts := sealedExample()
-	blob := EncodeSealedUpdate(idx, ts)
-	h := sha256.Sum256(blob)
-	if got, want := hex.EncodeToString(h[:]), "e0df0c189cbac7264334e0dd81a24d6dcf01942a06f3a0e211f296b3c6616c38"; got != want {
-		t.Errorf("hash %s, recorded %s", got, want)
-	}
-	gotIdx, gotTs, err := DecodeSealedUpdate(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotIdx, idx) || !reflect.DeepEqual(gotTs, ts) {
-		t.Fatalf("decode = %v %v, want %v %v", gotIdx, gotTs, idx, ts)
-	}
+	onEachF64Path(t, func(path string) {
+		idx, ts := sealedExample()
+		blob := EncodeSealedUpdate(idx, ts)
+		h := sha256.Sum256(blob)
+		if got, want := hex.EncodeToString(h[:]), "e0df0c189cbac7264334e0dd81a24d6dcf01942a06f3a0e211f296b3c6616c38"; got != want {
+			t.Errorf("%s: hash %s, recorded %s", path, got, want)
+		}
+		gotIdx, gotTs, err := DecodeSealedUpdate(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotIdx, idx) || !reflect.DeepEqual(gotTs, ts) {
+			t.Fatalf("%s: decode = %v %v, want %v %v", path, gotIdx, gotTs, idx, ts)
+		}
+	})
 }
 
 // hostileSealedUpdates are blobs a client can seal that neither the
@@ -68,11 +70,13 @@ func hostileSealedUpdates() []struct {
 }
 
 func TestDecodeSealedUpdateHostile(t *testing.T) {
-	for _, h := range hostileSealedUpdates() {
-		if idx, ts, err := DecodeSealedUpdate(h.blob); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: decoded %v %v, err %v; want ErrCorrupt", h.name, idx, ts, err)
+	onEachF64Path(t, func(path string) {
+		for _, h := range hostileSealedUpdates() {
+			if idx, ts, err := DecodeSealedUpdate(h.blob); !errors.Is(err, ErrCorrupt) {
+				t.Errorf("%s, %s: decoded %v %v, err %v; want ErrCorrupt", path, h.name, idx, ts, err)
+			}
 		}
-	}
+	})
 }
 
 // FuzzSealedUpdate: the sealed-update decoder sits behind the enclave

@@ -196,6 +196,10 @@ func (w *Writer) Float64s(fs []float64) {
 // single buffer growth.
 func (w *Writer) appendFloat64s(fs []float64) {
 	dst := w.grow(8 * len(fs))
+	if nativeLE {
+		copy(dst, wordBytes(fs))
+		return
+	}
 	for i, f := range fs {
 		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(f))
 	}
@@ -512,11 +516,13 @@ func ReadFrameHeader(r io.Reader) (msgType byte, n int, err error) {
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, 0, err // io.EOF passes through for clean shutdown
 	}
-	n = int(binary.BigEndian.Uint32(hdr[1:]))
-	if n > MaxFrame {
-		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
+	// Compare before converting: where int is 32 bits, a claimed length
+	// of 2³¹ or more would convert to a negative n and pass the limit.
+	claimed := binary.BigEndian.Uint32(hdr[1:])
+	if claimed > MaxFrame {
+		return 0, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, claimed)
 	}
-	return hdr[0], n, nil
+	return hdr[0], int(claimed), nil
 }
 
 // ReadPayload reads the n-byte payload of a frame whose header
