@@ -480,8 +480,10 @@ func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
 		t.Helper()
 		for c, upd := range updates {
 			weight := 1 / float64(c+3)
-			err := agg.Add(upd, weight)
-			if c%2 == 1 {
+			var err error
+			if c%2 == 0 {
+				err = agg.Add(upd, weight)
+			} else {
 				err = agg.Accumulate(views(wire.CodecF64, upd), weight)
 			}
 			if err != nil {
