@@ -137,39 +137,20 @@ func (a *Aggregator) Weight() float64 { return a.weight }
 // accumulator is left intact, so further Adds remain valid.
 func (a *Aggregator) Mean() ([]*tensor.Tensor, error) {
 	if a.count == 0 {
-		return nil, errNoUpdates
+		return nil, errors.New("fl: aggregating zero updates")
 	}
 	out := make([]*tensor.Tensor, len(a.sum))
-	for i, s := range a.sum {
-		out[i] = tensor.New(s.Shape...)
-	}
-	return out, a.meanInto(out)
-}
-
-// errNoUpdates is the refusal to average an empty aggregate.
-var errNoUpdates = errors.New("fl: aggregating zero updates")
-
-// meanInto writes the weighted mean of the folded updates into out,
-// which is shaped like the sum and may be the sum itself: each element
-// is v·(1/Σw), tensor.Scale's arithmetic. It is the one mean: Mean
-// writes into fresh tensors, and an async window into its own sum
-// (reset clears it for the next window).
-func (a *Aggregator) meanInto(out []*tensor.Tensor) error {
-	if a.count == 0 {
-		return errNoUpdates
-	}
 	inv := 1 / a.weight
 	for i, s := range a.sum {
-		dst := out[i].Data[:len(s.Data)]
-		for j, v := range s.Data {
-			dst[j] = v * inv
-		}
+		out[i] = tensor.Scale(s, inv)
 	}
-	return nil
+	return out, nil
 }
 
 // reset empties the aggregator for reuse, keeping its sum's storage: it
-// then folds exactly as a fresh NewAggregator would.
+// then folds exactly as a fresh NewAggregator would. An async window's
+// close leaves its mean in the sum (applyMean), and the next window's
+// open resets it.
 func (a *Aggregator) reset() {
 	for _, s := range a.sum {
 		clear(s.Data)

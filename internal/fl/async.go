@@ -113,24 +113,19 @@ func (s *Server) runAsync() error {
 	lose := func(sess *session, probationable bool, reason error) {
 		s.failClient(w.syncRound, sess, probationable, reason)
 	}
-	var pushErr error
 	take := func(sess *session, msg Message) bool {
 		m, ok := msg.(*GradUp)
 		if ok {
-			pushErr = s.asyncPush(w, sess, m)
+			s.asyncPush(w, sess, m)
 		}
 		return ok
 	}
 	for w.round < s.cfg.Rounds {
-		err := s.asyncStalled(w.syncRound)
-		if err == nil {
-			s.handleArrival(<-s.arrivals, lose, take)
-			err = pushErr
-		}
-		if err != nil {
+		if err := s.asyncStalled(w.syncRound); err != nil {
 			s.closeRound(w.stats, false, nil)
 			return err
 		}
+		s.handleArrival(<-s.arrivals, lose, take)
 	}
 	s.asyncDrain(w.syncRound)
 	return nil
@@ -166,8 +161,8 @@ func (s *Server) openVersion(w *asyncWindow, version int) {
 // the model it was handed, folded at its staleness discount (or
 // discarded), and answered with the current model — fresh if the fold
 // just closed the window, the Done once the version budget is
-// exhausted. Only a buffer that cannot be averaged is an error.
-func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
+// exhausted.
+func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) {
 	cfg, rd, pushStart := s.cfg.Async, w.syncRound, s.ob.now()
 	pushed := func(folded bool) {
 		if s.cfg.Hooks.UpdatePushed != nil {
@@ -185,13 +180,13 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 			s.ob.observeStrikes(sess.strikes)
 			s.failClient(rd, sess, true, fmt.Errorf("%d consecutive duplicate pushes", sess.strikes))
 		}
-		return nil
+		return
 	}
 	delete(rd.pending, sess)
 	if int(m.Version) != sess.sentVersion {
 		s.failClient(rd, sess, true, fmt.Errorf("update for version %d, expected %d", m.Version, sess.sentVersion))
 		pushed(false)
-		return nil
+		return
 	}
 	staleness := rd.round - sess.sentVersion
 	s.ob.observeStaleness(staleness)
@@ -207,7 +202,7 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 		if err := s.foldGradUp(w.agg, sess, m, weight); err != nil {
 			s.failClient(rd, sess, true, err)
 			pushed(false)
-			return nil
+			return
 		}
 		if s.cfg.ClientTelemetry {
 			s.mergeTelemetry("client", sess.device, m.Telemetry)
@@ -227,10 +222,7 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 		// Goal reached: apply the buffered aggregate, bump the version,
 		// open the next window.
 		rd.stats.Responded, rd.stats.WeightTotal = w.agg.Count(), w.agg.Weight()
-		if err := w.agg.meanInto(w.agg.sum); err != nil {
-			return err
-		}
-		s.applyMean(rd, w.agg.sum)
+		s.applyMean(rd, w.agg.sum, w.agg.Weight())
 		w.span.End()
 		if rd.round++; rd.round < s.cfg.Rounds {
 			s.openVersion(w, rd.round)
@@ -246,7 +238,6 @@ func (s *Server) asyncPush(w *asyncWindow, sess *session, m *GradUp) error {
 		s.send(rd, []*session{sess}, w.down)
 	}
 	s.ob.observePush(pushStart)
-	return nil
 }
 
 // asyncStalled fails the session when it can no longer make progress:

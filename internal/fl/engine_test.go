@@ -461,12 +461,14 @@ func TestStreamingEqualsBufferedFedAvg(t *testing.T) {
 	}
 }
 
-// TestAggregatorResetFoldsLikeFresh: an async window takes its mean into
-// the aggregator's own sum and resets it for the next window. The
-// in-place mean must equal Mean bit for bit, and the reset aggregator
-// must then fold — through Add and Accumulate, at uneven weights — to
-// exactly the sum and mean of a fresh one.
-func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
+// TestWindowCloseMatchesMean: an async window closes with applyMean on
+// its own buffer — the mean is taken into the aggregator's sum, applied
+// and normed in one pass — and resets the aggregator for the next
+// window. That close must equal Mean, UpdateNorm and ApplyUpdate bit
+// for bit, as must a synchronous round's applyMean of a mean already
+// taken; and the reset aggregator must then fold — through Add and
+// Accumulate, at uneven weights — to exactly the sum of a fresh one.
+func TestWindowCloseMatchesMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ref := []*tensor.Tensor{tensor.New(3, 4), tensor.New(5000), tensor.New(2, 2, 2)}
 	update := func() []*tensor.Tensor {
@@ -474,6 +476,7 @@ func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
 		for i, r := range ref {
 			upd[i] = tensor.Randn(rng, 1.0, r.Shape...)
 		}
+		upd[1].Data[0], upd[1].Data[1] = 3e-310, math.Copysign(0, -1) // subnormal, −0
 		return upd
 	}
 	fold := func(agg *Aggregator, updates [][]*tensor.Tensor) {
@@ -501,6 +504,22 @@ func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
 			}
 		}
 	}
+	model := []*tensor.Tensor{tensor.Randn(rng, 1.0, 3, 4), tensor.Randn(rng, 1.0, 5000), tensor.Randn(rng, 1.0, 2, 2, 2)}
+	// closeWith runs applyMean on a server holding a copy of model and
+	// checks it against the three-pass reference for mean.
+	closeWith := func(what string, sum []*tensor.Tensor, w float64, mean []*tensor.Tensor) {
+		t.Helper()
+		srv := NewServer(cloneState(model), ServerConfig{})
+		rd := &syncRound{}
+		srv.applyMean(rd, sum, w)
+		want := cloneState(model)
+		ApplyUpdate(want, mean, 1.0)
+		same(what+": mean left in the sum", sum, mean)
+		same(what+": model", srv.state, want)
+		if got, want := rd.stats.UpdateNorm, UpdateNorm(mean); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: norm %v, want %v", what, got, want)
+		}
+	}
 	first, second := make([][]*tensor.Tensor, 5), make([][]*tensor.Tensor, 4)
 	for c := range first {
 		first[c] = update()
@@ -511,14 +530,12 @@ func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
 
 	reused := NewAggregator(ref)
 	fold(reused, first)
-	want, err := reused.Mean()
+	mean, err := reused.Mean()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reused.meanInto(reused.sum); err != nil {
-		t.Fatal(err)
-	}
-	same("in-place mean", reused.sum, want)
+	closeWith("synchronous", cloneState(mean), 1, mean)
+	closeWith("window", reused.Sum(), reused.Weight(), mean)
 
 	reused.reset()
 	if reused.Count() != 0 || reused.Weight() != 0 {
@@ -538,10 +555,7 @@ func TestAggregatorResetFoldsLikeFresh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := reused.meanInto(reused.sum); err != nil {
-		t.Fatal(err)
-	}
-	same("mean after reset", reused.sum, freshMean)
+	closeWith("window after reset", reused.Sum(), reused.Weight(), freshMean)
 }
 
 // TestAggregatorRejectsBadUpdates covers the streaming validation path.

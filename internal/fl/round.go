@@ -3,6 +3,7 @@ package fl
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -344,12 +345,28 @@ func (s *Server) gate(rd *syncRound, count int) error {
 	return nil
 }
 
-// applyMean commits a successful round: the mean update is applied to
-// the model and journaled with the round's close.
-func (s *Server) applyMean(rd *syncRound, mean []*tensor.Tensor) {
-	rd.stats.UpdateNorm = UpdateNorm(mean)
-	ApplyUpdate(s.state, mean, 1.0)
-	s.closeRound(rd.stats, true, mean)
+// applyMean commits a successful round: the mean update — sum, a
+// weighted sum of total weight w, times 1/w — is applied to the model
+// and journaled with the round's close. A synchronous round has taken
+// its mean already and passes it with w = 1; an async window passes its
+// buffer. It is one pass over sum: each element is rounded as Mean
+// rounds it, written back so sum holds the mean, squared into
+// UpdateNorm's sum and added to the model as ApplyUpdate adds it at
+// scale 1 — so a window's close reads its buffer once, not three times.
+func (s *Server) applyMean(rd *syncRound, sum []*tensor.Tensor, w float64) {
+	inv := 1 / w
+	var ss float64
+	for i, t := range sum {
+		model := s.state[i].Data[:len(t.Data)]
+		for j, v := range t.Data {
+			m := float64(v * inv) // Mean's rounding: v·(1/w)
+			t.Data[j] = m
+			ss += float64(m * m) // UpdateNorm's: no fused multiply-add
+			model[j] += m        // ApplyUpdate's: 1·m is m
+		}
+	}
+	rd.stats.UpdateNorm = math.Sqrt(ss)
+	s.closeRound(rd.stats, true, sum)
 }
 
 // updateWeight is the FedAvg weight of an update reporting the given
@@ -484,7 +501,7 @@ func (s *Server) publish(rd *syncRound, sum roundSum) (*PartialUp, error) {
 	if err != nil {
 		return s.fail(rd, err)
 	}
-	s.applyMean(rd, mean)
+	s.applyMean(rd, mean, 1)
 	return nil, nil
 }
 
