@@ -187,13 +187,21 @@ func rosterRecord(sess *session) *journal.Record {
 	}
 }
 
-// journalAppend writes one record when a journal is configured.
-// Best-effort by design: durability failures surface via Journal.Err,
-// not by failing training rounds.
+// journalAppend writes one record when a journal is configured. A
+// failure sticks in Journal.Err, which the round reports once it is over
+// (journalErr): a round is never cut short half-committed.
 func (s *Server) journalAppend(rec *journal.Record) {
 	if s.cfg.Journal != nil {
 		_ = s.cfg.Journal.Append(rec)
 	}
+}
+
+// journalErr returns the journal's sticky error, nil without a journal.
+func (s *Server) journalErr() error {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	return s.cfg.Journal.Err()
 }
 
 // admit enrols further edge peers into the open session between rounds

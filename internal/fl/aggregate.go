@@ -39,31 +39,36 @@ func NewAggregator(ref []*tensor.Tensor) *Aggregator {
 // Add folds one complete client update into the running sum with the
 // given weight (use 1 for plain FedAvg). The update must match the
 // reference shapes; it may be released by the caller immediately after.
-func (a *Aggregator) Add(update []*tensor.Tensor, weight float64) error {
-	return a.fold(update, weight, weight, 1)
-}
-
-// AddPartial composes an edge aggregator's partial: sum is that
-// shard's own Σ wᵢuᵢ over count updates of total weight — already
-// weighted, so it is added as is. Composed partials finish with the
-// same Mean as directly folded updates, which is what makes a
-// hierarchy's aggregate bit-identical to the flat one.
-func (a *Aggregator) AddPartial(sum []*tensor.Tensor, weight float64, count int) error {
-	return a.fold(sum, 1, weight, count)
-}
-
-// fold validates update against the reference shapes, then adds
-// scale×update to the running sum and books weight and count.
 // Validation precedes every mutation.
-func (a *Aggregator) fold(update []*tensor.Tensor, scale, weight float64, count int) error {
+func (a *Aggregator) Add(update []*tensor.Tensor, weight float64) error {
 	if err := checkUpdate(a.ref, update, weight, tensorFits); err != nil {
 		return err
 	}
 	for i, u := range update {
-		tensor.AxPy(scale, u, a.sum[i])
+		tensor.AxPy(weight, u, a.sum[i])
 	}
 	a.weight += weight
-	a.count += count
+	a.count++
+	return nil
+}
+
+// AddPartial composes an edge aggregator's partial: sum is that
+// shard's own Σ wᵢuᵢ over count updates of total weight, as exact f64
+// views into its frame. It is already weighted, so it folds through
+// Accumulate's chunk loop at scale 1 — 1·x is x, so the result is
+// bit-identical to adding the materialised sum — and the shard's weight
+// and count are booked in place of that fold's. Composed partials
+// finish with the same mean as directly folded updates, which is what
+// makes a hierarchy's aggregate bit-identical to the flat one.
+func (a *Aggregator) AddPartial(sum []*wire.View, weight float64, count int) error {
+	if !(weight > 0) {
+		return fmt.Errorf("fl: non-positive partial weight %v", weight)
+	}
+	w, n := a.weight, a.count
+	if err := a.Accumulate(sum, 1); err != nil {
+		return err
+	}
+	a.weight, a.count = w+weight, n+count
 	return nil
 }
 
@@ -124,9 +129,11 @@ func tensorFits(u, ref *tensor.Tensor) bool { return u != nil && u.SameShape(ref
 func (a *Aggregator) Count() int { return a.count }
 
 // Sum returns the raw weighted sum Σ wᵢuᵢ of the folded updates. The
-// tensors alias the accumulator: hierarchical edges hand them straight
-// to the wire encoder and discard the aggregator, so no copy is made —
-// callers must not Add afterwards while still holding the slice.
+// tensors alias the accumulator: a hierarchical edge hands them straight
+// to the wire encoder, so no copy is made — callers must not fold
+// afterwards while still holding the slice. The engine keeps one
+// aggregator per session, so a partial's Sum (StepRound) stays valid
+// until the next StepRound.
 func (a *Aggregator) Sum() []*tensor.Tensor { return a.sum }
 
 // Weight returns the summed weight of the folded updates.
@@ -137,7 +144,7 @@ func (a *Aggregator) Weight() float64 { return a.weight }
 // accumulator is left intact, so further Adds remain valid.
 func (a *Aggregator) Mean() ([]*tensor.Tensor, error) {
 	if a.count == 0 {
-		return nil, errors.New("fl: aggregating zero updates")
+		return nil, errNoUpdates
 	}
 	out := make([]*tensor.Tensor, len(a.sum))
 	inv := 1 / a.weight
@@ -147,10 +154,14 @@ func (a *Aggregator) Mean() ([]*tensor.Tensor, error) {
 	return out, nil
 }
 
+// errNoUpdates refuses a mean over nothing.
+var errNoUpdates = errors.New("fl: aggregating zero updates")
+
 // reset empties the aggregator for reuse, keeping its sum's storage: it
-// then folds exactly as a fresh NewAggregator would. An async window's
-// close leaves its mean in the sum (applyMean), and the next window's
-// open resets it.
+// then folds exactly as a fresh NewAggregator would. The engine keeps
+// one for the session (Server.fedAvg): a round's or an async window's
+// close leaves its mean in the sum (applyMean), and the next open
+// resets it.
 func (a *Aggregator) reset() {
 	for _, s := range a.sum {
 		clear(s.Data)

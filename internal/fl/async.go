@@ -83,9 +83,10 @@ func (s *Server) RunAsync(conns []Conn) (int, error) { return s.Run(conns) }
 // model frame and span.
 type asyncWindow struct {
 	*syncRound
-	// agg is the buffer, one for the session: a window's close writes
-	// the mean into its sum, and the next window's open resets it, so a
-	// version turnover allocates no model-sized tensor.
+	// agg is the buffer, the session's one aggregator (fedAvg): a
+	// window's close writes the mean into its sum, and the next window's
+	// open resets it, so a version turnover allocates no model-sized
+	// tensor.
 	agg  *Aggregator
 	down *ModelDown
 	// span covers the window (async has no sync phases). Its
@@ -107,7 +108,7 @@ func (s *Server) runAsync() error {
 	w := &asyncWindow{syncRound: &syncRound{
 		pending: make(map[*session]bool, len(s.sessions)),
 		done:    make(map[wire.Codec][]byte),
-	}, agg: NewAggregator(s.state)}
+	}, agg: s.fedAvg()}
 	// 0 fresh; the first unwatermarked version after recovery.
 	s.openVersion(w, s.nextRound)
 	lose := func(sess *session, probationable bool, reason error) {

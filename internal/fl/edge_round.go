@@ -31,7 +31,7 @@ func (s *Server) collectPartials(rd *syncRound) roundSum {
 	if s.cfg.SecAgg {
 		sum = &maskedRound{MaskedSum: secagg.NewMaskedSum(s.state, nil, s.cfg.SecAggScaleBits)}
 	} else {
-		sum = NewAggregator(s.state)
+		sum = s.fedAvg()
 	}
 	fleet := RoundStats{Round: rd.round}
 	s.collect(rd, func(sess *session, msg Message) bool {
@@ -104,8 +104,8 @@ func (s *Server) composePartial(m *PartialUp, sum roundSum) error {
 	case !masked && len(m.Levels) != 0:
 		err = errors.New("masked partial in a plain session")
 	case !masked:
-		err = sum.(*Aggregator).AddPartial(m.Sum, m.Weight, int(m.Count))
-	case len(m.Sum) != 0:
+		err = sum.(*Aggregator).AddPartial(m.SumViews, m.Weight, int(m.Count))
+	case len(m.SumViews) != 0:
 		err = errors.New("plain partial in a secure-aggregation session")
 	case int(m.ScaleBits) != s.cfg.SecAggScaleBits:
 		err = fmt.Errorf("quantised at %d bits, session runs %d", m.ScaleBits, s.cfg.SecAggScaleBits)

@@ -44,7 +44,7 @@ func scriptedEdge(conn Conn, name string, build func(*ShardDown) *PartialUp) {
 func goodPartial(masked bool) func(*ShardDown) *PartialUp {
 	return func(down *ShardDown) *PartialUp {
 		up := &PartialUp{Round: down.Round, Weight: 2, Count: 2, Sampled: 3, Dropped: 1}
-		for _, p := range down.Model {
+		for _, p := range down.Views {
 			t := tensor.Full(0.5, p.Shape...)
 			if masked {
 				up.ScaleBits = secagg.DefaultScaleBits

@@ -177,9 +177,10 @@ func TestGoldenWireFormat(t *testing.T) {
 	checkGolden(t, got, goldenWireHashes)
 }
 
-// materialised returns a decoded message with the views of a GradUp or
-// ModelDown decoded into Plain, and the level views of a MaskedUp or
-// PartialUp into Levels, as its sender built it.
+// materialised returns a decoded message with the views of a GradUp,
+// ModelDown or ShardDown decoded into Plain or Model, a PartialUp's sum
+// views into Sum, and the level views of a MaskedUp or PartialUp into
+// Levels, as its sender built it.
 func materialised(m Message) Message {
 	var plain *[]*tensor.Tensor
 	var vs []*wire.View
@@ -188,12 +189,17 @@ func materialised(m Message) Message {
 		plain, vs, m.Views, m.Q8 = &m.Plain, m.Views, nil, nil
 	case *ModelDown:
 		plain, vs, m.Views = &m.Plain, m.Views, nil
+	case *ShardDown:
+		plain, vs, m.Views = &m.Model, m.Views, nil
 	case *MaskedUp:
 		m.Levels = ownedLevels(m.Levels)
 		return m
 	case *PartialUp:
 		m.Levels = ownedLevels(m.Levels)
-		return m
+		if m.SumViews == nil {
+			return m
+		}
+		plain, vs, m.SumViews = &m.Sum, m.SumViews, nil
 	default:
 		return m
 	}

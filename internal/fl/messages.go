@@ -413,19 +413,32 @@ func (m *MaskShares) walk(f *wire.Fields) {
 // ModelDown).
 type ShardDown struct {
 	Round int
+	// Model is the sender's model. A decoded ShardDown leaves it nil and
+	// carries Views instead, which the edge decodes into its own state
+	// (Server.SetState) before it releases the frame (Release).
 	Model []*tensor.Tensor
+	// Views is the decoded form of Model, aliasing the frame
+	// (docs/WIRE.md, rule 6).
+	Views []*wire.View
 	// Trace is the root-minted round trace ID; the edge stamps it on its
 	// own spans and forwards it to clients via ModelDown.Trace. Trailing
 	// field: absent (0) on pre-telemetry peers.
 	Trace uint64
+
+	leased
 }
 
 // Kind implements Message.
 func (*ShardDown) Kind() MsgType { return MsgShardDown }
 
+// Release hands the frame the views alias back to its transport; the
+// views are dead from here. The edge calls it once it has adopted the
+// model, before it steps its shard round.
+func (m *ShardDown) Release() { m.release() }
+
 func (m *ShardDown) walk(f *wire.Fields) {
 	f.Int(&m.Round)
-	f.Tensors(&m.Model)
+	f.Views(&m.Model, &m.Views)
 	f.Trailing()
 	f.Uvarint(&m.Trace)
 }
@@ -442,8 +455,13 @@ func (m *ShardDown) walk(f *wire.Fields) {
 // session.
 type PartialUp struct {
 	Round int
-	// Sum is the plain weighted sum (nil in secure-aggregation mode).
+	// Sum is the plain weighted sum (nil in secure-aggregation mode). A
+	// decoded PartialUp leaves it nil and carries SumViews instead.
 	Sum []*tensor.Tensor
+	// SumViews is the decoded form of Sum: exact f64 views aliasing the
+	// frame (docs/WIRE.md, rule 6), which the root folds in place
+	// (Aggregator.AddPartial).
+	SumViews []*wire.View
 	// Levels are the shard's ring sums (nil in plain mode). Within the
 	// shard the pairwise masks have already cancelled (or been
 	// reconciled), so these compose additively in ℤ/2⁶⁴ at the root.
@@ -482,7 +500,7 @@ func (*PartialUp) Kind() MsgType { return MsgPartialUp }
 
 func (m *PartialUp) walk(f *wire.Fields) {
 	f.Int(&m.Round)
-	f.ExactTensors(&m.Sum)
+	f.ExactViews(&m.Sum, &m.SumViews)
 	f.U64Tensors(&m.Levels)
 	f.Uint8(&m.ScaleBits)
 	f.Float64(&m.Weight)
@@ -548,13 +566,13 @@ func DecodeMessage(mt MsgType, payload []byte) (Message, error) {
 }
 
 // DecodeMessageCodec reconstructs a message whose tensors were encoded
-// with the given codec. A decoded message owns its payload: GradUp and
-// ModelDown read their tensors, MaskedUp and PartialUp their ring levels
-// through views into it, and GradUp, MaskedUp and PartialUp reference
-// their telemetry or share blobs in it, so the caller may neither reuse
-// nor mutate a payload it has handed over (docs/WIRE.md, rule 6) until
-// the message's lease is released; every other message copies
-// everything out.
+// with the given codec. A decoded message owns its payload: GradUp,
+// ModelDown, ShardDown and PartialUp read their tensors, MaskedUp and
+// PartialUp their ring levels through views into it, and GradUp,
+// MaskedUp and PartialUp reference their telemetry or share blobs in
+// it, so the caller may neither reuse nor mutate a payload it has handed
+// over (docs/WIRE.md, rule 6) until the message's lease is released;
+// every other message copies everything out.
 func DecodeMessageCodec(mt MsgType, payload []byte, codec wire.Codec) (Message, error) {
 	m := newMessage(mt)
 	if m == nil {

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/gradsec/gradsec/internal/nn"
 	"github.com/gradsec/gradsec/internal/secagg"
@@ -341,9 +342,11 @@ func (s *stubTrainer) TrainRound(int, []*tensor.Tensor, []byte, []byte) ([]*tens
 
 // TestRoundAllocationGuard pins the zero-materialisation update path: a
 // warm round of 32 clients on the LeNet-5 state over pipes allocates
-// under 1.3 encoded updates per client plus four models — each update
-// frame is one exact-size payload the server folds in place, and each
-// client decodes the broadcast into its own model. The masked row (auto
+// under 1.3 encoded updates per client plus one model — each update
+// frame is one exact-size payload the server folds in place, each
+// client decodes the broadcast into its own model, and the server's
+// aggregator, mean and broadcast frame live for the session (four
+// models of slack before they did). The masked row (auto
 // degree) holds the same bound over MaskedUp frames: a client quantises
 // and masks into buffers it keeps, and the server folds the ring levels
 // straight from the frame and strips the round's seeds in one pass over
@@ -402,7 +405,7 @@ func TestRoundAllocationGuard(t *testing.T) {
 			}
 			wg.Wait()
 			perRound := float64(closed[len(closed)-1]-closed[warm-1]) / measured
-			bound := 1.3*float64(clients*row.frame) + 4*float64(modelBytes)
+			bound := 1.3*float64(clients*row.frame) + float64(modelBytes)
 			t.Logf("%.2f MB per round, bound %.2f MB (%.2f× the bound)", perRound/1e6, bound/1e6, perRound/bound)
 			if perRound >= bound {
 				t.Fatalf("a warm round allocated %.2f MB, want < %.2f MB", perRound/1e6, bound/1e6)
@@ -432,10 +435,13 @@ func (tr *modelCheckTrainer) TrainRound(round int, plain []*tensor.Tensor, seale
 // each update's frame once it has folded it, and it goes back to the
 // side that fills the next frame — a pipe's sending end, a TCP conn's
 // read scratch — as does a client's model frame once the client has
-// decoded it. A warm round of 32 clients therefore allocates a few
-// models' worth, with no term that grows with clients × frame. (With a
-// fresh frame per message a round allocated 25 MB on the pipe f64 row,
-// 27 MB masked and 49 MB over TCP, against bounds of 2.8–5.7 MB.) The
+// decoded it, and so does the round's broadcast frame once every peer
+// has answered. A warm round of 32 clients therefore allocates under a
+// model on the plain rows and a few models' worth masked, with no term
+// that grows with clients × frame. (With a fresh frame per message a
+// round allocated 25 MB on the pipe f64 row, 27 MB masked and 49 MB
+// over TCP; with a fresh broadcast frame, aggregator and mean per round
+// about 2.3 MB on the plain rows, against bounds of 0.7–5.7 MB.) The
 // last row holds a conn to maxReadScratch after it read one oversized
 // frame. Each client checks the model it trains on, so a client that
 // released its frame before decoding it fails the TCP row.
@@ -475,8 +481,9 @@ func TestWarmRoundRecyclesFrames(t *testing.T) {
 		return server, client
 	}
 	// models is each row's bound in model sizes, for what a round
-	// allocates once whatever its cohort: the broadcast frame and the
-	// mean, and on the masked row also the ring sum and its
+	// allocates once whatever its cohort: nothing model-sized on the
+	// plain rows, whose aggregator and broadcast frame live for the
+	// session, and on the masked row the ring sum, its mean and its
 	// reconciliation.
 	rows := []struct {
 		name    string
@@ -484,10 +491,10 @@ func TestWarmRoundRecyclesFrames(t *testing.T) {
 		connect func(*testing.T) (server, client []Conn)
 		models  float64
 	}{
-		{"pipe-f64", ServerConfig{}, pipes, 4},
-		{"pipe-q8", ServerConfig{Codec: wire.CodecQ8}, pipes, 4},
+		{"pipe-f64", ServerConfig{}, pipes, 1},
+		{"pipe-q8", ServerConfig{Codec: wire.CodecQ8}, pipes, 1},
 		{"pipe-secagg", ServerConfig{SecAgg: true, MaskDegree: secagg.AutoDegree}, pipes, 8},
-		{"tcp-f64", ServerConfig{}, loopback, 4},
+		{"tcp-f64", ServerConfig{}, loopback, 1},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -559,4 +566,73 @@ func TestWarmRoundRecyclesFrames(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestStragglerKeepsItsBroadcastFrame pins the rule for recycling a
+// synchronous round's shared model frame: it goes back to the server's
+// spare only once every peer it reached has answered. A pipe peer takes
+// round 0's ModelDown, never answers and holds the message — its views
+// alias the frame — past round 0's close. Read after round 1's
+// broadcast, which is encoded into the spare, the views must still hold
+// round 0's model. A frame recycled regardless of the straggler would
+// read poisoned 0xFF bytes at its release and round 1's model after.
+func TestStragglerKeepsItsBroadcastFrame(t *testing.T) {
+	state := newStateScalar(1, 3)
+	sent := cloneState(state) // round 0's model
+	upd := newStateScalar(0.125, 3)
+	srv := NewServer(state, ServerConfig{Rounds: 2, MinClients: 2, RoundDeadline: 100 * time.Millisecond})
+	conns := make([]Conn, 3)
+	var wg sync.WaitGroup
+	for i := 0; i < 2; i++ {
+		sc, cc := Pipe()
+		conns[i] = sc
+		c := NewClient(cc, &stubTrainer{id: string(rune('A' + i)), upd: upd})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_ = c.Run()
+		}()
+	}
+	sc, straggler := Pipe()
+	conns[2] = sc
+	held := make(chan *ModelDown, 1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer close(held)
+		msg, err := straggler.Recv()
+		ch, ok := msg.(*Challenge)
+		if err != nil || !ok {
+			t.Errorf("straggler: awaiting challenge: %v %T", err, msg)
+			return
+		}
+		if err := straggler.Send(&Attest{DeviceID: "straggler", Codec: ch.Codec}); err != nil {
+			t.Errorf("straggler: attesting: %v", err)
+			return
+		}
+		msg, err = straggler.Recv()
+		if m, ok := msg.(*ModelDown); ok && err == nil {
+			held <- m // and never answer
+		}
+	}()
+	if _, err := srv.Run(conns); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	m := <-held
+	if m == nil || m.Round != 0 {
+		t.Fatalf("the straggler holds %+v, want round 0's ModelDown", m)
+	}
+	if got := srv.Trace(); len(got) != 2 || got[0].Dropped != 1 || got[1].Dropped != 1 {
+		t.Fatalf("trace %+v: want two rounds, each dropping the straggler", got)
+	}
+	if state[0].Data[0] == sent[0].Data[0] {
+		t.Fatal("the model did not move: the test would not see a reused frame")
+	}
+	for i, v := range m.Views {
+		got := v.Materialise()
+		if !slices.Equal(bitsOf(got.Data), bitsOf(sent[i].Data)) {
+			t.Fatalf("tensor %d of the held round-0 model reads %v after round 1, want %v: its frame was recycled under a peer that never answered", i, got.Data, sent[i].Data)
+		}
+	}
 }

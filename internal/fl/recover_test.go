@@ -377,3 +377,39 @@ func TestResumeBringsSessionLive(t *testing.T) {
 			got.BytesUp, got.BytesDown, want.BytesUp, want.BytesDown)
 	}
 }
+
+// TestRunFailsOnJournalError: a journal append that fails — an I/O
+// error, or a record too large to replay (journal.ErrRecordTooLarge) —
+// sticks in Journal.Err, and the session that wrote it fails with it
+// instead of running on without durability: the synchronous rounds and
+// the async pacing both. The journal here is closed before the session
+// opens, so its first append fails.
+func TestRunFailsOnJournalError(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		j, err := journal.Create(filepath.Join(t.TempDir(), "closed.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = j.Close()
+		cfg := ServerConfig{Rounds: 2, MinClients: 2, Journal: j}
+		cfg.Async = AsyncConfig{Enabled: async, GoalUpdates: 2}
+		srv := NewServer(newState(0, 0), cfg)
+		conns := make([]Conn, 2)
+		var wg sync.WaitGroup
+		for i, tr := range recoverTrainers(1, 2) {
+			sc, cc := Pipe()
+			conns[i] = sc
+			cl := NewClient(cc, tr)
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_ = cl.Run() // an aborted session ends the clients too
+			}()
+		}
+		_, err = srv.Run(conns)
+		wg.Wait()
+		if j.Err() == nil || !errors.Is(err, j.Err()) {
+			t.Errorf("async %v: Run = %v, want the journal's error %v", async, err, j.Err())
+		}
+	}
+}

@@ -101,15 +101,28 @@ type UpdateAggregator interface {
 	Accumulate(update []*wire.View, weight float64) error
 }
 
-// newAggregator builds the configured aggregation strategy for one
-// round over the current model shapes.
+// newAggregator returns the configured aggregation strategy for one
+// round over the current model shapes: the session's FedAvg aggregator,
+// reset, or a fresh robust one.
 func (s *Server) newAggregator() UpdateAggregator {
 	switch s.cfg.Aggregation {
 	case AggTrimmedMean, AggMedian:
 		return newRobustAggregator(s.state, s.cfg.Aggregation, s.cfg.TrimFraction)
 	default:
-		return NewAggregator(s.state)
+		return s.fedAvg()
 	}
+}
+
+// fedAvg returns the session's streaming aggregator, emptied: one for
+// the server's life, shared by every plain round, edge-peer round and
+// async window, so opening one allocates no model-sized sum.
+func (s *Server) fedAvg() *Aggregator {
+	if s.agg == nil {
+		s.agg = NewAggregator(s.state)
+	} else {
+		s.agg.reset()
+	}
+	return s.agg
 }
 
 // robustAggregator buffers the cohort's updates and aggregates
@@ -168,7 +181,7 @@ func (a *robustAggregator) Weight() float64 { return a.weight }
 func (a *robustAggregator) Mean() ([]*tensor.Tensor, error) {
 	n := len(a.updates)
 	if n == 0 {
-		return nil, errors.New("fl: aggregating zero updates")
+		return nil, errNoUpdates
 	}
 	drop := 0
 	if a.method == AggTrimmedMean {

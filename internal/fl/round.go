@@ -34,8 +34,14 @@ type syncRound struct {
 	// or shards on an edge-peer tier — what MinClients gates.
 	folded int
 	// frames is the encode-once cache of the window's shared model
-	// frame, one serialisation per negotiated codec.
+	// frame, one serialisation per negotiated codec. A synchronous round
+	// encodes it into the server's spare frame and hands it back there
+	// at its close when every peer it reached has answered (recycle);
+	// an async window's spare is nil.
 	frames map[wire.Codec][]byte
+	spare  frameSlot
+	// reached counts the peers send handed the window's model to.
+	reached int
 	// sealed is the round's protected half, encoded once (nil when the
 	// round protects nothing), and bare the ModelDown a sealing peer
 	// takes around its sealed copy of it (protect, seals).
@@ -68,7 +74,7 @@ func (s *Server) openRound(round int) (*syncRound, error) {
 		s.curTrace = obs.RoundTrace(round)
 	}
 	s.ob.setTrace(s.curTrace)
-	rd := &syncRound{round: round, pending: make(map[*session]bool), frames: make(map[wire.Codec][]byte)}
+	rd := &syncRound{round: round, pending: make(map[*session]bool), frames: make(map[wire.Codec][]byte), spare: s.spare}
 	rd.ptRound = s.ob.startPhase("round", round)
 	rd.ptSample = s.ob.startPhase("sample", round)
 	rd.sampled = s.sample(alive)
@@ -121,13 +127,29 @@ func (s *Server) distribute(rd *syncRound, down Message) {
 }
 
 // encode serialises down once per negotiated codec among the peers that
-// take the shared frame; codecs the window has already serialised cost
-// nothing.
+// take the shared frame, into the spare frame when one fits; codecs the
+// window has already serialised cost nothing.
 func (rd *syncRound) encode(down Message, to []*session) {
 	for _, sess := range to {
 		if _, ok := rd.frames[sess.codec]; !ok && !rd.seals(sess) {
-			rd.frames[sess.codec] = EncodeMessageCodec(down, sess.codec)
+			rd.frames[sess.codec] = wire.EncodeInto(rd.spare.take(), sess.codec, down.walk)
 		}
+	}
+}
+
+// recycle hands a synchronous round's shared frames back to the spare
+// slot, at its close, if every peer they reached has answered: an
+// in-process peer reads the frame itself, through views, until it has
+// decoded the model, and it answers only after that (Client releases its
+// model before it trains, the edge before its shard round). A round with
+// a straggler, a drop or a refused answer leaves its frames to the
+// garbage collector — a peer still holding one may read it at any time.
+func (rd *syncRound) recycle() {
+	if rd.folded != rd.reached {
+		return
+	}
+	for _, f := range rd.frames {
+		rd.spare.put(f)
 	}
 }
 
@@ -200,6 +222,7 @@ func (s *Server) send(rd *syncRound, to []*session, down Message) {
 			continue
 		}
 		rd.pending[sess] = true
+		rd.reached++
 		sess.sentVersion = rd.round
 	}
 }
@@ -347,12 +370,13 @@ func (s *Server) gate(rd *syncRound, count int) error {
 
 // applyMean commits a successful round: the mean update — sum, a
 // weighted sum of total weight w, times 1/w — is applied to the model
-// and journaled with the round's close. A synchronous round has taken
-// its mean already and passes it with w = 1; an async window passes its
-// buffer. It is one pass over sum: each element is rounded as Mean
-// rounds it, written back so sum holds the mean, squared into
-// UpdateNorm's sum and added to the model as ApplyUpdate adds it at
-// scale 1 — so a window's close reads its buffer once, not three times.
+// and journaled with the round's close. A FedAvg round and an async
+// window pass the session aggregator's sum; a robust or masked round
+// has taken its mean already and passes it with w = 1. It is one pass
+// over sum: each element is rounded as Mean rounds it, written back so
+// sum holds the mean, squared into UpdateNorm's sum and added to the
+// model as ApplyUpdate adds it at scale 1 — so a close reads its sum
+// once, not three times, and allocates no mean.
 func (s *Server) applyMean(rd *syncRound, sum []*tensor.Tensor, w float64) {
 	inv := 1 / w
 	var ss float64
@@ -419,7 +443,9 @@ func (s *Server) runRound(round int) (*PartialUp, error) {
 	default:
 		sum = s.collectUpdates(rd)
 	}
-	return s.publish(rd, sum)
+	up, err := s.publish(rd, sum)
+	rd.recycle()
+	return up, err
 }
 
 // collectUpdates is a plain round's distribute and collect: the model
@@ -496,6 +522,15 @@ func (s *Server) publish(rd *syncRound, sum roundSum) (*PartialUp, error) {
 		}
 		s.closeRound(rd.stats, true, nil)
 		return up, nil
+	}
+	if agg, ok := sum.(*Aggregator); ok {
+		// The session's aggregator closes like an async window: the mean
+		// is taken into its own sum, in the same pass that applies it.
+		if agg.Count() == 0 {
+			return s.fail(rd, errNoUpdates)
+		}
+		s.applyMean(rd, agg.sum, agg.Weight())
+		return nil, nil
 	}
 	mean, err := sum.Mean()
 	if err != nil {

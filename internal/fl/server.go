@@ -127,8 +127,9 @@ type ServerConfig struct {
 	// admissions, quarantine/probation transitions, release-floor
 	// raises and round opens/folds/closes are written through it, and
 	// Recover rebuilds a resumable server from the log after a crash.
-	// Appends are best-effort (an I/O error never fails a round); check
-	// Journal.Err when durability must be verified.
+	// A failed append (an I/O error, a record too large to replay) is
+	// sticky in Journal.Err, and the round that saw it returns it:
+	// StepRound and Run fail rather than run on without durability.
 	Journal *journal.Journal
 
 	// AdaptiveCodec, when positive, enables the per-round adaptive
@@ -312,6 +313,13 @@ type Server struct {
 	shut     bool
 	// adapted latches the one-shot adaptive codec downgrade.
 	adapted bool
+	// agg is the session's FedAvg aggregator (fedAvg), built on first
+	// use and reset by every round or window that folds through it.
+	agg *Aggregator
+	// spare is the shared broadcast frame a synchronous round handed
+	// back at its close (syncRound.recycle), which the next round
+	// encodes its model into.
+	spare frameSlot
 	// roundTrace, when non-zero, is the upstream-minted trace ID the
 	// next rounds carry (SetRoundTrace — hierarchical edges adopt the
 	// root's ID); 0 makes each round mint its own. curTrace is the ID
@@ -403,6 +411,7 @@ func NewServer(state []*tensor.Tensor, cfg ServerConfig) *Server {
 		rng:     mrand.New(mrand.NewSource(cfg.SampleSeed)),
 		history: make(map[string]*deviceHistory),
 		ob:      newServerObs(&cfg),
+		spare:   newFrameSlot(),
 	}
 }
 
@@ -519,6 +528,9 @@ func (s *Server) Run(conns []Conn) (int, error) {
 		// the session down.
 		err = s.runAsync()
 		s.Abort()
+		if err == nil {
+			err = s.journalErr()
+		}
 		if err != nil {
 			return n, fmt.Errorf("fl: async: %w", err)
 		}
@@ -541,10 +553,12 @@ func (s *Server) Run(conns []Conn) (int, error) {
 // and StepRound returns (nil, nil); in hierarchical partial mode
 // (ServerConfig.Partials) the state is left untouched and the round's
 // PartialUp — the un-normalised sum with the shard accounting filled in
-// — is returned for upstream forwarding. A partial-mode round that
-// failed after it opened returns its accounting-only PartialUp together
-// with the error. Rounds must be stepped with strictly increasing
-// indices.
+// — is returned for upstream forwarding; its Sum aliases the session's
+// aggregator and stays valid until the next StepRound. A partial-mode
+// round that failed after it opened returns its accounting-only
+// PartialUp together with the error. A round that left the journal
+// failed (Journal.Err) returns that error. Rounds must be stepped with
+// strictly increasing indices.
 func (s *Server) StepRound(round int) (*PartialUp, error) {
 	if !s.opened || s.shut {
 		return nil, errors.New("fl: StepRound outside an open session")
@@ -556,6 +570,9 @@ func (s *Server) StepRound(round int) (*PartialUp, error) {
 	up, err := s.runRound(round)
 	if round+1 > s.nextRound {
 		s.nextRound = round + 1
+	}
+	if err == nil {
+		err = s.journalErr()
 	}
 	if err == nil {
 		s.maybeAdaptCodec()
@@ -633,20 +650,21 @@ func (s *Server) shutdown() {
 	}
 }
 
-// SetState adopts new global model values in place (hierarchical edges
-// take the root's model each round). Shapes must match the
-// construction-time state.
-func (s *Server) SetState(model []*tensor.Tensor) error {
+// SetState adopts new global model values in place from the views of a
+// received model (hierarchical edges take the root's ShardDown each
+// round). Every view must fit the construction-time state (View.Fits)
+// before any is decoded into it.
+func (s *Server) SetState(model []*wire.View) error {
 	if len(model) != len(s.state) {
 		return fmt.Errorf("fl: model has %d tensors, state has %d", len(model), len(s.state))
 	}
-	for i, t := range model {
-		if t == nil || !t.SameShape(s.state[i]) {
+	for i, v := range model {
+		if !v.Fits(s.state[i]) {
 			return fmt.Errorf("fl: model tensor %d does not match state shape %v", i, s.state[i].Shape)
 		}
 	}
-	for i, t := range model {
-		copy(s.state[i].Data, t.Data)
+	for i, v := range model {
+		v.Decode(s.state[i].Data, 0)
 	}
 	return nil
 }

@@ -22,10 +22,13 @@ type Conn interface {
 	Send(m Message) error
 	// SendFrame transmits a message payload that was already encoded
 	// (with EncodeMessageCodec and this connection's codec). The payload
-	// is not copied and must never be mutated afterwards: broadcast
-	// senders share one buffer across many connections, and an in-memory
-	// receiver reads its tensors through views into that very buffer —
-	// which, unlike a Send frame, it never releases for reuse.
+	// is not copied: broadcast senders share one buffer across many
+	// connections, and an in-memory receiver reads its tensors through
+	// views into that very buffer, which — unlike a Send frame — carries
+	// no lease and is never released by the receiver. The sender must not
+	// mutate it until every receiver is done with it: the server reuses a
+	// round's shared frame only once every peer it reached has answered
+	// (docs/WIRE.md, rule 6).
 	SendFrame(mt MsgType, payload []byte) error
 	// Recv blocks for the next message. It returns io.EOF after the peer
 	// closes. A frame that arrives intact but fails to decode is
@@ -245,10 +248,10 @@ func (c *pipeConn) Send(m Message) error {
 }
 
 // SendFrame implements Conn. The payload travels by reference and the
-// receiver decodes the tensors of GradUp and ModelDown, and the levels
-// of MaskedUp and PartialUp, as views into it, so one
-// payload shared across many pipes is read by every receiver and must
-// never be mutated by sender or receiver; it carries no lease.
+// receiver decodes its tensors and levels as views into it, so one
+// payload shared across many pipes is read by every receiver: no
+// receiver mutates or releases it (it carries no lease), and the sender
+// leaves it alone until every receiver has answered.
 func (c *pipeConn) SendFrame(mt MsgType, payload []byte) error {
 	return c.sendFrame(frame{mt: mt, payload: payload})
 }

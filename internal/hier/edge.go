@@ -209,7 +209,12 @@ func (e *Edge) serveRound(upstream fl.Conn, m *fl.ShardDown) error {
 	// span this round emits — here and on this shard's clients — carries
 	// the fleet-wide correlation ID.
 	e.srv.SetRoundTrace(m.Trace)
-	if err := e.srv.SetState(m.Model); err != nil {
+	// The model's views are decoded into the edge's state, and the frame
+	// goes back before the shard round: the root may reuse it once this
+	// edge has answered.
+	err := e.srv.SetState(m.Views)
+	m.Release()
+	if err != nil {
 		_ = upstream.Send(&fl.ErrorMsg{Text: err.Error()})
 		return fmt.Errorf("hier: adopting round %d model: %w", m.Round, err)
 	}

@@ -39,7 +39,7 @@
 // Partial sums compose exactly at the root:
 //
 //   - Plain rounds forward Σ wᵢuᵢ as full-precision f64 tensors
-//     (wire.ExactTensorList — never the lossy session codec) plus the
+//     (wire.Fields.ExactViews — never the lossy session codec) plus the
 //     summed weight Σ wᵢ. The root adds the shard sums and divides
 //     once by the fleet weight: for the simulator's dyadic updates
 //     every addition is exact in float64, so the hierarchical

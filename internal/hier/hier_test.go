@@ -252,8 +252,8 @@ func TestHierEdgeLossTolerated(t *testing.T) {
 					return
 				}
 				down := m.(*fl.ShardDown)
-				sum := make([]*tensor.Tensor, len(down.Model))
-				for i, p := range down.Model {
+				sum := make([]*tensor.Tensor, len(down.Views))
+				for i, p := range down.Views {
 					sum[i] = tensor.Full(0.5, p.Shape...)
 				}
 				_ = edgeSide.Send(&fl.PartialUp{Round: down.Round, Sum: sum, Weight: 1, Count: 1, Sampled: 1})

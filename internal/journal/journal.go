@@ -233,6 +233,12 @@ const maxRecord = wire.MaxFrame
 // opposed to a journal with a torn tail, which replays cleanly).
 var ErrBadMagic = errors.New("journal: bad magic")
 
+// ErrRecordTooLarge is Append's refusal of a record above maxRecord —
+// a close carrying a model update larger than one frame, such as the
+// paper's AlexNet at f64. Written, it would replay as a torn tail, and
+// every record after it would be lost without an error.
+var ErrRecordTooLarge = errors.New("journal: record too large to replay")
+
 // Journal is an append-only record log backed by one file. Methods are
 // not safe for concurrent use; the engine appends from its round
 // goroutine only. (Pending is the one exception: it is atomic so an
@@ -305,16 +311,23 @@ func Append(path string) (*Journal, error) {
 	return &Journal{f: f}, nil
 }
 
-// Err returns the first append error, if any. The engine treats the
-// journal as best-effort durability: appends never fail a round, but a
-// harness (or operator) should check Err before trusting the log.
+// Err returns the first append or sync error, if any — sticky, so
+// nothing after a lost record is written. The engine never cuts a round
+// short on it, but fails the round that saw it once the round is over
+// (fl's StepRound and Run return it).
 func (j *Journal) Err() error { return j.err }
 
 // Append encodes and writes one record. The header and payload go out
-// in a single Write so a crash cannot interleave records. The first
-// failed write sticks: later appends become no-ops reporting it.
+// in a single Write so a crash cannot interleave records. A record above
+// maxRecord, which Decode would read as a torn tail, is refused with
+// ErrRecordTooLarge before a byte of it is encoded or written. The first
+// failure sticks: later appends become no-ops reporting it.
 func (j *Journal) Append(rec *Record) error {
 	if j.err != nil {
+		return j.err
+	}
+	if n := wire.Size(wire.CodecF64, rec.walk); n > maxRecord {
+		j.err = fmt.Errorf("%w: a %d-byte %s record, limit %d", ErrRecordTooLarge, n, rec.Type, maxRecord)
 		return j.err
 	}
 	payload := encodeRecord(rec)

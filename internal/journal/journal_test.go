@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -265,5 +266,63 @@ func TestStickyAppendError(t *testing.T) {
 	}
 	if j.Err() == nil {
 		t.Fatal("append error did not stick")
+	}
+}
+
+// TestAppendRefusesWhatReplayCannotRead: a record Decode would read as a
+// torn tail — here a close carrying an AlexNet-sized f64 update, 189.1
+// MB against the 128 MiB record bound — is refused with
+// ErrRecordTooLarge, no byte of it reaches the file, the error sticks,
+// and Replay returns exactly the records Append accepted. Without the
+// refusal all three appends succeed and Replay returns one record, with
+// no error. (The update's pages are only sized, never touched.)
+func TestAppendRefusesWhatReplayCannotRead(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "big.journal")
+	j, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	const alexNetParams = 23_640_996
+	recs := []*Record{
+		{Type: RecRoundOpen, Round: 0},
+		{Type: RecRoundClose, Round: 0, OK: true, Update: []*tensor.Tensor{tensor.New(alexNetParams)}},
+		{Type: RecRoundOpen, Round: 1},
+	}
+	var accepted []RecType
+	for i, rec := range recs {
+		before, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = j.Append(rec)
+		if err == nil {
+			accepted = append(accepted, rec.Type)
+			continue
+		}
+		if !errors.Is(err, ErrRecordTooLarge) || !errors.Is(j.Err(), ErrRecordTooLarge) {
+			t.Fatalf("record %d: Append = %v, Err = %v; want ErrRecordTooLarge from both", i, err, j.Err())
+		}
+		if after, err := os.Stat(path); err != nil || after.Size() != before.Size() {
+			t.Fatalf("record %d: a refused append wrote %d bytes", i, after.Size()-before.Size())
+		}
+	}
+	if len(accepted) != 1 {
+		t.Errorf("Append accepted %d records, want only the first: the refusal must stick", len(accepted))
+	}
+	if err := j.Sync(); !errors.Is(err, ErrRecordTooLarge) {
+		t.Errorf("Sync after a refused append = %v, want ErrRecordTooLarge", err)
+	}
+	got, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(accepted) {
+		t.Fatalf("Replay returned %d records, Append accepted %d: an accepted record was lost", len(got), len(accepted))
+	}
+	for i, rec := range got {
+		if rec.Type != accepted[i] {
+			t.Errorf("record %d replays as %s, want %s", i, rec.Type, accepted[i])
+		}
 	}
 }

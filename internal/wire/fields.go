@@ -42,16 +42,23 @@ func Encode(codec Codec, walk func(*Fields)) []byte { return EncodeInto(nil, cod
 // payload otherwise — for a transport that recycles frame buffers. The
 // bytes are Encode's either way.
 func EncodeInto(buf []byte, codec Codec, walk func(*Fields)) []byte {
-	size := GetWriter()
-	size.Codec, size.sizing = codec, true
-	walk(Encoder(size))
-	if n := size.Len(); cap(buf) < n {
+	if n := Size(codec, walk); cap(buf) < n {
 		buf = make([]byte, 0, n)
 	}
-	PutWriter(size)
 	w := &Writer{buf: buf[:0], Codec: codec}
 	walk(Encoder(w))
 	return w.buf
+}
+
+// Size returns the length of the payload walk encodes under the codec,
+// measured by Encode's sizing walk: no element data or blob is read.
+func Size(codec Codec, walk func(*Fields)) int {
+	size := GetWriter()
+	size.Codec, size.sizing = codec, true
+	walk(Encoder(size))
+	n := size.Len()
+	PutWriter(size)
+	return n
 }
 
 // Decode walks a schema over data under the tensor codec and returns
@@ -216,10 +223,20 @@ func (f *Fields) Tensor(p **tensor.Tensor) { field(f, p, (*Writer).Tensor, (*Rea
 // Tensors walks a tensor list under the session codec.
 func (f *Fields) Tensors(p *[]*tensor.Tensor) { List(f, p, (*Fields).Tensor) }
 
-// ExactTensors walks a tensor list in the exact f64 encoding whatever
-// the session codec (partial sums compose bit-identically).
-func (f *Fields) ExactTensors(p *[]*tensor.Tensor) {
-	field(f, p, (*Writer).ExactTensorList, (*Reader).ExactTensorList)
+// ExactViews walks a tensor list as Views does, in the exact f64
+// encoding whatever the session codec (partial sums compose
+// bit-identically): decoding yields f64 views aliasing the payload.
+func (f *Fields) ExactViews(plain *[]*tensor.Tensor, views *[]*View) {
+	var codec *Codec
+	if f.w != nil {
+		codec = &f.w.Codec
+	} else {
+		codec = &f.r.Codec
+	}
+	saved := *codec
+	*codec = CodecF64
+	f.Views(plain, views)
+	*codec = saved
 }
 
 // U64Tensor walks one (possibly nil) raw 64-bit level tensor.

@@ -59,8 +59,11 @@ import (
 
 // Limits protect decoders against malicious lengths.
 const (
-	// MaxFrame is the largest accepted frame payload (128 MiB —
-	// AlexNet-sized state fits comfortably).
+	// MaxFrame is the largest accepted frame payload (128 MiB). LeNet-5
+	// is 0.71 MB at f64; the paper's AlexNet (23 640 996 parameters) is
+	// 189.1 MB at f64 and does not fit (94.6 MB at f32 does). A journal
+	// record is bounded by it too, and a larger one is refused
+	// (journal.ErrRecordTooLarge).
 	MaxFrame = 128 << 20
 	// MaxDims is the largest accepted tensor rank.
 	MaxDims = 8
