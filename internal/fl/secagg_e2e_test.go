@@ -1,6 +1,7 @@
 package fl
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -828,8 +829,10 @@ func (c *tapConn) Send(m Message) error {
 	return c.Conn.Send(m)
 }
 
+// SendFrame records a copy too: the server encodes the next round's
+// model into a shared frame it took back at this round's close.
 func (c *tapConn) SendFrame(mt MsgType, payload []byte) error {
-	if m, err := DecodeMessage(mt, payload); err == nil {
+	if m, err := DecodeMessage(mt, bytes.Clone(payload)); err == nil {
 		c.note(&c.sent, m)
 	}
 	return c.Conn.SendFrame(mt, payload)

@@ -209,9 +209,10 @@ func (e *Edge) serveRound(upstream fl.Conn, m *fl.ShardDown) error {
 	// span this round emits — here and on this shard's clients — carries
 	// the fleet-wide correlation ID.
 	e.srv.SetRoundTrace(m.Trace)
-	// The model's views are decoded into the edge's state, and the frame
-	// goes back before the shard round: the root may reuse it once this
-	// edge has answered.
+	// The model's views are decoded into the edge's state and the frame
+	// released before the shard round: a leased frame (TCP) goes back to
+	// the conn, and a shared one (a pipe) is the root's to reuse once
+	// this edge has answered.
 	err := e.srv.SetState(m.Views)
 	m.Release()
 	if err != nil {

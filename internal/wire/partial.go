@@ -23,7 +23,8 @@ func (w *Writer) ExactTensor(t *tensor.Tensor) {
 }
 
 // ExactTensorList appends a length-prefixed tensor list with the exact
-// f64 element encoding, ignoring the writer's negotiated codec.
+// f64 element encoding, ignoring the writer's negotiated codec. Kept for
+// benchmark/: PartialUp walks its sum with Fields.ExactViews.
 func (w *Writer) ExactTensorList(ts []*tensor.Tensor) {
 	saved := w.Codec
 	w.Codec = CodecF64
@@ -40,7 +41,8 @@ func (r *Reader) ExactTensor() *tensor.Tensor {
 	return t
 }
 
-// ExactTensorList reads a list written by Writer.ExactTensorList.
+// ExactTensorList reads a list written by Writer.ExactTensorList. Kept
+// for benchmark/, like the writer.
 func (r *Reader) ExactTensorList() []*tensor.Tensor {
 	saved := r.Codec
 	r.Codec = CodecF64
